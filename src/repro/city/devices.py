@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.devices.determinism import stable_gauss_like, stable_unit
-from repro.errors import ServiceError
+from repro.devices.determinism import stable_gauss_like, stable_prefix, stable_unit
+from repro.devices.sensors import StreamPoll
 from repro.model.prototypes import Prototype
 from repro.model.schema import RelationSchema
 from repro.model.services import Service, ServiceRegistry
@@ -48,7 +48,11 @@ __all__ = [
     "Alert",
     "AlertLog",
     "AlertSink",
-    "CityStreamFeeder",
+    "FleetTelemetryFeeder",
+    "load_columns",
+    "station_columns",
+    "relay_columns",
+    "weather_columns",
 ]
 
 READ_LOAD = Prototype(
@@ -137,13 +141,14 @@ class SmartMeter:
         self.surge_period = surge_period
         self.surge_width = surge_width
         self.phase = phase
+        self._load_draw = stable_prefix(reference, "load")
 
     def surging(self, instant: int) -> bool:
         return (instant + self.phase) % self.surge_period < self.surge_width
 
     def load(self, instant: int) -> float:
         factor = 1.0 + (self.surge_factor if self.surging(instant) else 0.0)
-        wobble = 2.0 * stable_gauss_like(self.reference, "load", instant)
+        wobble = 2.0 * stable_gauss_like(instant, prefix=self._load_draw)
         return max(0.0, quantize(self.base * factor + wobble))
 
     def as_service(self) -> Service:
@@ -168,9 +173,10 @@ class GridRelay:
         self.reference = reference
         self.zone = zone
         self.rating = rating
+        self._thru_draw = stable_prefix(reference, "thru")
 
     def throughput(self, instant: int) -> float:
-        swing = 0.3 * stable_unit(self.reference, "thru", instant)
+        swing = 0.3 * stable_unit(instant, prefix=self._thru_draw)
         return quantize(self.rating * (0.5 + swing))
 
     def status(self, instant: int) -> str:
@@ -200,9 +206,10 @@ class Substation:
         self.reference = reference
         self.zone = zone
         self.capacity = capacity
+        self._util_draw = stable_prefix(reference, "util")
 
     def utilization(self, instant: int) -> float:
-        level = 0.4 + 0.4 * stable_unit(self.reference, "util", instant)
+        level = 0.4 + 0.4 * stable_unit(instant, prefix=self._util_draw)
         return quantize(self.capacity * level)
 
     def as_service(self) -> Service:
@@ -229,8 +236,12 @@ class SpareStation(Substation):
     ``specializes`` substitution rule projects its readings down for a
     dead substation (the cascade's "spares absorb load" leg)."""
 
+    def __init__(self, reference: str, zone: str, capacity: float = 500.0):
+        super().__init__(reference, zone, capacity)
+        self._hz_draw = stable_prefix(reference, "hz")
+
     def frequency(self, instant: int) -> float:
-        return quantize(50.0 + 0.5 * stable_gauss_like(self.reference, "hz", instant))
+        return quantize(50.0 + 0.5 * stable_gauss_like(instant, prefix=self._hz_draw))
 
     def as_service(self) -> Service:
         def read_grid_node(inputs, instant):
@@ -260,13 +271,15 @@ class WeatherStation:
         self.reference = reference
         self.zone = zone
         self.base_temp = base_temp
+        self._temp_draw = stable_prefix(reference, "temp")
+        self._wind_draw = stable_prefix(reference, "wind")
 
     def temperature(self, instant: int) -> float:
-        drift = 3.0 * stable_gauss_like(self.reference, "temp", instant // 12)
+        drift = 3.0 * stable_gauss_like(instant // 12, prefix=self._temp_draw)
         return quantize(self.base_temp + drift)
 
     def wind(self, instant: int) -> float:
-        return quantize(8.0 * stable_unit(self.reference, "wind", instant))
+        return quantize(8.0 * stable_unit(instant, prefix=self._wind_draw))
 
     def as_service(self) -> Service:
         def read_weather(inputs, instant):
@@ -340,9 +353,12 @@ class AlertSink:
 class FleetTelemetryFeeder:
     """Per-tick producer of one telemetry stream for one prototype.
 
-    Invokes ``prototype`` on every currently registered provider and
-    inserts one row per result via ``build_row(service, outputs,
-    instant)``.  It reads through the service registry, so:
+    Polls every currently registered provider of ``prototype`` as one
+    batch (:class:`~repro.devices.sensors.StreamPoll`) and inserts one
+    row per reading: ``columns(service)`` — the row's per-service
+    constants, see the ``*_columns`` builders below — plus the
+    prototype's output attributes and ``at``.  It reads through the
+    service registry, so:
 
     * a churned-out or quarantined device silently stops feeding (one
       flaky device never silences the fleet — its reading is simply
@@ -361,71 +377,42 @@ class FleetTelemetryFeeder:
         registry: ServiceRegistry,
         prototype: "Prototype",
         insert,
-        build_row,
+        columns,
         period: int = 1,
     ):
         self.registry = registry
         self.prototype = prototype
         self.insert = insert
-        self.build_row = build_row
         self.period = period
+        self._poll = StreamPoll(registry, prototype, columns)
 
     def __call__(self, instant: int) -> None:
         if instant % self.period != 0:
             return
-        rows = []
-        for service in self.registry.providers(self.prototype):
-            try:
-                results = self.registry.invoke(
-                    self.prototype, service.reference, {}, instant
-                )
-            except ServiceError:
-                continue
-            for outputs in results:
-                rows.append(self.build_row(service, outputs, instant))
+        rows = self._poll.rows(instant)
         if rows:
             self.insert(rows)
 
 
-def load_row(service: Service, outputs, instant: int) -> dict:
-    (load,) = outputs
+def _zone(service: Service) -> str:
+    return str(service.properties.get("zone", "unknown"))
+
+
+def load_columns(service: Service) -> dict:
     return {
         "meter": service.reference,
-        "zone": str(service.properties.get("zone", "unknown")),
+        "zone": _zone(service),
         "feeder": str(service.properties.get("feeder", "")),
-        "load": load,
-        "at": instant,
     }
 
 
-def station_row(service: Service, outputs, instant: int) -> dict:
-    capacity, utilization = outputs
-    return {
-        "station": service.reference,
-        "zone": str(service.properties.get("zone", "unknown")),
-        "capacity": capacity,
-        "utilization": utilization,
-        "at": instant,
-    }
+def station_columns(service: Service) -> dict:
+    return {"station": service.reference, "zone": _zone(service)}
 
 
-def relay_row(service: Service, outputs, instant: int) -> dict:
-    status, throughput = outputs
-    return {
-        "relay": service.reference,
-        "zone": str(service.properties.get("zone", "unknown")),
-        "status": status,
-        "throughput": throughput,
-        "at": instant,
-    }
+def relay_columns(service: Service) -> dict:
+    return {"relay": service.reference, "zone": _zone(service)}
 
 
-def weather_row(service: Service, outputs, instant: int) -> dict:
-    temperature, wind = outputs
-    return {
-        "station": service.reference,
-        "zone": str(service.properties.get("zone", "unknown")),
-        "temperature": temperature,
-        "wind": wind,
-        "at": instant,
-    }
+#: A weather stream row names its source ``station`` too.
+weather_columns = station_columns

@@ -35,10 +35,10 @@ from repro.city.devices import (
     SpareStation,
     Substation,
     WeatherStation,
-    load_row,
-    relay_row,
-    station_row,
-    weather_row,
+    load_columns,
+    relay_columns,
+    station_columns,
+    weather_columns,
 )
 from repro.city.generator import CityTopology, generate_topology
 from repro.city.queries import (
@@ -267,20 +267,20 @@ def build_city(
     # *through the registry*: failures are recorded (so the cascade's
     # crash quarantines and rebinds), substituted devices keep flowing,
     # and quarantined ones drop out of the stream for the episode.
-    def feed(prototype, relation, build_row):
+    def feed(prototype, relation, columns):
         pems.add_stream_source(
             FleetTelemetryFeeder(
                 env.registry,
                 prototype,
                 lambda rows, _relation=relation: tables.insert(_relation, rows),
-                build_row,
+                columns,
             )
         )
 
-    feed(READ_LOAD, "load_readings", load_row)
-    feed(READ_STATION, "station_telemetry", station_row)
-    feed(CHECK_RELAY, "relay_telemetry", relay_row)
-    feed(READ_WEATHER, "weather_telemetry", weather_row)
+    feed(READ_LOAD, "load_readings", load_columns)
+    feed(READ_STATION, "station_telemetry", station_columns)
+    feed(CHECK_RELAY, "relay_telemetry", relay_columns)
+    feed(READ_WEATHER, "weather_telemetry", weather_columns)
 
     if with_queries:
         pack = build_query_pack(env, config.zones, per_zone=per_zone_queries)

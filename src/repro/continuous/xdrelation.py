@@ -59,14 +59,24 @@ class XDRelation:
             self.insert(initial, instant=0)
 
     # -- writes -----------------------------------------------------------------
+    #
+    # A write is one batch: the whole batch is validated against the schema
+    # first (:meth:`ExtendedRelationSchema.validate_tuples`, per column),
+    # then applied with set operations.  A batch that fails validation — or
+    # arrives out of time order — leaves the state, the journal, ``revision``
+    # and ``len()`` untouched.
 
-    def _delta(self, instant: int) -> tuple[set[tuple], set[tuple]]:
+    def check_order(self, instant: int) -> None:
+        """Raise unless a write at ``instant`` respects time order."""
         if instant < self._last_instant:
             raise SerenaError(
                 f"XD-Relation {self.schema.name!r}: writes must be in "
                 f"non-decreasing time order (got instant {instant} after "
                 f"{self._last_instant})"
             )
+
+    def _delta(self, instant: int) -> tuple[set[tuple], set[tuple]]:
+        self.check_order(instant)
         if instant not in self._inserted:
             bisect.insort(self._instants, instant)
             self._inserted[instant] = set()
@@ -75,62 +85,69 @@ class XDRelation:
         return self._inserted[instant], self._deleted[instant]
 
     def insert(self, tuples: Iterable[tuple], instant: int) -> int:
-        """Insert tuples at ``instant``; returns how many were new."""
+        """Insert tuples at ``instant``; returns how many were new.
+
+        All or nothing: an invalid tuple anywhere in the batch raises
+        before any tuple is written.
+        """
+        return self.insert_validated(self.schema.validate_tuples(tuples), instant)
+
+    def insert_validated(self, tuples: Iterable[tuple], instant: int) -> int:
+        """:meth:`insert` for tuples :meth:`validate_tuples` already
+        returned for this schema — the federated facade validates a batch
+        once and scatters it over its partitions through here."""
         inserted, deleted = self._delta(instant)
-        count = 0
-        for values in tuples:
-            values = self.schema.validate_tuple(values)
-            if values in self._state:
-                continue
-            self._state.add(values)
-            deleted.discard(values)
-            inserted.add(values)
-            count += 1
-        if count:
+        new = set(tuples) - self._state
+        if new:
+            self._state |= new
+            deleted -= new
+            inserted |= new
             self._revision += 1
-        return count
+        return len(new)
 
     def insert_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int
     ) -> int:
-        """Insert name→value rows (real attributes only) at ``instant``."""
-        return self.insert(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
-        )
+        """Insert name→value rows (real attributes only) at ``instant``;
+        all or nothing, like :meth:`insert`."""
+        order = self.schema.values_from_mapping
+        return self.insert([order(row) for row in rows], instant)
 
     def delete(self, tuples: Iterable[tuple], instant: int) -> int:
         """Delete tuples at ``instant``; returns how many were present.
 
         Streams are append-only (Section 4.1): deleting from an infinite
-        XD-Relation is an error.
+        XD-Relation is an error.  All or nothing, like :meth:`insert`.
         """
+        self._check_deletable()
+        return self.delete_validated(self.schema.validate_tuples(tuples), instant)
+
+    def delete_validated(self, tuples: Iterable[tuple], instant: int) -> int:
+        """:meth:`delete` for already-validated tuples (see
+        :meth:`insert_validated`)."""
+        self._check_deletable()
+        inserted, deleted = self._delta(instant)
+        gone = self._state.intersection(tuples)
+        if gone:
+            self._state -= gone
+            same_instant = gone & inserted  # inserted and deleted same instant
+            inserted -= same_instant
+            deleted |= gone - same_instant
+            self._revision += 1
+        return len(gone)
+
+    def _check_deletable(self) -> None:
         if self.infinite:
             raise SerenaError(
                 f"stream {self.schema.name!r} is append-only: deletion is "
                 "not defined on infinite XD-Relations"
             )
-        inserted, deleted = self._delta(instant)
-        count = 0
-        for values in tuples:
-            values = self.schema.validate_tuple(values)
-            if values not in self._state:
-                continue
-            self._state.discard(values)
-            if values in inserted:
-                inserted.discard(values)  # inserted and deleted same instant
-            else:
-                deleted.add(values)
-            count += 1
-        if count:
-            self._revision += 1
-        return count
 
     def delete_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int
     ) -> int:
-        return self.delete(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
-        )
+        order = self.schema.values_from_mapping
+        return self.delete([order(row) for row in rows], instant)
 
     # -- reads ---------------------------------------------------------------------
 

@@ -16,18 +16,27 @@ sensors into a ``temperatures`` stream, like the paper's sensors
 "periodically providing temperatures associated with locations".  It reads
 through the service registry, so a sensor that disappears from the
 registry silently stops feeding the stream — no query restart needed.
+Its poll loop is :class:`StreamPoll`, which the city's fleet feeders
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from repro.devices.determinism import stable_gauss_like
+from repro.devices.determinism import stable_gauss_like, stable_prefix
 from repro.devices.prototypes import GET_ENV_READING, GET_TEMPERATURE
 from repro.errors import ServiceError
+from repro.model.prototypes import Prototype
 from repro.model.services import Service, ServiceRegistry
 
-__all__ = ["TemperatureSensor", "EnvironmentalSensor", "SensorStreamFeeder"]
+__all__ = [
+    "TemperatureSensor",
+    "EnvironmentalSensor",
+    "StreamPoll",
+    "SensorStreamFeeder",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,8 @@ class TemperatureSensor:
         self.base = base
         self.noise = noise
         self._episodes: list[_HeatEpisode] = []
+        self._drift_draw = stable_prefix(reference, "drift")
+        self._noise_draw = stable_prefix(reference, "noise")
 
     def heat(self, start: int, end: int, peak: float) -> None:
         """Schedule a heating episode over instants [start, end].
@@ -77,8 +88,8 @@ class TemperatureSensor:
 
     def temperature(self, instant: int) -> float:
         """The reading at ``instant`` (pure function of the instant)."""
-        drift = 1.5 * stable_gauss_like(self.reference, "drift", instant // 60)
-        noise = self.noise * stable_gauss_like(self.reference, "noise", instant)
+        drift = 1.5 * stable_gauss_like(instant // 60, prefix=self._drift_draw)
+        noise = self.noise * stable_gauss_like(instant, prefix=self._noise_draw)
         heating = 0.0
         for episode in self._episodes:
             if episode.start <= instant <= episode.end:
@@ -126,11 +137,13 @@ class EnvironmentalSensor(TemperatureSensor):
     ):
         super().__init__(reference, location, base, noise)
         self.base_humidity = base_humidity
+        self._hum_drift_draw = stable_prefix(reference, "hum-drift")
+        self._hum_noise_draw = stable_prefix(reference, "hum-noise")
 
     def humidity(self, instant: int) -> float:
         """Relative humidity at ``instant`` (pure function of the instant)."""
-        drift = 4.0 * stable_gauss_like(self.reference, "hum-drift", instant // 60)
-        noise = 1.5 * stable_gauss_like(self.reference, "hum-noise", instant)
+        drift = 4.0 * stable_gauss_like(instant // 60, prefix=self._hum_drift_draw)
+        noise = 1.5 * stable_gauss_like(instant, prefix=self._hum_noise_draw)
         return round(self.base_humidity + drift + noise, 2)
 
     def as_service(self) -> Service:
@@ -153,13 +166,77 @@ class EnvironmentalSensor(TemperatureSensor):
         return f"EnvironmentalSensor({self.reference!r} @ {self.location!r})"
 
 
+class StreamPoll:
+    """The batched poll behind every stream feeder: all providers of one
+    prototype, one :meth:`ServiceRegistry.invoke_many` per instant.
+
+    A reading becomes the row ``{**columns(service), <output attribute>:
+    value, ..., "at": instant}``.  ``columns(service)`` — the part of the
+    row that is constant per service (its reference, zone, location, …)
+    — is evaluated once per provider and kept until the registry's
+    ``topology_version`` moves, so the per-instant path builds no string.
+
+    It reads through the registry, so a device that left, was
+    quarantined or fails this instant is simply absent from the rows
+    (one faulty device never silences the stream), its failure is
+    recorded by the registry, and a crashed-but-substituted device keeps
+    flowing from its substitute.
+    """
+
+    def __init__(
+        self,
+        registry: ServiceRegistry,
+        prototype: Prototype,
+        columns: Callable[[Service], Mapping[str, object]],
+    ):
+        self.registry = registry
+        self.prototype = prototype
+        self.columns = columns
+        self._outputs = prototype.output_schema.names
+        self._topology: int | None = None
+        self._references: list[str] = []
+        self._constants: list[Mapping[str, object]] = []
+
+    def rows(self, instant: int) -> list[dict[str, object]]:
+        """One row per reading of ``instant``, providers in reference order."""
+        registry = self.registry
+        if self._topology != registry.topology_version:
+            self._topology = registry.topology_version
+            providers = registry.providers(self.prototype)
+            self._references = [service.reference for service in providers]
+            self._constants = [self.columns(service) for service in providers]
+        outcomes = registry.invoke_many(
+            self.prototype, self._references, {}, instant
+        )
+        names = self._outputs
+        rows = []
+        for constants, outcome in zip(self._constants, outcomes):
+            if isinstance(outcome, ServiceError):
+                continue
+            for values in outcome:
+                row = dict(constants)
+                for name, value in zip(names, values):
+                    row[name] = value
+                row["at"] = instant
+                rows.append(row)
+        return rows
+
+
+def _sensor_columns(service: Service) -> dict[str, object]:
+    return {
+        "sensor": service.reference,
+        "location": str(service.properties.get("location", "unknown")),
+    }
+
+
 class SensorStreamFeeder:
     """Per-tick producer of the ``temperatures`` stream.
 
     At every instant that is a multiple of ``period``, it invokes
-    ``getTemperature`` on every currently registered sensor service and
-    inserts ``(sensor, location, temperature, at)`` rows into the stream.
-    Register it with :meth:`repro.pems.pems.PEMS.add_stream_source`.
+    ``getTemperature`` on every currently registered sensor service (a
+    :class:`StreamPoll`) and inserts ``(sensor, location, temperature,
+    at)`` rows into the stream.  Register it with
+    :meth:`repro.pems.pems.PEMS.add_stream_source`.
     """
 
     def __init__(
@@ -171,29 +248,11 @@ class SensorStreamFeeder:
         self.registry = registry
         self.insert = insert
         self.period = period
+        self._poll = StreamPoll(registry, GET_TEMPERATURE, _sensor_columns)
 
     def __call__(self, instant: int) -> None:
         if instant % self.period != 0:
             return
-        rows = []
-        for service in self.registry.providers(GET_TEMPERATURE):
-            try:
-                results = self.registry.invoke(
-                    GET_TEMPERATURE, service.reference, {}, instant
-                )
-            except ServiceError:
-                # One faulty sensor must not silence the whole stream:
-                # its reading is absent this instant, the others flow on.
-                continue
-            location = str(service.properties.get("location", "unknown"))
-            for (temperature,) in results:
-                rows.append(
-                    {
-                        "sensor": service.reference,
-                        "location": location,
-                        "temperature": temperature,
-                        "at": instant,
-                    }
-                )
+        rows = self._poll.rows(instant)
         if rows:
             self.insert(rows)

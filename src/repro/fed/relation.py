@@ -75,28 +75,39 @@ class FederatedRelation:
             return None
         return self._ring.zone_for(value)
 
-    def _group(self, tuples: Iterable[tuple]) -> dict[str, list[tuple]]:
+    def _scatter(
+        self, tuples: Iterable[tuple], instant: int
+    ) -> list[tuple[XDRelation, list[tuple]]]:
+        """Validate the batch once, against the facade's schema, and
+        group it by owning partition (zones in sorted order).  Every
+        target partition is checked for time order before the caller
+        writes to any, so a refused batch leaves all partitions untouched.
+        """
         groups: dict[str, list[tuple]] = {}
-        for values in tuples:
-            values = self.schema.validate_tuple(values)
+        for values in self.schema.validate_tuples(tuples):
             groups.setdefault(self.zone_of(values), []).append(values)
-        return groups
+        targets = [(self.partitions[zone], groups[zone]) for zone in sorted(groups)]
+        for partition, _ in targets:
+            partition.check_order(instant)
+        return targets
 
     # -- writes (scatter) ---------------------------------------------------------
+    #
+    # All or nothing, like the XD-Relation writes they fan out to: the
+    # partitions share the facade's schema, so they take the validated
+    # groups as they are — each value is coerced exactly once.
 
     def insert(self, tuples: Iterable[tuple], instant: int) -> int:
-        groups = self._group(tuples)
         return sum(
-            self.partitions[zone].insert(groups[zone], instant)
-            for zone in sorted(groups)
+            partition.insert_validated(group, instant)
+            for partition, group in self._scatter(tuples, instant)
         )
 
     def insert_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int
     ) -> int:
-        return self.insert(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
-        )
+        order = self.schema.values_from_mapping
+        return self.insert([order(row) for row in rows], instant)
 
     def delete(self, tuples: Iterable[tuple], instant: int) -> int:
         if self.infinite:
@@ -104,18 +115,16 @@ class FederatedRelation:
                 f"stream {self.schema.name!r} is append-only: deletion is "
                 "not defined on infinite XD-Relations"
             )
-        groups = self._group(tuples)
         return sum(
-            self.partitions[zone].delete(groups[zone], instant)
-            for zone in sorted(groups)
+            partition.delete_validated(group, instant)
+            for partition, group in self._scatter(tuples, instant)
         )
 
     def delete_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int
     ) -> int:
-        return self.delete(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
-        )
+        order = self.schema.values_from_mapping
+        return self.delete([order(row) for row in rows], instant)
 
     # -- reads (gather) ------------------------------------------------------------
 

@@ -38,7 +38,7 @@ class XRelation:
         if validated:
             self._tuples = frozenset(tuples)
         else:
-            self._tuples = frozenset(schema.validate_tuple(t) for t in tuples)
+            self._tuples = frozenset(schema.validate_tuples(tuples))
 
     # -- construction ----------------------------------------------------------
 
@@ -49,7 +49,7 @@ class XRelation:
         rows: Iterable[Mapping[str, object]],
     ) -> "XRelation":
         """Build an X-Relation from name→value mappings (real attrs only)."""
-        return cls(schema, (schema.tuple_from_mapping(row) for row in rows))
+        return cls(schema, [schema.values_from_mapping(row) for row in rows])
 
     def replace_tuples(self, tuples: Iterable[tuple]) -> "XRelation":
         """A new X-Relation over the same schema with other tuples."""

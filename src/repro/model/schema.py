@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import DuplicateAttributeError, SchemaError, UnknownAttributeError
 from repro.model.attributes import Attribute
-from repro.model.types import DataType, coerce_value
+from repro.model.types import DataType, coerce_value, exact_type
 
 __all__ = ["RelationSchema"]
 
@@ -29,7 +29,7 @@ class RelationSchema:
     attributes, same order).
     """
 
-    __slots__ = ("_attributes", "_index", "_hash")
+    __slots__ = ("_attributes", "_index", "_hash", "_exact_types")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
@@ -45,6 +45,9 @@ class RelationSchema:
         object.__setattr__(self, "_attributes", attrs)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash(attrs))
+        object.__setattr__(
+            self, "_exact_types", tuple(exact_type(a.dtype) for a in attrs)
+        )
 
     # -- construction helpers ------------------------------------------------
 
@@ -118,7 +121,16 @@ class RelationSchema:
         Values are coerced into their attribute domains; missing or extra
         keys raise :class:`SchemaError`.
         """
-        extra = set(mapping) - set(self._index)
+        index = self._index
+        if len(mapping) == len(index):
+            try:
+                values = tuple([mapping[name] for name in index])
+            except (KeyError, TypeError):
+                pass  # wrong keys or not a mapping: reported below
+            else:
+                if tuple(map(type, values)) == self._exact_types:
+                    return values  # exactly the keys, nothing to coerce
+        extra = set(mapping) - set(index)
         if extra:
             raise UnknownAttributeError(sorted(extra)[0])
         try:

@@ -122,8 +122,12 @@ class ServiceRegistry:
     ):
         self._services: dict[str, Service] = {}
         #: Bumped on every register/unregister — a cheap invalidation key
-        #: for caches derived from the membership (the ERM failover table).
+        #: for caches derived from the membership (the ERM failover table,
+        #: the providers index below, the feeders' per-service constants).
         self.topology_version = 0
+        # prototype -> providers sorted by reference, as of _indexed_version.
+        self._providers: dict[Prototype, list[Service]] = {}
+        self._indexed_version = 0
         for service in services:
             self.register(service)
         #: Observability facade: a standalone registry defaults to the
@@ -241,11 +245,21 @@ class ServiceRegistry:
 
     def providers(self, prototype: Prototype) -> list[Service]:
         """All registered services implementing ``prototype``, sorted by
-        reference (deterministic order for discovery queries)."""
-        return sorted(
-            (s for s in self._services.values() if s.implements(prototype)),
-            key=lambda s: s.reference,
-        )
+        reference (deterministic order for discovery queries).
+
+        Served from a per-prototype index rebuilt in one pass over the
+        registry when :attr:`topology_version` has moved; the returned
+        list is the caller's own copy.
+        """
+        if self._indexed_version != self.topology_version:
+            index: dict[Prototype, list[Service]] = {}
+            for reference in sorted(self._services):
+                service = self._services[reference]
+                for implemented in service._methods:
+                    index.setdefault(implemented, []).append(service)
+            self._providers = index
+            self._indexed_version = self.topology_version
+        return list(self._providers.get(prototype, ()))
 
     # -- invocation (Definition 1) -------------------------------------------
 
@@ -305,131 +319,188 @@ class ServiceRegistry:
         Returns a list of value tuples over ``prototype.output_schema``
         (0, 1 or several tuples, Section 2.1).  Raises
         :class:`UnknownServiceError`, :class:`PrototypeNotImplementedError`
-        or :class:`InvocationError` on failure.
+        or :class:`InvocationError` on failure.  It is
+        :meth:`invoke_many` on a batch of one.
         """
-        service = self.get(reference)
-        handler = service.handler(prototype)
-        expected = prototype.input_schema.name_set
+        (outcome,) = self.invoke_many(prototype, (reference,), inputs, instant)
+        if isinstance(outcome, ServiceError):
+            raise outcome
+        return outcome
+
+    def invoke_many(
+        self,
+        prototype: Prototype,
+        references: Iterable[str],
+        inputs: Mapping[str, object],
+        instant: int,
+    ) -> list["list[tuple] | ServiceError"]:
+        """Invoke ``prototype`` with the same ``inputs`` on every service
+        in ``references`` at ``instant``: the batch a stream feeder issues
+        per prototype per instant.
+
+        Returns one outcome per reference, in order: the result tuples, or
+        the :class:`ServiceError` that :meth:`invoke` raises for that
+        reference (one failing device never aborts the batch).  Each
+        reference goes through everything a lone invocation goes through —
+        memo, sticky binding, health gates, device call, output-schema
+        check, health/latency/outcome bookkeeping, failover — in
+        ``references`` order.  Only what cannot differ between the
+        references of one batch is worked out once, before the loop: the
+        input-schema comparison, the memo key's input part, the
+        observability flags and the output converter.  Services are
+        deterministic at a given instant and the binding and failover
+        tables are frozen for it (Section 3.2), so neither the order of
+        the batch nor its size can change an outcome.
+        """
+        name = prototype.name
         provided = frozenset(inputs)
-        if provided != expected:
-            raise InvocationError(
-                f"invocation of {prototype.name!r} on {reference!r}: input "
-                f"attributes {sorted(provided)} do not match prototype input "
-                f"schema {sorted(expected)}"
-            )
+        expected = prototype.input_schema.name_set
+        convert = prototype.output_schema.tuple_from_mapping
         obs = self.obs
-        key: tuple | None = None
-        if self._memo is not None and instant == self._memo_instant:
+        metrics_on = obs.metrics_on
+        tracing_on = obs.tracing_on
+        health = self.health
+        subs = self.substitutions
+        services = self._services
+        memo = self._memo if instant == self._memo_instant else None
+        if memo is not None:
             try:
-                key = (prototype.name, reference, tuple(sorted(inputs.items())))
+                frozen_inputs = tuple(sorted(inputs.items()))
             except TypeError:
-                key = None  # unhashable input value: bypass the memo
-            if key is not None:
-                cached = self._memo.get(key)
+                memo = None  # unsortable inputs: bypass the memo
+
+        def invoke_one(reference: str) -> list[tuple]:
+            try:
+                service = services[reference]
+            except KeyError:
+                raise UnknownServiceError(reference) from None
+            handler = service.handler(prototype)
+            if provided != expected:
+                raise InvocationError(
+                    f"invocation of {name!r} on {reference!r}: input "
+                    f"attributes {sorted(provided)} do not match prototype input "
+                    f"schema {sorted(expected)}"
+                )
+            key: tuple | None = None
+            if memo is not None:
+                key = (name, reference, frozen_inputs)
+                cached = memo.get(key)
                 if cached is not None:
                     self._memo_hits_total.inc()
-                    if obs.metrics_on:
+                    if metrics_on:
                         self._outcome_memo_hit.inc()
-                    if obs.tracing_on:
+                    if tracing_on:
                         obs.tracer.event(
                             "service.invoke",
                             instant,
                             service=reference,
-                            prototype=prototype.name,
+                            prototype=name,
                             outcome="memo_hit",
                         )
                     return list(cached)
-        subs = self.substitutions
-        if subs.bindings:
-            binding = subs.bindings.get((prototype.name, reference))
-            if binding is not None:
-                # Durable reroute installed by the ERM sweep: the dead
-                # device is never contacted, its health never probed, and
-                # the result is memoized under the *original* key (the
-                # binding is frozen for the instant, so the §3.2
-                # determinism argument carries over unchanged).
-                results = self._invoke_binding(binding, prototype, inputs, instant)
-                if obs.metrics_on:
-                    self._outcome_substituted.inc()
-                if obs.tracing_on:
+            if subs.bindings:
+                binding = subs.bindings.get((name, reference))
+                if binding is not None:
+                    # Durable reroute installed by the ERM sweep: the dead
+                    # device is never contacted, its health never probed, and
+                    # the result is memoized under the *original* key (the
+                    # binding is frozen for the instant, so the §3.2
+                    # determinism argument carries over unchanged).
+                    results = self._invoke_binding(binding, prototype, inputs, instant)
+                    if metrics_on:
+                        self._outcome_substituted.inc()
+                    if tracing_on:
+                        obs.tracer.event(
+                            "service.invoke",
+                            instant,
+                            service=reference,
+                            prototype=name,
+                            outcome="substituted",
+                            via=binding.describe(),
+                        )
+                    if key is not None:
+                        memo[key] = list(results)
+                    return results
+            refused = health.check(reference, instant)
+            if refused is not None:
+                # The policy fails the invocation fast: the device is not
+                # contacted and the health state machine does not move.
+                reason, retry_at = refused
+                health.record_fast_failure(reference)
+                if metrics_on:
+                    self._outcome_fast_failed.inc()
+                if tracing_on:
                     obs.tracer.event(
                         "service.invoke",
                         instant,
                         service=reference,
-                        prototype=prototype.name,
-                        outcome="substituted",
-                        via=binding.describe(),
+                        prototype=name,
+                        outcome="fast_failed",
+                        reason=reason,
                     )
-                if key is not None and self._memo is not None:
-                    self._memo[key] = list(results)
-                return results
-        refused = self.health.check(reference, instant)
-        if refused is not None:
-            # The policy fails the invocation fast: the device is not
-            # contacted and the health state machine does not move.
-            reason, retry_at = refused
-            self.health.record_fast_failure(reference)
-            if obs.metrics_on:
-                self._outcome_fast_failed.inc()
-            if obs.tracing_on:
-                obs.tracer.event(
-                    "service.invoke",
-                    instant,
-                    service=reference,
-                    prototype=prototype.name,
-                    outcome="fast_failed",
-                    reason=reason,
-                )
-            fallback = self._failover(prototype, reference, inputs, instant, key)
-            if fallback is not None:
-                return fallback
-            raise ServiceUnavailableError(reference, reason, retry_at)
-        state_before = self.health.state(reference) if obs.metrics_on else None
-        self._invocations_total.inc()
-        started = perf_counter()
-        try:
-            rows = handler(dict(inputs), instant)
-        except Exception as exc:
-            self.health.record_failure(reference, instant)
-            self._invoke_failed(prototype, reference, instant, state_before)
-            fallback = self._failover(prototype, reference, inputs, instant, key)
-            if fallback is not None:
-                return fallback
-            raise InvocationError(
-                f"invocation of {prototype.name!r} on {reference!r} failed: {exc}"
-            ) from exc
-        results = []
-        for row in rows:
+                fallback = self._failover(prototype, reference, inputs, instant, key)
+                if fallback is not None:
+                    return fallback
+                raise ServiceUnavailableError(reference, reason, retry_at)
+            state_before = health.state(reference) if metrics_on else None
+            self._invocations_total.inc()
+            started = perf_counter()
             try:
-                results.append(prototype.output_schema.tuple_from_mapping(row))
-            except SchemaError as exc:
-                self.health.record_failure(reference, instant)
+                rows = handler(dict(inputs), instant)
+            except Exception as exc:
+                health.record_failure(reference, instant)
                 self._invoke_failed(prototype, reference, instant, state_before)
                 fallback = self._failover(prototype, reference, inputs, instant, key)
                 if fallback is not None:
                     return fallback
                 raise InvocationError(
-                    f"invocation of {prototype.name!r} on {reference!r} "
-                    f"returned an invalid output tuple {row!r}: {exc}"
+                    f"invocation of {name!r} on {reference!r} failed: {exc}"
                 ) from exc
-        self._observe_latency(reference, perf_counter() - started)
-        self.health.record_success(reference, instant)
-        if state_before is not None:
-            self._health_transition(reference, state_before)
-        if obs.metrics_on:
-            self._outcome_success.inc()
-        if obs.tracing_on:
-            obs.tracer.event(
-                "service.invoke",
-                instant,
-                service=reference,
-                prototype=prototype.name,
-                outcome="success",
-                rows=len(results),
-            )
-        if key is not None and self._memo is not None:
-            self._memo[key] = list(results)  # successes only
-        return results
+            results = []
+            for row in rows:
+                try:
+                    results.append(convert(row))
+                except SchemaError as exc:
+                    health.record_failure(reference, instant)
+                    self._invoke_failed(prototype, reference, instant, state_before)
+                    fallback = self._failover(
+                        prototype, reference, inputs, instant, key
+                    )
+                    if fallback is not None:
+                        return fallback
+                    raise InvocationError(
+                        f"invocation of {name!r} on {reference!r} "
+                        f"returned an invalid output tuple {row!r}: {exc}"
+                    ) from exc
+            self._observe_latency(reference, perf_counter() - started)
+            health.record_success(reference, instant)
+            if state_before is not None and state_before is not HealthState.UP:
+                # a success leaves an UP service UP: no transition to count
+                self._health_transition(reference, state_before)
+            if metrics_on:
+                self._outcome_success.inc()
+            if tracing_on:
+                obs.tracer.event(
+                    "service.invoke",
+                    instant,
+                    service=reference,
+                    prototype=name,
+                    outcome="success",
+                    rows=len(results),
+                )
+            if key is not None:
+                memo[key] = list(results)  # successes only
+            return results
+
+        outcomes: list[list[tuple] | ServiceError] = []
+        for reference in references:
+            try:
+                outcomes.append(invoke_one(reference))
+            except ServiceError as exc:
+                # An outcome, not a propagating error: without its traceback
+                # it holds no frame (and no cycle through ``outcomes``).
+                outcomes.append(exc.with_traceback(None))
+        return outcomes
 
     # -- substitution (semantic rebinding) -----------------------------------
 

@@ -11,11 +11,11 @@ carry the instant at which they were produced.
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import TypingError
 
-__all__ = ["DataType", "validate_value", "coerce_value"]
+__all__ = ["DataType", "validate_value", "coerce_value", "exact_type", "coerce_columns"]
 
 
 class DataType(enum.Enum):
@@ -74,3 +74,33 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
     if validate_value(value, dtype):
         return value
     raise TypingError(f"value {value!r} is not a valid {dtype.value}")
+
+
+def exact_type(dtype: DataType) -> type:
+    """The Python type whose direct instances :func:`coerce_value` returns
+    unchanged for ``dtype`` (``float`` for REAL — an ``int`` is valid
+    there but coerced; never ``bool`` outside BOOLEAN).  Subclass
+    instances do not qualify: they take the value-by-value route."""
+    return _PYTHON_TYPES[dtype][0]
+
+
+def coerce_columns(rows: list[tuple], dtypes: Sequence[DataType]) -> list[tuple]:
+    """Coerce a batch of rows of arity ``len(dtypes)`` column by column.
+
+    A column whose values all have the data type's :func:`exact_type`
+    passes in one set-of-types test; any other column goes value by value
+    through :func:`coerce_value` — same coercions, same
+    :class:`TypingError`.  Returns ``rows`` itself when nothing needed
+    coercing.  With several invalid values in a batch, the one reported
+    is the first of the lowest invalid column.
+    """
+    if not rows:
+        return rows
+    columns = list(zip(*rows))
+    coerced = False
+    for position, dtype in enumerate(dtypes):
+        column = columns[position]
+        if set(map(type, column)) != {exact_type(dtype)}:
+            columns[position] = [coerce_value(value, dtype) for value in column]
+            coerced = True
+    return list(zip(*columns)) if coerced else rows

@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
 from repro.model.schema import RelationSchema
-from repro.model.types import DataType, coerce_value
+from repro.model.types import DataType, coerce_columns
 
 __all__ = ["ExtendedRelationSchema"]
 
@@ -258,12 +258,20 @@ class ExtendedRelationSchema:
         """``t[A]`` for a single real attribute ``A``."""
         return values[self.real_position(name)]
 
-    def tuple_from_mapping(self, mapping: Mapping[str, object]) -> tuple:
-        """Build a value tuple over the real schema from name→value.
-
-        Virtual attributes must be absent (they have no value); missing real
-        attributes raise.  Values are coerced into their domains.
+    def values_from_mapping(self, mapping: Mapping[str, object]) -> tuple:
+        """Order name→value into the real-schema tuple layout, checking
+        the keys only: virtual attributes must be absent (they have no
+        value), unknown attributes and missing real attributes raise.
+        Values are *not* coerced — hand the tuples to
+        :meth:`validate_tuples` (as the XD-Relation write path does, once
+        per batch) or use :meth:`tuple_from_mapping`.
         """
+        real = self._real_positions
+        if len(mapping) == len(real):
+            try:
+                return tuple([mapping[name] for name in real])
+            except KeyError:
+                pass  # as many keys as real attributes, but not those
         virtual_given = set(mapping) & self._virtual
         if virtual_given:
             raise VirtualAttributeError(
@@ -273,15 +281,20 @@ class ExtendedRelationSchema:
         extra = set(mapping) - set(self._index)
         if extra:
             raise UnknownAttributeError(sorted(extra)[0], self.name)
-        values = []
-        for attribute in self._real_attributes:
-            if attribute.name not in mapping:
+        for name in real:
+            if name not in mapping:
                 raise SchemaError(
-                    f"missing value for real attribute {attribute.name!r} "
+                    f"missing value for real attribute {name!r} "
                     f"of schema {self.name!r}"
                 )
-            values.append(coerce_value(mapping[attribute.name], attribute.dtype))
-        return tuple(values)
+        return tuple([mapping[name] for name in real])
+
+    def tuple_from_mapping(self, mapping: Mapping[str, object]) -> tuple:
+        """Build a value tuple over the real schema from name→value:
+        :meth:`values_from_mapping`, with the values coerced into their
+        domains.
+        """
+        return self.validate_tuple(self.values_from_mapping(mapping))
 
     def mapping_from_tuple(self, values: tuple) -> dict[str, object]:
         """Name→value mapping for a value tuple (real attributes only)."""
@@ -292,16 +305,32 @@ class ExtendedRelationSchema:
             )
         return {a.name: v for a, v in zip(self._real_attributes, values)}
 
-    def validate_tuple(self, values: tuple) -> tuple:
-        """Check arity and types of a value tuple; returns the coerced tuple."""
-        if len(values) != len(self._real_attributes):
+    def validate_tuples(self, tuples: Iterable[tuple]) -> list[tuple]:
+        """Check arity and types of a batch of value tuples; returns the
+        coerced tuples, in order.
+
+        The batch is checked as a whole before anything is returned, and
+        per *column* (:func:`~repro.model.types.coerce_columns`): the
+        common case — every value already of its attribute's exact Python
+        type — costs one pass per column instead of one call per value.
+        A batch with several invalid tuples reports one of them: a wrong
+        arity first, then the lowest invalid column.
+        """
+        rows = list(map(tuple, tuples))
+        dtypes = [attribute.dtype for attribute in self._real_attributes]
+        width = len(dtypes)
+        if set(map(len, rows)) - {width}:
+            bad = next(values for values in rows if len(values) != width)
             raise SchemaError(
-                f"tuple of length {len(values)} does not fit the real schema "
-                f"of {self.name!r} (|realSchema| = {len(self._real_attributes)})"
+                f"tuple of length {len(bad)} does not fit the real schema "
+                f"of {self.name!r} (|realSchema| = {width})"
             )
-        return tuple(
-            coerce_value(v, a.dtype) for a, v in zip(self._real_attributes, values)
-        )
+        return coerce_columns(rows, dtypes)
+
+    def validate_tuple(self, values: tuple) -> tuple:
+        """Check arity and types of a value tuple; returns the coerced
+        tuple (:meth:`validate_tuples` on a batch of one)."""
+        return self.validate_tuples((values,))[0]
 
     # -- binding pattern propagation ------------------------------------------
 

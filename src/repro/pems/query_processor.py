@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.algebra.query import Query, QueryResult
@@ -68,6 +68,10 @@ class DiscoveryQuery:
     relation_name: str
     service_attribute: str
     row_builder: RowBuilder | None = None
+    #: What the last sync saw — ``(registry topology_version, writes to
+    #: the relation's tracked rows)``; while both stand still there is
+    #: nothing to diff.
+    synced: tuple[int, int] | None = field(default=None, repr=False, compare=False)
 
     def build_row(self, service: Service, schema) -> dict[str, object]:
         if self.row_builder is not None:
@@ -151,7 +155,10 @@ class QueryProcessor:
         #: deregister time instead of re-sorting every tick.
         self._order: list[str] = []
         self._discovery: list[DiscoveryQuery] = []
-        self._rows_by_service: dict[tuple[str, str], tuple] = {}
+        #: relation -> service reference -> the row discovery inserted,
+        #: and how many syncs changed that relation's rows.
+        self._rows_by_service: dict[str, dict[str, tuple]] = {}
+        self._tracked_writes: dict[str, int] = {}
         self._failures: deque[QueryFailure] = deque(maxlen=FAILURE_LOG_SIZE)
         #: Opt-in feedback re-optimizer (see :meth:`enable_reoptimization`).
         self.reoptimizer: FeedbackReoptimizer | None = None
@@ -332,29 +339,37 @@ class QueryProcessor:
 
         All appeared rows land in a single journal insert, all departed
         rows in a single delete — one write batch per relation per tick.
+        The diff is a function of the registry's membership and of the
+        rows tracked for the relation, so it is skipped while neither
+        moved: a quiet tick costs two comparisons per discovery query.
         """
+        relation = discovery.relation_name
+        topology = self.erm.registry.topology_version
+        writes = self._tracked_writes.get(relation, 0)
+        if discovery.synced == (topology, writes):
+            return
         prototype = self.environment.prototype(discovery.prototype_name)
-        schema = self.environment.schema(discovery.relation_name)
+        schema = self.environment.schema(relation)
         available = {s.reference: s for s in self.erm.available(prototype)}
-        tracked = {
-            ref: row
-            for (rel, ref), row in self._rows_by_service.items()
-            if rel == discovery.relation_name
-        }
+        tracked = self._rows_by_service.setdefault(relation, {})
         appeared: list[tuple] = []
-        for reference in sorted(set(available) - set(tracked)):
+        for reference in sorted(available.keys() - tracked.keys()):
             row = discovery.build_row(available[reference], schema)
             values = schema.tuple_from_mapping(row)
             appeared.append(values)
-            self._rows_by_service[(discovery.relation_name, reference)] = values
-        departed: list[tuple] = []
-        for reference in sorted(set(tracked) - set(available)):
-            departed.append(tracked[reference])
-            del self._rows_by_service[(discovery.relation_name, reference)]
+            tracked[reference] = values
+        departed = [
+            tracked.pop(reference)
+            for reference in sorted(tracked.keys() - available.keys())
+        ]
+        if appeared or departed:
+            writes += 1
+            self._tracked_writes[relation] = writes
         if appeared:
-            self.tables.insert_tuples(discovery.relation_name, appeared)
+            self.tables.insert_tuples(relation, appeared)
         if departed:
-            self.tables.delete_tuples(discovery.relation_name, departed)
+            self.tables.delete_tuples(relation, departed)
+        discovery.synced = (topology, writes)
 
     # -- the tick loop ---------------------------------------------------------------------
 

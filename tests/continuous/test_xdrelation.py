@@ -5,7 +5,7 @@ import pytest
 
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.scenario import surveillance_schema, temperatures_schema
-from repro.errors import SerenaError
+from repro.errors import SchemaError, SerenaError
 
 
 def finite():
@@ -133,3 +133,88 @@ class TestDeltasAndWindows:
             [{"name": "A", "location": "office", "threshold": 28.0}], instant=0
         )
         assert ("A", "office", 28.0) in xd.instantaneous(0)
+
+
+class TestBatchAtomicity:
+    """A write is validated as a whole before any tuple is applied: a bad
+    row anywhere in the batch leaves the relation as it was."""
+
+    GOOD = [("A", "office", 28.0), ("B", "roof", 25.0)]
+    BAD_BATCHES = [
+        GOOD + [("C", "lab", "hot")],  # wrong type in the last row
+        [("C", 7, 20.0)] + GOOD,  # wrong type in the first row
+        GOOD + [("C", "lab")],  # wrong arity
+        GOOD + [("C", "lab", True)],  # bool is not a REAL
+    ]
+
+    @staticmethod
+    def fingerprint(xd):
+        return (
+            len(xd),
+            xd.revision,
+            xd.last_instant,
+            xd.changes_between(0, 100),
+            xd.instantaneous(100).tuples,
+        )
+
+    @pytest.mark.parametrize("batch", BAD_BATCHES)
+    def test_failed_insert_leaves_everything_untouched(self, batch):
+        xd = finite()
+        xd.insert([("Z", "hall", 1.0)], instant=1)
+        before = self.fingerprint(xd)
+        with pytest.raises(SchemaError):
+            xd.insert(batch, instant=2)
+        assert self.fingerprint(xd) == before
+        # no journal entry was opened for the refused instant
+        assert xd.inserted_at(2) == frozenset()
+        xd.insert([("Y", "hall", 2.0)], instant=1)  # instant 1 still writable
+
+    @pytest.mark.parametrize("batch", BAD_BATCHES)
+    def test_failed_delete_leaves_everything_untouched(self, batch):
+        xd = finite()
+        xd.insert(self.GOOD, instant=1)
+        before = self.fingerprint(xd)
+        with pytest.raises(SchemaError):
+            xd.delete(batch, instant=2)
+        assert self.fingerprint(xd) == before
+
+    def test_failed_insert_mappings_leaves_everything_untouched(self):
+        xd = finite()
+        xd.insert(self.GOOD[:1], instant=1)
+        before = self.fingerprint(xd)
+        good = {"name": "B", "location": "roof", "threshold": 25.0}
+        for bad in (
+            {"name": "C", "location": "lab", "threshold": "hot"},
+            {"name": "C", "location": "lab"},
+            {"name": "C", "location": "lab", "threshold": 1.0, "extra": 1},
+        ):
+            with pytest.raises(SchemaError):
+                xd.insert_mappings([good, bad], instant=2)
+            with pytest.raises(SchemaError):
+                xd.delete_mappings([good, bad], instant=2)
+            assert self.fingerprint(xd) == before
+
+    def test_out_of_order_batch_is_refused_whole(self):
+        xd = finite()
+        xd.insert(self.GOOD[:1], instant=5)
+        before = self.fingerprint(xd)
+        with pytest.raises(SerenaError, match="non-decreasing"):
+            xd.insert(self.GOOD, instant=4)
+        assert self.fingerprint(xd) == before
+
+    def test_batch_semantics_match_row_at_a_time(self):
+        """Duplicates inside a batch, re-inserts, same-instant
+        insert+delete: the set operations net to what the row loop did."""
+        xd = finite()
+        a, b, c = ("A", "office", 28.0), ("B", "roof", 25.0), ("C", "lab", 1)
+        assert xd.insert([a, a, b], instant=1) == 2
+        assert xd.insert([a, c], instant=1) == 1  # c coerced to ("C", "lab", 1.0)
+        assert ("C", "lab", 1.0) in xd.instantaneous(1).tuples
+        assert xd.delete([a, a, ("Q", "x", 0.0)], instant=1) == 1
+        assert xd.inserted_at(1) == frozenset({b, ("C", "lab", 1.0)})
+        assert xd.deleted_at(1) == frozenset()
+        assert xd.delete([b], instant=2) == 1
+        assert xd.deleted_at(2) == frozenset({b})
+        assert xd.insert([b], instant=2) == 1  # back again the same instant
+        assert xd.deleted_at(2) == frozenset() and xd.inserted_at(2) == {b}
+        assert xd.revision == 5

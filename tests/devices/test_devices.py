@@ -9,10 +9,12 @@ from repro.devices.determinism import (
     stable_int,
     stable_unit,
 )
+from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.messengers import Outbox, email_service, jabber_service, sms_service
 from repro.devices.prototypes import CHECK_PHOTO, GET_TEMPERATURE, SEND_MESSAGE, TAKE_PHOTO
 from repro.devices.rss import RssFeed
-from repro.devices.sensors import TemperatureSensor
+from repro.devices.sensors import SensorStreamFeeder, StreamPoll, TemperatureSensor
+from repro.model.services import ServiceRegistry
 
 
 class TestDeterminism:
@@ -216,3 +218,73 @@ class TestRssStreamWrapper:
         assert service.reference == "rss-site"
         rows = service.handler(FETCH_ITEMS)({}, 7)
         assert rows == feed.items_at(7)
+
+
+class TestStreamPoll:
+    """The one poll loop behind SensorStreamFeeder and the city's
+    FleetTelemetryFeeder."""
+
+    def registry(self):
+        return ServiceRegistry(
+            [
+                TemperatureSensor("s2", "roof").as_service(),
+                TemperatureSensor("s1", "office").as_service(),
+                Camera("cam", "hall").as_service(),
+            ]
+        )
+
+    def poll(self, registry, calls):
+        def columns(service):
+            calls.append(service.reference)
+            return {"sensor": service.reference, "location": service.properties["location"]}
+
+        return StreamPoll(registry, GET_TEMPERATURE, columns)
+
+    def test_rows_are_constants_plus_outputs_plus_at(self):
+        registry, calls = self.registry(), []
+        rows = self.poll(registry, calls).rows(7)
+        assert rows == [
+            {
+                "sensor": reference,
+                "location": location,
+                "temperature": registry.invoke(GET_TEMPERATURE, reference, {}, 7)[0][0],
+                "at": 7,
+            }
+            for reference, location in (("s1", "office"), ("s2", "roof"))
+        ]
+
+    def test_per_service_constants_are_built_once_per_topology(self):
+        registry, calls = self.registry(), []
+        poll = self.poll(registry, calls)
+        for instant in range(5):
+            poll.rows(instant)
+        assert calls == ["s1", "s2"]
+        registry.register(TemperatureSensor("s0", "lab").as_service())
+        assert [row["sensor"] for row in poll.rows(5)] == ["s0", "s1", "s2"]
+        assert calls == ["s1", "s2", "s0", "s1", "s2"]
+        registry.unregister("s1")
+        assert [row["sensor"] for row in poll.rows(6)] == ["s0", "s2"]
+
+    def test_a_failing_device_is_absent_and_recorded(self):
+        registry, calls = self.registry(), []
+        flaky = FaultInjector(
+            registry.get("s1"), FaultScript(crash_windows=((2, 4),)), seed="x"
+        )
+        registry.register(flaky.as_service())
+        poll = self.poll(registry, calls)
+        present = [[row["sensor"] for row in poll.rows(t)] for t in range(5)]
+        assert present == [["s1", "s2"], ["s1", "s2"], ["s2"], ["s2"], ["s1", "s2"]]
+        assert registry.health.health("s1").total_failures == 2
+
+    def test_sensor_stream_feeder_inserts_the_polled_rows(self):
+        registry, batches = self.registry(), []
+        feeder = SensorStreamFeeder(registry, batches.append, period=2)
+        for instant in range(4):
+            feeder(instant)
+        assert [batch[0]["at"] for batch in batches] == [0, 2]
+        assert batches[0][0] == {
+            "sensor": "s1",
+            "location": "office",
+            "temperature": registry.invoke(GET_TEMPERATURE, "s1", {}, 0)[0][0],
+            "at": 0,
+        }

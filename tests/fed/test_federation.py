@@ -15,7 +15,7 @@ from repro.algebra.cost import CostModel
 from repro.algebra.fingerprint import canonical_plan
 from repro.devices.scenario import sensors_schema, temperatures_schema
 from repro.devices.sensors import TemperatureSensor
-from repro.errors import SerenaError, UnknownServiceError
+from repro.errors import SchemaError, SerenaError, UnknownServiceError
 from repro.fed import FederatedPEMS, FederatedRelation, HashRing
 from repro.fed.hashing import VIRTUAL_NODES
 from repro.pems.pems import PEMS
@@ -121,6 +121,49 @@ class TestFederatedRelation:
         )
         with pytest.raises(SerenaError):
             stream.delete(list(stream.instantaneous(1).tuples), instant=2)
+
+    def test_failed_batch_leaves_every_partition_untouched(self, fed):
+        """The facade validates the batch once, up front: a bad row —
+        wherever it would have been routed — refuses the whole write."""
+        relation = fed.tables.relation("sensors")
+        a, b, c = refs_in_distinct_zones(fed, count=3)
+        relation.insert_mappings([{"sensor": a, "location": "hall"}], instant=1)
+
+        def fingerprint():
+            return (
+                len(relation),
+                relation.revision,
+                relation.last_instant,
+                relation.changes_between(0, 100),
+                {z: (len(p), p.revision, p.last_instant)
+                 for z, p in relation.partitions.items()},
+            )
+
+        before = fingerprint()
+        good = {"sensor": b, "location": "roof"}
+        for bad in (
+            {"sensor": c, "location": 7},
+            {"sensor": c},
+            {"sensor": c, "location": "lab", "temperature": 1.0},  # virtual given
+        ):
+            with pytest.raises(SchemaError):
+                relation.insert_mappings([good, bad], instant=2)
+            with pytest.raises(SchemaError):
+                relation.delete_mappings([good, bad], instant=2)
+            assert fingerprint() == before
+        with pytest.raises(SchemaError):
+            relation.insert([(b, "roof"), (c, 7)], instant=2)
+        with pytest.raises(SchemaError):
+            relation.delete([(a, "hall"), (c,)], instant=2)
+        assert fingerprint() == before
+
+    def test_out_of_order_batch_is_refused_before_any_partition_writes(self, fed):
+        relation = fed.tables.relation("sensors")
+        a, b = refs_in_distinct_zones(fed)
+        relation.insert([(a, "hall")], instant=5)  # only a's zone is at 5
+        with pytest.raises(SerenaError, match="non-decreasing"):
+            relation.insert([(b, "roof"), (a, "attic")], instant=3)
+        assert len(relation) == 1 and relation.revision == 1
 
     def test_zone_for_value_is_the_pruning_hook(self, fed):
         relation = fed.tables.relation("sensors")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices.prototypes import GET_TEMPERATURE, SEND_MESSAGE
+from repro.devices.prototypes import CHECK_PHOTO, GET_TEMPERATURE, SEND_MESSAGE
 from repro.errors import (
     InvocationError,
     PrototypeNotImplementedError,
@@ -171,3 +171,74 @@ class TestInvocation:
         assert registry.invocation_count == 2
         registry.reset_invocation_count()
         assert registry.invocation_count == 0
+
+
+class TestProvidersIndex:
+    """``providers`` is served from an index that must follow every
+    membership change (``topology_version``)."""
+
+    def registry(self):
+        return ServiceRegistry(
+            [
+                Service("s2", {GET_TEMPERATURE: thermometer(2.0)}),
+                Service("email", {SEND_MESSAGE: ok_sender}),
+                Service("s1", {GET_TEMPERATURE: thermometer(1.0)}),
+            ]
+        )
+
+    def references(self, registry, prototype=GET_TEMPERATURE):
+        return [s.reference for s in registry.providers(prototype)]
+
+    def test_sorted_by_reference_per_prototype(self):
+        registry = self.registry()
+        assert self.references(registry) == ["s1", "s2"]
+        assert self.references(registry, SEND_MESSAGE) == ["email"]
+
+    def test_unknown_prototype_has_no_providers(self):
+        assert self.registry().providers(CHECK_PHOTO) == []
+
+    def test_register_and_unregister_invalidate(self):
+        registry = self.registry()
+        assert self.references(registry) == ["s1", "s2"]
+        registry.register(Service("s0", {GET_TEMPERATURE: thermometer(0.0)}))
+        assert self.references(registry) == ["s0", "s1", "s2"]
+        registry.unregister("s1")
+        assert self.references(registry) == ["s0", "s2"]
+        registry.unregister("s1")  # reaped twice: still consistent
+        assert self.references(registry) == ["s0", "s2"]
+
+    def test_reregistering_a_reference_with_another_service(self):
+        registry = self.registry()
+        assert self.references(registry) == ["s1", "s2"]
+        replacement = Service("s1", {SEND_MESSAGE: ok_sender})
+        registry.register(replacement)
+        assert self.references(registry) == ["s2"]
+        assert registry.providers(SEND_MESSAGE) == [registry.get("email"), replacement]
+        # same reference, same prototype, new object: the index serves the new one
+        newer = Service("s1", {SEND_MESSAGE: ok_sender})
+        registry.register(newer)
+        assert registry.providers(SEND_MESSAGE)[1] is newer
+
+    def test_reannouncing_the_same_service_keeps_the_version(self):
+        registry = self.registry()
+        version = registry.topology_version
+        registry.register(registry.get("s1"))
+        assert registry.topology_version == version
+        assert self.references(registry) == ["s1", "s2"]
+
+    def test_returned_lists_are_copies(self):
+        registry = self.registry()
+        first = registry.providers(GET_TEMPERATURE)
+        first.clear()
+        assert self.references(registry) == ["s1", "s2"]
+        assert registry.providers(GET_TEMPERATURE) is not registry.providers(
+            GET_TEMPERATURE
+        )
+
+    def test_matches_a_scan_of_the_registry(self):
+        registry = self.registry()
+        for prototype in (GET_TEMPERATURE, SEND_MESSAGE):
+            assert registry.providers(prototype) == sorted(
+                (s for s in registry if s.implements(prototype)),
+                key=lambda s: s.reference,
+            )

@@ -12,7 +12,7 @@ import pytest
 
 from repro.algebra import scan
 from repro.devices.faults import FaultInjector, FaultScript
-from repro.devices.prototypes import STANDARD_PROTOTYPES
+from repro.devices.prototypes import GET_TEMPERATURE, STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema
 from repro.devices.sensors import TemperatureSensor
 from repro.model.invocation_policy import HealthState, InvocationPolicy
@@ -159,4 +159,39 @@ class TestQuarantineMechanics:
         pems.run(12)
         assert pems.erm.parked == frozenset()
         assert all(e.kind != "quarantined" for e in pems.erm.events)
+        assert sensors_extent(pems) == ["s1", "s2"]
+
+
+class TestProvidersIndexFollowsTheErm:
+    """The registry's providers index (and the discovery sync keyed on
+    ``topology_version``) under the ERM's own membership changes."""
+
+    def providers(self, pems):
+        return [s.reference for s in pems.erm.available(GET_TEMPERATURE)]
+
+    def test_quarantine_park_and_readmission(self):
+        pems, _ = build_pems()
+        pems.run(2)
+        assert self.providers(pems) == ["s1", "s2"]
+        pems.run(2)  # failure at 3, swept at 4
+        assert pems.erm.parked == frozenset({"s2"})
+        assert self.providers(pems) == ["s1"]
+        assert sensors_extent(pems) == ["s1"]
+        pems.run(5)  # released at 9
+        assert self.providers(pems) == ["s1", "s2"]
+        assert sensors_extent(pems) == ["s1", "s2"]
+
+    def test_local_erm_deregister_and_reregister(self):
+        pems, _ = build_pems(script=FaultScript())
+        field = pems.local_erms["field"]
+        pems.run(2)
+        assert self.providers(pems) == ["s1", "s2"]
+        s1 = pems.environment.registry.get("s1")
+        field.deregister("s1")
+        assert self.providers(pems) == ["s2"]
+        pems.run(1)
+        assert sensors_extent(pems) == ["s2"]
+        field.register(s1)
+        assert self.providers(pems) == ["s1", "s2"]
+        pems.run(1)
         assert sensors_extent(pems) == ["s1", "s2"]

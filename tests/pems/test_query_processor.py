@@ -139,6 +139,65 @@ class TestDiscoveryQueries:
         assert len(cq.last_result.relation) == 2
 
 
+class TestDiscoverySyncProportionalToChange:
+    """The diff runs only when the registry's membership (or the rows
+    tracked for the relation) moved since the last sync."""
+
+    def count_scans(self, pems, monkeypatch):
+        calls = []
+        available = pems.erm.available
+
+        def counting(prototype):
+            calls.append(prototype.name)
+            return available(prototype)
+
+        monkeypatch.setattr(pems.erm, "available", counting)
+        return calls
+
+    def test_quiet_ticks_do_not_rescan_the_registry(self, pems, monkeypatch):
+        plug_sensor(pems, "sensor01")
+        pems.queries.register_discovery("getTemperature", "sensors", "sensor")
+        calls = self.count_scans(pems, monkeypatch)
+        pems.run(10)  # lease renewals re-announce the same service object
+        assert calls == []
+        plug_sensor(pems, "sensor02")
+        pems.run(3)
+        assert calls == ["getTemperature"]
+        relation = pems.environment.instantaneous("sensors", pems.clock.now)
+        assert relation.column("sensor") == ["sensor01", "sensor02"]
+        pems.create_local_erm("field").deregister("sensor01")
+        pems.run(3)
+        assert calls == ["getTemperature"] * 2
+        relation = pems.environment.instantaneous("sensors", pems.clock.now)
+        assert relation.column("sensor") == ["sensor02"]
+
+    def test_same_reference_replaced_by_another_service_is_rediffed(
+        self, pems, monkeypatch
+    ):
+        plug_sensor(pems, "sensor01")
+        pems.queries.register_discovery("getTemperature", "sensors", "sensor")
+        calls = self.count_scans(pems, monkeypatch)
+        plug_sensor(pems, "sensor01", "attic")  # new object, same reference
+        pems.run(1)
+        assert calls == ["getTemperature"]
+        # discovery rows are announced-at-appearance snapshots: unchanged
+        relation = pems.environment.instantaneous("sensors", pems.clock.now)
+        assert relation.column("location") == ["office"]
+
+    def test_two_discovery_queries_keep_their_own_sync_state(self, pems, monkeypatch):
+        from repro.devices.scenario import cameras_schema
+
+        pems.tables.create_relation(cameras_schema())
+        pems.queries.register_discovery("getTemperature", "sensors", "sensor")
+        pems.queries.register_discovery("checkPhoto", "cameras", "camera")
+        calls = self.count_scans(pems, monkeypatch)
+        plug_sensor(pems, "sensor01")
+        pems.run(2)
+        assert sorted(calls) == ["checkPhoto", "getTemperature"]
+        assert len(pems.environment.instantaneous("sensors", pems.clock.now)) == 1
+        assert len(pems.environment.instantaneous("cameras", pems.clock.now)) == 0
+
+
 class TestFailureRetention:
     """The failure log is bounded (one flaky service must not grow it
     without limit) and clearable."""
