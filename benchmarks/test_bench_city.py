@@ -6,7 +6,7 @@ the service registry (four telemetry feeders), maintains the standing
 query pack and pays the fault machinery where scripted.  Four axes, all
 recorded in ``BENCH_city.json``:
 
-* **scale** — device count sweep on the incremental engine (the full
+* **scale** — device count sweep on the shared engine (the full
   configuration tops out above 2000 devices);
 * **row vs columnar** — the same mid-size city under the shared engine's
   two physical delta backends;
@@ -63,7 +63,7 @@ def city_config(scale, zones=None, churn=0.0, cascade=None, name="bench"):
     )
 
 
-def timed_run(config, engine="incremental", backend="row", check_health=False):
+def timed_run(config, engine="shared", backend="row", check_health=False):
     """Build, one warm tick, then TICKS timed ticks.  Returns seconds
     spent inside the timed ticks (and asserts the zero-missed-readings
     invariant when asked)."""
@@ -193,7 +193,7 @@ def test_bench_city(benchmark):
             ]
             for s in payload["scales"]
         ],
-        title=f"City scale sweep ({TICKS} timed ticks, incremental engine)",
+        title=f"City scale sweep ({TICKS} timed ticks, shared engine)",
     )
     rvc = payload["row_vs_columnar"]
     report.add(

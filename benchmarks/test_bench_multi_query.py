@@ -6,13 +6,13 @@ of the rows of *one* zone (round-robin), so ~190 queries are provably
 quiescent at every instant.  Three configurations run the same script:
 
 * ``naive`` — every query fully re-evaluated at every tick,
-* ``incremental`` — one private executor tree per query, every query
-  ticked every instant (the PR 1 engine),
+* ``private`` — the shared engine with one private registry per query
+  (nothing to share against), every query ticked every instant,
 * ``shared`` — one registry (structurally equivalent subplans run once)
   plus the quiescence-aware tick scheduler (unaffected queries carried
   forward in O(1)).
 
-The shared configuration must beat the unshared incremental engine by at
+The shared configuration must beat the private-registry one by at
 least 5× in tick throughput, and all three must agree on every query's
 final result.  Results land in ``benchmarks/reports/multi_query.txt``
 and, machine-readable, in ``BENCH_multi_query.json`` at the repository
@@ -133,7 +133,7 @@ class Driver:
         self.scheduler = (
             TickScheduler(self.env) if config == "shared" else None
         )
-        engine = "incremental" if config == "incremental" else config
+        engine = "naive" if config == "naive" else "shared"
         self.queries = {}
         for zone in range(ZONES):
             for name, query in zone_queries(self.env, zone).items():
@@ -181,7 +181,7 @@ def test_bench_multi_query(benchmark):
     def run():
         drivers = {
             config: Driver(config)
-            for config in ("naive", "incremental", "shared")
+            for config in ("naive", "private", "shared")
         }
         seconds = {config: 0.0 for config in drivers}
         for config, driver in drivers.items():
@@ -192,17 +192,17 @@ def test_bench_multi_query(benchmark):
         # is meaningless.
         for name in drivers["naive"].queries:
             expected = drivers["naive"].queries[name].last_result.relation.tuples
-            for config in ("incremental", "shared"):
+            for config in ("private", "shared"):
                 got = drivers[config].queries[name].last_result.relation.tuples
                 assert got == expected, (config, name)
         return seconds, drivers["shared"]
 
     seconds, shared = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = seconds["incremental"] / seconds["shared"]
+    speedup = seconds["private"] / seconds["shared"]
     naive_speedup = seconds["naive"] / seconds["shared"]
     assert speedup >= MIN_SPEEDUP, (
-        f"shared configuration only {speedup:.1f}× faster than unshared "
-        f"incremental ({QUERIES} queries, {ZONES} zones, {CHURN:.0%} churn)"
+        f"shared configuration only {speedup:.1f}× faster than one private "
+        f"registry per query ({QUERIES} queries, {ZONES} zones, {CHURN:.0%} churn)"
     )
 
     stats = shared.scheduler.stats
@@ -214,9 +214,9 @@ def test_bench_multi_query(benchmark):
         "churn": CHURN,
         "ticks": TICKS,
         "naive_seconds": round(seconds["naive"], 6),
-        "incremental_seconds": round(seconds["incremental"], 6),
+        "private_seconds": round(seconds["private"], 6),
         "shared_seconds": round(seconds["shared"], 6),
-        "speedup_vs_incremental": round(speedup, 2),
+        "speedup_vs_private": round(speedup, 2),
         "speedup_vs_naive": round(naive_speedup, 2),
         "scheduler_evaluations": stats["evaluations"],
         "scheduler_skips": stats["skips"],
@@ -242,7 +242,7 @@ def test_bench_multi_query(benchmark):
             f"80% prefix sharing, {CHURN:.0%} churn, {TICKS} timed ticks"
         ),
     )
-    report.add(f"Speedup (incremental / shared): {speedup:.1f}×")
+    report.add(f"Speedup (private / shared): {speedup:.1f}×")
     report.add(f"Speedup (naive / shared): {naive_speedup:.1f}×")
     report.add(
         f"Scheduler: {stats['evaluations']} evaluations, "

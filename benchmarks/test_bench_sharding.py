@@ -13,8 +13,7 @@ Measured, into ``BENCH_sharding.json`` / ``benchmarks/reports/sharding.txt``:
 
 * steady-state seconds per tick for shards ∈ {1, 2, 4, 8} (lockstep),
 * lockstep overhead vs the single-node ``shared`` engine on the same
-  workload (1-zone federation — the cost of the federation machinery),
-* the threads shard executor at 4 shards (honest: ≈1× under the GIL).
+  workload (1-zone federation — the cost of the federation machinery).
 
 Set ``BENCH_SMOKE=1`` for the reduced CI configuration.
 """
@@ -115,13 +114,9 @@ class Driver:
         return seconds
 
 
-def federated(shards, parallelism=None):
+def federated(shards):
     return Driver(
-        FederatedPEMS(
-            zones=shards,
-            parallelism=parallelism,
-            partition_by={"readings": "sector"},
-        )
+        FederatedPEMS(zones=shards, partition_by={"readings": "sector"})
     )
 
 
@@ -139,14 +134,9 @@ def test_bench_sharding(benchmark):
         shared = Driver(PEMS(engine="shared"))
         shared_seconds = shared.run()
         assert shared.results == results
-        threads = federated(4, parallelism="threads")
-        threads_seconds = threads.run()
-        assert threads.results == results
-        return seconds, shared_seconds, threads_seconds
+        return seconds, shared_seconds
 
-    seconds, shared_seconds, threads_seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    seconds, shared_seconds = benchmark.pedantic(run, rounds=1, iterations=1)
     top = max(SHARD_COUNTS)
     scaling = seconds[1] / seconds[top]
     overhead = seconds[1] / shared_seconds - 1.0
@@ -169,10 +159,6 @@ def test_bench_sharding(benchmark):
         "scaling_at_max_shards": round(scaling, 2),
         "shared_seconds": round(shared_seconds, 6),
         "lockstep_overhead_vs_shared": round(overhead, 4),
-        "threads_seconds_4_shards": round(threads_seconds, 6),
-        "threads_speedup_vs_lockstep": round(
-            seconds[4] / threads_seconds, 2
-        ),
         "cpus": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
@@ -200,9 +186,5 @@ def test_bench_sharding(benchmark):
     report.add(
         f"Shared engine baseline: {shared_seconds:.4f}s "
         f"(1-zone lockstep overhead {overhead:+.1%})"
-    )
-    report.add(
-        f"Threads executor, 4 shards: {threads_seconds:.4f}s on "
-        f"{os.cpu_count()} CPU(s) — the GIL caps thread parallelism"
     )
     report.emit()

@@ -1,9 +1,9 @@
-"""Experiment X5 — steady-state tick cost: incremental vs naive engine,
-and the row-vs-columnar backend sweep.
+"""Experiment X5 — steady-state tick cost: delta-driven (shared) vs naive
+engine, and the row-vs-columnar backend sweep.
 
 Part one (the point of the physical layer, :mod:`repro.exec`): on a
 large, slowly changing environment the naive engine pays for the full
-relation at every instant while the incremental engine pays only for the
+relation at every instant while the shared engine pays only for the
 churn.  A 10 000-tuple relation with 1% churn per instant is re-evaluated
 through a selection + natural join + projection plan on both engines; the
 measured per-tick speedup must be at least 5×.
@@ -29,7 +29,7 @@ at the repository root (the two tests merge into the one artifact).
 
 Set ``BENCH_SMOKE=1`` to run a reduced configuration (CI smoke job): the
 relations shrink, the sweep only runs its 10k point, and only the basic
-speedups (incremental > 1.5×, columnar not slower than row) are asserted.
+speedups (shared > 1.5×, columnar not slower than row) are asserted.
 """
 
 import gc
@@ -142,7 +142,7 @@ class Driver:
 
 def test_bench_tick_cost(benchmark):
     def run():
-        drivers = {engine: Driver(engine) for engine in ("naive", "incremental")}
+        drivers = {engine: Driver(engine) for engine in ("naive", "shared")}
         seconds = {engine: 0.0 for engine in drivers}
         for engine, driver in drivers.items():
             driver.tick(1)  # warm-up: builds executor state / first result
@@ -153,13 +153,13 @@ def test_bench_tick_cost(benchmark):
             engine: driver.cq.last_result.relation.tuples
             for engine, driver in drivers.items()
         }
-        assert relations["incremental"] == relations["naive"]
+        assert relations["shared"] == relations["naive"]
         return seconds
 
     seconds = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = seconds["naive"] / seconds["incremental"]
+    speedup = seconds["naive"] / seconds["shared"]
     assert speedup >= MIN_SPEEDUP, (
-        f"incremental engine only {speedup:.1f}× faster than naive "
+        f"shared engine only {speedup:.1f}× faster than naive "
         f"({ROWS} rows, {CHURN:.0%} churn, {TICKS} ticks)"
     )
 
@@ -170,7 +170,7 @@ def test_bench_tick_cost(benchmark):
                 "churn": CHURN,
                 "ticks": TICKS,
                 "naive_seconds": round(seconds["naive"], 6),
-                "incremental_seconds": round(seconds["incremental"], 6),
+                "shared_seconds": round(seconds["shared"], 6),
                 "speedup": round(speedup, 2),
                 "mode": "full",
             }
@@ -188,7 +188,7 @@ def test_bench_tick_cost(benchmark):
             f"{TICKS} timed ticks"
         ),
     )
-    report.add(f"Speedup (naive / incremental): {speedup:.1f}×")
+    report.add(f"Speedup (naive / shared): {speedup:.1f}×")
     report.emit()
 
 

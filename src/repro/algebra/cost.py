@@ -162,7 +162,7 @@ class CostModel:
     def delta_cardinality(
         self, node: Operator, churn: float = DEFAULT_CHURN
     ) -> float:
-        """Estimated per-tick *delta* size under the incremental engine.
+        """Estimated per-tick *delta* size under the shared engine.
 
         ``churn`` is the fraction of every base relation changing per
         instant; deltas then flow bottom-up the way the physical executors
@@ -250,7 +250,7 @@ class CostModel:
     def tick_cost(
         self,
         plan: Operator | Query,
-        engine: str = "incremental",
+        engine: str = "shared",
         churn: float = DEFAULT_CHURN,
         backend: str = "row",
         shards: int = 1,
@@ -259,17 +259,17 @@ class CostModel:
         continuous query.
 
         Under ``engine="naive"`` every operator touches its full result
-        each tick.  Under ``engine="incremental"`` natively-lowered
+        each tick.  Under ``engine="shared"`` natively-lowered
         operators (see :func:`repro.exec.lowering.supported_operator`)
         touch only their deltas; an operator without a native executor
         makes its whole subtree fall back to naive evaluation.  In both
         engines the invocation operator only invokes for newly inserted
         tuples (its per-tuple cache), so service cost scales with deltas
-        either way — what the incremental engine buys is the tuple
-        processing, which dominates invocation-free plans.
+        either way — what the physical engine buys is the tuple
+        processing, which dominates invocation-free plans.  Any other
+        engine name raises :class:`~repro.errors.SerenaError`.
 
-        ``backend="columnar"`` (``engine="columnar"`` is sugar for
-        incremental + this) scales the per-delta-tuple cost of operators
+        ``backend="columnar"`` scales the per-delta-tuple cost of operators
         with a native batch executor (see
         :data:`repro.exec.lowering.COLUMNAR_ACCELERATED`) by
         :data:`COLUMNAR_TUPLE_FACTOR`; operators that keep their row
@@ -286,16 +286,16 @@ class CostModel:
         invocations) and all service costs are unaffected: they run at
         the coordinator either way.
         """
+        # The physical layer builds on the algebra; import here so the
+        # algebra package stays importable on its own.
+        from repro.exec.lowering import (
+            check_engine,
+            columnar_operator,
+            supported_operator,
+        )
+
+        check_engine(engine)
         root = plan.root if isinstance(plan, Query) else plan
-        if engine == "columnar":
-            engine, backend = "incremental", "columnar"
-        if engine == "incremental":
-            # The physical layer builds on the algebra; import here so the
-            # algebra package stays importable on its own.
-            from repro.exec.lowering import columnar_operator, supported_operator
-        else:
-            supported_operator = lambda node: False  # noqa: E731
-            columnar_operator = lambda node: False  # noqa: E731
         columnar = backend == "columnar"
         chain_members, chain_roots = (
             _scatter_chains(root) if shards > 1 else (frozenset(), frozenset())
@@ -335,7 +335,7 @@ class CostModel:
             for child in node.children:
                 visit(child, lowered)
 
-        visit(root, engine == "incremental")
+        visit(root, engine == "shared")
         return PlanCost(
             total=tuples + invocations,
             invocations=invocations,

@@ -75,10 +75,10 @@ class Optimizer:
     engine:
         What execution the scores should model.  ``None`` (default) uses
         the one-shot cost — the right objective for :meth:`Query.evaluate`.
-        ``"incremental"`` or ``"naive"`` score plans by *steady-state tick
+        ``"shared"`` or ``"naive"`` score plans by *steady-state tick
         cost* under that continuous engine
         (:meth:`~repro.algebra.cost.CostModel.tick_cost`), so plan choice
-        accounts for the physical layer: e.g. under the incremental engine
+        accounts for the physical layer: e.g. under the shared engine
         a selection pushed below a join shrinks the persisted hash indexes
         and the per-tick deltas, not just a one-shot intermediate result.
     churn:
@@ -103,6 +103,10 @@ class Optimizer:
         churn: float | None = None,
         backend: str | None = None,
     ):
+        if engine is not None:
+            from repro.exec.lowering import check_engine  # exec layers on algebra
+
+            check_engine(engine)
         self.cost_model = cost_model
         self.plan_budget = plan_budget
         self.engine = engine

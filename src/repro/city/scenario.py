@@ -57,6 +57,7 @@ from repro.city.queries import (
 )
 from repro.continuous.continuous_query import ContinuousQuery
 from repro.devices.faults import FaultInjector, FaultScript
+from repro.devices.scenario import _make_pems
 from repro.model.invocation_policy import InvocationPolicy
 from repro.model.substitution import SubstitutionRule
 from repro.pems.pems import PEMS
@@ -69,26 +70,6 @@ def city_policy() -> InvocationPolicy:
     failure suspends a device, the quarantine backoff leaves room for a
     substitution rebind inside a 55-tick run."""
     return InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
-
-
-def _make_pems(config: CityConfig, engine: str, policy, observe, backend: str) -> PEMS:
-    if engine.startswith("federated"):
-        from repro.fed.pems import FederatedPEMS  # fed layers on city's deps
-
-        parallelism = {
-            "federated": None,
-            "federated-threads": "threads",
-            "federated-processes": "processes",
-        }[engine]
-        return FederatedPEMS(
-            zones=list(config.zones),
-            policy=policy,
-            observe=observe,
-            backend=backend,
-            parallelism=parallelism,
-            partition_by=CITY_PARTITION_BY,
-        )
-    return PEMS(engine=engine, policy=policy, observe=observe, backend=backend)
 
 
 @dataclass
@@ -119,7 +100,7 @@ class CityScenario:
 
 def build_city(
     config: CityConfig,
-    engine: str = "incremental",
+    engine: str = "shared",
     policy: InvocationPolicy | None = None,
     observe: object = None,
     backend: str = "row",
@@ -128,10 +109,9 @@ def build_city(
 ) -> CityScenario:
     """Expand ``config`` and assemble the full city environment.
 
-    ``engine`` is any query-engine name (``naive`` / ``incremental`` /
-    ``shared`` / ``columnar``) or a federation mode (``federated`` /
-    ``federated-threads`` / ``federated-processes`` — zones become
-    shards).  ``backend`` selects the physical delta representation
+    ``engine`` is a query-engine name (``naive`` / ``shared``) or a
+    federation mode (``federated`` / ``federated-processes`` — zones
+    become shards).  ``backend`` selects the physical delta representation
     (``row`` / ``columnar``).  ``policy`` defaults to
     :func:`city_policy` whenever the config scripts chaos (churn or a
     cascade) so quarantine and substitution actually engage; pass an
@@ -139,7 +119,14 @@ def build_city(
     """
     if policy is None and (config.churn_rate > 0.0 or config.cascade is not None):
         policy = city_policy()
-    pems = _make_pems(config, engine, policy, observe, backend)
+    pems = _make_pems(
+        engine,
+        policy,
+        observe,
+        backend,
+        zones=list(config.zones),
+        partition_by=CITY_PARTITION_BY,
+    )
     env = pems.environment
     for prototype in CITY_PROTOTYPES:
         env.declare_prototype(prototype)

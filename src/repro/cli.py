@@ -43,11 +43,16 @@ Run ``python -m repro`` for an interactive session, or
   ``.demo temperature|rss`` load a ready-made §5.2 scenario; ``.demo
                             substitution`` adds a scripted permanent
                             sensor crash with a declared spare (§13);
-                            ``.demo city [engine]`` loads the generated
-                            smart-city scenario (§14) — e.g. ``.demo
-                            city federated`` maps its zones onto shards
+                            ``.demo city`` loads the generated
+                            smart-city scenario (§14).  An optional
+                            trailing engine — ``naive``, ``shared``
+                            (default), ``federated`` or
+                            ``federated-processes`` — picks how queries
+                            run; e.g. ``.demo city federated`` maps the
+                            city's zones onto shards
   ``.city <config> [eng]``  build a city from a ``.json``/``.toml``
-                            :class:`CityConfig` file on any engine
+                            :class:`CityConfig` file on one of the same
+                            four engines
   ``.serve [port [n [ms]]]`` serve continuous-query deltas over TCP/SSE:
                             tick every ``ms`` milliseconds (default 100)
                             for ``n`` instants (default: until Ctrl-C);
@@ -452,7 +457,7 @@ class SerenaShell:
         )
 
         name, _, engine = argument.partition(" ")
-        engine = engine.strip() or "incremental"
+        engine = engine.strip() or "shared"
         if name == "temperature":
             self._scenario = build_temperature_surveillance(engine=engine)
         elif name == "substitution":
@@ -513,7 +518,7 @@ class SerenaShell:
         except OSError as exc:
             self._print(f"error: cannot read {path!r} — {exc}")
             return
-        engine = engine.strip() or "incremental"
+        engine = engine.strip() or "shared"
         self._scenario = build_city(config, engine=engine)
         self.pems = self._scenario.pems
         topology = self._scenario.topology

@@ -13,29 +13,27 @@ the query's last operator is a streaming operator (like Q4 of Table 4),
 the per-tick relation is the stream's emission at that instant and
 :attr:`ContinuousQuery.emitted` accumulates the output stream.
 
-Three execution engines are available (the ``engine`` parameter):
+Two execution engines are available (the ``engine`` parameter,
+:data:`~repro.exec.lowering.ENGINES`):
 
-* ``"incremental"`` (default) — the plan is lowered to the delta-driven
+* ``"shared"`` (default) — the plan is lowered to the delta-driven
   physical executors of :mod:`repro.exec`; steady-state tick cost is
-  proportional to the environment's churn, not to relation sizes.
-* ``"shared"`` — like incremental, but the physical plan is acquired from
-  a :class:`~repro.exec.shared.SharedPlanRegistry`: structurally
-  equivalent subplans of co-registered queries run on the *same* executor
-  instances (the PEMS query processor uses this, together with its tick
-  scheduler, for multi-query workloads).
-* ``"naive"`` — the original engine: the logical plan re-evaluates its
-  full instantaneous result each tick.  Kept as the differential-testing
-  oracle; all engines produce identical results, deltas, emissions and
-  actions at every instant.
-* ``"columnar"`` — sugar for the incremental engine with
-  ``backend="columnar"``: the relational core runs the batch-evaluating
-  executors of :mod:`repro.exec.vectorized` over
-  :class:`~repro.exec.columnar.ColumnarDelta` batches.
+  proportional to the environment's churn, not to relation sizes.  The
+  physical plan is leased from a
+  :class:`~repro.exec.shared.SharedPlanRegistry`: structurally equivalent
+  subplans of co-registered queries run on the *same* executor instances.
+  A standalone query gets a private registry (nothing to share against);
+  the PEMS query processor passes its own, together with its tick
+  scheduler, for multi-query workloads.
+* ``"naive"`` — the logical plan re-evaluates its full instantaneous
+  result each tick.  Kept as the differential-testing oracle; both
+  engines produce identical results, deltas, emissions and actions at
+  every instant.
 
 Orthogonally, ``backend`` ("row"/"columnar") selects the physical
-representation for the incremental and shared engines — so a shared
-registry built with ``backend="columnar"`` serves whole multi-query
-workloads columnar, with unchanged sharing and carry-forward semantics.
+representation the shared engine lowers to — a registry built with
+``backend="columnar"`` serves whole multi-query workloads columnar, with
+unchanged sharing and carry-forward semantics.
 """
 
 from __future__ import annotations
@@ -47,14 +45,12 @@ from repro.algebra.context import EvaluationContext
 from repro.algebra.query import Query, QueryResult
 from repro.errors import SerenaError
 from repro.exec.delta import EMPTY_DELTA, Delta
-from repro.exec.engine import IncrementalEngine
+from repro.exec.lowering import check_engine
 from repro.exec.shared import SharedEngine, SharedPlanRegistry
 from repro.model.environment import PervasiveEnvironment
 from repro.obs.observe import Observability
 
 __all__ = ["ContinuousQuery"]
-
-_ENGINES = ("incremental", "naive", "shared", "columnar")
 
 #: Shared by every carried-forward result; ActionSet is a frozenset, so
 #: one instance is safe and keeps the O(1) carry path allocation-free.
@@ -69,23 +65,12 @@ class ContinuousQuery:
         query: Query,
         environment: PervasiveEnvironment,
         keep_history: bool = False,
-        engine: str = "incremental",
+        engine: str = "shared",
         shared: SharedPlanRegistry | None = None,
         observe: "Observability | str | None" = None,
         backend: str | None = None,
     ):
-        if engine not in _ENGINES:
-            raise SerenaError(
-                f"unknown execution engine {engine!r} (expected one of "
-                f"{', '.join(_ENGINES)})"
-            )
-        if engine == "columnar":  # sugar: incremental plan, columnar backend
-            if backend not in (None, "columnar"):
-                raise SerenaError(
-                    f'engine "columnar" implies backend="columnar", '
-                    f"got backend={backend!r}"
-                )
-            engine, backend = "incremental", "columnar"
+        check_engine(engine)
         if engine == "naive" and backend not in (None, "row"):
             raise SerenaError(
                 "the naive engine has no physical plan to lower; "
@@ -101,20 +86,18 @@ class ContinuousQuery:
             if observe is None
             else Observability.coerce(observe)
         )
-        if engine == "incremental":
-            self._engine = IncrementalEngine(
-                query, environment, observe=self.obs, backend=backend or "row"
-            )
-        elif engine == "shared":
-            # Without a caller-supplied registry the query gets a private
-            # one: correct, just with nothing to share against.
-            self._engine = SharedEngine(
+        #: The physical engine (None on the naive engine).  Without a
+        #: caller-supplied registry the query gets a private one: correct,
+        #: just with nothing to share against.
+        self._engine: SharedEngine | None = (
+            SharedEngine(
                 query, environment, shared, observe=self.obs, backend=backend
             )
-        else:
-            self._engine = None
+            if engine == "shared"
+            else None
+        )
         #: The resolved physical backend ("row" for the naive engine).
-        self.backend = getattr(self._engine, "backend", None) or "row"
+        self.backend = self._engine.backend if self._engine else "row"
         self._states: dict[int, dict[str, Any]] = {}
         self._last_instant = -1
         self._last_result: QueryResult | None = None
@@ -195,11 +178,11 @@ class ContinuousQuery:
 
     @property
     def sharing_summary(self) -> dict | None:
-        """For the shared engine: the plan fingerprint, shared/private
-        executor counts and leased subtrees (None on other engines)."""
-        if isinstance(self._engine, SharedEngine):
-            return self._engine.plan.summary()
-        return None
+        """The plan fingerprint, shared/private executor counts and leased
+        subtrees (None on the naive engine, which has no physical plan)."""
+        if self._engine is None:
+            return None
+        return self._engine.plan.summary()
 
     def executors(self) -> list:
         """The executors of the physical plan ([] on the naive engine)."""
@@ -210,9 +193,8 @@ class ContinuousQuery:
     def release(self) -> None:
         """Release engine resources (shared-subplan refcounts); idempotent.
         Called by the query processor on deregistration."""
-        engine = self._engine
-        if engine is not None and hasattr(engine, "release"):
-            engine.release()
+        if self._engine is not None:
+            self._engine.release()
 
     # -- plan swapping ------------------------------------------------------------
 
@@ -241,10 +223,10 @@ class ContinuousQuery:
         """Replace the physical plan in place with a re-lowered ``query``
         (same result schema), preserving the two-delta contract.
 
-        The new engine is built *before* the old one is released, so on
-        the shared engine every structurally common subtree is re-leased
-        warm from the registry (its refcount never reaches zero) and only
-        the genuinely restructured executors start cold.  The first
+        The new engine is built *before* the old one is released, so
+        every structurally common subtree is re-leased warm from the
+        registry (its refcount never reaches zero) and only the genuinely
+        restructured executors start cold.  The first
         post-swap evaluation reports the *net* delta against the pre-swap
         relation — for an equivalent plan that is the ordinary per-tick
         delta, exactly as if no swap had happened.
@@ -261,19 +243,14 @@ class ContinuousQuery:
                 f"{self.query.root.schema.names}"
             )
         old_engine = self._engine
-        if isinstance(old_engine, SharedEngine):
-            # Acquire-before-release: common subtrees stay warm.
-            new_engine = SharedEngine(
-                query,
-                self.environment,
-                old_engine.registry,
-                observe=self.obs,
-                backend=self.backend,
-            )
-        else:
-            new_engine = IncrementalEngine(
-                query, self.environment, observe=self.obs, backend=self.backend
-            )
+        # Acquire-before-release: common subtrees stay warm.
+        new_engine = SharedEngine(
+            query,
+            self.environment,
+            old_engine.registry,
+            observe=self.obs,
+            backend=self.backend,
+        )
         if self._last_result is not None:
             self._swap_baseline = frozenset(self._last_result.relation)
             if not self._carried and self._reported_override is None:
@@ -281,8 +258,7 @@ class ContinuousQuery:
                 # must keep describing the evaluation that already
                 # happened — freeze the outgoing engine's delta.
                 self._reported_override = old_engine.reported
-        if hasattr(old_engine, "release"):
-            old_engine.release()
+        old_engine.release()
         self.query = query
         self._engine = new_engine
         self.swaps += 1

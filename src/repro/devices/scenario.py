@@ -44,6 +44,7 @@ from repro.devices.sensors import (
     SensorStreamFeeder,
     TemperatureSensor,
 )
+from repro.exec.lowering import ENGINES, check_engine
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
 from repro.model.invocation_policy import InvocationPolicy
@@ -56,30 +57,44 @@ from repro.pems.pems import PEMS
 #: Zone count used by the ``federated*`` scenario engines.
 FEDERATED_ZONES = 4
 
+#: Scenario ``engine`` string → shard execution mode of the federation
+#: it builds (see :class:`~repro.fed.pems.FederatedPEMS`).
+_FEDERATED = {"federated": None, "federated-processes": "processes"}
 
-def _make_pems(engine: str, policy, observe) -> PEMS:
-    """The PEMS behind a scenario ``engine`` string.
+#: Every ``engine`` string a scenario builder (and the CLI) accepts.
+SCENARIO_ENGINES = ENGINES + tuple(_FEDERATED)
 
-    The ``federated``, ``federated-threads`` and ``federated-processes``
-    engines build a :class:`~repro.fed.pems.FederatedPEMS` (4 zones,
-    shared-engine queries over scattered shards); every other value is a
-    query-engine name passed through to a plain :class:`PEMS`.
+
+def _make_pems(
+    engine: str,
+    policy,
+    observe,
+    backend: str = "row",
+    zones: int | list[str] = FEDERATED_ZONES,
+    partition_by=None,
+) -> PEMS:
+    """The PEMS behind a scenario ``engine`` string — the one dispatcher
+    shared by every scenario builder.
+
+    ``federated`` and ``federated-processes`` build a
+    :class:`~repro.fed.pems.FederatedPEMS` over ``zones`` (shared-engine
+    queries over scattered shards); the query-engine names of
+    :data:`~repro.exec.lowering.ENGINES` a plain :class:`PEMS`.
     """
-    if engine.startswith("federated"):
+    check_engine(engine, SCENARIO_ENGINES)
+    if engine in _FEDERATED:
         from repro.fed.pems import FederatedPEMS  # fed layers on devices' deps
 
-        parallelism = {
-            "federated": None,
-            "federated-threads": "threads",
-            "federated-processes": "processes",
-        }[engine]
         return FederatedPEMS(
-            zones=FEDERATED_ZONES,
+            zones=zones,
             policy=policy,
             observe=observe,
-            parallelism=parallelism,
+            backend=backend,
+            parallelism=_FEDERATED[engine],
+            partition_by=partition_by,
         )
-    return PEMS(engine=engine, policy=policy, observe=observe)
+    return PEMS(engine=engine, policy=policy, observe=observe, backend=backend)
+
 
 __all__ = [
     "Scenario",
@@ -305,7 +320,8 @@ def build_temperature_surveillance(
     photo_threshold: float = 12.0,
     messenger_failure_rate: float = 0.0,
     with_photo_messages: bool = False,
-    engine: str = "incremental",
+    engine: str = "shared",
+    backend: str = "row",
     policy: InvocationPolicy | None = None,
     sensor_faults: dict[str, FaultScript] | None = None,
     fault_seed: object = "chaos",
@@ -332,7 +348,8 @@ def build_temperature_surveillance(
     ``sendPhotoMessage`` (the photo realized by ``takePhoto`` flows into
     the contacts binding pattern through the join's implicit realization).
 
-    ``engine`` selects the continuous-query execution engine and
+    ``engine`` is one of :data:`SCENARIO_ENGINES`, ``backend`` the
+    physical delta representation (``row`` / ``columnar``) and
     ``policy`` the fault-tolerance invocation policy (see
     :class:`~repro.pems.pems.PEMS`).  ``sensor_faults`` maps sensor
     references to :class:`~repro.devices.faults.FaultScript`\\ s: those
@@ -349,7 +366,7 @@ def build_temperature_surveillance(
     (``FaultScript(crash_at=...)``) exercises the full semantic-rebinding
     path: quarantine → sticky rebind → projected spare readings.
     """
-    pems = _make_pems(engine, policy, observe)
+    pems = _make_pems(engine, policy, observe, backend)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)
@@ -495,7 +512,8 @@ def build_rss_scenario(
     recipient: str = "Carla",
     with_queries: bool = True,
     seed: int = 0,
-    engine: str = "incremental",
+    engine: str = "shared",
+    backend: str = "row",
     policy: InvocationPolicy | None = None,
     observe: object = None,
 ) -> Scenario:
@@ -506,10 +524,10 @@ def build_rss_scenario(
     ``keyword``; the ``news-alerts`` query forwards each matching headline
     once to ``recipient`` via their messenger.
 
-    ``engine`` selects the continuous-query execution engine (see
-    :class:`~repro.pems.pems.PEMS`).
+    ``engine`` is one of :data:`SCENARIO_ENGINES`, ``backend`` the
+    physical delta representation (see :class:`~repro.pems.pems.PEMS`).
     """
-    pems = _make_pems(engine, policy, observe)
+    pems = _make_pems(engine, policy, observe, backend)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)

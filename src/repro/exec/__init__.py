@@ -8,19 +8,22 @@ registered continuous query runs: a logical operator tree is lowered
 sets from their children and maintain per-node state (hash indexes,
 support counts, invocation caches, window buffers), so steady-state tick
 cost is proportional to the *changes* in the environment rather than to
-relation sizes.  The :class:`~repro.exec.engine.IncrementalEngine` drives
-the executor tree instant by instant and produces the same per-tick
+relation sizes.  There is one physical engine:
+:class:`~repro.exec.shared.SharedEngine` drives the executor tree instant
+by instant and produces the same per-tick
 :class:`~repro.algebra.query.QueryResult` as the naive re-evaluating
-engine, which is kept as a differential-testing oracle.
+engine, which is kept as a differential-testing oracle
+(:data:`~repro.exec.lowering.ENGINES` names the two).
 
-For multi-query workloads, :mod:`repro.exec.shared` lets structurally
-equivalent subplans of different registered queries run on the same
-executor instances (refcounted), and :mod:`repro.exec.scheduler` skips
-queries whose sources provably did not change since their last tick.
+The engine leases its plan from a
+:class:`~repro.exec.shared.SharedPlanRegistry`: structurally equivalent
+subplans of different registered queries run on the same executor
+instances (refcounted) — a standalone query simply gets a private
+registry — and :mod:`repro.exec.scheduler` skips queries whose sources
+provably did not change since their last tick.
 """
 
 from repro.exec.delta import EMPTY_DELTA, Delta
-from repro.exec.engine import IncrementalEngine
 from repro.exec.executors import Executor
 from repro.exec.lowering import lower, lowering_summary, supported_operator
 from repro.exec.scheduler import TickScheduler
@@ -30,7 +33,6 @@ __all__ = [
     "Delta",
     "EMPTY_DELTA",
     "Executor",
-    "IncrementalEngine",
     "SharedEngine",
     "SharedPlan",
     "SharedPlanRegistry",

@@ -17,7 +17,7 @@ but one node they coincide:
   can differ from the change delta when evaluation instants skip over
   journaled instants; every other node reports its change delta.
 
-Keeping both notions explicit is what lets the incremental engine be
+Keeping both notions explicit is what lets the physical engine be
 differentially identical to the naive re-evaluating engine.
 
 Backend neutrality

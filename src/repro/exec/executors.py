@@ -1119,7 +1119,7 @@ class FallbackExec(Executor):
     persistent state store) and diffs consecutive materializations.
 
     This makes lowering total — new logical operators run unmodified on
-    the incremental engine, at naive per-tick cost for that subtree —
+    the physical engine, at naive per-tick cost for that subtree —
     and is also the differential-testing bridge."""
 
     def __init__(self, node: Operator):

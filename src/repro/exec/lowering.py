@@ -8,7 +8,7 @@ executor (:mod:`repro.exec.executors`).
 Lowering is *total*: a logical operator with no registered executor is
 wrapped in a :class:`~repro.exec.executors.FallbackExec`, which evaluates
 that whole subtree with the naive engine each tick and diffs the results
-— new logical operators keep working on the incremental engine, merely
+— new logical operators keep working on the physical engine, merely
 without the delta speedup.  :func:`supported_operator` reports whether a
 node has a native incremental executor, which the cost model uses to
 decide whether a plan's steady-state tick cost scales with deltas or with
@@ -68,6 +68,8 @@ from repro.model.xschema import ExtendedRelationSchema
 __all__ = [
     "BACKENDS",
     "COLUMNAR_ACCELERATED",
+    "ENGINES",
+    "check_engine",
     "columnar_operator",
     "compile_combiner",
     "compile_key",
@@ -78,8 +80,25 @@ __all__ = [
     "supported_operator",
 ]
 
+#: The execution engines of a continuous query: ``"naive"`` re-evaluates
+#: the logical plan each instant (the paper's semantics, kept as the
+#: oracle); ``"shared"`` runs the lowered physical plan.  Every ``engine=``
+#: parameter in the code base validates against this one tuple.
+ENGINES = ("naive", "shared")
+
 #: The physical executor backends the lowering pass can target.
 BACKENDS = ("row", "columnar")
+
+
+def check_engine(engine: str, accepted: tuple[str, ...] = ENGINES) -> None:
+    """Raise a :class:`SerenaError` naming the accepted values unless
+    ``engine`` is one of them."""
+    if engine not in accepted:
+        raise SerenaError(
+            f"unknown execution engine {engine!r} (expected one of "
+            f"{', '.join(accepted)})"
+        )
+
 
 # Logical operator class → executor factory taking (node, *child executors).
 _LOWERINGS: dict[type, Callable[..., x.Executor]] = {

@@ -209,7 +209,7 @@ class FeedbackReoptimizer:
             optimizer = Optimizer(
                 model,
                 plan_budget=self.plan_budget,
-                engine="incremental",
+                engine=continuous.engine,
                 churn=self.churn,
                 backend=continuous.backend,
             )

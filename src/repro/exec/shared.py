@@ -11,9 +11,11 @@ module provides:
   subtree once and hands the **same executor instance** to every query
   whose plan contains it, with refcounting so deregistration releases
   state exactly when the last owner leaves;
-* :class:`SharedEngine` — the per-query driver: the drop-in counterpart of
-  :class:`~repro.exec.engine.IncrementalEngine` whose physical plan is
-  acquired from a registry instead of lowered privately.
+* :class:`SharedEngine` — the per-query driver, and the only physical
+  engine: it acquires the query's plan from a registry (a private one when
+  the caller supplies none), advances it instant by instant and
+  materializes the root's relation only on instants whose delta is
+  non-empty.
 
 What may be shared
 ------------------
@@ -323,16 +325,17 @@ class SharedPlan:
 
 
 class SharedEngine:
-    """Delta-driven execution of one continuous query over a shared
-    physical plan — same contract as
-    :class:`~repro.exec.engine.IncrementalEngine`.
+    """Delta-driven execution of one continuous query over a physical
+    plan leased from a registry; produces the same
+    :class:`~repro.algebra.query.QueryResult` per instant as the naive
+    engine.  Re-ticking the current instant is an idempotent no-op
+    (memoized in the executors).
 
-    The only behavioural addition is the first tick over a *warm* root
-    (the whole plan was already running for other queries): the engine
-    then materializes the root's fresh view and reports it as the initial
-    insertion delta, which is exactly what a freshly built plan would
-    have produced — except over a journaled scan, whose reported delta is
-    registration-independent already.
+    The first tick over a *warm* root (the whole plan was already running
+    for other queries) materializes the root's fresh view and reports it
+    as the initial insertion delta, which is exactly what a freshly built
+    plan would have produced — except over a journaled scan, whose
+    reported delta is registration-independent already.
     """
 
     def __init__(

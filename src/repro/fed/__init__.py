@@ -10,8 +10,8 @@ gossip relay between bus segments.
 
 Phase 1 runs every shard in deterministic lockstep on the shared
 virtual clock — tuple-identical to the ``shared`` engine.  Phase 2 is
-the opt-in parallel shard executor (``parallelism="threads"`` or
-``"processes"``) with a per-tick barrier that preserves determinism.
+the opt-in parallel shard executor (``parallelism="processes"``) with a
+per-tick barrier that preserves determinism.
 """
 
 from repro.fed.gather import GatherExec

@@ -18,10 +18,9 @@ delta: insert iff support went 0 → positive, delete iff it went positive
 pass-through.
 
 Shard deltas come from one of two places, decided by the owning
-:class:`~repro.fed.registry.FederatedPlanRegistry`: in lockstep and
-thread-parallel modes the gather ticks the shard root in-process (a
-memoized no-op when the barrier already advanced it); in process-parallel
-mode the shard state lives in a forked worker, and the gather consumes
+:class:`~repro.fed.registry.FederatedPlanRegistry`: in lockstep
+mode the gather ticks the shard root in-process (a memoized no-op when
+the barrier already advanced it); in process-parallel mode the shard state lives in a forked worker, and the gather consumes
 the delta the worker shipped back (accumulated across carried instants
 by the registry).
 """

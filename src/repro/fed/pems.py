@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.continuous.time import VirtualClock
 from repro.errors import SerenaError
 from repro.fed.gossip import GossipRelay
 from repro.fed.hashing import HashRing
@@ -33,13 +32,9 @@ from repro.fed.local_erm import FederatedLocalERM
 from repro.fed.query_processor import FederatedQueryProcessor
 from repro.fed.table_manager import FederatedTableManager
 from repro.fed.zone import Zone
-from repro.model.environment import PervasiveEnvironment
 from repro.model.invocation_policy import InvocationPolicy
-from repro.model.services import ServiceRegistry
 from repro.obs.observe import Observability
-from repro.pems.discovery import DiscoveryBus
-from repro.pems.erm import EnvironmentResourceManager
-from repro.pems.pems import PEMS, StreamSource
+from repro.pems.pems import PEMS
 
 __all__ = ["FederatedPEMS"]
 
@@ -53,8 +48,8 @@ class FederatedPEMS(PEMS):
         Zone count (named ``zone-0`` … ``zone-N``) or an iterable of zone
         names.
     parallelism:
-        Shard execution mode: ``None`` (lockstep, default), ``"threads"``
-        or ``"processes"`` — see
+        Shard execution mode: ``None`` (lockstep, default) or
+        ``"processes"`` — see
         :class:`~repro.fed.query_processor.FederatedQueryProcessor`.
     partition_by:
         Relation name → partition attribute, overriding the default
@@ -76,53 +71,44 @@ class FederatedPEMS(PEMS):
             zone_names = tuple(f"zone-{i}" for i in range(zones))
         else:
             zone_names = tuple(zones)
-        # Deliberately no super().__init__: same wiring, federated parts.
-        # Construction order fixes tick-listener order (see module doc).
-        self.obs = Observability.coerce(observe)
-        self.clock = VirtualClock()
-        self.bus = DiscoveryBus()
-        self.bus.bind_observability(self.obs)
-        registry = ServiceRegistry(policy=policy)
-        registry.bind_observability(self.obs)
-        self.environment = PervasiveEnvironment(registry)
-        self.erm = EnvironmentResourceManager(
-            self.bus, self.clock, self.environment.registry, observe=self.obs
-        )
+        # Set before PEMS.__init__: its factory hooks build the federated
+        # parts from these.
         self.ring = HashRing(zone_names)
+        self._zone_options = {"policy": policy, "backend": backend}
+        self._partition_by = partition_by
+        self._parallelism = parallelism
+        super().__init__("shared", policy, observe, backend)
+
+    def _make_tables(self) -> FederatedTableManager:
+        # Zone ERMs subscribe to the clock here — after the coordinator
+        # ERM, before the stream sources (see module doc).
         self.zones: dict[str, Zone] = {
-            name: Zone(
-                name,
-                self.clock,
-                policy=policy,
-                observe=self.obs,
-                backend=backend,
-            )
-            for name in zone_names
+            name: Zone(name, self.clock, observe=self.obs, **self._zone_options)
+            for name in self.ring.zones
         }
         self.gossip = GossipRelay(
             self.bus, (zone.bus for zone in self.zones.values())
         )
-        self._sources: list[StreamSource] = []
-        self.clock.on_tick(self._run_sources)
-        self.tables = FederatedTableManager(
+        return FederatedTableManager(
             self.environment,
             self.clock,
             self.zones,
             self.ring,
-            partition_by=partition_by,
+            partition_by=self._partition_by,
         )
-        self.queries = FederatedQueryProcessor(
+
+    def _make_queries(self, engine: str, backend: str) -> FederatedQueryProcessor:
+        return FederatedQueryProcessor(
             self.environment,
             self.clock,
             self.erm,
             self.tables,
             self.zones,
-            engine="shared",
+            engine=engine,
             observe=self.obs,
             backend=backend,
-            parallelism=parallelism,
+            parallelism=self._parallelism,
         )
-        self._local_erms: dict[str, FederatedLocalERM] = {}
 
     # -- topology -------------------------------------------------------------------
 
@@ -160,11 +146,11 @@ class FederatedPEMS(PEMS):
         }
 
     def shutdown(self) -> None:
-        """Stop shard workers/threads (idempotent; lockstep is a no-op)."""
+        """Stop shard workers (idempotent; lockstep is a no-op)."""
         self.queries.shutdown()
 
     def close(self) -> None:
-        """Full teardown (idempotent): stop shard workers/threads *and*
+        """Full teardown (idempotent): stop shard workers *and*
         detach the gossip relay from every zone bus segment, so no relay
         callback outlives the federation.  The subscription server's
         shutdown path calls this."""

@@ -1,4 +1,4 @@
-"""The federated query processor: lockstep shards and the parallel barrier.
+"""The federated query processor: lockstep shards and the process barrier.
 
 Extends the coordinator :class:`~repro.pems.query_processor.QueryProcessor`
 in exactly two places:
@@ -9,15 +9,11 @@ in exactly two places:
 * :meth:`_before_plan` advances every shard to the current instant
   between discovery sync and query scheduling — the per-tick barrier.
 
-Three shard-execution modes share that barrier:
+Two shard-execution modes share that barrier:
 
 * ``parallelism=None`` (lockstep) — shards advance eagerly, one after
   another, on the coordinator thread.  Deterministic by construction and
   tuple-identical to the ``shared`` engine.
-* ``parallelism="threads"`` — shards advance concurrently on a thread
-  pool and the barrier joins them.  Zone state is zone-confined and the
-  coordinator only reads shard results after the join, so the outcome is
-  the same as lockstep regardless of interleaving.
 * ``parallelism="processes"`` — each zone lives in a forked worker
   process.  Per barrier the coordinator ships each worker the journal
   slice of its partitions since the last barrier, the worker replays it,
@@ -26,7 +22,7 @@ Three shard-execution modes share that barrier:
   consumes them.  Workers fork at the first parallel barrier; the
   registry freezes then — queries must be registered before it.
 
-In every mode the barrier runs *before* the scheduler plans the tick, so
+In both modes the barrier runs *before* the scheduler plans the tick, so
 shard results for instant τ are (or will deterministically be) the ones
 a single shared engine would compute at τ over the same journals.
 """
@@ -34,7 +30,6 @@ a single shared engine would compute at τ over the same journals.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Mapping
 
 from repro.continuous.time import VirtualClock
@@ -52,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FederatedQueryProcessor"]
 
-PARALLELISM_MODES = (None, "threads", "processes")
+PARALLELISM_MODES = (None, "processes")
 
 
 def _worker_loop(zone: "Zone", conn) -> None:
@@ -93,7 +88,6 @@ class FederatedQueryProcessor(QueryProcessor):
         # _make_registry, which needs the zones.
         self._zones = dict(zones)
         self.parallelism = parallelism
-        self._pool: ThreadPoolExecutor | None = None
         self._workers: dict[str, tuple] | None = None
         #: Zone → relation → journal ship mark (same discipline as
         #: ScanExec._consumed: entries at or above the mark may still
@@ -130,59 +124,22 @@ class FederatedQueryProcessor(QueryProcessor):
             return
         if self.parallelism is None:
             self._advance_lockstep(instant)
-        elif self.parallelism == "threads":
-            self._advance_threads(instant)
         else:
             self._advance_processes(instant)
         for zone in self._zones.values():
             zone.sync_gauges()
 
     def _advance_lockstep(self, instant: int) -> None:
-        tracing = self.obs.tracing_on
         for name in sorted(self._zones):
-            zone = self._zones[name]
-            if tracing:
-                with self.obs.tracer.span(
-                    "shard.advance", instant, zone=name
-                ):
-                    zone.advance(instant)
-            else:
-                zone.advance(instant)
-
-    def _advance_threads(self, instant: int) -> None:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, len(self._zones)),
-                thread_name_prefix="shard",
-            )
-        ordered = [self._zones[name] for name in sorted(self._zones)]
-        if self.obs.tracing_on:
-            with self.obs.tracer.span(
-                "shard.barrier", instant, mode="threads", zones=len(ordered)
-            ):
-                self._join_threads(ordered, instant)
-        else:
-            self._join_threads(ordered, instant)
-
-    def _join_threads(self, zones, instant: int) -> None:
-        futures = [
-            self._pool.submit(zone.advance, instant) for zone in zones
-        ]
-        for future in futures:  # the barrier: propagate the first failure
-            future.result()
+            with self.obs.tracer.span("shard.advance", instant, zone=name):
+                self._zones[name].advance(instant)
 
     def _advance_processes(self, instant: int) -> None:
         if self._workers is None:
             self._fork_workers(instant)
-        if self.obs.tracing_on:
-            with self.obs.tracer.span(
-                "shard.barrier",
-                instant,
-                mode="processes",
-                zones=len(self._workers),
-            ):
-                self._barrier_processes(instant)
-        else:
+        with self.obs.tracer.span(
+            "shard.barrier", instant, mode="processes", zones=len(self._workers)
+        ):
             self._barrier_processes(instant)
 
     def _fork_workers(self, instant: int) -> None:
@@ -238,13 +195,10 @@ class FederatedQueryProcessor(QueryProcessor):
     # -- lifecycle ---------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop the thread pool / worker processes (idempotent)."""
+        """Stop the worker processes (idempotent)."""
         if self._shut_down:
             return
         self._shut_down = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._workers is not None:
             for _, conn in self._workers.values():
                 try:

@@ -236,7 +236,7 @@ class FederatedPlanRegistry(SharedPlanRegistry):
                     "federated registry is frozen: shard worker processes "
                     "are running and cannot learn about new scattered "
                     "subtrees; register all federated queries before the "
-                    "first parallel tick (or use parallelism=None/'threads')"
+                    "first parallel tick (or use parallelism=None)"
                 )
             self._lease_misses_total.inc()
             self._scatter_total.inc()

@@ -16,16 +16,15 @@ A zone owns
   are shared across all coordinator queries that lease them.
 
 ``advance`` ticks every registered shard executor at an instant with a
-per-instant memoized context; the parallel shard executor calls it from
-worker threads (zone state is zone-confined, so zones advance
-concurrently without locks) or from forked worker processes, where
-``apply_slices`` first replays the coordinator's partition writes into
-the worker's journal replicas.
+per-instant memoized context — on the coordinator thread in lockstep
+mode, or inside a forked worker process, where ``apply_slices`` first
+replays the coordinator's partition writes into the worker's journal
+replicas.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.algebra.context import EvaluationContext
 from repro.continuous.time import VirtualClock
@@ -38,9 +37,6 @@ from repro.model.services import ServiceRegistry
 from repro.obs.observe import Observability
 from repro.pems.discovery import DiscoveryBus
 from repro.pems.erm import EnvironmentResourceManager
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = ["Zone"]
 
@@ -152,35 +148,29 @@ class Zone:
 
     # -- observation --------------------------------------------------------------
 
-    def sync_gauges(self) -> None:
-        self._services_gauge.set(len(self.services))
+    def _rows(self) -> int:
+        """Tuples held by the zone's sized relation partitions."""
         rows = 0
         for name in self.environment.relation_names:
-            stored = self.environment.relation(name)
             try:
-                rows += len(stored)
+                rows += len(self.environment.relation(name))
             except TypeError:
                 pass
-        self._rows_gauge.set(rows)
+        return rows
+
+    def sync_gauges(self) -> None:
+        self._services_gauge.set(len(self.services))
+        self._rows_gauge.set(self._rows())
         self._subplans_gauge.set(len(self.plans))
 
     def summary(self) -> dict:
         """One ``.shards`` row: the zone's service, row, subplan and
         local-ERM counts."""
-        rows = 0
-        relations = 0
-        for name in self.environment.relation_names:
-            stored = self.environment.relation(name)
-            relations += 1
-            try:
-                rows += len(stored)
-            except TypeError:
-                pass
         return {
             "zone": self.name,
             "services": len(self.services),
-            "relations": relations,
-            "rows": rows,
+            "relations": len(self.environment.relation_names),
+            "rows": self._rows(),
             "subplans": len(self.plans),
         }
 

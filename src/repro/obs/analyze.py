@@ -35,25 +35,6 @@ __all__ = [
 ]
 
 
-def _shared_index(registry: "SharedPlanRegistry | None") -> dict[int, int]:
-    """id(executor) → refcount for every live shared entry."""
-    if registry is None:
-        return {}
-    return {
-        id(entry.executor): entry.refcount
-        for entry in registry._entries.values()
-    }
-
-
-def _executor_registry(continuous: "ContinuousQuery"):
-    engine = getattr(continuous, "_engine", None)
-    if engine is None:
-        return None, None
-    root = getattr(engine, "root", None)
-    registry = getattr(engine, "registry", None)
-    return root, registry
-
-
 def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
     """Per-executor stat rows of a registered continuous query's plan
     (empty on the naive engine, which has no physical plan)."""
@@ -63,10 +44,14 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
         StreamingInvocationExec,
     )
 
-    root, registry = _executor_registry(continuous)
-    if root is None:
+    engine = continuous._engine
+    if engine is None:
         return []
-    shared = _shared_index(registry)
+    # id(executor) → refcount for every live entry of the query's registry.
+    shared = {
+        id(entry.executor): entry.refcount
+        for entry in engine.registry._entries.values()
+    }
     rows: list[dict] = []
     seen: dict[int, int] = {}
 
@@ -119,7 +104,7 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
         for child in executor.children:
             visit(child, depth + 1)
 
-    visit(root, 0)
+    visit(engine.root, 0)
     return rows
 
 
@@ -160,7 +145,7 @@ def render_analyze(continuous: "ContinuousQuery") -> str:
     if not rows:
         return (
             "(no physical plan — the naive engine re-evaluates the logical "
-            "tree; register with engine='incremental' or 'shared')"
+            "tree; register with engine='shared')"
         )
     header = [
         f"EXPLAIN ANALYZE {continuous.query.name or '(unnamed query)'}"
@@ -168,11 +153,10 @@ def render_analyze(continuous: "ContinuousQuery") -> str:
         f"{continuous._last_instant if continuous._last_instant >= 0 else '(never)'}"
     ]
     summary = continuous.sharing_summary
-    if summary is not None:
-        header.append(
-            f"plan {summary['fingerprint']}: {summary['executors']} executors, "
-            f"{summary['shared']} shared / {summary['private']} private"
-        )
+    header.append(
+        f"plan {summary['fingerprint']}: {summary['executors']} executors, "
+        f"{summary['shared']} shared / {summary['private']} private"
+    )
     return "\n".join(header + [_format_row(row) for row in rows])
 
 

@@ -16,7 +16,7 @@ records through it.  Three modes (the ``PEMS(observe=...)`` knob):
 
 Observation never changes behaviour: instrumentation only reads engine
 state, and a differential test pins 55-tick results byte-identical across
-modes on all three engines (tests/obs/test_observe_differential.py).
+modes on both engines (tests/obs/test_observe_differential.py).
 """
 
 from __future__ import annotations

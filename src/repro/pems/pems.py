@@ -42,11 +42,11 @@ class PEMS:
 
     ``engine`` selects the execution engine for continuous queries
     registered through the query processor — ``"shared"`` (default:
-    incremental execution with cross-query subplan sharing and the
-    quiescence-aware tick scheduler), ``"incremental"``, ``"columnar"``
-    or ``"naive"`` (see :mod:`repro.continuous.continuous_query`);
-    ``backend`` ("row"/"columnar") selects the physical delta
-    representation the plans lower to.
+    delta-driven execution with cross-query subplan sharing and the
+    quiescence-aware tick scheduler) or ``"naive"`` (the oracle; see
+    :mod:`repro.continuous.continuous_query`); ``backend``
+    ("row"/"columnar") selects the physical delta representation the
+    plans lower to.
 
     ``policy`` sets the fault-tolerance :class:`InvocationPolicy` on the
     service registry (retry backoff, quarantine threshold); the default
@@ -79,10 +79,22 @@ class PEMS:
         self.erm = EnvironmentResourceManager(
             self.bus, self.clock, self.environment.registry, observe=self.obs
         )
+        self.tables = self._make_tables()
         self._sources: list[StreamSource] = []
         self.clock.on_tick(self._run_sources)
-        self.tables = ExtendedTableManager(self.environment, self.clock)
-        self.queries = QueryProcessor(
+        self.queries = self._make_queries(engine, backend)
+        self._local_erms: dict[str, LocalEnvironmentResourceManager] = {}
+
+    def _make_tables(self) -> ExtendedTableManager:
+        """The table manager this PEMS runs on.  Called between the core
+        ERM and the stream sources, so a subclass may subscribe further
+        ERMs to the clock here (the federation's zone shards)."""
+        return ExtendedTableManager(self.environment, self.clock)
+
+    def _make_queries(self, engine: str, backend: str) -> QueryProcessor:
+        """The query processor this PEMS runs on (built last: it ticks
+        after the stream sources)."""
+        return QueryProcessor(
             self.environment,
             self.clock,
             self.erm,
@@ -91,7 +103,6 @@ class PEMS:
             observe=self.obs,
             backend=backend,
         )
-        self._local_erms: dict[str, LocalEnvironmentResourceManager] = {}
 
     # -- topology -------------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from repro.algebra.query import Query, QueryResult
 from repro.continuous.continuous_query import ContinuousQuery
 from repro.continuous.time import VirtualClock
 from repro.errors import SerenaError, UnknownAttributeError
+from repro.exec.lowering import check_engine
 from repro.exec.reoptimizer import FeedbackReoptimizer
 from repro.exec.scheduler import TickScheduler
 from repro.exec.shared import SharedPlanRegistry
@@ -96,19 +97,16 @@ class QueryProcessor:
     environment, clock, erm, tables:
         The PEMS components the processor is wired to (Figure 1).
     engine:
-        Execution engine for registered continuous queries:
-        ``"shared"`` (default — the delta-driven physical engine of
-        :mod:`repro.exec` with cross-query subplan sharing and the
-        quiescence-aware tick scheduler), ``"incremental"`` (the same
-        physical engine, one private plan per query, every query
-        evaluated every tick), ``"columnar"`` (incremental with the
-        columnar backend) or ``"naive"`` (full re-evaluation each tick,
-        the differential-testing oracle).
+        Execution engine for registered continuous queries
+        (:data:`~repro.exec.lowering.ENGINES`): ``"shared"`` (default —
+        the delta-driven physical engine of :mod:`repro.exec`, every
+        query's plan leased from this processor's registry and driven by
+        its quiescence-aware tick scheduler) or ``"naive"`` (full
+        re-evaluation each tick, the differential-testing oracle).
     backend:
         Physical representation the processor's plans lower to — ``"row"``
         or ``"columnar"``.  The shared-plan registry is built with this
-        backend, so it applies to every ``engine="shared"`` query; it is
-        also the default for per-query incremental plans.
+        backend, so it applies to every ``engine="shared"`` query.
     """
 
     def __init__(
@@ -125,8 +123,9 @@ class QueryProcessor:
         self.clock = clock
         self.erm = erm
         self.tables = tables
+        check_engine(engine)
         self.engine = engine
-        self.backend = "columnar" if engine == "columnar" else backend
+        self.backend = backend
         #: Observability facade shared across the processor, its scheduler,
         #: shared-plan registry and every registered query's engine.
         self.obs = (
@@ -142,8 +141,9 @@ class QueryProcessor:
             "serena_queries_registered",
             "Continuous queries currently registered with the processor",
         )
-        #: Shared-subplan registry for engine="shared" queries: one per
-        #: processor, so co-registered queries share physical subtrees.
+        #: Shared-subplan registry every engine="shared" query leases its
+        #: plan from: one per processor, so co-registered queries share
+        #: physical subtrees.
         #: Subclasses override :meth:`_make_registry` to substitute a
         #: registry with different lowering behaviour (federation).
         self.shared = self._make_registry(environment)
@@ -214,7 +214,6 @@ class QueryProcessor:
         name: str | None = None,
         keep_history: bool = False,
         engine: str | None = None,
-        backend: str | None = None,
     ) -> ContinuousQuery:
         """Compile a Serena SQL query and register it as continuous."""
         from repro.lang.sql import compile_sql
@@ -224,7 +223,6 @@ class QueryProcessor:
             name,
             keep_history,
             engine,
-            backend,
         )
 
     # -- continuous queries ----------------------------------------------------------
@@ -235,29 +233,24 @@ class QueryProcessor:
         name: str | None = None,
         keep_history: bool = False,
         engine: str | None = None,
-        backend: str | None = None,
     ) -> ContinuousQuery:
         """Register a continuous query, evaluated at every tick from now on.
 
-        ``engine`` and ``backend`` override the processor-wide settings
-        for this query (a ``backend`` override only applies to private
-        plans — ``engine="shared"`` queries run on the processor's
-        registry, whose backend is fixed at construction).
+        ``engine`` overrides the processor-wide engine for this query
+        (e.g. a naive oracle next to the shared plans); a shared-engine
+        query always runs on the processor's registry and scheduler.
         """
         key = name or query.name or f"query-{len(self._continuous) + 1}"
         if key in self._continuous:
             raise SerenaError(f"continuous query {key!r} already registered")
         effective = engine if engine is not None else self.engine
-        if backend is None and effective in ("incremental", "shared"):
-            backend = self.backend
         continuous = ContinuousQuery(
             query,
             self.environment,
             keep_history,
             engine=effective,
-            shared=self.shared if effective == "shared" else None,
+            shared=self.shared,
             observe=self.obs,
-            backend=backend,
         )
         self._continuous[key] = continuous
         insort(self._order, key)

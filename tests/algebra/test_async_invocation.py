@@ -155,7 +155,7 @@ class TestAsynchronousSkip:
             .query()
         )
 
-    @pytest.mark.parametrize("engine", ["naive", "incremental"])
+    @pytest.mark.parametrize("engine", ["naive", "shared"])
     def test_retry_waits_the_full_delay(self, dynamic_env, engine):
         attempts = self.flaky_gateway(dynamic_env)
         dynamic_env.relation("contacts").insert_mappings(

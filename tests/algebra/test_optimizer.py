@@ -12,6 +12,7 @@ from repro.algebra import (
     optimize_heuristic,
     scan,
 )
+from repro.errors import SerenaError
 
 
 def office_temperature_query(env):
@@ -53,6 +54,31 @@ class TestCostModel:
         node = scan(paper_env, "contacts").join(scan(paper_env, "sensors")).node
         # no common real attribute → Cartesian product 3 × 4
         assert model.cardinality(node) == 12.0
+
+
+class TestTickCostEngines:
+    """The per-tick model knows exactly the engines of
+    :data:`repro.exec.lowering.ENGINES`."""
+
+    def test_shared_engine_is_priced_by_deltas(self, paper_env):
+        model = CostModel(paper_env)
+        plan = scan(paper_env, "contacts").select(col("name").ne("Carla")).node
+        shared = model.tick_cost(plan, engine="shared")
+        naive = model.tick_cost(plan, engine="naive")
+        assert shared.total < naive.total
+        assert naive.tuples_processed == sum(
+            model.cardinality(node) for node in plan.walk()
+        )
+        assert model.tick_cost(plan) == shared  # the default engine
+
+    def test_unknown_engine_is_a_typed_error(self, paper_env):
+        model = CostModel(paper_env)
+        plan = scan(paper_env, "contacts").node
+        with pytest.raises(SerenaError, match="naive, shared"):
+            model.tick_cost(plan, engine="bogus")
+        with pytest.raises(SerenaError, match="naive, shared"):
+            Optimizer(model, engine="bogus")
+        assert Optimizer(model).engine is None  # one-shot scoring stays valid
 
 
 class TestHeuristicOptimizer:

@@ -1,12 +1,14 @@
 """The sampled city pinned across every engine, 55 ticks, cascade on.
 
 The ISSUE 10 acceptance differential: the SMALL_CITY config (2 zones,
-churn, one scripted cascade) runs on naive/incremental/shared/columnar
-and the zone-sharded federation in lockstep; every engine must agree on
-every query's instantaneous result at every instant, on the accumulated
-alert log, and — through the cascade — the ``station-health`` β sweep
-must keep reporting every station with **zero missed readings** (the
-substitution registry's failover serving the crash instant itself).
+churn, one scripted cascade) runs on the naive oracle and every
+``(engine, backend)`` pair of :mod:`tests.engines` — the shared engine
+and the zone-sharded federation, each on both backends — in lockstep;
+every pair must agree on every query's instantaneous result at every
+instant, on the accumulated alert log, and — through the cascade — the
+``station-health`` β sweep must keep reporting every station with **zero
+missed readings** (the substitution registry's failover serving the
+crash instant itself).
 """
 
 import pytest
@@ -14,11 +16,9 @@ import pytest
 from repro.city.config import SMALL_CITY
 from repro.city.scenario import build_city
 
-TICKS = 55
+from tests.engines import CITY_PAIRS, NAIVE, pair_id
 
-#: The naive oracle plus every engine it pins down, including the
-#: federation with zones mapped onto shards.
-ENGINES = ("naive", "incremental", "shared", "columnar", "federated")
+TICKS = 55
 
 
 def alert_key(log):
@@ -45,17 +45,17 @@ def drive(engine, backend="row"):
 
 @pytest.fixture(scope="module")
 def naive_run():
-    return drive("naive")
+    return drive(*NAIVE)
 
 
-@pytest.mark.parametrize("engine", ENGINES[1:])
-def test_city_differential(engine, naive_run):
+@pytest.mark.parametrize("pair", CITY_PAIRS, ids=pair_id)
+def test_city_differential(pair, naive_run):
     naive, naive_snaps, naive_health = naive_run
-    scenario, snaps, health = drive(engine)
+    scenario, snaps, health = drive(*pair)
     for instant, (expected, got) in enumerate(zip(naive_snaps, snaps), start=1):
-        assert got == expected, f"{engine} diverges at instant {instant}"
-    assert alert_key(scenario.alerts) == alert_key(naive.alerts), engine
-    assert health == naive_health, engine
+        assert got == expected, f"{pair} diverges at instant {instant}"
+    assert alert_key(scenario.alerts) == alert_key(naive.alerts), pair
+    assert health == naive_health, pair
 
 
 def test_columnar_backend_matches_row(naive_run):

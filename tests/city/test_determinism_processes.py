@@ -21,7 +21,7 @@ import hashlib, sys
 from repro.city.config import SMALL_CITY
 from repro.city.scenario import build_city
 
-scenario = build_city(SMALL_CITY, engine="incremental")
+scenario = build_city(SMALL_CITY)
 print("topology", scenario.topology.digest())
 
 schedule = scenario.cascade

@@ -171,7 +171,7 @@ class TestSameInstantIdempotency:
     cached result and must not repeat any bookkeeping — no duplicate
     actions, emissions, history entries or listener notifications."""
 
-    @pytest.mark.parametrize("engine", ["naive", "incremental"])
+    @pytest.mark.parametrize("engine", ["naive", "shared"])
     def test_repeat_evaluation_is_idempotent(self, dynamic_env, engine):
         q = (
             scan(dynamic_env, "contacts")

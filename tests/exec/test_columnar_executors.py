@@ -1,8 +1,8 @@
-"""Integration tests for the columnar backend: engine sugar, backend
-validation at every seam, mixed row/columnar trees, EXPLAIN ANALYZE
-reporting and backend-aware tick-cost scoring.
+"""Integration tests for the columnar backend: backend validation at
+every seam, mixed row/columnar trees, EXPLAIN ANALYZE reporting and
+backend-aware tick-cost scoring.
 
-Tuple-level correctness is pinned by the four-engine differentials
+Tuple-level correctness is pinned by the ``(engine, backend)`` differentials
 (:mod:`tests.exec.test_differential`); these tests cover the plumbing
 around the executors.
 """
@@ -47,34 +47,25 @@ def contacts_query(env, name="q"):
 
 
 # ---------------------------------------------------------------------------
-# Engine sugar and backend validation
+# Backend selection and validation
 # ---------------------------------------------------------------------------
 
 
 class TestBackendSelection:
-    def test_columnar_engine_is_incremental_sugar(self):
+    def test_explicit_backend_on_a_private_registry(self):
         env = paper_env()
-        cq = ContinuousQuery(contacts_query(env), env, engine="columnar")
-        assert cq.engine == "incremental"
+        cq = ContinuousQuery(contacts_query(env), env, backend="columnar")
+        assert cq.engine == "shared"
         assert cq.backend == "columnar"
         assert any(e.backend == "columnar" for e in cq.executors())
-
-    def test_explicit_backend_on_incremental(self):
-        env = paper_env()
-        cq = ContinuousQuery(
-            contacts_query(env), env, engine="incremental", backend="columnar"
-        )
-        assert cq.backend == "columnar"
         default = ContinuousQuery(contacts_query(env), env)
         assert default.backend == "row"
         assert all(e.backend == "row" for e in default.executors())
 
-    def test_columnar_engine_rejects_row_backend(self):
+    def test_columnar_is_a_backend_not_an_engine(self):
         env = paper_env()
-        with pytest.raises(SerenaError, match="columnar"):
-            ContinuousQuery(
-                contacts_query(env), env, engine="columnar", backend="row"
-            )
+        with pytest.raises(SerenaError, match="naive, shared"):
+            ContinuousQuery(contacts_query(env), env, engine="columnar")
 
     def test_naive_engine_rejects_columnar_backend(self):
         env = paper_env()
@@ -141,7 +132,7 @@ class TestColumnarExecution:
 
     def test_batch_stats_accumulate(self):
         env = paper_env()
-        cq = ContinuousQuery(contacts_query(env), env, engine="columnar")
+        cq = ContinuousQuery(contacts_query(env), env, backend="columnar")
         cq.evaluate_at(0)
         cq.evaluate_at(1)
         columnar = [e for e in cq.executors() if e.backend == "columnar"]
@@ -160,7 +151,7 @@ class TestColumnarExecution:
 class TestAnalyzeBackendColumn:
     def test_rows_carry_backend_and_batch_fields(self):
         env = paper_env()
-        cq = ContinuousQuery(contacts_query(env), env, engine="columnar")
+        cq = ContinuousQuery(contacts_query(env), env, backend="columnar")
         cq.evaluate_at(0)
         rows = analyze_rows(cq)
         assert rows
@@ -171,7 +162,7 @@ class TestAnalyzeBackendColumn:
 
     def test_render_shows_backend_and_batches(self):
         env = paper_env()
-        cq = ContinuousQuery(contacts_query(env), env, engine="columnar")
+        cq = ContinuousQuery(contacts_query(env), env, backend="columnar")
         cq.evaluate_at(0)
         text = render_analyze(cq)
         assert "/columnar]" in text
@@ -233,8 +224,8 @@ class TestJoinPoolBound:
         def join_query(name):
             return scan(env, "lhs").join(scan(env, "rhs")).query(name)
 
-        row = ContinuousQuery(join_query("row"), env, engine="incremental")
-        columnar = ContinuousQuery(join_query("col"), env, engine="columnar")
+        row = ContinuousQuery(join_query("row"), env)
+        columnar = ContinuousQuery(join_query("col"), env, backend="columnar")
         join = next(
             e for e in columnar.executors() if isinstance(e, ColumnarJoinExec)
         )
@@ -260,8 +251,8 @@ class TestJoinPoolBound:
 
 
 class TestPemsBackend:
-    def test_scenario_runs_on_the_columnar_engine(self):
-        scenario = build_temperature_surveillance(engine="columnar")
+    def test_scenario_runs_on_the_columnar_backend(self):
+        scenario = build_temperature_surveillance(backend="columnar")
         scenario.run(3)
         alerts = scenario.queries["alerts"]
         assert alerts.backend == "columnar"
@@ -292,19 +283,11 @@ class TestColumnarCosting:
         env = paper_env()
         model = CostModel(env)
         plan = self.plan(env)
-        row = model.tick_cost(plan, engine="incremental")
-        columnar = model.tick_cost(plan, engine="incremental", backend="columnar")
+        row = model.tick_cost(plan, engine="shared")
+        columnar = model.tick_cost(plan, engine="shared", backend="columnar")
         assert columnar.total < row.total
         assert columnar.tuples_processed == pytest.approx(
             COLUMNAR_TUPLE_FACTOR * row.tuples_processed
-        )
-
-    def test_columnar_engine_sugar_in_tick_cost(self):
-        env = paper_env()
-        model = CostModel(env)
-        plan = self.plan(env)
-        assert model.tick_cost(plan, engine="columnar") == model.tick_cost(
-            plan, engine="incremental", backend="columnar"
         )
 
     def test_service_cost_is_not_scaled(self):
@@ -316,14 +299,14 @@ class TestColumnarCosting:
             .invoke("sendMessage")
             .query("q")
         )
-        row = model.tick_cost(plan, engine="incremental")
-        columnar = model.tick_cost(plan, engine="columnar")
+        row = model.tick_cost(plan, engine="shared")
+        columnar = model.tick_cost(plan, engine="shared", backend="columnar")
         assert columnar.invocations == row.invocations
         assert columnar.total < row.total  # only the tuple work shrank
 
     def test_optimizer_accepts_a_backend(self):
         env = paper_env()
         model = CostModel(env)
-        optimizer = Optimizer(model, engine="incremental", backend="columnar")
+        optimizer = Optimizer(model, engine="shared", backend="columnar")
         outcome = optimizer.optimize(self.plan(env))
         assert outcome.cost.total <= outcome.original_cost.total

@@ -1,7 +1,8 @@
 """Differential tests: every physical engine vs the naive oracle.
 
 Every Table 4 query plus the Section 5.2 temperature/RSS scenarios run on
-all four engines (naive, incremental, shared, columnar) in lockstep —
+the naive oracle and every ``(engine, backend)`` pair of
+:mod:`tests.engines` in lockstep —
 independent but identically-scripted environments, ≥ 50 instants, with
 relation churn and service churn along the way.  At every instant the
 engines must agree on:
@@ -33,10 +34,9 @@ from repro.devices.scenario import (
     temperatures_schema,
 )
 
-TICKS = 55  # ≥ 50 instants per the acceptance criteria
+from tests.engines import NAIVE, PAIRS, QUERY_PAIRS
 
-#: The naive oracle plus every physical engine it pins down.
-ENGINES = ("naive", "incremental", "shared", "columnar")
+TICKS = 55  # ≥ 50 instants per the acceptance criteria
 
 
 # ---------------------------------------------------------------------------
@@ -228,46 +228,47 @@ def action_strings(actions):
     return sorted(a.describe() for a in actions)
 
 
-def run_differential(make_query, scripts, ticks=TICKS, engines=ENGINES):
-    """Run one Table 4 query on every engine over identically-scripted
-    environments; assert instant-by-instant agreement with the oracle."""
+def run_differential(make_query, scripts, ticks=TICKS, pairs=QUERY_PAIRS):
+    """Run one Table 4 query on the oracle and every ``(engine, backend)``
+    pair over identically-scripted environments; assert instant-by-instant
+    agreement with the oracle.  Returns the queries keyed by pair."""
     rigs = {}
     queries = {}
-    for engine in engines:
+    for pair in (NAIVE, *pairs):
         rig = Rig()
-        rigs[engine] = rig
-        queries[engine] = ContinuousQuery(
-            make_query(rig.env), rig.env, engine=engine
+        rigs[pair] = rig
+        engine, backend = pair
+        queries[pair] = ContinuousQuery(
+            make_query(rig.env), rig.env, engine=engine, backend=backend
         )
     for instant in range(1, ticks + 1):
-        per_engine = {}
-        for engine in engines:
-            rig = rigs[engine]
+        per_pair = {}
+        for pair, rig in rigs.items():
             for script in scripts:
                 script(rig, instant)
-            result = queries[engine].evaluate_at(instant)
-            per_engine[engine] = (
+            result = queries[pair].evaluate_at(instant)
+            per_pair[pair] = (
                 result.relation.tuples,
-                reported_delta(queries[engine], instant),
+                reported_delta(queries[pair], instant),
                 frozenset(result.actions),
             )
-        naive = per_engine["naive"]
-        for engine in engines[1:]:
-            got = per_engine[engine]
-            assert got[0] == naive[0], f"{engine} relation differs at {instant}"
-            assert got[1] == naive[1], f"{engine} delta differs at {instant}"
-            assert got[2] == naive[2], f"{engine} actions differ at {instant}"
-    cq_n = queries["naive"]
-    for engine in engines[1:]:
-        cq = queries[engine]
-        assert sorted(cq.emitted) == sorted(cq_n.emitted), engine
-        assert action_strings(cq.actions) == action_strings(cq_n.actions), engine
+        naive = per_pair[NAIVE]
+        for pair in pairs:
+            got = per_pair[pair]
+            assert got[0] == naive[0], f"{pair} relation differs at {instant}"
+            assert got[1] == naive[1], f"{pair} delta differs at {instant}"
+            assert got[2] == naive[2], f"{pair} actions differ at {instant}"
+    cq_n = queries[NAIVE]
+    for pair in pairs:
+        cq = queries[pair]
+        assert sorted(cq.emitted) == sorted(cq_n.emitted), pair
+        assert action_strings(cq.actions) == action_strings(cq_n.actions), pair
         assert [a.describe() for a in cq.action_log] == [
             a.describe() for a in cq_n.action_log
-        ], engine
-        assert outbox_key(rigs[engine].paper.outbox) == outbox_key(
-            rigs["naive"].paper.outbox
-        ), engine
+        ], pair
+        assert outbox_key(rigs[pair].paper.outbox) == outbox_key(
+            rigs[NAIVE].paper.outbox
+        ), pair
     return queries
 
 
@@ -286,7 +287,7 @@ def run_differential(make_query, scripts, ticks=TICKS, engines=ENGINES):
 def test_table4_differential(make, scripts):
     queries = run_differential(make, scripts)
     # The scripts must actually produce work, or the test proves nothing.
-    cq = queries["incremental"]
+    cq = queries[QUERY_PAIRS[0]]
     assert cq.action_log or cq.emitted or cq.last_result.relation.tuples
 
 
@@ -294,9 +295,9 @@ def test_q4_emits_and_skips_the_ghost_camera():
     """Sanity on the Q4 run: the stream emitted photos and the ghost
     camera never produced one (its invocations failed and were skipped)."""
     queries = run_differential(q4, (feed_stream, ghost_camera_churn))
-    emitted = queries["incremental"].emitted
+    emitted = queries[QUERY_PAIRS[0]].emitted
     assert emitted
-    schema = queries["incremental"].query.schema
+    schema = queries[QUERY_PAIRS[0]].query.schema
     areas = {schema.mapping_from_tuple(t)["area"] for _, t in emitted}
     assert areas == {"roof"}
 
@@ -306,8 +307,8 @@ def test_q4_emits_and_skips_the_ghost_camera():
 # ---------------------------------------------------------------------------
 
 
-def drive_temperature_scenario(engine):
-    scenario = build_temperature_surveillance(engine=engine)
+def drive_temperature_scenario(engine, backend="row"):
+    scenario = build_temperature_surveillance(engine=engine, backend=backend)
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -332,27 +333,29 @@ def drive_temperature_scenario(engine):
 
 
 def test_temperature_scenario_differential():
-    naive, naive_snaps = drive_temperature_scenario("naive")
-    for engine in ENGINES[1:]:
-        run, snaps = drive_temperature_scenario(engine)
-        assert snaps == naive_snaps, engine
+    naive, naive_snaps = drive_temperature_scenario(*NAIVE)
+    for pair in PAIRS:
+        run, snaps = drive_temperature_scenario(*pair)
+        assert snaps == naive_snaps, pair
         for name in naive.queries:
             cq_n, cq = naive.queries[name], run.queries[name]
-            assert sorted(cq.emitted) == sorted(cq_n.emitted), (engine, name)
+            assert sorted(cq.emitted) == sorted(cq_n.emitted), (pair, name)
             assert action_strings(cq.actions) == action_strings(
                 cq_n.actions
-            ), (engine, name)
+            ), (pair, name)
             assert [a.describe() for a in cq.action_log] == [
                 a.describe() for a in cq_n.action_log
-            ], (engine, name)
-        assert outbox_key(run.outbox) == outbox_key(naive.outbox), engine
+            ], (pair, name)
+        assert outbox_key(run.outbox) == outbox_key(naive.outbox), pair
     # The churn script had observable consequences on every engine.
     assert naive.outbox.messages
     assert naive.queries["cold-photos"].emitted
 
 
-def drive_rss_scenario(engine):
-    scenario = build_rss_scenario(engine=engine, recipient="Francois")
+def drive_rss_scenario(engine, backend="row"):
+    scenario = build_rss_scenario(
+        engine=engine, backend=backend, recipient="Francois"
+    )
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -370,15 +373,15 @@ def drive_rss_scenario(engine):
 
 
 def test_rss_scenario_differential():
-    naive, naive_snaps = drive_rss_scenario("naive")
-    for engine in ENGINES[1:]:
-        run, snaps = drive_rss_scenario(engine)
-        assert snaps == naive_snaps, engine
+    naive, naive_snaps = drive_rss_scenario(*NAIVE)
+    for pair in PAIRS:
+        run, snaps = drive_rss_scenario(*pair)
+        assert snaps == naive_snaps, pair
         for name in naive.queries:
             cq_n, cq = naive.queries[name], run.queries[name]
             assert action_strings(cq.actions) == action_strings(
                 cq_n.actions
-            ), (engine, name)
-        assert outbox_key(run.outbox) == outbox_key(naive.outbox), engine
+            ), (pair, name)
+        assert outbox_key(run.outbox) == outbox_key(naive.outbox), pair
     # Matching news flowed, and some alert was attempted before the churn.
     assert any(snap["matching-news"] for snap in naive_snaps)

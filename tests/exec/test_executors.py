@@ -20,7 +20,7 @@ from repro.devices.scenario import (
     temperatures_schema,
 )
 from repro.errors import SerenaError
-from repro.exec import EMPTY_DELTA, IncrementalEngine, lower
+from repro.exec import EMPTY_DELTA, SharedEngine, lower
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
 
@@ -332,11 +332,12 @@ class TestInvocationExec:
 
 
 class TestIncrementalEngine:
+    """The driver of the incremental executors: a
+    :class:`~repro.exec.shared.SharedEngine` on its private registry."""
+
     def test_unchanged_ticks_reuse_the_relation(self):
         env, stored = surveillance_env([ANA])
-        engine = IncrementalEngine(
-            Query(scan(env, "surveillance").node, "q"), env
-        )
+        engine = SharedEngine(Query(scan(env, "surveillance").node, "q"), env)
         r1 = engine.tick(0)
         r2 = engine.tick(1)
         assert r1.relation is r2.relation
@@ -344,6 +345,9 @@ class TestIncrementalEngine:
         r3 = engine.tick(2)
         assert r3.relation is not r2.relation
         assert set(r3.relation.tuples) == {ANA, BO}
+        # Re-ticking the current instant is idempotent (executors memoize).
+        assert engine.tick(2).relation.tuples == r3.relation.tuples
+        assert engine.change.inserted == frozenset({BO})
 
     def test_results_match_naive_query(self):
         env, stored = surveillance_env([ANA, BO])
@@ -353,7 +357,7 @@ class TestIncrementalEngine:
             .project("name", "location")
             .query("q")
         )
-        engine = IncrementalEngine(query, env)
+        engine = SharedEngine(query, env)
         for instant in range(6):
             if instant == 2:
                 stored.insert([CY], instant=2)

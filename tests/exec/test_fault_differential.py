@@ -1,5 +1,6 @@
-"""Differential coverage under fault scripts: the naive, incremental,
-shared and columnar engines must agree tick-for-tick while scripted chaos (crash
+"""Differential coverage under fault scripts: the naive oracle and every
+``(engine, backend)`` pair of :mod:`tests.engines` must agree
+tick-for-tick while scripted chaos (crash
 windows, intermittent errors, malformed outputs, latency spikes) plays
 against the §5.2 surveillance scenario — including its native
 ``messenger_failure_rate`` flakiness.
@@ -13,9 +14,8 @@ from repro.devices.faults import FaultScript
 from repro.devices.scenario import build_temperature_surveillance
 from repro.model.invocation_policy import InvocationPolicy
 
+from tests.engines import NAIVE, PAIRS
 from tests.exec.test_differential import TICKS, action_strings, outbox_key
-
-ENGINES = ("naive", "incremental", "shared", "columnar")
 
 #: One fault mode per sensor, overlapping the churn script below.
 FAULTS = {
@@ -26,9 +26,10 @@ FAULTS = {
 }
 
 
-def drive_fault_scenario(engine, policy=None):
+def drive_fault_scenario(engine, backend="row", policy=None):
     scenario = build_temperature_surveillance(
         engine=engine,
+        backend=backend,
         messenger_failure_rate=0.2,
         sensor_faults=FAULTS,
         fault_seed="fault-diff",
@@ -83,19 +84,17 @@ def assert_scenarios_agree(reference, others):
 
 
 def test_fault_scenario_differential():
-    """Permissive policy: chaos flows through skip-paths; all four
-    engines agree on every relation, action, alert and failure count."""
-    runs = {engine: drive_fault_scenario(engine) for engine in ENGINES}
-    assert_scenarios_agree(
-        runs["naive"],
-        [runs["incremental"], runs["shared"], runs["columnar"]],
-    )
+    """Permissive policy: chaos flows through skip-paths; every pair
+    agrees with the oracle on every relation, action, alert and failure
+    count."""
+    runs = {pair: drive_fault_scenario(*pair) for pair in (NAIVE, *PAIRS)}
+    assert_scenarios_agree(runs[NAIVE], [runs[pair] for pair in PAIRS])
     # The chaos had observable consequences (not a vacuous agreement):
     # faults were injected, yet alerts still flowed from healthy sensors.
-    assert runs["naive"][0].outbox.messages
-    injector = runs["naive"][0].injectors["sensor01"]
+    assert runs[NAIVE][0].outbox.messages
+    injector = runs[NAIVE][0].injectors["sensor01"]
     assert injector.faults_injected.get("crash", 0) > 0
-    assert runs["naive"][0].injectors["sensor07"].faults_injected.get(
+    assert runs[NAIVE][0].injectors["sensor07"].faults_injected.get(
         "malformed", 0
     ) > 0
 
@@ -106,14 +105,11 @@ def test_fault_scenario_differential_with_quarantine_policy():
     parking, re-admission) is engine-invariant and must agree too."""
     policy = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
     runs = {
-        engine: drive_fault_scenario(engine, policy=policy)
-        for engine in ENGINES
+        pair: drive_fault_scenario(*pair, policy=policy)
+        for pair in (NAIVE, *PAIRS)
     }
-    assert_scenarios_agree(
-        runs["naive"],
-        [runs["incremental"], runs["shared"], runs["columnar"]],
-    )
-    _, snaps = runs["naive"]
+    assert_scenarios_agree(runs[NAIVE], [runs[pair] for pair in PAIRS])
+    _, snaps = runs[NAIVE]
     # Quarantines actually happened and were later released.
     assert any(snap["parked"] for snap in snaps)
     assert any(
@@ -121,12 +117,12 @@ def test_fault_scenario_differential_with_quarantine_policy():
     )
     quarantined_events = [
         e
-        for e in runs["naive"][0].pems.erm.events
+        for e in runs[NAIVE][0].pems.erm.events
         if e.kind == "quarantined"
     ]
     appeared_after = [
         e
-        for e in runs["naive"][0].pems.erm.events
+        for e in runs[NAIVE][0].pems.erm.events
         if e.kind == "appeared" and e.instant > quarantined_events[0].instant
     ]
     assert quarantined_events and appeared_after

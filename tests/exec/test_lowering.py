@@ -123,7 +123,7 @@ def test_fallback_subtree_still_runs():
             return f"twice({self.children[0].render()})"
 
     from repro.algebra.query import Query
-    from repro.exec import IncrementalEngine
+    from repro.exec import SharedEngine
     from repro.model.environment import PervasiveEnvironment
 
     env = PervasiveEnvironment()
@@ -132,7 +132,7 @@ def test_fallback_subtree_still_runs():
         [{"name": "Ana", "location": "office", "threshold": 30.0}], instant=0
     )
     env.add_relation(stored)
-    engine = IncrementalEngine(
+    engine = SharedEngine(
         Query(Twice(scan(env, "surveillance").node), "q"), env
     )
     result = engine.tick(1)
@@ -147,10 +147,10 @@ def test_fallback_subtree_still_runs():
 def test_static_base_relation_lowers():
     env = paper_env()
     from repro.algebra.query import Query
-    from repro.exec import IncrementalEngine
+    from repro.exec import SharedEngine
 
     query = Query(scan(env, "cameras").node, "cams")
-    engine = IncrementalEngine(query, env)
+    engine = SharedEngine(query, env)
     first = engine.tick(0)
     second = engine.tick(1)
     assert first.relation is second.relation  # unchanged tick: cached object

@@ -59,11 +59,11 @@ def drive(cq, control, items, first, last):
 
 
 class TestSwapPlan:
-    @pytest.mark.parametrize("engine", ["incremental", "shared"])
-    def test_equivalent_swap_preserves_the_two_delta_contract(self, engine):
+    @pytest.mark.parametrize("registry", ["private", "shared"])
+    def test_equivalent_swap_preserves_the_two_delta_contract(self, registry):
         env, items = build_env()
-        shared = SharedPlanRegistry(env) if engine == "shared" else None
-        cq = ContinuousQuery(merged(env), env, engine=engine, shared=shared)
+        shared = SharedPlanRegistry(env) if registry == "shared" else None
+        cq = ContinuousQuery(merged(env), env, shared=shared)
         control = ContinuousQuery(merged(env), env, engine="naive")
         drive(cq, control, items, 1, 3)
         cq.swap_plan(cascaded(env))
@@ -75,7 +75,7 @@ class TestSwapPlan:
 
     def test_first_post_swap_delta_is_netted_not_a_rematerialization(self):
         env, items = build_env()
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         cq.evaluate_at(1)
         assert len(cq.last_result.relation) > 1
         cq.swap_plan(cascaded(env))
@@ -88,6 +88,34 @@ class TestSwapPlan:
         )
         assert cq.last_reported_delta.deleted == frozenset()
 
+    def test_standalone_swap_re_leases_the_common_subtree_warm(self):
+        """A query built without a registry swaps on its private one: the
+        unchanged scan keeps its executor instance (and state), only the
+        restructured selection starts cold, and the first post-swap delta
+        nets against the pre-swap relation."""
+        env, _ = build_env()
+        cq = ContinuousQuery(merged(env), env)
+        cq.evaluate_at(1)
+        registry = cq._engine.registry
+        items_scan = registry.lookup(scan(env, "items").node)
+        assert items_scan is not None and items_scan in cq.executors()
+        before = frozenset(cq.last_result.relation)
+        restructured = (
+            scan(env, "items")
+            .select(col("value").ge(2.0) & col("item").ne("item4"))
+            .query("probe")
+        )
+        cq.swap_plan(restructured)
+        assert cq._engine.registry is registry
+        assert registry.lookup(scan(env, "items").node) is items_scan
+        assert items_scan in cq.executors()
+        assert not items_scan.is_first_tick  # leased warm, not rebuilt
+        cq.evaluate_at(2)
+        after = frozenset(cq.last_result.relation)
+        assert before != after
+        assert cq.last_reported_delta.inserted == after - before
+        assert cq.last_reported_delta.deleted == before - after
+
     def test_naive_engine_is_not_swappable(self):
         env, _ = build_env()
         cq = ContinuousQuery(merged(env), env, engine="naive")
@@ -98,7 +126,7 @@ class TestSwapPlan:
     def test_stream_queries_are_not_swappable(self):
         env, _ = build_env()
         query = prefix(env).stream("insertion").query("s")
-        cq = ContinuousQuery(query, env, engine="incremental")
+        cq = ContinuousQuery(query, env)
         assert not cq.swappable
 
     def test_active_binding_patterns_are_not_swappable(self):
@@ -128,12 +156,12 @@ class TestSwapPlan:
         )
         env.add_relation(alarms)
         query = scan(env, "alarms").invoke("siren").query("a")
-        cq = ContinuousQuery(query, env, engine="incremental")
+        cq = ContinuousQuery(query, env)
         assert not cq.swappable
 
     def test_schema_mismatch_is_refused(self):
         env, _ = build_env()
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         narrower = prefix(env).project("item").query("probe")
         with pytest.raises(SerenaError, match="output"):
             cq.swap_plan(narrower)
@@ -143,14 +171,14 @@ class TestSchedulerRefresh:
     def test_refresh_unknown_name_raises(self):
         env, _ = build_env()
         scheduler = TickScheduler(env)
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         with pytest.raises(SerenaError):
             scheduler.refresh("ghost", cq)
 
     def test_refreshed_query_is_fresh_again(self):
         env, items = build_env()
         scheduler = TickScheduler(env)
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         scheduler.register("probe", cq)
         assert "probe" in scheduler.plan(1)
         cq.evaluate_at(1)
@@ -190,13 +218,13 @@ def catalog_schema():
     )
 
 
-def build_pems(engine="incremental", rows=20):
+def build_pems(rows=20):
     """A join whose selection sits *above* the join — exactly the shape
     the optimizer re-lowers once the readings churn dwarfs the estimate
     sampled at registration (when ``readings`` was empty).  A stream
     source feeds ``rows`` fresh readings every instant (distinct values
     per tick, so the 1-instant window genuinely churns)."""
-    pems = PEMS(engine=engine)
+    pems = PEMS()
     pems.tables.create_relation(readings_schema(), infinite=True)
     pems.tables.create_relation(catalog_schema())
     pems.tables.insert(
@@ -271,6 +299,22 @@ class TestFeedbackReoptimizer:
         assert cq.swaps >= 1
         assert cq.query.root != original_root
         assert "swapped plan" in first.describe()
+
+    def test_plans_are_scored_for_the_engine_that_runs_them(self, monkeypatch):
+        from repro.exec import reoptimizer
+
+        engines = []
+
+        class Recording(reoptimizer.Optimizer):
+            def __init__(self, *args, engine=None, **kwargs):
+                engines.append(engine)
+                super().__init__(*args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(reoptimizer, "Optimizer", Recording)
+        pems, cq = build_pems()
+        pems.queries.enable_reoptimization(min_window=3, cooldown=4)
+        pems.run(6)
+        assert engines and set(engines) == {cq.engine} == {"shared"}
 
     def test_decision_arms_cooldown_and_resets_the_window(self):
         pems, _ = build_pems()

@@ -209,6 +209,30 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
+class TestStandaloneQuery:
+    def test_private_registry_is_summarized_and_emptied_on_release(self):
+        """A query built without a registry runs on a private one: its
+        sharing summary is populated and release drops every entry."""
+        env, _ = build_env()
+        cq = ContinuousQuery(prefix(env).invoke("echo").query("q"), env)
+        cq.evaluate_at(1)
+        registry = cq._engine.registry
+        summary = cq.sharing_summary
+        assert (summary["executors"], summary["shared"], summary["private"]) == (
+            3,
+            2,
+            1,  # the β node always stays private
+        )
+        assert [lease["refcount"] for lease in summary["leases"]] == [1, 1]
+        assert len(registry) == 2 and registry.total_refcount == 2
+        cq.release()
+        assert len(registry) == 0 and registry.total_refcount == 0
+        cq.release()  # idempotent
+        assert ContinuousQuery(
+            prefix(env).query("n"), env, engine="naive"
+        ).sharing_summary is None
+
+
 class TestLateRegistration:
     def churn(self, env, instant):
         items = env.relation("items")

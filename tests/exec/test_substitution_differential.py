@@ -1,9 +1,9 @@
 """Differential coverage of semantic substitution: a sensor dies for
 good mid-run (``crash_permanent``), yet the surveillance queries keep
 reporting every single instant because a spare environmental station is
-substituted in — and all four engines (naive, incremental, shared,
-columnar) agree tick-for-tick on relations, substitution bindings,
-failover tables and rebind history.
+substituted in — and the naive oracle and every ``(engine, backend)``
+pair of :mod:`tests.engines` agree tick-for-tick on relations,
+substitution bindings, failover tables and rebind history.
 
 The crash instant itself is served by the precomputed failover table;
 from the next instant on the sticky binding routes the invocations, so
@@ -16,9 +16,8 @@ from repro.devices.scenario import build_temperature_surveillance
 from repro.model.invocation_policy import InvocationPolicy
 from repro.model.substitution import SubstitutionRule
 
+from tests.engines import NAIVE, PAIRS
 from tests.exec.test_differential import TICKS, action_strings, outbox_key
-
-ENGINES = ("naive", "incremental", "shared", "columnar")
 
 CRASH_AT = 20
 POLICY = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
@@ -34,9 +33,10 @@ RULES = (
 )
 
 
-def drive_substitution_scenario(engine):
+def drive_substitution_scenario(engine, backend="row"):
     scenario = build_temperature_surveillance(
         engine=engine,
+        backend=backend,
         policy=POLICY,
         sensor_faults=FAULTS,
         fault_seed="sub-diff",
@@ -100,14 +100,13 @@ def assert_scenarios_agree(reference, others):
 
 
 def test_substitution_differential_zero_missed_ticks():
-    """All four engines agree through a permanent crash; the dead
-    sensor's readings keep flowing every instant via the substitute."""
-    runs = {engine: drive_substitution_scenario(engine) for engine in ENGINES}
-    assert_scenarios_agree(
-        runs["naive"],
-        [runs["incremental"], runs["shared"], runs["columnar"]],
-    )
-    scenario, snaps = runs["naive"]
+    """Every pair agrees with the oracle through a permanent crash; the
+    dead sensor's readings keep flowing every instant via the substitute."""
+    runs = {
+        pair: drive_substitution_scenario(*pair) for pair in (NAIVE, *PAIRS)
+    }
+    assert_scenarios_agree(runs[NAIVE], [runs[pair] for pair in PAIRS])
+    scenario, snaps = runs[NAIVE]
 
     # The crash really was permanent (not a transient window).
     injector = scenario.injectors["sensor22"]

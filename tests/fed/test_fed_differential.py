@@ -7,13 +7,11 @@ deregistered services, cross-zone discovery):
 * **lockstep** federation (4 zones on the shared VirtualClock) is
   tuple-identical to the single-node ``shared`` engine at every instant
   — snapshots, emitted streams, action logs and the message outbox;
-* the **threads** shard executor is tuple-identical to lockstep (the
-  per-tick barrier preserves determinism);
 * the **processes** shard executor is tuple-identical to lockstep (the
   journal-slice ship marks mirror the ScanExec high-water discipline).
 
 The scenario drivers come from ``tests.exec.test_differential`` so the
-federated engines face exactly the churn scripts the four single-node
+federated engines face exactly the churn scripts the single-node
 engines are pinned against.
 """
 
@@ -57,10 +55,6 @@ def test_temperature_lockstep_matches_shared():
     temperature scenario (hot-plug at 12, removal at 30, the jabber
     gateway deregistering at 40)."""
     assert_scenarios_agree("federated")
-
-
-def test_temperature_threads_matches_shared():
-    assert_scenarios_agree("federated-threads")
 
 
 def test_temperature_processes_matches_shared():

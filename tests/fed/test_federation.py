@@ -349,7 +349,7 @@ class TestShardAwareCosting:
             .query()
         )
         costs = [
-            model.tick_cost(plan, engine="incremental", shards=n).total
+            model.tick_cost(plan, engine="shared", shards=n).total
             for n in (1, 2, 4, 8)
         ]
         assert costs == sorted(costs, reverse=True)
@@ -362,8 +362,8 @@ class TestShardAwareCosting:
         )
         model = CostModel(fed.environment, instant=1)
         plan = scan(fed.environment, "sensors").project("location").query()
-        base = model.tick_cost(plan, engine="incremental")
-        assert model.tick_cost(plan, engine="incremental", shards=1) == base
+        base = model.tick_cost(plan, engine="shared")
+        assert model.tick_cost(plan, engine="shared", shards=1) == base
 
 
 class TestExplainAndShell:

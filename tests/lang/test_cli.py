@@ -146,6 +146,22 @@ class TestDotCommands:
         assert "loaded the temperature scenario" in text
         assert "sensor06" in text
 
+    def test_demo_defaults_to_the_shared_engine(self, shell):
+        sh, out = shell
+        sh.execute(".demo rss")
+        assert "(engine=shared)" in out.getvalue()
+        assert sh.pems.queries.engine == "shared"
+
+    @pytest.mark.parametrize("engine", ["quantum", "incremental", "federated-threads"])
+    def test_demo_rejects_unknown_engines(self, shell, engine):
+        sh, out = shell
+        before = sh.pems
+        sh.execute(f".demo temperature {engine}")
+        text = out.getvalue()
+        assert "error: unknown execution engine" in text
+        assert "naive, shared, federated, federated-processes" in text
+        assert sh.pems is before  # nothing was loaded
+
     def test_demo_usage(self, shell):
         sh, out = shell
         sh.execute(".demo spaceship")

@@ -51,7 +51,7 @@ def run_fingerprint(scenario) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("engine", ["naive", "incremental", "shared"])
+@pytest.mark.parametrize("engine", ["naive", "shared"])
 def test_full_observation_is_invisible_to_results(engine):
     baseline = build(engine, observe="off")
     observed = build(engine, observe="full")

@@ -2,9 +2,18 @@
 
 import pytest
 
+from repro.city.config import SMALL_CITY
+from repro.city.scenario import build_city
 from repro.devices.prototypes import GET_TEMPERATURE, STANDARD_PROTOTYPES
-from repro.devices.scenario import sensors_schema, temperatures_schema
+from repro.devices.scenario import (
+    build_rss_scenario,
+    build_temperature_surveillance,
+    sensors_schema,
+    temperatures_schema,
+)
 from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
+from repro.errors import SerenaError
+from repro.fed import FederatedPEMS
 from repro.pems.pems import PEMS
 
 
@@ -48,6 +57,38 @@ class TestWiring:
         text = pems.describe()
         assert "watch: sensors" in text
         assert "-- Continuous queries --" in text
+
+
+class TestEngineNames:
+    """Engine names are validated once, at construction, against the one
+    tuple of accepted values — never at the first registration, never as
+    a bare KeyError."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda name: PEMS(engine=name),
+            lambda name: build_temperature_surveillance(engine=name),
+            lambda name: build_rss_scenario(engine=name),
+            lambda name: build_city(SMALL_CITY, engine=name),
+        ],
+        ids=["PEMS", "temperature", "rss", "city"],
+    )
+    @pytest.mark.parametrize("name", ["quantum", "federated-foo", "columnar"])
+    def test_unknown_engine_is_a_typed_error(self, build, name):
+        with pytest.raises(SerenaError, match="expected one of naive, shared"):
+            build(name)
+
+    def test_a_federation_is_not_a_query_engine(self):
+        with pytest.raises(SerenaError, match=r"expected one of naive, shared\)"):
+            PEMS(engine="federated")
+        assert build_rss_scenario(engine="federated").pems.queries.engine == "shared"
+
+    def test_threads_is_not_a_parallelism_mode(self):
+        with pytest.raises(SerenaError, match="parallelism"):
+            FederatedPEMS(zones=2, parallelism="threads")
+        with pytest.raises(SerenaError, match="federated-processes"):
+            build_temperature_surveillance(engine="federated-threads")
 
 
 class TestStreamSources:

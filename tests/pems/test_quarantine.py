@@ -50,7 +50,7 @@ def sensors_extent(pems):
     return sorted(row[0] for row in rows)
 
 
-@pytest.mark.parametrize("engine", ["shared", "incremental", "naive"])
+@pytest.mark.parametrize("engine", ["shared", "naive"])
 class TestQuarantineLifecycle:
     def test_removed_within_one_lease_and_readmitted(self, engine):
         pems, _ = build_pems(engine)

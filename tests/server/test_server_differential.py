@@ -18,8 +18,6 @@ invariant is then repeated over a federated PEMS.
 
 import asyncio
 
-import pytest
-
 from repro.fed import FederatedPEMS
 from repro.pems.pems import PEMS
 from repro.server import SubscriptionServer
@@ -133,12 +131,10 @@ class TestSharedEngineReplay:
 
 
 class TestFederatedReplay:
-    @pytest.mark.parametrize("parallelism", [None, "threads"])
-    def test_federated_server_matches_naive_oracle(self, parallelism):
+    def test_federated_server_matches_naive_oracle(self):
         pems = make_pems(
             FederatedPEMS,
             zones=2,
-            parallelism=parallelism,
             partition_by={"readings": "device"},
         )
         server = SubscriptionServer(pems, queue_depth=4)

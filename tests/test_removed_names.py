@@ -1,0 +1,52 @@
+"""Guard: the engine names and classes folded into the one physical
+engine must not creep back into code, docs, examples or CI.
+
+There are two engines (``naive`` and ``shared``), two backends and two
+shard-execution modes (lockstep and ``processes``).  Prose may still call
+the executors *incremental* — only the identifiers and string literals
+below are banned.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCANNED = ("src", "docs", "examples", "README.md", ".github/workflows/ci.yml")
+
+BANNED = re.compile(
+    r"""IncrementalEngine
+      | ["'`]incremental["'`]
+      | federated-threads
+      | _advance_threads
+      | engine\s*=\s*["']columnar["']
+      | parallelism\s*=\s*["']threads["']
+    """,
+    re.VERBOSE,
+)
+
+
+def scanned_files():
+    for entry in SCANNED:
+        path = ROOT / entry
+        if path.is_file():
+            yield path
+        else:
+            yield from (
+                p
+                for p in sorted(path.rglob("*"))
+                if p.suffix in {".py", ".md", ".yml", ".toml", ".serena"}
+            )
+
+
+def test_removed_engine_names_do_not_reappear():
+    offenders = []
+    for path in scanned_files():
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if BANNED.search(line):
+                offenders.append(f"{path.relative_to(ROOT)}:{number}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_engine_module_is_gone():
+    assert not (ROOT / "src" / "repro" / "exec" / "engine.py").exists()
