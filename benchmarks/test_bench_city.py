@@ -8,8 +8,6 @@ recorded in ``BENCH_city.json``:
 
 * **scale** — device count sweep on the shared engine (the full
   configuration tops out above 2000 devices);
-* **row vs columnar** — the same mid-size city under the shared engine's
-  two physical delta backends;
 * **1 vs 8 zones** — the same fleet on a single-shard federation vs
   zones scattered over eight shards (partition pruning on the per-zone
   pinned queries);
@@ -63,11 +61,11 @@ def city_config(scale, zones=None, churn=0.0, cascade=None, name="bench"):
     )
 
 
-def timed_run(config, engine="shared", backend="row", check_health=False):
+def timed_run(config, engine="shared", check_health=False):
     """Build, one warm tick, then TICKS timed ticks.  Returns seconds
     spent inside the timed ticks (and asserts the zero-missed-readings
     invariant when asked)."""
-    scenario = build_city(config, engine=engine, backend=backend)
+    scenario = build_city(config, engine=engine)
     stations = len(scenario.topology.stations)
     scenario.run(1)
     seconds = 0.0
@@ -103,16 +101,6 @@ def test_bench_city(benchmark):
                 }
             )
         payload["scales"] = scales
-
-        mid = city_config(MID, name="mid")
-        _, row_seconds = timed_run(mid, engine="shared", backend="row")
-        _, col_seconds = timed_run(mid, engine="shared", backend="columnar")
-        payload["row_vs_columnar"] = {
-            "devices": mid.device_count,
-            "row_seconds_per_tick": round(row_seconds / TICKS, 6),
-            "columnar_seconds_per_tick": round(col_seconds / TICKS, 6),
-            "columnar_speedup": round(row_seconds / col_seconds, 2),
-        }
 
         # Same total fleet, two shardings: everything in one zone vs the
         # same per-zone mix spread over eight.
@@ -194,13 +182,6 @@ def test_bench_city(benchmark):
             for s in payload["scales"]
         ],
         title=f"City scale sweep ({TICKS} timed ticks, shared engine)",
-    )
-    rvc = payload["row_vs_columnar"]
-    report.add(
-        f"Row vs columnar at {rvc['devices']} devices: "
-        f"{rvc['row_seconds_per_tick'] * 1000:.2f}ms vs "
-        f"{rvc['columnar_seconds_per_tick'] * 1000:.2f}ms per tick "
-        f"({rvc['columnar_speedup']}×)"
     )
     z18 = payload["zones_1_vs_8"]
     report.add(

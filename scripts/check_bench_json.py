@@ -118,9 +118,9 @@ CITY_SCALE_KEYS = ("devices", "zones", "queries", "seconds_per_tick")
 
 def check_city(payload: dict, name: str) -> list[str]:
     """``BENCH_city.json`` pins the ISSUE 10 sweep shape: a device-scale
-    axis topping out above 2000 devices in full mode, the row-vs-columnar
-    and 1-vs-8-zone comparisons, the ± cascade axis with zero missed
-    station readings, and a churn sweep."""
+    axis topping out above 2000 devices in full mode, the 1-vs-8-zone
+    comparison, the ± cascade axis with zero missed station readings,
+    and a churn sweep."""
     problems: list[str] = []
     scales = payload.get("scales")
     if not isinstance(scales, list) or not scales:
@@ -146,13 +146,6 @@ def check_city(payload: dict, name: str) -> list[str]:
                 f"{name}: full-mode top scale has only {top['devices']} "
                 "devices (the committed artifact must record >= 2000)"
             )
-    rvc = payload.get("row_vs_columnar")
-    if not isinstance(rvc, dict):
-        problems.append(f"{name}: missing 'row_vs_columnar' object")
-    else:
-        for key in ("row_seconds_per_tick", "columnar_seconds_per_tick"):
-            if not isinstance(rvc.get(key), (int, float)):
-                problems.append(f"{name}: row_vs_columnar missing numeric {key!r}")
     zones = payload.get("zones_1_vs_8")
     if not isinstance(zones, dict):
         problems.append(f"{name}: missing 'zones_1_vs_8' object")

@@ -48,11 +48,6 @@ DEFAULT_SERVICE_COST = 100.0
 #: Default fraction of a base relation changing per instant, used by the
 #: steady-state tick-cost model when the caller has no churn estimate.
 DEFAULT_CHURN = 0.01
-#: Per-delta-tuple cost of a natively-columnar operator relative to its
-#: row executor: compiled predicates, C-speed column gathers and interned
-#: join probes replace per-row interpretation (calibrated against the
-#: row-vs-columnar sweep in ``benchmarks/test_bench_tick_cost.py``).
-COLUMNAR_TUPLE_FACTOR = 0.2
 #: Per-shard merge overhead of a gathered subtree, as a fraction of the
 #: subtree's per-tick delta: the coordinator re-counts every delta row
 #: once per contributing zone (support counting in the gather executor).
@@ -252,7 +247,6 @@ class CostModel:
         plan: Operator | Query,
         engine: str = "shared",
         churn: float = DEFAULT_CHURN,
-        backend: str = "row",
         shards: int = 1,
     ) -> PlanCost:
         """Estimated *steady-state per-tick* cost of a registered
@@ -269,14 +263,6 @@ class CostModel:
         processing, which dominates invocation-free plans.  Any other
         engine name raises :class:`~repro.errors.SerenaError`.
 
-        ``backend="columnar"`` scales the per-delta-tuple cost of operators
-        with a native batch executor (see
-        :data:`repro.exec.lowering.COLUMNAR_ACCELERATED`) by
-        :data:`COLUMNAR_TUPLE_FACTOR`; operators that keep their row
-        executor under the columnar backend are unaffected, as is
-        service cost — the network does not get faster because the
-        deltas are columns.
-
         ``shards > 1`` models the federated engine: every maximal
         σ/π/ρ/α-over-scan chain (the scatterable subtrees of
         :mod:`repro.fed.registry`) processes ``1/shards`` of its delta
@@ -288,15 +274,10 @@ class CostModel:
         """
         # The physical layer builds on the algebra; import here so the
         # algebra package stays importable on its own.
-        from repro.exec.lowering import (
-            check_engine,
-            columnar_operator,
-            supported_operator,
-        )
+        from repro.exec.lowering import check_engine, supported_operator
 
         check_engine(engine)
         root = plan.root if isinstance(plan, Query) else plan
-        columnar = backend == "columnar"
         chain_members, chain_roots = (
             _scatter_chains(root) if shards > 1 else (frozenset(), frozenset())
         )
@@ -307,12 +288,7 @@ class CostModel:
             nonlocal invocations, tuples
             lowered = lowered and supported_operator(node)
             if lowered:
-                factor = (
-                    COLUMNAR_TUPLE_FACTOR
-                    if columnar and columnar_operator(node)
-                    else 1.0
-                )
-                delta = factor * self.delta_cardinality(node, churn)
+                delta = self.delta_cardinality(node, churn)
                 if node.uid in chain_members:
                     delta /= shards
                     if node.uid in chain_roots:

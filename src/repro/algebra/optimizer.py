@@ -84,15 +84,6 @@ class Optimizer:
     churn:
         Per-instant change fraction assumed by the tick-cost model (only
         used when ``engine`` is set).
-    backend:
-        Physical backend the tick-cost scores should model (only used
-        when ``engine`` is set): under ``"columnar"`` the
-        natively-batched operators are scored at
-        :data:`~repro.algebra.cost.COLUMNAR_TUPLE_FACTOR` of their row
-        per-delta-tuple cost, which shifts plan choice toward shapes the
-        batch executors accelerate (e.g. it widens the margin of a
-        selection pushed below a β node, whose row executor keeps full
-        price).
     """
 
     def __init__(
@@ -101,7 +92,6 @@ class Optimizer:
         plan_budget: int = 500,
         engine: str | None = None,
         churn: float | None = None,
-        backend: str | None = None,
     ):
         if engine is not None:
             from repro.exec.lowering import check_engine  # exec layers on algebra
@@ -111,14 +101,11 @@ class Optimizer:
         self.plan_budget = plan_budget
         self.engine = engine
         self.churn = churn
-        self.backend = backend
 
     def _score(self, plan: Operator | Query) -> PlanCost:
         if self.engine is None:
             return self.cost_model.cost(plan)
         kwargs = {} if self.churn is None else {"churn": self.churn}
-        if self.backend is not None:
-            kwargs["backend"] = self.backend
         return self.cost_model.tick_cost(plan, engine=self.engine, **kwargs)
 
     def optimize(self, query: Query) -> OptimizationResult:

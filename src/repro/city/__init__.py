@@ -7,8 +7,8 @@ registers a standing pack of fleet-wide continuous queries over them.
 Everything is pure in ``(config, seed, instant)``: the same
 :class:`~repro.city.config.CityConfig` yields byte-identical topologies,
 fault schedules and 55-tick query output in any process, so the
-multi-engine differential machinery pins naive/incremental/shared/
-columnar and the sharded federation tuple-identical on a sampled city.
+differential machinery pins the naive oracle, the shared engine and
+the sharded federation tuple-identical on a sampled city.
 
 Modules
 -------

@@ -193,7 +193,7 @@ class CityConfig:
 
 
 #: The differential-sized sample: 2 zones, ~30 devices, one cascade.
-#: Small enough for every (engine, backend) pair × 55 ticks in CI, big enough that every
+#: Small enough for every engine × 55 ticks in CI, big enough that every
 #: query in the pack does real work through the scripted cascade.
 SMALL_CITY = CityConfig(
     name="small-city",

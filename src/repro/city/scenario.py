@@ -103,7 +103,6 @@ def build_city(
     engine: str = "shared",
     policy: InvocationPolicy | None = None,
     observe: object = None,
-    backend: str = "row",
     with_queries: bool = True,
     per_zone_queries: bool = True,
 ) -> CityScenario:
@@ -111,11 +110,9 @@ def build_city(
 
     ``engine`` is a query-engine name (``naive`` / ``shared``) or a
     federation mode (``federated`` / ``federated-processes`` — zones
-    become shards).  ``backend`` selects the physical delta representation
-    (``row`` / ``columnar``).  ``policy`` defaults to
-    :func:`city_policy` whenever the config scripts chaos (churn or a
-    cascade) so quarantine and substitution actually engage; pass an
-    explicit policy to override.
+    become shards).  ``policy`` defaults to :func:`city_policy` whenever
+    the config scripts chaos (churn or a cascade) so quarantine and
+    substitution actually engage; pass an explicit policy to override.
     """
     if policy is None and (config.churn_rate > 0.0 or config.cascade is not None):
         policy = city_policy()
@@ -123,7 +120,6 @@ def build_city(
         engine,
         policy,
         observe,
-        backend,
         zones=list(config.zones),
         partition_by=CITY_PARTITION_BY,
     )

@@ -19,8 +19,7 @@ Run ``python -m repro`` for an interactive session, or
   ``.actions <name>``       cumulative action set of a continuous query
   ``.explain SELECT ...``   the compiled plan of a SQL query
   ``.explain physical ...`` the lowered physical plan (executor classes,
-                            backends, shared/private markers); accepts an
-                            optional backend: ``.explain physical columnar``
+                            shared/private markers)
   ``.explain federated ..`` the federated execution plan: which subtrees
                             scatter to which zone shards (needs a
                             federated PEMS — ``.demo`` accepts e.g.
@@ -230,31 +229,17 @@ class SerenaShell:
     def _cmd_explain(self, argument: str) -> None:
         from repro.lang.printer import explain, explain_federated, explain_physical
 
-        from repro.exec.lowering import BACKENDS
-
         mode = "logical"
-        backend: str | None = None
         head, _, rest = argument.partition(" ")
         if head.lower() in ("physical", "federated"):
             mode = head.lower()
             argument = rest.strip()
-            head, _, rest = argument.partition(" ")
-            if mode == "physical" and head.lower() in BACKENDS:
-                backend = head.lower()
-                argument = rest.strip()
         if not argument:
-            self._print(
-                "usage: .explain [physical [row|columnar] | federated] "
-                "SELECT ..."
-            )
+            self._print("usage: .explain [physical | federated] SELECT ...")
             return
         query = compile_sql(argument.rstrip(";"), self.pems.environment)
         if mode == "physical":
-            self._print(
-                explain_physical(
-                    query, self.pems.queries.shared, backend=backend
-                )
-            )
+            self._print(explain_physical(query, self.pems.queries.shared))
         elif mode == "federated":
             self._print(explain_federated(query, self.pems.queries.shared))
         else:

@@ -29,11 +29,6 @@ Two execution engines are available (the ``engine`` parameter,
   result each tick.  Kept as the differential-testing oracle; both
   engines produce identical results, deltas, emissions and actions at
   every instant.
-
-Orthogonally, ``backend`` ("row"/"columnar") selects the physical
-representation the shared engine lowers to — a registry built with
-``backend="columnar"`` serves whole multi-query workloads columnar, with
-unchanged sharing and carry-forward semantics.
 """
 
 from __future__ import annotations
@@ -68,14 +63,8 @@ class ContinuousQuery:
         engine: str = "shared",
         shared: SharedPlanRegistry | None = None,
         observe: "Observability | str | None" = None,
-        backend: str | None = None,
     ):
         check_engine(engine)
-        if engine == "naive" and backend not in (None, "row"):
-            raise SerenaError(
-                "the naive engine has no physical plan to lower; "
-                f"backend={backend!r} does not apply"
-            )
         self.query = query
         self.environment = environment
         self.engine = engine
@@ -90,14 +79,10 @@ class ContinuousQuery:
         #: caller-supplied registry the query gets a private one: correct,
         #: just with nothing to share against.
         self._engine: SharedEngine | None = (
-            SharedEngine(
-                query, environment, shared, observe=self.obs, backend=backend
-            )
+            SharedEngine(query, environment, shared, observe=self.obs)
             if engine == "shared"
             else None
         )
-        #: The resolved physical backend ("row" for the naive engine).
-        self.backend = self._engine.backend if self._engine else "row"
         self._states: dict[int, dict[str, Any]] = {}
         self._last_instant = -1
         self._last_result: QueryResult | None = None
@@ -245,11 +230,7 @@ class ContinuousQuery:
         old_engine = self._engine
         # Acquire-before-release: common subtrees stay warm.
         new_engine = SharedEngine(
-            query,
-            self.environment,
-            old_engine.registry,
-            observe=self.obs,
-            backend=self.backend,
+            query, self.environment, old_engine.registry, observe=self.obs
         )
         if self._last_result is not None:
             self._swap_baseline = frozenset(self._last_result.relation)

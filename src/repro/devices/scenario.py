@@ -69,7 +69,6 @@ def _make_pems(
     engine: str,
     policy,
     observe,
-    backend: str = "row",
     zones: int | list[str] = FEDERATED_ZONES,
     partition_by=None,
 ) -> PEMS:
@@ -89,11 +88,10 @@ def _make_pems(
             zones=zones,
             policy=policy,
             observe=observe,
-            backend=backend,
             parallelism=_FEDERATED[engine],
             partition_by=partition_by,
         )
-    return PEMS(engine=engine, policy=policy, observe=observe, backend=backend)
+    return PEMS(engine=engine, policy=policy, observe=observe)
 
 
 __all__ = [
@@ -321,7 +319,6 @@ def build_temperature_surveillance(
     messenger_failure_rate: float = 0.0,
     with_photo_messages: bool = False,
     engine: str = "shared",
-    backend: str = "row",
     policy: InvocationPolicy | None = None,
     sensor_faults: dict[str, FaultScript] | None = None,
     fault_seed: object = "chaos",
@@ -348,9 +345,8 @@ def build_temperature_surveillance(
     ``sendPhotoMessage`` (the photo realized by ``takePhoto`` flows into
     the contacts binding pattern through the join's implicit realization).
 
-    ``engine`` is one of :data:`SCENARIO_ENGINES`, ``backend`` the
-    physical delta representation (``row`` / ``columnar``) and
-    ``policy`` the fault-tolerance invocation policy (see
+    ``engine`` is one of :data:`SCENARIO_ENGINES` and ``policy`` the
+    fault-tolerance invocation policy (see
     :class:`~repro.pems.pems.PEMS`).  ``sensor_faults`` maps sensor
     references to :class:`~repro.devices.faults.FaultScript`\\ s: those
     sensors are wrapped in a :class:`~repro.devices.faults.FaultInjector`
@@ -366,7 +362,7 @@ def build_temperature_surveillance(
     (``FaultScript(crash_at=...)``) exercises the full semantic-rebinding
     path: quarantine → sticky rebind → projected spare readings.
     """
-    pems = _make_pems(engine, policy, observe, backend)
+    pems = _make_pems(engine, policy, observe)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)
@@ -513,7 +509,6 @@ def build_rss_scenario(
     with_queries: bool = True,
     seed: int = 0,
     engine: str = "shared",
-    backend: str = "row",
     policy: InvocationPolicy | None = None,
     observe: object = None,
 ) -> Scenario:
@@ -524,10 +519,9 @@ def build_rss_scenario(
     ``keyword``; the ``news-alerts`` query forwards each matching headline
     once to ``recipient`` via their messenger.
 
-    ``engine`` is one of :data:`SCENARIO_ENGINES`, ``backend`` the
-    physical delta representation (see :class:`~repro.pems.pems.PEMS`).
+    ``engine`` is one of :data:`SCENARIO_ENGINES`.
     """
-    pems = _make_pems(engine, policy, observe, backend)
+    pems = _make_pems(engine, policy, observe)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)

@@ -19,54 +19,29 @@ but one node they coincide:
 
 Keeping both notions explicit is what lets the physical engine be
 differentially identical to the naive re-evaluating engine.
-
-Backend neutrality
-------------------
-The contract is an *interface*, not a class: executors consume any object
-exposing ``inserted``/``deleted`` (as frozensets of row tuples),
-truthiness, ``coalesce`` and order-insensitive equality.  Two
-implementations exist — the row-oriented :class:`Delta` below and the
-column-oriented :class:`~repro.exec.columnar.ColumnarDelta` — and they
-compare equal whenever their tuple sets coincide, so executors of
-different backends interoperate freely at the seams (β invocation
-executors, naive fallbacks, the oracle engines all stay row-based).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Delta", "EMPTY_DELTA", "coalesce_sets", "render_delta"]
+__all__ = ["Delta", "EMPTY_DELTA", "coalesce_sets"]
 
 _EMPTY: frozenset[tuple] = frozenset()
 
-#: Most failure-message reprs list every tuple (sorted, so two backends
-#: produce byte-identical text); beyond this many per side the listing is
-#: truncated to keep accidental reprs of bulk deltas readable.
+#: Most failure-message reprs list every tuple (sorted, so two engines
+#: that agree produce byte-identical text and a differential failure
+#: diffs cleanly); beyond this many per side the listing is truncated to
+#: keep accidental reprs of bulk deltas readable.
 _REPR_LIMIT = 24
 
 
-def _sorted_tuples(tuples) -> list[tuple]:
-    """Deterministic ordering over possibly mixed-type tuples."""
-    return sorted(tuples, key=repr)
-
-
 def _render_side(tuples) -> str:
-    ordered = _sorted_tuples(tuples)
+    ordered = sorted(tuples, key=repr)  # total even over mixed-type tuples
     shown = ", ".join(repr(t) for t in ordered[:_REPR_LIMIT])
     if len(ordered) > _REPR_LIMIT:
         shown += f", … {len(ordered) - _REPR_LIMIT} more"
     return "{" + shown + "}"
-
-
-def render_delta(inserted, deleted) -> str:
-    """The shared, order-insensitive delta repr: both backends render the
-    same tuple sets to the same text, so differential-test failure
-    messages diff cleanly whichever engines disagreed."""
-    return (
-        f"(+{len(inserted)} {_render_side(inserted)}, "
-        f"-{len(deleted)} {_render_side(deleted)})"
-    )
 
 
 def coalesce_sets(first_inserted, first_deleted, later_inserted, later_deleted):
@@ -85,7 +60,7 @@ def coalesce_sets(first_inserted, first_deleted, later_inserted, later_deleted):
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Delta:
     """An ``(inserted, deleted)`` pair of disjoint tuple sets."""
 
@@ -100,39 +75,25 @@ class Delta:
 
     def coalesce(self, later: "Delta") -> "Delta":
         """The single delta equivalent to applying ``self`` then ``later``
-        (see :func:`coalesce_sets`); the result is again contract-clean.
-        Accepts any delta backend; always returns a row :class:`Delta`."""
+        (see :func:`coalesce_sets`); the result is again contract-clean."""
         # Identity fast paths: the server's overflow coalescing folds
         # long chains where one side is often empty (carried instants).
         if not later:
             return self if self else EMPTY_DELTA
         if not self:
-            return Delta(frozenset(later.inserted), frozenset(later.deleted))
+            return later
         inserted, deleted = coalesce_sets(
-            self.inserted,
-            self.deleted,
-            frozenset(later.inserted),
-            frozenset(later.deleted),
+            self.inserted, self.deleted, later.inserted, later.deleted
         )
         if not inserted and not deleted:
             return EMPTY_DELTA
         return Delta(inserted, deleted)
 
-    def __eq__(self, other: object):
-        other_inserted = getattr(other, "inserted", None)
-        other_deleted = getattr(other, "deleted", None)
-        if other_inserted is None or other_deleted is None:
-            return NotImplemented
-        return (
-            self.inserted == frozenset(other_inserted)
-            and self.deleted == frozenset(other_deleted)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.inserted, self.deleted))
-
     def __repr__(self) -> str:
-        return f"Delta{render_delta(self.inserted, self.deleted)}"
+        return (
+            f"Delta(+{len(self.inserted)} {_render_side(self.inserted)}, "
+            f"-{len(self.deleted)} {_render_side(self.deleted)})"
+        )
 
 
 EMPTY_DELTA = Delta()

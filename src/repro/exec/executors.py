@@ -17,14 +17,21 @@ time:
 
 State lifecycle: state is created lazily on the first tick, updated by
 deltas on every subsequent tick, and lives exactly as long as the
-executor (i.e. as long as the continuous query is registered).  Executors
-are built from a logical plan by :mod:`repro.exec.lowering` and are not
-shared between queries.
+executor.  Executors are built from a logical plan by
+:mod:`repro.exec.lowering`; under a
+:class:`~repro.exec.shared.SharedPlanRegistry` one executor serves every
+registered query whose plan contains its subtree, and lives until the
+last of them is released.
+
+Whatever σ, π, assign and ⋈ evaluate per row was compiled to a closure
+when the executor was built (:mod:`repro.exec.compile`); a tick runs
+each closure once over a whole delta side.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Sequence
 
 from repro.algebra.actions import Action
 from repro.algebra.context import EvaluationContext
@@ -37,10 +44,17 @@ from repro.algebra.operators.stream_invocation import StreamingInvocation
 from repro.algebra.operators.streaming import Streaming, StreamType
 from repro.algebra.operators.window import Window
 from repro.errors import (
+    FormulaError,
     InvalidOperatorError,
     SerenaError,
     ServiceError,
     ServiceUnavailableError,
+)
+from repro.exec.compile import (
+    compile_combiner,
+    compile_filter,
+    compile_gather,
+    compile_key,
 )
 from repro.exec.delta import EMPTY_DELTA, Delta
 from repro.model.relation import XRelation
@@ -98,9 +112,7 @@ class ExecStats:
     step — the counts cover the executor's whole life.  ``input_*`` counts
     the delta tuples the node consumed from its children, ``output_*`` the
     change delta it published; the invocation fields are only meaningful
-    on β/β∞ executors, ``rows_scanned`` on scans, and the batch fields on
-    columnar executors (``batches`` counts delta batches published,
-    ``batch_rows`` their total row cardinality).
+    on β/β∞ executors and ``rows_scanned`` on scans.
     """
 
     __slots__ = (
@@ -114,8 +126,6 @@ class ExecStats:
         "memo_hits",
         "fast_failures",
         "failures",
-        "batches",
-        "batch_rows",
     )
 
     def __init__(self):
@@ -129,8 +139,6 @@ class ExecStats:
         self.memo_hits = 0
         self.fast_failures = 0
         self.failures = 0
-        self.batches = 0
-        self.batch_rows = 0
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -154,10 +162,6 @@ class Executor:
     shared between plan branches advances exactly once per instant — the
     physical counterpart of the logical evaluation memo.
     """
-
-    #: Which physical representation this executor's change deltas use;
-    #: the columnar executors override it.  EXPLAIN ANALYZE reports it.
-    backend = "row"
 
     def __init__(self, node: Operator, children: Sequence["Executor"] = ()):
         self.node = node
@@ -385,34 +389,67 @@ class BaseRelationExec(Executor):
 
 
 # ---------------------------------------------------------------------------
-# Tuple-at-a-time operators: selection, projection, renaming, assignment
+# Per-row operators: selection, projection, renaming, assignment
 # ---------------------------------------------------------------------------
 
 
+def _reconcile(
+    counts: dict[tuple, int], gained: Iterable[tuple], lost: Iterable[tuple]
+) -> Delta:
+    """Apply one tick's support gains and losses to ``counts`` and return
+    the rows that appeared or disappeared.
+
+    The two sides are tallied by :class:`collections.Counter` (a C loop)
+    and reconciled once per *distinct* output row.  Count arithmetic is
+    commutative, so a row may lose support before regaining it within
+    the tick; losing more than it ever had is a broken child delta and
+    raises ``KeyError``."""
+    gained, lost = Counter(gained), Counter(lost)
+    inserted, deleted = [], []
+    for row in gained.keys() | lost.keys():
+        old = counts.get(row, 0)
+        new = old + gained.get(row, 0) - lost.get(row, 0)
+        if new < 0:
+            raise KeyError(row)
+        if new:
+            counts[row] = new
+            if not old:
+                inserted.append(row)
+        elif old:
+            del counts[row]
+            deleted.append(row)
+    if not inserted and not deleted:
+        return EMPTY_DELTA
+    return Delta(frozenset(inserted), frozenset(deleted))
+
+
 class SelectionExec(Executor):
-    """σ: evaluate the formula only on changed tuples."""
+    """σ: one compiled filter call over the inserted side of the delta.
+
+    If any row raises (mixed-type ordering, ``contains`` on a non-string)
+    the batch is replayed through the interpreter so the canonical
+    :class:`FormulaError` surfaces — paid only on the failing tick.  The
+    deleted side needs no predicate: a tuple leaves iff it had passed."""
 
     def __init__(self, node, child: Executor):
         super().__init__(node, (child,))
-        schema = node.children[0].schema
-        self._positions = {
-            name: schema.real_position(name)
-            for name in sorted(node.formula.attributes())
-        }
-        self._formula = node.formula
-
-    def _passes(self, t: tuple) -> bool:
-        row = {name: t[p] for name, p in self._positions.items()}
-        return self._formula.evaluate(row)
+        self._filter, self._slow = compile_filter(
+            node.formula, node.children[0].schema
+        )
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         delta = self._pull(self.children[0], ctx)
         if not delta:
             return EMPTY_DELTA
-        return Delta(
-            frozenset(t for t in delta.inserted if self._passes(t)),
-            frozenset(t for t in delta.deleted if t in self.current),
-        )
+        try:
+            kept = self._filter(delta.inserted)
+        except (TypeError, FormulaError):
+            slow = self._slow
+            kept = [t for t in delta.inserted if slow(t)]
+        gone = delta.deleted & self.current
+        if not kept and not gone:
+            return EMPTY_DELTA
+        return Delta(frozenset(kept), gone)
 
 
 class ProjectionExec(Executor):
@@ -423,31 +460,19 @@ class ProjectionExec(Executor):
         super().__init__(node, (child,))
         source = node.children[0].schema
         kept_real = [n for n in node.schema.names if n in node.schema.real_names]
-        self._positions = [source.real_position(n) for n in kept_real]
+        self._gather = compile_gather(
+            [source.real_position(n) for n in kept_real]
+        )
         self._counts: dict[tuple, int] = {}
-
-    def _project(self, t: tuple) -> tuple:
-        return tuple(t[p] for p in self._positions)
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         delta = self._pull(self.children[0], ctx)
         if not delta:
             return EMPTY_DELTA
-        touched: set[tuple] = set()
-        counts = self._counts
-        for t in delta.deleted:
-            p = self._project(t)
-            remaining = counts[p] - 1
-            if remaining:
-                counts[p] = remaining
-            else:
-                del counts[p]
-            touched.add(p)
-        for t in delta.inserted:
-            p = self._project(t)
-            counts[p] = counts.get(p, 0) + 1
-            touched.add(p)
-        return self._net(touched, lambda p: p in counts)
+        gather = self._gather
+        return _reconcile(
+            self._counts, gather(delta.inserted), gather(delta.deleted)
+        )
 
 
 class RenamingExec(Executor):
@@ -466,29 +491,23 @@ class AssignmentExec(Executor):
     def __init__(self, node, child: Executor):
         super().__init__(node, (child,))
         source = node.children[0].schema
-        self._target = node.schema.real_position(node.attribute)
+        positions: list[int | None] = list(range(len(source.real_attributes)))
+        target = node.schema.real_position(node.attribute)
         if node.from_attribute:
-            self._value_position = source.real_position(node.value)
-            self._constant = None
+            positions.insert(target, source.real_position(node.value))
+            self._transform = compile_gather(positions)
         else:
-            self._value_position = None
-            self._constant = node.value
-
-    def _transform(self, t: tuple) -> tuple:
-        value = (
-            t[self._value_position]
-            if self._value_position is not None
-            else self._constant
-        )
-        return t[: self._target] + (value,) + t[self._target :]
+            positions.insert(target, None)
+            self._transform = compile_gather(positions, node.value)
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         delta = self._pull(self.children[0], ctx)
         if not delta:
             return EMPTY_DELTA
+        transform = self._transform
         return Delta(
-            frozenset(self._transform(t) for t in delta.inserted),
-            frozenset(self._transform(t) for t in delta.deleted),
+            frozenset(transform(delta.inserted)),
+            frozenset(transform(delta.deleted)),
         )
 
 
@@ -497,32 +516,63 @@ class AssignmentExec(Executor):
 # ---------------------------------------------------------------------------
 
 
+def _unindex(rows, keys, own: dict, other: dict, combine, lost: list) -> None:
+    """Drop ``rows`` from the ``own`` index; every match still in
+    ``other`` is an output row that lost one support."""
+    for t, key in zip(rows, keys(rows)):
+        bucket = own.get(key)
+        if bucket is not None:
+            bucket.discard(t)
+            if not bucket:
+                del own[key]
+        matches = other.get(key)
+        if matches:
+            lost.extend([combine(t, m) for m in matches])
+
+
+def _index(rows, keys, own: dict, other: dict, combine, gained: list) -> None:
+    """Add ``rows`` to the ``own`` index; every match in ``other`` is an
+    output row that gained one support."""
+    for t, key in zip(rows, keys(rows)):
+        bucket = own.get(key)
+        if bucket is None:
+            bucket = own[key] = set()
+        bucket.add(t)
+        matches = other.get(key)
+        if matches:
+            gained.extend([combine(t, m) for m in matches])
+
+
 class JoinExec(Executor):
     """⋈: both operands are persisted as hash indexes on the join key;
-    each tick probes only the changed tuples against the other side."""
+    each tick probes only the changed tuples against the other side.
+
+    Key values come straight from the compiled key gather (the bare
+    value for a single join attribute, a tuple otherwise) and matches
+    combine through the compiled output builder."""
 
     def __init__(self, node: NaturalJoin, left: Executor, right: Executor):
         super().__init__(node, (left, right))
         lschema = node.children[0].schema
         rschema = node.children[1].schema
         keys = node.predicate_names
-        self._lkey = [lschema.real_position(n) for n in keys]
-        self._rkey = [rschema.real_position(n) for n in keys]
+        self._lkeys = compile_key([lschema.real_position(n) for n in keys])
+        self._rkeys = compile_key([rschema.real_position(n) for n in keys])
         out_sources: list[tuple[bool, int]] = []
         for attribute in node.schema.real_attributes:
             if attribute.name in lschema.real_names:
                 out_sources.append((True, lschema.real_position(attribute.name)))
             else:
                 out_sources.append((False, rschema.real_position(attribute.name)))
-        self._out_sources = out_sources
-        self._lindex: dict[tuple, set[tuple]] = {}
-        self._rindex: dict[tuple, set[tuple]] = {}
-        self._counts: dict[tuple, int] = {}
-
-    def _combine(self, lt: tuple, rt: tuple) -> tuple:
-        return tuple(
-            lt[p] if from_left else rt[p] for from_left, p in self._out_sources
+        #: (left row, right row) → output row, and the same builder
+        #: taking the right row first for the probes a right row drives.
+        self._combine = compile_combiner(out_sources)
+        self._combine_flipped = compile_combiner(
+            [(not from_left, p) for from_left, p in out_sources]
         )
+        self._lindex: dict[object, set[tuple]] = {}
+        self._rindex: dict[object, set[tuple]] = {}
+        self._counts: dict[tuple, int] = {}
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         left, right = self.children
@@ -530,48 +580,19 @@ class JoinExec(Executor):
         rd = self._pull(right, ctx)
         if not ld and not rd:
             return EMPTY_DELTA
-        touched: set[tuple] = set()
-        counts = self._counts
-
-        def adjust(out: tuple, by: int) -> None:
-            value = counts.get(out, 0) + by
-            if value:
-                counts[out] = value
-            else:
-                counts.pop(out, None)
-            touched.add(out)
-
+        lindex, rindex = self._lindex, self._rindex
+        lkeys, rkeys = self._lkeys, self._rkeys
+        combine, flipped = self._combine, self._combine_flipped
+        gained: list[tuple] = []
+        lost: list[tuple] = []
         # Deletions first (against the other side's pre-insertion index),
-        # then insertions (new-new pairs counted exactly once in step 4).
-        for lt in ld.deleted:
-            key = tuple(lt[p] for p in self._lkey)
-            bucket = self._lindex.get(key)
-            if bucket is not None:
-                bucket.discard(lt)
-                if not bucket:
-                    del self._lindex[key]
-            for rt in self._rindex.get(key, ()):
-                adjust(self._combine(lt, rt), -1)
-        for rt in rd.deleted:
-            key = tuple(rt[p] for p in self._rkey)
-            bucket = self._rindex.get(key)
-            if bucket is not None:
-                bucket.discard(rt)
-                if not bucket:
-                    del self._rindex[key]
-            for lt in self._lindex.get(key, ()):
-                adjust(self._combine(lt, rt), -1)
-        for lt in ld.inserted:
-            key = tuple(lt[p] for p in self._lkey)
-            self._lindex.setdefault(key, set()).add(lt)
-            for rt in self._rindex.get(key, ()):
-                adjust(self._combine(lt, rt), +1)
-        for rt in rd.inserted:
-            key = tuple(rt[p] for p in self._rkey)
-            self._rindex.setdefault(key, set()).add(rt)
-            for lt in self._lindex.get(key, ()):
-                adjust(self._combine(lt, rt), +1)
-        return self._net(touched, lambda out: out in counts)
+        # then insertions, the right side probing a left index that
+        # already holds this tick's rows: new-new pairs count exactly once.
+        _unindex(ld.deleted, lkeys, lindex, rindex, combine, lost)
+        _unindex(rd.deleted, rkeys, rindex, lindex, flipped, lost)
+        _index(ld.inserted, lkeys, lindex, rindex, combine, gained)
+        _index(rd.inserted, rkeys, rindex, lindex, flipped, gained)
+        return _reconcile(self._counts, gained, lost)
 
 
 # ---------------------------------------------------------------------------

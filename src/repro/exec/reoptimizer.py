@@ -211,7 +211,6 @@ class FeedbackReoptimizer:
                 plan_budget=self.plan_budget,
                 engine=continuous.engine,
                 churn=self.churn,
-                backend=continuous.backend,
             )
             result = optimizer.optimize(continuous.query)
             changed = result.query.root != continuous.query.root

@@ -55,7 +55,7 @@ from repro.algebra.query import Query, QueryResult
 from repro.errors import SerenaError
 from repro.exec.delta import Delta
 from repro.exec.executors import Executor, FallbackExec, ScanExec
-from repro.exec.lowering import _LOWERINGS, lowerings_for
+from repro.exec.lowering import LOWERINGS
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
 from repro.obs.observe import Observability
@@ -93,15 +93,8 @@ class SharedPlanRegistry:
         self,
         environment: PervasiveEnvironment,
         observe: "Observability | str | None" = None,
-        backend: str = "row",
     ):
         self.environment = environment
-        #: Every executor this registry builds — shared or private — comes
-        #: from one backend's lowering table: a shared subtree's physical
-        #: representation is part of its identity, so mixed-backend
-        #: leasing of one entry is ruled out by construction.
-        self.backend = backend
-        self._table = lowerings_for(backend)
         self._entries: dict[Operator, _Entry] = {}
         # Per-instant journal read cache shared by every engine on this
         # registry: (relation id, start, stop) → chunk list, cleared when
@@ -188,7 +181,7 @@ class SharedPlanRegistry:
             return hasattr(stored, "changes_between") and hasattr(
                 stored, "window"
             )
-        return kind in _LOWERINGS
+        return kind in LOWERINGS
 
     def _subtree_shareable(self, node: Operator) -> bool:
         return self._node_shareable(node) and all(
@@ -225,11 +218,11 @@ class SharedPlanRegistry:
             return built
         if self._subtree_shareable(node):
             executor = self._lease(node, leased)
-        elif type(node) not in self._table:
+        elif type(node) not in LOWERINGS:
             executor = FallbackExec(node)  # naive subtree, like lower()
         else:
             children = [self._build(c, leased, memo) for c in node.children]
-            executor = self._table[type(node)](node, *children)
+            executor = LOWERINGS[type(node)](node, *children)
         memo[node.uid] = executor
         return executor
 
@@ -240,7 +233,7 @@ class SharedPlanRegistry:
         if entry is None:
             self._lease_misses_total.inc()
             children = [self._lease(c, leased) for c in node.children]
-            executor = self._table[type(node)](node, *children)
+            executor = LOWERINGS[type(node)](node, *children)
             entry = _Entry(executor, _digest(node))
             self._entries[node] = entry
         else:
@@ -344,24 +337,13 @@ class SharedEngine:
         environment: PervasiveEnvironment,
         registry: SharedPlanRegistry | None = None,
         observe: "Observability | str | None" = None,
-        backend: str | None = None,
     ):
         if registry is None:
-            registry = SharedPlanRegistry(
-                environment, observe=observe, backend=backend or "row"
-            )
+            registry = SharedPlanRegistry(environment, observe=observe)
         elif registry.environment is not environment:
             raise SerenaError(
                 "shared-plan registry belongs to a different environment"
             )
-        elif backend is not None and backend != registry.backend:
-            raise SerenaError(
-                f"shared-plan registry lowers to backend "
-                f"{registry.backend!r}, cannot run this query on "
-                f"{backend!r}: executors of one registry share one "
-                "physical representation"
-            )
-        self.backend = registry.backend
         self.query = query
         self.environment = environment
         self.registry = registry

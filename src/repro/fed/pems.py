@@ -61,7 +61,6 @@ class FederatedPEMS(PEMS):
         zones: int | list[str] | tuple[str, ...] = 4,
         policy: InvocationPolicy | None = None,
         observe: "Observability | str | None" = None,
-        backend: str = "row",
         parallelism: str | None = None,
         partition_by: Mapping[str, str] | None = None,
     ):
@@ -74,16 +73,16 @@ class FederatedPEMS(PEMS):
         # Set before PEMS.__init__: its factory hooks build the federated
         # parts from these.
         self.ring = HashRing(zone_names)
-        self._zone_options = {"policy": policy, "backend": backend}
+        self._policy = policy
         self._partition_by = partition_by
         self._parallelism = parallelism
-        super().__init__("shared", policy, observe, backend)
+        super().__init__("shared", policy, observe)
 
     def _make_tables(self) -> FederatedTableManager:
         # Zone ERMs subscribe to the clock here — after the coordinator
         # ERM, before the stream sources (see module doc).
         self.zones: dict[str, Zone] = {
-            name: Zone(name, self.clock, observe=self.obs, **self._zone_options)
+            name: Zone(name, self.clock, policy=self._policy, observe=self.obs)
             for name in self.ring.zones
         }
         self.gossip = GossipRelay(
@@ -97,7 +96,7 @@ class FederatedPEMS(PEMS):
             partition_by=self._partition_by,
         )
 
-    def _make_queries(self, engine: str, backend: str) -> FederatedQueryProcessor:
+    def _make_queries(self, engine: str) -> FederatedQueryProcessor:
         return FederatedQueryProcessor(
             self.environment,
             self.clock,
@@ -106,7 +105,6 @@ class FederatedPEMS(PEMS):
             self.zones,
             engine=engine,
             observe=self.obs,
-            backend=backend,
             parallelism=self._parallelism,
         )
 

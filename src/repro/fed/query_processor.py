@@ -76,7 +76,6 @@ class FederatedQueryProcessor(QueryProcessor):
         zones: Mapping[str, "Zone"],
         engine: str = "shared",
         observe: "Observability | str | None" = None,
-        backend: str = "row",
         parallelism: str | None = None,
     ):
         if parallelism not in PARALLELISM_MODES:
@@ -103,18 +102,13 @@ class FederatedQueryProcessor(QueryProcessor):
             tables,
             engine=engine,
             observe=observe,
-            backend=backend,
         )
 
     def _make_registry(
         self, environment: PervasiveEnvironment
     ) -> SharedPlanRegistry:
         return FederatedPlanRegistry(
-            environment,
-            self._zones,
-            self.tables,
-            observe=self.obs,
-            backend=self.backend,
+            environment, self._zones, self.tables, observe=self.obs
         )
 
     # -- the per-tick barrier ----------------------------------------------------

@@ -117,9 +117,8 @@ class FederatedPlanRegistry(SharedPlanRegistry):
         zones: Mapping[str, "Zone"],
         tables: "FederatedTableManager",
         observe: "Observability | str | None" = None,
-        backend: str = "row",
     ):
-        super().__init__(environment, observe=observe, backend=backend)
+        super().__init__(environment, observe=observe)
         self.zones = dict(zones)
         self.tables = tables
         #: True while forked shard workers hold the zone executor state:

@@ -53,7 +53,6 @@ class Zone:
         clock: VirtualClock,
         policy: InvocationPolicy | None = None,
         observe: "Observability | str | None" = None,
-        backend: str = "row",
     ):
         self.name = name
         self.clock = clock
@@ -69,9 +68,7 @@ class Zone:
         )
         self.environment = PervasiveEnvironment(self.services)
         #: The query-processor shard: scattered subtrees lower here.
-        self.plans = SharedPlanRegistry(
-            self.environment, observe=self.obs, backend=backend
-        )
+        self.plans = SharedPlanRegistry(self.environment, observe=self.obs)
         self._states: dict[int, dict] = {}
         self._ctx: EvaluationContext | None = None
         metrics = self.obs.metrics

@@ -70,17 +70,13 @@ def explain_analyze(continuous) -> str:
     return render_analyze(continuous)
 
 
-def explain_physical(
-    plan: Operator | Query, registry=None, backend: str | None = None
-) -> str:
-    """The lowered physical plan of a logical query: executor classes and
-    backends, with subtrees marked shared when ``registry`` (a
-    :class:`~repro.exec.shared.SharedPlanRegistry`) already runs them.
-    ``backend`` ("row"/"columnar") selects the physical representation to
-    lower to; it defaults to the registry's backend."""
+def explain_physical(plan: Operator | Query, registry=None) -> str:
+    """The lowered physical plan of a logical query: executor classes,
+    with subtrees marked shared when ``registry`` (a
+    :class:`~repro.exec.shared.SharedPlanRegistry`) already runs them."""
     from repro.obs.analyze import render_physical
 
-    return render_physical(plan, registry, backend=backend)
+    return render_physical(plan, registry)
 
 
 def explain_federated(plan: Operator | Query, registry) -> str:

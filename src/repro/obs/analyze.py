@@ -63,7 +63,6 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
                     "depth": depth,
                     "operator": executor.node.symbol(),
                     "executor": type(executor).__name__,
-                    "backend": executor.backend,
                     "ref": seen[key],
                     "repeat": True,
                 }
@@ -77,7 +76,6 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
             "index": index,
             "operator": executor.node.symbol(),
             "executor": type(executor).__name__,
-            "backend": executor.backend,
             "shared": key in shared,
             "refcount": shared.get(key),
             "ticks": stats.ticks,
@@ -87,9 +85,6 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
             "output_deleted": stats.output_deleted,
             "repeat": False,
         }
-        if executor.backend == "columnar":
-            row["batches"] = stats.batches
-            row["batch_rows"] = stats.batch_rows
         if isinstance(executor, ScanExec):
             row["rows_scanned"] = stats.rows_scanned
         if isinstance(executor, (InvocationExec, StreamingInvocationExec)):
@@ -112,7 +107,7 @@ def _format_row(row: dict) -> str:
     indent = "  " * row["depth"]
     if row.get("repeat"):
         return (
-            f"{indent}{row['operator']}  [{row['executor']}/{row['backend']}]"
+            f"{indent}{row['operator']}  [{row['executor']}]"
             f"  (shared node — see #{row['ref']})"
         )
     status = (
@@ -120,13 +115,11 @@ def _format_row(row: dict) -> str:
     )
     parts = [
         f"{indent}#{row['index']} {row['operator']}"
-        f"  [{row['executor']}/{row['backend']}]  {status}",
+        f"  [{row['executor']}]  {status}",
         f"ticks={row['ticks']}",
         f"in Δ+{row['input_inserted']}/-{row['input_deleted']}",
         f"out Δ+{row['output_inserted']}/-{row['output_deleted']}",
     ]
-    if "batches" in row:
-        parts.append(f"batches={row['batches']} batch-rows={row['batch_rows']}")
     if "rows_scanned" in row:
         parts.append(f"scanned={row['rows_scanned']}")
     if "invocations" in row:
@@ -161,34 +154,27 @@ def render_analyze(continuous: "ContinuousQuery") -> str:
 
 
 def render_physical(
-    plan,
-    registry: "SharedPlanRegistry | None" = None,
-    backend: str | None = None,
+    plan, registry: "SharedPlanRegistry | None" = None
 ) -> str:
     """The lowered physical plan of a (not yet registered) logical plan:
-    executor classes and backends plus shared/private markers against
-    ``registry``.
+    executor classes plus shared/private markers against ``registry``.
 
     The plan is canonicalized (Table 5 normal form — what the shared
-    engine executes) and lowered privately to ``backend`` (defaulting to
-    the registry's backend, or "row"); a subtree is marked shared when
-    the registry currently holds a live entry for it, i.e. a registered
-    query is already running that exact subplan.
+    engine executes) and lowered privately; a subtree is marked shared
+    when the registry currently holds a live entry for it, i.e. a
+    registered query is already running that exact subplan.
     """
     from repro.algebra.fingerprint import canonical_plan
     from repro.exec.lowering import lower
 
-    if backend is None:
-        backend = registry.backend if registry is not None else "row"
-    canonical = canonical_plan(plan)
-    root = lower(canonical, backend=backend)
+    root = lower(canonical_plan(plan))
     entries = registry._entries if registry is not None else {}
     lines: list[str] = []
     seen: set[int] = set()
 
     def visit(executor: "Executor", depth: int) -> None:
         indent = "  " * depth
-        label = f"[{type(executor).__name__}/{executor.backend}]"
+        label = f"[{type(executor).__name__}]"
         if id(executor) in seen:
             lines.append(
                 f"{indent}{executor.node.symbol()}  {label}"

@@ -44,9 +44,7 @@ class PEMS:
     registered through the query processor — ``"shared"`` (default:
     delta-driven execution with cross-query subplan sharing and the
     quiescence-aware tick scheduler) or ``"naive"`` (the oracle; see
-    :mod:`repro.continuous.continuous_query`); ``backend``
-    ("row"/"columnar") selects the physical delta representation the
-    plans lower to.
+    :mod:`repro.continuous.continuous_query`).
 
     ``policy`` sets the fault-tolerance :class:`InvocationPolicy` on the
     service registry (retry backoff, quarantine threshold); the default
@@ -66,7 +64,6 @@ class PEMS:
         engine: str = "shared",
         policy: InvocationPolicy | None = None,
         observe: "Observability | str | None" = None,
-        backend: str = "row",
     ):
         self.obs = Observability.coerce(observe)
         self.clock = VirtualClock()
@@ -82,7 +79,7 @@ class PEMS:
         self.tables = self._make_tables()
         self._sources: list[StreamSource] = []
         self.clock.on_tick(self._run_sources)
-        self.queries = self._make_queries(engine, backend)
+        self.queries = self._make_queries(engine)
         self._local_erms: dict[str, LocalEnvironmentResourceManager] = {}
 
     def _make_tables(self) -> ExtendedTableManager:
@@ -91,7 +88,7 @@ class PEMS:
         ERMs to the clock here (the federation's zone shards)."""
         return ExtendedTableManager(self.environment, self.clock)
 
-    def _make_queries(self, engine: str, backend: str) -> QueryProcessor:
+    def _make_queries(self, engine: str) -> QueryProcessor:
         """The query processor this PEMS runs on (built last: it ticks
         after the stream sources)."""
         return QueryProcessor(
@@ -101,7 +98,6 @@ class PEMS:
             self.tables,
             engine=engine,
             observe=self.obs,
-            backend=backend,
         )
 
     # -- topology -------------------------------------------------------------------

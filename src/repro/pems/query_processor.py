@@ -103,10 +103,6 @@ class QueryProcessor:
         query's plan leased from this processor's registry and driven by
         its quiescence-aware tick scheduler) or ``"naive"`` (full
         re-evaluation each tick, the differential-testing oracle).
-    backend:
-        Physical representation the processor's plans lower to — ``"row"``
-        or ``"columnar"``.  The shared-plan registry is built with this
-        backend, so it applies to every ``engine="shared"`` query.
     """
 
     def __init__(
@@ -117,7 +113,6 @@ class QueryProcessor:
         tables: ExtendedTableManager,
         engine: str = "shared",
         observe: "Observability | str | None" = None,
-        backend: str = "row",
     ):
         self.environment = environment
         self.clock = clock
@@ -125,7 +120,6 @@ class QueryProcessor:
         self.tables = tables
         check_engine(engine)
         self.engine = engine
-        self.backend = backend
         #: Observability facade shared across the processor, its scheduler,
         #: shared-plan registry and every registered query's engine.
         self.obs = (
@@ -168,9 +162,7 @@ class QueryProcessor:
         self, environment: PervasiveEnvironment
     ) -> SharedPlanRegistry:
         """The shared-plan registry this processor runs on."""
-        return SharedPlanRegistry(
-            environment, observe=self.obs, backend=self.backend
-        )
+        return SharedPlanRegistry(environment, observe=self.obs)
 
     def _before_plan(self, instant: int) -> None:
         """Hook between discovery sync and query scheduling — the

@@ -1,10 +1,10 @@
 """The sampled city pinned across every engine, 55 ticks, cascade on.
 
 The ISSUE 10 acceptance differential: the SMALL_CITY config (2 zones,
-churn, one scripted cascade) runs on the naive oracle and every
-``(engine, backend)`` pair of :mod:`tests.engines` — the shared engine
-and the zone-sharded federation, each on both backends — in lockstep;
-every pair must agree on every query's instantaneous result at every
+churn, one scripted cascade) runs on the naive oracle and every engine
+of :mod:`tests.engines` — the shared engine and the zone-sharded
+federation — in lockstep;
+every engine must agree on every query's instantaneous result at every
 instant, on the accumulated alert log, and — through the cascade — the
 ``station-health`` β sweep must keep reporting every station with **zero
 missed readings** (the substitution registry's failover serving the
@@ -16,7 +16,7 @@ import pytest
 from repro.city.config import SMALL_CITY
 from repro.city.scenario import build_city
 
-from tests.engines import CITY_PAIRS, NAIVE, pair_id
+from tests.engines import NAIVE, PAIRS
 
 TICKS = 55
 
@@ -25,8 +25,8 @@ def alert_key(log):
     return sorted((a.instant, a.sink, a.zone, a.load) for a in log.alerts)
 
 
-def drive(engine, backend="row"):
-    scenario = build_city(SMALL_CITY, engine=engine, backend=backend)
+def drive(engine):
+    scenario = build_city(SMALL_CITY, engine=engine)
     snapshots = []
     health_counts = []
     for _ in range(TICKS):
@@ -45,23 +45,17 @@ def drive(engine, backend="row"):
 
 @pytest.fixture(scope="module")
 def naive_run():
-    return drive(*NAIVE)
+    return drive(NAIVE)
 
 
-@pytest.mark.parametrize("pair", CITY_PAIRS, ids=pair_id)
-def test_city_differential(pair, naive_run):
+@pytest.mark.parametrize("engine", PAIRS)
+def test_city_differential(engine, naive_run):
     naive, naive_snaps, naive_health = naive_run
-    scenario, snaps, health = drive(*pair)
+    scenario, snaps, health = drive(engine)
     for instant, (expected, got) in enumerate(zip(naive_snaps, snaps), start=1):
-        assert got == expected, f"{pair} diverges at instant {instant}"
-    assert alert_key(scenario.alerts) == alert_key(naive.alerts), pair
-    assert health == naive_health, pair
-
-
-def test_columnar_backend_matches_row(naive_run):
-    _, naive_snaps, _ = naive_run
-    _, snaps, _ = drive("shared", backend="columnar")
-    assert snaps == naive_snaps
+        assert got == expected, f"{engine} diverges at instant {instant}"
+    assert alert_key(scenario.alerts) == alert_key(naive.alerts), engine
+    assert health == naive_health, engine
 
 
 def test_zero_missed_station_readings_through_cascade(naive_run):

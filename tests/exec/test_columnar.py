@@ -1,27 +1,29 @@
-"""Unit tests for the columnar delta representation and the
-compile-at-lowering helpers.
+"""Unit tests for the delta contract and the compile-at-lowering helpers.
 
-Covers the backend-neutral delta contract (coalesce, order-insensitive
-equality and repr — on both backends), the :class:`ColumnarDelta` dual
-lazy representation, :class:`ValuePool` interning, and the closures the
-lowering pass compiles once per executor: predicates, join-key gathers
-and join output combiners.
+Covers :class:`~repro.exec.delta.Delta` (coalesce, order-insensitive
+equality and repr) and the closures :mod:`repro.exec.compile` builds once
+per executor — batch filters, row gathers, join-key gathers and join
+output combiners — plus the bounded code cache behind them.
 """
 
 import pytest
 
+from repro.algebra import scan
 from repro.algebra.formula import And, Not, Or, TrueFormula, col
+from repro.continuous.xdrelation import XDRelation
 from repro.devices.scenario import surveillance_schema
-from repro.errors import FormulaError, SerenaError
-from repro.exec.columnar import ColumnarDelta, ValuePool, as_rows
-from repro.exec.delta import EMPTY_DELTA, Delta, coalesce_sets
-from repro.exec.lowering import (
+from repro.errors import FormulaError
+from repro.exec import compile as compiling
+from repro.exec.compile import (
     compile_combiner,
     compile_filter,
+    compile_gather,
     compile_key,
-    compile_predicate,
-    lowerings_for,
 )
+from repro.exec.delta import EMPTY_DELTA, Delta, coalesce_sets
+from repro.exec.executors import SelectionExec
+from repro.exec.shared import SharedPlanRegistry
+from repro.model.environment import PervasiveEnvironment
 
 ANA = ("Ana", "office", 30.0)
 BO = ("Bo", "roof", 10.0)
@@ -29,175 +31,24 @@ CY = ("Cy", "office", 20.0)
 
 
 # ---------------------------------------------------------------------------
-# ValuePool
+# The delta contract: equality, repr, coalesce
 # ---------------------------------------------------------------------------
-
-
-class TestValuePool:
-    def test_ids_are_dense_and_stable(self):
-        pool = ValuePool()
-        assert pool.intern("a") == 0
-        assert pool.intern("b") == 1
-        assert pool.intern("a") == 0  # stable across calls
-        assert len(pool) == 2
-        assert "a" in pool and "z" not in pool
-        assert pool.value(1) == "b"
-
-    def test_intern_column(self):
-        pool = ValuePool()
-        pool.intern("x")
-        ids = pool.intern_column(["y", "x", "y", None])
-        assert ids == [1, 0, 1, 2]
-        assert pool.value(2) is None
-
-    def test_equal_keys_share_an_id(self):
-        # Interning follows == (like the row join's dict buckets).
-        pool = ValuePool()
-        assert pool.intern(1) == pool.intern(1.0)
-
-    def test_maybe_compact_below_threshold_is_a_no_op(self):
-        pool = ValuePool(compact_threshold=4)
-        pool.intern_column(["a", "b"])
-        assert pool.maybe_compact([0]) is None
-        assert len(pool) == 2
-        assert pool.compactions == 0
-
-    def test_maybe_compact_evicts_dead_ids_and_remaps(self):
-        pool = ValuePool(compact_threshold=4)
-        pool.intern_column(["a", "b", "c", "d", "e"])
-        remap = pool.maybe_compact([1, 3])
-        assert remap == {1: 0, 3: 1}
-        assert len(pool) == 2
-        assert pool.value(0) == "b" and pool.value(1) == "d"
-        assert "b" in pool and "a" not in pool
-        assert pool.compactions == 1
-        # An evicted value re-interns under a fresh id after the survivors.
-        assert pool.intern("a") == 2
-
-    def test_maybe_compact_backs_off_when_mostly_live(self):
-        pool = ValuePool(compact_threshold=4)
-        pool.intern_column(["a", "b", "c", "d"])
-        # 3 of 4 entries live: eviction reclaims ~nothing, threshold doubles.
-        assert pool.maybe_compact([0, 1, 2]) is None
-        assert pool.compactions == 0
-        assert pool.maybe_compact([]) is None  # below the doubled threshold
-        pool.intern_column([f"v{i}" for i in range(5)])  # 9 ≥ 8: due again
-        assert pool.maybe_compact([]) == {}
-        assert len(pool) == 0
-        assert pool.compactions == 1
-
-
-# ---------------------------------------------------------------------------
-# ColumnarDelta: dual representation and the delta contract
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarDelta:
-    def test_rows_to_columns_and_back(self):
-        delta = ColumnarDelta.from_rows([ANA, BO], [CY], width=3)
-        assert delta.insert_columns() == [
-            ["Ana", "Bo"], ["office", "roof"], [30.0, 10.0],
-        ]
-        assert delta.delete_columns() == [["Cy"], ["office"], [20.0]]
-        assert list(delta.insert_rows()) == [ANA, BO]
-        assert delta.insert_count == 2 and delta.delete_count == 1
-
-    def test_columns_to_rows(self):
-        delta = ColumnarDelta.from_columns(
-            [["Ana", "Bo"], ["office", "roof"], [30.0, 10.0]], [[], [], []], 3
-        )
-        assert list(delta.insert_rows()) == [ANA, BO]
-        assert list(delta.delete_rows()) == []
-        assert delta.inserted == {ANA, BO} and delta.deleted == frozenset()
-
-    def test_views_are_cached(self):
-        delta = ColumnarDelta.from_rows([ANA], [], width=3)
-        assert delta.insert_columns() is delta.insert_columns()
-        assert delta.inserted is delta.inserted
-        columnar = ColumnarDelta.from_columns([["Ana"]], [[]], 1)
-        assert columnar.insert_rows() is columnar.insert_rows()
-
-    def test_from_sets_is_zero_copy(self):
-        inserted = frozenset([ANA])
-        delta = ColumnarDelta.from_sets(inserted, frozenset(), width=3)
-        assert delta.inserted is inserted
-
-    def test_duplicates_and_none_survive_in_rows(self):
-        # The array form is a bag; set semantics only at the contract view.
-        delta = ColumnarDelta.from_rows(
-            [("x", None), ("x", None)], [], width=2
-        )
-        assert len(list(delta.insert_rows())) == 2
-        assert delta.insert_columns() == [["x", "x"], [None, None]]
-        assert delta.inserted == {("x", None)}
-
-    def test_width_zero(self):
-        delta = ColumnarDelta.from_columns([], [], 0, insert_count=2)
-        assert list(delta.insert_rows()) == [(), ()]
-        assert delta.inserted == {()}
-        assert delta.insert_count == 2 and delta.delete_count == 0
-
-    def test_truthiness_and_len(self):
-        assert not ColumnarDelta.from_rows([], [], width=3)
-        assert ColumnarDelta.from_rows([], [ANA], width=3)
-        assert len(ColumnarDelta.from_rows([ANA, BO], [CY], width=3)) == 3
-
-    def test_to_delta_and_coerce(self):
-        columnar = ColumnarDelta.from_rows([ANA], [BO], width=3)
-        row = columnar.to_delta()
-        assert isinstance(row, Delta)
-        assert row.inserted == {ANA} and row.deleted == {BO}
-        assert ColumnarDelta.from_rows([], [], 3).to_delta() is EMPTY_DELTA
-        assert ColumnarDelta.coerce(columnar, 3) is columnar
-        coerced = ColumnarDelta.coerce(row, 3)
-        assert isinstance(coerced, ColumnarDelta) and coerced == row
-
-    def test_as_rows_either_backend(self):
-        columnar = ColumnarDelta.from_rows([ANA], [BO], width=3)
-        ins, dels = as_rows(columnar)
-        assert list(ins) == [ANA] and list(dels) == [BO]
-        ins, dels = as_rows(Delta(frozenset([ANA]), frozenset()))
-        assert set(ins) == {ANA} and not set(dels)
-
-
-# ---------------------------------------------------------------------------
-# The shared contract: equality, repr, coalesce — on both backends
-# ---------------------------------------------------------------------------
-
-
-def both_backends(inserted, deleted, width=3):
-    return (
-        Delta(frozenset(inserted), frozenset(deleted)),
-        ColumnarDelta.from_rows(list(inserted), list(deleted), width),
-    )
 
 
 class TestDeltaContract:
     def test_equality_is_order_insensitive(self):
-        for make in (
-            lambda ins, dels: Delta(frozenset(ins), frozenset(dels)),
-            lambda ins, dels: ColumnarDelta.from_rows(ins, dels, 3),
-        ):
-            assert make([ANA, BO], [CY]) == make([BO, ANA], [CY])
-
-    def test_cross_backend_equality_and_hash(self):
-        row, columnar = both_backends([ANA, BO], [CY])
-        assert row == columnar and columnar == row
-        assert hash(row) == hash(columnar)
-        assert row != Delta(frozenset([ANA]), frozenset())
-        assert row != object() and columnar != object()
+        delta = Delta(frozenset([ANA, BO]), frozenset([CY]))
+        same = Delta(frozenset([BO, ANA]), frozenset([CY]))
+        assert delta == same and hash(delta) == hash(same)
+        assert delta != Delta(frozenset([ANA]), frozenset())
+        assert delta != object()
 
     def test_repr_is_deterministic_and_diffs_cleanly(self):
-        row, columnar = both_backends([BO, ANA], [])
-        assert repr(row) == (
+        delta = Delta(frozenset([BO, ANA]), frozenset())
+        assert repr(delta) == (
             "Delta(+2 {('Ana', 'office', 30.0), "
             "('Bo', 'roof', 10.0)}, -0 {})"
         )
-        # Same rendering, different head: a differential failure message
-        # shows exactly where the backends diverge.
-        assert repr(columnar) == "Columnar" + repr(row)
-        shuffled = ColumnarDelta.from_rows([ANA, BO], [], 3)
-        assert repr(columnar) == repr(shuffled)
 
     def test_coalesce_cancels_insert_then_delete(self):
         first = Delta(frozenset([ANA, BO]), frozenset())
@@ -210,23 +61,6 @@ class TestDeltaContract:
         first = Delta(frozenset(), frozenset([ANA]))
         later = Delta(frozenset([ANA]), frozenset())
         assert first.coalesce(later) is EMPTY_DELTA
-
-    def test_coalesce_both_backends_agree(self):
-        for first_ins, first_del, later_ins, later_del in [
-            ([ANA], [], [BO], [ANA]),
-            ([], [ANA], [ANA], [BO]),
-            ([ANA, BO], [CY], [CY], [BO]),
-        ]:
-            row_a, col_a = both_backends(first_ins, first_del)
-            row_b, col_b = both_backends(later_ins, later_del)
-            expected = row_a.coalesce(row_b)
-            # Columnar coalesce stays columnar and accepts either operand.
-            for later in (row_b, col_b):
-                merged = col_a.coalesce(later)
-                assert isinstance(merged, ColumnarDelta)
-                assert merged == expected
-            # Row coalesce accepts a columnar later operand too.
-            assert row_a.coalesce(col_b) == expected
 
     def test_coalesce_sets_algebra(self):
         ins, dels = coalesce_sets(
@@ -244,9 +78,16 @@ SCHEMA = surveillance_schema()  # (name, location, threshold)
 ROWS = [ANA, BO, CY, ("Dee", "lab", None)]
 
 
+def compile_predicate(formula, schema=SCHEMA):
+    """The compiled filter as a one-row predicate, beside the interpreter
+    path it must agree with."""
+    fast_batch, slow = compile_filter(formula, schema)
+    return (lambda t: bool(fast_batch([t]))), slow
+
+
 class TestCompilePredicate:
     def agree(self, formula, rows=ROWS):
-        fast, slow = compile_predicate(formula, SCHEMA)
+        fast, slow = compile_predicate(formula)
         assert [fast(t) for t in rows] == [slow(t) for t in rows]
         return fast
 
@@ -262,7 +103,7 @@ class TestCompilePredicate:
         formula = Comparison(
             "name", "=", "location", left_is_attr=True, right_is_attr=True
         )
-        fast, slow = compile_predicate(formula, SCHEMA)
+        fast, slow = compile_predicate(formula)
         rows = [("x", "x", 1.0), ("x", "y", 1.0)]
         assert [fast(t) for t in rows] == [slow(t) for t in rows] == [True, False]
 
@@ -278,13 +119,13 @@ class TestCompilePredicate:
         assert fast(("Dee", "roof", None)) is True
 
     def test_true_formula(self):
-        fast, slow = compile_predicate(TrueFormula(), SCHEMA)
+        fast, slow = compile_predicate(TrueFormula())
         assert fast(ANA) is True and slow(ANA) is True
 
     def test_contains_error_parity(self):
         # fast inlines native ``in`` (TypeError on non-strings) where the
         # interpreter raises FormulaError; executors replay via slow.
-        fast, slow = compile_predicate(col("name").contains("n"), SCHEMA)
+        fast, slow = compile_predicate(col("name").contains("n"))
         assert fast(ANA) is True and fast(BO) is False
         with pytest.raises((TypeError, FormulaError)):
             fast((None, "office", 1.0))
@@ -294,7 +135,7 @@ class TestCompilePredicate:
     def test_ordering_error_parity(self):
         # fast raises a bare TypeError where the interpreter raises
         # FormulaError; the executor replays the batch through slow.
-        fast, slow = compile_predicate(col("threshold").gt(25.0), SCHEMA)
+        fast, slow = compile_predicate(col("threshold").gt(25.0))
         bad = ("Dee", "lab", None)
         with pytest.raises((TypeError, FormulaError)):
             fast(bad)
@@ -310,7 +151,7 @@ class TestCompilePredicate:
             def __hash__(self):
                 return 0
 
-        fast, _ = compile_predicate(col("location").eq(Odd()), SCHEMA)
+        fast, _ = compile_predicate(col("location").eq(Odd()))
         assert fast(ANA) is True and fast(BO) is False
 
 
@@ -350,13 +191,74 @@ class TestCompileKeyAndCombiner:
         assert single(("a",), ("x",)) == ("x",)
 
 
-class TestBackendTable:
-    def test_unknown_backend_is_an_error(self):
-        with pytest.raises(SerenaError, match="row, columnar"):
-            lowerings_for("simd")
+class TestCompileGather:
+    def test_projection_keeps_positions_in_order(self):
+        gather = compile_gather([2, 0])
+        assert gather([ANA, BO]) == [(30.0, "Ana"), (10.0, "Bo")]
+        assert compile_gather([1])([ANA]) == [("office",)]
 
-    def test_tables_cover_the_same_operators(self):
-        row = lowerings_for("row")
-        columnar = lowerings_for("columnar")
-        assert row.keys() == columnar.keys()
-        assert lowerings_for("columnar") is columnar  # cached
+    def test_no_positions_yields_empty_rows(self):
+        assert compile_gather([])([ANA, BO]) == [(), ()]
+
+    def test_none_splices_the_constant(self):
+        marker = object()  # bound through the namespace, never via repr
+        gather = compile_gather([0, None, 1, 2], marker)
+        assert gather([ANA]) == [("Ana", marker, "office", 30.0)]
+
+    def test_accepts_any_iterable_of_rows(self):
+        assert compile_gather([0])(frozenset([ANA])) == [("Ana",)]
+
+
+class TestCodeCache:
+    """Source text → code object is cached; closures are not."""
+
+    def selections(self, constants):
+        """One ``σ(location = c)`` per constant, each lowered by its own
+        acquisition on one shared-plan registry."""
+        env = PervasiveEnvironment()
+        env.add_relation(XDRelation(surveillance_schema()))
+        registry = SharedPlanRegistry(env)
+        executors = []
+        for index, constant in enumerate(constants):
+            query = (
+                scan(env, "surveillance")
+                .select(col("location").eq(constant))
+                .query(f"q{index}")
+            )
+            root = registry.acquire(query).root
+            assert isinstance(root, SelectionExec)
+            executors.append(root)
+        return executors
+
+    def test_same_shape_shares_code_but_not_closures(self):
+        class Anywhere:
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return 0
+
+        office, quoted, anywhere = self.selections(
+            ["office", "ro'o\"f", Anywhere()]
+        )
+        filters = [e._filter for e in (office, quoted, anywhere)]
+        assert len({id(f) for f in filters}) == 3
+        assert len({id(f.__code__) for f in filters}) == 1
+        # Each closure still filters by its own constant.
+        quoted_row = ("Dee", "ro'o\"f", 1.0)
+        rows = [ANA, BO, quoted_row]
+        assert office._filter(rows) == [ANA]
+        assert quoted._filter(rows) == [quoted_row]
+        assert anywhere._filter(rows) == rows
+        for compiled in filters:
+            assert compiled.__globals__["__builtins__"] == {}
+
+    def test_different_shapes_get_different_code(self):
+        eq, _ = compile_filter(col("location").eq("office"), SCHEMA)
+        ne, _ = compile_filter(col("location").ne("office"), SCHEMA)
+        assert eq.__code__ is not ne.__code__
+
+    def test_cache_is_bounded_and_says_so(self):
+        maxsize = compiling._code.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        assert f"maxsize={maxsize}" in compiling._code.__doc__

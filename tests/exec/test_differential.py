@@ -1,8 +1,7 @@
 """Differential tests: every physical engine vs the naive oracle.
 
 Every Table 4 query plus the Section 5.2 temperature/RSS scenarios run on
-the naive oracle and every ``(engine, backend)`` pair of
-:mod:`tests.engines` in lockstep —
+the naive oracle and every engine of :mod:`tests.engines` in lockstep —
 independent but identically-scripted environments, ≥ 50 instants, with
 relation churn and service churn along the way.  At every instant the
 engines must agree on:
@@ -228,47 +227,46 @@ def action_strings(actions):
     return sorted(a.describe() for a in actions)
 
 
-def run_differential(make_query, scripts, ticks=TICKS, pairs=QUERY_PAIRS):
-    """Run one Table 4 query on the oracle and every ``(engine, backend)``
-    pair over identically-scripted environments; assert instant-by-instant
-    agreement with the oracle.  Returns the queries keyed by pair."""
+def run_differential(make_query, scripts, ticks=TICKS, engines=QUERY_PAIRS):
+    """Run one Table 4 query on the oracle and every engine over
+    identically-scripted environments; assert instant-by-instant
+    agreement with the oracle.  Returns the queries keyed by engine."""
     rigs = {}
     queries = {}
-    for pair in (NAIVE, *pairs):
+    for engine in (NAIVE, *engines):
         rig = Rig()
-        rigs[pair] = rig
-        engine, backend = pair
-        queries[pair] = ContinuousQuery(
-            make_query(rig.env), rig.env, engine=engine, backend=backend
+        rigs[engine] = rig
+        queries[engine] = ContinuousQuery(
+            make_query(rig.env), rig.env, engine=engine
         )
     for instant in range(1, ticks + 1):
-        per_pair = {}
-        for pair, rig in rigs.items():
+        per_engine = {}
+        for engine, rig in rigs.items():
             for script in scripts:
                 script(rig, instant)
-            result = queries[pair].evaluate_at(instant)
-            per_pair[pair] = (
+            result = queries[engine].evaluate_at(instant)
+            per_engine[engine] = (
                 result.relation.tuples,
-                reported_delta(queries[pair], instant),
+                reported_delta(queries[engine], instant),
                 frozenset(result.actions),
             )
-        naive = per_pair[NAIVE]
-        for pair in pairs:
-            got = per_pair[pair]
-            assert got[0] == naive[0], f"{pair} relation differs at {instant}"
-            assert got[1] == naive[1], f"{pair} delta differs at {instant}"
-            assert got[2] == naive[2], f"{pair} actions differ at {instant}"
+        naive = per_engine[NAIVE]
+        for engine in engines:
+            got = per_engine[engine]
+            assert got[0] == naive[0], f"{engine} relation differs at {instant}"
+            assert got[1] == naive[1], f"{engine} delta differs at {instant}"
+            assert got[2] == naive[2], f"{engine} actions differ at {instant}"
     cq_n = queries[NAIVE]
-    for pair in pairs:
-        cq = queries[pair]
-        assert sorted(cq.emitted) == sorted(cq_n.emitted), pair
-        assert action_strings(cq.actions) == action_strings(cq_n.actions), pair
+    for engine in engines:
+        cq = queries[engine]
+        assert sorted(cq.emitted) == sorted(cq_n.emitted), engine
+        assert action_strings(cq.actions) == action_strings(cq_n.actions), engine
         assert [a.describe() for a in cq.action_log] == [
             a.describe() for a in cq_n.action_log
-        ], pair
-        assert outbox_key(rigs[pair].paper.outbox) == outbox_key(
+        ], engine
+        assert outbox_key(rigs[engine].paper.outbox) == outbox_key(
             rigs[NAIVE].paper.outbox
-        ), pair
+        ), engine
     return queries
 
 
@@ -307,8 +305,8 @@ def test_q4_emits_and_skips_the_ghost_camera():
 # ---------------------------------------------------------------------------
 
 
-def drive_temperature_scenario(engine, backend="row"):
-    scenario = build_temperature_surveillance(engine=engine, backend=backend)
+def drive_temperature_scenario(engine):
+    scenario = build_temperature_surveillance(engine=engine)
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -333,29 +331,27 @@ def drive_temperature_scenario(engine, backend="row"):
 
 
 def test_temperature_scenario_differential():
-    naive, naive_snaps = drive_temperature_scenario(*NAIVE)
-    for pair in PAIRS:
-        run, snaps = drive_temperature_scenario(*pair)
-        assert snaps == naive_snaps, pair
+    naive, naive_snaps = drive_temperature_scenario(NAIVE)
+    for engine in PAIRS:
+        run, snaps = drive_temperature_scenario(engine)
+        assert snaps == naive_snaps, engine
         for name in naive.queries:
             cq_n, cq = naive.queries[name], run.queries[name]
-            assert sorted(cq.emitted) == sorted(cq_n.emitted), (pair, name)
+            assert sorted(cq.emitted) == sorted(cq_n.emitted), (engine, name)
             assert action_strings(cq.actions) == action_strings(
                 cq_n.actions
-            ), (pair, name)
+            ), (engine, name)
             assert [a.describe() for a in cq.action_log] == [
                 a.describe() for a in cq_n.action_log
-            ], (pair, name)
-        assert outbox_key(run.outbox) == outbox_key(naive.outbox), pair
+            ], (engine, name)
+        assert outbox_key(run.outbox) == outbox_key(naive.outbox), engine
     # The churn script had observable consequences on every engine.
     assert naive.outbox.messages
     assert naive.queries["cold-photos"].emitted
 
 
-def drive_rss_scenario(engine, backend="row"):
-    scenario = build_rss_scenario(
-        engine=engine, backend=backend, recipient="Francois"
-    )
+def drive_rss_scenario(engine):
+    scenario = build_rss_scenario(engine=engine, recipient="Francois")
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -373,15 +369,15 @@ def drive_rss_scenario(engine, backend="row"):
 
 
 def test_rss_scenario_differential():
-    naive, naive_snaps = drive_rss_scenario(*NAIVE)
-    for pair in PAIRS:
-        run, snaps = drive_rss_scenario(*pair)
-        assert snaps == naive_snaps, pair
+    naive, naive_snaps = drive_rss_scenario(NAIVE)
+    for engine in PAIRS:
+        run, snaps = drive_rss_scenario(engine)
+        assert snaps == naive_snaps, engine
         for name in naive.queries:
             cq_n, cq = naive.queries[name], run.queries[name]
             assert action_strings(cq.actions) == action_strings(
                 cq_n.actions
-            ), (pair, name)
-        assert outbox_key(run.outbox) == outbox_key(naive.outbox), pair
+            ), (engine, name)
+        assert outbox_key(run.outbox) == outbox_key(naive.outbox), engine
     # Matching news flowed, and some alert was attempted before the churn.
     assert any(snap["matching-news"] for snap in naive_snaps)

@@ -19,8 +19,15 @@ from repro.devices.scenario import (
     surveillance_schema,
     temperatures_schema,
 )
-from repro.errors import SerenaError
-from repro.exec import EMPTY_DELTA, SharedEngine, lower
+from repro.errors import FormulaError, SerenaError
+from repro.exec import EMPTY_DELTA, Delta, SharedEngine, lower
+from repro.exec.executors import (
+    Executor,
+    JoinExec,
+    ProjectionExec,
+    SelectionExec,
+    _reconcile,
+)
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
 
@@ -41,6 +48,20 @@ def surveillance_env(rows=(), infinite=False):
 ANA = ("Ana", "office", 30.0)
 BO = ("Bo", "roof", 10.0)
 CY = ("Cy", "office", 20.0)
+
+
+class ScriptedExec(Executor):
+    """A child that publishes hand-written deltas, one per instant — for
+    driving a parent with rows the typed relations would refuse (mixed
+    types) or deltas a well-behaved child never emits (over-deletes)."""
+
+    def __init__(self, node, script):
+        super().__init__(node)
+        self._script = script
+
+    def _advance(self, ctx):
+        inserted, deleted = self._script.get(ctx.instant, ((), ()))
+        return Delta(frozenset(inserted), frozenset(deleted))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +175,67 @@ class TestTupleOperators:
         assert executor.tick(ctx_at(env, 2)).deleted == {("office",)}
         assert executor.current == set()
 
+    @pytest.mark.parametrize(
+        "formula, poison",
+        [
+            (col("threshold").gt(25.0), ("Dee", "lab", None)),
+            (col("name").contains("n"), (None, "lab", 30.0)),
+        ],
+        ids=["mixed-type-ordering", "contains-on-non-string"],
+    )
+    def test_selection_replays_a_failing_batch_for_the_canonical_error(
+        self, formula, poison
+    ):
+        env, _ = surveillance_env()
+        node = scan(env, "surveillance").select(formula).node
+        child = ScriptedExec(
+            node.children[0], {0: ([ANA, BO], ()), 1: ([poison], ())}
+        )
+        executor = SelectionExec(node, child)
+        assert executor.tick(ctx_at(env, 0)).inserted == {ANA}
+        # The compiled batch raises a bare TypeError on the poisoned row;
+        # what surfaces is the interpreter's FormulaError.
+        with pytest.raises(FormulaError):
+            executor.tick(ctx_at(env, 1))
+        assert executor.current == {ANA}
+
+    def test_projection_over_delete_raises(self):
+        env, _ = surveillance_env()
+        node = scan(env, "surveillance").project("location").node
+        child = ScriptedExec(node.children[0], {0: ([ANA], ())})
+        executor = ProjectionExec(node, child)
+        executor.tick(ctx_at(env, 0))
+        # A supporter the projection never counted leaves: broken child.
+        child._script[1] = ((), [BO])
+        child.current.add(BO)  # satisfy the child's own contract asserts
+        with pytest.raises(KeyError):
+            executor.tick(ctx_at(env, 1))
+
+
+class TestReconcile:
+    def test_support_may_dip_and_recover_within_a_tick(self):
+        counts = {("office",): 1}
+        # Lost twice, gained once more than lost: order inside the tick
+        # is irrelevant, only the tally matters.
+        delta = _reconcile(
+            counts, [("office",), ("office",)], [("office",), ("office",)]
+        )
+        assert delta is EMPTY_DELTA and counts == {("office",): 1}
+        assert _reconcile(counts, [("roof",)], [("roof",)]) is EMPTY_DELTA
+        assert ("roof",) not in counts
+
+    def test_rows_appear_and_disappear_once_per_distinct_row(self):
+        counts = {("office",): 2}
+        delta = _reconcile(
+            counts, [("roof",), ("roof",)], [("office",), ("office",)]
+        )
+        assert delta.inserted == {("roof",)} and delta.deleted == {("office",)}
+        assert counts == {("roof",): 2}
+
+    def test_losing_more_support_than_exists_raises(self):
+        with pytest.raises(KeyError):
+            _reconcile({("office",): 1}, [], [("office",), ("office",)])
+
 
 # ---------------------------------------------------------------------------
 # Join
@@ -218,6 +300,35 @@ class TestJoinExec:
         executor.tick(ctx_at(env, 1))
         expected = Query(executor.node, "oracle").evaluate(env, 1).relation.tuples
         assert executor.current == expected
+
+    def test_high_churn_join_keys_stay_bounded(self):
+        """Fresh join keys every instant, last instant's rows deleted:
+        every key is seen once, so emptied index buckets must go."""
+        env, left, contacts, executor = self.setup_env()
+        assert isinstance(executor, JoinExec)
+        naive = Query(executor.node, "oracle")
+        width = 8
+        for instant in range(1, 41):
+            if instant > 1:
+                left.delete(
+                    [(f"n{instant - 1}-{i}", "lab", 1.0) for i in range(width)],
+                    instant,
+                )
+                contacts.delete(
+                    [(f"n{instant - 1}-{i}", "a@x", "email") for i in range(width)],
+                    instant,
+                )
+            left.insert(
+                [(f"n{instant}-{i}", "lab", 1.0) for i in range(width)], instant
+            )
+            contacts.insert(
+                [(f"n{instant}-{i}", "a@x", "email") for i in range(width)],
+                instant,
+            )
+            executor.tick(ctx_at(env, instant))
+            assert executor.current == naive.evaluate(env, instant).relation.tuples
+            assert len(executor._lindex) == len(executor._rindex) == width
+            assert len(executor._counts) == width
 
 
 # ---------------------------------------------------------------------------

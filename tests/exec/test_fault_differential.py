@@ -1,6 +1,6 @@
 """Differential coverage under fault scripts: the naive oracle and every
-``(engine, backend)`` pair of :mod:`tests.engines` must agree
-tick-for-tick while scripted chaos (crash
+engine of :mod:`tests.engines` must agree tick-for-tick while scripted
+chaos (crash
 windows, intermittent errors, malformed outputs, latency spikes) plays
 against the §5.2 surveillance scenario — including its native
 ``messenger_failure_rate`` flakiness.
@@ -26,10 +26,9 @@ FAULTS = {
 }
 
 
-def drive_fault_scenario(engine, backend="row", policy=None):
+def drive_fault_scenario(engine, policy=None):
     scenario = build_temperature_surveillance(
         engine=engine,
-        backend=backend,
         messenger_failure_rate=0.2,
         sensor_faults=FAULTS,
         fault_seed="fault-diff",
@@ -84,11 +83,11 @@ def assert_scenarios_agree(reference, others):
 
 
 def test_fault_scenario_differential():
-    """Permissive policy: chaos flows through skip-paths; every pair
+    """Permissive policy: chaos flows through skip-paths; every engine
     agrees with the oracle on every relation, action, alert and failure
     count."""
-    runs = {pair: drive_fault_scenario(*pair) for pair in (NAIVE, *PAIRS)}
-    assert_scenarios_agree(runs[NAIVE], [runs[pair] for pair in PAIRS])
+    runs = {engine: drive_fault_scenario(engine) for engine in (NAIVE, *PAIRS)}
+    assert_scenarios_agree(runs[NAIVE], [runs[engine] for engine in PAIRS])
     # The chaos had observable consequences (not a vacuous agreement):
     # faults were injected, yet alerts still flowed from healthy sensors.
     assert runs[NAIVE][0].outbox.messages
@@ -105,10 +104,10 @@ def test_fault_scenario_differential_with_quarantine_policy():
     parking, re-admission) is engine-invariant and must agree too."""
     policy = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
     runs = {
-        pair: drive_fault_scenario(*pair, policy=policy)
-        for pair in (NAIVE, *PAIRS)
+        engine: drive_fault_scenario(engine, policy=policy)
+        for engine in (NAIVE, *PAIRS)
     }
-    assert_scenarios_agree(runs[NAIVE], [runs[pair] for pair in PAIRS])
+    assert_scenarios_agree(runs[NAIVE], [runs[engine] for engine in PAIRS])
     _, snaps = runs[NAIVE]
     # Quarantines actually happened and were later released.
     assert any(snap["parked"] for snap in snaps)

@@ -97,9 +97,9 @@ def test_table4_shared_differential(make, scripts):
 class SharedRunner:
     """Shared registry + tick scheduler, the query-processor discipline."""
 
-    def __init__(self, backend="row"):
+    def __init__(self):
         self.rig = Rig()
-        self.registry = SharedPlanRegistry(self.rig.env, backend=backend)
+        self.registry = SharedPlanRegistry(self.rig.env)
         self.scheduler = TickScheduler(self.rig.env)
         self.queries: dict[str, ContinuousQuery] = {}
 
@@ -188,9 +188,8 @@ CHURN_OPS = {
 SCRIPTS = (feed_stream, contact_churn, ghost_camera_churn)
 
 
-@pytest.mark.parametrize("backend", ["row", "columnar"])
-def test_multi_query_scheduler_differential(backend):
-    shared, naive = SharedRunner(backend=backend), NaiveRunner()
+def test_multi_query_scheduler_differential():
+    shared, naive = SharedRunner(), NaiveRunner()
     for runner in (shared, naive):
         runner.register("q1", q1)
         runner.register("q2", q2)
@@ -229,14 +228,6 @@ def test_multi_query_scheduler_differential(backend):
     assert shared.scheduler.skips > 0
     stats = shared.scheduler.stats
     assert stats["evaluations"] + stats["skips"] > 0
-    if backend == "columnar":
-        # The registry lowered to the columnar backend: the plans are
-        # mixed trees — batch executors for the Table 3 core, row
-        # executors for β and friends — interoperating on shared leases.
-        backends = {
-            entry.executor.backend for entry in shared.registry._entries.values()
-        }
-        assert "columnar" in backends
 
 
 def test_deregistration_drains_the_registry():

@@ -1,8 +1,8 @@
 """Differential coverage of semantic substitution: a sensor dies for
 good mid-run (``crash_permanent``), yet the surveillance queries keep
 reporting every single instant because a spare environmental station is
-substituted in — and the naive oracle and every ``(engine, backend)``
-pair of :mod:`tests.engines` agree tick-for-tick on relations,
+substituted in — and the naive oracle and every engine of
+:mod:`tests.engines` agree tick-for-tick on relations,
 substitution bindings, failover tables and rebind history.
 
 The crash instant itself is served by the precomputed failover table;
@@ -33,10 +33,9 @@ RULES = (
 )
 
 
-def drive_substitution_scenario(engine, backend="row"):
+def drive_substitution_scenario(engine):
     scenario = build_temperature_surveillance(
         engine=engine,
-        backend=backend,
         policy=POLICY,
         sensor_faults=FAULTS,
         fault_seed="sub-diff",
@@ -100,12 +99,13 @@ def assert_scenarios_agree(reference, others):
 
 
 def test_substitution_differential_zero_missed_ticks():
-    """Every pair agrees with the oracle through a permanent crash; the
+    """Every engine agrees with the oracle through a permanent crash; the
     dead sensor's readings keep flowing every instant via the substitute."""
     runs = {
-        pair: drive_substitution_scenario(*pair) for pair in (NAIVE, *PAIRS)
+        engine: drive_substitution_scenario(engine)
+        for engine in (NAIVE, *PAIRS)
     }
-    assert_scenarios_agree(runs[NAIVE], [runs[pair] for pair in PAIRS])
+    assert_scenarios_agree(runs[NAIVE], [runs[engine] for engine in PAIRS])
     scenario, snaps = runs[NAIVE]
 
     # The crash really was permanent (not a transient window).

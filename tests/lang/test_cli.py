@@ -289,27 +289,14 @@ class TestObservabilityCommands:
         )
         text = out.getvalue()
         assert "scan(contacts)" in text
-        assert "[ScanExec/row]" in text
+        assert "[ScanExec]" in text
         assert "private" in text  # the unregistered selection root
         assert "shared(refs=" in text  # the leased contacts scan below it
-
-    def test_explain_physical_columnar(self, traced):
-        sh, out = traced
-        sh.execute(
-            ".explain physical columnar "
-            "SELECT * FROM contacts WHERE name = 'Carla'"
-        )
-        text = out.getvalue()
-        assert "[ColumnarScanExec/columnar]" in text
-        assert "[ColumnarSelectionExec/columnar]" in text
 
     def test_explain_usage(self, shell):
         sh, out = shell
         sh.execute(".explain")
-        assert (
-            "usage: .explain [physical [row|columnar] | federated]"
-            in out.getvalue()
-        )
+        assert "usage: .explain [physical | federated]" in out.getvalue()
 
     def test_metrics_prometheus_text(self, traced):
         sh, out = traced

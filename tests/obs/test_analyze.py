@@ -82,16 +82,8 @@ class TestRenderPhysical:
     def test_registered_plan_shows_shared_subtrees(self, scenario):
         registry = scenario.pems.queries.shared
         text = explain_physical(scenario.queries["alerts"].query, registry)
-        assert "[ScanExec/row]" in text
+        assert "[ScanExec]" in text
         assert "shared(refs=" in text
-
-    def test_columnar_backend_is_rendered(self, scenario):
-        text = explain_physical(
-            scenario.queries["alerts"].query, backend="columnar"
-        )
-        assert "[ColumnarScanExec/columnar]" in text
-        # β keeps its row executor under the columnar backend.
-        assert "/row]" in text
 
     def test_unregistered_operator_is_private_over_shared_scan(self, scenario):
         from repro.lang.sql import compile_sql

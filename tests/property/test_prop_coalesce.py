@@ -1,4 +1,4 @@
-"""Property-based laws of delta coalescing, both backends.
+"""Property-based laws of delta coalescing.
 
 The subscription server's bounded delivery queues fold overflowing
 entries with ``coalesce`` — chains of three and more merges, in whatever
@@ -22,10 +22,7 @@ the same tuples routinely enter, leave and re-enter across the chain.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.exec.columnar import ColumnarDelta
-from repro.exec.delta import Delta
-
-WIDTH = 2
+from repro.exec.delta import EMPTY_DELTA, Delta
 
 values = st.one_of(
     st.none(),
@@ -44,24 +41,14 @@ trajectories = st.tuples(
 )
 
 
-def deltas_of(initial, targets, make):
+def deltas_of(initial, targets):
     """The consecutive delta chain walking ``initial`` through ``targets``."""
     chain = []
     state = initial
     for target in targets:
-        chain.append(make(target - state, state - target))
+        chain.append(Delta(target - state, state - target))
         state = target
     return chain
-
-
-def make_row(inserted, deleted):
-    return Delta(frozenset(inserted), frozenset(deleted))
-
-
-def make_columnar(inserted, deleted):
-    return ColumnarDelta.from_sets(
-        frozenset(inserted), frozenset(deleted), WIDTH
-    )
 
 
 def fold_left(chain):
@@ -90,7 +77,18 @@ def random_groupings(chain):
         yield fold_left(grouped)
 
 
-BACKENDS = [make_row, make_columnar]
+#: Anything a device row might hold, including None and mixed types.
+wide_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+
+
+def rows_of(width: int):
+    return st.frozensets(st.tuples(*[wide_values] * width), max_size=12)
 
 
 class TestCoalesceLaws:
@@ -98,17 +96,7 @@ class TestCoalesceLaws:
     @settings(max_examples=200)
     def test_associative_row(self, trajectory):
         initial, targets = trajectory
-        chain = deltas_of(initial, targets, make_row)
-        reference = fold_left(chain)
-        assert fold_right(chain) == reference
-        for merged in random_groupings(chain):
-            assert merged == reference
-
-    @given(trajectories)
-    @settings(max_examples=200)
-    def test_associative_columnar(self, trajectory):
-        initial, targets = trajectory
-        chain = deltas_of(initial, targets, make_columnar)
+        chain = deltas_of(initial, targets)
         reference = fold_left(chain)
         assert fold_right(chain) == reference
         for merged in random_groupings(chain):
@@ -118,59 +106,66 @@ class TestCoalesceLaws:
     @settings(max_examples=200)
     def test_contract_clean(self, trajectory):
         initial, targets = trajectory
-        for make in BACKENDS:
-            merged = fold_left(deltas_of(initial, targets, make))
-            inserted, deleted = merged.inserted, merged.deleted
-            assert not inserted & deleted
-            assert not inserted & initial  # inserts are new to the pre-state
-            assert deleted <= initial  # deletes existed in the pre-state
+        merged = fold_left(deltas_of(initial, targets))
+        inserted, deleted = merged.inserted, merged.deleted
+        assert not inserted & deleted
+        assert not inserted & initial  # inserts are new to the pre-state
+        assert deleted <= initial  # deletes existed in the pre-state
 
     @given(trajectories)
     @settings(max_examples=200)
     def test_replay_equivalence(self, trajectory):
         initial, targets = trajectory
         final = targets[-1]
-        for make in BACKENDS:
-            merged = fold_left(deltas_of(initial, targets, make))
-            assert (initial - merged.deleted) | merged.inserted == final
-            # The merge is exactly the net start→end difference: nothing
-            # transient survives (insert-then-delete and delete-then-
-            # re-insert pairs cancel).
-            assert merged.inserted == final - initial
-            assert merged.deleted == initial - final
+        merged = fold_left(deltas_of(initial, targets))
+        assert (initial - merged.deleted) | merged.inserted == final
+        # The merge is exactly the net start→end difference: nothing
+        # transient survives (insert-then-delete and delete-then-
+        # re-insert pairs cancel).
+        assert merged.inserted == final - initial
+        assert merged.deleted == initial - final
 
-    @given(trajectories)
-    @settings(max_examples=100)
-    def test_mixed_backends_interoperate(self, trajectory):
-        """coalesce accepts the *other* backend on its right-hand side and
-        the laws still hold (the server queue never forces a conversion)."""
-        initial, targets = trajectory
-        mixed = [
-            (make_row if i % 2 == 0 else make_columnar)(
-                delta.inserted, delta.deleted
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_coalesce_equals_sequential_application(self, data):
+        """One coalesce over arbitrary-valued rows of any arity: applying
+        the merged delta equals applying the two in sequence."""
+        width = data.draw(st.integers(min_value=0, max_value=5), label="width")
+        state = data.draw(rows_of(width), label="state")
+
+        def deletions_from(current, label):
+            if not current:
+                return frozenset()
+            return frozenset(
+                data.draw(
+                    st.sets(st.sampled_from(sorted(current, key=repr))),
+                    label=label,
+                )
             )
-            for i, delta in enumerate(
-                deltas_of(initial, targets, make_row)
-            )
-        ]
-        reference = fold_left(deltas_of(initial, targets, make_row))
-        assert fold_left(mixed) == reference
-        assert fold_right(mixed) == reference
+
+        # Contract-respecting deltas against the evolving state: inserts
+        # are absent from it, deletes are members of it.
+        first = Delta(
+            data.draw(rows_of(width), label="first_ins") - state,
+            deletions_from(state, "first_del"),
+        )
+        mid = (state | first.inserted) - first.deleted
+        later = Delta(
+            data.draw(rows_of(width), label="later_ins") - mid,
+            deletions_from(mid, "later_del"),
+        )
+        sequential = (mid | later.inserted) - later.deleted
+        merged = first.coalesce(later)
+        assert (state | merged.inserted) - merged.deleted == sequential
+        # The merged delta is disjoint (a well-formed two-delta).
+        assert not merged.inserted & merged.deleted
 
     def test_identity_fast_paths(self):
-        """Empty sides short-circuit without changing semantics, and the
-        row path canonicalizes to the EMPTY_DELTA singleton."""
-        from repro.exec.delta import EMPTY_DELTA
-
+        """Empty sides short-circuit without changing semantics, and an
+        empty result canonicalizes to the EMPTY_DELTA singleton."""
         busy = Delta(frozenset({("a", 1)}), frozenset({("b", 2)}))
         assert busy.coalesce(EMPTY_DELTA) is busy
         assert EMPTY_DELTA.coalesce(busy) == busy
         assert EMPTY_DELTA.coalesce(EMPTY_DELTA) is EMPTY_DELTA
         undo = Delta(busy.deleted, busy.inserted)
         assert busy.coalesce(undo) is EMPTY_DELTA
-
-        cbusy = ColumnarDelta.from_sets(busy.inserted, busy.deleted, WIDTH)
-        cempty = ColumnarDelta.from_sets(frozenset(), frozenset(), WIDTH)
-        assert cbusy.coalesce(cempty) is cbusy
-        assert cempty.coalesce(cbusy) == cbusy
-        assert not cbusy.coalesce(undo)

@@ -1,10 +1,10 @@
-"""Guard: the engine names and classes folded into the one physical
-engine must not creep back into code, docs, examples or CI.
+"""Guard: the engine names, classes and knobs folded into the one
+physical engine must not creep back into code, docs, examples or CI.
 
-There are two engines (``naive`` and ``shared``), two backends and two
-shard-execution modes (lockstep and ``processes``).  Prose may still call
-the executors *incremental* — only the identifiers and string literals
-below are banned.
+There are two engines (``naive`` and ``shared``), one executor table and
+two shard-execution modes (lockstep and ``processes``).  Prose may still
+call the executors *incremental* — only the identifiers and string
+literals below are banned.
 """
 
 import re
@@ -19,8 +19,16 @@ BANNED = re.compile(
       | ["'`]incremental["'`]
       | federated-threads
       | _advance_threads
-      | engine\s*=\s*["']columnar["']
       | parallelism\s*=\s*["']threads["']
+      | ColumnarDelta
+      | ValuePool
+      | ColumnarExecutor
+      | repro\.exec\.vectorized
+      | repro\.exec\.columnar
+      | COLUMNAR_
+      | lowerings_for
+      | backend\s*=
+      | ["']columnar["']
     """,
     re.VERBOSE,
 )
@@ -49,4 +57,5 @@ def test_removed_engine_names_do_not_reappear():
 
 
 def test_engine_module_is_gone():
-    assert not (ROOT / "src" / "repro" / "exec" / "engine.py").exists()
+    for module in ("engine", "vectorized", "columnar"):
+        assert not (ROOT / "src" / "repro" / "exec" / f"{module}.py").exists()
