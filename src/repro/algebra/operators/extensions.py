@@ -12,7 +12,8 @@ pattern can remain valid).
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+import math
+from typing import Collection, Sequence
 
 from repro.algebra.context import EvaluationContext
 from repro.algebra.operators.base import Operator
@@ -83,16 +84,36 @@ class AggregateSpec:
             return DataType.REAL if self.function is AggregateFunction.AVG else dtype
         return dtype  # MIN / MAX preserve the attribute type
 
-    def compute(self, values: list) -> object:
-        if self.function is AggregateFunction.COUNT:
+    def compute(self, values: Collection) -> object:
+        """The aggregate of one group, as a function of the group *as a
+        set*: whatever order an engine meets the members in, the result
+        is the same value.
+
+        ``count``, ``min`` and ``max`` are order-free by nature.  ``sum``
+        is the **correctly rounded** sum of the members — ``math.fsum``
+        over floats, which rounds once at the end (and so agrees across
+        Python versions, where builtin ``sum`` changed its float
+        algorithm in 3.12); a group of integers keeps its exact ``int``
+        total.  ``avg`` is that sum divided by the member count.  Builtin
+        ``sum`` would make the result depend on set iteration order, i.e.
+        on ``PYTHONHASHSEED`` and on each engine's bookkeeping.
+
+        ``values`` holds one entry per member tuple (duplicates included)
+        and is non-empty; non-finite floats follow ``math.fsum`` (``inf``
+        with ``-inf`` raises ``ValueError``)."""
+        function = self.function
+        if function is AggregateFunction.COUNT:
             return len(values)
-        if self.function is AggregateFunction.SUM:
-            return sum(values)
-        if self.function is AggregateFunction.AVG:
-            return sum(values) / len(values)
-        if self.function is AggregateFunction.MIN:
+        if function is AggregateFunction.MIN:
             return min(values)
-        return max(values)
+        if function is AggregateFunction.MAX:
+            return max(values)
+        total = sum(values)
+        if type(total) is not int:  # some member is a float
+            total = math.fsum(values)
+        if function is AggregateFunction.SUM:
+            return total
+        return total / len(values)
 
     def render(self) -> str:
         arg = self.attribute if self.attribute is not None else "*"

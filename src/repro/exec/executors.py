@@ -23,15 +23,18 @@ executor.  Executors are built from a logical plan by
 registered query whose plan contains its subtree, and lives until the
 last of them is released.
 
-Whatever σ, π, assign and ⋈ evaluate per row was compiled to a closure
-when the executor was built (:mod:`repro.exec.compile`); a tick runs
-each closure once over a whole delta side.
+Whatever σ, π, assign, ⋈ and γ evaluate per row was compiled to a
+closure when the executor was built (:mod:`repro.exec.compile`); a tick
+runs each closure once over a whole delta side.  The stateful executors
+then work on whole sets, not rows: W diffs and unions its per-instant
+buckets, γ updates each touched group with one set operation and folds
+it once, π and ⋈ tally output support in :class:`collections.Counter`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Iterable, Sequence
+from collections import Counter, defaultdict
+from typing import Iterable, Sequence
 
 from repro.algebra.actions import Action
 from repro.algebra.context import EvaluationContext
@@ -251,22 +254,6 @@ class Executor:
     def _advance(self, ctx: EvaluationContext):
         raise NotImplementedError
 
-    # -- helpers ----------------------------------------------------------------
-
-    def _net(
-        self, touched: set[tuple], present: Callable[[tuple], bool]
-    ) -> Delta:
-        """Turn a set of possibly-affected tuples into a membership delta
-        against :attr:`current` (cancels same-instant insert+delete)."""
-        inserted, deleted = [], []
-        for t in touched:
-            if present(t):
-                if t not in self.current:
-                    inserted.append(t)
-            elif t in self.current:
-                deleted.append(t)
-        return Delta(frozenset(inserted), frozenset(deleted))
-
     def walk(self):
         """All executors of the subtree, depth-first, self first."""
         yield self
@@ -394,29 +381,33 @@ class BaseRelationExec(Executor):
 
 
 def _reconcile(
-    counts: dict[tuple, int], gained: Iterable[tuple], lost: Iterable[tuple]
+    counts: Counter, gained: Iterable[tuple], lost: Iterable[tuple]
 ) -> Delta:
     """Apply one tick's support gains and losses to ``counts`` and return
     the rows that appeared or disappeared.
 
-    The two sides are tallied by :class:`collections.Counter` (a C loop)
-    and reconciled once per *distinct* output row.  Count arithmetic is
-    commutative, so a row may lose support before regaining it within
-    the tick; losing more than it ever had is a broken child delta and
-    raises ``KeyError``."""
-    gained, lost = Counter(gained), Counter(lost)
-    inserted, deleted = [], []
-    for row in gained.keys() | lost.keys():
-        old = counts.get(row, 0)
-        new = old + gained.get(row, 0) - lost.get(row, 0)
-        if new < 0:
+    Gains go in first, as one ``Counter.update`` (a C tally over the
+    whole list); the rows they introduce are the distinct gained rows
+    that had no support before.  Losses then cost one Python step per
+    *distinct* lost row.  Count arithmetic is commutative, so a row may
+    lose support before regaining it within the tick, and a row that both
+    appears and vanishes in the tick is reported on neither side; losing
+    more support than a row has is a broken child delta and raises
+    ``KeyError``."""
+    inserted = set(gained) - counts.keys()
+    counts.update(gained)
+    deleted = []
+    for row, n in Counter(lost).items():
+        left = counts[row] - n
+        if left > 0:
+            counts[row] = left
+            continue
+        if left < 0:
             raise KeyError(row)
-        if new:
-            counts[row] = new
-            if not old:
-                inserted.append(row)
-        elif old:
-            del counts[row]
+        del counts[row]
+        if row in inserted:
+            inserted.discard(row)
+        else:
             deleted.append(row)
     if not inserted and not deleted:
         return EMPTY_DELTA
@@ -463,7 +454,7 @@ class ProjectionExec(Executor):
         self._gather = compile_gather(
             [source.real_position(n) for n in kept_real]
         )
-        self._counts: dict[tuple, int] = {}
+        self._counts: Counter = Counter()
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         delta = self._pull(self.children[0], ctx)
@@ -572,7 +563,7 @@ class JoinExec(Executor):
         )
         self._lindex: dict[object, set[tuple]] = {}
         self._rindex: dict[object, set[tuple]] = {}
-        self._counts: dict[tuple, int] = {}
+        self._counts: Counter = Counter()
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         left, right = self.children
@@ -616,8 +607,17 @@ class _SetOpExec(Executor):
         rd = self._pull(right, ctx)
         if not ld and not rd:
             return EMPTY_DELTA
-        touched = set().union(ld.inserted, ld.deleted, rd.inserted, rd.deleted)
-        return self._net(touched, self._present)
+        # Membership delta of the possibly-affected tuples against
+        # `current` (cancels same-instant insert+delete).
+        present, current = self._present, self.current
+        inserted, deleted = [], []
+        for t in set().union(ld.inserted, ld.deleted, rd.inserted, rd.deleted):
+            if present(t):
+                if t not in current:
+                    inserted.append(t)
+            elif t in current:
+                deleted.append(t)
+        return Delta(frozenset(inserted), frozenset(deleted))
 
 
 class UnionExec(_SetOpExec):
@@ -643,14 +643,34 @@ class DifferenceExec(_SetOpExec):
 # ---------------------------------------------------------------------------
 
 
+def _by_key(rows, keys) -> dict[tuple, list[tuple]]:
+    """``rows`` bucketed by their compiled group key, in one pass."""
+    buckets: dict[tuple, list[tuple]] = defaultdict(list)
+    for t, key in zip(rows, keys(rows)):
+        buckets[key].append(t)
+    return buckets
+
+
 class AggregateExec(Executor):
-    """γ: group membership is maintained incrementally; only groups with
-    changed members recompute their aggregate row."""
+    """γ: group membership is maintained incrementally — each delta side
+    is bucketed by group key and applied with one set operation per
+    touched group — and only touched groups recompute their row.
+
+    A touched group is re-folded whole, in whatever order its member set
+    iterates: :meth:`AggregateSpec.compute` is a function of the group as
+    a set (correctly rounded ``sum``), so no order has to be pinned."""
+
+    # Why fold and not keep running sum/count/extremum accumulators: the
+    # γ traffic is windows over streams (every benchmark window is W[1]),
+    # where each tick replaces every member of every group.  Accumulators
+    # would then pay 2·|group| interpreted updates per tick where the
+    # fold is a single C pass — and a float sum that stays exact under
+    # deletes needs Shewchuk partials maintained in Python.
 
     def __init__(self, node: Aggregate, child: Executor):
         super().__init__(node, (child,))
         source = node.children[0].schema
-        self._key_positions = [source.real_position(n) for n in node.group_by]
+        self._keys = compile_gather([source.real_position(n) for n in node.group_by])
         self._value_positions = [
             source.real_position(spec.attribute) if spec.attribute is not None else None
             for spec in node.aggregates
@@ -659,13 +679,9 @@ class AggregateExec(Executor):
         self._rows: dict[tuple, tuple] = {}
 
     def _row(self, key: tuple, members: set[tuple]) -> tuple:
-        node = self.node
-        ordered = sorted(members)  # deterministic float accumulation order
         row = list(key)
-        for spec, position in zip(node.aggregates, self._value_positions):
-            values = (
-                [m[position] for m in ordered] if position is not None else ordered
-            )
+        for spec, position in zip(self.node.aggregates, self._value_positions):
+            values = members if position is None else [m[position] for m in members]
             row.append(spec.compute(values))
         return tuple(row)
 
@@ -673,33 +689,39 @@ class AggregateExec(Executor):
         delta = self._pull(self.children[0], ctx)
         if not delta:
             return EMPTY_DELTA
-        affected: set[tuple] = set()
-        for t in delta.deleted:
-            key = tuple(t[p] for p in self._key_positions)
-            members = self._groups.get(key)
+        groups, rows = self._groups, self._rows
+        leaving = _by_key(delta.deleted, self._keys)
+        joining = _by_key(delta.inserted, self._keys)
+        for key, gone in leaving.items():
+            members = groups.get(key)
             if members is not None:
-                members.discard(t)
-                if not members:
-                    del self._groups[key]
-            affected.add(key)
-        for t in delta.inserted:
-            key = tuple(t[p] for p in self._key_positions)
-            self._groups.setdefault(key, set()).add(t)
-            affected.add(key)
+                members.difference_update(gone)
+        for key, came in joining.items():
+            members = groups.get(key)
+            if members is None:
+                groups[key] = set(came)
+            else:
+                members.update(came)
         inserted, deleted = [], []
-        for key in affected:
-            old = self._rows.get(key)
-            members = self._groups.get(key)
-            new = self._row(key, members) if members else None
+        for key in leaving.keys() | joining.keys():
+            old = rows.get(key)
+            members = groups.get(key)
+            if members:
+                new = self._row(key, members)
+            else:
+                new = None
+                groups.pop(key, None)
             if old == new:
                 continue
             if old is not None:
                 deleted.append(old)
             if new is not None:
                 inserted.append(new)
-                self._rows[key] = new
+                rows[key] = new
             else:
-                del self._rows[key]
+                del rows[key]
+        if not inserted and not deleted:
+            return EMPTY_DELTA
         return Delta(frozenset(inserted), frozenset(deleted))
 
 
@@ -1032,19 +1054,26 @@ class StreamingExec(Executor):
 
 
 class WindowExec(Executor):
-    """W[period]: support-counted buffer of the last ``period`` instants.
+    """W[period]: one bucket of inserted tuples per instant of the last
+    ``period`` instants; the window is the union of the live buckets.
 
-    Over a journaled XD-Relation scan the buffer is fed from the journal
-    itself (the contents are then exact regardless of when the query was
-    registered); over a derived stream it buffers the child's reported
-    insertions per evaluation instant, exactly like the naive engine.
-    """
+    Over a journaled XD-Relation scan the buckets are fed from the
+    journal itself (the contents are then exact regardless of when the
+    query was registered); over a derived stream the child's reported
+    insertions are bucketed per evaluation instant, exactly like the
+    naive engine.
+
+    The buckets are the only state.  A tick drops the expired buckets,
+    re-reads the ones that may have moved, and derives its delta from
+    whole-set differences: a tuple leaves when it left a bucket and no
+    live bucket still holds it, and arrives when a bucket gained it and
+    the window did not hold it.  A bucket re-read unchanged costs one
+    frozenset comparison."""
 
     def __init__(self, node: Window, child: Executor):
         super().__init__(node, (child,))
         self.period = node.period
         self._buckets: dict[int, frozenset[tuple]] = {}
-        self._counts: dict[tuple, int] = {}
         self._journal_mode: bool | None = None
         self._consumed: int | None = None
 
@@ -1062,23 +1091,45 @@ class WindowExec(Executor):
         self.stats.input_deleted += len(child.reported.deleted)
         if self._journal_mode is None:
             self._journal_mode = self._detect_journal(ctx)
-        touched: set[tuple] = set()
+        buckets = self._buckets
         horizon = ctx.instant - self.period  # keep instants > horizon
+        removed = [
+            buckets.pop(instant)
+            for instant in [i for i in buckets if i <= horizon or i > ctx.instant]
+        ]
         if self._journal_mode:
-            self._feed_from_journal(ctx, horizon, touched)
+            reread = self._read_journal(ctx, horizon)
         elif self.is_first_tick and not child_was_fresh:
             # Fresh window over a warm (shared) derived operand: a fresh
             # child would have reported its full contents as this
             # instant's insertions.
-            self._feed_bucket(ctx.instant, child.fresh_view(), touched)
+            reread = [(ctx.instant, child.fresh_view())]
         else:
-            self._feed_bucket(ctx.instant, child.reported.inserted, touched)
-        for instant in [
-            i for i in self._buckets if i <= horizon or i > ctx.instant
-        ]:
-            for t in self._buckets.pop(instant):
-                self._discount(t, touched)
-        return self._net(touched, lambda t: t in self._counts)
+            reread = [(ctx.instant, child.reported.inserted)]
+        # Every re-read instant lies in (horizon, now], so whatever a
+        # bucket gains here is still in a live bucket when the tick ends.
+        added = []
+        for instant, new in reread:
+            old = buckets.get(instant, _EMPTY)
+            if new == old:
+                continue
+            added.append(new - old)
+            removed.append(old - new)
+            if new:
+                buckets[instant] = new
+            else:
+                del buckets[instant]
+        # `current` is the union of last tick's buckets, so every removed
+        # tuple is in it; it leaves unless a live bucket still holds it.
+        gone = _EMPTY.union(*removed)
+        for bucket in buckets.values():
+            if not gone:
+                break
+            gone = gone - bucket  # not in place: O(|gone|), not O(|bucket|)
+        arrived = _EMPTY.union(*added) - self.current
+        if not arrived and not gone:
+            return EMPTY_DELTA
+        return Delta(arrived, gone)
 
     # -- feeding ---------------------------------------------------------------
 
@@ -1089,44 +1140,21 @@ class WindowExec(Executor):
         stored = ctx.environment.relation(scan_node.name)
         return hasattr(stored, "changes_between") and hasattr(stored, "window")
 
-    def _feed_from_journal(
-        self, ctx: EvaluationContext, horizon: int, touched: set[tuple]
-    ) -> None:
+    def _read_journal(
+        self, ctx: EvaluationContext, horizon: int
+    ) -> list[tuple[int, frozenset[tuple]]]:
+        """The journaled insertions of every live instant that may have
+        been written since it was last read (late same-instant writes
+        land at instants >= ``_consumed``)."""
         scan_node = self.node.children[0]
         stored = ctx.environment.relation(scan_node.name)
         start = horizon + 1
         if self._consumed is not None:
             start = max(start, self._consumed)
-        for instant, inserted, _ in journal_chunks(ctx, stored, start, ctx.instant):
-            self._feed_bucket(instant, inserted, touched)
+        chunks = journal_chunks(ctx, stored, start, ctx.instant)
         last = stored.last_instant  # type: ignore[attr-defined]
         self._consumed = last if last <= ctx.instant else ctx.instant + 1
-
-    def _feed_bucket(
-        self, instant: int, inserted: frozenset[tuple], touched: set[tuple]
-    ) -> None:
-        old = self._buckets.get(instant, _EMPTY)
-        if inserted == old:
-            if inserted:
-                self._buckets[instant] = inserted
-            return
-        for t in inserted - old:
-            self._counts[t] = self._counts.get(t, 0) + 1
-            touched.add(t)
-        for t in old - inserted:
-            self._discount(t, touched)
-        if inserted:
-            self._buckets[instant] = inserted
-        else:
-            self._buckets.pop(instant, None)
-
-    def _discount(self, t: tuple, touched: set[tuple]) -> None:
-        remaining = self._counts[t] - 1
-        if remaining:
-            self._counts[t] = remaining
-        else:
-            del self._counts[t]
-        touched.add(t)
+        return [(instant, inserted) for instant, inserted, _ in chunks]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import pytest
 
 from repro.algebra import AggregateSpec, col, scan
 from repro.errors import InvalidOperatorError, VirtualAttributeError
+from repro.model.attributes import Attribute
+from repro.model.relation import XRelation
 from repro.model.types import DataType
+from repro.model.xschema import ExtendedRelationSchema
 
 
 class TestAggregate:
@@ -110,3 +113,57 @@ class TestAggregate:
     def test_count_without_attribute_only(self):
         with pytest.raises(InvalidOperatorError, match="requires an attribute"):
             AggregateSpec("sum", None, "s")
+
+
+#: Floats whose builtin ``sum`` depends on the order they are met in
+#: (1e16 absorbs the small terms added before it cancels): 4.0, 6.0, 3.2
+#: or 5.1 for the naive engine's frozenset order under four hash seeds,
+#: 5.8 in sorted order.  The true sum is 5.1.
+ILL_CONDITIONED = [0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 0.4, 1.1, 2.3]
+
+
+def every_order(values):
+    for k in range(len(values)):
+        rotated = values[k:] + values[:k]
+        yield rotated
+        yield rotated[::-1]
+
+
+class TestComputeIsAFunctionOfTheGroup:
+    """γ's ``sum`` is the correctly rounded sum of the group, whatever
+    order an engine meets its members in."""
+
+    @pytest.mark.parametrize("function, expected", [("sum", 5.1), ("avg", 5.1 / 9)])
+    def test_float_sum_and_avg_ignore_member_order(self, function, expected):
+        spec = AggregateSpec(function, "x", "out")
+        results = {spec.compute(order) for order in every_order(ILL_CONDITIONED)}
+        assert results == {expected}
+
+    def test_integer_sum_stays_an_exact_int(self):
+        values = [2**62, 3, -(2**62), 2**53 + 1, -(2**53), 7]
+        for order in every_order(values):
+            total = AggregateSpec("sum", "n", "out").compute(order)
+            assert total == 11 and type(total) is int
+            assert AggregateSpec("avg", "n", "out").compute(order) == 11 / 6
+
+    def test_naive_aggregate_ignores_set_iteration_order(self, paper_env):
+        """The oracle folds each group in frozenset order; renaming the
+        members reshuffles that order, the aggregate row must not move
+        (it did, through builtin ``sum``)."""
+        schema = ExtendedRelationSchema(
+            "loads",
+            [Attribute("meter", DataType.STRING), Attribute("load", DataType.REAL)],
+        )
+        for k in range(16):
+            paper_env.add_relation(
+                XRelation(
+                    schema,
+                    [(f"m{k}-{i}", v) for i, v in enumerate(ILL_CONDITIONED)],
+                )
+            )
+            q = (
+                scan(paper_env, "loads")
+                .aggregate([], ("sum", "load", "total"), ("avg", "load", "mean"))
+                .query()
+            )
+            assert q.evaluate(paper_env).relation.tuples == {(5.1, 5.1 / 9)}

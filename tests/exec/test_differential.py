@@ -26,6 +26,7 @@ from repro.continuous.continuous_query import ContinuousQuery
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.paper_example import CAMERA_SPECS, CONTACT_ROWS, build_paper_example
 from repro.devices.scenario import (
+    _make_pems,
     build_rss_scenario,
     build_temperature_surveillance,
     cameras_schema,
@@ -381,3 +382,63 @@ def test_rss_scenario_differential():
         assert outbox_key(run.outbox) == outbox_key(naive.outbox), engine
     # Matching news flowed, and some alert was attempted before the churn.
     assert any(snap["matching-news"] for snap in naive_snaps)
+
+
+# ---------------------------------------------------------------------------
+# γ over floats whose sum depends on accumulation order
+# ---------------------------------------------------------------------------
+
+#: Builtin ``sum`` of these is 4.0, 6.0, 3.2, 5.1 or 5.8 depending on the
+#: order; the correctly rounded sum — γ's definition — is 5.1.
+ILL_CONDITIONED = [0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 0.4, 1.1, 2.3]
+
+FLOAT_AGGREGATES = (
+    ("sum", "temperature", "total"),
+    ("avg", "temperature", "mean"),
+    ("min", "temperature", "low"),
+    ("max", "temperature", "high"),
+    ("count", None, "n"),
+)
+
+
+def ill_conditioned_readings(instant):
+    """The whole list every instant, rotated so each sensor's value moves;
+    a second location with exactly summable values rides along."""
+    k = instant % len(ILL_CONDITIONED)
+    values = ILL_CONDITIONED[k:] + ILL_CONDITIONED[:k]
+    rows = [(f"sensor{i}", "lab", v, instant) for i, v in enumerate(values)]
+    rows += [(f"probe{i}", "roof", 0.25 * (i + instant), instant) for i in range(3)]
+    return rows
+
+
+def drive_float_aggregates(engine, period, ticks=12):
+    pems = _make_pems(engine, None, None)
+    pems.tables.create_relation(temperatures_schema(), infinite=True)
+    pems.add_stream_source(
+        lambda instant: pems.tables.insert_tuples(
+            "temperatures", ill_conditioned_readings(instant), instant
+        )
+    )
+    cq = pems.queries.register_continuous(
+        scan(pems.environment, "temperatures")
+        .window(period)
+        .aggregate(["location"], *FLOAT_AGGREGATES)
+        .query("float-aggregates")
+    )
+    snapshots = []
+    for _ in range(ticks):
+        pems.tick()
+        snapshots.append(cq.last_result.relation.tuples)
+    pems.close()
+    return snapshots
+
+
+@pytest.mark.parametrize("period", [1, 3])
+def test_float_aggregates_differential(period):
+    naive = drive_float_aggregates(NAIVE, period)
+    lab = {row for row in naive[-1] if row[0] == "lab"}
+    assert lab == {
+        ("lab", 5.1 * period, 5.1 / 9, -1e16, 1e16, 9 * period)
+    }, "the oracle itself must return the correctly rounded sum"
+    for engine in PAIRS:
+        assert drive_float_aggregates(engine, period) == naive, engine

@@ -7,6 +7,8 @@ delta and the reported delta differ (journaled scans at skipped
 instants).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.algebra import col, scan
@@ -22,6 +24,7 @@ from repro.devices.scenario import (
 from repro.errors import FormulaError, SerenaError
 from repro.exec import EMPTY_DELTA, Delta, SharedEngine, lower
 from repro.exec.executors import (
+    AggregateExec,
     Executor,
     JoinExec,
     ProjectionExec,
@@ -214,7 +217,7 @@ class TestTupleOperators:
 
 class TestReconcile:
     def test_support_may_dip_and_recover_within_a_tick(self):
-        counts = {("office",): 1}
+        counts = Counter({("office",): 1})
         # Lost twice, gained once more than lost: order inside the tick
         # is irrelevant, only the tally matters.
         delta = _reconcile(
@@ -225,7 +228,7 @@ class TestReconcile:
         assert ("roof",) not in counts
 
     def test_rows_appear_and_disappear_once_per_distinct_row(self):
-        counts = {("office",): 2}
+        counts = Counter({("office",): 2})
         delta = _reconcile(
             counts, [("roof",), ("roof",)], [("office",), ("office",)]
         )
@@ -234,7 +237,34 @@ class TestReconcile:
 
     def test_losing_more_support_than_exists_raises(self):
         with pytest.raises(KeyError):
-            _reconcile({("office",): 1}, [], [("office",), ("office",)])
+            _reconcile(Counter({("office",): 1}), [], [("office",), ("office",)])
+
+    def test_row_gained_and_lost_in_one_tick_is_on_neither_side(self):
+        counts = Counter()
+        delta = _reconcile(counts, [("roof",), ("lab",)], [("roof",)])
+        assert delta.inserted == {("lab",)} and not delta.deleted
+        assert counts == {("lab",): 1}
+
+    def test_multiplicities_above_one_on_both_sides(self):
+        counts = Counter({("office",): 3, ("lab",): 2})
+        delta = _reconcile(
+            counts,
+            [("office",)] * 2 + [("roof",)] * 2 + [("lab",)],
+            [("office",)] * 5 + [("lab",)] * 2,
+        )
+        assert delta.inserted == {("roof",)} and delta.deleted == {("office",)}
+        assert counts == {("roof",): 2, ("lab",): 1}
+
+    @pytest.mark.parametrize(
+        "gained, lost",
+        [
+            ([("office",)], [("office",)] * 3),  # more than held plus gained
+            ([], [("ghost",)]),  # a row that never had support
+        ],
+    )
+    def test_over_delete_leaves_a_key_error(self, gained, lost):
+        with pytest.raises(KeyError):
+            _reconcile(Counter({("office",): 1}), gained, lost)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +362,126 @@ class TestJoinExec:
 
 
 # ---------------------------------------------------------------------------
+# Aggregate
+# ---------------------------------------------------------------------------
+
+
+class TestAggregateExec:
+    DEE = ("Dee", "office", 5.0)
+
+    def build(self, env, group_by, *aggregates):
+        executor = lower(
+            scan(env, "surveillance").aggregate(group_by, *aggregates).node
+        )
+        assert isinstance(executor, AggregateExec)
+        return executor
+
+    def test_group_appears_and_vanishes(self):
+        env, stored = surveillance_env([ANA])
+        executor = self.build(env, ["location"], ("sum", "threshold", "total"))
+        assert executor.tick(ctx_at(env, 0)).inserted == {("office", 30.0)}
+        stored.insert([BO], instant=1)
+        change = executor.tick(ctx_at(env, 1))
+        assert change.inserted == {("roof", 10.0)} and not change.deleted
+        stored.delete([BO], instant=2)
+        change = executor.tick(ctx_at(env, 2))
+        assert change.deleted == {("roof", 10.0)} and not change.inserted
+        assert executor.current == {("office", 30.0)}
+        # The emptied group leaves no state behind.
+        assert set(executor._groups) == set(executor._rows) == {("office",)}
+
+    def test_one_member_of_many_deleted(self):
+        env, stored = surveillance_env([ANA, CY, self.DEE, BO])
+        executor = self.build(
+            env, ["location"], ("sum", "threshold", "total"), ("avg", "threshold", "mean")
+        )
+        executor.tick(ctx_at(env, 0))
+        assert executor.current == {("office", 55.0, 55.0 / 3), ("roof", 10.0, 10.0)}
+        stored.delete([CY], instant=1)
+        change = executor.tick(ctx_at(env, 1))
+        assert change.deleted == {("office", 55.0, 55.0 / 3)}
+        assert change.inserted == {("office", 35.0, 17.5)}
+
+    def test_deleted_extremum_is_rederived(self):
+        env, stored = surveillance_env([ANA, CY, self.DEE])
+        executor = self.build(
+            env, ["location"], ("min", "threshold", "low"), ("max", "threshold", "high")
+        )
+        executor.tick(ctx_at(env, 0))
+        assert executor.current == {("office", 5.0, 30.0)}
+        stored.delete([ANA], instant=1)  # the maximum leaves
+        executor.tick(ctx_at(env, 1))
+        assert executor.current == {("office", 5.0, 20.0)}
+        stored.delete([self.DEE], instant=2)  # then the minimum
+        executor.tick(ctx_at(env, 2))
+        assert executor.current == {("office", 20.0, 20.0)}
+
+    def test_count_star_needs_no_attribute(self):
+        env, stored = surveillance_env([ANA, CY, BO])
+        executor = self.build(env, ["location"], ("count", None, "n"))
+        executor.tick(ctx_at(env, 0))
+        assert executor.current == {("office", 2), ("roof", 1)}
+        stored.insert([self.DEE], instant=1)
+        change = executor.tick(ctx_at(env, 1))
+        assert change == Delta(frozenset({("office", 3)}), frozenset({("office", 2)}))
+
+    def test_empty_group_by_is_one_global_group(self):
+        env, stored = surveillance_env([ANA, BO])
+        executor = self.build(
+            env, [], ("count", None, "n"), ("max", "threshold", "high")
+        )
+        assert executor.tick(ctx_at(env, 0)).inserted == {(2, 30.0)}
+        stored.delete([ANA, BO], instant=1)
+        # No global row over an empty operand (the logical operator's rule).
+        assert executor.tick(ctx_at(env, 1)).deleted == {(2, 30.0)}
+        assert executor.current == set() and not executor._groups
+
+    def test_group_emptied_and_refilled_within_one_tick(self):
+        env, stored = surveillance_env([ANA, BO])
+        executor = self.build(env, ["location"], ("sum", "threshold", "total"))
+        executor.tick(ctx_at(env, 0))
+        stored.delete([ANA], instant=1)
+        stored.insert([self.DEE], instant=1)
+        change = executor.tick(ctx_at(env, 1))
+        assert change == Delta(
+            frozenset({("office", 5.0)}), frozenset({("office", 30.0)})
+        )
+        assert executor._groups[("office",)] == {self.DEE}
+
+    def test_unchanged_aggregate_row_is_the_empty_delta(self):
+        env, stored = surveillance_env([ANA])
+        executor = self.build(env, ["location"], ("max", "threshold", "high"))
+        executor.tick(ctx_at(env, 0))
+        stored.insert([CY], instant=1)  # 20.0 does not move the maximum
+        assert executor.tick(ctx_at(env, 1)) is EMPTY_DELTA
+        # ...and a full member swap that keeps the row does not either.
+        stored.delete([ANA, CY], instant=2)
+        stored.insert([("Eve", "office", 30.0)], instant=2)
+        assert executor.tick(ctx_at(env, 2)) is EMPTY_DELTA
+        assert executor.current == {("office", 30.0)}
+
+    def test_first_tick_over_a_warm_shared_child(self):
+        env, stored = surveillance_env([ANA, BO])
+        node = (
+            scan(env, "surveillance")
+            .aggregate(["location"], ("count", None, "n"))
+            .node
+        )
+        child = lower(node.children[0])
+        child.tick(ctx_at(env, 0))  # another query already ran the scan
+        stored.insert([CY], instant=1)
+        child.tick(ctx_at(env, 1))
+        executor = AggregateExec(node, child)
+        stored.delete([BO], instant=2)
+        # The child's delta at 2 is just -BO; the late parent must still
+        # see everything the child holds.
+        change = executor.tick(ctx_at(env, 2))
+        assert change.inserted == {("office", 2)} and not change.deleted
+        stored.insert([BO], instant=3)
+        assert executor.tick(ctx_at(env, 3)).inserted == {("roof", 1)}
+
+
+# ---------------------------------------------------------------------------
 # Window
 # ---------------------------------------------------------------------------
 
@@ -375,6 +525,79 @@ class TestWindowExec:
         assert executor.current == {BO}  # ANA's insertion slid out
         tick(3)
         assert executor.current == set()
+
+    def test_tuple_in_two_buckets_stays_until_the_second_expires(self):
+        """ANA is emitted at 1 and again at 3: inside W[3] two buckets
+        hold it, and the first one expiring must not take it out."""
+        env, stored = surveillance_env()
+        executor = lower(
+            scan(env, "surveillance").stream("insertion").window(3).node
+        )
+        script = {1: ([ANA], ()), 2: ((), [ANA]), 3: ([ANA], ())}
+        seen = {}
+        for instant in range(1, 8):
+            inserted, deleted = script.get(instant, ((), ()))
+            stored.insert(inserted, instant=instant)
+            stored.delete(deleted, instant=instant)
+            change = executor.tick(ctx_at(env, instant))
+            seen[instant] = (set(executor.current), change)
+        assert all(seen[i][0] == {ANA} for i in range(1, 6))
+        # Bucket 1 expired at 4 without a delta: bucket 3 still held ANA.
+        assert seen[4][1] is EMPTY_DELTA
+        assert seen[6] == (set(), Delta(frozenset(), frozenset({ANA})))
+        assert not executor._buckets
+
+    def test_late_same_instant_write_is_reread_from_the_journal(self):
+        env = PervasiveEnvironment()
+        stream = XDRelation(temperatures_schema(), infinite=True)
+        env.add_relation(stream)
+        executor = lower(scan(env, "temperatures").window(2).node)
+        early, late = ("s1", "office", 20.0, 1), ("s2", "roof", 9.0, 1)
+        stream.insert([early], instant=1)
+        assert executor.tick(ctx_at(env, 1)).inserted == {early}
+        stream.insert([late], instant=1)  # lands after the evaluation of 1
+        change = executor.tick(ctx_at(env, 2))
+        assert change == Delta(frozenset({late}), frozenset())
+        assert executor.current == {early, late}
+        # Both sit in bucket 1 and expire together; nothing is re-read.
+        assert executor.tick(ctx_at(env, 3)).deleted == {early, late}
+
+    def test_bucket_reread_with_fewer_rows(self):
+        class CorrectableStream(XDRelation):
+            """A journal whose last instant can lose a row again."""
+
+            def retract(self, row, instant):
+                self._inserted[instant].discard(row)
+                self._state.discard(row)
+
+        env = PervasiveEnvironment()
+        stream = CorrectableStream(temperatures_schema(), infinite=True)
+        env.add_relation(stream)
+        executor = lower(scan(env, "temperatures").window(2).node)
+        kept, wrong = ("s1", "office", 20.0, 1), ("s2", "roof", 99.0, 1)
+        stream.insert([kept, wrong], instant=1)
+        executor.tick(ctx_at(env, 1))
+        stream.retract(wrong, 1)
+        stream.insert([("s2", "roof", 9.0, 1)], instant=1)
+        change = executor.tick(ctx_at(env, 2))
+        assert change.deleted == {wrong}
+        assert change.inserted == {("s2", "roof", 9.0, 1)}
+        assert executor.current == stream.window(2, 2)
+
+    def test_w1_full_turnover_reports_new_minus_old(self):
+        """W[1] over a heartbeat: each instant's bucket replaces the
+        last one, and only the difference is published."""
+        env, stored = surveillance_env([ANA, BO])
+        executor = lower(
+            scan(env, "surveillance").stream("heartbeat").window(1).node
+        )
+        assert executor.tick(ctx_at(env, 0)).inserted == {ANA, BO}
+        stored.delete([BO], instant=1)
+        stored.insert([CY], instant=1)
+        change = executor.tick(ctx_at(env, 1))
+        assert change == Delta(frozenset({CY}), frozenset({BO}))
+        assert executor.tick(ctx_at(env, 2)) is EMPTY_DELTA
+        assert executor._buckets == {2: frozenset({ANA, CY})}
 
 
 # ---------------------------------------------------------------------------
