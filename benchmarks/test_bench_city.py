@@ -3,14 +3,11 @@
 Generated cities (:mod:`repro.city`) on the real engines, measured as
 steady-state seconds per tick — every tick polls the whole fleet through
 the service registry (four telemetry feeders), maintains the standing
-query pack and pays the fault machinery where scripted.  Four axes, all
+query pack and pays the fault machinery where scripted.  Three axes, all
 recorded in ``BENCH_city.json``:
 
 * **scale** — device count sweep on the shared engine (the full
   configuration tops out above 2000 devices);
-* **1 vs 8 zones** — the same fleet on a single-shard federation vs
-  zones scattered over eight shards (partition pruning on the per-zone
-  pinned queries);
 * **± cascade** — the scripted substation crash plus relay flicker vs a
   quiet grid, with the zero-missed-readings invariant checked on every
   tick of the cascade run;
@@ -44,12 +41,12 @@ CHURN_RATES = (0.0, 0.05) if SMOKE else (0.0, 0.05, 0.2)
 CASCADE = CascadeSpec(zone=0, crash_at=3, flicker_ticks=3, stagger=1)
 
 
-def city_config(scale, zones=None, churn=0.0, cascade=None, name="bench"):
+def city_config(scale, churn=0.0, cascade=None, name="bench"):
     meters, relays, stations, spares, weather, zone_count = scale
     return CityConfig(
         name=name,
         seed=f"bench-{name}",
-        zones=zones if zones is not None else zone_count,
+        zones=zone_count,
         meters_per_zone=meters,
         relays_per_zone=relays,
         stations_per_zone=stations,
@@ -61,11 +58,11 @@ def city_config(scale, zones=None, churn=0.0, cascade=None, name="bench"):
     )
 
 
-def timed_run(config, engine="shared", check_health=False):
+def timed_run(config, check_health=False):
     """Build, one warm tick, then TICKS timed ticks.  Returns seconds
     spent inside the timed ticks (and asserts the zero-missed-readings
     invariant when asked)."""
-    scenario = build_city(config, engine=engine)
+    scenario = build_city(config)
     stations = len(scenario.topology.stations)
     scenario.run(1)
     seconds = 0.0
@@ -78,9 +75,6 @@ def timed_run(config, engine="shared", check_health=False):
             assert len(health.tuples) == stations, (
                 f"missed station reading at instant {scenario.clock.now}"
             )
-    shutdown = getattr(scenario.pems, "shutdown", None)
-    if shutdown is not None:
-        shutdown()
     return scenario, seconds
 
 
@@ -101,25 +95,6 @@ def test_bench_city(benchmark):
                 }
             )
         payload["scales"] = scales
-
-        # Same total fleet, two shardings: everything in one zone vs the
-        # same per-zone mix spread over eight.
-        meters, relays, stations, spares, weather, _ = MID
-        one = city_config(
-            (8 * meters, 8 * relays, 8 * stations, 8 * spares, 8 * weather, 1),
-            name="onezone",
-        )
-        eight = city_config(
-            (meters, relays, stations, spares, weather, 8), name="eightzone"
-        )
-        assert one.device_count == eight.device_count
-        _, one_seconds = timed_run(one, engine="federated")
-        _, eight_seconds = timed_run(eight, engine="federated")
-        payload["zones_1_vs_8"] = {
-            "devices": one.device_count,
-            "one_zone_seconds_per_tick": round(one_seconds / TICKS, 6),
-            "eight_zone_seconds_per_tick": round(eight_seconds / TICKS, 6),
-        }
 
         quiet = city_config(MID, name="quiet")
         stormy = city_config(MID, cascade=CASCADE, name="stormy")
@@ -182,12 +157,6 @@ def test_bench_city(benchmark):
             for s in payload["scales"]
         ],
         title=f"City scale sweep ({TICKS} timed ticks, shared engine)",
-    )
-    z18 = payload["zones_1_vs_8"]
-    report.add(
-        f"Federation 1 vs 8 zones ({z18['devices']} devices): "
-        f"{z18['one_zone_seconds_per_tick'] * 1000:.2f}ms vs "
-        f"{z18['eight_zone_seconds_per_tick'] * 1000:.2f}ms per tick"
     )
     cascade = payload["cascade"]
     report.add(

@@ -118,9 +118,8 @@ CITY_SCALE_KEYS = ("devices", "zones", "queries", "seconds_per_tick")
 
 def check_city(payload: dict, name: str) -> list[str]:
     """``BENCH_city.json`` pins the ISSUE 10 sweep shape: a device-scale
-    axis topping out above 2000 devices in full mode, the 1-vs-8-zone
-    comparison, the ± cascade axis with zero missed station readings,
-    and a churn sweep."""
+    axis topping out above 2000 devices in full mode, the ± cascade
+    axis with zero missed station readings, and a churn sweep."""
     problems: list[str] = []
     scales = payload.get("scales")
     if not isinstance(scales, list) or not scales:
@@ -146,13 +145,6 @@ def check_city(payload: dict, name: str) -> list[str]:
                 f"{name}: full-mode top scale has only {top['devices']} "
                 "devices (the committed artifact must record >= 2000)"
             )
-    zones = payload.get("zones_1_vs_8")
-    if not isinstance(zones, dict):
-        problems.append(f"{name}: missing 'zones_1_vs_8' object")
-    else:
-        for key in ("one_zone_seconds_per_tick", "eight_zone_seconds_per_tick"):
-            if not isinstance(zones.get(key), (int, float)):
-                problems.append(f"{name}: zones_1_vs_8 missing numeric {key!r}")
     cascade = payload.get("cascade")
     if not isinstance(cascade, dict):
         problems.append(f"{name}: missing 'cascade' object")

@@ -48,10 +48,6 @@ DEFAULT_SERVICE_COST = 100.0
 #: Default fraction of a base relation changing per instant, used by the
 #: steady-state tick-cost model when the caller has no churn estimate.
 DEFAULT_CHURN = 0.01
-#: Per-shard merge overhead of a gathered subtree, as a fraction of the
-#: subtree's per-tick delta: the coordinator re-counts every delta row
-#: once per contributing zone (support counting in the gather executor).
-SHARD_MERGE_FACTOR = 0.05
 #: Risk premium on invocations of a prototype with *no* registered
 #: substitution rule: a failure there has no failover, so the expected
 #: cost carries re-invocation retries, quarantine gaps and missed-result
@@ -247,7 +243,6 @@ class CostModel:
         plan: Operator | Query,
         engine: str = "shared",
         churn: float = DEFAULT_CHURN,
-        shards: int = 1,
     ) -> PlanCost:
         """Estimated *steady-state per-tick* cost of a registered
         continuous query.
@@ -262,15 +257,6 @@ class CostModel:
         either way — what the physical engine buys is the tuple
         processing, which dominates invocation-free plans.  Any other
         engine name raises :class:`~repro.errors.SerenaError`.
-
-        ``shards > 1`` models the federated engine: every maximal
-        σ/π/ρ/α-over-scan chain (the scatterable subtrees of
-        :mod:`repro.fed.registry`) processes ``1/shards`` of its delta
-        per zone, and the chain root pays the gather merge —
-        ``shards × SHARD_MERGE_FACTOR`` of its delta — at the
-        coordinator.  Non-scatterable operators (joins, windows,
-        invocations) and all service costs are unaffected: they run at
-        the coordinator either way.
         """
         # The physical layer builds on the algebra; import here so the
         # algebra package stays importable on its own.
@@ -278,9 +264,6 @@ class CostModel:
 
         check_engine(engine)
         root = plan.root if isinstance(plan, Query) else plan
-        chain_members, chain_roots = (
-            _scatter_chains(root) if shards > 1 else (frozenset(), frozenset())
-        )
         invocations = 0.0
         tuples = 0.0
 
@@ -288,16 +271,7 @@ class CostModel:
             nonlocal invocations, tuples
             lowered = lowered and supported_operator(node)
             if lowered:
-                delta = self.delta_cardinality(node, churn)
-                if node.uid in chain_members:
-                    delta /= shards
-                    if node.uid in chain_roots:
-                        delta += (
-                            shards
-                            * SHARD_MERGE_FACTOR
-                            * self.delta_cardinality(node, churn)
-                        )
-                tuples += delta
+                tuples += self.delta_cardinality(node, churn)
             else:
                 tuples += self.cardinality(node)
             if isinstance(node, Invocation):
@@ -317,33 +291,3 @@ class CostModel:
             invocations=invocations,
             tuples_processed=tuples,
         )
-
-
-def _scatter_chains(root: Operator) -> tuple[frozenset[int], frozenset[int]]:
-    """Node uids of maximal σ/π/ρ/α-over-one-scan chains (the subtrees
-    the federated registry scatters), plus the uids of the chain roots.
-    The scan leaf belongs to its chain: each zone scans only its own
-    partition's delta."""
-    chain_kinds = (Selection, Projection, Renaming, Assignment)
-    members: set[int] = set()
-    roots: set[int] = set()
-
-    def heads_chain(node: Operator) -> bool:
-        cur = node
-        while isinstance(cur, chain_kinds):
-            cur = cur.children[0]
-        return isinstance(cur, Scan)
-
-    def walk(node: Operator, parent_in_chain: bool) -> None:
-        in_chain = isinstance(node, chain_kinds) and heads_chain(node)
-        if in_chain:
-            members.add(node.uid)
-            if not parent_in_chain:
-                roots.add(node.uid)
-        elif parent_in_chain and isinstance(node, Scan):
-            members.add(node.uid)
-        for child in node.children:
-            walk(child, in_chain)
-
-    walk(root, False)
-    return frozenset(members), frozenset(roots)

@@ -7,8 +7,8 @@ registers a standing pack of fleet-wide continuous queries over them.
 Everything is pure in ``(config, seed, instant)``: the same
 :class:`~repro.city.config.CityConfig` yields byte-identical topologies,
 fault schedules and 55-tick query output in any process, so the
-differential machinery pins the naive oracle, the shared engine and
-the sharded federation tuple-identical on a sampled city.
+differential machinery pins the naive oracle and the shared engine
+tuple-identical on a sampled city.
 
 Modules
 -------
@@ -29,8 +29,8 @@ Modules
     The standing query pack (per-zone α aggregation, σ/⋈ overload
     correlation, β invocation sweeps).
 ``scenario``
-    ``build_city`` — assemble the whole thing on any engine, or on the
-    federation with zones mapped onto shards.
+    ``build_city`` — assemble the whole thing on either engine
+    (``naive`` or ``shared``).
 """
 
 from repro.city.cascade import CascadeSchedule, CascadeSpec

@@ -50,9 +50,7 @@ class CityConfig:
         faults, cascade stagger.  Same config + same seed ⇒ the same
         city, byte for byte, in any process.
     zones:
-        Zone count (named ``z0`` … ``zN``) or explicit zone names.  On
-        the federated engines each zone name becomes a shard and the
-        partitioned relations route rows by their ``zone`` attribute.
+        Zone count (named ``z0`` … ``zN``) or explicit zone names.
     meters_per_zone / relays_per_zone / stations_per_zone /
     weather_per_zone:
         Device counts per prototype per zone.

@@ -15,10 +15,10 @@ substitution path):
 Every reading is a pure function of ``(reference, instant)`` via
 :mod:`repro.devices.determinism`, and every numeric output is quantized
 to quarter steps (exactly representable binary fractions) so sums and
-averages are bit-identical regardless of the order an engine — or a
-zone shard — folds them in.  That quantization is what lets the α
-aggregation queries stay tuple-identical across all engines and the
-federation without any tolerance in the differentials.
+averages are bit-identical regardless of the order an engine folds
+them in.  That quantization is what lets the α aggregation queries stay
+tuple-identical across engines without any tolerance in the
+differentials.
 """
 
 from __future__ import annotations

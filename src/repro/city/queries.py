@@ -32,10 +32,8 @@ built for, fleet-wide:
     table: under the delta contract a β over an unchanged input is
     *not* re-invoked, so this reads each station's nameplate capacity
     once at discovery and carries it.
-``zone-load:<zone>``
-    Optional per-zone pinned aggregations: a σ on the partition
-    attribute above the scan, which the federation's scatter planner
-    prunes to a single shard.
+``zone-meters:<zone>`` / ``zone-load:<zone>``
+    Optional per-zone pinned queries: a σ on ``zone`` above the scan.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ __all__ = [
     "relay_telemetry_schema",
     "weather_telemetry_schema",
     "zone_thresholds_schema",
-    "CITY_PARTITION_BY",
     "build_query_pack",
 ]
 
@@ -207,29 +204,12 @@ def zone_thresholds_schema() -> ExtendedRelationSchema:
     )
 
 
-#: Relation → partition attribute for the federated engines: rows route
-#: to shards by their ``zone`` value, so a σ pinning ``zone`` above a
-#: finite scan prunes the scatter to a single shard.  (Services still
-#: hash to zones by reference — only *rows* follow the zone attribute.)
-CITY_PARTITION_BY = {
-    "meters": "zone",
-    "relays": "zone",
-    "stations": "zone",
-    "weather_stations": "zone",
-    "load_readings": "zone",
-    "station_telemetry": "zone",
-    "relay_telemetry": "zone",
-    "weather_telemetry": "zone",
-    "zone_thresholds": "zone",
-}
-
-
 def build_query_pack(
     env, zones: tuple[str, ...] = (), per_zone: bool = True
 ) -> dict[str, Query]:
     """The standing fleet-wide queries over an environment holding the
     city relations.  ``zones`` (with ``per_zone=True``) adds the pinned
-    per-zone aggregations the federation can prune."""
+    per-zone queries."""
     pack: dict[str, Query] = {}
     pack["zone-load"] = (
         scan(env, "load_readings")
@@ -279,8 +259,6 @@ def build_query_pack(
     )
     if per_zone:
         for zone in zones:
-            # σ/π over a finite zone-partitioned scan: on the federated
-            # engines this scatters and prunes to the zone's shard.
             pack[f"zone-meters:{zone}"] = (
                 scan(env, "meters")
                 .select(col("zone").eq(zone))

@@ -1,4 +1,4 @@
-"""Assemble a generated city on any engine (or the federation).
+"""Assemble a generated city on either engine.
 
 ``build_city`` is the city analogue of
 :func:`repro.devices.scenario.build_temperature_surveillance`: one call
@@ -6,13 +6,9 @@ expands the config into a topology, instantiates and registers every
 device (wrapping churned and cascade-affected ones in
 :class:`~repro.devices.faults.FaultInjector`), declares the spare
 substitution rules, creates the relations, wires the per-prototype
-telemetry streams and registers the standing query pack.  The returned :class:`CityScenario`
-drives the clock and exposes everything worth asserting on.
-
-On the ``federated*`` engines the config's zones map one-to-one onto
-federation shards and the partitioned relations route rows by their
-``zone`` attribute (:data:`~repro.city.queries.CITY_PARTITION_BY`), so
-the per-zone pinned queries prune to single shards.
+telemetry streams and registers the standing query pack.  The returned
+:class:`CityScenario` drives the clock and exposes everything worth
+asserting on.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from repro.city.devices import (
 )
 from repro.city.generator import CityTopology, generate_topology
 from repro.city.queries import (
-    CITY_PARTITION_BY,
     alert_sinks_schema,
     build_query_pack,
     load_readings_schema,
@@ -57,7 +52,6 @@ from repro.city.queries import (
 )
 from repro.continuous.continuous_query import ContinuousQuery
 from repro.devices.faults import FaultInjector, FaultScript
-from repro.devices.scenario import _make_pems
 from repro.model.invocation_policy import InvocationPolicy
 from repro.model.substitution import SubstitutionRule
 from repro.pems.pems import PEMS
@@ -108,21 +102,14 @@ def build_city(
 ) -> CityScenario:
     """Expand ``config`` and assemble the full city environment.
 
-    ``engine`` is a query-engine name (``naive`` / ``shared``) or a
-    federation mode (``federated`` / ``federated-processes`` — zones
-    become shards).  ``policy`` defaults to :func:`city_policy` whenever
+    ``engine`` is one of :data:`~repro.exec.lowering.ENGINES` (``naive``
+    / ``shared``).  ``policy`` defaults to :func:`city_policy` whenever
     the config scripts chaos (churn or a cascade) so quarantine and
     substitution actually engage; pass an explicit policy to override.
     """
     if policy is None and (config.churn_rate > 0.0 or config.cascade is not None):
         policy = city_policy()
-    pems = _make_pems(
-        engine,
-        policy,
-        observe,
-        zones=list(config.zones),
-        partition_by=CITY_PARTITION_BY,
-    )
+    pems = PEMS(engine=engine, policy=policy, observe=observe)
     env = pems.environment
     for prototype in CITY_PROTOTYPES:
         env.declare_prototype(prototype)
@@ -152,8 +139,7 @@ def build_city(
             registered = injector.as_service()
         erm.register(registered)
 
-    # One Local ERM per zone (its bus segment on the federation), one
-    # for the city-wide operations center.
+    # One Local ERM per zone, one for the city-wide operations center.
     for zone in config.zones:
         erm = pems.create_local_erm(f"grid-{zone}")
         for spec in topology.meters:

@@ -20,12 +20,6 @@ Run ``python -m repro`` for an interactive session, or
   ``.explain SELECT ...``   the compiled plan of a SQL query
   ``.explain physical ...`` the lowered physical plan (executor classes,
                             shared/private markers)
-  ``.explain federated ..`` the federated execution plan: which subtrees
-                            scatter to which zone shards (needs a
-                            federated PEMS — ``.demo`` accepts e.g.
-                            ``temperature federated``)
-  ``.shards``               per-zone shard state of a federated PEMS:
-                            services, rows, scattered subplans
   ``.substitutions``        declared substitution rules, active rebinds,
                             the failover table and the rebind history
   ``.analyze [name]``       EXPLAIN ANALYZE of registered continuous
@@ -44,14 +38,11 @@ Run ``python -m repro`` for an interactive session, or
                             sensor crash with a declared spare (§13);
                             ``.demo city`` loads the generated
                             smart-city scenario (§14).  An optional
-                            trailing engine — ``naive``, ``shared``
-                            (default), ``federated`` or
-                            ``federated-processes`` — picks how queries
-                            run; e.g. ``.demo city federated`` maps the
-                            city's zones onto shards
+                            trailing engine — ``naive`` or ``shared``
+                            (default) — picks how queries run, e.g.
+                            ``.demo city naive``
   ``.city <config> [eng]``  build a city from a ``.json``/``.toml``
-                            :class:`CityConfig` file on one of the same
-                            four engines
+                            :class:`CityConfig` file on either engine
   ``.serve [port [n [ms]]]`` serve continuous-query deltas over TCP/SSE:
                             tick every ``ms`` milliseconds (default 100)
                             for ``n`` instants (default: until Ctrl-C);
@@ -97,7 +88,6 @@ class SerenaShell:
             "result": self._cmd_result,
             "actions": self._cmd_actions,
             "explain": self._cmd_explain,
-            "shards": self._cmd_shards,
             "substitutions": self._cmd_substitutions,
             "analyze": self._cmd_analyze,
             "metrics": self._cmd_metrics,
@@ -227,52 +217,20 @@ class SerenaShell:
         self._print(actions.describe() if actions else "(no actions yet)")
 
     def _cmd_explain(self, argument: str) -> None:
-        from repro.lang.printer import explain, explain_federated, explain_physical
+        from repro.lang.printer import explain, explain_physical
 
-        mode = "logical"
         head, _, rest = argument.partition(" ")
-        if head.lower() in ("physical", "federated"):
-            mode = head.lower()
+        physical = head.lower() == "physical"
+        if physical:
             argument = rest.strip()
         if not argument:
-            self._print("usage: .explain [physical | federated] SELECT ...")
+            self._print("usage: .explain [physical] SELECT ...")
             return
         query = compile_sql(argument.rstrip(";"), self.pems.environment)
-        if mode == "physical":
+        if physical:
             self._print(explain_physical(query, self.pems.queries.shared))
-        elif mode == "federated":
-            self._print(explain_federated(query, self.pems.queries.shared))
         else:
             self._print(explain(query))
-
-    def _cmd_shards(self, argument: str) -> None:
-        summary = getattr(self.pems, "shard_summary", None)
-        if summary is None:
-            self._print("(not a federated PEMS — no zone shards)")
-            return
-        payload = summary()
-        mode = payload["parallelism"] or "lockstep"
-        self._print(
-            f"{len(payload['zones'])} zones, {mode}, "
-            f"gossip relayed {payload['gossip_relayed']}"
-        )
-        for zone in payload["zones"]:
-            self._print(
-                f"  {zone['zone']}: services={zone['services']} "
-                f"relations={zone['relations']} rows={zone['rows']} "
-                f"subplans={zone['subplans']}"
-            )
-        scattered = payload["scattered"]
-        if not scattered:
-            self._print("(no scattered subtrees)")
-            return
-        self._print("scattered subtrees:")
-        for row in scattered:
-            pruned = "  (pruned)" if row["pruned"] else ""
-            self._print(
-                f"  {row['fingerprint']} {row['operator']} "
-                f"refs={row['refcount']} zones={','.join(row['zones'])}{pruned}"
-            )
 
     def _cmd_substitutions(self, argument: str) -> None:
         report = self.pems.erm.substitution_report()
@@ -450,7 +408,7 @@ class SerenaShell:
             from repro.model.invocation_policy import InvocationPolicy
             from repro.model.substitution import SubstitutionRule
 
-            # The TUTORIAL §12 walkthrough: sensor22 dies for good at
+            # The TUTORIAL §11 walkthrough: sensor22 dies for good at
             # instant 20; a spare environmental station on the roof stands
             # in via a ``specializes`` projection.  ``.tick 25`` then
             # ``.substitutions`` shows the rebind.
@@ -479,7 +437,7 @@ class SerenaShell:
             self._scenario = build_city(DEMO_CITY, engine=engine)
         else:
             self._print(
-                "usage: .demo temperature|substitution|rss|city [engine]"
+                "usage: .demo temperature|substitution|rss|city [naive|shared]"
             )
             return
         self.pems = self._scenario.pems
@@ -496,7 +454,7 @@ class SerenaShell:
 
         path, _, engine = argument.partition(" ")
         if not path:
-            self._print("usage: .city <config.json|config.toml> [engine]")
+            self._print("usage: .city <config.json|config.toml> [naive|shared]")
             return
         try:
             config = CityConfig.load(path)

@@ -66,17 +66,13 @@ class XDRelation:
     # arrives out of time order — leaves the state, the journal, ``revision``
     # and ``len()`` untouched.
 
-    def check_order(self, instant: int) -> None:
-        """Raise unless a write at ``instant`` respects time order."""
+    def _delta(self, instant: int) -> tuple[set[tuple], set[tuple]]:
         if instant < self._last_instant:
             raise SerenaError(
                 f"XD-Relation {self.schema.name!r}: writes must be in "
                 f"non-decreasing time order (got instant {instant} after "
                 f"{self._last_instant})"
             )
-
-    def _delta(self, instant: int) -> tuple[set[tuple], set[tuple]]:
-        self.check_order(instant)
         if instant not in self._inserted:
             bisect.insort(self._instants, instant)
             self._inserted[instant] = set()
@@ -90,12 +86,7 @@ class XDRelation:
         All or nothing: an invalid tuple anywhere in the batch raises
         before any tuple is written.
         """
-        return self.insert_validated(self.schema.validate_tuples(tuples), instant)
-
-    def insert_validated(self, tuples: Iterable[tuple], instant: int) -> int:
-        """:meth:`insert` for tuples :meth:`validate_tuples` already
-        returned for this schema — the federated facade validates a batch
-        once and scatters it over its partitions through here."""
+        tuples = self.schema.validate_tuples(tuples)
         inserted, deleted = self._delta(instant)
         new = set(tuples) - self._state
         if new:
@@ -119,13 +110,12 @@ class XDRelation:
         Streams are append-only (Section 4.1): deleting from an infinite
         XD-Relation is an error.  All or nothing, like :meth:`insert`.
         """
-        self._check_deletable()
-        return self.delete_validated(self.schema.validate_tuples(tuples), instant)
-
-    def delete_validated(self, tuples: Iterable[tuple], instant: int) -> int:
-        """:meth:`delete` for already-validated tuples (see
-        :meth:`insert_validated`)."""
-        self._check_deletable()
+        if self.infinite:
+            raise SerenaError(
+                f"stream {self.schema.name!r} is append-only: deletion is "
+                "not defined on infinite XD-Relations"
+            )
+        tuples = self.schema.validate_tuples(tuples)
         inserted, deleted = self._delta(instant)
         gone = self._state.intersection(tuples)
         if gone:
@@ -135,13 +125,6 @@ class XDRelation:
             deleted |= gone - same_instant
             self._revision += 1
         return len(gone)
-
-    def _check_deletable(self) -> None:
-        if self.infinite:
-            raise SerenaError(
-                f"stream {self.schema.name!r} is append-only: deletion is "
-                "not defined on infinite XD-Relations"
-            )
 
     def delete_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int

@@ -44,7 +44,6 @@ from repro.devices.sensors import (
     SensorStreamFeeder,
     TemperatureSensor,
 )
-from repro.exec.lowering import ENGINES, check_engine
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
 from repro.model.invocation_policy import InvocationPolicy
@@ -52,46 +51,6 @@ from repro.model.substitution import SubstitutionRule
 from repro.model.types import DataType
 from repro.model.xschema import ExtendedRelationSchema
 from repro.pems.pems import PEMS
-
-
-#: Zone count used by the ``federated*`` scenario engines.
-FEDERATED_ZONES = 4
-
-#: Scenario ``engine`` string → shard execution mode of the federation
-#: it builds (see :class:`~repro.fed.pems.FederatedPEMS`).
-_FEDERATED = {"federated": None, "federated-processes": "processes"}
-
-#: Every ``engine`` string a scenario builder (and the CLI) accepts.
-SCENARIO_ENGINES = ENGINES + tuple(_FEDERATED)
-
-
-def _make_pems(
-    engine: str,
-    policy,
-    observe,
-    zones: int | list[str] = FEDERATED_ZONES,
-    partition_by=None,
-) -> PEMS:
-    """The PEMS behind a scenario ``engine`` string — the one dispatcher
-    shared by every scenario builder.
-
-    ``federated`` and ``federated-processes`` build a
-    :class:`~repro.fed.pems.FederatedPEMS` over ``zones`` (shared-engine
-    queries over scattered shards); the query-engine names of
-    :data:`~repro.exec.lowering.ENGINES` a plain :class:`PEMS`.
-    """
-    check_engine(engine, SCENARIO_ENGINES)
-    if engine in _FEDERATED:
-        from repro.fed.pems import FederatedPEMS  # fed layers on devices' deps
-
-        return FederatedPEMS(
-            zones=zones,
-            policy=policy,
-            observe=observe,
-            parallelism=_FEDERATED[engine],
-            partition_by=partition_by,
-        )
-    return PEMS(engine=engine, policy=policy, observe=observe)
 
 
 __all__ = [
@@ -345,8 +304,8 @@ def build_temperature_surveillance(
     ``sendPhotoMessage`` (the photo realized by ``takePhoto`` flows into
     the contacts binding pattern through the join's implicit realization).
 
-    ``engine`` is one of :data:`SCENARIO_ENGINES` and ``policy`` the
-    fault-tolerance invocation policy (see
+    ``engine`` is one of :data:`~repro.exec.lowering.ENGINES` and
+    ``policy`` the fault-tolerance invocation policy (see
     :class:`~repro.pems.pems.PEMS`).  ``sensor_faults`` maps sensor
     references to :class:`~repro.devices.faults.FaultScript`\\ s: those
     sensors are wrapped in a :class:`~repro.devices.faults.FaultInjector`
@@ -362,7 +321,7 @@ def build_temperature_surveillance(
     (``FaultScript(crash_at=...)``) exercises the full semantic-rebinding
     path: quarantine → sticky rebind → projected spare readings.
     """
-    pems = _make_pems(engine, policy, observe)
+    pems = PEMS(engine=engine, policy=policy, observe=observe)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)
@@ -519,9 +478,9 @@ def build_rss_scenario(
     ``keyword``; the ``news-alerts`` query forwards each matching headline
     once to ``recipient`` via their messenger.
 
-    ``engine`` is one of :data:`SCENARIO_ENGINES`.
+    ``engine`` is one of :data:`~repro.exec.lowering.ENGINES`.
     """
-    pems = _make_pems(engine, policy, observe)
+    pems = PEMS(engine=engine, policy=policy, observe=observe)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)

@@ -55,13 +55,13 @@ __all__ = [
 ENGINES = ("naive", "shared")
 
 
-def check_engine(engine: str, accepted: tuple[str, ...] = ENGINES) -> None:
-    """Raise a :class:`SerenaError` naming the accepted values unless
+def check_engine(engine: str) -> None:
+    """Raise a :class:`SerenaError` naming :data:`ENGINES` unless
     ``engine`` is one of them."""
-    if engine not in accepted:
+    if engine not in ENGINES:
         raise SerenaError(
             f"unknown execution engine {engine!r} (expected one of "
-            f"{', '.join(accepted)})"
+            f"{', '.join(ENGINES)})"
         )
 
 

@@ -198,15 +198,6 @@ class SharedPlanRegistry:
         root = self._build(canonical, leased, {})
         return SharedPlan(self, root, canonical, tuple(leased))
 
-    def acquire_subtree(self, node: Operator) -> "SharedPlan":
-        """Lease an already-canonical subtree directly — the federation's
-        scatter path: each zone registry hosts its copies of scattered
-        subtrees as ordinary shared plans, so two coordinator queries
-        scattering the same subtree share one executor per zone."""
-        leased: dict[Operator, None] = {}
-        root = self._build(node, leased, {})
-        return SharedPlan(self, root, node, tuple(leased))
-
     def _build(
         self,
         node: Operator,

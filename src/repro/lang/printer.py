@@ -30,7 +30,6 @@ __all__ = [
     "to_math",
     "explain",
     "explain_analyze",
-    "explain_federated",
     "explain_physical",
     "to_dot",
 ]
@@ -77,16 +76,6 @@ def explain_physical(plan: Operator | Query, registry=None) -> str:
     from repro.obs.analyze import render_physical
 
     return render_physical(plan, registry)
-
-
-def explain_federated(plan: Operator | Query, registry) -> str:
-    """The federated execution plan: scattered subtrees with their routed
-    zones (and pruning), coordinator-side nodes marked as such.
-    ``registry`` is a
-    :class:`~repro.fed.registry.FederatedPlanRegistry`."""
-    from repro.obs.analyze import render_federated
-
-    return render_federated(plan, registry)
 
 
 def to_dot(plan: Operator | Query, name: str = "plan") -> str:

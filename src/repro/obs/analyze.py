@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # imported lazily at runtime (exec layers on obs)
 __all__ = [
     "analyze_rows",
     "render_analyze",
-    "render_federated",
     "render_physical",
 ]
 
@@ -193,50 +192,4 @@ def render_physical(
             visit(child, depth + 1)
 
     visit(root, 0)
-    return "\n".join(lines)
-
-
-def render_federated(plan, registry) -> str:
-    """The federated execution plan of a logical query: which subtrees
-    scatter to which zone shards, and which nodes stay at the
-    coordinator.
-
-    ``registry`` must be a
-    :class:`~repro.fed.registry.FederatedPlanRegistry`; the plan is
-    canonicalized first (what the federation actually scatters).  A
-    scattered subtree shows its routed zones — ``(pruned)`` when a
-    partition-attribute pin routed it to fewer zones than the federation
-    has — and whether a registered query is already running it.
-    """
-    from repro.algebra.fingerprint import canonical_plan
-
-    if not hasattr(registry, "_scatterable"):
-        return "(not a federated PEMS — .explain federated needs zone shards)"
-    canonical = canonical_plan(plan)
-    lines: list[str] = []
-
-    def visit(node, depth: int, in_shard: bool) -> None:
-        indent = "  " * depth
-        if not in_shard and registry._scatterable(node):
-            zones = registry._route_zones(node)
-            pruned = " (pruned)" if len(zones) < len(registry.zones) else ""
-            entry = registry._entries.get(node)
-            status = (
-                f"live, refs={entry.refcount}"
-                if entry is not None
-                else "not registered"
-            )
-            lines.append(
-                f"{indent}{node.symbol()}  ⇒ scatter to "
-                f"[{', '.join(zones)}]{pruned}  ({status})"
-            )
-            for child in node.children:
-                visit(child, depth + 1, True)
-            return
-        marker = "[shard]" if in_shard else "[coordinator]"
-        lines.append(f"{indent}{node.symbol()}  {marker}")
-        for child in node.children:
-            visit(child, depth + 1, in_shard)
-
-    visit(canonical, 0, False)
     return "\n".join(lines)

@@ -76,22 +76,10 @@ class PEMS:
         self.erm = EnvironmentResourceManager(
             self.bus, self.clock, self.environment.registry, observe=self.obs
         )
-        self.tables = self._make_tables()
+        self.tables = ExtendedTableManager(self.environment, self.clock)
         self._sources: list[StreamSource] = []
         self.clock.on_tick(self._run_sources)
-        self.queries = self._make_queries(engine)
-        self._local_erms: dict[str, LocalEnvironmentResourceManager] = {}
-
-    def _make_tables(self) -> ExtendedTableManager:
-        """The table manager this PEMS runs on.  Called between the core
-        ERM and the stream sources, so a subclass may subscribe further
-        ERMs to the clock here (the federation's zone shards)."""
-        return ExtendedTableManager(self.environment, self.clock)
-
-    def _make_queries(self, engine: str) -> QueryProcessor:
-        """The query processor this PEMS runs on (built last: it ticks
-        after the stream sources)."""
-        return QueryProcessor(
+        self.queries = QueryProcessor(
             self.environment,
             self.clock,
             self.erm,
@@ -99,6 +87,7 @@ class PEMS:
             engine=engine,
             observe=self.obs,
         )
+        self._local_erms: dict[str, LocalEnvironmentResourceManager] = {}
 
     # -- topology -------------------------------------------------------------------
 
@@ -160,17 +149,6 @@ class PEMS:
         for _ in range(instants):
             now = self.tick()
         return now
-
-    def close(self) -> None:
-        """Release long-lived resources (idempotent).
-
-        A plain PEMS holds none — everything is in-process and owned by
-        this object — but subclasses override: a
-        :class:`~repro.fed.pems.FederatedPEMS` stops shard workers and
-        detaches its gossip relay here.  Long-running hosts (the
-        subscription server's shutdown path, benches) call ``close()``
-        unconditionally instead of special-casing the federation.
-        """
 
     def describe(self) -> str:
         """Catalog dump: prototypes, services, relations, queries."""

@@ -138,9 +138,7 @@ class QueryProcessor:
         #: Shared-subplan registry every engine="shared" query leases its
         #: plan from: one per processor, so co-registered queries share
         #: physical subtrees.
-        #: Subclasses override :meth:`_make_registry` to substitute a
-        #: registry with different lowering behaviour (federation).
-        self.shared = self._make_registry(environment)
+        self.shared = SharedPlanRegistry(environment, observe=self.obs)
         #: Quiescence-aware scheduler for engine="shared" queries.
         self.scheduler = TickScheduler(environment, observe=self.obs)
         erm.on_discovery(self.scheduler.on_discovery_event)
@@ -157,16 +155,6 @@ class QueryProcessor:
         #: Opt-in feedback re-optimizer (see :meth:`enable_reoptimization`).
         self.reoptimizer: FeedbackReoptimizer | None = None
         clock.on_tick(self._on_tick)
-
-    def _make_registry(
-        self, environment: PervasiveEnvironment
-    ) -> SharedPlanRegistry:
-        """The shared-plan registry this processor runs on."""
-        return SharedPlanRegistry(environment, observe=self.obs)
-
-    def _before_plan(self, instant: int) -> None:
-        """Hook between discovery sync and query scheduling — the
-        federated processor advances (or barriers) its shards here."""
 
     @property
     def failures(self) -> list[QueryFailure]:
@@ -381,7 +369,6 @@ class QueryProcessor:
         tracer = self.obs.tracer
         for discovery in self._discovery:
             self._sync_discovery(discovery)
-        self._before_plan(instant)
         registry = self.environment.registry
         registry.begin_instant_memo(instant)
         try:

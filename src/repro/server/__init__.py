@@ -1,13 +1,12 @@
 """The subscription server: continuous queries over the wire.
 
-A long-running asyncio service wrapping one :class:`~repro.pems.pems.PEMS`
-(or :class:`~repro.fed.pems.FederatedPEMS`): the server drives the
-virtual-clock tick loop and pushes each registered continuous query's
-per-instant result deltas to subscribed clients.  Clients speak a
-line-delimited JSON protocol over TCP (:mod:`repro.server.protocol`);
-the same listener also answers plain ``GET`` requests with an HTTP
-Server-Sent-Events stream, so a browser ``EventSource`` subscribes with
-no extra port.
+A long-running asyncio service wrapping one :class:`~repro.pems.pems.PEMS`:
+the server drives the virtual-clock tick loop and pushes each registered
+continuous query's per-instant result deltas to subscribed clients.
+Clients speak a line-delimited JSON protocol over TCP
+(:mod:`repro.server.protocol`); the same listener also answers plain
+``GET`` requests with an HTTP Server-Sent-Events stream, so a browser
+``EventSource`` subscribes with no extra port.
 
 The tick loop stays single-threaded on the virtual clock — only
 *delivery* is asynchronous.  Each subscription owns a bounded

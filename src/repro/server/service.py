@@ -1,10 +1,10 @@
 """The subscription server: the tick loop and the subscriber registry.
 
-One :class:`SubscriptionServer` wraps one PEMS (plain or federated) and
-owns its virtual clock.  Distinct continuous queries — keyed by
-whitespace-normalized SQL — register once on the wrapped query
-processor regardless of subscriber count; each subscriber of a query
-gets its own bounded delivery queue.  The flow per instant:
+One :class:`SubscriptionServer` wraps one PEMS and owns its virtual
+clock.  Distinct continuous queries — keyed by whitespace-normalized
+SQL — register once on the wrapped query processor regardless of
+subscriber count; each subscriber of a query gets its own bounded
+delivery queue.  The flow per instant:
 
 1. ``tick()`` advances the PEMS (every registered query evaluates under
    the engine's ordinary scheduling, single-threaded on the clock);
@@ -190,7 +190,7 @@ class SubscriptionServer:
 
     async def shutdown(self) -> None:
         """Orderly teardown: stop ticking, close every session, release
-        every query, then ``close()`` the wrapped PEMS (idempotent)."""
+        every query (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -215,7 +215,6 @@ class SubscriptionServer:
         pending = [task for task in self._conn_tasks if not task.done()]
         if pending:
             await asyncio.wait(pending, timeout=5.0)
-        self.pems.close()
         self._sync_gauges()
 
     # -- connections ---------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 The ISSUE 10 acceptance differential: the SMALL_CITY config (2 zones,
 churn, one scripted cascade) runs on the naive oracle and every engine
-of :mod:`tests.engines` — the shared engine and the zone-sharded
-federation — in lockstep;
+of :mod:`tests.engines` in lockstep;
 every engine must agree on every query's instantaneous result at every
 instant, on the accumulated alert log, and — through the cascade — the
 ``station-health`` β sweep must keep reporting every station with **zero
@@ -82,12 +81,3 @@ def test_cascade_had_observable_consequences(naive_run):
     # carries a zone of this city.
     assert scenario.alerts.alerts
     assert {a.zone for a in scenario.alerts.alerts} <= set(SMALL_CITY.zones)
-
-
-def test_federation_prunes_per_zone_queries():
-    scenario, _, _ = drive("federated")
-    scattered = scenario.pems.shard_summary()["scattered"]
-    pruned = [row for row in scattered if row["pruned"]]
-    assert pruned, "per-zone σ/π queries should prune to single shards"
-    for row in pruned:
-        assert len(row["zones"]) == 1

@@ -26,15 +26,15 @@ from repro.continuous.continuous_query import ContinuousQuery
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.paper_example import CAMERA_SPECS, CONTACT_ROWS, build_paper_example
 from repro.devices.scenario import (
-    _make_pems,
     build_rss_scenario,
     build_temperature_surveillance,
     cameras_schema,
     contacts_schema,
     temperatures_schema,
 )
+from repro.pems.pems import PEMS
 
-from tests.engines import NAIVE, PAIRS, QUERY_PAIRS
+from tests.engines import NAIVE, PAIRS
 
 TICKS = 55  # ≥ 50 instants per the acceptance criteria
 
@@ -228,7 +228,7 @@ def action_strings(actions):
     return sorted(a.describe() for a in actions)
 
 
-def run_differential(make_query, scripts, ticks=TICKS, engines=QUERY_PAIRS):
+def run_differential(make_query, scripts, ticks=TICKS, engines=PAIRS):
     """Run one Table 4 query on the oracle and every engine over
     identically-scripted environments; assert instant-by-instant
     agreement with the oracle.  Returns the queries keyed by engine."""
@@ -286,7 +286,7 @@ def run_differential(make_query, scripts, ticks=TICKS, engines=QUERY_PAIRS):
 def test_table4_differential(make, scripts):
     queries = run_differential(make, scripts)
     # The scripts must actually produce work, or the test proves nothing.
-    cq = queries[QUERY_PAIRS[0]]
+    cq = queries[PAIRS[0]]
     assert cq.action_log or cq.emitted or cq.last_result.relation.tuples
 
 
@@ -294,9 +294,9 @@ def test_q4_emits_and_skips_the_ghost_camera():
     """Sanity on the Q4 run: the stream emitted photos and the ghost
     camera never produced one (its invocations failed and were skipped)."""
     queries = run_differential(q4, (feed_stream, ghost_camera_churn))
-    emitted = queries[QUERY_PAIRS[0]].emitted
+    emitted = queries[PAIRS[0]].emitted
     assert emitted
-    schema = queries[QUERY_PAIRS[0]].query.schema
+    schema = queries[PAIRS[0]].query.schema
     areas = {schema.mapping_from_tuple(t)["area"] for _, t in emitted}
     assert areas == {"roof"}
 
@@ -412,7 +412,7 @@ def ill_conditioned_readings(instant):
 
 
 def drive_float_aggregates(engine, period, ticks=12):
-    pems = _make_pems(engine, None, None)
+    pems = PEMS(engine=engine)
     pems.tables.create_relation(temperatures_schema(), infinite=True)
     pems.add_stream_source(
         lambda instant: pems.tables.insert_tuples(
@@ -429,7 +429,6 @@ def drive_float_aggregates(engine, period, ticks=12):
     for _ in range(ticks):
         pems.tick()
         snapshots.append(cq.last_result.relation.tuples)
-    pems.close()
     return snapshots
 
 

@@ -152,20 +152,26 @@ class TestDotCommands:
         assert "(engine=shared)" in out.getvalue()
         assert sh.pems.queries.engine == "shared"
 
-    @pytest.mark.parametrize("engine", ["quantum", "incremental", "federated-threads"])
+    @pytest.mark.parametrize(
+        "engine",
+        ["quantum", "incremental", "federated-threads", "federated", "federated-processes"],
+    )
     def test_demo_rejects_unknown_engines(self, shell, engine):
         sh, out = shell
         before = sh.pems
         sh.execute(f".demo temperature {engine}")
         text = out.getvalue()
-        assert "error: unknown execution engine" in text
-        assert "naive, shared, federated, federated-processes" in text
+        assert f"error: unknown execution engine {engine!r}" in text
+        assert "(expected one of naive, shared)" in text
         assert sh.pems is before  # nothing was loaded
 
     def test_demo_usage(self, shell):
         sh, out = shell
         sh.execute(".demo spaceship")
-        assert "usage: .demo" in out.getvalue()
+        assert (
+            "usage: .demo temperature|substitution|rss|city [naive|shared]"
+            in out.getvalue()
+        )
 
     def test_quit_stops(self, shell):
         sh, out = shell
@@ -181,7 +187,10 @@ class TestDotCommands:
     def test_help(self, shell):
         sh, out = shell
         sh.execute(".help")
-        assert ".catalog" in out.getvalue()
+        text = out.getvalue()
+        assert ".catalog" in text
+        assert "``naive`` or ``shared``" in text
+        assert ".shards" not in text and "federated" not in text
 
 
 class TestOptimizeAndStats:
@@ -296,7 +305,7 @@ class TestObservabilityCommands:
     def test_explain_usage(self, shell):
         sh, out = shell
         sh.execute(".explain")
-        assert "usage: .explain [physical | federated]" in out.getvalue()
+        assert "usage: .explain [physical] SELECT ..." in out.getvalue()
 
     def test_metrics_prometheus_text(self, traced):
         sh, out = traced
@@ -379,14 +388,21 @@ class TestCityCommands:
         assert "loaded the city scenario" in text
         assert "avg_load" in text
 
-    def test_demo_city_federated_shards(self, shell):
+    def test_demo_city_on_the_oracle(self, shell):
         sh, out = shell
+        sh.execute(".demo city naive")
+        assert "loaded the city scenario (engine=naive)" in out.getvalue()
+        assert sh.pems.queries.engine == "naive"
+
+    def test_the_parked_federation_has_no_shell_surface(self, shell):
+        sh, out = shell
+        before = sh.pems
         sh.execute(".demo city federated")
-        sh.execute(".tick 1")
         sh.execute(".shards")
         text = out.getvalue()
-        assert "zones, lockstep" in text
-        assert "pruned" in text
+        assert "unknown execution engine 'federated' (expected one of naive, shared)" in text
+        assert "unknown command .shards" in text
+        assert sh.pems is before  # nothing was loaded
 
     def test_city_loads_config_file(self, shell, tmp_path):
         import json
@@ -407,6 +423,6 @@ class TestCityCommands:
     def test_city_usage_and_missing_file(self, shell):
         sh, out = shell
         sh.execute(".city")
-        assert "usage: .city" in out.getvalue()
+        assert "usage: .city <config.json|config.toml> [naive|shared]" in out.getvalue()
         sh.execute(".city /no/such/file.json")
         assert "error" in out.getvalue()

@@ -13,7 +13,6 @@ from repro.devices.scenario import (
 )
 from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
 from repro.errors import SerenaError
-from repro.fed import FederatedPEMS
 from repro.pems.pems import PEMS
 
 
@@ -74,21 +73,20 @@ class TestEngineNames:
         ],
         ids=["PEMS", "temperature", "rss", "city"],
     )
-    @pytest.mark.parametrize("name", ["quantum", "federated-foo", "columnar"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "quantum",
+            "federated-foo",
+            "columnar",
+            "federated",
+            "federated-processes",
+            "federated-threads",
+        ],
+    )
     def test_unknown_engine_is_a_typed_error(self, build, name):
-        with pytest.raises(SerenaError, match="expected one of naive, shared"):
-            build(name)
-
-    def test_a_federation_is_not_a_query_engine(self):
         with pytest.raises(SerenaError, match=r"expected one of naive, shared\)"):
-            PEMS(engine="federated")
-        assert build_rss_scenario(engine="federated").pems.queries.engine == "shared"
-
-    def test_threads_is_not_a_parallelism_mode(self):
-        with pytest.raises(SerenaError, match="parallelism"):
-            FederatedPEMS(zones=2, parallelism="threads")
-        with pytest.raises(SerenaError, match="federated-processes"):
-            build_temperature_surveillance(engine="federated-threads")
+            build(name)
 
 
 class TestStreamSources:

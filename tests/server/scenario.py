@@ -25,8 +25,8 @@ def readings_schema() -> ExtendedRelationSchema:
     )
 
 
-def make_pems(factory=PEMS, **kwargs) -> PEMS:
-    pems = factory(**kwargs)
+def make_pems(**kwargs) -> PEMS:
+    pems = PEMS(**kwargs)
     pems.tables.create_relation(readings_schema())
     return pems
 

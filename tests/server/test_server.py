@@ -8,7 +8,6 @@ import asyncio
 import json
 import urllib.parse
 
-from repro.fed import FederatedPEMS
 from repro.server import AdmissionControl, SubscriptionServer
 
 from tests.server.scenario import ALL_SQL, HOT_SQL, Churn, make_pems
@@ -260,26 +259,6 @@ class TestSharingAndLifecycle:
                 assert server.summary()["clients"] == 0
             finally:
                 await server.shutdown()
-
-        asyncio.run(scenario())
-
-    def test_shutdown_closes_a_federated_pems(self):
-        async def scenario():
-            pems = make_pems(
-                FederatedPEMS, zones=2, partition_by={"readings": "device"}
-            )
-            server = await started(pems)
-            churn = Churn(pems)
-            client = await WireClient.connect(server.port)
-            await client.op(op="register", sql=HOT_SQL)
-            await client.expect("registered")
-            churn.step()
-            server.tick()
-            await client.expect("delta")
-            await server.shutdown()
-            assert pems.gossip.closed
-            await server.shutdown()  # idempotent
-            await client.close()
 
         asyncio.run(scenario())
 

@@ -12,14 +12,11 @@ Subscribers here are in-process (no sockets): the delivery queues are
 driven directly at scripted consumption cadences, which makes the
 overflow/coalesce schedule deterministic.  An independently driven
 naive-engine PEMS supplies the oracle, so the chain
-``naive ≡ shared ≡ server wire stream`` is pinned end to end.  The same
-invariant is then repeated over a federated PEMS.
+``naive ≡ shared ≡ server wire stream`` is pinned end to end.
 """
 
 import asyncio
 
-from repro.fed import FederatedPEMS
-from repro.pems.pems import PEMS
 from repro.server import SubscriptionServer
 
 from tests.server.scenario import ALL_SQL, HOT_SQL, Churn, make_pems
@@ -41,7 +38,7 @@ class FakeSession:
 
 def oracle_results(sql: str, ticks: int) -> dict[int, frozenset]:
     """Instant → result tuples from an independent naive-engine run."""
-    pems = make_pems(PEMS, engine="naive")
+    pems = make_pems(engine="naive")
     churn = Churn(pems)
     query = pems.queries.register_continuous_sql(sql, name="oracle")
     results = {}
@@ -128,30 +125,3 @@ class TestSharedEngineReplay:
         server = SubscriptionServer(make_pems(), queue_depth=2)
         consumers = drive(server, HOT_SQL, TICKS)
         assert consumers["slow"]["sub"].queue.coalesced > 0
-
-
-class TestFederatedReplay:
-    def test_federated_server_matches_naive_oracle(self):
-        pems = make_pems(
-            FederatedPEMS,
-            zones=2,
-            partition_by={"readings": "device"},
-        )
-        server = SubscriptionServer(pems, queue_depth=4)
-        try:
-            drive(server, HOT_SQL, TICKS)
-        finally:
-            pems.close()
-
-    def test_federated_processes_server_replay(self):
-        pems = make_pems(
-            FederatedPEMS,
-            zones=2,
-            parallelism="processes",
-            partition_by={"readings": "device"},
-        )
-        server = SubscriptionServer(pems, queue_depth=4)
-        try:
-            drive(server, HOT_SQL, 24)
-        finally:
-            pems.close()

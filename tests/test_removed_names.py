@@ -1,10 +1,11 @@
 """Guard: the engine names, classes and knobs folded into the one
-physical engine must not creep back into code, docs, examples or CI.
+physical engine — and the parked sharded federation's — must not creep
+back into code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table and
-two shard-execution modes (lockstep and ``processes``).  Prose may still
-call the executors *incremental* — only the identifiers and string
-literals below are banned.
+one way to build a PEMS.  Prose may still call the executors
+*incremental* or mention the *federation* — only the identifiers and
+string literals below are banned.
 """
 
 import re
@@ -12,7 +13,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SCANNED = ("src", "docs", "examples", "README.md", ".github/workflows/ci.yml")
+SCANNED = (
+    "src",
+    "docs",
+    "examples",
+    "scripts",
+    "README.md",
+    "DESIGN.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+)
 
 BANNED = re.compile(
     r"""IncrementalEngine
@@ -29,6 +39,17 @@ BANNED = re.compile(
       | lowerings_for
       | backend\s*=
       | ["']columnar["']
+      | FederatedPEMS
+      | repro\.fed
+      | federated-processes
+      | ["'`]federated["'`]
+      | SCENARIO_ENGINES
+      | partition_by
+      | shards\s*=
+      | \.shards
+      | explain_federated
+      | acquire_subtree
+      | insert_validated
     """,
     re.VERBOSE,
 )
@@ -59,3 +80,4 @@ def test_removed_engine_names_do_not_reappear():
 def test_engine_module_is_gone():
     for module in ("engine", "vectorized", "columnar"):
         assert not (ROOT / "src" / "repro" / "exec" / f"{module}.py").exists()
+    assert not (ROOT / "src" / "repro" / "fed").exists()
