@@ -30,6 +30,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "ReadThrough",
     "DEFAULT_TICK_BUCKETS",
 ]
 
@@ -124,6 +125,40 @@ class Gauge:
         self.value -= amount
 
 
+class ReadThrough:
+    """A counter or gauge whose value is read from a callable whenever
+    the registry is read, for state another object already keeps.
+
+    :meth:`freeze` pins the last reading and drops the callable; a later
+    :meth:`bind` at the same address resumes it (a counter continues
+    from its frozen total, a gauge starts over).
+    """
+
+    __slots__ = ("name", "labels", "kind", "_read", "_base")
+
+    def __init__(self, name: str, labels: LabelKey, kind: str):
+        self.name = name
+        self.labels = labels
+        self.kind = kind
+        self._read = None
+        self._base = 0
+
+    @property
+    def value(self) -> int | float:
+        read = self._read
+        return self._base if read is None else self._base + read()
+
+    def bind(self, read) -> None:
+        self.freeze()
+        if self.kind == "gauge":
+            self._base = 0
+        self._read = read
+
+    def freeze(self) -> None:
+        self._base = self.value
+        self._read = None
+
+
 class Histogram:
     """Fixed-bucket histogram (cumulative buckets, Prometheus-style).
 
@@ -208,7 +243,7 @@ class Ewma:
         return self.value
 
 
-Instrument = Counter | Gauge | Histogram
+Instrument = Counter | Gauge | Histogram | ReadThrough
 
 
 class MetricsRegistry:
@@ -253,6 +288,7 @@ class MetricsRegistry:
         help: str,
         labels: Mapping[str, object],
         buckets: tuple[float, ...] | None = None,
+        read_through: bool = False,
     ) -> Instrument:
         key = _label_key(labels)
         address = (name, key)
@@ -264,8 +300,10 @@ class MetricsRegistry:
         for label in labels:
             if not _LABEL_NAME.match(label):
                 raise ValueError(f"invalid label name {label!r} on {name!r}")
-        if kind == "counter":
-            instrument: Instrument = Counter(name, key)
+        if read_through:
+            instrument: Instrument = ReadThrough(name, key, kind)
+        elif kind == "counter":
+            instrument = Counter(name, key)
         elif kind == "gauge":
             instrument = Gauge(name, key)
         else:
@@ -297,6 +335,19 @@ class MetricsRegistry:
         inherit it.
         """
         return self._instrument(name, "histogram", help, labels, buckets)  # type: ignore[return-value]
+
+    def read_through(
+        self, name: str, kind: str, read, help: str = "", **labels: object
+    ) -> ReadThrough:
+        """Bind the ``kind`` (counter or gauge) at ``(name, labels)`` to
+        ``read``; see :class:`ReadThrough`."""
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"read-through {name!r} must be a counter or gauge")
+        instrument = self._instrument(name, kind, help, labels, read_through=True)
+        if not isinstance(instrument, ReadThrough):
+            raise ValueError(f"{name!r}{dict(labels)} is already a plain {kind}")
+        instrument.bind(read)
+        return instrument
 
     # -- introspection -----------------------------------------------------------
 

@@ -29,11 +29,16 @@ Server → client messages (the ``type`` key selects): ``hello``,
 ``first``/``last`` bound the instants the entry spans (equal unless the
 delivery queue coalesced), rows are sorted by repr so two servers render
 byte-identical streams, and ``coalesced`` counts how many merges were
-folded in.  Applying ``deleted`` then ``inserted`` to the client's
-replica yields the query's exact result relation at instant ``last``.
+folded in.  The line is spliced from three pieces — a per-subscription
+:func:`delta_header`, the entry's :func:`delta_body` (encoded once and
+shared by every subscriber of the query) and the ``coalesced`` tail —
+byte-identical to :func:`encode` of the whole message.  Applying
+``deleted`` then ``inserted`` to the client's replica yields the query's
+exact result relation at instant ``last``.
 
-The SSE shim reuses the same JSON payloads: each server message becomes
-one ``data:`` event on a ``text/event-stream`` response.
+The SSE shim reuses the same JSON lines: each server message becomes
+one ``data:`` event on a ``text/event-stream`` response
+(:func:`sse_frame`).
 """
 
 from __future__ import annotations
@@ -45,9 +50,13 @@ from repro.errors import SerenaError
 __all__ = [
     "ProtocolError",
     "decode_line",
+    "delta_body",
+    "delta_header",
+    "delta_line",
     "encode",
     "render_rows",
     "sse_event",
+    "sse_frame",
     "sse_response_head",
 ]
 
@@ -84,6 +93,29 @@ def render_rows(tuples) -> list[list]:
     return [list(row) for row in sorted(tuples, key=repr)]
 
 
+def delta_header(name: str) -> bytes:
+    """The per-subscription head of a ``delta`` line."""
+    return b'{"type":"delta","name":' + json.dumps(name).encode("ascii") + b","
+
+
+def delta_body(first: int, last: int, delta) -> bytes:
+    """The subscriber-independent middle of a ``delta`` line, from
+    ``"first"`` through ``"deleted"``."""
+    return encode(
+        {
+            "first": first,
+            "last": last,
+            "inserted": render_rows(delta.inserted),
+            "deleted": render_rows(delta.deleted),
+        }
+    )[1:-2]
+
+
+def delta_line(header: bytes, body: bytes, coalesced: int) -> bytes:
+    """One whole ``delta`` wire line."""
+    return b"".join((header, body, b',"coalesced":%d}\n' % coalesced))
+
+
 # -- the HTTP Server-Sent-Events shim -----------------------------------------
 
 
@@ -110,5 +142,9 @@ def sse_error_response(status: str, detail: str) -> bytes:
 
 def sse_event(message: dict) -> bytes:
     """One server message as one SSE ``data:`` event."""
-    payload = json.dumps(message, separators=(",", ":"), default=str)
-    return f"data: {payload}\n\n".encode("utf-8")
+    return sse_frame(encode(message))
+
+
+def sse_frame(line: bytes) -> bytes:
+    """One encoded wire line as one SSE ``data:`` event."""
+    return b"data: " + line[:-1] + b"\n\n"

@@ -3,17 +3,20 @@
 One :class:`SubscriptionServer` wraps one PEMS and owns its virtual
 clock.  Distinct continuous queries — keyed by whitespace-normalized
 SQL — register once on the wrapped query processor regardless of
-subscriber count; each subscriber of a query gets its own bounded
-delivery queue.  The flow per instant:
+subscriber count, and fan out once per query too: each subscriber gets
+a bounded delivery queue that shares a copy-on-write buffer (a
+*cohort*) with the query's other subscribers that have consumed up to
+the same point.  The flow per instant:
 
 1. ``tick()`` advances the PEMS (every registered query evaluates under
    the engine's ordinary scheduling, single-threaded on the clock);
-2. ``_publish`` reads each query's reported delta and fans it out to
-   the query's subscriber queues — synchronous O(subscribers) set
-   handoffs, never blocking on any socket;
+2. ``_publish`` reads each query's reported delta and appends it once
+   per cohort — synchronous, O(cohorts) not O(subscribers), never
+   blocking on any socket;
 3. each subscription's pump task delivers from its queue at whatever
-   pace its socket sustains (see :mod:`repro.server.delivery` for the
-   overflow semantics).
+   pace its socket sustains, splicing its own header onto the entry's
+   once-encoded body (see :mod:`repro.server.delivery` for the cohort
+   and overflow semantics).
 
 A warm subscriber — joining a query that has already evaluated — first
 receives a synthetic *snapshot* delta (the query's current result as
@@ -39,11 +42,12 @@ from repro.exec.delta import Delta
 from repro.obs.observe import Observability
 from repro.pems.pems import PEMS
 from repro.server.admission import AdmissionControl, AdmissionError
-from repro.server.delivery import DeliveryQueue, QueuedDelta
+from repro.server.delivery import Cohorts, DeliveryQueue, QueuedDelta
 from repro.server.protocol import (
     encode,
     sse_error_response,
     sse_event,
+    sse_frame,
     sse_response_head,
 )
 from repro.server.session import ClientSession, Subscription
@@ -74,16 +78,20 @@ def normalize_sql(sql: str) -> str:
 
 
 class ServerQuery:
-    """One distinct continuous query and its current subscriber set."""
+    """One distinct continuous query, its current subscriber set and
+    their delivery cohorts."""
 
-    __slots__ = ("key", "sql", "name", "continuous", "subscribers", "published")
+    __slots__ = (
+        "key", "sql", "name", "continuous", "subscribers", "cohorts", "published"
+    )
 
-    def __init__(self, key: str, sql: str, name: str, continuous):
+    def __init__(self, key: str, sql: str, name: str, continuous, depth: int):
         self.key = key
         self.sql = sql
         self.name = name
         self.continuous = continuous
         self.subscribers: dict[Subscription, None] = {}
+        self.cohorts = Cohorts(depth)
         #: False until the first post-evaluation publish.  That first
         #: publish sends the full result as a snapshot rather than the
         #: engine's reported delta: a scan's Section 4.2 reported delta
@@ -215,7 +223,7 @@ class SubscriptionServer:
         pending = [task for task in self._conn_tasks if not task.done()]
         if pending:
             await asyncio.wait(pending, timeout=5.0)
-        self._sync_gauges()
+        self._sync_clients_gauge()
 
     # -- connections ---------------------------------------------------------------
 
@@ -264,7 +272,7 @@ class SubscriptionServer:
                 self, reader, writer, f"c{self._client_seq}"
             )
             self._sessions[session] = None
-            self._sync_gauges()
+            self._sync_clients_gauge()
             await session.run(first_line=first)
 
     def _connected(self) -> int:
@@ -272,7 +280,7 @@ class SubscriptionServer:
 
     def forget_session(self, session: ClientSession) -> None:
         self._sessions.pop(session, None)
-        self._sync_gauges()
+        self._sync_clients_gauge()
 
     # -- subscriptions ---------------------------------------------------------------
 
@@ -296,18 +304,21 @@ class SubscriptionServer:
             continuous = self.pems.queries.register_continuous_sql(
                 key, name=server_name
             )
-            query = ServerQuery(key, sql, server_name, continuous)
+            query = ServerQuery(
+                key, sql, server_name, continuous, self.queue_depth
+            )
             self._queries[key] = query
+            self._queries_gauge.set(len(self._queries))
         subscription = Subscription(
             name,
             query,
-            DeliveryQueue(self.queue_depth),
+            DeliveryQueue(cohorts=query.cohorts),
             session.client_id,
             self.obs.metrics,
         )
         query.subscribers[subscription] = None
+        self._subscriptions_gauge.inc()
         self._queue_snapshot(query, subscription)
-        self._sync_gauges()
         return subscription
 
     def _queue_snapshot(
@@ -339,17 +350,18 @@ class SubscriptionServer:
         if subscription not in query.subscribers:
             return
         del query.subscribers[subscription]
+        self._subscriptions_gauge.dec()
         subscription.queue.close()
-        subscription.sync_metrics()
+        subscription.release()
         if not query.subscribers and self._queries.get(query.key) is query:
             del self._queries[query.key]
+            self._queries_gauge.set(len(self._queries))
             self.pems.queries.deregister_continuous(query.name)
-        self._sync_gauges()
 
     # -- delta fan-out ---------------------------------------------------------------
 
     def _publish(self, instant: int) -> None:
-        """Fan each query's reported delta out to its subscriber queues."""
+        """Append each query's reported delta once per delivery cohort."""
         tracing = self.obs.tracing_on
         span = (
             self.obs.tracer.span(
@@ -382,16 +394,18 @@ class SubscriptionServer:
                     row = Delta(
                         frozenset(delta.inserted), frozenset(delta.deleted)
                     )
-                entry = QueuedDelta(instant, instant, row, 0, now)
+                query.cohorts.publish(QueuedDelta(instant, instant, row, 0, now))
                 published += 1
-                for subscription in query.subscribers:
-                    subscription.queue.publish(entry)
-                    subscription.sync_metrics()
         if published:
             self._deltas_published.inc(published)
 
-    def observe_delivery(self, seconds: float) -> None:
-        self._delivery_hist.observe(seconds)
+    def delivered(self, batch: list[QueuedDelta]) -> None:
+        """Account one batch just written to a socket."""
+        now = time.perf_counter()
+        for queued in batch:
+            if queued.published_at:
+                self._delivery_hist.observe(now - queued.published_at)
+        self.messages_sent.inc(len(batch))
 
     # -- the SSE shim ----------------------------------------------------------------
 
@@ -436,7 +450,7 @@ class SubscriptionServer:
             writer.write(sse_error_response("409 Conflict", str(exc)))
             await _close_quietly(writer)
             return
-        self._sync_gauges()
+        self._sync_clients_gauge()
         try:
             writer.write(sse_response_head())
             writer.write(
@@ -458,32 +472,22 @@ class SubscriptionServer:
                 # already pending goes out in the same writelines.
                 batch = [entry, *subscription.queue.drain_ready()]
                 writer.writelines(
-                    sse_event(ClientSession._delta_message(subscription, e))
-                    for e in batch
+                    sse_frame(subscription.line(e)) for e in batch
                 )
                 await writer.drain()
-                now = time.perf_counter()
-                for queued in batch:
-                    if queued.published_at:
-                        self.observe_delivery(now - queued.published_at)
-                self.messages_sent.inc(len(batch))
-                subscription.sync_metrics()
+                self.delivered(batch)
         except (ConnectionError, OSError):
             pass
         finally:
             self.unsubscribe(subscription)
             self._sse_clients -= 1
-            self._sync_gauges()
+            self._sync_clients_gauge()
             await _close_quietly(writer)
 
     # -- introspection ----------------------------------------------------------------
 
-    def _sync_gauges(self) -> None:
+    def _sync_clients_gauge(self) -> None:
         self._clients_gauge.set(self._connected())
-        self._queries_gauge.set(len(self._queries))
-        self._subscriptions_gauge.set(
-            sum(len(q.subscribers) for q in self._queries.values())
-        )
 
     @property
     def queries(self) -> dict[str, ServerQuery]:
@@ -496,9 +500,7 @@ class SubscriptionServer:
             "port": self.port,
             "clients": self._connected(),
             "queries": len(self._queries),
-            "subscriptions": sum(
-                len(q.subscribers) for q in self._queries.values()
-            ),
+            "subscriptions": int(self._subscriptions_gauge.value),
             "deltas_published": int(self._deltas_published.value),
             "messages_sent": int(self.messages_sent.value),
         }

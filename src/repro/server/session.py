@@ -3,10 +3,12 @@
 A :class:`ClientSession` owns one TCP connection speaking the JSONL
 protocol.  Its ``run`` loop parses one operation per line; each
 subscription it registers gets its own *pump* task that awaits the
-subscription's delivery queue and writes ``delta`` messages to the
-socket.  Backpressure composes naturally: a slow socket blocks only its
-own session's ``drain()``, the pump stops consuming, the bounded queue
-fills, and overflow coalescing kicks in — the tick loop never waits.
+subscription's delivery queue and writes ``delta`` lines to the socket,
+each spliced from the subscription's header and the entry's shared,
+once-encoded body.  Backpressure composes naturally: a slow socket
+blocks only its own session's ``drain()``, the pump stops consuming,
+the bounded queue fills, and overflow coalescing kicks in — the tick
+loop never waits.
 
 Errors are per-operation: a malformed line, a rejected registration or a
 bad query produces an ``error`` message and the session lives on; only
@@ -16,7 +18,6 @@ EOF, ``quit`` or a transport failure end it.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import TYPE_CHECKING
 
 from repro.errors import SerenaError
@@ -26,8 +27,10 @@ from repro.server.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
     decode_line,
+    delta_header,
+    delta_line,
     encode,
-    render_rows,
+    render_rows,  # noqa: F401 - kept bound here: the e2e tracer rebinds it
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,20 +40,13 @@ __all__ = ["ClientSession", "Subscription"]
 
 
 class Subscription:
-    """One (client, continuous query) pairing with its delivery queue."""
+    """One (client, continuous query) pairing with its delivery queue.
 
-    __slots__ = (
-        "name",
-        "query",
-        "queue",
-        "client_id",
-        "task",
-        "_lag_gauge",
-        "_coalesced_counter",
-        "_dropped_counter",
-        "_synced_coalesced",
-        "_synced_dropped",
-    )
+    Its ``serena_server_{lag,coalesced_total,dropped_total}`` series read
+    the queue when the registry is read; :meth:`release` freezes them.
+    """
+
+    __slots__ = ("name", "query", "queue", "client_id", "task", "header", "_series")
 
     def __init__(
         self,
@@ -65,39 +61,43 @@ class Subscription:
         self.queue = queue
         self.client_id = client_id
         self.task: asyncio.Task | None = None
-        self._lag_gauge = metrics.gauge(
-            "serena_server_lag",
-            "Pending delivery-queue entries per subscription",
-            client=client_id,
-            sub=name,
+        #: The per-subscription head of every delta line it delivers.
+        self.header = delta_header(name)
+        self._series = (
+            metrics.read_through(
+                "serena_server_lag",
+                "gauge",
+                lambda: queue.lag,
+                "Pending delivery-queue entries per subscription",
+                client=client_id,
+                sub=name,
+            ),
+            metrics.read_through(
+                "serena_server_coalesced_total",
+                "counter",
+                lambda: queue.coalesced,
+                "Overflow merges per subscription",
+                client=client_id,
+                sub=name,
+            ),
+            metrics.read_through(
+                "serena_server_dropped_total",
+                "counter",
+                lambda: queue.dropped,
+                "Net-zero coalesced spans dropped per subscription",
+                client=client_id,
+                sub=name,
+            ),
         )
-        self._coalesced_counter = metrics.counter(
-            "serena_server_coalesced_total",
-            "Overflow merges per subscription",
-            client=client_id,
-            sub=name,
-        )
-        self._dropped_counter = metrics.counter(
-            "serena_server_dropped_total",
-            "Net-zero coalesced spans dropped per subscription",
-            client=client_id,
-            sub=name,
-        )
-        self._synced_coalesced = 0
-        self._synced_dropped = 0
 
-    def sync_metrics(self) -> None:
-        """Mirror the queue's counters onto the obs registry."""
-        queue = self.queue
-        self._lag_gauge.set(queue.lag)
-        if queue.coalesced > self._synced_coalesced:
-            self._coalesced_counter.inc(
-                queue.coalesced - self._synced_coalesced
-            )
-            self._synced_coalesced = queue.coalesced
-        if queue.dropped > self._synced_dropped:
-            self._dropped_counter.inc(queue.dropped - self._synced_dropped)
-            self._synced_dropped = queue.dropped
+    def line(self, entry: QueuedDelta) -> bytes:
+        """``entry`` as this subscription's ``delta`` wire line."""
+        return delta_line(self.header, entry.body, entry.coalesced)
+
+    def release(self) -> None:
+        """Freeze the per-subscription series at their final values."""
+        for series in self._series:
+            series.freeze()
 
 
 class ClientSession:
@@ -125,11 +125,11 @@ class ClientSession:
             self.writer.write(encode(message))
             await self.writer.drain()
 
-    async def send_batch(self, messages: list[dict]) -> None:
-        """All of ``messages``, in order, as one ``writelines`` and one
+    async def send_batch(self, lines: list[bytes]) -> None:
+        """Pre-encoded ``lines``, in order, as one ``writelines`` and one
         drain — the per-tick batching of the delivery pumps."""
         async with self._write_lock:
-            self.writer.writelines(encode(message) for message in messages)
+            self.writer.writelines(lines)
             await self.writer.drain()
 
     async def _send_error(self, reason: str, detail: str) -> None:
@@ -234,31 +234,10 @@ class ClientSession:
                 # writelines: one syscall per socket per tick, FIFO
                 # order (and so delivery order) unchanged.
                 batch = [entry, *queue.drain_ready()]
-                await self.send_batch(
-                    [self._delta_message(subscription, e) for e in batch]
-                )
-                now = time.perf_counter()
-                for queued in batch:
-                    if queued.published_at:
-                        server.observe_delivery(now - queued.published_at)
-                server.messages_sent.inc(len(batch))
-                subscription.sync_metrics()
+                await self.send_batch([subscription.line(e) for e in batch])
+                server.delivered(batch)
         except (ConnectionError, asyncio.CancelledError):
             pass
-
-    @staticmethod
-    def _delta_message(
-        subscription: Subscription, entry: QueuedDelta
-    ) -> dict:
-        return {
-            "type": "delta",
-            "name": subscription.name,
-            "first": entry.first,
-            "last": entry.last,
-            "inserted": render_rows(entry.delta.inserted),
-            "deleted": render_rows(entry.delta.deleted),
-            "coalesced": entry.coalesced,
-        }
 
     # -- teardown ----------------------------------------------------------------
 

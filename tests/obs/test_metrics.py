@@ -46,6 +46,36 @@ class TestGauge:
         assert registry.gauge("serena_depth").kind == "gauge"
 
 
+class TestReadThrough:
+    def test_reads_its_source_at_read_time(self, registry):
+        backlog = [3]
+        lag = registry.read_through("serena_lag", "gauge", lambda: backlog[0], sub="a")
+        assert registry.value("serena_lag", sub="a") == 3
+        backlog[0] = 7
+        assert lag.value == 7
+        assert registry.snapshot()["serena_lag"]["series"][0]["value"] == 7
+        assert registry.gauge("serena_lag", sub="a") is lag
+
+    def test_freeze_pins_and_rebind_resumes(self, registry):
+        count, depth = [5], [2]
+        total = registry.read_through("serena_m_total", "counter", lambda: count[0])
+        gauge = registry.read_through("serena_g", "gauge", lambda: depth[0])
+        total.freeze()
+        gauge.freeze()
+        count[0] = depth[0] = 99
+        assert (total.value, gauge.value) == (5, 2)
+        registry.read_through("serena_m_total", "counter", lambda: 1)
+        registry.read_through("serena_g", "gauge", lambda: 1)
+        assert (total.value, gauge.value) == (6, 1)  # a counter continues
+
+    def test_rejects_histograms_and_plain_instruments(self, registry):
+        with pytest.raises(ValueError, match="counter or gauge"):
+            registry.read_through("serena_h", "histogram", lambda: 0)
+        registry.gauge("serena_plain")
+        with pytest.raises(ValueError, match="already a plain gauge"):
+            registry.read_through("serena_plain", "gauge", lambda: 0)
+
+
 class TestHistogram:
     def test_observe_places_in_first_matching_bucket(self, registry):
         h = registry.histogram("serena_latency_seconds", buckets=(1.0, 2.0))

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.exec.delta import Delta
+from repro.obs.metrics import MetricsRegistry
+from repro.server.delivery import DeliveryQueue, QueuedDelta
 from repro.server.protocol import (
     ProtocolError,
     decode_line,
@@ -11,8 +14,10 @@ from repro.server.protocol import (
     render_rows,
     sse_error_response,
     sse_event,
+    sse_frame,
     sse_response_head,
 )
+from repro.server.session import Subscription
 
 
 class TestFraming:
@@ -75,3 +80,52 @@ class TestSse:
         head, _, body = response.partition(b"\r\n\r\n")
         assert b"400" in head
         assert f"Content-Length: {len(body)}".encode() in head
+
+
+def _whole_message(name: str, entry: QueuedDelta) -> dict:
+    """A ``delta`` message built field by field, the way the wire was
+    rendered before lines were spliced from a shared body."""
+    return {
+        "type": "delta",
+        "name": name,
+        "first": entry.first,
+        "last": entry.last,
+        "inserted": render_rows(entry.delta.inserted),
+        "deleted": render_rows(entry.delta.deleted),
+        "coalesced": entry.coalesced,
+    }
+
+
+def _whole_sse(message: dict) -> bytes:
+    payload = json.dumps(message, separators=(",", ":"), default=str)
+    return f"data: {payload}\n\n".encode("utf-8")
+
+
+ROWS = frozenset({("a", 1.5), ("b", None), ("c", -0.0), ("d", 1e300), ("é\"\\", 2)})
+
+
+class TestSplicedDeltaLine:
+    @pytest.mark.parametrize(
+        "name", ["q", "zoné-ß", 'say "hi"', "back\\slash", "日本語", "tab\tnl\n"]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            QueuedDelta(3, 3, Delta(ROWS, frozenset())),
+            QueuedDelta(3, 7, Delta(frozenset(), ROWS), coalesced=4),
+            QueuedDelta(1, 2, Delta(ROWS, frozenset({("z", "ü", 0.1)})), coalesced=1),
+            QueuedDelta(5, 5, Delta(frozenset({(frozenset({1}), 2.0)}), frozenset())),
+        ],
+    )
+    def test_bytes_equal_the_whole_message_encoding(self, name, entry):
+        queue = DeliveryQueue(2)
+        subscription = Subscription(name, None, queue, "c1", MetricsRegistry())
+        line = subscription.line(entry)
+        message = _whole_message(name, entry)
+        assert line == encode(message)
+        assert sse_frame(line) == _whole_sse(message) == sse_event(message)
+        assert json.loads(line) == json.loads(encode(message))
+
+    def test_body_is_encoded_once_per_entry(self):
+        entry = QueuedDelta(1, 1, Delta(ROWS, frozenset()))
+        assert entry.body is entry.body

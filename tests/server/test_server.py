@@ -331,6 +331,72 @@ class TestAdmission:
         asyncio.run(scenario())
 
 
+class LocalSession:
+    """The session shape ``SubscriptionServer.subscribe`` needs."""
+
+    def __init__(self, client_id: str):
+        self.client_id = client_id
+        self.subscriptions: dict = {}
+
+
+class TestInProcessSubscribers:
+    def test_never_draining_subscriber_reports_its_true_backlog(self):
+        server = SubscriptionServer(make_pems(), queue_depth=4)
+        churn = Churn(server.pems)
+        slow = server.subscribe(LocalSession("local0"), ALL_SQL, "slow")
+        fast = server.subscribe(LocalSession("local1"), ALL_SQL, "fast")
+        metrics = server.obs.metrics
+
+        def series(name, sub):
+            return metrics.value(name, client=f"local{sub}", sub=("slow", "fast")[sub])
+
+        for _ in range(12):
+            churn.step()
+            server.tick()
+            fast.queue.drain_ready()
+            assert series("serena_server_lag", 0) == slow.queue.lag > 0
+            assert series("serena_server_lag", 1) == fast.queue.lag == 0
+        assert slow.queue.lag == 4
+        assert series("serena_server_coalesced_total", 0) == slow.queue.coalesced > 0
+        assert series("serena_server_dropped_total", 0) == slow.queue.dropped
+        assert series("serena_server_coalesced_total", 1) == 0
+        final = slow.queue.coalesced
+        server.unsubscribe(slow)
+        for _ in range(3):
+            churn.step()
+            server.tick()
+        # Frozen at the final values once unsubscribed.
+        assert series("serena_server_lag", 0) == 4
+        assert series("serena_server_coalesced_total", 0) == final
+
+    def test_subscription_gauge_is_a_running_count(self):
+        server = SubscriptionServer(make_pems(), queue_depth=4)
+        Churn(server.pems)
+        metrics = server.obs.metrics
+        sessions = [LocalSession(f"local{i}") for i in range(3)]
+        live = []
+        sqls = (HOT_SQL, ALL_SQL, "SELECT device FROM readings")
+        for step in range(40):
+            if step % 3 == 2 and live:
+                server.unsubscribe(live.pop((step * 7) % len(live)))
+            else:
+                session = sessions[step % 3]
+                live.append(server.subscribe(session, sqls[step % 5 % 3], f"s{step}"))
+            if step % 4 == 0:
+                server.tick()
+            queries = server.queries.values()
+            assert metrics.value("serena_server_subscriptions") == sum(
+                len(q.subscribers) for q in queries
+            ) == len(live)
+            assert metrics.value("serena_server_queries") == len(queries)
+            assert server.summary()["subscriptions"] == len(live)
+            assert all(len(q.cohorts) <= len(q.subscribers) + 1 for q in queries)
+        for subscription in live:
+            server.unsubscribe(subscription)
+        assert metrics.value("serena_server_subscriptions") == 0
+        assert metrics.value("serena_server_queries") == 0
+
+
 class TestSse:
     def test_sse_subscribe_streams_deltas(self):
         async def scenario():

@@ -1,6 +1,7 @@
 """Guard: the engine names, classes and knobs folded into the one
-physical engine — and the parked sharded federation's — must not creep
-back into code, docs, examples, scripts or CI.
+physical engine — and the parked sharded federation's, and the server's
+per-subscriber fan-out hooks — must not creep back into code, docs,
+examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table and
 one way to build a PEMS.  Prose may still call the executors
@@ -50,6 +51,8 @@ BANNED = re.compile(
       | explain_federated
       | acquire_subtree
       | insert_validated
+      | sync_metrics
+      | _delta_message
     """,
     re.VERBOSE,
 )
