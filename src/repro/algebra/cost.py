@@ -45,15 +45,6 @@ SELECTION_SELECTIVITY = 0.5
 JOIN_SELECTIVITY = 0.1
 #: Default service cost (per invocation), in tuple-processing units.
 DEFAULT_SERVICE_COST = 100.0
-#: Default fraction of a base relation changing per instant, used by the
-#: steady-state tick-cost model when the caller has no churn estimate.
-DEFAULT_CHURN = 0.01
-#: Risk premium on invocations of a prototype with *no* registered
-#: substitution rule: a failure there has no failover, so the expected
-#: cost carries re-invocation retries, quarantine gaps and missed-result
-#: recovery.  Prototypes the substitution registry covers are served
-#: transparently through their failover table (PR 9), so they pay none.
-UNSUBSTITUTABLE_RISK_PREMIUM = 1.25
 
 
 @dataclass(frozen=True)
@@ -84,20 +75,12 @@ class CostModel:
         are derived from actual distinct counts instead of the textbook
         defaults.  Build one with
         :func:`repro.algebra.statistics.collect_statistics`.
-    substitutable:
-        Prototype names covered by at least one substitution rule
-        (``registry.substitutions.prototype_names``).  When set,
-        invocations of prototypes *outside* it pay
-        :data:`UNSUBSTITUTABLE_RISK_PREMIUM` — so on an otherwise-tied
-        plan choice the optimizer prefers the provider a spare can
-        absorb.  ``None`` (the default) disables the premium entirely.
     """
 
     environment: PervasiveEnvironment
     service_costs: dict[str, float] = field(default_factory=dict)
     instant: int = 0
     statistics: object | None = None  # EnvironmentStatistics, duck-typed
-    substitutable: frozenset[str] | None = None
 
     # -- cardinality estimation ------------------------------------------------
 
@@ -150,68 +133,9 @@ class CostModel:
             return self.cardinality(node.children[0])
         return 100.0
 
-    def delta_cardinality(
-        self, node: Operator, churn: float = DEFAULT_CHURN
-    ) -> float:
-        """Estimated per-tick *delta* size under the shared engine.
-
-        ``churn`` is the fraction of every base relation changing per
-        instant; deltas then flow bottom-up the way the physical executors
-        (:mod:`repro.exec.executors`) propagate them.  The β∞ operator is
-        the deliberate exception: a streaming invocation re-emits for
-        every operand tuple at every instant, so its delta is its full
-        cardinality regardless of churn.
-        """
-        if isinstance(node, (Scan, BaseRelation)):
-            return churn * self.cardinality(node)
-        if isinstance(node, Selection):
-            selectivity = SELECTION_SELECTIVITY
-            if self.statistics is not None:
-                selectivity = self.statistics.selectivity(node.formula)
-            return selectivity * self.delta_cardinality(node.children[0], churn)
-        if isinstance(node, (Projection, Renaming, Assignment, Streaming)):
-            return self.delta_cardinality(node.children[0], churn)
-        if isinstance(node, Window):
-            # Arrivals at this instant plus the bucket expiring: ~2 deltas.
-            return 2.0 * self.delta_cardinality(node.children[0], churn)
-        if isinstance(node, Invocation):
-            return self.delta_cardinality(node.children[0], churn)
-        if isinstance(node, StreamingInvocation):
-            return self.cardinality(node.children[0])
-        if isinstance(node, NaturalJoin):
-            left, right = node.children
-            dl = self.delta_cardinality(left, churn)
-            dr = self.delta_cardinality(right, churn)
-            cl, cr = self.cardinality(left), self.cardinality(right)
-            if not node.predicate_names:
-                return dl * cr + dr * cl
-            factor = JOIN_SELECTIVITY
-            if self.statistics is not None:
-                factor = 1.0
-                for key in node.predicate_names:
-                    distinct = self.statistics.distinct_anywhere(key)
-                    factor *= 1.0 / distinct if distinct else JOIN_SELECTIVITY
-            return factor * (dl * cr + dr * cl)
-        if isinstance(node, (Union, Intersection, Difference)):
-            return sum(self.delta_cardinality(c, churn) for c in node.children)
-        if isinstance(node, Aggregate):
-            # One recomputed group row per affected member, at most.
-            return min(
-                self.delta_cardinality(node.children[0], churn),
-                self.cardinality(node),
-            )
-        # Unknown operator: the engine falls back to naive re-evaluation
-        # of the subtree, so the whole result is touched each tick.
-        return self.cardinality(node)
-
     def service_cost(self, prototype_name: str) -> float:
-        """Per-invocation cost of one call to ``prototype_name``,
-        including the risk premium when the prototype has no registered
-        substitute (see ``substitutable``)."""
-        per_call = self.service_costs.get(prototype_name, DEFAULT_SERVICE_COST)
-        if self.substitutable is not None and prototype_name not in self.substitutable:
-            per_call *= UNSUBSTITUTABLE_RISK_PREMIUM
-        return per_call
+        """Per-invocation cost of one call to ``prototype_name``."""
+        return self.service_costs.get(prototype_name, DEFAULT_SERVICE_COST)
 
     def invocation_cost(self, node: Invocation) -> float:
         """Expected invocation cost of one β node: one call per input tuple."""
@@ -232,60 +156,6 @@ class CostModel:
             elif isinstance(node, StreamingInvocation):
                 per_call = self.service_cost(node.binding_pattern.prototype.name)
                 invocations += per_call * self.cardinality(node.children[0])
-        return PlanCost(
-            total=tuples + invocations,
-            invocations=invocations,
-            tuples_processed=tuples,
-        )
-
-    def tick_cost(
-        self,
-        plan: Operator | Query,
-        engine: str = "shared",
-        churn: float = DEFAULT_CHURN,
-    ) -> PlanCost:
-        """Estimated *steady-state per-tick* cost of a registered
-        continuous query.
-
-        Under ``engine="naive"`` every operator touches its full result
-        each tick.  Under ``engine="shared"`` natively-lowered
-        operators (see :func:`repro.exec.lowering.supported_operator`)
-        touch only their deltas; an operator without a native executor
-        makes its whole subtree fall back to naive evaluation.  In both
-        engines the invocation operator only invokes for newly inserted
-        tuples (its per-tuple cache), so service cost scales with deltas
-        either way — what the physical engine buys is the tuple
-        processing, which dominates invocation-free plans.  Any other
-        engine name raises :class:`~repro.errors.SerenaError`.
-        """
-        # The physical layer builds on the algebra; import here so the
-        # algebra package stays importable on its own.
-        from repro.exec.lowering import check_engine, supported_operator
-
-        check_engine(engine)
-        root = plan.root if isinstance(plan, Query) else plan
-        invocations = 0.0
-        tuples = 0.0
-
-        def visit(node: Operator, lowered: bool) -> None:
-            nonlocal invocations, tuples
-            lowered = lowered and supported_operator(node)
-            if lowered:
-                tuples += self.delta_cardinality(node, churn)
-            else:
-                tuples += self.cardinality(node)
-            if isinstance(node, Invocation):
-                per_call = self.service_cost(node.binding_pattern.prototype.name)
-                invocations += per_call * self.delta_cardinality(
-                    node.children[0], churn
-                )
-            elif isinstance(node, StreamingInvocation):
-                per_call = self.service_cost(node.binding_pattern.prototype.name)
-                invocations += per_call * self.cardinality(node.children[0])
-            for child in node.children:
-                visit(child, lowered)
-
-        visit(root, engine == "shared")
         return PlanCost(
             total=tuples + invocations,
             invocations=invocations,

@@ -64,7 +64,11 @@ class OptimizationResult:
 
 
 class Optimizer:
-    """Cost-based plan search over the rewrite-rule space.
+    """Cost-based plan search over the rewrite-rule space, scored by the
+    one-shot :meth:`~repro.algebra.cost.CostModel.cost`.  It serves the
+    shell's ``.optimize`` and the X2 optimizer ablation (DESIGN.md §3);
+    registration lowers plans as written, and the shared-plan registry's
+    Table 5 normal form is what makes equivalent subplans share executors.
 
     Parameters
     ----------
@@ -72,41 +76,11 @@ class Optimizer:
         Scores candidate plans.
     plan_budget:
         Maximum number of distinct plans to explore.
-    engine:
-        What execution the scores should model.  ``None`` (default) uses
-        the one-shot cost — the right objective for :meth:`Query.evaluate`.
-        ``"shared"`` or ``"naive"`` score plans by *steady-state tick
-        cost* under that continuous engine
-        (:meth:`~repro.algebra.cost.CostModel.tick_cost`), so plan choice
-        accounts for the physical layer: e.g. under the shared engine
-        a selection pushed below a join shrinks the persisted hash indexes
-        and the per-tick deltas, not just a one-shot intermediate result.
-    churn:
-        Per-instant change fraction assumed by the tick-cost model (only
-        used when ``engine`` is set).
     """
 
-    def __init__(
-        self,
-        cost_model: CostModel,
-        plan_budget: int = 500,
-        engine: str | None = None,
-        churn: float | None = None,
-    ):
-        if engine is not None:
-            from repro.exec.lowering import check_engine  # exec layers on algebra
-
-            check_engine(engine)
+    def __init__(self, cost_model: CostModel, plan_budget: int = 500):
         self.cost_model = cost_model
         self.plan_budget = plan_budget
-        self.engine = engine
-        self.churn = churn
-
-    def _score(self, plan: Operator | Query) -> PlanCost:
-        if self.engine is None:
-            return self.cost_model.cost(plan)
-        kwargs = {} if self.churn is None else {"churn": self.churn}
-        return self.cost_model.tick_cost(plan, engine=self.engine, **kwargs)
 
     def optimize(self, query: Query) -> OptimizationResult:
         """Explore equivalent plans breadth-first; return the cheapest.
@@ -114,7 +88,7 @@ class Optimizer:
         The input plan is always a candidate, so the result is never worse
         than the input under the cost model.
         """
-        original_cost = self._score(query)
+        original_cost = self.cost_model.cost(query)
         seen: dict[Operator, PlanCost] = {}
         frontier = [query.root]
         seen[query.root] = original_cost
@@ -124,7 +98,7 @@ class Optimizer:
             for neighbor in self._neighbors(node):
                 if neighbor in seen:
                     continue
-                seen[neighbor] = self._score(neighbor)
+                seen[neighbor] = self.cost_model.cost(neighbor)
                 frontier.append(neighbor)
                 explored += 1
                 if explored >= self.plan_budget:
@@ -136,18 +110,6 @@ class Optimizer:
             original_cost=original_cost,
             plans_explored=explored,
         )
-
-    def choose(self, candidates: list[Query]) -> Query:
-        """Score candidate queries *as written* and return the cheapest
-        (first wins a tie).  Unlike :meth:`optimize`, no rewriting
-        happens — this ranks genuinely different plans, e.g. the same
-        information requested from two different providers, where the
-        cost model's substitution-risk premium
-        (:data:`~repro.algebra.cost.UNSUBSTITUTABLE_RISK_PREMIUM`)
-        breaks ties toward prototypes a spare can absorb."""
-        if not candidates:
-            raise ValueError("choose() needs at least one candidate")
-        return min(candidates, key=lambda query: self._score(query).total)
 
     def _neighbors(self, root: Operator) -> list[Operator]:
         """All plans one rule application away (any rule, any node)."""

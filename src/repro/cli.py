@@ -331,16 +331,10 @@ class SerenaShell:
 
         query = compile_sql(argument.rstrip(";"), self.pems.environment)
         statistics = collect_statistics(self.pems.environment, self.pems.clock.now)
-        substitutions = getattr(
-            self.pems.environment.registry, "substitutions", None
-        )
         model = CostModel(
             self.pems.environment,
             instant=self.pems.clock.now,
             statistics=statistics,
-            substitutable=(
-                substitutions.prototype_names if substitutions is not None else None
-            ),
         )
         outcome = Optimizer(model).optimize(query)
         self._print("-- original plan --")

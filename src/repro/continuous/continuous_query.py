@@ -91,13 +91,6 @@ class ContinuousQuery:
         self._emitted: list[tuple[int, tuple]] = []
         self._history: list[QueryResult] | None = [] if keep_history else None
         self._listeners: list[Callable[[QueryResult], None]] = []
-        #: Plan-swap bookkeeping (see :meth:`swap_plan`): the relation
-        #: right before the last swap, and the netted reported delta of
-        #: the first post-swap evaluation.
-        self._swap_baseline: frozenset[tuple] | None = None
-        self._reported_override: Delta | None = None
-        #: How many times :meth:`swap_plan` replaced the physical plan.
-        self.swaps = 0
 
     # -- observation -------------------------------------------------------------
 
@@ -145,12 +138,6 @@ class ContinuousQuery:
             )
         if self._carried:
             return EMPTY_DELTA
-        if self._reported_override is not None:
-            # First evaluation after a plan swap: the cold plan's own
-            # reported delta describes a from-scratch materialization, not
-            # the change the *query* observed — return the net difference
-            # against the pre-swap relation instead (two-delta contract).
-            return self._reported_override
         if self._engine is not None:
             return self._engine.reported
         ctx = EvaluationContext(
@@ -181,69 +168,6 @@ class ContinuousQuery:
         if self._engine is not None:
             self._engine.release()
 
-    # -- plan swapping ------------------------------------------------------------
-
-    @property
-    def swappable(self) -> bool:
-        """Whether :meth:`swap_plan` may replace this query's plan.
-
-        Three classes are excluded: the naive engine (no physical plan),
-        stream-typed queries (emissions depend on plan registration time,
-        so a cold plan would re-emit history) and queries invoking an
-        *active* prototype (a cold invocation executor would re-fire the
-        side-effecting actions for every already-seen tuple).
-        """
-        if self._engine is None or self.query.is_stream:
-            return False
-        stack = [self.query.root]
-        while stack:
-            node = stack.pop()
-            binding = getattr(node, "binding_pattern", None)
-            if binding is not None and binding.prototype.active:
-                return False
-            stack.extend(node.children)
-        return True
-
-    def swap_plan(self, query: Query) -> None:
-        """Replace the physical plan in place with a re-lowered ``query``
-        (same result schema), preserving the two-delta contract.
-
-        The new engine is built *before* the old one is released, so
-        every structurally common subtree is re-leased warm from the
-        registry (its refcount never reaches zero) and only the genuinely
-        restructured executors start cold.  The first
-        post-swap evaluation reports the *net* delta against the pre-swap
-        relation — for an equivalent plan that is the ordinary per-tick
-        delta, exactly as if no swap had happened.
-        """
-        if not self.swappable:
-            raise SerenaError(
-                f"continuous query {self.query.name!r} is not swappable "
-                "(naive engine, stream query, or active binding pattern)"
-            )
-        if query.root.schema.names != self.query.root.schema.names:
-            raise SerenaError(
-                f"swap_plan for {self.query.name!r}: the new plan's output "
-                f"schema {query.root.schema.names} differs from "
-                f"{self.query.root.schema.names}"
-            )
-        old_engine = self._engine
-        # Acquire-before-release: common subtrees stay warm.
-        new_engine = SharedEngine(
-            query, self.environment, old_engine.registry, observe=self.obs
-        )
-        if self._last_result is not None:
-            self._swap_baseline = frozenset(self._last_result.relation)
-            if not self._carried and self._reported_override is None:
-                # Until the new plan's first tick, ``last_reported_delta``
-                # must keep describing the evaluation that already
-                # happened — freeze the outgoing engine's delta.
-                self._reported_override = old_engine.reported
-        old_engine.release()
-        self.query = query
-        self._engine = new_engine
-        self.swaps += 1
-
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate_at(self, instant: int) -> QueryResult:
@@ -271,15 +195,6 @@ class ContinuousQuery:
         self._last_instant = instant
         self._last_result = result
         self._carried = False
-        if self._swap_baseline is not None:
-            relation = frozenset(result.relation)
-            self._reported_override = Delta(
-                relation - self._swap_baseline,
-                self._swap_baseline - relation,
-            )
-            self._swap_baseline = None
-        else:
-            self._reported_override = None
         self._all_actions.extend(
             sorted(
                 result.actions,

@@ -181,17 +181,6 @@ class TickScheduler:
         self._dynamic.pop(name, None)
         self._scheduled_gauge.set(len(self._deps))
 
-    def refresh(self, name: str, continuous) -> None:
-        """Re-index a query whose physical plan was swapped in place
-        (:meth:`~repro.continuous.continuous_query.ContinuousQuery.swap_plan`):
-        dependencies and liveness are recomputed for the new executors,
-        and the query is marked fresh so the cold plan is evaluated (not
-        carried forward) at the next instant."""
-        if name not in self._deps:
-            raise SerenaError(f"query {name!r} is not scheduled")
-        self.deregister(name)
-        self.register(name, continuous)
-
     def on_discovery_event(self, event) -> None:
         """ERM hook: a service appeared/left/expired — wake the queries
         invoking any prototype it implements for the next tick."""

@@ -21,7 +21,6 @@ from repro.continuous.continuous_query import ContinuousQuery
 from repro.continuous.time import VirtualClock
 from repro.errors import SerenaError, UnknownAttributeError
 from repro.exec.lowering import check_engine
-from repro.exec.reoptimizer import FeedbackReoptimizer
 from repro.exec.scheduler import TickScheduler
 from repro.exec.shared import SharedPlanRegistry
 from repro.model.environment import PervasiveEnvironment
@@ -152,8 +151,8 @@ class QueryProcessor:
         self._rows_by_service: dict[str, dict[str, tuple]] = {}
         self._tracked_writes: dict[str, int] = {}
         self._failures: deque[QueryFailure] = deque(maxlen=FAILURE_LOG_SIZE)
-        #: Opt-in feedback re-optimizer (see :meth:`enable_reoptimization`).
-        self.reoptimizer: FeedbackReoptimizer | None = None
+        #: Last number handed out by :meth:`_auto_name`; only ever grows.
+        self._auto_names = 0
         clock.on_tick(self._on_tick)
 
     @property
@@ -220,7 +219,7 @@ class QueryProcessor:
         (e.g. a naive oracle next to the shared plans); a shared-engine
         query always runs on the processor's registry and scheduler.
         """
-        key = name or query.name or f"query-{len(self._continuous) + 1}"
+        key = name or query.name or self._auto_name()
         if key in self._continuous:
             raise SerenaError(f"continuous query {key!r} already registered")
         effective = engine if engine is not None else self.engine
@@ -236,8 +235,6 @@ class QueryProcessor:
         insort(self._order, key)
         if effective == "shared":
             self.scheduler.register(key, continuous)
-        if self.reoptimizer is not None:
-            self.reoptimizer.watch(key, continuous, self.clock.now)
         self._registered_gauge.set(len(self._continuous))
         return continuous
 
@@ -247,26 +244,18 @@ class QueryProcessor:
         continuous = self._continuous.pop(name)
         self._order.remove(name)
         self.scheduler.deregister(name)
-        if self.reoptimizer is not None:
-            self.reoptimizer.unwatch(name)
         continuous.release()
         self._registered_gauge.set(len(self._continuous))
 
-    def enable_reoptimization(self, **kwargs) -> FeedbackReoptimizer:
-        """Turn on feedback-driven re-optimization (DESIGN.md §13).
-
-        Already-registered swappable queries start being watched from the
-        current instant; keyword arguments are forwarded to
-        :class:`~repro.exec.reoptimizer.FeedbackReoptimizer` (divergence
-        factor, observation window, cooldown, plan budget).  Idempotent
-        only in the sense that calling it again replaces the reoptimizer
-        and restarts every observation window.
-        """
-        kwargs.setdefault("observe", self.obs)
-        self.reoptimizer = FeedbackReoptimizer(self.environment, **kwargs)
-        for name, continuous in self._continuous.items():
-            self.reoptimizer.watch(name, continuous, self.clock.now)
-        return self.reoptimizer
+    def _auto_name(self) -> str:
+        """``query-N`` for an unnamed registration: N is a per-processor
+        sequence that skips taken names, so a deregistration never makes
+        it hand out a name still in use."""
+        while True:
+            self._auto_names += 1
+            key = f"query-{self._auto_names}"
+            if key not in self._continuous:
+                return key
 
     def continuous_query(self, name: str) -> ContinuousQuery:
         try:
@@ -403,8 +392,6 @@ class QueryProcessor:
                             continuous.evaluate_at(instant)
                         if scheduled:
                             self.scheduler.evaluated(name, True)
-                        if self.reoptimizer is not None:
-                            self.reoptimizer.observe(name, continuous, instant)
                 except Exception as exc:
                     self._failures.append(
                         QueryFailure.from_exception(instant, name, exc)
@@ -412,12 +399,6 @@ class QueryProcessor:
                     self._failures_total.inc()
                     if scheduled:
                         self.scheduler.evaluated(name, False)
-            if self.reoptimizer is not None:
-                # After the evaluation loop: swapped plans take effect at
-                # the *next* instant, from strictly earlier observations.
-                self.reoptimizer.reoptimize(
-                    self._continuous, self.scheduler, instant
-                )
         finally:
             registry.end_instant_memo()
 

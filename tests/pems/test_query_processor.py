@@ -65,6 +65,27 @@ class TestContinuousRegistration:
         pems.run(2)
         assert cq.last_result is last
 
+    def test_unnamed_queries_never_reuse_a_taken_name(self, pems):
+        def unnamed():
+            return pems.queries.register_continuous_sql(
+                "SELECT sensor, location FROM sensors"
+            )
+
+        pems.queries.register_continuous_sql(
+            "SELECT sensor FROM sensors", name="query-2"
+        )
+        first, second = unnamed(), unnamed()
+        assert pems.queries.continuous_query("query-1") is first
+        assert pems.queries.continuous_query("query-3") is second
+        pems.queries.deregister_continuous("query-1")
+        third = unnamed()  # the count shrank; the sequence did not
+        assert pems.queries.continuous_query("query-4") is third
+        assert set(pems.queries.continuous_queries) == {
+            "query-2",
+            "query-3",
+            "query-4",
+        }
+
     def test_lookup(self, pems):
         cq = pems.queries.register_continuous(
             scan(pems.environment, "sensors").query(), name="watch"

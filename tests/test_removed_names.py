@@ -1,6 +1,7 @@
 """Guard: the engine names, classes and knobs folded into the one
-physical engine — and the parked sharded federation's, and the server's
-per-subscriber fan-out hooks — must not creep back into code, docs,
+physical engine — and the parked sharded federation's, the server's
+per-subscriber fan-out hooks, and the feedback re-optimizer's plan-swap
+and per-tick costing surface — must not creep back into code, docs,
 examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table and
@@ -53,6 +54,16 @@ BANNED = re.compile(
       | insert_validated
       | sync_metrics
       | _delta_message
+      | FeedbackReoptimizer
+      | enable_reoptimization
+      | repro\.exec\.reoptimizer
+      | swap_plan
+      | swappable
+      | reoptimizations_total
+      | \.tick_cost\(
+      | delta_cardinality
+      | UNSUBSTITUTABLE_RISK_PREMIUM
+      | substitutable\s*=
     """,
     re.VERBOSE,
 )
@@ -81,6 +92,6 @@ def test_removed_engine_names_do_not_reappear():
 
 
 def test_engine_module_is_gone():
-    for module in ("engine", "vectorized", "columnar"):
+    for module in ("engine", "vectorized", "columnar", "reoptimizer"):
         assert not (ROOT / "src" / "repro" / "exec" / f"{module}.py").exists()
     assert not (ROOT / "src" / "repro" / "fed").exists()
