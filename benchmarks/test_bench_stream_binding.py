@@ -46,12 +46,7 @@ def build(declarative: bool):
         cq = pems.queries.register_continuous(stream_query)
         return pems, cq
     pems.tables.create_relation(temperatures_schema(), infinite=True)
-    pems.add_stream_source(
-        SensorStreamFeeder(
-            pems.environment.registry,
-            lambda rows: pems.tables.insert("temperatures", rows),
-        )
-    )
+    pems.add_stream_source(SensorStreamFeeder(pems.environment.registry, pems.tables))
     windowed = (
         scan(pems.environment, "temperatures").window(1).query("readings")
     )

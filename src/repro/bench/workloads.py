@@ -123,9 +123,7 @@ def build_surveillance_workload(
 
     pems.queries.register_discovery("getTemperature", "sensors", "sensor")
     pems.queries.register_discovery("checkPhoto", "cameras", "camera")
-    pems.add_stream_source(
-        SensorStreamFeeder(env.registry, lambda rows: tables.insert("temperatures", rows))
-    )
+    pems.add_stream_source(SensorStreamFeeder(env.registry, tables))
 
     if with_queries:
         alerts = (

@@ -24,12 +24,16 @@ differentials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.devices.determinism import stable_gauss_like, stable_prefix, stable_unit
 from repro.devices.sensors import StreamPoll
 from repro.model.prototypes import Prototype
 from repro.model.schema import RelationSchema
 from repro.model.services import Service, ServiceRegistry
+
+if TYPE_CHECKING:
+    from repro.pems.table_manager import ExtendedTableManager
 
 __all__ = [
     "READ_LOAD",
@@ -355,10 +359,10 @@ class FleetTelemetryFeeder:
 
     Polls every currently registered provider of ``prototype`` as one
     batch (:class:`~repro.devices.sensors.StreamPoll`) and inserts one
-    row per reading: ``columns(service)`` — the row's per-service
-    constants, see the ``*_columns`` builders below — plus the
-    prototype's output attributes and ``at``.  It reads through the
-    service registry, so:
+    tuple per reading into the stream ``relation`` of ``tables``:
+    ``columns(service)`` — the per-service constants, see the
+    ``*_columns`` builders below — plus the prototype's output
+    attributes and ``at``.  It reads through the service registry, so:
 
     * a churned-out or quarantined device silently stops feeding (one
       flaky device never silences the fleet — its reading is simply
@@ -376,22 +380,25 @@ class FleetTelemetryFeeder:
         self,
         registry: ServiceRegistry,
         prototype: "Prototype",
-        insert,
+        tables: ExtendedTableManager,
+        relation: str,
         columns,
         period: int = 1,
     ):
         self.registry = registry
         self.prototype = prototype
-        self.insert = insert
+        self.tables = tables
+        self.relation = relation
         self.period = period
-        self._poll = StreamPoll(registry, prototype, columns)
+        schema = tables.relation(relation).schema
+        self._poll = StreamPoll(registry, prototype, schema, columns)
 
     def __call__(self, instant: int) -> None:
         if instant % self.period != 0:
             return
         rows = self._poll.rows(instant)
         if rows:
-            self.insert(rows)
+            self.tables.insert_tuples(self.relation, rows, instant)
 
 
 def _zone(service: Service) -> str:

@@ -238,12 +238,7 @@ def build_city(
     # and quarantined ones drop out of the stream for the episode.
     def feed(prototype, relation, columns):
         pems.add_stream_source(
-            FleetTelemetryFeeder(
-                env.registry,
-                prototype,
-                lambda rows, _relation=relation: tables.insert(_relation, rows),
-                columns,
-            )
+            FleetTelemetryFeeder(env.registry, prototype, tables, relation, columns)
         )
 
     feed(READ_LOAD, "load_readings", load_columns)

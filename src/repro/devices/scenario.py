@@ -392,10 +392,7 @@ def build_temperature_surveillance(
     pems.queries.register_discovery("checkPhoto", "cameras", "camera")
 
     # The temperatures stream is fed from the discovered sensors each tick.
-    feeder = SensorStreamFeeder(
-        env.registry, lambda rows: tables.insert("temperatures", rows)
-    )
-    pems.add_stream_source(feeder)
+    pems.add_stream_source(SensorStreamFeeder(env.registry, tables))
 
     if with_queries:
         alerts = (

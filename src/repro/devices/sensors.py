@@ -23,13 +23,18 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.devices.determinism import stable_gauss_like, stable_prefix
 from repro.devices.prototypes import GET_ENV_READING, GET_TEMPERATURE
 from repro.errors import ServiceError
 from repro.model.prototypes import Prototype
 from repro.model.services import Service, ServiceRegistry
+from repro.model.xschema import ExtendedRelationSchema
+
+if TYPE_CHECKING:
+    from repro.pems.table_manager import ExtendedTableManager
 
 __all__ = [
     "TemperatureSensor",
@@ -170,11 +175,17 @@ class StreamPoll:
     """The batched poll behind every stream feeder: all providers of one
     prototype, one :meth:`ServiceRegistry.invoke_many` per instant.
 
-    A reading becomes the row ``{**columns(service), <output attribute>:
-    value, ..., "at": instant}``.  ``columns(service)`` — the part of the
-    row that is constant per service (its reference, zone, location, …)
-    — is evaluated once per provider and kept until the registry's
-    ``topology_version`` moves, so the per-instant path builds no string.
+    A reading becomes one value tuple of the stream ``schema`` (real
+    attributes, in schema order): ``columns(service)`` — the part that is
+    constant per service (its reference, zone, location, …) — then the
+    prototype's output values, then ``at``.  When the provider set
+    changes (the registry's ``topology_version`` moved), every provider's
+    ``columns(service)`` is evaluated once and checked to cover, with the
+    outputs and ``at``, exactly the stream's real attributes — a missing,
+    unknown or virtual key raises what
+    :meth:`~repro.model.xschema.ExtendedRelationSchema.values_from_mapping`
+    raises — and kept as a ready tuple prefix, so a reading costs one
+    tuple concatenation.
 
     It reads through the registry, so a device that left, was
     quarantined or fails this instant is simply absent from the rows
@@ -187,38 +198,58 @@ class StreamPoll:
         self,
         registry: ServiceRegistry,
         prototype: Prototype,
+        schema: ExtendedRelationSchema,
         columns: Callable[[Service], Mapping[str, object]],
     ):
         self.registry = registry
         self.prototype = prototype
+        self.schema = schema
         self.columns = columns
-        self._outputs = prototype.output_schema.names
+        real = tuple(attribute.name for attribute in schema.real_attributes)
+        self._readings = (*prototype.output_schema.names, "at")
+        self._leading = tuple(name for name in real if name not in self._readings)
+        layout = self._leading + self._readings
+        # A reading is built as prefix + outputs + (at,); a stream that
+        # declares its attributes in another order gets it reordered.
+        self._reorder = (
+            itemgetter(*map(layout.index, real))
+            if layout != real and sorted(layout) == sorted(real)
+            else None
+        )
         self._topology: int | None = None
         self._references: list[str] = []
-        self._constants: list[Mapping[str, object]] = []
+        self._prefixes: list[tuple] = []
 
-    def rows(self, instant: int) -> list[dict[str, object]]:
-        """One row per reading of ``instant``, providers in reference order."""
+    def _index(self, registry: ServiceRegistry) -> None:
+        readings = dict.fromkeys(self._readings)
+        leading = self._leading
+        references, prefixes = [], []
+        for service in registry.providers(self.prototype):
+            row = {**self.columns(service), **readings}
+            self.schema.values_from_mapping(row)  # the key check, once
+            references.append(service.reference)
+            prefixes.append(tuple([row[name] for name in leading]))
+        self._references, self._prefixes = references, prefixes
+        self._topology = registry.topology_version
+
+    def rows(self, instant: int) -> list[tuple]:
+        """One value tuple per reading of ``instant``, providers in
+        reference order."""
         registry = self.registry
         if self._topology != registry.topology_version:
-            self._topology = registry.topology_version
-            providers = registry.providers(self.prototype)
-            self._references = [service.reference for service in providers]
-            self._constants = [self.columns(service) for service in providers]
+            self._index(registry)
         outcomes = registry.invoke_many(
             self.prototype, self._references, {}, instant
         )
-        names = self._outputs
+        at = (instant,)
         rows = []
-        for constants, outcome in zip(self._constants, outcomes):
+        for prefix, outcome in zip(self._prefixes, outcomes):
             if isinstance(outcome, ServiceError):
                 continue
             for values in outcome:
-                row = dict(constants)
-                for name, value in zip(names, values):
-                    row[name] = value
-                row["at"] = instant
-                rows.append(row)
+                rows.append(prefix + values + at)
+        if self._reorder is not None:
+            rows = list(map(self._reorder, rows))
         return rows
 
 
@@ -235,24 +266,26 @@ class SensorStreamFeeder:
     At every instant that is a multiple of ``period``, it invokes
     ``getTemperature`` on every currently registered sensor service (a
     :class:`StreamPoll`) and inserts ``(sensor, location, temperature,
-    at)`` rows into the stream.  Register it with
+    at)`` tuples into the ``temperatures`` stream of ``tables`` (which
+    must exist already).  Register it with
     :meth:`repro.pems.pems.PEMS.add_stream_source`.
     """
 
     def __init__(
         self,
         registry: ServiceRegistry,
-        insert,  # Callable[[list[Mapping]], int]-like: rows → inserted count
+        tables: ExtendedTableManager,
         period: int = 1,
     ):
         self.registry = registry
-        self.insert = insert
+        self.tables = tables
         self.period = period
-        self._poll = StreamPoll(registry, GET_TEMPERATURE, _sensor_columns)
+        schema = tables.relation("temperatures").schema
+        self._poll = StreamPoll(registry, GET_TEMPERATURE, schema, _sensor_columns)
 
     def __call__(self, instant: int) -> None:
         if instant % self.period != 0:
             return
         rows = self._poll.rows(instant)
         if rows:
-            self.insert(rows)
+            self.tables.insert_tuples("temperatures", rows, instant)

@@ -148,12 +148,24 @@ class HealthTracker:
     invocation refused by a gate) records nothing but a counter, so
     backoff windows are anchored at real failures and cannot
     self-perpetuate.
+
+    Eviction: a record lives until :meth:`forget`, which the core ERM
+    calls when the service says BYE (it left for good).  A lease expiry
+    or a quarantine keeps the record, because the device may come back
+    and its history is what gates it.
     """
 
     def __init__(self, policy: InvocationPolicy | None = None):
         self.policy = policy if policy is not None else PERMISSIVE_POLICY
         self._records: dict[str, ServiceHealth] = {}
         self._tick_failures: dict[str, _TickFailures] = {}
+        #: References whose next invocation may not simply succeed-and-
+        #: count: a record that is not UP, or a same-instant attempt-cap
+        #: entry.  Kept incrementally by every method that moves a record,
+        #: so the registry can tell a settled reference (absent here: no
+        #: gate can close for it and a success moves nothing but counts)
+        #: with one set lookup.
+        self.unsettled: set[str] = set()
         #: Bumped whenever something a substitution *score* can read
         #: changes (state transitions, failure counts) — successes on a
         #: clean UP record deliberately don't bump it, so the failover
@@ -256,9 +268,35 @@ class HealthTracker:
             # A successful probe after the quarantine backoff: recovered.
             record.state = HealthState.UP
             record.quarantined_at = None
+        if reference in self.unsettled:
+            tick = self._tick_failures.get(reference)
+            if tick is None or tick.instant != instant:
+                # No attempt-cap entry at this instant: settled again.
+                self._tick_failures.pop(reference, None)
+                self.unsettled.discard(reference)
+
+    def record_success_many(self, references: list[str], instant: int) -> None:
+        """:meth:`record_success` for a batch of *settled* references
+        (none in :attr:`unsettled`), each at most once: their records are
+        UP with no consecutive failure, so a success only counts."""
+        records = self._records
+        enabled = self.policy.enabled
+        if not records and not enabled:
+            return
+        for reference in references:
+            record = records.get(reference)
+            if record is None:
+                if not enabled:
+                    continue
+                record = records[reference] = ServiceHealth()
+            elif record.total_failures:
+                self.version += 1
+            record.total_successes += 1
+            record.last_success = instant
 
     def record_failure(self, reference: str, instant: int) -> None:
         record = self.health(reference)
+        self.unsettled.add(reference)
         self.version += 1
         record.total_failures += 1
         record.consecutive_failures += 1
@@ -302,12 +340,14 @@ class HealthTracker:
         record.state = HealthState.SUSPECT
         record.consecutive_failures = 0
         record.quarantined_at = None
+        self.unsettled.add(reference)
 
     def forget(self, reference: str) -> None:
         """Drop the record (service deregistered for good)."""
         if self._records.pop(reference, None) is not None:
             self.version += 1
         self._tick_failures.pop(reference, None)
+        self.unsettled.discard(reference)
 
     def __repr__(self) -> str:
         states = {s: 0 for s in HealthState}

@@ -45,6 +45,7 @@ class Prototype:
     input_schema: RelationSchema
     output_schema: RelationSchema
     active: bool = False
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -59,6 +60,16 @@ class Prototype:
                 f"prototype {self.name!r}: input and output schemas overlap "
                 f"on {sorted(overlap)}"
             )
+        # A prototype keys every service's handler table, looked up once
+        # per invocation: hash it once, like RelationSchema.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.name, self.input_schema, self.output_schema, self.active)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def input_names(self) -> frozenset[str]:

@@ -17,6 +17,7 @@ regardless of invocation order.
 
 from __future__ import annotations
 
+from collections import Counter
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,6 +44,9 @@ __all__ = ["Service", "MethodHandler", "ServiceRegistry"]
 # A method takes the input parameters (by attribute name) and the current
 # time instant, and returns 0..n output tuples as mappings.
 MethodHandler = Callable[[Mapping[str, object], int], Sequence[Mapping[str, object]]]
+
+# ``row`` of a device failure whose handler raised (returned no rows).
+_RAISED = object()
 
 
 class Service:
@@ -155,7 +159,9 @@ class ServiceRegistry:
         # "latency histogram" signal the substitution scorer folds in when
         # the policy is latency_aware.  Always-on and registry-internal —
         # deliberately *not* part of the health snapshot, which the
-        # differential suites compare across engines.
+        # differential suites compare across engines.  Evicted with the
+        # health record by :meth:`forget` (BYE), kept across a lease
+        # expiry or quarantine.
         self._latency: dict[str, Ewma] = {}
         self._chain_depth = 0
         # Per-instant invocation memo (see begin_instant_memo): active only
@@ -223,6 +229,14 @@ class ServiceRegistry:
         disappear and be reaped twice in a dynamic environment)."""
         if self._services.pop(reference, None) is not None:
             self.topology_version += 1
+
+    def forget(self, reference: str) -> None:
+        """Drop the per-reference state of a service that left for good
+        (the core ERM calls this on BYE): its health record, its
+        unsettled entry and its latency EWMA.  A lease expiry keeps them,
+        because the device may come back."""
+        self.health.forget(reference)
+        self._latency.pop(reference, None)
 
     def get(self, reference: str) -> Service:
         try:
@@ -344,13 +358,24 @@ class ServiceRegistry:
         reference goes through everything a lone invocation goes through —
         memo, sticky binding, health gates, device call, output-schema
         check, health/latency/outcome bookkeeping, failover — in
-        ``references`` order.  Only what cannot differ between the
-        references of one batch is worked out once, before the loop: the
-        input-schema comparison, the memo key's input part, the
-        observability flags and the output converter.  Services are
-        deterministic at a given instant and the binding and failover
-        tables are frozen for it (Section 3.2), so neither the order of
-        the batch nor its size can change an outcome.
+        ``references`` order.  Services are deterministic at a given
+        instant and the binding and failover tables are frozen for it
+        (Section 3.2), so neither the order of the batch nor its size can
+        change an outcome.
+
+        That also lets the batch be planned before the loop.  A reference
+        that is registered and implements ``prototype``, is given inputs
+        matching its input schema, has no memo entry, no sticky binding
+        and no unsettled health (:attr:`HealthTracker.unsettled`), and
+        appears once in the batch — with tracing off — can only reach its
+        device and succeed or fail.  It runs on the fast path: handler,
+        output conversion, latency sample, with its success bookkeeping
+        (health, invocation and outcome counters) applied per batch.
+        Every other reference takes the full path.
+        The pending bookkeeping is applied before any full-path reference
+        or failure runs, since a failover may invoke a later member of
+        the batch and must see the state the loop of :meth:`invoke`
+        would have left.
         """
         name = prototype.name
         provided = frozenset(inputs)
@@ -448,30 +473,18 @@ class ServiceRegistry:
             try:
                 rows = handler(dict(inputs), instant)
             except Exception as exc:
-                health.record_failure(reference, instant)
-                self._invoke_failed(prototype, reference, instant, state_before)
-                fallback = self._failover(prototype, reference, inputs, instant, key)
-                if fallback is not None:
-                    return fallback
-                raise InvocationError(
-                    f"invocation of {name!r} on {reference!r} failed: {exc}"
-                ) from exc
+                return self._device_failed(
+                    prototype, reference, inputs, instant, key, state_before, exc
+                )
             results = []
             for row in rows:
                 try:
                     results.append(convert(row))
                 except SchemaError as exc:
-                    health.record_failure(reference, instant)
-                    self._invoke_failed(prototype, reference, instant, state_before)
-                    fallback = self._failover(
-                        prototype, reference, inputs, instant, key
+                    return self._device_failed(
+                        prototype, reference, inputs, instant, key, state_before,
+                        exc, row,
                     )
-                    if fallback is not None:
-                        return fallback
-                    raise InvocationError(
-                        f"invocation of {name!r} on {reference!r} "
-                        f"returned an invalid output tuple {row!r}: {exc}"
-                    ) from exc
             self._observe_latency(reference, perf_counter() - started)
             health.record_success(reference, instant)
             if state_before is not None and state_before is not HealthState.UP:
@@ -492,14 +505,85 @@ class ServiceRegistry:
                 memo[key] = list(results)  # successes only
             return results
 
-        outcomes: list[list[tuple] | ServiceError] = []
-        for reference in references:
+        # The plan.  Bindings and the batch are frozen for the instant;
+        # health and the memo can move under a failover, so they are read
+        # per reference.
+        fast = provided == expected and not tracing_on
+        references = list(references)
+        full_path = {ref for proto, ref in subs.bindings if proto == name}
+        if len(set(references)) != len(references):
+            full_path.update(
+                ref for ref, count in Counter(references).items() if count > 1
+            )
+        unsettled = health.unsettled
+        succeeded: list[str] = []  # fast successes awaiting bookkeeping
+        attempted = 0
+
+        def settle() -> None:
+            nonlocal attempted
+            if attempted:
+                self._invocations_total.inc(attempted)
+                if metrics_on:
+                    self._outcome_success.inc(len(succeeded))
+                health.record_success_many(succeeded, instant)
+                succeeded.clear()
+                attempted = 0
+
+        def fail(reference: str, cause: Exception, row: object = _RAISED):
+            settle()
+            key = (name, reference, frozen_inputs) if memo is not None else None
+            state_before = HealthState.UP if metrics_on else None
             try:
-                outcomes.append(invoke_one(reference))
+                return self._device_failed(
+                    prototype, reference, inputs, instant, key, state_before,
+                    cause, row,
+                )
             except ServiceError as exc:
-                # An outcome, not a propagating error: without its traceback
-                # it holds no frame (and no cycle through ``outcomes``).
-                outcomes.append(exc.with_traceback(None))
+                return exc.with_traceback(None)
+
+        outcomes: list[list[tuple] | ServiceError] = []
+        try:
+            for reference in references:
+                service = services.get(reference)
+                if (
+                    fast
+                    and service is not None
+                    and prototype in service._methods
+                    and reference not in unsettled
+                    and reference not in full_path
+                    and (memo is None or (name, reference, frozen_inputs) not in memo)
+                ):
+                    handler = service.handler(prototype)
+                    attempted += 1
+                    started = perf_counter()
+                    try:
+                        rows = handler(dict(inputs), instant)
+                    except Exception as exc:
+                        outcomes.append(fail(reference, exc))
+                        continue
+                    results = []
+                    try:
+                        for row in rows:
+                            results.append(convert(row))
+                    except SchemaError as exc:
+                        outcomes.append(fail(reference, exc, row))
+                        continue
+                    self._observe_latency(reference, perf_counter() - started)
+                    succeeded.append(reference)
+                    if memo is not None:
+                        memo[name, reference, frozen_inputs] = list(results)
+                    outcomes.append(results)
+                    continue
+                settle()
+                try:
+                    outcomes.append(invoke_one(reference))
+                except ServiceError as exc:
+                    # An outcome, not a propagating error: without its
+                    # traceback it holds no frame (and no cycle through
+                    # ``outcomes``).
+                    outcomes.append(exc.with_traceback(None))
+        finally:
+            settle()
         return outcomes
 
     # -- substitution (semantic rebinding) -----------------------------------
@@ -598,6 +682,34 @@ class ServiceRegistry:
                 self._memo[key] = list(results)
             return results
         return None
+
+    def _device_failed(
+        self,
+        prototype: Prototype,
+        reference: str,
+        inputs: Mapping[str, object],
+        instant: int,
+        key: tuple | None,
+        state_before: HealthState | None,
+        cause: Exception,
+        row: object = _RAISED,
+    ) -> list[tuple]:
+        """The one failure tail of a device call: the handler raised
+        ``cause``, or ``row`` of its output failed the output schema.
+        Records the failure, then answers from the failover table or
+        raises the :class:`InvocationError` (``__cause__`` = ``cause``)."""
+        self.health.record_failure(reference, instant)
+        self._invoke_failed(prototype, reference, instant, state_before)
+        fallback = self._failover(prototype, reference, inputs, instant, key)
+        if fallback is not None:
+            return fallback
+        if row is _RAISED:
+            message = f"failed: {cause}"
+        else:
+            message = f"returned an invalid output tuple {row!r}: {cause}"
+        raise InvocationError(
+            f"invocation of {prototype.name!r} on {reference!r} {message}"
+        ) from cause
 
     def _observe_latency(self, reference: str, seconds: float) -> None:
         ewma = self._latency.get(reference)

@@ -7,6 +7,7 @@ while preserving the dynamics that matter to the model:
 
 * services announce themselves with a *lease* (a validity duration in
   clock instants) and renew it periodically — like UPnP's ``CACHE-CONTROL``;
+  a Local ERM renews every due lease of an instant in one announcement;
 * a service that leaves politely sends a *bye* announcement;
 * a service that crashes simply stops renewing; its lease expires and the
   core ERM reaps it — this is how "sensors that are deactivated (or
@@ -35,7 +36,7 @@ __all__ = [
 
 #: Retained announcements (diagnostics); mirrors the query processor's
 #: FAILURE_LOG_SIZE.  A long-running PEMS with short leases publishes a
-#: renewal per service every few instants — an unbounded log is a leak.
+#: renewal per Local ERM every few instants — an unbounded log is a leak.
 ANNOUNCEMENT_LOG_SIZE = 256
 
 
@@ -44,17 +45,31 @@ class AnnouncementKind(enum.Enum):
 
     ALIVE = "alive"  # ssdp:alive — service available, lease (re)starts
     BYE = "bye"      # ssdp:byebye — service leaving gracefully
+    RENEW = "renew"  # one Local ERM's due leases of an instant, restarted
 
 
 @dataclass(frozen=True)
 class Announcement:
-    """One discovery message on the bus."""
+    """One discovery message on the bus.
+
+    ALIVE and BYE are about one ``service``; a RENEW carries its
+    Local ERM's due services in ``renewed`` (``service`` is None), and
+    means an ALIVE for each of them.
+    """
 
     kind: AnnouncementKind
-    service: Service
+    service: Service | None
     origin: str          # the announcing Local ERM's identifier
-    lease: int = 0       # validity in instants (ALIVE only)
+    lease: int = 0       # validity in instants (ALIVE and RENEW)
     instant: int = 0     # when the announcement was sent
+    renewed: tuple[Service, ...] = ()
+
+    @property
+    def services(self) -> tuple[Service, ...]:
+        """The services the announcement is about, in order."""
+        if self.kind is AnnouncementKind.RENEW:
+            return self.renewed
+        return (self.service,)
 
 
 Listener = Callable[[Announcement], None]

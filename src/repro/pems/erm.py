@@ -155,50 +155,55 @@ class EnvironmentResourceManager:
             listener(event)
 
     def _on_announcement(self, announcement: Announcement) -> None:
+        """ALIVE is a RENEW of one: both admit each service they carry.
+        BYE unregisters or unparks the service and forgets its
+        per-reference state (:meth:`ServiceRegistry.forget`)."""
+        if announcement.kind is not AnnouncementKind.BYE:
+            lease = max(1, announcement.lease)
+            for service in announcement.services:
+                self._admit(service, announcement.instant, lease)
+            return
         service = announcement.service
-        if announcement.kind is AnnouncementKind.ALIVE:
-            if service.reference in self._parked:
-                # A quarantined service keeps announcing (its Local ERM does
-                # not know about the quarantine): refresh the parked copy and
-                # lease hint, but keep it out of the registry until released.
-                self._parked[service.reference] = (
-                    service,
-                    max(1, announcement.lease),
-                )
-                return
-            new = service.reference not in self.registry
-            self.registry.register(service)
-            self._expiry[service.reference] = (
-                announcement.instant + max(1, announcement.lease)
-            )
-            if new:
-                self._emit("appeared", service)
-        else:  # BYE
-            if service.reference in self._parked:
-                # Deregistered while quarantined: gone for good.
-                del self._parked[service.reference]
-                self.registry.health.forget(service.reference)
-                return
-            if service.reference in self.registry:
-                subs = self.registry.substitutions
-                if subs.enabled:
-                    # An explicit goodbye releases any binding held *for*
-                    # this reference; bindings routing *through* it are
-                    # re-ranked by the next tick's sweep.
-                    for prototype_name, reference in subs.bound_keys_for(
-                        service.reference
-                    ):
-                        self._note_rebind(
-                            subs.drop(
-                                prototype_name,
-                                reference,
-                                announcement.instant,
-                                "left",
-                            )
+        if service.reference in self._parked:
+            # Deregistered while quarantined: gone for good.
+            del self._parked[service.reference]
+        elif service.reference in self.registry:
+            subs = self.registry.substitutions
+            if subs.enabled:
+                # An explicit goodbye releases any binding held *for*
+                # this reference; bindings routing *through* it are
+                # re-ranked by the next tick's sweep.
+                for prototype_name, reference in subs.bound_keys_for(
+                    service.reference
+                ):
+                    self._note_rebind(
+                        subs.drop(
+                            prototype_name,
+                            reference,
+                            announcement.instant,
+                            "left",
                         )
-                self.registry.unregister(service.reference)
-                self._expiry.pop(service.reference, None)
-                self._emit("left", service)
+                    )
+            self.registry.unregister(service.reference)
+            self._expiry.pop(service.reference, None)
+            self._emit("left", service)
+        self.registry.forget(service.reference)
+
+    def _admit(self, service: Service, instant: int, lease: int) -> None:
+        """Apply one ALIVE sent at ``instant``: (re)register ``service``
+        for ``lease`` instants, emitting ``appeared`` if it is new."""
+        reference = service.reference
+        if reference in self._parked:
+            # A quarantined service keeps announcing (its Local ERM does
+            # not know about the quarantine): refresh the parked copy and
+            # lease hint, but keep it out of the registry until released.
+            self._parked[reference] = (service, lease)
+            return
+        new = reference not in self.registry
+        self.registry.register(service)
+        self._expiry[reference] = instant + lease
+        if new:
+            self._emit("appeared", service)
 
     def _on_tick(self, instant: int) -> None:
         health = self.registry.health

@@ -2,7 +2,8 @@
 
 A Local ERM runs "on" a device or a gateway: services register to it, and
 it announces them on the discovery bus with a lease, renewing periodically
-as long as the service stays registered.  Killing a Local ERM (or a single
+(one RENEW per tick for all due leases) as long as the service stays
+registered.  Killing a Local ERM (or a single
 service) without deregistration simulates a crash: announcements stop and
 the core ERM reaps the services when their leases expire.
 """
@@ -47,7 +48,7 @@ class LocalEnvironmentResourceManager:
         self.clock = clock
         self.lease = lease
         self._services: dict[str, Service] = {}
-        #: reference -> instant of the last ALIVE announcement; renewal
+        #: reference -> instant of the last ALIVE or RENEW; renewal
         #: cadence is anchored here, per registration, not on a global
         #: ``instant % cadence`` grid (a service registered just after a
         #: grid boundary with a short lease could expire unrenewed).
@@ -114,14 +115,30 @@ class LocalEnvironmentResourceManager:
 
     def _on_tick(self, instant: int) -> None:
         """Renew leases at half-lease cadence (like UPnP re-advertisement),
-        anchored at each service's own last announcement."""
+        anchored at each service's own last announcement: one RENEW
+        announcement carries every service due at ``instant``, in
+        reference order."""
         if not self._alive:
             return
         cadence = max(1, self.lease // 2)
+        last_announced = self._last_announced
+        due = []
         for reference in sorted(self._services):
-            last = self._last_announced.get(reference)
+            last = last_announced.get(reference)
             if last is None or instant - last >= cadence:
-                self._announce(self._services[reference])
+                last_announced[reference] = instant
+                due.append(self._services[reference])
+        if due:
+            self.bus.publish(
+                Announcement(
+                    AnnouncementKind.RENEW,
+                    None,
+                    self.name,
+                    lease=self.lease,
+                    instant=instant,
+                    renewed=tuple(due),
+                )
+            )
 
     def __repr__(self) -> str:
         status = "up" if self._alive else "crashed"

@@ -13,8 +13,16 @@ from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.messengers import Outbox, email_service, jabber_service, sms_service
 from repro.devices.prototypes import CHECK_PHOTO, GET_TEMPERATURE, SEND_MESSAGE, TAKE_PHOTO
 from repro.devices.rss import RssFeed
+from repro.continuous.time import VirtualClock
+from repro.devices.scenario import temperatures_schema
 from repro.devices.sensors import SensorStreamFeeder, StreamPoll, TemperatureSensor
+from repro.errors import SchemaError, UnknownAttributeError, VirtualAttributeError
+from repro.model.attributes import Attribute
+from repro.model.environment import PervasiveEnvironment
 from repro.model.services import ServiceRegistry
+from repro.model.types import DataType
+from repro.model.xschema import ExtendedRelationSchema
+from repro.pems.table_manager import ExtendedTableManager
 
 
 class TestDeterminism:
@@ -233,23 +241,37 @@ class TestStreamPoll:
             ]
         )
 
-    def poll(self, registry, calls):
+    def poll(self, registry, calls, schema=None, s0_columns=None):
         def columns(service):
             calls.append(service.reference)
+            if s0_columns is not None and service.reference == "s0":
+                return s0_columns
             return {"sensor": service.reference, "location": service.properties["location"]}
 
-        return StreamPoll(registry, GET_TEMPERATURE, columns)
+        schema = temperatures_schema() if schema is None else schema
+        return StreamPoll(registry, GET_TEMPERATURE, schema, columns)
+
+    def reading(self, registry, reference, instant):
+        return registry.invoke(GET_TEMPERATURE, reference, {}, instant)[0][0]
 
     def test_rows_are_constants_plus_outputs_plus_at(self):
         registry, calls = self.registry(), []
         rows = self.poll(registry, calls).rows(7)
         assert rows == [
-            {
-                "sensor": reference,
-                "location": location,
-                "temperature": registry.invoke(GET_TEMPERATURE, reference, {}, 7)[0][0],
-                "at": 7,
-            }
+            (reference, location, self.reading(registry, reference, 7), 7)
+            for reference, location in (("s1", "office"), ("s2", "roof"))
+        ]
+
+    def test_rows_follow_the_stream_attribute_order(self):
+        attributes = {a.name: a for a in temperatures_schema().attributes}
+        reordered = ExtendedRelationSchema(
+            "temperatures",
+            [attributes[name] for name in ("at", "temperature", "location", "sensor")],
+        )
+        registry = self.registry()
+        rows = self.poll(registry, [], schema=reordered).rows(7)
+        assert rows == [
+            (7, self.reading(registry, reference, 7), location, reference)
             for reference, location in (("s1", "office"), ("s2", "roof"))
         ]
 
@@ -260,10 +282,36 @@ class TestStreamPoll:
             poll.rows(instant)
         assert calls == ["s1", "s2"]
         registry.register(TemperatureSensor("s0", "lab").as_service())
-        assert [row["sensor"] for row in poll.rows(5)] == ["s0", "s1", "s2"]
+        assert [row[0] for row in poll.rows(5)] == ["s0", "s1", "s2"]
         assert calls == ["s1", "s2", "s0", "s1", "s2"]
         registry.unregister("s1")
-        assert [row["sensor"] for row in poll.rows(6)] == ["s0", "s2"]
+        assert [row[0] for row in poll.rows(6)] == ["s0", "s2"]
+
+    @pytest.mark.parametrize(
+        "s0_columns, error",
+        [
+            ({"sensor": "s0"}, SchemaError),
+            ({"sensor": "s0", "location": "lab", "floor": 3}, UnknownAttributeError),
+            ({"sensor": "s0", "location": "lab", "note": "x"}, VirtualAttributeError),
+        ],
+        ids=["missing", "unknown", "virtual"],
+    )
+    def test_columns_are_checked_when_the_providers_change(self, s0_columns, error):
+        schema = ExtendedRelationSchema(
+            "temperatures",
+            [*temperatures_schema().attributes, Attribute("note", DataType.STRING)],
+            virtual=["note"],
+        )
+        registry = self.registry()
+        poll = self.poll(registry, [], schema=schema, s0_columns=s0_columns)
+        assert len(poll.rows(0)) == 2
+        registry.register(TemperatureSensor("s0", "lab").as_service())
+        with pytest.raises(error) as expected:  # what a dict row raised
+            schema.values_from_mapping({**s0_columns, "temperature": 1.0, "at": 1})
+        for _ in range(2):  # and keeps raising: nothing half-indexed is kept
+            with pytest.raises(error) as raised:
+                poll.rows(1)
+            assert str(raised.value) == str(expected.value)
 
     def test_a_failing_device_is_absent_and_recorded(self):
         registry, calls = self.registry(), []
@@ -272,19 +320,19 @@ class TestStreamPoll:
         )
         registry.register(flaky.as_service())
         poll = self.poll(registry, calls)
-        present = [[row["sensor"] for row in poll.rows(t)] for t in range(5)]
+        present = [[row[0] for row in poll.rows(t)] for t in range(5)]
         assert present == [["s1", "s2"], ["s1", "s2"], ["s2"], ["s2"], ["s1", "s2"]]
         assert registry.health.health("s1").total_failures == 2
 
     def test_sensor_stream_feeder_inserts_the_polled_rows(self):
-        registry, batches = self.registry(), []
-        feeder = SensorStreamFeeder(registry, batches.append, period=2)
+        registry = self.registry()
+        tables = ExtendedTableManager(PervasiveEnvironment(registry), VirtualClock())
+        stream = tables.create_relation(temperatures_schema(), infinite=True)
+        feeder = SensorStreamFeeder(registry, tables, period=2)
         for instant in range(4):
             feeder(instant)
-        assert [batch[0]["at"] for batch in batches] == [0, 2]
-        assert batches[0][0] == {
-            "sensor": "s1",
-            "location": "office",
-            "temperature": registry.invoke(GET_TEMPERATURE, "s1", {}, 0)[0][0],
-            "at": 0,
+        assert [entry[0] for entry in stream.changes_between(0, 3)] == [0, 2]
+        assert stream.inserted_at(2) == {
+            (reference, location, self.reading(registry, reference, 2), 2)
+            for reference, location in (("s1", "office"), ("s2", "roof"))
         }

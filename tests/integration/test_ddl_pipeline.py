@@ -92,12 +92,7 @@ class TestFullPipeline:
 
         from repro.devices.sensors import SensorStreamFeeder
 
-        pems.add_stream_source(
-            SensorStreamFeeder(
-                pems.environment.registry,
-                lambda rows: pems.tables.insert("temperatures", rows),
-            )
-        )
+        pems.add_stream_source(SensorStreamFeeder(pems.environment.registry, pems.tables))
         hot = parse_query(
             "select[temperature > 30.0](window[1](temperatures))",
             pems.environment,

@@ -1,5 +1,7 @@
 """Unit tests for the fault-tolerance policy and health state machine."""
 
+import random
+
 import pytest
 
 from repro.devices.prototypes import GET_TEMPERATURE
@@ -47,6 +49,65 @@ class TestInvocationPolicy:
             InvocationPolicy(quarantine_backoff=0)
         with pytest.raises(ValueError):
             InvocationPolicy(max_failures_per_tick=0)
+
+
+class TestUnsettled:
+    """``HealthTracker.unsettled`` is kept incrementally; the registry's
+    fast path trusts it to name every reference a gate could refuse or
+    a success could move."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PERMISSIVE_POLICY,
+            InvocationPolicy(backoff=2, failure_threshold=2, quarantine_backoff=3),
+            InvocationPolicy(failure_threshold=1, max_failures_per_tick=2),
+        ],
+        ids=["permissive", "backoff-quarantine", "attempt-cap"],
+    )
+    def test_it_tracks_the_state_machine(self, policy):
+        rng = random.Random(7)
+        references = [f"s{i}" for i in range(6)]
+        batched, looped = HealthTracker(policy), HealthTracker(policy)
+        instant = 0
+        for _ in range(600):
+            instant += rng.random() < 0.3
+            reference = rng.choice(references)
+            operation = rng.choice(
+                ["success", "failure", "failure", "release", "forget", "batch"]
+            )
+            for tracker in (batched, looped):
+                if operation == "success" and tracker.check(reference, instant) is None:
+                    tracker.record_success(reference, instant)
+                elif operation == "failure" and tracker.check(reference, instant) is None:
+                    tracker.record_failure(reference, instant)
+                elif operation == "release" and tracker.release_due(reference, instant):
+                    tracker.release(reference)
+                elif operation == "forget":
+                    tracker.forget(reference)
+            if operation == "batch":
+                settled = [r for r in references if r not in batched.unsettled]
+                batched.record_success_many(settled, instant)
+                for settled_reference in settled:
+                    looped.record_success(settled_reference, instant)
+            for tracker in (batched, looped):
+                for known in references:
+                    if known not in tracker.unsettled:
+                        assert tracker.state(known) is HealthState.UP
+                        assert tracker.check(known, instant) is None
+                        assert tracker.check(known, instant + 1) is None
+            assert batched.unsettled == looped.unsettled
+            assert batched.snapshot() == looped.snapshot()
+            assert batched.version == looped.version
+
+    def test_a_same_instant_attempt_cap_keeps_a_recovered_reference_unsettled(self):
+        tracker = HealthTracker(InvocationPolicy(max_failures_per_tick=2))
+        tracker.record_failure("s1", 4)
+        tracker.record_success("s1", 4)
+        assert tracker.state("s1") is HealthState.UP
+        assert tracker.unsettled == {"s1"}  # one more failure at 4 caps it
+        tracker.record_success("s1", 5)
+        assert tracker.unsettled == set()
 
 
 class TestHealthStateMachine:

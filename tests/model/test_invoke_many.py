@@ -9,14 +9,18 @@ the health snapshot and version, every counter, the ``service.invoke``
 trace events and how many latency samples each service's EWMA saw.
 """
 
+import functools
+
 import pytest
 
+from repro.city.scenario import city_policy
 from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.prototypes import GET_ENV_READING, GET_TEMPERATURE
 from repro.devices.sensors import EnvironmentalSensor, TemperatureSensor
 from repro.errors import (
     InvocationError,
     PrototypeNotImplementedError,
+    SchemaError,
     ServiceError,
     ServiceUnavailableError,
     UnknownServiceError,
@@ -116,24 +120,32 @@ def observables(registry: ServiceRegistry) -> dict:
     }
 
 
-def run_twins(policy, observe, memo, inputs=None, prototype=GET_TEMPERATURE):
+def run_twins(
+    policy,
+    observe,
+    memo,
+    inputs=None,
+    prototype=GET_TEMPERATURE,
+    references=REFERENCES,
+    build=build_registry,
+):
     inputs = {} if inputs is None else inputs
-    one_by_one = build_registry(policy, observe)
-    batched = build_registry(policy, observe)
+    one_by_one = build(policy, observe)
+    batched = build(policy, observe)
     seen = []
     for instant in range(INSTANTS):
-        if instant == BIND_AT:
+        if instant == BIND_AT and build is build_registry:
             install_binding(one_by_one, instant)
             install_binding(batched, instant)
         if memo:
             one_by_one.begin_instant_memo(instant)
             batched.begin_instant_memo(instant)
-        expected = loop_of_invoke(one_by_one, prototype, REFERENCES, inputs, instant)
-        outcomes = batched.invoke_many(prototype, REFERENCES, inputs, instant)
+        expected = loop_of_invoke(one_by_one, prototype, references, inputs, instant)
+        outcomes = batched.invoke_many(prototype, references, inputs, instant)
         if memo:
             one_by_one.end_instant_memo()
             batched.end_instant_memo()
-        assert len(outcomes) == len(REFERENCES)
+        assert len(outcomes) == len(references)
         assert [describe(o) for o in outcomes] == [describe(o) for o in expected]
         assert observables(batched) == observables(one_by_one)
         seen.append(outcomes)
@@ -214,3 +226,169 @@ def test_a_handler_that_mutates_its_inputs_does_not_leak_into_the_batch():
         [(1.0,)],
     ]
     assert shared == {}
+
+
+# -- the plan's hard cases ----------------------------------------------------
+#
+# ``invoke_many`` runs settled references on a fast path with batched
+# success bookkeeping; everything below is a batch whose plan can go stale
+# within the batch (a failover invoking another member, a repeat), or
+# whose every reference already carries health.  The twins must still
+# agree after every instant.
+
+
+def latency_samples(registry: ServiceRegistry) -> int:
+    return sum(ewma.count for ewma in registry._latency.values())
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+@pytest.mark.parametrize("policy", list(POLICIES), ids=list(POLICIES))
+def test_repeats_in_one_batch(policy, memo):
+    references = ("s00", "s00", "s02", "s00", "s02", "s04", "s04", "s01", "s01")
+    _, batched = run_twins(POLICIES[policy], "metrics", memo, references=references)
+    samples = batched._latency["s00"].count
+    assert samples == (INSTANTS if memo else 3 * INSTANTS)
+    assert (batched.memo_hits > 0) == memo
+
+
+def build_chain(policy, observe) -> ServiceRegistry:
+    """s10 crashes twice and fails over to s11 (intermittent), then s12
+    (healthy): both are later members of the batches below."""
+    registry = ServiceRegistry(policy=policy, observe=observe)
+    scripts = {
+        "s10": FaultScript(crash_windows=((2, 5), (7, 10))),
+        "s11": FaultScript(failure_rate=0.5),
+        "s12": None,
+    }
+    for index, (reference, script) in enumerate(scripts.items()):
+        service = TemperatureSensor(reference, "lab", base=10.0 + index).as_service()
+        if script is not None:
+            service = FaultInjector(service, script, seed="chain").as_service()
+        registry.register(service)
+    subs = registry.substitutions
+    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s11", "s10"))
+    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s12", "s10"))
+    subs.failover = {
+        ("getTemperature", "s10"): tuple(subs.resolve(registry, GET_TEMPERATURE, "s10"))
+    }
+    return registry
+
+
+@pytest.mark.parametrize(
+    "references",
+    [("s10", "s11", "s12", "s10"), ("s12", "s10", "s11", "s12", "s10")],
+    ids=["failover-ahead", "failover-behind"],
+)
+@pytest.mark.parametrize("policy", ["attempt-cap", "backoff-quarantine"])
+def test_a_failover_invokes_another_member_of_the_batch(policy, references):
+    seen, batched = run_twins(
+        POLICIES[policy], "metrics", memo=True, references=references, build=build_chain
+    )
+    by_instant = [dict(zip(references, outcomes)) for outcomes in seen]
+    # s10 is down at 2-4 and 7-9, and served by its failover plans there.
+    assert all(isinstance(row["s10"], list) for row in by_instant)
+    assert batched._failovers_total.value >= 6
+    # ... which really reached s11 and s12 before their own turn came.
+    assert batched.memo_hits > 0
+    kinds = {type(o) for outcomes in seen for o in outcomes}
+    assert ServiceUnavailableError in kinds or InvocationError in kinds
+
+
+def build_recorded_fleet(policy, observe) -> ServiceRegistry:
+    """Twelve sensors, three of them flaky early on: under an enabled
+    policy every reference carries a health record after instant 0, and
+    the recovered ones carry failures too."""
+    registry = ServiceRegistry(policy=policy, observe=observe)
+    for index in range(12):
+        reference = f"m{index:02d}"
+        service = TemperatureSensor(reference, "grid", base=5.0 + index).as_service()
+        if index % 4 == 1:
+            script = FaultScript(crash_windows=((1 + index % 3, 3 + index % 3),))
+            service = FaultInjector(service, script, seed="fleet").as_service()
+        registry.register(service)
+    return registry
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+def test_a_fleet_whose_every_reference_has_a_health_record(memo):
+    references = tuple(f"m{index:02d}" for index in range(12))
+    _, batched = run_twins(
+        city_policy(), "metrics", memo, references=references, build=build_recorded_fleet
+    )
+    assert batched.health.known() == set(references)
+    recovered = [r for r, h in batched.health.snapshot().items() if h["total_failures"]]
+    assert recovered and all(
+        batched.health.snapshot()[r]["state"] == "up" for r in recovered
+    )
+    assert not batched.health.unsettled
+
+
+def test_a_mixed_batch_under_full_tracing_traces_every_device_success():
+    references = REFERENCES + ("s00", "s02")
+    _, batched = run_twins(
+        POLICIES["backoff-quarantine"], "full", memo=False, references=references
+    )
+    successes = [
+        span
+        for span in batched.obs.tracer.spans
+        if span.name == "service.invoke" and span.attributes["outcome"] == "success"
+    ]
+    assert successes and len(successes) == latency_samples(batched)
+
+
+def test_a_handler_raising_a_schema_error_failed_rather_than_returned_bad_rows():
+    def broken(inputs, instant):
+        raise SchemaError("device-side schema trouble")
+
+    def garbled(inputs, instant):
+        return [{"humidity": 1.0}]
+
+    registry = ServiceRegistry(
+        [Service("a", {GET_TEMPERATURE: broken}), Service("b", {GET_TEMPERATURE: garbled})]
+    )
+    failed, invalid = registry.invoke_many(GET_TEMPERATURE, ["a", "b"], {}, 0)
+    assert str(failed) == (
+        "invocation of 'getTemperature' on 'a' failed: device-side schema trouble"
+    )
+    assert type(failed.__cause__) is SchemaError
+    assert "on 'b' returned an invalid output tuple {'humidity': 1.0}" in str(invalid)
+    assert registry.health.unsettled == {"a", "b"}
+
+
+def build_second_call_fails(policy, observe, route="failover") -> ServiceRegistry:
+    """s20 answers the first call of an instant and fails the second; s21
+    is dead and routed onto s20 by a failover plan or a sticky binding.
+    With the memo off, that route is s20's second call of the instant."""
+    registry = ServiceRegistry(policy=policy, observe=observe)
+    calls: dict[int, int] = {}
+
+    def moody(inputs, instant):
+        calls[instant] = calls.get(instant, 0) + 1
+        if calls[instant] > 1:
+            raise RuntimeError("busy")
+        return [{"temperature": 20.0}]
+
+    def dead(inputs, instant):
+        raise RuntimeError("down")
+
+    registry.register(Service("s20", {GET_TEMPERATURE: moody}))
+    registry.register(Service("s21", {GET_TEMPERATURE: dead}))
+    subs = registry.substitutions
+    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s20", "s21"))
+    (plan,) = subs.resolve(registry, GET_TEMPERATURE, "s21")
+    if route == "failover":
+        subs.failover = {("getTemperature", "s21"): (plan,)}
+    else:
+        subs.install(plan, 0, "quarantine")
+    return registry
+
+
+@pytest.mark.parametrize("route", ["failover", "binding"])
+@pytest.mark.parametrize("policy", list(POLICIES), ids=list(POLICIES))
+def test_success_bookkeeping_lands_before_the_next_device_call(policy, route):
+    seen, batched = run_twins(
+        POLICIES[policy], "metrics", memo=False, references=("s20", "s21"),
+        build=functools.partial(build_second_call_fails, route=route),
+    )
+    assert isinstance(seen[0][0], list) and isinstance(seen[0][1], InvocationError)
+    assert batched.health.health("s20").total_failures > 0

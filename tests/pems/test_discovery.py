@@ -1,12 +1,15 @@
 """Tests for the discovery bus, Local ERMs and the core ERM (Figure 1)."""
 
+import time
+
 import pytest
 
 from repro.continuous.time import VirtualClock
 from repro.devices.prototypes import GET_TEMPERATURE
 from repro.devices.sensors import TemperatureSensor
-from repro.errors import UnknownServiceError
-from repro.model.services import ServiceRegistry
+from repro.errors import InvocationError, UnknownServiceError
+from repro.model.invocation_policy import InvocationPolicy
+from repro.model.services import Service, ServiceRegistry
 from repro.pems.discovery import Announcement, AnnouncementKind, DiscoveryBus
 from repro.pems.erm import EnvironmentResourceManager
 from repro.pems.local_erm import LocalEnvironmentResourceManager
@@ -221,12 +224,17 @@ class TestRenewalAnchoring:
         local.register(sensor_service())
         clock.run(7)
         renewals = [
-            a.instant
+            (a.instant, a.kind)
             for a in bus.log
-            if a.kind is AnnouncementKind.ALIVE
-            and a.service.reference == "sensor01"
+            if a.kind is not AnnouncementKind.BYE
+            and "sensor01" in [s.reference for s in a.services]
         ]
-        assert renewals == [3, 6, 9]  # anchored at 3, not at the 0-grid
+        assert [instant for instant, _ in renewals] == [3, 6, 9]  # anchored at 3
+        assert [kind for _, kind in renewals] == [
+            AnnouncementKind.ALIVE,  # the registration
+            AnnouncementKind.RENEW,
+            AnnouncementKind.RENEW,
+        ]
 
     def test_recover_reannounces_next_tick(self):
         """The recover() docstring promises next-tick re-announcement;
@@ -242,3 +250,146 @@ class TestRenewalAnchoring:
         local.recover()
         clock.tick()  # next tick, whatever the cadence grid says
         assert "sensor01" in erm.registry
+
+
+class TestRenew:
+    """One RENEW per Local ERM per tick carries every due lease; the core
+    ERM admits each service it carries exactly as it admits an ALIVE."""
+
+    def announcements_since(self, bus, count):
+        return bus.log[count:]
+
+    def test_one_renew_per_tick_carries_every_due_service(self, rig):
+        clock, bus, erm, local = rig  # lease 4: cadence 2
+        for reference in ("c", "a", "b"):
+            local.register(sensor_service(reference))
+        before = len(bus.log)
+        clock.run(4)
+        renewals = self.announcements_since(bus, before)
+        assert [(a.kind, a.instant) for a in renewals] == [
+            (AnnouncementKind.RENEW, 2),
+            (AnnouncementKind.RENEW, 4),
+        ]
+        assert [s.reference for s in renewals[0].services] == ["a", "b", "c"]
+        assert renewals[0].service is None and renewals[0].lease == 4
+        assert [e.kind for e in erm.events] == ["appeared"] * 3
+
+    def test_a_renew_for_a_parked_service_refreshes_the_parked_copy(self):
+        clock = VirtualClock()
+        bus = DiscoveryBus()
+        registry = ServiceRegistry(
+            policy=InvocationPolicy(failure_threshold=1, quarantine_backoff=50)
+        )
+        erm = EnvironmentResourceManager(bus, clock, registry)
+        local = LocalEnvironmentResourceManager("floor-1", bus, clock, lease=4)
+        local.register(sensor_service())
+        registry.health.record_failure("sensor01", 0)
+        clock.tick()  # the quarantine sweep parks it
+        assert erm.parked == {"sensor01"} and "sensor01" not in registry
+        fresh = sensor_service(location="lab")
+        bus.publish(
+            Announcement(
+                AnnouncementKind.RENEW, None, "floor-1", lease=9, instant=1,
+                renewed=(fresh,),
+            )
+        )
+        assert erm._parked["sensor01"] == (fresh, 9)
+        assert "sensor01" not in registry  # still parked until released
+
+    def test_a_renew_after_expiry_readmits_with_appeared(self, rig):
+        clock, bus, erm, local = rig
+        local.register(sensor_service())
+        local.crash()
+        clock.run(8)
+        assert "sensor01" not in erm.registry
+        before = len(bus.log)
+        local.recover()
+        clock.tick()
+        (renew,) = self.announcements_since(bus, before)
+        assert renew.kind is AnnouncementKind.RENEW
+        assert "sensor01" in erm.registry
+        assert [e.kind for e in erm.events] == ["appeared", "expired", "appeared"]
+
+    def test_a_crashed_local_erm_sends_none(self, rig):
+        clock, bus, erm, local = rig
+        local.register(sensor_service())
+        local.crash()
+        before = bus.published_count
+        clock.run(10)
+        assert bus.published_count == before
+
+    def test_recover_sends_one_renew_carrying_every_service(self, rig):
+        clock, bus, erm, local = rig
+        for reference in ("s3", "s1", "s2"):
+            local.register(sensor_service(reference))
+        clock.run(1)  # s1..s3 registered at 0: not due before 2
+        local.crash()
+        clock.run(2)
+        before = len(bus.log)
+        local.recover()
+        clock.tick()
+        (renew,) = self.announcements_since(bus, before)
+        assert renew.kind is AnnouncementKind.RENEW
+        assert renew.services == local.services
+
+
+class TestByeForgets:
+    """A service that says BYE leaves no per-reference state behind; a
+    lease expiry keeps it (the device may come back)."""
+
+    def test_the_remaining_service_is_no_longer_normalized_by_a_departed_one(self, rig):
+        clock, bus, erm, local = rig
+
+        def slow(inputs, instant):
+            time.sleep(0.005)
+            return [{"temperature": 1.0}]
+
+        local.register(Service("slow", {GET_TEMPERATURE: slow}))
+        local.register(sensor_service("fast"))
+        erm.registry.invoke_many(GET_TEMPERATURE, ["slow", "fast"], {}, 0)
+        assert erm.registry.latency_decile("fast") < 10
+        local.deregister("slow")
+        assert erm.registry.latency_decile("fast") == 10
+
+    def test_lease_expiry_keeps_the_state(self, rig):
+        clock, bus, erm, local = rig
+        local.register(sensor_service())
+        erm.registry.health.record_failure("sensor01", 0)
+        erm.registry.invoke(GET_TEMPERATURE, "sensor01", {}, 0)
+        local.crash()
+        clock.run(8)
+        assert "sensor01" not in erm.registry
+        assert "sensor01" in erm.registry.health.known()
+        assert erm.registry.latency_snapshot().keys() == {"sensor01"}
+
+    def test_state_stays_bounded_over_register_bye_cycles(self):
+        clock = VirtualClock()
+        bus = DiscoveryBus()
+        registry = ServiceRegistry(policy=InvocationPolicy(failure_threshold=1))
+        erm = EnvironmentResourceManager(bus, clock, registry)
+        local = LocalEnvironmentResourceManager("churn", bus, clock, lease=4)
+        broken: set[str] = set()
+
+        def handler(reference):
+            def read(inputs, instant):
+                if reference in broken:
+                    raise RuntimeError("gone bad")
+                return [{"temperature": 1.0}]
+
+            return read
+
+        for cycle in range(1000):
+            reference = f"dev{cycle:04d}"
+            local.register(Service(reference, {GET_TEMPERATURE: handler(reference)}))
+            registry.invoke(GET_TEMPERATURE, reference, {}, clock.now)
+            if cycle % 2:  # quarantined and parked before it leaves
+                broken.add(reference)
+                with pytest.raises(InvocationError):
+                    registry.invoke(GET_TEMPERATURE, reference, {}, clock.now)
+                clock.tick()
+                assert erm.parked == {reference}
+            local.deregister(reference)
+        assert registry._latency == {}
+        assert registry.health.known() == frozenset()
+        assert registry.health.unsettled == set()
+        assert erm.parked == frozenset()

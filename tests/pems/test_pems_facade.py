@@ -99,12 +99,7 @@ class TestStreamSources:
             TemperatureSensor("s1", "office").as_service()
         )
         pems.queries.register_discovery("getTemperature", "sensors", "sensor")
-        pems.add_stream_source(
-            SensorStreamFeeder(
-                pems.environment.registry,
-                lambda rows: pems.tables.insert("temperatures", rows),
-            )
-        )
+        pems.add_stream_source(SensorStreamFeeder(pems.environment.registry, pems.tables))
         from repro.algebra import scan
 
         cq = pems.queries.register_continuous(
@@ -119,11 +114,7 @@ class TestStreamSources:
             TemperatureSensor("s1", "office").as_service()
         )
         pems.add_stream_source(
-            SensorStreamFeeder(
-                pems.environment.registry,
-                lambda rows: pems.tables.insert("temperatures", rows),
-                period=3,
-            )
+            SensorStreamFeeder(pems.environment.registry, pems.tables, period=3)
         )
         pems.run(6)
         stream = pems.environment.relation("temperatures")
