@@ -6,11 +6,12 @@ boot time, discovery latency (announce → queryable row) and per-tick cycle
 cost, and prints the discovered-service table.
 """
 
-from repro.bench.reporting import Report
 from repro.devices.prototypes import STANDARD_PROTOTYPES
 from repro.devices.scenario import build_temperature_surveillance, sensors_schema
 from repro.devices.sensors import TemperatureSensor
 from repro.pems.pems import PEMS
+
+from support import Report
 
 
 def boot_figure1():

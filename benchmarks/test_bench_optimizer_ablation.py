@@ -15,16 +15,17 @@ import time
 
 from repro.algebra import CostModel, Optimizer, col, optimize_heuristic, scan
 from repro.algebra.query import Query
-from repro.bench.reporting import Report
-from repro.bench.workloads import build_surveillance_workload
 from repro.continuous.continuous_query import ContinuousQuery
+
+from support import Report, surveillance_workload
+
+#: The cache ablation's contacts: the §5.2 scenario's four plus four added.
+CONTACTS = 8
 
 
 def test_bench_x2_pushdown_ablation(benchmark):
     def ablation():
-        scenario = build_surveillance_workload(
-            num_sensors=100, num_locations=10, with_queries=False
-        )
+        scenario = surveillance_workload(100, rooms=10, with_queries=False)
         scenario.run(1)
         env = scenario.environment
         naive = (
@@ -37,13 +38,13 @@ def test_bench_x2_pushdown_ablation(benchmark):
         registry = env.registry
         rows = []
         for label, query in (("naive", naive), ("pushed-down", optimized)):
-            registry.reset_invocation_count()
+            before = registry.invocation_count
             started = time.perf_counter()
             result = query.evaluate(env, 1)
             elapsed = time.perf_counter() - started
             rows.append(
-                [label, registry.invocation_count, f"{1000 * elapsed:.2f}",
-                 len(result.relation)]
+                [label, registry.invocation_count - before,
+                 f"{1000 * elapsed:.2f}", len(result.relation)]
             )
         return rows
 
@@ -56,7 +57,7 @@ def test_bench_x2_pushdown_ablation(benchmark):
     report.table(
         ["plan", "β invocations", "latency (ms)", "result tuples"],
         rows,
-        title="σ-below-β pushdown, 100 sensors / 10 rooms (passive β)",
+        title="σ-below-β pushdown, 100 + 4 sensors / 10 + 3 rooms (passive β)",
     )
     report.emit()
 
@@ -64,9 +65,7 @@ def test_bench_x2_pushdown_ablation(benchmark):
 def test_bench_x2_cost_based_search(benchmark):
     """The cost-based optimizer finds the same optimum as the heuristic on
     the canonical plan, within a bounded search."""
-    scenario = build_surveillance_workload(
-        num_sensors=50, num_locations=5, with_queries=False
-    )
+    scenario = surveillance_workload(50, rooms=5, with_queries=False)
     scenario.run(1)
     env = scenario.environment
     naive = (
@@ -97,8 +96,8 @@ def test_bench_x2_invocation_cache_ablation(benchmark):
     def ablation():
         rows = []
         for label in ("with-cache", "without-cache"):
-            scenario = build_surveillance_workload(
-                num_sensors=10, num_contacts=4, with_queries=False
+            scenario = surveillance_workload(
+                10, rooms=5, contacts=4, with_queries=False
             )
             env = scenario.environment
             query = (
@@ -109,7 +108,7 @@ def test_bench_x2_invocation_cache_ablation(benchmark):
             )
             registry = env.registry
             scenario.run(1)
-            registry.reset_invocation_count()
+            before = registry.invocation_count
             if label == "with-cache":
                 continuous = ContinuousQuery(query, env)
                 for _ in range(20):
@@ -119,18 +118,18 @@ def test_bench_x2_invocation_cache_ablation(benchmark):
                 for _ in range(20):
                     scenario.run(1)
                     query.evaluate(env, scenario.clock.now)
-            sensor_calls = 20 * 10  # stream feeder overhead, both modes
-            rows.append([label, registry.invocation_count - sensor_calls])
+            sensor_calls = 20 * len(scenario.sensors)  # the stream feeder's, both modes
+            rows.append([label, registry.invocation_count - before - sensor_calls])
         return rows
 
     rows = benchmark.pedantic(ablation, rounds=3, iterations=1)
     cached, uncached = rows[0][1], rows[1][1]
-    assert cached == 4  # one sendMessage per contact, ever
-    assert uncached == 4 * 20  # every contact, every instant
+    assert cached == CONTACTS  # one sendMessage per contact, ever
+    assert uncached == CONTACTS * 20  # every contact, every instant
 
     report = Report("x2_invocation_cache_ablation")
     report.table(
-        ["mode", "sendMessage invocations over 20 instants (4 contacts)"],
+        ["mode", f"sendMessage invocations over 20 instants ({CONTACTS} contacts)"],
         rows,
         title='Section 4.2 refinement: "β invoked only for newly inserted tuples"',
     )

@@ -6,8 +6,9 @@ appears, expiry when items age out of the window) and forwards each
 matching headline once to a contact.
 """
 
-from repro.bench.reporting import Report
 from repro.devices.scenario import build_rss_scenario
+
+from support import Report
 
 
 def full_run():

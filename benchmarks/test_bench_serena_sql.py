@@ -7,9 +7,10 @@ the three routes to the same query produce identical plans and results.
 """
 
 from repro.algebra import col, scan
-from repro.bench.reporting import Report
 from repro.devices.paper_example import build_paper_example
 from repro.lang import compile_sql, parse_query, to_sal
+
+from support import Report
 
 SQL_Q1 = (
     "SELECT name, address, text, messenger, sent FROM contacts "

@@ -15,12 +15,13 @@ per-tick cost of each and shows that β∞ follows discovery automatically.
 import pytest
 
 from repro.algebra import col, scan
-from repro.bench.reporting import Report
 from repro.continuous.continuous_query import ContinuousQuery
 from repro.devices.prototypes import STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema, temperatures_schema
 from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
 from repro.pems.pems import PEMS
+
+from support import Report
 
 SENSORS = 20
 

@@ -5,12 +5,13 @@ same 4 prototypes / 9 services the paper lists) and benchmarks the DDL
 parse+execute pipeline.
 """
 
-from repro.bench.reporting import Report
 from repro.continuous.time import VirtualClock
 from repro.lang.ddl import ServiceDeclaration
 from repro.model.environment import PervasiveEnvironment
 from repro.model.prototypes import Prototype
 from repro.pems.table_manager import ExtendedTableManager
+
+from support import Report
 
 TABLE1 = """
 PROTOTYPE sendMessage( address STRING, text STRING ) : ( sent BOOLEAN ) ACTIVE;

@@ -5,12 +5,12 @@ prints the created extended relation schemas (real/virtual partition and
 binding patterns) and benchmarks schema creation + tuple loading.
 """
 
-from repro.bench.reporting import Report
 from repro.continuous.time import VirtualClock
 from repro.devices.paper_example import CONTACT_ROWS
 from repro.model.environment import PervasiveEnvironment
 from repro.pems.table_manager import ExtendedTableManager
 
+from support import Report
 from test_bench_table1_ddl import TABLE1
 
 TABLE2 = """

@@ -9,12 +9,13 @@ table restates the semantic contract checked by each micro-bench.
 import pytest
 
 from repro.algebra import Query, col, relation, scan
-from repro.bench.reporting import Report
-from repro.bench.workloads import random_environment
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.scenario import temperatures_schema
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
+
+from support import Report
+from tests.environments import random_environment
 
 ROWS = 2_000
 

@@ -8,11 +8,12 @@ sets; the one-shot ones are also timed end-to-end.
 import pytest
 
 from repro.algebra import Query, Selection, col, scan
-from repro.bench.reporting import Report
 from repro.continuous.continuous_query import ContinuousQuery
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.paper_example import build_paper_example
 from repro.devices.scenario import temperatures_schema
+
+from support import Report
 
 
 def q1(env):

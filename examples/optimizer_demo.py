@@ -19,21 +19,22 @@ from repro.algebra import (
     optimize_heuristic,
     scan,
 )
-from repro.bench.workloads import build_surveillance_workload
+from repro.devices.scenario import build_temperature_surveillance
 from repro.lang import explain
 
 
 def measure_invocations(query, env):
     registry = env.registry
-    registry.reset_invocation_count()
+    before = registry.invocation_count
     result = query.evaluate(env, 1)
-    return registry.invocation_count, result
+    return registry.invocation_count - before, result
 
 
 def main():
-    scenario = build_surveillance_workload(
-        num_sensors=40, num_locations=8, with_queries=False
-    )
+    # The §5.2 scenario's 4 sensors plus 40 more over rooms room00..room07.
+    scenario = build_temperature_surveillance(with_queries=False)
+    for i in range(40):
+        scenario.add_sensor(f"sensor{i:03d}", f"room{i % 8:02d}")
     scenario.run(1)  # let discovery fill the sensors table
     env = scenario.environment
 
@@ -43,7 +44,7 @@ def main():
         .select(col("location").eq("room03"))
         .query("naive")
     )
-    print("=== Naive plan: invoke all 40 sensors, then filter ===")
+    print("=== Naive plan: invoke all 44 sensors, then filter ===")
     print(explain(naive))
 
     trace = RewriteTrace()
@@ -73,7 +74,7 @@ def main():
         scan(env, "contacts")
         .assign("text", "Hot!")
         .invoke("sendMessage")
-        .select(col("name").ne("manager00"))
+        .select(col("name").ne("Carla"))
         .query("active")
     )
     rewritten = optimize_heuristic(active_query)

@@ -135,43 +135,13 @@ class ServiceRegistry:
         for service in services:
             self.register(service)
         #: Observability facade: a standalone registry defaults to the
-        #: "off" mode (the migrated legacy counters — invocation count,
-        #: memo hits — still record); PEMS rebinds the registry onto its
-        #: environment-wide facade via :meth:`bind_observability`.
+        #: "off" mode (the invocation and memo-hit counters record in every
+        #: mode); PEMS passes its environment-wide facade.
         self.obs = (
             Observability.disabled()
             if observe is None
             else Observability.coerce(observe)
         )
-        self._init_instruments()
-        #: Per-service health (retry/backoff/quarantine enforcement): fed
-        #: by :meth:`invoke`, consumed by the core ERM's quarantine sweep.
-        #: With the default (permissive) policy no gate ever closes and
-        #: invocation behaviour is identical to a policy-free registry.
-        self.health = HealthTracker(policy)
-        #: Substitution relation + active binding/failover tables.  Declared
-        #: rules are consulted by :meth:`invoke` (binding routing before the
-        #: health gates, failover on the failure path); the tables are only
-        #: ever rewritten by the core ERM's tick sweep, so they are frozen
-        #: for the duration of an instant.
-        self.substitutions = SubstitutionState(substitution)
-        # Per-service invocation-latency EWMAs (seconds): the observed
-        # "latency histogram" signal the substitution scorer folds in when
-        # the policy is latency_aware.  Always-on and registry-internal —
-        # deliberately *not* part of the health snapshot, which the
-        # differential suites compare across engines.  Evicted with the
-        # health record by :meth:`forget` (BYE), kept across a lease
-        # expiry or quarantine.
-        self._latency: dict[str, Ewma] = {}
-        self._chain_depth = 0
-        # Per-instant invocation memo (see begin_instant_memo): active only
-        # inside a PEMS tick, where identical (prototype, service, inputs)
-        # calls from different continuous queries are deterministic
-        # duplicates (Section 3.2) and hit the device once.
-        self._memo: dict[tuple, list[tuple]] | None = None
-        self._memo_instant: int | None = None
-
-    def _init_instruments(self) -> None:
         metrics = self.obs.metrics
         self._invocations_total = metrics.counter(
             "serena_invocations_total",
@@ -201,20 +171,32 @@ class ServiceRegistry:
             "serena_substitution_failovers_total",
             "Failed invocations answered by a pre-scored failover plan",
         )
-
-    def bind_observability(self, observe: "Observability | str | None") -> None:
-        """Re-home this registry's instruments onto another facade (PEMS
-        binds the environment registry onto the PEMS-wide observability).
-        Accumulated legacy counts carry over; outcome series start fresh
-        on the new facade."""
-        invocations = self._invocations_total.value
-        memo_hits = self._memo_hits_total.value
-        self.obs = Observability.coerce(observe)
-        self._init_instruments()
-        if invocations:
-            self._invocations_total.inc(invocations)
-        if memo_hits:
-            self._memo_hits_total.inc(memo_hits)
+        #: Per-service health (retry/backoff/quarantine enforcement): fed
+        #: by :meth:`invoke`, consumed by the core ERM's quarantine sweep.
+        #: With the default (permissive) policy no gate ever closes and
+        #: invocation behaviour is identical to a policy-free registry.
+        self.health = HealthTracker(policy)
+        #: Substitution relation + active binding/failover tables.  Declared
+        #: rules are consulted by :meth:`invoke` (binding routing before the
+        #: health gates, failover on the failure path); the tables are only
+        #: ever rewritten by the core ERM's tick sweep, so they are frozen
+        #: for the duration of an instant.
+        self.substitutions = SubstitutionState(substitution)
+        # Per-service invocation-latency EWMAs (seconds): the observed
+        # "latency histogram" signal the substitution scorer folds in when
+        # the policy is latency_aware.  Always-on and registry-internal —
+        # deliberately *not* part of the health snapshot, which the
+        # differential suites compare across engines.  Evicted with the
+        # health record by :meth:`forget` (BYE), kept across a lease
+        # expiry or quarantine.
+        self._latency: dict[str, Ewma] = {}
+        self._chain_depth = 0
+        # Per-instant invocation memo (see begin_instant_memo): active only
+        # inside a PEMS tick, where identical (prototype, service, inputs)
+        # calls from different continuous queries are deterministic
+        # duplicates (Section 3.2) and hit the device once.
+        self._memo: dict[tuple, list[tuple]] | None = None
+        self._memo_instant: int | None = None
 
     # -- registration (dynamic discovery feeds these) -----------------------
 
@@ -285,9 +267,6 @@ class ServiceRegistry:
         Backed by the ``serena_invocations_total`` counter of :attr:`obs`.
         """
         return int(self._invocations_total.value)
-
-    def reset_invocation_count(self) -> None:
-        self._invocations_total.reset()
 
     # -- per-instant memoization (multi-query sharing) -----------------------
 

@@ -82,7 +82,7 @@ def _format_value(value: float) -> str:
 
 
 class Counter:
-    """A monotonically increasing count (resettable only for test shims)."""
+    """A monotonically increasing count."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -95,12 +95,6 @@ class Counter:
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
-
-    def reset(self) -> None:
-        """Zero the counter.  Exists for the legacy ad-hoc counters that
-        exposed a reset (e.g. ``ServiceRegistry.reset_invocation_count``);
-        new code should read deltas instead."""
-        self.value = 0
 
 
 class Gauge:

@@ -4,8 +4,8 @@ Every instrumented PEMS component holds an :class:`Observability` and
 records through it.  Three modes (the ``PEMS(observe=...)`` knob):
 
 * ``"off"`` — the disabled baseline: the metrics registry still exists
-  (the migrated legacy counters — invocation counts, memo hits, dropped
-  announcements — are backed by it and stay correct), but no timing, no
+  (the counters that record in every mode — invocation counts, memo
+  hits, discovery announcements — are backed by it), but no timing, no
   gauges, no labeled outcome series, and a :class:`NullTracer`;
 * ``"metrics"`` (the default) — always-on production observability:
   per-tick latency histograms, evaluation/skip/failure counters,
@@ -21,30 +21,18 @@ modes on both engines (tests/obs/test_observe_differential.py).
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.obs.metrics import DEFAULT_TICK_BUCKETS, MetricsRegistry
-from repro.obs.trace import TRACE_CAPACITY, NullTracer, TickTracer
+from repro.obs.trace import NullTracer, TickTracer
 
 __all__ = ["Observability", "OBSERVE_MODES"]
 
 OBSERVE_MODES = ("off", "metrics", "full")
 
-#: Recent per-tick wall-clock samples retained for exact percentiles
-#: (histograms are bucketed); benchmarks read these instead of keeping
-#: private timers.
-TICK_SAMPLE_CAPACITY = 8192
-
 
 class Observability:
     """Shared observability state of one PEMS (or one component)."""
 
-    def __init__(
-        self,
-        mode: str = "metrics",
-        trace_capacity: int = TRACE_CAPACITY,
-        tick_sample_capacity: int = TICK_SAMPLE_CAPACITY,
-    ):
+    def __init__(self, mode: str = "metrics"):
         if mode not in OBSERVE_MODES:
             raise ValueError(
                 f"unknown observe mode {mode!r} (expected one of "
@@ -53,17 +41,13 @@ class Observability:
         self.mode = mode
         self.metrics = MetricsRegistry()
         #: True when engine-level metrics (timing, gauges, outcome labels)
-        #: are recorded; the migrated legacy counters record regardless.
+        #: are recorded; the every-mode counters record regardless.
         self.metrics_on = mode != "off"
         #: True when spans are recorded.
         self.tracing_on = mode == "full"
         self.tracer: TickTracer | NullTracer = (
-            TickTracer(trace_capacity) if self.tracing_on else NullTracer()
+            TickTracer() if self.tracing_on else NullTracer()
         )
-        #: Recent per-tick durations in seconds (exact, bounded).
-        self.tick_samples: deque[float] = deque(maxlen=tick_sample_capacity)
-        #: Total tick samples ever recorded (detects ring overflow).
-        self.tick_samples_total = 0
         self._tick_seconds = self.metrics.histogram(
             "serena_tick_seconds",
             "Wall-clock cost of one full environment tick",
@@ -94,8 +78,6 @@ class Observability:
         """One full environment tick took ``seconds`` (metrics mode+)."""
         self._ticks_total.inc()
         self._tick_seconds.observe(seconds)
-        self.tick_samples.append(seconds)
-        self.tick_samples_total += 1
 
     # -- export -------------------------------------------------------------------
 

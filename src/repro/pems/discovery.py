@@ -86,16 +86,13 @@ class DiscoveryBus:
         self._listeners: list[Listener] = []
         self._log: deque[Announcement] = deque(maxlen=log_size)
         #: Observability facade; a standalone bus defaults to "off" (the
-        #: migrated published/dropped counters still record), PEMS rebinds
-        #: via :meth:`bind_observability`.
+        #: published/dropped counters record in every mode), PEMS passes
+        #: its own.
         self.obs = (
             Observability.disabled()
             if observe is None
             else Observability.coerce(observe)
         )
-        self._init_instruments()
-
-    def _init_instruments(self) -> None:
         metrics = self.obs.metrics
         kind_help = "Discovery announcements published on the bus, by kind"
         self._kind_totals = {
@@ -108,19 +105,6 @@ class DiscoveryBus:
             "serena_discovery_dropped_total",
             "Announcements evicted from the bounded diagnostic log",
         )
-
-    def bind_observability(self, observe: "Observability | str | None") -> None:
-        """Re-home the bus's counters onto another facade (PEMS binds the
-        bus onto the environment-wide observability); counts carry over."""
-        carried = {k: c.value for k, c in self._kind_totals.items()}
-        dropped = self._dropped_total.value
-        self.obs = Observability.coerce(observe)
-        self._init_instruments()
-        for kind, count in carried.items():
-            if count:
-                self._kind_totals[kind].inc(count)
-        if dropped:
-            self._dropped_total.inc(dropped)
 
     def subscribe(self, listener: Listener) -> None:
         self._listeners.append(listener)

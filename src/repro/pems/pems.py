@@ -67,11 +67,10 @@ class PEMS:
     ):
         self.obs = Observability.coerce(observe)
         self.clock = VirtualClock()
-        self.bus = DiscoveryBus()
-        self.bus.bind_observability(self.obs)
-        registry = ServiceRegistry(policy=policy)
-        registry.bind_observability(self.obs)
-        self.environment = PervasiveEnvironment(registry)
+        self.bus = DiscoveryBus(observe=self.obs)
+        self.environment = PervasiveEnvironment(
+            ServiceRegistry(policy=policy, observe=self.obs)
+        )
         # Construction order fixes tick-listener order (see module doc).
         self.erm = EnvironmentResourceManager(
             self.bus, self.clock, self.environment.registry, observe=self.obs

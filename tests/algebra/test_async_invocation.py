@@ -97,11 +97,11 @@ class TestContinuousAsynchrony:
         cq.evaluate_at(1)
         row = {"name": "Carla", "address": "carla@elysee.fr", "messenger": "email"}
         dynamic_env.relation("contacts").delete_mappings([row], instant=2)
-        registry.reset_invocation_count()
+        before = registry.invocation_count
         for instant in range(2, 6):
             cq.evaluate_at(instant)
         # Only the two remaining contacts were ever invoked.
-        assert registry.invocation_count == 2
+        assert registry.invocation_count - before == 2
         assert len(cq.actions) == 2
 
     def test_delay_zero_is_synchronous(self, dynamic_env):
@@ -114,11 +114,11 @@ class TestContinuousAsynchrony:
         query = delayed_send(dynamic_env, delay=1)
         cq = ContinuousQuery(query, dynamic_env)
         cq.evaluate_at(1)
-        registry.reset_invocation_count()
+        before = registry.invocation_count
         cq.evaluate_at(2)  # responses arrive: 3 invocations
         cq.evaluate_at(3)  # cached
         cq.evaluate_at(4)
-        assert registry.invocation_count == 3
+        assert registry.invocation_count - before == 3
 
 
 class TestAsynchronousSkip:

@@ -169,8 +169,6 @@ class TestInvocation:
         registry.invoke(SEND_MESSAGE, "email", {"address": "a", "text": "b"}, 0)
         registry.invoke(SEND_MESSAGE, "email", {"address": "a", "text": "b"}, 0)
         assert registry.invocation_count == 2
-        registry.reset_invocation_count()
-        assert registry.invocation_count == 0
 
 
 class TestProvidersIndex:

@@ -24,12 +24,6 @@ class TestCounter:
         c.inc(3)
         assert c.value == 4
 
-    def test_reset_shim(self, registry):
-        c = registry.counter("serena_things_total")
-        c.inc(7)
-        c.reset()
-        assert c.value == 0
-
     def test_kind(self, registry):
         assert registry.counter("serena_things_total").kind == "counter"
 

@@ -24,7 +24,7 @@ class TestModes:
     def test_off_mode_keeps_registry_real(self):
         obs = Observability(mode="off")
         assert not obs.metrics_on and not obs.tracing_on
-        # Migrated legacy counters still record through the registry.
+        # The every-mode counters still record through the registry.
         obs.metrics.counter("serena_invocations_total").inc()
         assert obs.metrics.value("serena_invocations_total") == 1
 
@@ -57,19 +57,10 @@ class TestRecordTick:
         obs = Observability()
         obs.record_tick(0.001)
         obs.record_tick(0.002)
-        assert obs.tick_samples_total == 2
-        assert list(obs.tick_samples) == [0.001, 0.002]
         assert obs.metrics.value("serena_ticks_total") == 2
         histogram = obs.metrics.get("serena_tick_seconds")
         assert histogram.count == 2
         assert histogram.sum == pytest.approx(0.003)
-
-    def test_sample_ring_bounded(self):
-        obs = Observability(tick_sample_capacity=3)
-        for index in range(5):
-            obs.record_tick(float(index))
-        assert list(obs.tick_samples) == [2.0, 3.0, 4.0]
-        assert obs.tick_samples_total == 5  # overflow detectable
 
 
 class TestExport:

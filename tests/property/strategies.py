@@ -1,7 +1,7 @@
 """Shared hypothesis strategies for property-based tests.
 
 Strategies generate values against the ``items`` relation of
-:class:`repro.bench.workloads.RandomEnvironment`:
+:class:`tests.environments.RandomEnvironment`:
 
 * real attributes ``item`` (SERVICE), ``category`` (STRING),
   ``size`` (INTEGER);

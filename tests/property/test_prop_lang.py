@@ -3,9 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra import scan
-from repro.bench.workloads import random_environment
 from repro.lang import parse_formula, parse_query, to_sal
 
+from tests.environments import random_environment
 from tests.property.strategies import formulas
 
 ENV = random_environment(0)

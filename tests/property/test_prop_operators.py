@@ -3,9 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra import BaseRelation, Query, col, relation as plan_of
-from repro.bench.workloads import random_environment
 from repro.model.relation import XRelation
 
+from tests.environments import random_environment
 from tests.property.strategies import formulas, item_rows
 
 

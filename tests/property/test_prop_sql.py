@@ -4,9 +4,9 @@ hand-built algebra for templated queries."""
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra import col, scan
-from repro.bench.workloads import random_environment
 from repro.lang.sql import compile_sql
 
+from tests.environments import random_environment
 from tests.property.strategies import CATEGORIES
 
 ENV = random_environment(0)

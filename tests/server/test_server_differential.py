@@ -106,9 +106,11 @@ class TestSharedEngineReplay:
         consumers = drive(server, HOT_SQL, TICKS)
         fast = consumers["fast"]
         slow = consumers["slow"]
-        # Non-vacuous: the fast consumer saw (nearly) every instant, the
-        # slow consumer was actually coalesced under overflow.
+        # Non-vacuous: the fast consumer saw (nearly) every instant and
+        # never needed to coalesce, the slow consumer was actually
+        # coalesced under overflow.
         assert fast["observed"] > slow["observed"]
+        assert fast["sub"].queue.coalesced == 0
         assert slow["sub"].queue.coalesced > 0
         assert server.obs.metrics.counter(
             "serena_server_coalesced_total", "", client="slow", sub="slow"

@@ -1,8 +1,9 @@
 """Guard: the engine names, classes and knobs folded into the one
 physical engine — and the parked sharded federation's, the server's
-per-subscriber fan-out hooks, and the feedback re-optimizer's plan-swap
-and per-tick costing surface — must not creep back into code, docs,
-examples, scripts or CI.
+per-subscriber fan-out hooks, the feedback re-optimizer's plan-swap
+and per-tick costing surface, and the legacy measurement spine with the
+hooks only it read — must not creep back into code, docs, examples,
+scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table and
 one way to build a PEMS.  Prose may still call the executors
@@ -64,6 +65,17 @@ BANNED = re.compile(
       | delta_cardinality
       | UNSUBSTITUTABLE_RISK_PREMIUM
       | substitutable\s*=
+      | repro\.bench
+      | measure_run
+      | RunStats
+      | build_surveillance_workload
+      | tick_samples
+      | tick_sample_capacity
+      | reset_invocation_count
+      | bind_observability
+      | BENCH_SMOKE
+      | BENCH_\w+\.json
+      | check_bench_json
     """,
     re.VERBOSE,
 )
@@ -95,3 +107,12 @@ def test_engine_module_is_gone():
     for module in ("engine", "vectorized", "columnar", "reoptimizer"):
         assert not (ROOT / "src" / "repro" / "exec" / f"{module}.py").exists()
     assert not (ROOT / "src" / "repro" / "fed").exists()
+
+
+def test_legacy_measurement_spine_is_gone():
+    """The perf artifacts the e2e benchmark replaced (EXPERIMENTS.md X13)."""
+    assert not (ROOT / "src" / "repro" / "bench").exists()
+    assert not (ROOT / "scripts" / "check_bench_json.py").exists()
+    for name in ("tick_cost", "multi_query", "fault_tolerance", "substitution",
+                 "observability", "server", "city"):
+        assert not (ROOT / "benchmarks" / f"test_bench_{name}.py").exists()
