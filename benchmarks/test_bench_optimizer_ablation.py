@@ -13,8 +13,7 @@ alert latency as a function of the modeled service round-trip delay.
 
 import time
 
-from repro.algebra import CostModel, Optimizer, col, optimize_heuristic, scan
-from repro.algebra.query import Query
+from repro.algebra import col, rewrite_fixpoint, scan
 from repro.continuous.continuous_query import ContinuousQuery
 
 from support import Report, surveillance_workload
@@ -34,7 +33,7 @@ def test_bench_x2_pushdown_ablation(benchmark):
             .select(col("location").eq("room03"))
             .query()
         )
-        optimized = optimize_heuristic(naive)
+        optimized = rewrite_fixpoint(naive)
         registry = env.registry
         rows = []
         for label, query in (("naive", naive), ("pushed-down", optimized)):
@@ -60,30 +59,6 @@ def test_bench_x2_pushdown_ablation(benchmark):
         title="σ-below-β pushdown, 100 + 4 sensors / 10 + 3 rooms (passive β)",
     )
     report.emit()
-
-
-def test_bench_x2_cost_based_search(benchmark):
-    """The cost-based optimizer finds the same optimum as the heuristic on
-    the canonical plan, within a bounded search."""
-    scenario = surveillance_workload(50, rooms=5, with_queries=False)
-    scenario.run(1)
-    env = scenario.environment
-    naive = (
-        scan(env, "sensors")
-        .invoke("getTemperature")
-        .select(col("location").eq("room01"))
-        .project("sensor", "temperature")
-        .query()
-    )
-    model = CostModel(env, service_costs={"getTemperature": 200.0}, instant=1)
-
-    def optimize():
-        return Optimizer(model).optimize(naive)
-
-    result = benchmark(optimize)
-    assert result.improvement > 1.5
-    heuristic = optimize_heuristic(naive)
-    assert model.cost(result.query).total <= model.cost(heuristic).total
 
 
 def test_bench_x2_invocation_cache_ablation(benchmark):

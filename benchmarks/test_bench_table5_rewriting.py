@@ -7,8 +7,12 @@ selection-below-invocation pushdown as selectivity varies.
 """
 
 from repro.algebra import Query, Selection, check_equivalence, col, scan
-from repro.algebra.optimizer import _apply_everywhere
-from repro.algebra.rewriting import DEFAULT_RULES, PUSHDOWN_RULES, rewrite_fixpoint
+from repro.algebra.rewriting import (
+    DEFAULT_RULES,
+    PUSHDOWN_RULES,
+    apply_everywhere,
+    rewrite_fixpoint,
+)
 from repro.devices.paper_example import build_paper_example
 
 from support import Report, surveillance_workload
@@ -16,7 +20,8 @@ from tests.environments import random_environment
 
 
 def probe_plans(env):
-    """Plans collectively exercising every rewrite rule."""
+    """Plans collectively exercising every rewrite rule but
+    ``selection_below_projection``, which the property tests check."""
     return [
         # merge/push selections, projection/selection vs passive β
         scan(env, "items")
@@ -70,7 +75,7 @@ def validate_rules_on_random_envs(seeds=range(4)):
         env = handle.environment
         for probe in probe_plans(env):
             for rule in DEFAULT_RULES:
-                for root in _apply_everywhere(probe.root, rule.transform):
+                for root in apply_everywhere(probe.root, rule):
                     report = check_equivalence(probe, Query(root), env, instant=seed)
                     assert report.equivalent, rule.name
                     validated[rule.name] = validated.get(rule.name, 0) + 1

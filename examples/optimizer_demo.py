@@ -1,8 +1,8 @@
 """Logical optimization of service-oriented queries (Section 3.3).
 
-Shows the rewriting engine and the cost-based optimizer on the canonical
-pervasive-query shape: an expensive passive invocation with a selection on
-top.  Pushing the selection below the invocation (legal because the
+Shows the optimizer — the Table 5 pushdown rules run to a fixed point —
+on the canonical pervasive-query shape: an expensive passive invocation
+with a selection on top.  Pushing the selection below the invocation (legal because the
 binding pattern is passive) cuts the number of service calls; the same
 move on an *active* invocation is refused because it would change the
 action set (the Q1/Q1' trap).
@@ -11,12 +11,10 @@ Run:  python examples/optimizer_demo.py
 """
 
 from repro.algebra import (
-    CostModel,
-    Optimizer,
     RewriteTrace,
     check_equivalence,
     col,
-    optimize_heuristic,
+    rewrite_fixpoint,
     scan,
 )
 from repro.devices.scenario import build_temperature_surveillance
@@ -48,7 +46,7 @@ def main():
     print(explain(naive))
 
     trace = RewriteTrace()
-    optimized = optimize_heuristic(naive, trace)
+    optimized = rewrite_fixpoint(naive, trace=trace)
     print("\n=== After heuristic rewriting (Table 5 pushdown) ===")
     print(explain(optimized))
     print(f"rules fired: {trace.steps}")
@@ -61,14 +59,6 @@ def main():
     print(f"Definition 9 equivalence holds: {report.equivalent}")
     assert r1.relation == r2.relation
 
-    print("\n=== Cost-based optimizer ===")
-    model = CostModel(env, service_costs={"getTemperature": 250.0}, instant=1)
-    result = Optimizer(model).optimize(naive)
-    print(f"plans explored : {result.plans_explored}")
-    print(f"estimated cost : {result.original_cost.total:,.0f} -> "
-          f"{result.cost.total:,.0f}  (x{result.improvement:.1f} better)")
-    print(explain(result.query))
-
     print("\n=== Active invocations are never pushed through ===")
     active_query = (
         scan(env, "contacts")
@@ -77,7 +67,7 @@ def main():
         .select(col("name").ne("Carla"))
         .query("active")
     )
-    rewritten = optimize_heuristic(active_query)
+    rewritten = rewrite_fixpoint(active_query)
     print(explain(rewritten))
     print("(the selection stays above the sendMessage invocation: moving it"
           " would change the action set)")

@@ -1,10 +1,10 @@
-"""The Serena algebra (Section 3): operators, queries, equivalence,
-rewriting and optimization over relational pervasive environments."""
+"""The Serena algebra (Section 3): operators, queries, equivalence and
+rewriting over relational pervasive environments.  The optimizer is
+:func:`rewrite_fixpoint` over :data:`PUSHDOWN_RULES` (Section 3.3)."""
 
 from repro.algebra.actions import Action, ActionSet
 from repro.algebra.builder import PlanBuilder, relation, scan
 from repro.algebra.context import EvaluationContext
-from repro.algebra.cost import CostModel, PlanCost
 from repro.algebra.equivalence import (
     EquivalenceReport,
     check_equivalence,
@@ -32,18 +32,12 @@ from repro.algebra.operators import (
     Union,
     Window,
 )
-from repro.algebra.optimizer import OptimizationResult, Optimizer, optimize_heuristic
 from repro.algebra.query import NodeProfile, Query, QueryProfile, QueryResult
 from repro.algebra.fingerprint import canonical_plan, plan_fingerprint
 from repro.algebra.normalize import (
     normalize,
     normalize_formula,
     syntactically_equivalent,
-)
-from repro.algebra.statistics import (
-    EnvironmentStatistics,
-    RelationStatistics,
-    collect_statistics,
 )
 from repro.algebra.rewriting import (
     DEFAULT_RULES,
@@ -65,10 +59,8 @@ __all__ = [
     "Assignment",
     "BaseRelation",
     "Comparison",
-    "CostModel",
     "DEFAULT_RULES",
     "Difference",
-    "EnvironmentStatistics",
     "EquivalenceReport",
     "EvaluationContext",
     "Formula",
@@ -78,17 +70,13 @@ __all__ = [
     "NodeProfile",
     "Not",
     "Operator",
-    "OptimizationResult",
-    "Optimizer",
     "Or",
     "PUSHDOWN_RULES",
     "PlanBuilder",
-    "PlanCost",
     "Projection",
     "Query",
     "QueryProfile",
     "QueryResult",
-    "RelationStatistics",
     "Renaming",
     "RewriteRule",
     "RewriteTrace",
@@ -102,14 +90,12 @@ __all__ = [
     "Window",
     "apply_rule",
     "check_equivalence",
-    "collect_statistics",
     "col",
     "equivalent_on",
     "canonical_plan",
     "normalize",
     "normalize_formula",
     "plan_fingerprint",
-    "optimize_heuristic",
     "relation",
     "rewrite_fixpoint",
     "rule_by_name",

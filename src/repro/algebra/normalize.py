@@ -17,8 +17,9 @@ Join/union operand order is deliberately *not* normalized: commuting a
 join permutes the output schema's attribute order, which our strict
 X-Relation equality (and Definition 9 as we evaluate it) distinguishes.
 
-Uses: plan-cache keys, optimizer duplicate elimination, and tests that
-want "same query, written differently" to compare equal.
+Uses: the shared-plan registry's keys (it lowers the normal form, so the
+pushdown fixpoint is the plan that runs), and tests that want "same
+query, written differently" to compare equal.
 """
 
 from __future__ import annotations

@@ -126,8 +126,7 @@ class Query:
 
         Evaluates the query once (a fresh context, like :meth:`evaluate`),
         then reads each node's memoized instantaneous result to report the
-        *actual* output cardinalities — the runtime counterpart of the
-        cost model's estimates, and the tool for spotting where a plan
+        *actual* output cardinalities — the tool for spotting where a plan
         explodes or where invocations multiply.
         """
         registry = environment.registry

@@ -15,9 +15,11 @@ rules that preserve the invoked tuple set modulo duplicate collapsing
 legal for active patterns too, because action sets are *sets* (Def. 8).
 
 The engine is deliberately simple: :func:`apply_rule` rewrites the topmost
-applicable node, :func:`rewrite_fixpoint` iterates a rule list to a fixed
-point, and :class:`RewriteTrace` records what fired for EXPLAIN-style
-output and for the benchmarks of the optimizer ablation.
+applicable node, :func:`apply_everywhere` lists every one-step rewrite,
+:func:`rewrite_fixpoint` iterates a rule list to a fixed point, and
+:class:`RewriteTrace` records what fired for the shell's ``.optimize``.
+``rewrite_fixpoint`` over :data:`PUSHDOWN_RULES` is the optimizer: the
+shared-plan registry lowers its result (:mod:`repro.algebra.normalize`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.errors import InvalidOperatorError, SchemaError
 __all__ = [
     "RewriteRule",
     "RewriteTrace",
+    "apply_everywhere",
     "apply_rule",
     "rewrite_fixpoint",
     "DEFAULT_RULES",
@@ -136,6 +139,24 @@ def _selection_below_invocation(node: Operator) -> Operator | None:
     return child.with_children((pushed,))
 
 
+def _selection_below_projection(node: Operator) -> Operator | None:
+    """σ_F(π_L(r)) → π_L(σ_F(r))   [classical].
+
+    π has no side effects, and attrs(F) ⊆ L are real below it too, so the
+    selection sees the same values on either side.
+    """
+    if not isinstance(node, Selection):
+        return None
+    (child,) = node.children
+    if not isinstance(child, Projection):
+        return None
+    (grandchild,) = child.children
+    try:
+        return child.with_children((Selection(grandchild, node.formula),))
+    except (InvalidOperatorError, SchemaError):
+        return None
+
+
 def _invocation_below_selection(node: Operator) -> Operator | None:
     """β_bp(σ_F(r)) → σ_F(β_bp(r))   if bp passive   [reverse direction].
 
@@ -183,7 +204,10 @@ def _projection_below_invocation(node: Operator) -> Operator | None:
 
     Legal for active patterns too: the action set only contains the
     pattern's service reference and input attributes, all of which are in
-    L, and action sets collapse duplicates (Definition 8).
+    L, and action sets collapse duplicates (Definition 8).  Duplicate
+    collapsing by the pushed projection may *reduce* the number of
+    physical invocations of an active pattern; the action set stays the
+    same because the projection is lossless on the pattern's inputs.
     """
     if not isinstance(node, Projection):
         return None
@@ -192,13 +216,6 @@ def _projection_below_invocation(node: Operator) -> Operator | None:
         return None
     if not child.binding_pattern.referenced_names <= set(node.names):
         return None
-    if child.binding_pattern.active:
-        # Duplicate collapsing by the pushed projection could *reduce* the
-        # number of physical invocations while keeping the same action
-        # set.  Definition 9 compares action sets, so this is equivalent,
-        # but we still require the projection to be lossless on the
-        # pattern's inputs — guaranteed by the referenced_names check.
-        pass
     (grandchild,) = child.children
     try:
         pushed = Projection(grandchild, node.names)
@@ -331,6 +348,11 @@ _RULES = [
         _invocation_below_selection,
     ),
     RewriteRule(
+        "selection_below_projection",
+        "push σ below π (π has no side effects)",
+        _selection_below_projection,
+    ),
+    RewriteRule(
         "projection_below_assignment",
         "push π below α when it keeps the assigned attributes",
         _projection_below_assignment,
@@ -372,16 +394,21 @@ _RULE_INDEX = {rule.name: rule for rule in _RULES}
 #: All rules (both directions); use :data:`PUSHDOWN_RULES` for optimization.
 DEFAULT_RULES: tuple[RewriteRule, ...] = tuple(_RULES)
 
-#: The subset that monotonically moves cheap operators (σ, π) down and
-#: defers invocations — the heuristic of Section 3.3.
+#: The subset that monotonically moves selections down and defers
+#: invocations — the heuristic of Section 3.3, and the one optimizer.
+#: Order matters, because :func:`rewrite_fixpoint` fires the first rule
+#: that applies: every σ push comes before merging, so a selection that
+#: can move is not glued to one that cannot (say, one reading β's
+#: outputs, or both join operands).
 PUSHDOWN_RULES: tuple[RewriteRule, ...] = tuple(
     _RULE_INDEX[name]
     for name in (
+        "selection_below_invocation",
+        "selection_below_projection",
+        "selection_below_assignment",
+        "selection_below_join",
         "merge_selections",
         "cascade_projections",
-        "selection_below_assignment",
-        "selection_below_invocation",
-        "selection_below_join",
     )
 )
 
@@ -418,6 +445,20 @@ def apply_rule(root: Operator, rule: RewriteRule) -> Operator | None:
     return None
 
 
+def apply_everywhere(root: Operator, rule: RewriteRule) -> list[Operator]:
+    """Every tree obtained by applying ``rule`` at exactly one node."""
+    results: list[Operator] = []
+    replacement = rule.apply(root)
+    if replacement is not None:
+        results.append(replacement)
+    for position, child in enumerate(root.children):
+        for rewritten_child in apply_everywhere(child, rule):
+            children = list(root.children)
+            children[position] = rewritten_child
+            results.append(root.with_children(children))
+    return results
+
+
 def rewrite_fixpoint(
     root: Operator | Query,
     rules: Sequence[RewriteRule] = PUSHDOWN_RULES,
@@ -427,9 +468,9 @@ def rewrite_fixpoint(
     """Apply ``rules`` repeatedly until none fires (or ``max_steps``).
 
     Accepts and returns either a bare plan or a :class:`Query` (preserving
-    its name).  The default rule set is confluent and terminating (each
-    rule strictly decreases the depth of σ/π nodes); arbitrary rule sets
-    are guarded by ``max_steps``.
+    its name).  The default rule set terminates: σ only moves down, and
+    merging and cascading only shrink the tree.  Arbitrary rule sets are
+    guarded by ``max_steps``.
     """
     if isinstance(root, Query):
         rewritten = rewrite_fixpoint(root.root, rules, max_steps, trace)

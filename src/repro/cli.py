@@ -29,8 +29,8 @@ Run ``python -m repro`` for an interactive session, or
   ``.trace [n|json]``       the last n recorded tick-trace spans
                             (requires ``observe="full"``)
   ``.profile SELECT ...``   run the query; per-operator tuple counts
-  ``.optimize SELECT ...``  the plan before/after cost-based optimization
-  ``.stats``                relation cardinalities and distinct counts
+  ``.optimize SELECT ...``  the plan before/after the §3.3 pushdown
+                            fixpoint, and the rules that fired
   ``.sal <expr>``           evaluate a Serena Algebra Language expression
   ``.rule head(x) :- ...``  evaluate a conjunctive-calculus rule
   ``.demo temperature|rss`` load a ready-made §5.2 scenario; ``.demo
@@ -94,7 +94,6 @@ class SerenaShell:
             "trace": self._cmd_trace,
             "profile": self._cmd_profile,
             "optimize": self._cmd_optimize,
-            "stats": self._cmd_stats,
             "sal": self._cmd_sal,
             "rule": self._cmd_rule,
             "demo": self._cmd_demo,
@@ -324,54 +323,17 @@ class SerenaShell:
         self._print(profile.result.relation.to_table())
 
     def _cmd_optimize(self, argument: str) -> None:
-        from repro.algebra.cost import CostModel
-        from repro.algebra.optimizer import Optimizer
-        from repro.algebra.statistics import collect_statistics
+        from repro.algebra.rewriting import RewriteTrace, rewrite_fixpoint
         from repro.lang.printer import explain
 
         query = compile_sql(argument.rstrip(";"), self.pems.environment)
-        statistics = collect_statistics(self.pems.environment, self.pems.clock.now)
-        model = CostModel(
-            self.pems.environment,
-            instant=self.pems.clock.now,
-            statistics=statistics,
-        )
-        outcome = Optimizer(model).optimize(query)
-        self._print("-- original plan --")
+        trace = RewriteTrace()
+        pushed = rewrite_fixpoint(query, trace=trace)
+        self._print("-- compiled plan --")
         self._print(explain(query))
-        self._print(
-            f"estimated cost: {outcome.original_cost.total:,.0f} "
-            f"(invocations {outcome.original_cost.invocations:,.0f})"
-        )
-        self._print("-- optimized plan --")
-        self._print(explain(outcome.query))
-        self._print(
-            f"estimated cost: {outcome.cost.total:,.0f} "
-            f"(invocations {outcome.cost.invocations:,.0f}); "
-            f"{outcome.plans_explored} plans explored, "
-            f"x{outcome.improvement:.2f} better"
-        )
-
-    def _cmd_stats(self, argument: str) -> None:
-        from repro.algebra.statistics import collect_statistics
-
-        statistics = collect_statistics(self.pems.environment, self.pems.clock.now)
-        shown = False
-        for name in self.pems.environment.relation_names:
-            relation_stats = statistics.relation(name)
-            if relation_stats is None:
-                self._print(f"{name}: (stream — not profiled)")
-                continue
-            distinct = ", ".join(
-                f"{attr}={count}"
-                for attr, count in sorted(relation_stats.distinct.items())
-            )
-            self._print(
-                f"{name}: {relation_stats.cardinality} tuples; distinct: {distinct}"
-            )
-            shown = True
-        if not shown and not self.pems.environment.relation_names:
-            self._print("(no relations)")
+        self._print("-- pushdown fixpoint --")
+        self._print(explain(pushed))
+        self._print(f"rules fired: {', '.join(trace.steps) or 'none'}")
 
     def _cmd_sal(self, argument: str) -> None:
         query = parse_query(argument.rstrip(";"), self.pems.environment)

@@ -25,7 +25,7 @@ provably did not change since their last tick.
 
 from repro.exec.delta import EMPTY_DELTA, Delta
 from repro.exec.executors import Executor
-from repro.exec.lowering import lower, lowering_summary, supported_operator
+from repro.exec.lowering import lower
 from repro.exec.scheduler import TickScheduler
 from repro.exec.shared import SharedEngine, SharedPlan, SharedPlanRegistry
 
@@ -38,6 +38,4 @@ __all__ = [
     "SharedPlanRegistry",
     "TickScheduler",
     "lower",
-    "lowering_summary",
-    "supported_operator",
 ]

@@ -9,10 +9,7 @@ Lowering is *total*: a logical operator with no registered executor is
 wrapped in a :class:`~repro.exec.executors.FallbackExec`, which evaluates
 that whole subtree with the naive engine each tick and diffs the results
 — new logical operators keep working on the physical engine, merely
-without the delta speedup.  :func:`supported_operator` reports whether a
-node has a native incremental executor, which the cost model uses to
-decide whether a plan's steady-state tick cost scales with deltas or with
-cardinalities.
+without the delta speedup.
 
 Node sharing is preserved: a logical node reachable through several plan
 branches is lowered to a *single* executor (memoized by ``Operator.uid``),
@@ -44,8 +41,6 @@ __all__ = [
     "LOWERINGS",
     "check_engine",
     "lower",
-    "lowering_summary",
-    "supported_operator",
 ]
 
 #: The execution engines of a continuous query: ``"naive"`` re-evaluates
@@ -86,11 +81,6 @@ LOWERINGS: dict[type, Callable[..., x.Executor]] = {
     Window: x.WindowExec,
 }
 
-def supported_operator(node: Operator) -> bool:
-    """True iff ``node`` (this node alone, not its subtree) has a native
-    incremental executor."""
-    return type(node) in LOWERINGS
-
 
 def lower(
     node: Operator, memo: dict[int, x.Executor] | None = None
@@ -113,19 +103,4 @@ def lower(
         executor = factory(node, *(lower(child, memo) for child in node.children))
     memo[node.uid] = executor
     return executor
-
-
-def lowering_summary(node: Operator) -> dict[str, int]:
-    """How much of a plan lowers natively: counts of ``native`` vs
-    ``fallback`` nodes (a fallback node subsumes its whole subtree)."""
-    native = fallback = 0
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if supported_operator(current):
-            native += 1
-            stack.extend(current.children)
-        else:
-            fallback += 1
-    return {"native": native, "fallback": fallback}
 

@@ -167,9 +167,9 @@ class TestProfile:
         assert "service invocations: 0" in text
 
     def test_profile_shows_pushdown_benefit(self, paper):
-        """The profiled invocation counts visualize what the optimizer
-        saves (4 calls naive vs 2 pushed-down)."""
-        from repro.algebra import col, optimize_heuristic, scan
+        """The profiled invocation counts visualize what the pushdown
+        fixpoint saves (4 calls naive vs 2 pushed-down)."""
+        from repro.algebra import col, rewrite_fixpoint, scan
 
         env = paper.environment
         naive = (
@@ -179,4 +179,4 @@ class TestProfile:
             .query()
         )
         assert naive.profile(env).invocations == 4
-        assert optimize_heuristic(naive).profile(env).invocations == 2
+        assert rewrite_fixpoint(naive).profile(env).invocations == 2

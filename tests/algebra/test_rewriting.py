@@ -134,6 +134,41 @@ class TestSelectionBelowInvocation:
         assert plan_shape(rewritten) == ["Selection", "Invocation", "Scan"]
 
 
+class TestSelectionBelowProjection:
+    """σ_F(π_L(r)) → π_L(σ_F(r))   [classical]."""
+
+    def test_applies(self, paper_env):
+        plan = (
+            scan(paper_env, "sensors")
+            .invoke("getTemperature")
+            .project("sensor", "location", "temperature")
+            .select(col("location").eq("office"))
+            .node
+        )
+        rewritten = apply_rule(plan, rule_by_name("selection_below_projection"))
+        assert plan_shape(rewritten) == [
+            "Projection", "Selection", "Invocation", "Scan"
+        ]
+
+    def test_preserves_equivalence_over_an_active_invocation(self, paper):
+        """π has no side effects, so σ may pass it even above an active β
+        — it then stops at the β."""
+        env = paper.environment
+        original = (
+            scan(env, "contacts")
+            .assign("text", "Hi")
+            .invoke("sendMessage")
+            .project("name", "address", "text", "messenger", "sent")
+            .select(col("name").ne("Carla"))
+            .query()
+        )
+        rewritten = rewrite_fixpoint(original)
+        assert plan_shape(rewritten.root) == [
+            "Projection", "Selection", "Invocation", "Assignment", "Scan"
+        ]
+        assert check_equivalence(original, rewritten, env).equivalent
+
+
 class TestProjectionRules:
     def test_projection_below_assignment(self, paper_env):
         plan = (
@@ -259,6 +294,96 @@ class TestJoinRules:
         bp = paper_env.schema("contacts").binding_pattern("sendMessage")
         plan = Invocation(joined, bp)
         assert apply_rule(plan, rule_by_name("invocation_below_join")) is None
+
+
+def office_temperature_query(env):
+    """The canonical naive plan: invoke everything, then filter."""
+    return (
+        scan(env, "sensors")
+        .invoke("getTemperature")
+        .select(col("location").eq("office"))
+        .query("office-temps")
+    )
+
+
+class TestPushdownFixpoint:
+    """``rewrite_fixpoint`` over ``PUSHDOWN_RULES`` is the optimizer."""
+
+    def test_pushes_selection_below_invocation(self, paper_env):
+        optimized = rewrite_fixpoint(office_temperature_query(paper_env))
+        assert plan_shape(optimized.root) == ["Invocation", "Selection", "Scan"]
+
+    def test_never_touches_active_invocations(self, paper_env):
+        query = (
+            scan(paper_env, "contacts")
+            .assign("text", "Hi")
+            .invoke("sendMessage")
+            .select(col("name").ne("Carla"))
+            .query()
+        )
+        shapes = plan_shape(rewrite_fixpoint(query).root)
+        # The selection stays ABOVE the active invocation.
+        assert shapes.index("Selection") < shapes.index("Invocation")
+
+    def test_preserves_equivalence(self, paper):
+        env = paper.environment
+        query = office_temperature_query(env)
+        optimized = rewrite_fixpoint(query)
+        assert check_equivalence(query, optimized, env).equivalent
+
+
+def _gap_plans(env):
+    """The shapes on which a cost-based search over ``DEFAULT_RULES`` once
+    beat the fixpoint on measured invocations (``s`` is σ, ``p`` π, ``a``
+    α and ``b`` β over items): σ could not pass π, and merging glued a
+    pushable σ to one reading β's output."""
+    size = col("size").lt(25)
+    score = col("score").gt(5.0)
+    scored = scan(env, "items").invoke("getScore")
+    projected = scored.project("item", "category", "size", "score")
+    return {
+        "s(p(b))": projected.select(size),
+        "s_score(s_size(b))": scored.select(size).select(score),
+        "s_score(s_size(p(b)))": scored.project("item", "size", "score")
+        .select(size)
+        .select(score),
+        "s(p(b) join categories)": projected.join(scan(env, "categories"))
+        .select(size),
+        "s_score(s_size(a(b)))": scored.assign("done", True)
+        .select(size)
+        .select(score),
+        "s_score(s_size(b join categories))": scored.join(
+            scan(env, "categories")
+        )
+        .select(size)
+        .select(score),
+    }
+
+
+class TestClosedGaps:
+    @pytest.mark.parametrize(
+        "shape", list(_gap_plans(random_environment(0).environment))
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_pushable_selection_ends_below_the_invocation(
+        self, shape, seed
+    ):
+        env = random_environment(seed).environment
+        query = _gap_plans(env)[shape].query()
+        pushed = rewrite_fixpoint(query)
+        (invocation,) = [
+            n for n in pushed.root.walk() if isinstance(n, Invocation)
+        ]
+        below = set(map(id, invocation.children[0].walk()))
+        for node in pushed.root.walk():
+            if isinstance(node, Selection):
+                reads_output = "score" in node.formula.attributes()
+                assert (id(node) in below) != reads_output, pushed.render()
+        assert (
+            pushed.profile(env, seed).invocations
+            < query.profile(env, seed).invocations
+        )
+        assert check_equivalence(query, pushed, env, instant=seed).equivalent
 
 
 class TestEngine:

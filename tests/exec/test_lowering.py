@@ -9,7 +9,7 @@ from repro.algebra.operators.base import Operator
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.paper_example import build_paper_example
 from repro.devices.scenario import surveillance_schema, temperatures_schema
-from repro.exec import lower, lowering_summary, supported_operator
+from repro.exec import lower
 from repro.exec.executors import (
     FallbackExec,
     JoinExec,
@@ -17,6 +17,7 @@ from repro.exec.executors import (
     SelectionExec,
     WindowExec,
 )
+from repro.exec.lowering import LOWERINGS
 from repro.model.relation import XRelation
 from repro.model.xschema import ExtendedRelationSchema
 
@@ -36,12 +37,11 @@ def test_table3_plan_lowers_natively():
         .query("q")
     )
     root = lower(query.root)
-    for executor in root.walk():
+    executors = list(root.walk())
+    for executor in executors:
         assert not isinstance(executor, FallbackExec)
-        assert supported_operator(executor.node)
-    summary = lowering_summary(query.root)
-    assert summary["fallback"] == 0
-    assert summary["native"] == len(list(query.root.walk()))
+        assert type(executor.node) in LOWERINGS
+    assert len(executors) == len(list(query.root.walk()))
 
 
 def test_continuous_operators_lower_natively():
@@ -92,12 +92,12 @@ def test_unknown_operator_falls_back():
 
     env = paper_env()
     node = Exotic(scan(env, "contacts").node)
-    assert not supported_operator(node)
+    assert type(node) not in LOWERINGS
     root = lower(node)
     assert isinstance(root, FallbackExec)
     # The fallback subsumes its subtree: no children are lowered.
     assert root.children == ()
-    assert lowering_summary(node) == {"native": 0, "fallback": 1}
+    assert list(root.walk()) == [root]
 
 
 def test_fallback_subtree_still_runs():

@@ -16,7 +16,9 @@ the way):
   engine="shared".
 """
 
+from repro.algebra import col, scan
 from repro.continuous.continuous_query import ContinuousQuery
+from repro.errors import UnknownServiceError
 from repro.exec.scheduler import TickScheduler
 from repro.exec.shared import SharedPlanRegistry
 
@@ -87,6 +89,39 @@ def test_table4_shared_differential(make, scripts):
     assert outbox_key(rigs["shared"].paper.outbox) == outbox_key(
         rigs["naive"].paper.outbox
     )
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip", "degrade"])
+def test_engines_disagree_only_where_the_pushdown_skips_a_failing_call(
+    on_error,
+):
+    """The one known disagreement (DESIGN §6–7).  The shared registry
+    lowers the pushdown fixpoint β(σ_area='office'(cameras)), which never
+    invokes the ghost roof camera; the oracle evaluates the plan as
+    written and invokes it on instants 3–9, while its row exists."""
+    observed = {}
+    for engine in ("naive", "shared"):
+        rig = Rig()
+        query = (
+            scan(rig.env, "cameras")
+            .invoke("checkPhoto", on_error=on_error)
+            .select(col("area").eq("office"))
+            .query("office-checks")
+        )
+        cq = ContinuousQuery(query, rig.env, engine=engine)
+        answers = []
+        for instant in range(1, 12):
+            ghost_camera_churn(rig, instant)
+            try:
+                answers.append(len(cq.evaluate_at(instant).relation))
+            except UnknownServiceError:
+                answers.append("UnknownServiceError")
+        observed[engine] = answers
+    assert observed["shared"] == [1] * 11
+    if on_error == "raise":
+        assert observed["naive"] == [1, 1] + ["UnknownServiceError"] * 7 + [1, 1]
+    else:
+        assert observed["naive"] == observed["shared"]
 
 
 # ---------------------------------------------------------------------------

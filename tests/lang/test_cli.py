@@ -194,14 +194,6 @@ class TestDotCommands:
 
 
 class TestOptimizeAndStats:
-    def test_stats_lists_relations_and_streams(self, shell):
-        sh, out = shell
-        sh.execute(".demo temperature")
-        sh.execute(".stats")
-        text = out.getvalue()
-        assert "contacts: 4 tuples" in text
-        assert "temperatures: (stream — not profiled)" in text
-
     def test_optimize_shows_both_plans(self, shell):
         sh, out = shell
         sh.execute(".demo temperature")
@@ -211,14 +203,23 @@ class TestOptimizeAndStats:
             "USING getTemperature HAVING location = 'office'"
         )
         text = out.getvalue()
-        assert "-- original plan --" in text
-        assert "-- optimized plan --" in text
-        assert "plans explored" in text
+        assert "-- compiled plan --" in text
+        pushed = text.split("-- pushdown fixpoint --")[1]
+        # The σ on location now sits below the getTemperature β.
+        assert pushed.index("β") < pushed.index("σ")
+        assert "rules fired: selection_below_invocation" in text
+        assert "estimated" not in text
 
-    def test_stats_empty_environment(self, shell):
+    def test_optimize_reports_no_rules_on_a_fixpoint(self, shell):
+        sh, out = shell
+        sh.execute(".demo temperature")
+        sh.execute(".optimize SELECT name FROM contacts")
+        assert "rules fired: none" in out.getvalue()
+
+    def test_stats_is_gone(self, shell):
         sh, out = shell
         sh.execute(".stats")
-        assert "(no relations)" in out.getvalue()
+        assert "unknown command .stats" in out.getvalue()
 
 
 class TestRuleCommand:

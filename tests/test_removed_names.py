@@ -1,12 +1,13 @@
 """Guard: the engine names, classes and knobs folded into the one
 physical engine — and the parked sharded federation's, the server's
 per-subscriber fan-out hooks, the feedback re-optimizer's plan-swap
-and per-tick costing surface, and the legacy measurement spine with the
-hooks only it read — must not creep back into code, docs, examples,
-scripts or CI.
+and per-tick costing surface, the legacy measurement spine with the
+hooks only it read, and the cost-based search with its cost model and
+statistics — must not creep back into code, docs, examples, scripts or
+CI.
 
-There are two engines (``naive`` and ``shared``), one executor table and
-one way to build a PEMS.  Prose may still call the executors
+There are two engines (``naive`` and ``shared``), one executor table,
+one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
 *incremental* or mention the *federation* — only the identifiers and
 string literals below are banned.
 """
@@ -76,6 +77,19 @@ BANNED = re.compile(
       | BENCH_SMOKE
       | BENCH_\w+\.json
       | check_bench_json
+      | CostModel
+      | PlanCost
+      | OptimizationResult
+      | Optimizer\(
+      | collect_statistics
+      | EnvironmentStatistics
+      | RelationStatistics
+      | repro\.algebra\.(cost|statistics|optimizer)
+      | optimize_heuristic
+      | _apply_everywhere
+      | plan_budget
+      | supported_operator
+      | lowering_summary
     """,
     re.VERBOSE,
 )
@@ -116,3 +130,9 @@ def test_legacy_measurement_spine_is_gone():
     for name in ("tick_cost", "multi_query", "fault_tolerance", "substitution",
                  "observability", "server", "city"):
         assert not (ROOT / "benchmarks" / f"test_bench_{name}.py").exists()
+
+
+def test_cost_based_optimizer_is_gone():
+    """The search, cost model and statistics (EXPERIMENTS.md X14)."""
+    for module in ("optimizer", "cost", "statistics"):
+        assert not (ROOT / "src" / "repro" / "algebra" / f"{module}.py").exists()
