@@ -11,6 +11,9 @@ The context also carries:
   invocation caches ("a binding pattern is actually invoked only for newly
   inserted tuples") and window/streaming buffers.  One-shot evaluation uses
   a fresh store, which degenerates to the pure Table 3 semantics.
+
+The physical engine (:mod:`repro.exec`) keeps its state in its executors
+and reads XD-Relation journals from the environment: it puts no cache here.
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ class EvaluationContext:
         # across instants; one-shot evaluation leaves it None and gets a
         # fresh, throw-away store.
         self._states: dict[int, dict[str, Any]] = states if states is not None else {}
-        # Optional per-instant journal read cache, installed by engines
-        # that share it across executors (the shared registry hands one
-        # per tick): (relation id, start, stop) → journal chunk list, so
-        # N scans over the same XD-Relation fold the journal once.
-        self.journal_cache: dict | None = None
-
 
     def state(self, node: "Operator") -> dict[str, Any]:
         """Per-node mutable state (empty dict on first access)."""
@@ -75,10 +72,6 @@ class EvaluationContext:
         invocation caches and window buffers.  Collected actions are *not*
         shared: each instant has its own action list.
         """
-        ctx = EvaluationContext(
+        return EvaluationContext(
             self.environment, instant, self._states, self.continuous
         )
-        # Cache keys carry the stop instant, so sharing across instants
-        # is sound (entries for other instants simply never match).
-        ctx.journal_cache = self.journal_cache
-        return ctx

@@ -11,7 +11,9 @@ the extension operators) is a node in a logical plan tree.  A node:
 * reports per-instant *deltas* (:meth:`inserted` / :meth:`deleted`) for the
   continuous extension: by default deltas are computed by diffing the
   instantaneous results of consecutive instants, while leaves over journaled
-  XD-Relations report exact deltas.
+  XD-Relations report exact deltas.  (The physical engine lowers a window
+  over a stream scan to one leaf that reads the journal directly; see
+  :mod:`repro.exec.lowering`.)
 
 Nodes are immutable once built; rewriting (Section 3.3) produces new trees
 via :meth:`with_children`.

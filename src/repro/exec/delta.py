@@ -15,7 +15,9 @@ but one node they coincide:
   of Section 4.2 are defined over.  A scan of a journaled XD-Relation
   reports the journal's deltas *at the evaluation instant exactly*, which
   can differ from the change delta when evaluation instants skip over
-  journaled instants; every other node reports its change delta.
+  journaled instants; every other node reports its change delta.  A
+  window over a stream scan has no scan executor under it: it is a leaf
+  that reads the journal's insertions itself.
 
 Keeping both notions explicit is what lets the physical engine be
 differentially identical to the naive re-evaluating engine.

@@ -86,27 +86,6 @@ __all__ = [
 _EMPTY: frozenset[tuple] = frozenset()
 
 
-def journal_chunks(
-    ctx: EvaluationContext, stored: object, start: int, stop: int
-):
-    """``stored.changes_between(start, stop)``, served from the context's
-    per-instant cache when an engine installed one — N executors reading
-    the same XD-Relation slice then walk the journal once per tick.
-
-    The chunk list is immutable (``(instant, frozenset, frozenset)``
-    snapshots), so sharing it across executors is safe; keys carry the
-    relation's identity and both bounds, so different high-water marks
-    coexist."""
-    cache = ctx.journal_cache
-    if cache is None:
-        return stored.changes_between(start, stop)  # type: ignore[attr-defined]
-    key = (id(stored), start, stop)
-    chunks = cache.get(key)
-    if chunks is None:
-        chunks = cache[key] = stored.changes_between(start, stop)  # type: ignore[attr-defined]
-    return chunks
-
-
 class ExecStats:
     """Cumulative per-executor counters, updated on every tick.
 
@@ -295,7 +274,7 @@ class ScanExec(Executor):
         self._consumed: int | None = None
         #: True once the stored relation was seen to be journaled; the
         #: reported delta is then registration-independent (read from the
-        #: journal), which stream/window parents and the shared engine use
+        #: journal), which stream parents and the shared engine use
         #: to decide whether a warm scan needs first-tick synthesis.
         self.journaled = False
 
@@ -350,7 +329,7 @@ class ScanExec(Executor):
         removed: set[tuple] = set()
         current = self.current
         start = self._consumed if self._consumed is not None else 0
-        for _, inserted, deleted in journal_chunks(ctx, stored, start, ctx.instant):
+        for _, inserted, deleted in stored.changes_between(start, ctx.instant):  # type: ignore[attr-defined]
             self.stats.rows_scanned += len(inserted) + len(deleted)
             if inserted:
                 removed -= inserted
@@ -1057,9 +1036,10 @@ class WindowExec(Executor):
     """W[period]: one bucket of inserted tuples per instant of the last
     ``period`` instants; the window is the union of the live buckets.
 
-    Over a journaled XD-Relation scan the buckets are fed from the
-    journal itself (the contents are then exact regardless of when the
-    query was registered); over a derived stream the child's reported
+    Over a scan of a stream the window is a leaf (see
+    :func:`repro.exec.lowering.operands`): its buckets are read from the
+    stream's journal, so the contents are exact regardless of when the
+    query was registered.  Over a derived stream the child's reported
     insertions are bucketed per evaluation instant, exactly like the
     naive engine.
 
@@ -1070,12 +1050,14 @@ class WindowExec(Executor):
     the window did not hold it.  A bucket re-read unchanged costs one
     frozenset comparison."""
 
-    def __init__(self, node: Window, child: Executor):
-        super().__init__(node, (child,))
+    def __init__(self, node: Window, *children: Executor):
+        super().__init__(node, children)
         self.period = node.period
         self._buckets: dict[int, frozenset[tuple]] = {}
-        self._journal_mode: bool | None = None
-        self._consumed: int | None = None
+        # Journal-fed only: the stream relation read last, and its high-
+        # water mark (instants >= _consumed may still gain writes).
+        self._stored: object | None = None
+        self._consumed = 0
 
     @property
     def live(self) -> bool:
@@ -1084,32 +1066,20 @@ class WindowExec(Executor):
         return True
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
-        (child,) = self.children
-        child_was_fresh = child.is_first_tick
-        child.tick(ctx)
-        self.stats.input_inserted += len(child.reported.inserted)
-        self.stats.input_deleted += len(child.reported.deleted)
-        if self._journal_mode is None:
-            self._journal_mode = self._detect_journal(ctx)
-        buckets = self._buckets
         horizon = ctx.instant - self.period  # keep instants > horizon
+        if self.children:
+            reread = self._read_child(ctx)
+        else:
+            reread = self._read_journal(ctx, horizon)
+        buckets = self._buckets
         removed = [
             buckets.pop(instant)
             for instant in [i for i in buckets if i <= horizon or i > ctx.instant]
         ]
-        if self._journal_mode:
-            reread = self._read_journal(ctx, horizon)
-        elif self.is_first_tick and not child_was_fresh:
-            # Fresh window over a warm (shared) derived operand: a fresh
-            # child would have reported its full contents as this
-            # instant's insertions.
-            reread = [(ctx.instant, child.fresh_view())]
-        else:
-            reread = [(ctx.instant, child.reported.inserted)]
-        # Every re-read instant lies in (horizon, now], so whatever a
+        # Every non-empty re-read lies in (horizon, now], so whatever a
         # bucket gains here is still in a live bucket when the tick ends.
         added = []
-        for instant, new in reread:
+        for instant, new in reread.items():
             old = buckets.get(instant, _EMPTY)
             if new == old:
                 continue
@@ -1133,28 +1103,43 @@ class WindowExec(Executor):
 
     # -- feeding ---------------------------------------------------------------
 
-    def _detect_journal(self, ctx: EvaluationContext) -> bool:
-        scan_node = self.node.children[0]
-        if not isinstance(scan_node, Scan):
-            return False
-        stored = ctx.environment.relation(scan_node.name)
-        return hasattr(stored, "changes_between") and hasattr(stored, "window")
+    def _read_child(self, ctx: EvaluationContext) -> dict[int, frozenset[tuple]]:
+        """This instant's insertions of the derived stream below."""
+        (child,) = self.children
+        child_was_fresh = child.is_first_tick
+        child.tick(ctx)
+        self.stats.input_inserted += len(child.reported.inserted)
+        self.stats.input_deleted += len(child.reported.deleted)
+        if self.is_first_tick and not child_was_fresh:
+            # Fresh window over a warm (shared) derived operand: a fresh
+            # child would have reported its full contents as this
+            # instant's insertions.
+            return {ctx.instant: child.fresh_view()}
+        return {ctx.instant: child.reported.inserted}
 
     def _read_journal(
         self, ctx: EvaluationContext, horizon: int
-    ) -> list[tuple[int, frozenset[tuple]]]:
+    ) -> dict[int, frozenset[tuple]]:
         """The journaled insertions of every live instant that may have
         been written since it was last read (late same-instant writes
-        land at instants >= ``_consumed``)."""
-        scan_node = self.node.children[0]
-        stored = ctx.environment.relation(scan_node.name)
+        land at instants >= ``_consumed``).  A stream dropped and
+        re-created under the same name is re-read whole: every bucket
+        comes from the new relation, or reads as empty."""
+        stored = ctx.environment.relation(self.node.children[0].name)
         start = horizon + 1
-        if self._consumed is not None:
+        if stored is self._stored:
+            reread = {}
             start = max(start, self._consumed)
-        chunks = journal_chunks(ctx, stored, start, ctx.instant)
+        else:
+            reread = dict.fromkeys(self._buckets, _EMPTY)
+        for instant, inserted, _ in stored.changes_between(start, ctx.instant):  # type: ignore[attr-defined]
+            reread[instant] = inserted
+        # What the stream wrote at this instant is this node's input.
+        self.stats.input_inserted += len(reread.get(ctx.instant, _EMPTY))
         last = stored.last_instant  # type: ignore[attr-defined]
+        self._stored = stored
         self._consumed = last if last <= ctx.instant else ctx.instant + 1
-        return [(instant, inserted) for instant, inserted, _ in chunks]
+        return reread
 
 
 # ---------------------------------------------------------------------------

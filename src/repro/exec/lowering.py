@@ -14,6 +14,12 @@ without the delta speedup.
 Node sharing is preserved: a logical node reachable through several plan
 branches is lowered to a *single* executor (memoized by ``Operator.uid``),
 mirroring the naive engine's per-node evaluation memo.
+
+A window directly over a scan is lowered to a *leaf*: ``W`` requires a
+stream operand, and a stream scan only ever names an infinite
+XD-Relation, whose journal holds exactly the tuples ``W[n]`` is defined
+over (§4.1–4.2).  The window reads that journal itself, so no scan
+executor is built under it (:func:`operands`).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "LOWERINGS",
     "check_engine",
     "lower",
+    "operands",
 ]
 
 #: The execution engines of a continuous query: ``"naive"`` re-evaluates
@@ -82,6 +89,15 @@ LOWERINGS: dict[type, Callable[..., x.Executor]] = {
 }
 
 
+def operands(node: Operator) -> tuple[Operator, ...]:
+    """The children whose executors feed ``node``'s executor: none for a
+    window over a scan, which reads the stream's journal itself, and
+    ``node.children`` otherwise."""
+    if type(node) is Window and isinstance(node.children[0], Scan):
+        return ()
+    return node.children
+
+
 def lower(
     node: Operator, memo: dict[int, x.Executor] | None = None
 ) -> x.Executor:
@@ -100,7 +116,7 @@ def lower(
     if factory is None:
         executor = x.FallbackExec(node)
     else:
-        executor = factory(node, *(lower(child, memo) for child in node.children))
+        executor = factory(node, *(lower(child, memo) for child in operands(node)))
     memo[node.uid] = executor
     return executor
 

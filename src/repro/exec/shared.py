@@ -25,7 +25,8 @@ never of *when* the owning query was registered, and advancing it has no
 side effects.  That holds for scans, selections, projections, renamings,
 assignments, joins, set operators, aggregates, streaming operators, the
 streaming invocation β∞ (it re-invokes its whole operand every instant and
-carries no actions) and windows fed from an XD-Relation journal.  It does
+carries no actions) and windows directly over a stream scan, which are
+leaves reading the stream's XD-Relation journal.  It does
 **not** hold for the invocation operator β: its per-tuple result cache is
 frozen at first invocation (two queries registered at different instants
 may legitimately hold different cached results for the same tuple), and an
@@ -48,14 +49,13 @@ from repro.algebra.context import EvaluationContext
 from repro.algebra.fingerprint import canonical_plan, structural_key
 from repro.algebra.operators.base import Operator
 from repro.algebra.operators.invocation import Invocation
-from repro.algebra.operators.scan import Scan
 from repro.algebra.operators.stream_invocation import StreamingInvocation
 from repro.algebra.operators.window import Window
 from repro.algebra.query import Query, QueryResult
 from repro.errors import SerenaError
 from repro.exec.delta import Delta
 from repro.exec.executors import Executor, FallbackExec, ScanExec
-from repro.exec.lowering import LOWERINGS
+from repro.exec.lowering import LOWERINGS, operands
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
 from repro.obs.observe import Observability
@@ -96,12 +96,6 @@ class SharedPlanRegistry:
     ):
         self.environment = environment
         self._entries: dict[Operator, _Entry] = {}
-        # Per-instant journal read cache shared by every engine on this
-        # registry: (relation id, start, stop) → chunk list, cleared when
-        # the instant advances.  N queries folding the same XD-Relation
-        # slice then read the journal once per tick, not N times.
-        self._journal_cache: dict = {}
-        self._journal_cache_instant: int | None = None
         #: Observability facade (the query processor passes the PEMS-wide
         #: one); standalone registries default to "off".
         self.obs = (
@@ -130,15 +124,6 @@ class SharedPlanRegistry:
     def _sync_gauges(self) -> None:
         self._subplans_gauge.set(len(self._entries))
         self._refcount_gauge.set(self.total_refcount)
-
-    def journal_cache(self, instant: int) -> dict:
-        """The shared per-instant journal read cache (see
-        :func:`repro.exec.executors.journal_chunks`), reset whenever the
-        instant advances."""
-        if self._journal_cache_instant != instant:
-            self._journal_cache = {}
-            self._journal_cache_instant = instant
-        return self._journal_cache
 
     # -- introspection -----------------------------------------------------------
 
@@ -171,21 +156,12 @@ class SharedPlanRegistry:
             # Only a journal-fed window has registration-independent
             # contents; a window over a derived stream buffers what it
             # saw since *its* first tick.
-            child = node.children[0]
-            if not isinstance(child, Scan):
-                return False
-            try:
-                stored = self.environment.relation(child.name)
-            except Exception:
-                return False
-            return hasattr(stored, "changes_between") and hasattr(
-                stored, "window"
-            )
+            return not operands(node)
         return kind in LOWERINGS
 
     def _subtree_shareable(self, node: Operator) -> bool:
         return self._node_shareable(node) and all(
-            self._subtree_shareable(child) for child in node.children
+            self._subtree_shareable(child) for child in operands(node)
         )
 
     # -- acquire / release -------------------------------------------------------
@@ -212,7 +188,7 @@ class SharedPlanRegistry:
         elif type(node) not in LOWERINGS:
             executor = FallbackExec(node)  # naive subtree, like lower()
         else:
-            children = [self._build(c, leased, memo) for c in node.children]
+            children = [self._build(c, leased, memo) for c in operands(node)]
             executor = LOWERINGS[type(node)](node, *children)
         memo[node.uid] = executor
         return executor
@@ -223,13 +199,13 @@ class SharedPlanRegistry:
         entry = self._entries.get(node)
         if entry is None:
             self._lease_misses_total.inc()
-            children = [self._lease(c, leased) for c in node.children]
+            children = [self._lease(c, leased) for c in operands(node)]
             executor = LOWERINGS[type(node)](node, *children)
             entry = _Entry(executor, _digest(node))
             self._entries[node] = entry
         else:
             self._lease_hits_total.inc()
-            for child in node.children:  # keep descendant refcounts symmetric
+            for child in operands(node):  # keep descendant refcounts symmetric
                 self._lease(child, leased)
         if node not in leased:
             entry.refcount += 1
@@ -361,7 +337,6 @@ class SharedEngine:
         ctx = EvaluationContext(
             self.environment, instant, self._states, continuous=True
         )
-        ctx.journal_cache = self.registry.journal_cache(instant)
         root_warm = not self.root.is_first_tick
         change = self.root.tick(ctx)
         if self._first and root_warm:

@@ -34,6 +34,17 @@ __all__ = [
 ]
 
 
+def _label(executor: "Executor") -> str:
+    """The operator symbol; a window that reads its stream's journal
+    (a leaf, with no scan under it) also names the stream."""
+    from repro.exec.executors import WindowExec
+
+    symbol = executor.node.symbol()
+    if isinstance(executor, WindowExec) and not executor.children:
+        return f"{symbol} ← {executor.node.children[0].name}"
+    return symbol
+
+
 def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
     """Per-executor stat rows of a registered continuous query's plan
     (empty on the naive engine, which has no physical plan)."""
@@ -60,7 +71,7 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
             rows.append(
                 {
                     "depth": depth,
-                    "operator": executor.node.symbol(),
+                    "operator": _label(executor),
                     "executor": type(executor).__name__,
                     "ref": seen[key],
                     "repeat": True,
@@ -73,7 +84,7 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
         row: dict = {
             "depth": depth,
             "index": index,
-            "operator": executor.node.symbol(),
+            "operator": _label(executor),
             "executor": type(executor).__name__,
             "shared": key in shared,
             "refcount": shared.get(key),
@@ -176,7 +187,7 @@ def render_physical(
         label = f"[{type(executor).__name__}]"
         if id(executor) in seen:
             lines.append(
-                f"{indent}{executor.node.symbol()}  {label}"
+                f"{indent}{_label(executor)}  {label}"
                 "  (shared node above)"
             )
             return
@@ -185,9 +196,7 @@ def render_physical(
         status = (
             f"shared(refs={entry.refcount})" if entry is not None else "private"
         )
-        lines.append(
-            f"{indent}{executor.node.symbol()}  {label}  {status}"
-        )
+        lines.append(f"{indent}{_label(executor)}  {label}  {status}")
         for child in executor.children:
             visit(child, depth + 1)
 

@@ -186,6 +186,9 @@ class TestRegistry:
         aw = [e for e in a.executors() if isinstance(e, WindowExec)]
         bw = [e for e in b.executors() if isinstance(e, WindowExec)]
         assert aw[0] is bw[0]
+        # The journal-fed window is a leaf: no scan is built under it.
+        assert aw[0].children == ()
+        assert a.executors() == [aw[0]] and len(registry) == 1
         # A window over a *derived* stream (W over S) has no journal to
         # replay, so it stays private; the stream below it is shared.
         derived = prefix(env).stream("insertion").window(2)
@@ -285,86 +288,31 @@ class TestLateRegistration:
 
 
 # ---------------------------------------------------------------------------
-# The per-instant journal read cache
+# A stream dropped and re-created under the same name
 # ---------------------------------------------------------------------------
 
 
-class CountingXDRelation(XDRelation):
-    """An XD-Relation that counts its journal reads."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.journal_reads = 0
-
-    def changes_between(self, start, stop):
-        self.journal_reads += 1
-        return super().changes_between(start, stop)
-
-
-def readings_schema():
-    return ExtendedRelationSchema(
-        "readings",
-        [Attribute("item", DataType.STRING), Attribute("value", DataType.REAL)],
-    )
-
-
-class TestJournalCache:
-    def test_cache_resets_when_the_instant_advances(self):
-        env, _ = build_env()
-        registry = SharedPlanRegistry(env)
-        cache = registry.journal_cache(5)
-        cache["marker"] = 1
-        assert registry.journal_cache(5) is cache  # same instant: same dict
-        fresh = registry.journal_cache(6)
-        assert fresh == {} and fresh is not cache
-
-    def test_journal_chunks_reads_once_per_slice(self):
-        from repro.algebra.context import EvaluationContext
-        from repro.exec.executors import journal_chunks
-
-        env = PervasiveEnvironment()
-        readings = CountingXDRelation(readings_schema(), infinite=True)
-        env.add_relation(readings)
-        readings.insert([("a", 1.0)], instant=1)
-        ctx = EvaluationContext(env, 3)
-        ctx.journal_cache = {}
-        first = journal_chunks(ctx, readings, 0, 3)
-        assert journal_chunks(ctx, readings, 0, 3) is first
-        assert readings.journal_reads == 1
-        journal_chunks(ctx, readings, 1, 3)  # a different slice reads again
-        assert readings.journal_reads == 2
-        ctx.journal_cache = None  # no cache installed: straight through
-        journal_chunks(ctx, readings, 0, 3)
-        assert readings.journal_reads == 3
-
-    def test_shared_engines_fold_the_journal_once_per_tick(self):
-        env = PervasiveEnvironment()
-        readings = CountingXDRelation(readings_schema(), infinite=True)
-        env.add_relation(readings)
-        registry = SharedPlanRegistry(env)
-        engines = [
-            SharedEngine(
-                scan(env, "readings").window(2).query("a"), env, registry
-            ),
-            SharedEngine(
-                scan(env, "readings").window(3).query("b"), env, registry
-            ),
-            SharedEngine(
-                scan(env, "readings")
-                .window(2)
-                .select(col("value").ge(0.0))
-                .query("c"),
-                env,
-                registry,
-            ),
-        ]
-        per_tick = []
-        for instant in range(1, 9):
-            readings.insert([(f"r{instant}", float(instant))], instant=instant)
-            before = readings.journal_reads
-            for engine in engines:
-                engine.tick(instant)
-            per_tick.append(readings.journal_reads - before)
-        # After warmup the scan and both windows read the same journal
-        # slice; the registry cache serves it with a single read.
-        assert all(reads == 1 for reads in per_tick[3:]), per_tick
+def test_window_rereads_a_recreated_stream():
+    """The journal-fed window forgets the dropped stream's buckets and
+    reads the new stream's earlier writes, exactly like the oracle."""
+    schema = ExtendedRelationSchema("s", [Attribute("reading", DataType.STRING)])
+    env = PervasiveEnvironment()
+    old = XDRelation(schema, infinite=True)
+    env.add_relation(old)
+    engines = [
+        ContinuousQuery(scan(env, "s").window(3).query("w"), env, engine=engine)
+        for engine in ("shared", "naive")
+    ]
+    for instant in range(1, 8):
+        if instant <= 3:
+            old.insert([(f"old{instant}",)], instant=instant)
+        if instant == 4:
+            env.remove_relation("s")
+            new = XDRelation(schema, infinite=True)
+            new.insert([("new2",)], instant=2)
+            new.insert([("new4",)], instant=4)
+            env.add_relation(new)
+        shared, naive = (cq.evaluate_at(instant) for cq in engines)
+        assert shared.relation.tuples == naive.relation.tuples, instant
+        assert engines[0].last_reported_delta == engines[1].last_reported_delta
+    assert shared.relation.tuples == frozenset()  # instant 7: all expired

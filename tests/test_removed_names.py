@@ -2,9 +2,10 @@
 physical engine — and the parked sharded federation's, the server's
 per-subscriber fan-out hooks, the feedback re-optimizer's plan-swap
 and per-tick costing surface, the legacy measurement spine with the
-hooks only it read, and the cost-based search with its cost model and
-statistics — must not creep back into code, docs, examples, scripts or
-CI.
+hooks only it read, the cost-based search with its cost model and
+statistics, and the per-tick journal probes and journal read cache a
+stream window needed while it had a scan under it — must not creep back
+into code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -90,6 +91,10 @@ BANNED = re.compile(
       | plan_budget
       | supported_operator
       | lowering_summary
+      | journal_chunks
+      | journal_cache
+      | _detect_journal
+      | _journal_mode
     """,
     re.VERBOSE,
 )
