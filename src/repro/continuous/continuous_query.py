@@ -11,7 +11,10 @@ keeping per-node state across instants in a persistent evaluation context:
 The result of each tick is a :class:`~repro.algebra.query.QueryResult`; if
 the query's last operator is a streaming operator (like Q4 of Table 4),
 the per-tick relation is the stream's emission at that instant and
-:attr:`ContinuousQuery.emitted` accumulates the output stream.
+:attr:`ContinuousQuery.emitted` accumulates the output stream.  A caller
+that wants every per-tick result registers an
+:meth:`~ContinuousQuery.on_result` listener; the query itself keeps only
+the last one.
 
 Two execution engines are available (the ``engine`` parameter,
 :data:`~repro.exec.lowering.ENGINES`):
@@ -59,7 +62,6 @@ class ContinuousQuery:
         self,
         query: Query,
         environment: PervasiveEnvironment,
-        keep_history: bool = False,
         engine: str = "shared",
         shared: SharedPlanRegistry | None = None,
         observe: "Observability | str | None" = None,
@@ -89,7 +91,6 @@ class ContinuousQuery:
         self._carried = False
         self._all_actions: list[Action] = []
         self._emitted: list[tuple[int, tuple]] = []
-        self._history: list[QueryResult] | None = [] if keep_history else None
         self._listeners: list[Callable[[QueryResult], None]] = []
 
     # -- observation -------------------------------------------------------------
@@ -102,14 +103,6 @@ class ContinuousQuery:
     @property
     def last_result(self) -> QueryResult | None:
         return self._last_result
-
-    @property
-    def history(self) -> list[QueryResult]:
-        if self._history is None:
-            raise SerenaError(
-                "history was not enabled; construct with keep_history=True"
-            )
-        return list(self._history)
 
     @property
     def actions(self) -> ActionSet:
@@ -174,8 +167,8 @@ class ContinuousQuery:
         """Evaluate the query at ``instant`` (must be non-decreasing).
 
         Re-evaluating the current instant is idempotent: the cached result
-        is returned and no bookkeeping (actions, emissions, history,
-        listeners) happens twice.
+        is returned and no bookkeeping (actions, emissions, listeners)
+        happens twice.
         """
         if instant < self._last_instant:
             raise SerenaError(
@@ -207,8 +200,6 @@ class ContinuousQuery:
         )
         if self.query.is_stream:
             self._emitted.extend((instant, t) for t in result.relation)
-        if self._history is not None:
-            self._history.append(result)
         for listener in list(self._listeners):
             listener(result)
         return result
@@ -220,8 +211,8 @@ class ContinuousQuery:
         Only sound when the caller (the tick scheduler) has established
         that none of the query's sources changed and its plan has no
         time-driven (live) executor — the evaluation would then provably
-        reproduce the cached relation.  History and listeners observe the
-        carried result exactly as if it had been evaluated; stream
+        reproduce the cached relation.  Listeners observe the carried
+        result exactly as if it had been evaluated; stream
         emissions are never carried (stream queries are always live).
         """
         if instant < self._last_instant:
@@ -238,8 +229,6 @@ class ContinuousQuery:
         self._last_instant = instant
         self._last_result = result
         self._carried = True
-        if self._history is not None:
-            self._history.append(result)
         for listener in list(self._listeners):
             listener(result)
         return result

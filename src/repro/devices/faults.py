@@ -7,7 +7,7 @@ wraps any :class:`~repro.model.services.Service` and replays a
 errors, latency spikes that exceed the client timeout, and episodes of
 malformed output tuples.  The wrapped service travels through the exact
 same registration → discovery → invocation path as the real one, so the
-whole fault-tolerance stack (policy gates, health tracking, ERM
+whole fault-tolerance stack (the quarantine gate, health tracking, ERM
 quarantine, ``on_error="degrade"``) is exercised end to end.
 
 Determinism (Section 3.2) is preserved: whether an invocation at instant

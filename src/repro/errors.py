@@ -164,21 +164,20 @@ class InvocationError(ServiceError):
 
 class ServiceUnavailableError(InvocationError):
     """An invocation was refused by the fault-tolerance policy without
-    reaching the device: the service is quarantined, inside a failure
-    backoff window, or over its per-tick attempt budget.
+    reaching the device: the service is quarantined.
 
-    ``reason`` is one of ``"quarantined"``, ``"backoff"`` or
-    ``"attempt-cap"``; ``retry_at`` (when known) is the first instant at
-    which the registry will attempt the device again.
+    ``reason`` is always ``"quarantined"``; ``retry_at`` is the first
+    instant at which the registry will attempt the device again.
     """
 
-    def __init__(self, reference: object, reason: str, retry_at: int | None = None):
-        when = f" (retry at instant {retry_at})" if retry_at is not None else ""
+    reason = "quarantined"
+
+    def __init__(self, reference: object, retry_at: int):
         super().__init__(
-            f"service {reference!r} unavailable: {reason}{when}"
+            f"service {reference!r} unavailable: {self.reason} "
+            f"(retry at instant {retry_at})"
         )
         self.reference = reference
-        self.reason = reason
         self.retry_at = retry_at
 
 

@@ -5,23 +5,20 @@ automatically removed" (Section 1.2), and its evaluation runs against
 flaky physical devices.  This module supplies the model-level half of
 that promise:
 
-* :class:`InvocationPolicy` — the knobs: how many device attempts a
-  service gets per tick, how long to back off after a failure, how many
-  consecutive failures quarantine a service and for how long;
+* :class:`InvocationPolicy` — the two knobs: how many consecutive
+  failures quarantine a service, and for how long;
 * :class:`HealthTracker` — per-service health records (consecutive
   failures, last success/failure instants, an UP → SUSPECT → QUARANTINED
   state machine) fed by :meth:`repro.model.services.ServiceRegistry.invoke`
   and consumed by the core ERM, which treats a quarantined service like a
   lease expiry (see :mod:`repro.pems.erm`).
 
-Determinism at an instant (Section 3.2) shapes the design: gates that
-decide whether an invocation may reach the device only ever consult
-health stamps from *strictly earlier* instants, so the outcome of an
-invocation at instant τ never depends on how many times — or in which
-order — other queries invoked the service at τ.  The one exception is the
-per-tick attempt cap (``max_failures_per_tick``), which counts same-tick
-device failures and is therefore order-sensitive; it is off by default
-and documented as an operational load-shedding guard (DESIGN.md §8).
+Determinism at an instant (Section 3.2) shapes the design: the one gate
+that decides whether an invocation may reach the device, quarantine,
+only ever consults health stamps from *strictly earlier* instants, so the
+outcome of an invocation at instant τ never depends on how many times —
+or in which order — other queries invoked the service at τ (DESIGN.md
+§8).
 """
 
 from __future__ import annotations
@@ -51,15 +48,10 @@ class HealthState(enum.Enum):
 
 @dataclass(frozen=True)
 class InvocationPolicy:
-    """Retry/backoff/quarantine knobs enforced by the service registry.
+    """Quarantine knobs enforced by the service registry.
 
     Parameters
     ----------
-    backoff:
-        After a device failure at instant τ, invocations of that service
-        at instants ``τ+1 .. τ+backoff-1`` fail fast (the device is not
-        contacted); the first real retry happens at ``τ+backoff``.
-        ``0`` disables the gate (retry every instant — seed behaviour).
     failure_threshold:
         Consecutive device failures that flip a service to QUARANTINED.
         ``None`` disables quarantine.
@@ -67,41 +59,24 @@ class InvocationPolicy:
         Instants a quarantined service stays blocked before it may be
         probed / re-admitted.  The core ERM uses this as the re-admission
         delay after it removes the service (quarantine-as-lease-expiry).
-    max_failures_per_tick:
-        Per-service cap on *failed* device attempts within one instant;
-        once reached, further invocations that instant fail fast.  Bounds
-        the "N queries re-invoke one crashed device N times per tick"
-        cost, at the price of strict instant-determinism (the cap is
-        order-sensitive within the tick) — keep it ``None`` wherever
-        engines are compared differentially.
     """
 
-    backoff: int = 0
     failure_threshold: int | None = None
     quarantine_backoff: int = 8
-    max_failures_per_tick: int | None = None
 
     def __post_init__(self):
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
         if self.failure_threshold is not None and self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1 (or None)")
         if self.quarantine_backoff < 1:
             raise ValueError("quarantine_backoff must be >= 1")
-        if self.max_failures_per_tick is not None and self.max_failures_per_tick < 1:
-            raise ValueError("max_failures_per_tick must be >= 1 (or None)")
 
     @property
     def enabled(self) -> bool:
-        """True iff any knob deviates from the fully permissive default."""
-        return (
-            self.backoff > 0
-            or self.failure_threshold is not None
-            or self.max_failures_per_tick is not None
-        )
+        """True iff quarantine is on (the permissive default has it off)."""
+        return self.failure_threshold is not None
 
 
-#: The default policy: every gate disabled, behaviour identical to a
+#: The default policy: quarantine disabled, behaviour identical to a
 #: registry without fault tolerance (health is still *tracked*).
 PERMISSIVE_POLICY = InvocationPolicy()
 
@@ -133,20 +108,12 @@ class ServiceHealth:
         }
 
 
-@dataclass
-class _TickFailures:
-    """Same-instant failed-attempt counter (for the per-tick cap)."""
-
-    instant: int
-    count: int = 0
-
-
 class HealthTracker:
     """Per-service health, fed by the registry's invocation outcomes.
 
     Only *device* outcomes move the state machine: a fast-fail (an
-    invocation refused by a gate) records nothing but a counter, so
-    backoff windows are anchored at real failures and cannot
+    invocation refused by quarantine) records nothing but a counter, so
+    a quarantine window is anchored at a real failure and cannot
     self-perpetuate.
 
     Eviction: a record lives until :meth:`forget`, which the core ERM
@@ -158,13 +125,11 @@ class HealthTracker:
     def __init__(self, policy: InvocationPolicy | None = None):
         self.policy = policy if policy is not None else PERMISSIVE_POLICY
         self._records: dict[str, ServiceHealth] = {}
-        self._tick_failures: dict[str, _TickFailures] = {}
         #: References whose next invocation may not simply succeed-and-
-        #: count: a record that is not UP, or a same-instant attempt-cap
-        #: entry.  Kept incrementally by every method that moves a record,
-        #: so the registry can tell a settled reference (absent here: no
-        #: gate can close for it and a success moves nothing but counts)
-        #: with one set lookup.
+        #: count: those with a record that is not UP.  Kept incrementally
+        #: by every method that moves a record, so the registry can tell a
+        #: settled reference (absent here: no gate can close for it and a
+        #: success moves nothing but counts) with one set lookup.
         self.unsettled: set[str] = set()
         #: Bumped whenever something a substitution *score* can read
         #: changes (state transitions, failure counts) — successes on a
@@ -201,50 +166,31 @@ class HealthTracker:
         """Reference → health view, for diagnostics and differentials."""
         return {ref: r.snapshot() for ref, r in sorted(self._records.items())}
 
-    # -- gates (consulted before the device is contacted) ------------------------
+    # -- the gate (consulted before the device is contacted) ---------------------
 
-    def check(self, reference: str, instant: int) -> tuple[str, int | None] | None:
-        """Why an invocation at ``instant`` must fail fast, or None.
+    def check(self, reference: str, instant: int) -> int | None:
+        """The release instant if quarantine refuses an invocation at
+        ``instant``, else None.
 
-        Returns ``(reason, retry_at)`` — matching
-        :class:`~repro.errors.ServiceUnavailableError` — when a gate is
-        closed.  All state-machine gates consult only stamps from
-        instants strictly before ``instant``, keeping invocation outcomes
-        independent of same-instant invocation order.
+        The instant is the ``retry_at`` of the
+        :class:`~repro.errors.ServiceUnavailableError` the registry raises.
+        The gate consults only a stamp from an instant strictly before
+        ``instant``, keeping invocation outcomes independent of
+        same-instant invocation order.
         """
-        policy = self.policy
         record = self._records.get(reference)
-        if record is None:
-            return None
         if (
-            record.state is HealthState.QUARANTINED
-            and record.quarantined_at is not None
-            and record.quarantined_at < instant
+            record is None
+            or record.state is not HealthState.QUARANTINED
+            or record.quarantined_at is None
+            or record.quarantined_at >= instant
         ):
-            release = record.quarantined_at + policy.quarantine_backoff
-            if instant < release:
-                return ("quarantined", release)
-        elif (
-            policy.backoff > 0
-            and record.last_failure is not None
-            and record.last_failure < instant
-            and record.consecutive_failures > 0
-        ):
-            retry = record.last_failure + policy.backoff
-            if instant < retry:
-                return ("backoff", retry)
-        if policy.max_failures_per_tick is not None:
-            tick = self._tick_failures.get(reference)
-            if (
-                tick is not None
-                and tick.instant == instant
-                and tick.count >= policy.max_failures_per_tick
-            ):
-                return ("attempt-cap", instant + 1)
-        return None
+            return None
+        release = record.quarantined_at + self.policy.quarantine_backoff
+        return release if instant < release else None
 
     def record_fast_failure(self, reference: str) -> None:
-        """A gate refused the invocation; the device was not contacted."""
+        """Quarantine refused the invocation; the device was not contacted."""
         self.health(reference).fast_failures += 1
 
     # -- device outcomes ---------------------------------------------------------
@@ -268,12 +214,7 @@ class HealthTracker:
             # A successful probe after the quarantine backoff: recovered.
             record.state = HealthState.UP
             record.quarantined_at = None
-        if reference in self.unsettled:
-            tick = self._tick_failures.get(reference)
-            if tick is None or tick.instant != instant:
-                # No attempt-cap entry at this instant: settled again.
-                self._tick_failures.pop(reference, None)
-                self.unsettled.discard(reference)
+        self.unsettled.discard(reference)
 
     def record_success_many(self, references: list[str], instant: int) -> None:
         """:meth:`record_success` for a batch of *settled* references
@@ -311,11 +252,6 @@ class HealthTracker:
                 record.quarantined_at = instant
         elif record.state is not HealthState.QUARANTINED:
             record.state = HealthState.SUSPECT
-        if self.policy.max_failures_per_tick is not None:
-            tick = self._tick_failures.get(reference)
-            if tick is None or tick.instant != instant:
-                tick = self._tick_failures[reference] = _TickFailures(instant)
-            tick.count += 1
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -346,7 +282,6 @@ class HealthTracker:
         """Drop the record (service deregistered for good)."""
         if self._records.pop(reference, None) is not None:
             self.version += 1
-        self._tick_failures.pop(reference, None)
         self.unsettled.discard(reference)
 
     def __repr__(self) -> str:

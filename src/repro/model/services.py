@@ -31,11 +31,7 @@ from repro.errors import (
 )
 from repro.model.invocation_policy import HealthState, HealthTracker, InvocationPolicy
 from repro.model.prototypes import Prototype
-from repro.model.substitution import (
-    ResolvedBinding,
-    SubstitutionPolicy,
-    SubstitutionState,
-)
+from repro.model.substitution import MAX_CHAIN, ResolvedBinding, SubstitutionState
 from repro.obs.metrics import Ewma
 from repro.obs.observe import Observability
 
@@ -122,7 +118,6 @@ class ServiceRegistry:
         services: Iterable[Service] = (),
         policy: InvocationPolicy | None = None,
         observe: "Observability | str | None" = None,
-        substitution: SubstitutionPolicy | None = None,
     ):
         self._services: dict[str, Service] = {}
         #: Bumped on every register/unregister — a cheap invalidation key
@@ -171,20 +166,19 @@ class ServiceRegistry:
             "serena_substitution_failovers_total",
             "Failed invocations answered by a pre-scored failover plan",
         )
-        #: Per-service health (retry/backoff/quarantine enforcement): fed
-        #: by :meth:`invoke`, consumed by the core ERM's quarantine sweep.
+        #: Per-service health (quarantine enforcement): fed by
+        #: :meth:`invoke`, consumed by the core ERM's quarantine sweep.
         #: With the default (permissive) policy no gate ever closes and
         #: invocation behaviour is identical to a policy-free registry.
         self.health = HealthTracker(policy)
         #: Substitution relation + active binding/failover tables.  Declared
-        #: rules are consulted by :meth:`invoke` (binding routing before the
-        #: health gates, failover on the failure path); the tables are only
-        #: ever rewritten by the core ERM's tick sweep, so they are frozen
-        #: for the duration of an instant.
-        self.substitutions = SubstitutionState(substitution)
-        # Per-service invocation-latency EWMAs (seconds): the observed
-        # "latency histogram" signal the substitution scorer folds in when
-        # the policy is latency_aware.  Always-on and registry-internal —
+        #: rules are consulted by :meth:`invoke` (binding routing before
+        #: the quarantine gate, failover on the failure path); the tables
+        #: are only ever rewritten by the core ERM's tick sweep, so they
+        #: are frozen for the duration of an instant.
+        self.substitutions = SubstitutionState()
+        # Per-service invocation-latency EWMAs (seconds), read only by
+        # :meth:`latency_snapshot`.  Always-on and registry-internal —
         # deliberately *not* part of the health snapshot, which the
         # differential suites compare across engines.  Evicted with the
         # health record by :meth:`forget` (BYE), kept across a lease
@@ -335,7 +329,7 @@ class ServiceRegistry:
         the :class:`ServiceError` that :meth:`invoke` raises for that
         reference (one failing device never aborts the batch).  Each
         reference goes through everything a lone invocation goes through —
-        memo, sticky binding, health gates, device call, output-schema
+        memo, sticky binding, quarantine gate, device call, output-schema
         check, health/latency/outcome bookkeeping, failover — in
         ``references`` order.  Services are deterministic at a given
         instant and the binding and failover tables are frozen for it
@@ -425,11 +419,10 @@ class ServiceRegistry:
                     if key is not None:
                         memo[key] = list(results)
                     return results
-            refused = health.check(reference, instant)
-            if refused is not None:
-                # The policy fails the invocation fast: the device is not
+            retry_at = health.check(reference, instant)
+            if retry_at is not None:
+                # Quarantine fails the invocation fast: the device is not
                 # contacted and the health state machine does not move.
-                reason, retry_at = refused
                 health.record_fast_failure(reference)
                 if metrics_on:
                     self._outcome_fast_failed.inc()
@@ -440,12 +433,12 @@ class ServiceRegistry:
                         service=reference,
                         prototype=name,
                         outcome="fast_failed",
-                        reason=reason,
+                        reason=ServiceUnavailableError.reason,
                     )
                 fallback = self._failover(prototype, reference, inputs, instant, key)
                 if fallback is not None:
                     return fallback
-                raise ServiceUnavailableError(reference, reason, retry_at)
+                raise ServiceUnavailableError(reference, retry_at)
             state_before = health.state(reference) if metrics_on else None
             self._invocations_total.inc()
             started = perf_counter()
@@ -576,18 +569,18 @@ class ServiceRegistry:
     ) -> list[tuple]:
         """Execute a substitution plan in place of ``(prototype, reference)``.
 
-        Nested :meth:`invoke` calls do all the usual work — gates, health
-        bookkeeping, memoization — against the *substitute* references, so
-        a substitute that itself fails is observed and re-ranked by the
-        next ERM sweep.  Routing through a service that is itself bound
-        recurses; ``max_chain`` bounds the depth (cycle guard of last
-        resort — the ERM refuses to install cyclic bindings up front).
+        Nested :meth:`invoke` calls do all the usual work — the quarantine
+        gate, health bookkeeping, memoization — against the *substitute*
+        references, so a substitute that itself fails is observed and
+        re-ranked by the next ERM sweep.  Routing through a service that
+        is itself bound recurses; :data:`~repro.model.substitution.MAX_CHAIN`
+        bounds the depth (cycle guard of last resort — the ERM refuses to
+        install cyclic bindings up front).
         """
-        if self._chain_depth >= self.substitutions.policy.max_chain:
+        if self._chain_depth >= MAX_CHAIN:
             raise InvocationError(
                 f"substitution chain for {prototype.name!r} on "
-                f"{plan.reference!r} exceeded max_chain="
-                f"{self.substitutions.policy.max_chain}"
+                f"{plan.reference!r} exceeded MAX_CHAIN={MAX_CHAIN}"
             )
         self._chain_depth += 1
         try:
@@ -637,7 +630,7 @@ class ServiceRegistry:
         error propagates).
         """
         subs = self.substitutions
-        if not subs.failover or not subs.policy.failover:
+        if not subs.failover:
             return None
         plans = subs.failover.get((prototype.name, reference))
         if not plans:
@@ -695,19 +688,6 @@ class ServiceRegistry:
         if ewma is None:
             ewma = self._latency[reference] = Ewma()
         ewma.observe(seconds)
-
-    def latency_decile(self, reference: str) -> int:
-        """Coarse latency bucket (0-10) of ``reference``'s EWMA relative to
-        the slowest observed service — the optional ``latency_aware``
-        scoring term.  Coarse on purpose: scores must be stable under the
-        small run-to-run jitter of wall-clock timings."""
-        ewma = self._latency.get(reference)
-        if ewma is None or not ewma.count:
-            return 0
-        slowest = max(e.value for e in self._latency.values())
-        if slowest <= 0:
-            return 0
-        return min(10, int(10 * ewma.value / slowest))
 
     def latency_snapshot(self) -> dict[str, float]:
         """Reference → latency EWMA seconds (diagnostics; not compared by

@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (services imports us)
 __all__ = [
     "CompositionStep",
     "SubstitutionRule",
-    "SubstitutionPolicy",
+    "MAX_CHAIN",
     "ResolvedBinding",
     "Rebind",
     "SubstitutionState",
@@ -58,6 +58,11 @@ __all__ = [
 #: paper orders candidates the same way: identical interface first).
 RULE_KINDS = ("equivalent_to", "specializes", "composed_of")
 _KIND_RANK = {kind: rank for rank, kind in enumerate(RULE_KINDS)}
+
+#: Maximum substitution depth when bindings route through services that
+#: are themselves substituted: the cycle guard of last resort (the ERM
+#: refuses to install a cyclic binding up front).
+MAX_CHAIN = 4
 
 
 @dataclass(frozen=True)
@@ -159,38 +164,6 @@ class SubstitutionRule:
 
 
 @dataclass(frozen=True)
-class SubstitutionPolicy:
-    """Knobs governing when and how the environment rebinds.
-
-    ``failover``
-        Serve the very instant a bound device fails from the pre-scored
-        candidate table (zero missed ticks); off = first failed tick is
-        degraded and the sweep rebinds at the next instant.
-    ``sticky``
-        Install a durable binding when the ERM observes quarantine or
-        lease expiry; the binding holds until the substitute itself fails
-        (a re-admitted-on-probation original does not reclaim it).
-    ``max_chain``
-        Maximum substitution depth when bindings route through services
-        that are themselves substituted (cycle/diameter guard).
-    ``latency_aware``
-        Fold observed invocation-latency EWMAs into candidate scores.
-        Off by default: wall-clock latency is not deterministic across
-        runs, so enabling this trades the strict cross-engine
-        reproducibility the differential suites pin.
-    """
-
-    failover: bool = True
-    sticky: bool = True
-    max_chain: int = 4
-    latency_aware: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_chain < 1:
-            raise SchemaError("substitution max_chain must be >= 1")
-
-
-@dataclass(frozen=True)
 class ResolvedBinding:
     """An executable substitution plan for one ``(prototype, reference)``.
 
@@ -248,10 +221,12 @@ class SubstitutionState:
     The state machine has two tables, both only ever mutated by the core
     ERM's tick sweep (so they are frozen for the duration of an instant):
 
-    * ``bindings`` — durable reroutes installed after the sweep observed a
-      quarantine or lease expiry; consulted by
-      :meth:`ServiceRegistry.invoke` *before* health gates, so the dead
-      device is never contacted again while bound.
+    * ``bindings`` — durable ("sticky") reroutes installed after the sweep
+      observed a quarantine or lease expiry; consulted by
+      :meth:`ServiceRegistry.invoke` *before* the quarantine gate, so the
+      dead device is never contacted again while bound.  A binding holds
+      until its substitute itself fails: an original re-admitted on
+      probation does not reclaim it.
     * ``failover`` — per-tick pre-scored candidate plans for every
       substitutable ``(prototype, reference)``; consulted on the failure
       path of :meth:`ServiceRegistry.invoke`, which is what serves the
@@ -265,8 +240,7 @@ class SubstitutionState:
     tuple-identical.
     """
 
-    def __init__(self, policy: SubstitutionPolicy | None = None):
-        self.policy = policy or SubstitutionPolicy()
+    def __init__(self):
         self._rules: list[SubstitutionRule] = []
         self.bindings: dict[tuple[str, str], ResolvedBinding] = {}
         self.failover: dict[tuple[str, str], tuple[ResolvedBinding, ...]] = {}
@@ -447,10 +421,10 @@ class SubstitutionState:
         The score is a lexicographic tuple per plan, worst target taken
         across composition steps: health-state rank (UP before SUSPECT;
         QUARANTINED targets are excluded outright), observed failure-rate
-        decile from the health totals, optionally the latency EWMA decile
-        (``latency_aware``), the rule-kind rank, and finally the target
-        reference sequence — the deterministic tie-break required by the
-        §3.2 convention.
+        decile from the health totals, the rule-kind rank, and finally the
+        target reference sequence — the deterministic tie-break required
+        by the §3.2 convention.  Nothing wall-clock enters the score, so
+        every engine and every run ranks alike.
         """
         scored: list[tuple[tuple, ResolvedBinding]] = []
         for plan in plans:
@@ -466,7 +440,6 @@ class SubstitutionState:
         health = registry.health
         worst_state = 0
         worst_decile = 0
-        worst_latency = 0
         for _, target in plan.targets:
             if target not in registry:
                 return None
@@ -484,14 +457,12 @@ class SubstitutionState:
                         worst_decile,
                         int(10 * record.total_failures / attempts),
                     )
-            if self.policy.latency_aware:
-                worst_latency = max(
-                    worst_latency, registry.latency_decile(target)
-                )
-        key: tuple = (worst_state, worst_decile)
-        if self.policy.latency_aware:
-            key += (worst_latency,)
-        return key + (_KIND_RANK[plan.rule.kind], plan.target_references)
+        return (
+            worst_state,
+            worst_decile,
+            _KIND_RANK[plan.rule.kind],
+            plan.target_references,
+        )
 
     def routes_through(
         self, plan: ResolvedBinding, reference: str

@@ -212,11 +212,11 @@ class Histogram:
 class Ewma:
     """Exponentially-weighted moving average of a stream of samples.
 
-    Used for per-service invocation-latency tracking on the substitution
-    scoring path: an EWMA keeps one float of state per series (no bucket
-    list), forgets stale behaviour geometrically, and reads in O(1).  The
-    first sample seeds the average directly so cold services are scored
-    by their actual first observation, not by a decay from zero.
+    Used for per-service invocation-latency tracking (the registry's
+    ``latency_snapshot`` diagnostic): an EWMA keeps one float of state per
+    series (no bucket list), forgets stale behaviour geometrically, and
+    reads in O(1).  The first sample seeds the average directly so a cold
+    service reads its actual first observation, not a decay from zero.
     """
 
     __slots__ = ("alpha", "value", "count")

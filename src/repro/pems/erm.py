@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.continuous.time import VirtualClock
-from repro.model.invocation_policy import HealthState, InvocationPolicy
+from repro.model.invocation_policy import HealthState
 from repro.model.prototypes import Prototype
 from repro.model.services import Service, ServiceRegistry
 from repro.model.substitution import ResolvedBinding, SubstitutionRule
@@ -48,15 +48,12 @@ class EnvironmentResourceManager:
         self,
         bus: DiscoveryBus,
         clock: VirtualClock,
-        registry: ServiceRegistry | None = None,
-        policy: InvocationPolicy | None = None,
+        registry: ServiceRegistry,
         observe: "Observability | str | None" = None,
     ):
         self.bus = bus
         self.clock = clock
-        self.registry = (
-            registry if registry is not None else ServiceRegistry(policy=policy)
-        )
+        self.registry = registry
         #: Observability facade (PEMS passes its environment-wide one).
         self.obs = (
             Observability.disabled()
@@ -327,8 +324,6 @@ class EnvironmentResourceManager:
         ``reference``; True iff at least one binding is now active (the
         service then stays registered instead of parking/expiring)."""
         subs = self.registry.substitutions
-        if not subs.policy.sticky:
-            return False
         covered = subs.prototype_names
         installed = False
         for prototype in self._prototypes_of(reference):
@@ -391,21 +386,15 @@ class EnvironmentResourceManager:
         # every substitutable (prototype, reference) pair, frozen for this
         # tick.  The registry's failure path walks these in order, which
         # is what answers the very instant a bound device crashes.
-        if not subs.policy.failover:
-            return
         # Everything a candidate score reads is covered by three cheap
-        # version counters (plus the rule count); with latency-aware
-        # ranking the EWMA deciles drift per tick, so don't cache then.
+        # version counters (plus the rule count).
         signature = (
             self.registry.topology_version,
             self.registry.health.version,
             subs.epoch,
             len(subs.rules),
         )
-        if (
-            not subs.policy.latency_aware
-            and signature == self._failover_sig
-        ):
+        if signature == self._failover_sig:
             return
         self._failover_sig = signature
         table: dict[tuple[str, str], tuple[ResolvedBinding, ...]] = {}

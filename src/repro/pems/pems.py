@@ -40,16 +40,18 @@ StreamSource = Callable[[int], None]
 class PEMS:
     """A Pervasive Environment Management System instance.
 
-    ``engine`` selects the execution engine for continuous queries
+    ``engine`` selects the execution engine for every continuous query
     registered through the query processor — ``"shared"`` (default:
     delta-driven execution with cross-query subplan sharing and the
     quiescence-aware tick scheduler) or ``"naive"`` (the oracle; see
     :mod:`repro.continuous.continuous_query`).
 
     ``policy`` sets the fault-tolerance :class:`InvocationPolicy` on the
-    service registry (retry backoff, quarantine threshold); the default
-    is fully permissive — every invocation reaches the device, matching
-    a policy-free system (see :mod:`repro.model.invocation_policy`).
+    service registry (quarantine threshold and re-admission delay); the
+    default is fully permissive — every invocation reaches the device,
+    matching a policy-free system (see :mod:`repro.model.invocation_policy`).
+    Substitution rebinding needs no setting: it follows the rules declared
+    with :meth:`declare_substitution`.
 
     ``observe`` sets the observability mode (DESIGN.md §9): ``"metrics"``
     (default — always-on counters, gauges and per-tick histograms),

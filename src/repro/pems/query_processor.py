@@ -96,12 +96,14 @@ class QueryProcessor:
     environment, clock, erm, tables:
         The PEMS components the processor is wired to (Figure 1).
     engine:
-        Execution engine for registered continuous queries
+        Execution engine for every registered continuous query
         (:data:`~repro.exec.lowering.ENGINES`): ``"shared"`` (default —
         the delta-driven physical engine of :mod:`repro.exec`, every
         query's plan leased from this processor's registry and driven by
         its quiescence-aware tick scheduler) or ``"naive"`` (full
-        re-evaluation each tick, the differential-testing oracle).
+        re-evaluation each tick, the differential-testing oracle).  An
+        oracle next to shared plans is a standalone
+        :class:`ContinuousQuery` with ``engine="naive"``.
     """
 
     def __init__(
@@ -188,52 +190,36 @@ class QueryProcessor:
         return self.execute(compile_sql(text, self.environment))
 
     def register_continuous_sql(
-        self,
-        text: str,
-        name: str | None = None,
-        keep_history: bool = False,
-        engine: str | None = None,
+        self, text: str, name: str | None = None
     ) -> ContinuousQuery:
         """Compile a Serena SQL query and register it as continuous."""
         from repro.lang.sql import compile_sql
 
         return self.register_continuous(
-            compile_sql(text, self.environment, name),
-            name,
-            keep_history,
-            engine,
+            compile_sql(text, self.environment, name), name
         )
 
     # -- continuous queries ----------------------------------------------------------
 
     def register_continuous(
-        self,
-        query: Query,
-        name: str | None = None,
-        keep_history: bool = False,
-        engine: str | None = None,
+        self, query: Query, name: str | None = None
     ) -> ContinuousQuery:
-        """Register a continuous query, evaluated at every tick from now on.
-
-        ``engine`` overrides the processor-wide engine for this query
-        (e.g. a naive oracle next to the shared plans); a shared-engine
-        query always runs on the processor's registry and scheduler.
-        """
+        """Register a continuous query, evaluated at every tick from now
+        on, on the processor's engine (and, for ``"shared"``, on its
+        registry and scheduler)."""
         key = name or query.name or self._auto_name()
         if key in self._continuous:
             raise SerenaError(f"continuous query {key!r} already registered")
-        effective = engine if engine is not None else self.engine
         continuous = ContinuousQuery(
             query,
             self.environment,
-            keep_history,
-            engine=effective,
+            engine=self.engine,
             shared=self.shared,
             observe=self.obs,
         )
         self._continuous[key] = continuous
         insort(self._order, key)
-        if effective == "shared":
+        if self.engine == "shared":
             self.scheduler.register(key, continuous)
         self._registered_gauge.set(len(self._continuous))
         return continuous

@@ -40,17 +40,6 @@ class TestBasics:
         with pytest.raises(SerenaError, match="non-decreasing"):
             cq.evaluate_at(4)
 
-    def test_history_opt_in(self, paper_env):
-        cq = ContinuousQuery(scan(paper_env, "contacts").query(), paper_env)
-        cq.evaluate_at(0)
-        with pytest.raises(SerenaError, match="keep_history"):
-            cq.history
-        cq2 = ContinuousQuery(
-            scan(paper_env, "contacts").query(), paper_env, keep_history=True
-        )
-        cq2.run(range(3))
-        assert len(cq2.history) == 3
-
     def test_listeners_fire(self, paper_env):
         cq = ContinuousQuery(scan(paper_env, "contacts").query(), paper_env)
         seen = []
@@ -169,7 +158,7 @@ class TestActionsAccumulation:
 class TestSameInstantIdempotency:
     """Regression: re-evaluating the current instant must return the
     cached result and must not repeat any bookkeeping — no duplicate
-    actions, emissions, history entries or listener notifications."""
+    actions, emissions or listener notifications."""
 
     @pytest.mark.parametrize("engine", ["naive", "shared"])
     def test_repeat_evaluation_is_idempotent(self, dynamic_env, engine):
@@ -179,19 +168,17 @@ class TestSameInstantIdempotency:
             .invoke("sendMessage")
             .query()
         )
-        cq = ContinuousQuery(q, dynamic_env, keep_history=True, engine=engine)
+        cq = ContinuousQuery(q, dynamic_env, engine=engine)
         notified = []
         cq.on_result(lambda r: notified.append(r.instant))
         first = cq.evaluate_at(1)
         again = cq.evaluate_at(1)
         assert again is first
         assert len(cq.action_log) == 3
-        assert len(cq.history) == 1
         assert notified == [1]
         # Moving on still works, and repeats there are idempotent too.
         cq.evaluate_at(2)
         cq.evaluate_at(2)
-        assert len(cq.history) == 2
         assert notified == [1, 2]
         assert len(cq.action_log) == 3  # nothing new to invoke
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.prototypes import GET_TEMPERATURE
 from repro.devices.sensors import TemperatureSensor
 from repro.errors import (
@@ -34,21 +35,15 @@ def good_sensor(reference: str = "s1") -> Service:
 class TestInvocationPolicy:
     def test_default_is_permissive(self):
         assert not PERMISSIVE_POLICY.enabled
-        assert InvocationPolicy(backoff=1).enabled
         assert InvocationPolicy(failure_threshold=3).enabled
-        assert InvocationPolicy(max_failures_per_tick=1).enabled
         # quarantine_backoff alone gates nothing (no threshold to trip).
         assert not InvocationPolicy(quarantine_backoff=4).enabled
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            InvocationPolicy(backoff=-1)
-        with pytest.raises(ValueError):
             InvocationPolicy(failure_threshold=0)
         with pytest.raises(ValueError):
             InvocationPolicy(quarantine_backoff=0)
-        with pytest.raises(ValueError):
-            InvocationPolicy(max_failures_per_tick=0)
 
 
 class TestUnsettled:
@@ -60,10 +55,9 @@ class TestUnsettled:
         "policy",
         [
             PERMISSIVE_POLICY,
-            InvocationPolicy(backoff=2, failure_threshold=2, quarantine_backoff=3),
-            InvocationPolicy(failure_threshold=1, max_failures_per_tick=2),
+            InvocationPolicy(failure_threshold=2, quarantine_backoff=3),
         ],
-        ids=["permissive", "backoff-quarantine", "attempt-cap"],
+        ids=["permissive", "quarantine"],
     )
     def test_it_tracks_the_state_machine(self, policy):
         rng = random.Random(7)
@@ -99,15 +93,6 @@ class TestUnsettled:
             assert batched.unsettled == looped.unsettled
             assert batched.snapshot() == looped.snapshot()
             assert batched.version == looped.version
-
-    def test_a_same_instant_attempt_cap_keeps_a_recovered_reference_unsettled(self):
-        tracker = HealthTracker(InvocationPolicy(max_failures_per_tick=2))
-        tracker.record_failure("s1", 4)
-        tracker.record_success("s1", 4)
-        assert tracker.state("s1") is HealthState.UP
-        assert tracker.unsettled == {"s1"}  # one more failure at 4 caps it
-        tracker.record_success("s1", 5)
-        assert tracker.unsettled == set()
 
 
 class TestHealthStateMachine:
@@ -167,43 +152,23 @@ class TestGates:
         """Determinism at an instant (Section 3.2): a failure at τ must
         not change the outcome of other invocations at τ."""
         tracker = HealthTracker(
-            InvocationPolicy(backoff=3, failure_threshold=1, quarantine_backoff=4)
+            InvocationPolicy(failure_threshold=1, quarantine_backoff=4)
         )
         tracker.record_failure("s1", 5)
         assert tracker.check("s1", 5) is None  # same instant: no gate
-        assert tracker.check("s1", 6) == ("quarantined", 9)
-
-    def test_backoff_window(self):
-        tracker = HealthTracker(InvocationPolicy(backoff=3))
-        tracker.record_failure("s1", 10)
-        assert tracker.check("s1", 11) == ("backoff", 13)
-        assert tracker.check("s1", 12) == ("backoff", 13)
-        assert tracker.check("s1", 13) is None  # first real retry
-
-    def test_backoff_cleared_by_success(self):
-        tracker = HealthTracker(InvocationPolicy(backoff=5))
-        tracker.record_failure("s1", 10)
-        tracker.record_success("s1", 10)  # another query got through at 10
-        assert tracker.check("s1", 11) is None
+        assert tracker.check("s1", 6) == 9  # refused until the release at 9
+        assert tracker.check("s1", 9) is None
 
     def test_fast_failures_do_not_extend_backoff(self):
-        tracker = HealthTracker(InvocationPolicy(backoff=2))
+        tracker = HealthTracker(
+            InvocationPolicy(failure_threshold=1, quarantine_backoff=2)
+        )
         tracker.record_failure("s1", 10)
-        refused = tracker.check("s1", 11)
-        assert refused == ("backoff", 12)
+        assert tracker.check("s1", 11) == 12
         tracker.record_fast_failure("s1")
-        # The refusal did not move last_failure: instant 12 retries.
+        # The refusal did not move quarantined_at: instant 12 probes.
         assert tracker.check("s1", 12) is None
         assert tracker.health("s1").fast_failures == 1
-
-    def test_per_tick_cap(self):
-        tracker = HealthTracker(InvocationPolicy(max_failures_per_tick=2))
-        tracker.record_failure("s1", 7)
-        assert tracker.check("s1", 7) is None
-        tracker.record_failure("s1", 7)
-        assert tracker.check("s1", 7) == ("attempt-cap", 8)
-        # A new instant resets the budget.
-        assert tracker.check("s1", 8) is None
 
     def test_permissive_policy_never_gates(self):
         tracker = HealthTracker()
@@ -216,13 +181,14 @@ class TestGates:
 class TestRegistryIntegration:
     def test_gate_raises_service_unavailable(self):
         registry = ServiceRegistry(
-            [broken_sensor()], policy=InvocationPolicy(backoff=3)
+            [broken_sensor()],
+            policy=InvocationPolicy(failure_threshold=1, quarantine_backoff=3),
         )
         with pytest.raises(InvocationError):
             registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
         with pytest.raises(ServiceUnavailableError) as info:
             registry.invoke(GET_TEMPERATURE, "s1", {}, 2)
-        assert info.value.reason == "backoff"
+        assert info.value.reason == "quarantined"
         assert info.value.retry_at == 4
         # The fast-fail never reached the device.
         assert registry.invocation_count == 1
@@ -251,9 +217,8 @@ class TestRegistryIntegration:
         """Pinned behaviour: failures are deliberately not memoized
         ("successes only", services.py) — N queries sharing one crashed
         device re-invoke it N times within a tick.  The bound, when one
-        is wanted, is the policy: max_failures_per_tick caps the device
-        attempts and backoff removes the following instants entirely
-        (documented in DESIGN.md §8)."""
+        is wanted, is quarantine: it refuses the device from the next
+        instant on (documented in DESIGN.md §8)."""
         registry = ServiceRegistry([broken_sensor()])
         registry.begin_instant_memo(1)
         for _ in range(3):
@@ -263,18 +228,14 @@ class TestRegistryIntegration:
         assert registry.invocation_count == 3  # one per attempt, no memo
         assert registry.memo_hits == 0
 
-        capped = ServiceRegistry(
-            [broken_sensor()], policy=InvocationPolicy(max_failures_per_tick=1)
+        quarantined = ServiceRegistry(
+            [broken_sensor()], policy=InvocationPolicy(failure_threshold=1)
         )
-        capped.begin_instant_memo(1)
-        with pytest.raises(InvocationError):
-            capped.invoke(GET_TEMPERATURE, "s1", {}, 1)
-        for _ in range(3):
-            with pytest.raises(ServiceUnavailableError):
-                capped.invoke(GET_TEMPERATURE, "s1", {}, 1)
-        capped.end_instant_memo()
-        assert capped.invocation_count == 1  # the cap bounded the device cost
-        assert capped.health.health("s1").fast_failures == 3
+        for instant in (1, 1, 2, 2, 2):
+            with pytest.raises(InvocationError):
+                quarantined.invoke(GET_TEMPERATURE, "s1", {}, instant)
+        assert quarantined.invocation_count == 2  # both attempts at τ=1 only
+        assert quarantined.health.health("s1").fast_failures == 3
 
     def test_memo_still_serves_successes(self):
         registry = ServiceRegistry(
@@ -287,3 +248,86 @@ class TestRegistryIntegration:
         assert first == second
         assert registry.invocation_count == 1
         assert registry.memo_hits == 1
+
+
+# -- Section 3.2: order never changes an outcome --------------------------------
+
+#: A seeded fleet: crash windows, a permanent crash, intermittent,
+#: malformed and timeout episodes, and two healthy devices.
+FLEET = {
+    "f0": None,
+    "f1": FaultScript(crash_windows=((2, 5), (9, 11))),
+    "f2": FaultScript(failure_rate=0.4),
+    "f3": FaultScript(crash_at=6),
+    "f4": FaultScript(malformed_windows=((3, 4), (7, 9))),
+    "f5": FaultScript(failure_rate=0.3, intermittent_windows=((1, 8),)),
+    "f6": FaultScript(latency_spike_rate=0.25),
+    "f7": None,
+}
+
+#: One instant's calls as (caller, reference): three queries over the
+#: fleet, so most references are invoked by more than one of them.
+CALLS = tuple(
+    (query, reference)
+    for query, references in (
+        ("q0", tuple(FLEET)),
+        ("q1", ("f1", "f2", "f3", "f5")),
+        ("q2", ("f1", "f3", "f4", "f6", "f7")),
+    )
+    for reference in references
+)
+
+
+def fleet_registry(policy: InvocationPolicy) -> ServiceRegistry:
+    registry = ServiceRegistry(policy=policy)
+    for index, (reference, script) in enumerate(FLEET.items()):
+        service = TemperatureSensor(reference, "lab", base=12.0 + index).as_service()
+        if script is not None:
+            service = FaultInjector(service, script, seed="order").as_service()
+        registry.register(service)
+    return registry
+
+
+def outcome(registry: ServiceRegistry, reference: str, instant: int):
+    try:
+        return registry.invoke(GET_TEMPERATURE, reference, {}, instant)
+    except InvocationError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
+@pytest.mark.parametrize(
+    "policy",
+    [PERMISSIVE_POLICY] + [InvocationPolicy(failure_threshold=k) for k in (1, 2, 3)],
+    ids=["permissive", "threshold-1", "threshold-2", "threshold-3"],
+)
+def test_no_invocation_order_changes_an_outcome(policy, memo):
+    """Every policy that can be built keeps Section 3.2: at every instant,
+    issuing the calls in any order gives each caller the same outcome
+    and leaves the same health behind (DESIGN.md §8)."""
+    rng = random.Random(35)
+    orders = 4
+    registries = [fleet_registry(policy) for _ in range(orders)]
+    seen_kinds = set()
+    for instant in range(16):
+        per_caller = []
+        for registry in registries:
+            calls = list(CALLS)
+            rng.shuffle(calls)
+            if memo:
+                registry.begin_instant_memo(instant)
+            outcomes = {
+                call: outcome(registry, call[1], instant) for call in calls
+            }
+            if memo:
+                registry.end_instant_memo()
+            per_caller.append(outcomes)
+            seen_kinds.update(
+                o[0] if isinstance(o, tuple) else list for o in outcomes.values()
+            )
+        assert all(p == per_caller[0] for p in per_caller[1:]), instant
+        snapshots = [registry.health.snapshot() for registry in registries]
+        assert all(s == snapshots[0] for s in snapshots[1:]), instant
+    assert {list, InvocationError} <= seen_kinds
+    if policy.enabled:
+        assert ServiceUnavailableError in seen_kinds  # quarantine refused some

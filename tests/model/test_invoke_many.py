@@ -43,18 +43,15 @@ SCRIPTS = {
 }
 
 #: Polled in this order every instant: the repeats hit the memo (when one
-#: is active) and the per-tick attempt cap; "ghost" is not registered and
-#: env0 does not implement getTemperature.
+#: is active) and quarantine; "ghost" is not registered and env0 does not
+#: implement getTemperature.
 REFERENCES = (
     "s05", "s00", "ghost", "s01", "s02", "s03", "env0", "s04", "s01", "s00", "s03",
 )
 
 POLICIES = {
     "permissive": None,
-    "backoff-quarantine": InvocationPolicy(
-        backoff=2, failure_threshold=2, quarantine_backoff=3
-    ),
-    "attempt-cap": InvocationPolicy(max_failures_per_tick=1),
+    "quarantine": InvocationPolicy(failure_threshold=2, quarantine_backoff=3),
 }
 
 
@@ -171,7 +168,7 @@ def test_batch_is_the_loop_of_invoke(policy, observe, memo):
     assert isinstance(by_reference[BIND_AT - 1]["s05"], InvocationError)
     assert by_reference[BIND_AT]["s05"] == by_reference[BIND_AT]["s00"]
     if policy != "permissive":
-        assert ServiceUnavailableError in kinds  # a gate refused something
+        assert ServiceUnavailableError in kinds  # quarantine refused something
     if memo:
         assert batched.memo_hits > 0
     if observe == "full":
@@ -241,13 +238,29 @@ def latency_samples(registry: ServiceRegistry) -> int:
     return sum(ewma.count for ewma in registry._latency.values())
 
 
+def build_counting(policy, observe, calls) -> ServiceRegistry:
+    """:func:`build_registry` with s00's device calls counted per registry."""
+    registry = build_registry(policy, observe)
+    handler = registry.get("s00").handler(GET_TEMPERATURE)
+
+    def counted(inputs, instant):
+        calls[registry] = calls.get(registry, 0) + 1
+        return handler(inputs, instant)
+
+    registry.register(Service("s00", {GET_TEMPERATURE: counted}))
+    return registry
+
+
 @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
 @pytest.mark.parametrize("policy", list(POLICIES), ids=list(POLICIES))
 def test_repeats_in_one_batch(policy, memo):
     references = ("s00", "s00", "s02", "s00", "s02", "s04", "s04", "s01", "s01")
-    _, batched = run_twins(POLICIES[policy], "metrics", memo, references=references)
-    samples = batched._latency["s00"].count
-    assert samples == (INSTANTS if memo else 3 * INSTANTS)
+    calls: dict = {}
+    _, batched = run_twins(
+        POLICIES[policy], "metrics", memo, references=references,
+        build=functools.partial(build_counting, calls=calls),
+    )
+    assert calls[batched] == (INSTANTS if memo else 3 * INSTANTS)
     assert (batched.memo_hits > 0) == memo
 
 
@@ -279,7 +292,7 @@ def build_chain(policy, observe) -> ServiceRegistry:
     [("s10", "s11", "s12", "s10"), ("s12", "s10", "s11", "s12", "s10")],
     ids=["failover-ahead", "failover-behind"],
 )
-@pytest.mark.parametrize("policy", ["attempt-cap", "backoff-quarantine"])
+@pytest.mark.parametrize("policy", ["quarantine"])
 def test_a_failover_invokes_another_member_of_the_batch(policy, references):
     seen, batched = run_twins(
         POLICIES[policy], "metrics", memo=True, references=references, build=build_chain
@@ -326,7 +339,7 @@ def test_a_fleet_whose_every_reference_has_a_health_record(memo):
 def test_a_mixed_batch_under_full_tracing_traces_every_device_success():
     references = REFERENCES + ("s00", "s02")
     _, batched = run_twins(
-        POLICIES["backoff-quarantine"], "full", memo=False, references=references
+        POLICIES["quarantine"], "full", memo=False, references=references
     )
     successes = [
         span

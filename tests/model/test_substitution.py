@@ -7,11 +7,7 @@ from repro.errors import InvocationError, SchemaError
 from repro.model.prototypes import Prototype
 from repro.model.schema import RelationSchema
 from repro.model.services import Service, ServiceRegistry
-from repro.model.substitution import (
-    CompositionStep,
-    SubstitutionPolicy,
-    SubstitutionRule,
-)
+from repro.model.substitution import MAX_CHAIN, CompositionStep, SubstitutionRule
 
 # A two-step composition fixture: resolve an area to a sensor reference,
 # then read that sensor — together they implement readArea.
@@ -83,10 +79,6 @@ class TestRuleValidation:
             "readArea", [("lookupSensor", "dir"), ("readByName", "hub")]
         )
         assert "lookupSensor@dir -> readByName@hub" in rule.describe()
-
-    def test_policy_validates_chain(self):
-        with pytest.raises(SchemaError):
-            SubstitutionPolicy(max_chain=0)
 
     def test_declare_is_idempotent(self):
         registry = ServiceRegistry()
@@ -350,22 +342,22 @@ class TestBindingExecution:
         ]
 
     def test_chain_depth_guard(self):
-        registry = ServiceRegistry(
-            substitution=SubstitutionPolicy(max_chain=1)
-        )
-        for ref in ("a", "b", "c"):
-            registry.register(Service(ref, {GET_TEMPERATURE: thermometer(1.0)}))
+        # r0 -> r1 -> ... -> r{MAX_CHAIN+1}: every hop a bound reference.
+        refs = [f"r{i}" for i in range(MAX_CHAIN + 2)]
+        registry = ServiceRegistry()
+        for i, ref in enumerate(refs):
+            registry.register(Service(ref, {GET_TEMPERATURE: thermometer(float(i))}))
         subs = registry.substitutions
-        subs.declare(
-            SubstitutionRule.equivalent_to("getTemperature", "b", reference="a")
-        )
-        subs.declare(
-            SubstitutionRule.equivalent_to("getTemperature", "c", reference="b")
-        )
-        (plan_ab,) = subs.resolve(registry, GET_TEMPERATURE, "a")
-        subs.install(plan_ab, 1, "quarantine")
-        (plan_bc,) = subs.resolve(registry, GET_TEMPERATURE, "b")
-        subs.install(plan_bc, 1, "quarantine")
-        # a -> b -> c needs depth 2; max_chain=1 refuses.
-        with pytest.raises(InvocationError):
-            registry.invoke(GET_TEMPERATURE, "a", {}, 2)
+        for ref, nxt in zip(refs, refs[1:]):
+            subs.declare(
+                SubstitutionRule.equivalent_to("getTemperature", nxt, reference=ref)
+            )
+            (plan,) = subs.resolve(registry, GET_TEMPERATURE, ref)
+            subs.install(plan, 1, "quarantine")
+        # A chain of MAX_CHAIN bindings is served by its last hop ...
+        assert registry.invoke(GET_TEMPERATURE, "r1", {}, 2) == [
+            (float(MAX_CHAIN + 1),)
+        ]
+        # ... and one binding more is refused.
+        with pytest.raises(InvocationError, match="MAX_CHAIN"):
+            registry.invoke(GET_TEMPERATURE, "r0", {}, 2)

@@ -347,9 +347,12 @@ class TestByeForgets:
         local.register(Service("slow", {GET_TEMPERATURE: slow}))
         local.register(sensor_service("fast"))
         erm.registry.invoke_many(GET_TEMPERATURE, ["slow", "fast"], {}, 0)
-        assert erm.registry.latency_decile("fast") < 10
+        before = erm.registry.latency_snapshot()
+        assert before.keys() == {"slow", "fast"}
+        assert before["slow"] > before["fast"]
         local.deregister("slow")
-        assert erm.registry.latency_decile("fast") == 10
+        # Only the remaining service's own EWMA is left, unchanged.
+        assert erm.registry.latency_snapshot() == {"fast": before["fast"]}
 
     def test_lease_expiry_keeps_the_state(self, rig):
         clock, bus, erm, local = rig

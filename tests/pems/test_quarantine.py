@@ -81,7 +81,7 @@ class TestQuarantineLifecycle:
         # throughout the outage.
         assert [row[0] for row in cq.last_result.relation] == ["s1"]
 
-        # Re-admission: quarantined_at=3, backoff=6 → released at 9; the
+        # Re-admission: quarantined_at=3, quarantine_backoff=6 → released at 9; the
         # crash window ended at 6, so the retry succeeds.
         pems.run(5)  # instants 5..9
         assert pems.erm.parked == frozenset()

@@ -4,6 +4,7 @@ queries driven by the PEMS tick loop."""
 import pytest
 
 from repro.algebra import col, scan
+from repro.continuous.continuous_query import ContinuousQuery
 from repro.devices.prototypes import GET_TEMPERATURE, STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema
 from repro.devices.sensors import TemperatureSensor
@@ -287,19 +288,22 @@ class TestSharedDeregistration:
     def test_survivor_keeps_running_after_co_owner_leaves(self, pems):
         a = self.watch(pems, "a")
         b = self.watch(pems, "b")
-        oracle = pems.queries.register_continuous(
+        oracle = ContinuousQuery(
             scan(pems.environment, "sensors")
             .select(col("location").ne("void"))
             .query(),
-            name="oracle",
+            pems.environment,
             engine="naive",
         )
         self.churn(pems, 0)
-        pems.run(2)
+        for _ in range(2):
+            pems.tick()
+            oracle.evaluate_at(pems.clock.now)
         pems.queries.deregister_continuous("a")
         for _ in range(3):
             self.churn(pems, pems.clock.now)
-            pems.run(1)
+            pems.tick()
+            oracle.evaluate_at(pems.clock.now)
             assert (
                 b.last_result.relation.tuples
                 == oracle.last_result.relation.tuples
@@ -361,25 +365,6 @@ class TestInstantInvocationMemo:
 
 
 class TestEngineSelection:
-    def test_per_query_engine_override(self, pems):
-        plug_sensor(pems, "sensor01")
-        default = pems.queries.register_continuous(
-            scan(pems.environment, "sensors").query(), name="default-engine"
-        )
-        naive = pems.queries.register_continuous(
-            scan(pems.environment, "sensors").query(),
-            name="naive-engine",
-            engine="naive",
-        )
-        assert default.engine == "shared"
-        assert naive.engine == "naive"
-        pems.run(2)
-        assert (
-            default.last_result.relation.tuples == naive.last_result.relation.tuples
-        )
-
-    def test_unknown_engine_rejected(self, pems):
+    def test_unknown_engine_rejected(self):
         with pytest.raises(SerenaError, match="unknown execution engine"):
-            pems.queries.register_continuous(
-                scan(pems.environment, "sensors").query(), engine="quantum"
-            )
+            PEMS(engine="quantum")

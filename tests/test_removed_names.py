@@ -3,9 +3,12 @@ physical engine — and the parked sharded federation's, the server's
 per-subscriber fan-out hooks, the feedback re-optimizer's plan-swap
 and per-tick costing surface, the legacy measurement spine with the
 hooks only it read, the cost-based search with its cost model and
-statistics, and the per-tick journal probes and journal read cache a
-stream window needed while it had a scan under it — must not creep back
-into code, docs, examples, scripts or CI.
+statistics, the per-tick journal probes and journal read cache a
+stream window needed while it had a scan under it, and the invocation
+and query knobs no caller set (the substitution policy, the retry
+backoff, the per-tick attempt cap, query history and the per-query
+engine override) — must not creep back into code, docs, examples,
+scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -95,6 +98,14 @@ BANNED = re.compile(
       | journal_cache
       | _detect_journal
       | _journal_mode
+      | SubstitutionPolicy
+      | latency_aware
+      | latency_decile
+      | max_failures_per_tick
+      | _TickFailures
+      | attempt-cap
+      | keep_history
+      | (?<!quarantine_)backoff\s*=
     """,
     re.VERBOSE,
 )
