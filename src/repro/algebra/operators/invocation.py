@@ -135,8 +135,9 @@ class Invocation(Operator):
         prototype = bp.prototype
 
         service_pos = source.real_position(bp.service_attribute)
-        input_names = prototype.input_schema.names
-        input_positions = [source.real_position(n) for n in input_names]
+        input_positions = [
+            source.real_position(n) for n in prototype.input_schema.names
+        ]
 
         # Output layout: child's values plus invocation outputs, interleaved
         # at the realized attributes' schema positions.
@@ -191,13 +192,10 @@ class Invocation(Operator):
                     if ctx.instant < ready_at:
                         continue  # response still in flight
                 reference = t[service_pos]
-                inputs = {
-                    n: t[p] for n, p in zip(input_names, input_positions)
-                }
                 input_tuple = tuple(t[p] for p in input_positions)
                 try:
                     results = ctx.environment.registry.invoke(
-                        prototype, reference, inputs, ctx.instant
+                        prototype, reference, input_tuple, ctx.instant
                     )
                 except ServiceError:
                     if self.on_error == "skip":

@@ -135,8 +135,9 @@ class StreamingInvocation(Operator):
         prototype = bp.prototype
 
         service_pos = source.real_position(bp.service_attribute)
-        input_names = prototype.input_schema.names
-        input_positions = [source.real_position(n) for n in input_names]
+        input_positions = [
+            source.real_position(n) for n in prototype.input_schema.names
+        ]
 
         output_names = prototype.output_schema.names
         output_index = {n: i for i, n in enumerate(output_names)}
@@ -153,7 +154,7 @@ class StreamingInvocation(Operator):
         out = []
         for t in relation:
             reference = t[service_pos]
-            inputs = {n: t[p] for n, p in zip(input_names, input_positions)}
+            inputs = tuple(t[p] for p in input_positions)
             try:
                 results = ctx.environment.registry.invoke(
                     prototype, reference, inputs, ctx.instant

@@ -157,7 +157,7 @@ class SmartMeter:
 
     def as_service(self) -> Service:
         def read_load(inputs, instant):
-            return [{"load": self.load(instant)}]
+            return [(self.load(instant),)]
 
         return Service(
             self.reference,
@@ -188,9 +188,7 @@ class GridRelay:
 
     def as_service(self) -> Service:
         def check_relay(inputs, instant):
-            return [
-                {"status": self.status(instant), "throughput": self.throughput(instant)}
-            ]
+            return [(self.status(instant), self.throughput(instant))]
 
         return Service(
             self.reference,
@@ -218,9 +216,7 @@ class Substation:
 
     def as_service(self) -> Service:
         def read_station(inputs, instant):
-            return [
-                {"capacity": self.capacity, "utilization": self.utilization(instant)}
-            ]
+            return [(self.capacity, self.utilization(instant))]
 
         return Service(
             self.reference,
@@ -250,11 +246,7 @@ class SpareStation(Substation):
     def as_service(self) -> Service:
         def read_grid_node(inputs, instant):
             return [
-                {
-                    "capacity": self.capacity,
-                    "utilization": self.utilization(instant),
-                    "frequency": self.frequency(instant),
-                }
+                (self.capacity, self.utilization(instant), self.frequency(instant))
             ]
 
         return Service(
@@ -287,9 +279,7 @@ class WeatherStation:
 
     def as_service(self) -> Service:
         def read_weather(inputs, instant):
-            return [
-                {"temperature": self.temperature(instant), "wind": self.wind(instant)}
-            ]
+            return [(self.temperature(instant), self.wind(instant))]
 
         return Service(
             self.reference,
@@ -338,10 +328,9 @@ class AlertSink:
 
     def as_service(self) -> Service:
         def raise_alert(inputs, instant):
-            self.log.record(
-                Alert(instant, self.reference, str(inputs["zone"]), inputs["load"])
-            )
-            return [{"ack": True}]
+            zone, load = inputs
+            self.log.record(Alert(instant, self.reference, str(zone), load))
+            return [(True,)]
 
         return Service(
             self.reference,

@@ -63,7 +63,7 @@ def city_policy() -> InvocationPolicy:
     """The default fault-tolerance policy for cities with chaos: one
     failure suspends a device, the quarantine backoff leaves room for a
     substitution rebind inside a 55-tick run."""
-    return InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
+    return InvocationPolicy(failure_threshold=1)
 
 
 @dataclass

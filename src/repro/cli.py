@@ -370,9 +370,7 @@ class SerenaShell:
             # ``.substitutions`` shows the rebind.
             self._scenario = build_temperature_surveillance(
                 engine=engine,
-                policy=InvocationPolicy(
-                    failure_threshold=1, quarantine_backoff=8
-                ),
+                policy=InvocationPolicy(failure_threshold=1),
                 sensor_faults={"sensor22": FaultScript(crash_at=20)},
                 spare_sensors=(("spare-roof", "roof", 15.5),),
                 substitutions=(

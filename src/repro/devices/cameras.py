@@ -52,7 +52,7 @@ class Camera:
         self.delay = delay
         self.shots: list[tuple[int, str, int]] = []  # (instant, area, quality)
 
-    def check_photo(self, area: str, instant: int) -> list[dict[str, object]]:
+    def check_photo(self, area: str, instant: int) -> list[tuple[int, float]]:
         """``checkPhoto``: quality/delay for ``area``, empty if unseen."""
         if area != self.area:
             return []
@@ -63,22 +63,24 @@ class Camera:
             self.delay * (0.8 + 0.4 * stable_unit(self.reference, "delay", instant)),
             3,
         )
-        return [{"quality": quality, "delay": delay}]
+        return [(quality, delay)]
 
-    def take_photo(self, area: str, quality: int, instant: int) -> list[dict[str, object]]:
+    def take_photo(self, area: str, quality: int, instant: int) -> list[tuple[bytes]]:
         """``takePhoto``: one pseudo-image blob, empty if the area is unseen."""
         if area != self.area:
             return []
         self.shots.append((instant, area, quality))
         stamp = f"photo|{self.reference}|{area}|q{quality}|t{instant}"
-        return [{"photo": stamp.encode("ascii")}]
+        return [(stamp.encode("ascii"),)]
 
     def as_service(self) -> Service:
         def check(inputs, instant):
-            return self.check_photo(str(inputs["area"]), instant)
+            (area,) = inputs
+            return self.check_photo(str(area), instant)
 
         def take(inputs, instant):
-            return self.take_photo(str(inputs["area"]), int(inputs["quality"]), instant)
+            area, quality = inputs
+            return self.take_photo(str(area), int(quality), instant)
 
         return Service(
             self.reference,

@@ -158,6 +158,7 @@ class FaultInjector:
 
     def _wrap(self, prototype: Prototype, handler: MethodHandler) -> MethodHandler:
         reference = self.service.reference
+        glitch_arity = prototype.output_schema.arity + 1
 
         def chaotic_handler(inputs, instant):
             kind = self.fault_at(instant)
@@ -165,9 +166,9 @@ class FaultInjector:
                 return handler(inputs, instant)
             self.faults_injected[kind] = self.faults_injected.get(kind, 0) + 1
             if kind == "malformed":
-                # Rows missing every output attribute: schema validation
-                # in ServiceRegistry.invoke rejects them.
-                return [{"__glitch__": instant}]
+                # A row one value too long: the output-schema check in
+                # ServiceRegistry.invoke rejects it.
+                return [(instant,) * glitch_arity]
             raise InjectedFault(reference, kind, instant)
 
         return chaotic_handler

@@ -99,17 +99,13 @@ class Messenger:
 
     def as_service(self) -> Service:
         def send_message(inputs, instant):
-            delivered = self.send(str(inputs["address"]), str(inputs["text"]), instant)
-            return [{"sent": delivered}]
+            address, text = inputs
+            return [(self.send(str(address), str(text), instant),)]
 
         def send_photo_message(inputs, instant):
-            delivered = self.send(
-                str(inputs["address"]),
-                str(inputs["text"]),
-                instant,
-                photo=bytes(inputs["photo"]),
-            )
-            return [{"sent": delivered}]
+            address, text, photo = inputs
+            delivered = self.send(str(address), str(text), instant, photo=bytes(photo))
+            return [(delivered,)]
 
         return Service(
             self.reference,

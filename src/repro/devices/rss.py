@@ -51,16 +51,17 @@ class RssFeed:
         self.rate = rate
         self.seed = seed
 
-    def items_at(self, instant: int) -> list[dict[str, object]]:
-        """The items published exactly at ``instant`` (0 or 1)."""
+    def items_at(self, instant: int) -> list[tuple[str, int]]:
+        """The ``(title, published)`` items published exactly at
+        ``instant`` (0 or 1)."""
         if stable_unit(self.site, self.seed, "pub", instant) >= self.rate:
             return []
         subject = stable_choice(list(_SUBJECTS), self.site, self.seed, "s", instant)
         verb = stable_choice(list(_VERBS), self.site, self.seed, "v", instant)
         obj = stable_choice(list(_OBJECTS), self.site, self.seed, "o", instant)
-        return [{"title": f"{subject} {verb} {obj}", "published": instant}]
+        return [(f"{subject} {verb} {obj}", instant)]
 
-    def items_between(self, start: int, end: int) -> list[dict[str, object]]:
+    def items_between(self, start: int, end: int) -> list[tuple[str, int]]:
         """All items published in ``(start, end]`` (the poll window)."""
         items = []
         for instant in range(start + 1, end + 1):
@@ -105,8 +106,10 @@ class RssStreamWrapper:
         rows = []
         for feed in self.feeds:
             since = self._last_poll[feed.site]
-            for item in feed.items_between(since, instant):
-                rows.append({"site": feed.site, **item})
+            for title, published in feed.items_between(since, instant):
+                rows.append(
+                    {"site": feed.site, "title": title, "published": published}
+                )
             self._last_poll[feed.site] = instant
         if rows:
             self.insert(rows)

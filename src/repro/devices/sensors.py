@@ -108,7 +108,7 @@ class TemperatureSensor:
         """Wrap the sensor as a discoverable service."""
 
         def get_temperature(inputs, instant):
-            return [{"temperature": self.temperature(instant)}]
+            return [(self.temperature(instant),)]
 
         return Service(
             self.reference,
@@ -153,12 +153,7 @@ class EnvironmentalSensor(TemperatureSensor):
 
     def as_service(self) -> Service:
         def get_env_reading(inputs, instant):
-            return [
-                {
-                    "temperature": self.temperature(instant),
-                    "humidity": self.humidity(instant),
-                }
-            ]
+            return [(self.temperature(instant), self.humidity(instant))]
 
         return Service(
             self.reference,
@@ -239,7 +234,7 @@ class StreamPoll:
         if self._topology != registry.topology_version:
             self._index(registry)
         outcomes = registry.invoke_many(
-            self.prototype, self._references, {}, instant
+            self.prototype, self._references, (), instant
         )
         at = (instant,)
         rows = []

@@ -729,9 +729,8 @@ class InvocationExec(Executor):
         bp = node.binding_pattern
         prototype = bp.prototype
         self._service_position = source.real_position(bp.service_attribute)
-        self._input_names = prototype.input_schema.names
         self._input_positions = [
-            source.real_position(n) for n in self._input_names
+            source.real_position(n) for n in prototype.input_schema.names
         ]
         output_index = {n: i for i, n in enumerate(prototype.output_schema.names)}
         out_sources: list[tuple[bool, int]] = []
@@ -838,14 +837,11 @@ class InvocationExec(Executor):
                     if ctx.instant < ready_at:
                         continue  # response still in flight
                 reference = t[self._service_position]
-                inputs = {
-                    n: t[p]
-                    for n, p in zip(self._input_names, self._input_positions)
-                }
+                input_tuple = tuple([t[p] for p in self._input_positions])
                 memo_before = registry.memo_hits
                 try:
                     results = registry.invoke(
-                        bp.prototype, reference, inputs, ctx.instant
+                        bp.prototype, reference, input_tuple, ctx.instant
                     )
                 except ServiceError as exc:
                     stats.invocations += 1
@@ -874,7 +870,6 @@ class InvocationExec(Executor):
                 self._due.pop(t, None)
                 self._unflushed |= rows
                 if bp.active:
-                    input_tuple = tuple(t[p] for p in self._input_positions)
                     ctx.record_action(Action(bp, reference, input_tuple))
                 inserted |= rows
         self._unflushed.clear()
@@ -900,9 +895,8 @@ class StreamingInvocationExec(Executor):
         bp = node.binding_pattern
         prototype = bp.prototype
         self._service_position = source.real_position(bp.service_attribute)
-        self._input_names = prototype.input_schema.names
         self._input_positions = [
-            source.real_position(n) for n in self._input_names
+            source.real_position(n) for n in prototype.input_schema.names
         ]
         output_index = {n: i for i, n in enumerate(prototype.output_schema.names)}
         sources: list[tuple[str, int]] = []
@@ -934,14 +928,13 @@ class StreamingInvocationExec(Executor):
         emitted: set[tuple] = set()
         for t in child.current:
             reference = t[self._service_position]
-            inputs = {
-                n: t[p]
-                for n, p in zip(self._input_names, self._input_positions)
-            }
             memo_before = registry.memo_hits
             try:
                 results = registry.invoke(
-                    bp.prototype, reference, inputs, ctx.instant
+                    bp.prototype,
+                    reference,
+                    tuple([t[p] for p in self._input_positions]),
+                    ctx.instant,
                 )
             except ServiceError as exc:
                 stats.invocations += 1

@@ -5,8 +5,9 @@ automatically removed" (Section 1.2), and its evaluation runs against
 flaky physical devices.  This module supplies the model-level half of
 that promise:
 
-* :class:`InvocationPolicy` — the two knobs: how many consecutive
-  failures quarantine a service, and for how long;
+* :class:`InvocationPolicy` — the one knob: how many consecutive
+  failures quarantine a service (for :data:`QUARANTINE_BACKOFF`
+  instants);
 * :class:`HealthTracker` — per-service health records (consecutive
   failures, last success/failure instants, an UP → SUSPECT → QUARANTINED
   state machine) fed by :meth:`repro.model.services.ServiceRegistry.invoke`
@@ -30,6 +31,7 @@ __all__ = [
     "HealthState",
     "InvocationPolicy",
     "PERMISSIVE_POLICY",
+    "QUARANTINE_BACKOFF",
     "ServiceHealth",
     "HealthTracker",
 ]
@@ -46,29 +48,29 @@ class HealthState(enum.Enum):
         return self.value
 
 
+#: Instants a quarantined service stays blocked before it may be probed
+#: or re-admitted.  The core ERM uses this as the re-admission delay after
+#: it removes the service (quarantine-as-lease-expiry).
+QUARANTINE_BACKOFF = 8
+
+
 @dataclass(frozen=True)
 class InvocationPolicy:
-    """Quarantine knobs enforced by the service registry.
+    """The quarantine knob enforced by the service registry.
 
     Parameters
     ----------
     failure_threshold:
-        Consecutive device failures that flip a service to QUARANTINED.
-        ``None`` disables quarantine.
-    quarantine_backoff:
-        Instants a quarantined service stays blocked before it may be
-        probed / re-admitted.  The core ERM uses this as the re-admission
-        delay after it removes the service (quarantine-as-lease-expiry).
+        Consecutive device failures that flip a service to QUARANTINED
+        for :data:`QUARANTINE_BACKOFF` instants.  ``None`` disables
+        quarantine.
     """
 
     failure_threshold: int | None = None
-    quarantine_backoff: int = 8
 
     def __post_init__(self):
         if self.failure_threshold is not None and self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1 (or None)")
-        if self.quarantine_backoff < 1:
-            raise ValueError("quarantine_backoff must be >= 1")
 
     @property
     def enabled(self) -> bool:
@@ -186,7 +188,7 @@ class HealthTracker:
             or record.quarantined_at >= instant
         ):
             return None
-        release = record.quarantined_at + self.policy.quarantine_backoff
+        release = record.quarantined_at + QUARANTINE_BACKOFF
         return release if instant < release else None
 
     def record_fast_failure(self, reference: str) -> None:
@@ -263,7 +265,7 @@ class HealthTracker:
             return False
         if record.quarantined_at is None:
             return True
-        return instant >= record.quarantined_at + self.policy.quarantine_backoff
+        return instant >= record.quarantined_at + QUARANTINE_BACKOFF
 
     def release(self, reference: str) -> None:
         """Lift a quarantine: the service re-enters on probation

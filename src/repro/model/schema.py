@@ -13,7 +13,7 @@ extended relation schemas of Definition 2 live in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import DuplicateAttributeError, SchemaError, UnknownAttributeError
 from repro.model.attributes import Attribute
@@ -115,38 +115,29 @@ class RelationSchema:
 
     # -- tuple helpers -------------------------------------------------------
 
-    def tuple_from_mapping(self, mapping: Mapping[str, object]) -> tuple:
-        """Build a value tuple in schema order from a name→value mapping.
+    def validate_tuple(self, row: object) -> tuple:
+        """Check that ``row`` is a value tuple over this schema (values in
+        schema order) and return it with its values coerced into their
+        attribute domains.
 
-        Values are coerced into their attribute domains; missing or extra
-        keys raise :class:`SchemaError`.
+        A plain tuple whose values already have their attributes' exact
+        Python types is returned as it is; anything else must be a tuple
+        of the schema's arity and goes value by value through
+        :func:`~repro.model.types.coerce_value`.  Raises
+        :class:`SchemaError` (:class:`TypingError` for a value).
         """
-        index = self._index
-        if len(mapping) == len(index):
-            try:
-                values = tuple([mapping[name] for name in index])
-            except (KeyError, TypeError):
-                pass  # wrong keys or not a mapping: reported below
-            else:
-                if tuple(map(type, values)) == self._exact_types:
-                    return values  # exactly the keys, nothing to coerce
-        extra = set(mapping) - set(index)
-        if extra:
-            raise UnknownAttributeError(sorted(extra)[0])
-        try:
-            return tuple(
-                coerce_value(mapping[a.name], a.dtype) for a in self._attributes
-            )
-        except KeyError as exc:
-            raise SchemaError(f"missing value for attribute {exc.args[0]!r}") from None
-
-    def mapping_from_tuple(self, values: tuple) -> dict[str, object]:
-        """Inverse of :meth:`tuple_from_mapping`."""
-        if len(values) != self.arity:
+        if type(row) is tuple and tuple(map(type, row)) == self._exact_types:
+            return row
+        if not isinstance(row, tuple):
+            raise SchemaError(f"expected a value tuple, got {type(row).__name__}")
+        if len(row) != len(self._attributes):
             raise SchemaError(
-                f"tuple of length {len(values)} does not fit schema of arity {self.arity}"
+                f"tuple of length {len(row)} does not fit schema of arity "
+                f"{len(self._attributes)}"
             )
-        return {a.name: v for a, v in zip(self._attributes, values)}
+        return tuple(
+            coerce_value(value, a.dtype) for value, a in zip(row, self._attributes)
+        )
 
     # -- structural equality -------------------------------------------------
 

@@ -37,9 +37,10 @@ from repro.obs.observe import Observability
 
 __all__ = ["Service", "MethodHandler", "ServiceRegistry"]
 
-# A method takes the input parameters (by attribute name) and the current
-# time instant, and returns 0..n output tuples as mappings.
-MethodHandler = Callable[[Mapping[str, object], int], Sequence[Mapping[str, object]]]
+# A method takes the input tuple (values in ``prototype.input_schema``
+# order) and the current time instant, and returns 0..n output tuples
+# (values in ``prototype.output_schema`` order).
+MethodHandler = Callable[[tuple, int], Sequence[tuple]]
 
 # ``row`` of a device failure whose handler raised (returned no rows).
 _RAISED = object()
@@ -297,11 +298,12 @@ class ServiceRegistry:
         self,
         prototype: Prototype,
         reference: str,
-        inputs: Mapping[str, object],
+        inputs: tuple,
         instant: int,
     ) -> list[tuple]:
         """``invoke_psi(s, t)``: invoke ``prototype`` on the service
-        referenced by ``reference`` with input tuple ``inputs``.
+        referenced by ``reference`` with input tuple ``inputs`` (values in
+        ``prototype.input_schema`` order).
 
         Returns a list of value tuples over ``prototype.output_schema``
         (0, 1 or several tuples, Section 2.1).  Raises
@@ -318,10 +320,10 @@ class ServiceRegistry:
         self,
         prototype: Prototype,
         references: Iterable[str],
-        inputs: Mapping[str, object],
+        inputs: tuple,
         instant: int,
     ) -> list["list[tuple] | ServiceError"]:
-        """Invoke ``prototype`` with the same ``inputs`` on every service
+        """Invoke ``prototype`` with the same input tuple on every service
         in ``references`` at ``instant``: the batch a stream feeder issues
         per prototype per instant.
 
@@ -337,12 +339,12 @@ class ServiceRegistry:
         change an outcome.
 
         That also lets the batch be planned before the loop.  A reference
-        that is registered and implements ``prototype``, is given inputs
-        matching its input schema, has no memo entry, no sticky binding
+        that is registered and implements ``prototype``, is given an input
+        tuple of its input schema's arity, has no memo entry, no sticky binding
         and no unsettled health (:attr:`HealthTracker.unsettled`), and
         appears once in the batch — with tracing off — can only reach its
         device and succeed or fail.  It runs on the fast path: handler,
-        output conversion, latency sample, with its success bookkeeping
+        output-tuple check, latency sample, with its success bookkeeping
         (health, invocation and outcome counters) applied per batch.
         Every other reference takes the full path.
         The pending bookkeeping is applied before any full-path reference
@@ -351,9 +353,11 @@ class ServiceRegistry:
         would have left.
         """
         name = prototype.name
-        provided = frozenset(inputs)
-        expected = prototype.input_schema.name_set
-        convert = prototype.output_schema.tuple_from_mapping
+        fits = (
+            isinstance(inputs, tuple)
+            and len(inputs) == prototype.input_schema.arity
+        )
+        validate = prototype.output_schema.validate_tuple
         obs = self.obs
         metrics_on = obs.metrics_on
         tracing_on = obs.tracing_on
@@ -361,11 +365,6 @@ class ServiceRegistry:
         subs = self.substitutions
         services = self._services
         memo = self._memo if instant == self._memo_instant else None
-        if memo is not None:
-            try:
-                frozen_inputs = tuple(sorted(inputs.items()))
-            except TypeError:
-                memo = None  # unsortable inputs: bypass the memo
 
         def invoke_one(reference: str) -> list[tuple]:
             try:
@@ -373,15 +372,15 @@ class ServiceRegistry:
             except KeyError:
                 raise UnknownServiceError(reference) from None
             handler = service.handler(prototype)
-            if provided != expected:
+            if not fits:
                 raise InvocationError(
                     f"invocation of {name!r} on {reference!r}: input "
-                    f"attributes {sorted(provided)} do not match prototype input "
-                    f"schema {sorted(expected)}"
+                    f"{inputs!r} does not fit prototype input schema "
+                    f"{list(prototype.input_schema.names)}"
                 )
             key: tuple | None = None
             if memo is not None:
-                key = (name, reference, frozen_inputs)
+                key = (name, reference, inputs)
                 cached = memo.get(key)
                 if cached is not None:
                     self._memo_hits_total.inc()
@@ -443,7 +442,7 @@ class ServiceRegistry:
             self._invocations_total.inc()
             started = perf_counter()
             try:
-                rows = handler(dict(inputs), instant)
+                rows = handler(inputs, instant)
             except Exception as exc:
                 return self._device_failed(
                     prototype, reference, inputs, instant, key, state_before, exc
@@ -451,7 +450,7 @@ class ServiceRegistry:
             results = []
             for row in rows:
                 try:
-                    results.append(convert(row))
+                    results.append(validate(row))
                 except SchemaError as exc:
                     return self._device_failed(
                         prototype, reference, inputs, instant, key, state_before,
@@ -480,7 +479,7 @@ class ServiceRegistry:
         # The plan.  Bindings and the batch are frozen for the instant;
         # health and the memo can move under a failover, so they are read
         # per reference.
-        fast = provided == expected and not tracing_on
+        fast = fits and not tracing_on
         references = list(references)
         full_path = {ref for proto, ref in subs.bindings if proto == name}
         if len(set(references)) != len(references):
@@ -503,7 +502,7 @@ class ServiceRegistry:
 
         def fail(reference: str, cause: Exception, row: object = _RAISED):
             settle()
-            key = (name, reference, frozen_inputs) if memo is not None else None
+            key = (name, reference, inputs) if memo is not None else None
             state_before = HealthState.UP if metrics_on else None
             try:
                 return self._device_failed(
@@ -523,27 +522,27 @@ class ServiceRegistry:
                     and prototype in service._methods
                     and reference not in unsettled
                     and reference not in full_path
-                    and (memo is None or (name, reference, frozen_inputs) not in memo)
+                    and (memo is None or (name, reference, inputs) not in memo)
                 ):
                     handler = service.handler(prototype)
                     attempted += 1
                     started = perf_counter()
                     try:
-                        rows = handler(dict(inputs), instant)
+                        rows = handler(inputs, instant)
                     except Exception as exc:
                         outcomes.append(fail(reference, exc))
                         continue
                     results = []
                     try:
                         for row in rows:
-                            results.append(convert(row))
+                            results.append(validate(row))
                     except SchemaError as exc:
                         outcomes.append(fail(reference, exc, row))
                         continue
                     self._observe_latency(reference, perf_counter() - started)
                     succeeded.append(reference)
                     if memo is not None:
-                        memo[name, reference, frozen_inputs] = list(results)
+                        memo[name, reference, inputs] = list(results)
                     outcomes.append(results)
                     continue
                 settle()
@@ -564,7 +563,7 @@ class ServiceRegistry:
         self,
         plan: ResolvedBinding,
         prototype: Prototype,
-        inputs: Mapping[str, object],
+        inputs: tuple,
         instant: int,
     ) -> list[tuple]:
         """Execute a substitution plan in place of ``(prototype, reference)``.
@@ -589,19 +588,24 @@ class ServiceRegistry:
                 return self.invoke(prototype, target, inputs, instant)
             if plan.rule.kind == "specializes":
                 via, target = plan.targets[0]
-                narrowed = {name: inputs[name] for name in via.input_names}
+                position = prototype.input_schema.position
+                narrowed = tuple(
+                    inputs[position(name)] for name in via.input_schema.names
+                )
                 rows = self.invoke(via, target, narrowed, instant)
                 projection = plan.projection or ()
                 return [tuple(row[i] for i in projection) for row in rows]
             # composed_of: thread an attribute environment through the steps
             # with Cartesian semantics over multi-row step outputs.
-            envs: list[dict[str, object]] = [dict(inputs)]
+            envs: list[dict[str, object]] = [
+                dict(zip(prototype.input_schema.names, inputs))
+            ]
             for step_proto, target in plan.targets:
                 step_names = step_proto.input_schema.names
                 out_names = step_proto.output_schema.names
                 merged: list[dict[str, object]] = []
                 for env in envs:
-                    step_inputs = {name: env[name] for name in step_names}
+                    step_inputs = tuple(env[name] for name in step_names)
                     for row in self.invoke(step_proto, target, step_inputs, instant):
                         extended = dict(env)
                         extended.update(zip(out_names, row))
@@ -616,7 +620,7 @@ class ServiceRegistry:
         self,
         prototype: Prototype,
         reference: str,
-        inputs: Mapping[str, object],
+        inputs: tuple,
         instant: int,
         key: tuple | None,
     ) -> list[tuple] | None:
@@ -659,7 +663,7 @@ class ServiceRegistry:
         self,
         prototype: Prototype,
         reference: str,
-        inputs: Mapping[str, object],
+        inputs: tuple,
         instant: int,
         key: tuple | None,
         state_before: HealthState | None,

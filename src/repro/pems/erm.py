@@ -2,16 +2,15 @@
 
 The core ERM "handles network issues for service discovery and remote
 invocation": it listens to the discovery bus, maintains the global
-:class:`ServiceRegistry` with lease bookkeeping, reaps services whose
-leases expire, and performs invocations on behalf of the query processor —
-synchronously or asynchronously (the paper's query processor handles
-service invocations asynchronously, relying on the core ERM).
+:class:`ServiceRegistry` with lease bookkeeping and reaps services whose
+leases expire.  The query processor invokes services through that
+registry; an asynchronous β (``delay > 0``) schedules its own responses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.continuous.time import VirtualClock
 from repro.model.invocation_policy import HealthState
@@ -104,7 +103,6 @@ class EnvironmentResourceManager:
         # reference -> (service, lease hint for re-registration).
         self._parked: dict[str, tuple[Service, int]] = {}
         self._listeners: list[Callable[[DiscoveryEvent], None]] = []
-        self._pending: list[tuple[Prototype, str, dict, Callable]] = []
         self._events: list[DiscoveryEvent] = []
         bus.subscribe(self._on_announcement)
         clock.on_tick(self._on_tick)
@@ -260,15 +258,6 @@ class EnvironmentResourceManager:
                 self.registry.unregister(reference)
                 del self._expiry[reference]
                 self._emit("expired", service)
-        # Drain asynchronous invocations queued during the previous instant.
-        pending, self._pending = self._pending, []
-        for prototype, reference, inputs, callback in pending:
-            try:
-                results = self.registry.invoke(prototype, reference, inputs, instant)
-            except Exception as exc:  # delivered to the callback, not raised
-                callback(None, exc)
-            else:
-                callback(results, None)
 
     # -- substitution (semantic rebinding) -------------------------------------------
 
@@ -410,30 +399,6 @@ class EnvironmentResourceManager:
                 if plans:
                     table[key] = tuple(plans)
         subs.failover = table
-
-    # -- invocation ----------------------------------------------------------------------
-
-    def invoke(
-        self,
-        prototype: Prototype,
-        reference: str,
-        inputs: Mapping[str, object],
-        instant: int | None = None,
-    ) -> list[tuple]:
-        """Synchronous remote invocation (Definition 1)."""
-        at = self.clock.now if instant is None else instant
-        return self.registry.invoke(prototype, reference, dict(inputs), at)
-
-    def invoke_async(
-        self,
-        prototype: Prototype,
-        reference: str,
-        inputs: Mapping[str, object],
-        callback: Callable[[list[tuple] | None, Exception | None], None],
-    ) -> None:
-        """Queue an invocation for the next tick; the callback receives
-        either the result tuples or the failure."""
-        self._pending.append((prototype, reference, dict(inputs), callback))
 
     def __repr__(self) -> str:
         return f"CoreERM({len(self.registry)} services @ {self.clock.now})"

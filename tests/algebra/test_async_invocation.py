@@ -139,7 +139,7 @@ class TestAsynchronousSkip:
             attempts.append(instant)
             if instant < self.RECOVERY_INSTANT:
                 raise RuntimeError("gateway down")
-            return [{"sent": True}]
+            return [(True,)]
 
         env.register_service(
             Service("flaky", {SEND_MESSAGE: send_message}, description="flaky")

@@ -155,12 +155,12 @@ class TestExample7Equivalence:
             cameras[ref] = camera
 
             def check(inputs, instant, camera=camera):
-                return camera.check_photo(str(inputs["area"]), instant)
+                (area,) = inputs
+                return camera.check_photo(str(area), instant)
 
             def take(inputs, instant, camera=camera):
-                return camera.take_photo(
-                    str(inputs["area"]), int(inputs["quality"]), instant
-                )
+                area, quality = inputs
+                return camera.take_photo(str(area), int(quality), instant)
 
             env.register_service(
                 Service(ref, {CHECK_PHOTO: check, take_photo_active: take})

@@ -84,7 +84,7 @@ class TestContinuousOverChangingServices:
         paper_env.registry.register(
             Service(
                 "sensor01",
-                {GET_TEMPERATURE: lambda i, t: [{"temperature": 99.0}]},
+                {GET_TEMPERATURE: lambda i, t: [(99.0,)]},
             )
         )
         # The β cache still holds sensor01's old reading (its input tuple

@@ -85,16 +85,16 @@ class TestTemperatureSensor:
         service = TemperatureSensor("sensor01", "corridor").as_service()
         assert service.reference == "sensor01"
         assert service.properties["location"] == "corridor"
-        (row,) = service.handler(GET_TEMPERATURE)({}, 3)
-        assert isinstance(row["temperature"], float)
+        ((temperature,),) = service.handler(GET_TEMPERATURE)((), 3)
+        assert isinstance(temperature, float)
 
 
 class TestCamera:
     def test_check_photo_own_area(self):
         camera = Camera("camera01", "office", quality=8)
-        (row,) = camera.check_photo("office", 0)
-        assert 7 <= row["quality"] <= 9
-        assert row["delay"] > 0
+        ((quality, delay),) = camera.check_photo("office", 0)
+        assert 7 <= quality <= 9
+        assert delay > 0
 
     def test_check_photo_foreign_area_empty(self):
         camera = Camera("camera01", "office")
@@ -102,8 +102,8 @@ class TestCamera:
 
     def test_take_photo_records_shot(self):
         camera = Camera("camera01", "office")
-        (row,) = camera.take_photo("office", 5, instant=7)
-        assert row["photo"] == b"photo|camera01|office|q5|t7"
+        ((photo,),) = camera.take_photo("office", 5, instant=7)
+        assert photo == b"photo|camera01|office|q5|t7"
         assert camera.shots == [(7, "office", 5)]
 
     def test_take_photo_foreign_area_empty(self):
@@ -114,8 +114,8 @@ class TestCamera:
     def test_quality_clamped(self):
         camera = Camera("c", "office", quality=10)
         for instant in range(20):
-            (row,) = camera.check_photo("office", instant)
-            assert 0 <= row["quality"] <= 10
+            ((quality, _),) = camera.check_photo("office", instant)
+            assert 0 <= quality <= 10
 
     def test_as_service_implements_both(self):
         service = Camera("camera01", "office").as_service()
@@ -158,8 +158,8 @@ class TestMessengers:
     def test_as_service(self):
         outbox = Outbox()
         service = email_service(outbox).as_service()
-        (row,) = service.handler(SEND_MESSAGE)({"address": "a@b", "text": "t"}, 0)
-        assert row["sent"] is True
+        ((sent,),) = service.handler(SEND_MESSAGE)(("a@b", "t"), 0)
+        assert sent is True
         assert len(outbox) == 1
 
 
@@ -183,11 +183,11 @@ class TestRssFeed:
         feed = RssFeed("x", rate=1.0, seed=0)
         items = feed.items_between(5, 8)
         assert len(items) == 3  # instants 6, 7, 8
-        assert [i["published"] for i in items] == [6, 7, 8]
+        assert [published for _, published in items] == [6, 7, 8]
 
     def test_some_items_mention_keyword(self):
         feed = RssFeed("lemonde", rate=1.0, seed=0)
-        titles = [feed.items_at(i)[0]["title"] for i in range(200)]
+        titles = [feed.items_at(i)[0][0] for i in range(200)]
         assert any("Obama" in t for t in titles)
         assert not all("Obama" in t for t in titles)
 
@@ -224,7 +224,7 @@ class TestRssStreamWrapper:
         feed = RssFeed("site", rate=1.0, seed=3)
         service = feed.as_service()
         assert service.reference == "rss-site"
-        rows = service.handler(FETCH_ITEMS)({}, 7)
+        rows = service.handler(FETCH_ITEMS)((), 7)
         assert rows == feed.items_at(7)
 
 
@@ -252,7 +252,7 @@ class TestStreamPoll:
         return StreamPoll(registry, GET_TEMPERATURE, schema, columns)
 
     def reading(self, registry, reference, instant):
-        return registry.invoke(GET_TEMPERATURE, reference, {}, instant)[0][0]
+        return registry.invoke(GET_TEMPERATURE, reference, (), instant)[0][0]
 
     def test_rows_are_constants_plus_outputs_plus_at(self):
         registry, calls = self.registry(), []

@@ -53,8 +53,8 @@ class TestFaultInjector:
         injector = make_injector(FaultScript(crash_windows=((10, 20),)))
         registry = ServiceRegistry([injector.as_service()])
         plain = ServiceRegistry([TemperatureSensor("s1", "office").as_service()])
-        assert registry.invoke(GET_TEMPERATURE, "s1", {}, 5) == plain.invoke(
-            GET_TEMPERATURE, "s1", {}, 5
+        assert registry.invoke(GET_TEMPERATURE, "s1", (), 5) == plain.invoke(
+            GET_TEMPERATURE, "s1", (), 5
         )
         assert injector.faults_injected == {}
 
@@ -62,7 +62,7 @@ class TestFaultInjector:
         injector = make_injector(FaultScript(crash_windows=((10, 20),)))
         registry = ServiceRegistry([injector.as_service()])
         with pytest.raises(InvocationError) as info:
-            registry.invoke(GET_TEMPERATURE, "s1", {}, 10)
+            registry.invoke(GET_TEMPERATURE, "s1", (), 10)
         assert isinstance(info.value.__cause__, InjectedFault)
         assert injector.faults_injected == {"crash": 1}
 
@@ -70,7 +70,7 @@ class TestFaultInjector:
         injector = make_injector(FaultScript(malformed_windows=((3, 4),)))
         registry = ServiceRegistry([injector.as_service()])
         with pytest.raises(InvocationError) as info:
-            registry.invoke(GET_TEMPERATURE, "s1", {}, 3)
+            registry.invoke(GET_TEMPERATURE, "s1", (), 3)
         assert "invalid output tuple" in str(info.value)
         assert injector.faults_injected == {"malformed": 1}
 
@@ -78,7 +78,7 @@ class TestFaultInjector:
         injector = make_injector(FaultScript(latency_spike_rate=1.0))
         registry = ServiceRegistry([injector.as_service()])
         with pytest.raises(InvocationError):
-            registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
+            registry.invoke(GET_TEMPERATURE, "s1", (), 1)
         assert injector.faults_injected == {"timeout": 1}
 
     def test_same_instant_same_outcome_regardless_of_attempts(self):
@@ -90,7 +90,7 @@ class TestFaultInjector:
             outcomes = []
             for _ in range(3):
                 try:
-                    registry.invoke(GET_TEMPERATURE, "s1", {}, instant)
+                    registry.invoke(GET_TEMPERATURE, "s1", (), instant)
                     outcomes.append("ok")
                 except InvocationError:
                     outcomes.append("fail")

@@ -102,11 +102,12 @@ class RandomEnvironment:
 
     def _make_service(self, reference: str) -> Service:
         def get_score(inputs, instant):
-            return [{"score": round(stable_unit(reference, "score", instant) * 10, 3)}]
+            return [(round(stable_unit(reference, "score", instant) * 10, 3),)]
 
         def do_work(inputs, instant):
-            self.work_log.append((reference, str(inputs["category"]), instant))
-            return [{"done": stable_unit(reference, "work", instant) > 0.2}]
+            (category,) = inputs
+            self.work_log.append((reference, str(category), instant))
+            return [(stable_unit(reference, "work", instant) > 0.2,)]
 
         return Service(reference, {self.get_score: get_score, self.do_work: do_work})
 

@@ -102,7 +102,7 @@ def test_fault_scenario_differential_with_quarantine_policy():
     """failure_threshold=1 trips on the first failure whatever the
     per-instant attempt count, so the quarantine lifecycle (removal,
     parking, re-admission) is engine-invariant and must agree too."""
-    policy = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
+    policy = InvocationPolicy(failure_threshold=1)
     runs = {
         engine: drive_fault_scenario(engine, policy=policy)
         for engine in (NAIVE, *PAIRS)

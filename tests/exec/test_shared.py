@@ -61,7 +61,7 @@ def build_env():
     env.registry.register(
         Service(
             "dev",
-            {ECHO: lambda inputs, instant: [{"label": inputs["item"].upper()}]},
+            {ECHO: lambda inputs, instant: [(inputs[0].upper(),)]},
         )
     )
     return env, items

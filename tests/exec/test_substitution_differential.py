@@ -20,7 +20,7 @@ from tests.engines import NAIVE, PAIRS
 from tests.exec.test_differential import TICKS, action_strings, outbox_key
 
 CRASH_AT = 20
-POLICY = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
+POLICY = InvocationPolicy(failure_threshold=1)
 
 #: sensor22 (roof) dies permanently at instant 20; the spare roof
 #: station serves projected ``getEnvReading`` readings in its stead.

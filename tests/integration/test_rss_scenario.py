@@ -65,7 +65,7 @@ class TestNewsAlerts:
         matching = 0
         for feed in feeds:
             for instant in range(1, scenario.clock.now + 1):
-                for item in feed.items_at(instant):
-                    if "Obama" in item["title"]:
+                for title, _ in feed.items_at(instant):
+                    if "Obama" in title:
                         matching += 1
         assert len(scenario.outbox) == matching

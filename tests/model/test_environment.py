@@ -52,7 +52,7 @@ class TestPrototypes:
 class TestServices:
     def test_register_requires_declared_prototypes(self):
         env = PervasiveEnvironment()
-        service = Service("email", {SEND_MESSAGE: lambda i, t: [{"sent": True}]})
+        service = Service("email", {SEND_MESSAGE: lambda i, t: [(True,)]})
         with pytest.raises(UnknownPrototypeError):
             env.register_service(service)
         env.declare_prototype(SEND_MESSAGE)
@@ -63,7 +63,7 @@ class TestServices:
         env = PervasiveEnvironment()
         env.declare_prototype(SEND_MESSAGE)
         env.register_service(
-            Service("email", {SEND_MESSAGE: lambda i, t: [{"sent": True}]})
+            Service("email", {SEND_MESSAGE: lambda i, t: [(True,)]})
         )
         env.unregister_service("email")
         assert "email" not in env.registry

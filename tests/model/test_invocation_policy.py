@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.model.invocation_policy import (
     PERMISSIVE_POLICY,
     HealthState,
+    QUARANTINE_BACKOFF,
     HealthTracker,
     InvocationPolicy,
 )
@@ -36,14 +37,12 @@ class TestInvocationPolicy:
     def test_default_is_permissive(self):
         assert not PERMISSIVE_POLICY.enabled
         assert InvocationPolicy(failure_threshold=3).enabled
-        # quarantine_backoff alone gates nothing (no threshold to trip).
-        assert not InvocationPolicy(quarantine_backoff=4).enabled
+        assert not InvocationPolicy().enabled
 
     def test_validation(self):
         with pytest.raises(ValueError):
             InvocationPolicy(failure_threshold=0)
-        with pytest.raises(ValueError):
-            InvocationPolicy(quarantine_backoff=0)
+        assert QUARANTINE_BACKOFF >= 1
 
 
 class TestUnsettled:
@@ -55,7 +54,7 @@ class TestUnsettled:
         "policy",
         [
             PERMISSIVE_POLICY,
-            InvocationPolicy(failure_threshold=2, quarantine_backoff=3),
+            InvocationPolicy(failure_threshold=2),
         ],
         ids=["permissive", "quarantine"],
     )
@@ -114,30 +113,28 @@ class TestHealthStateMachine:
         assert tracker.quarantined() == frozenset({"s1"})
 
     def test_release_is_probation(self):
-        tracker = HealthTracker(
-            InvocationPolicy(failure_threshold=2, quarantine_backoff=3)
-        )
+        tracker = HealthTracker(InvocationPolicy(failure_threshold=2))
         tracker.record_failure("s1", 1)
         tracker.record_failure("s1", 2)
-        assert not tracker.release_due("s1", 4)
-        assert tracker.release_due("s1", 5)  # 2 + 3
+        released_at = 2 + QUARANTINE_BACKOFF
+        assert not tracker.release_due("s1", released_at - 1)
+        assert tracker.release_due("s1", released_at)
         tracker.release("s1")
         assert tracker.state("s1") is HealthState.SUSPECT
         assert tracker.health("s1").consecutive_failures == 0
         # Still broken: one more failure than a fresh service to re-trip?
         # No — probation keeps the threshold, it only clears the count.
-        tracker.record_failure("s1", 6)
-        tracker.record_failure("s1", 7)
+        tracker.record_failure("s1", released_at + 1)
+        tracker.record_failure("s1", released_at + 2)
         assert tracker.state("s1") is HealthState.QUARANTINED
 
     def test_failed_probe_rearms_quarantine(self):
-        tracker = HealthTracker(
-            InvocationPolicy(failure_threshold=1, quarantine_backoff=5)
-        )
+        tracker = HealthTracker(InvocationPolicy(failure_threshold=1))
         tracker.record_failure("s1", 1)
         assert tracker.health("s1").quarantined_at == 1
-        tracker.record_failure("s1", 6)  # probe after backoff fails
-        assert tracker.health("s1").quarantined_at == 6
+        probe = 1 + QUARANTINE_BACKOFF
+        tracker.record_failure("s1", probe)  # probe after backoff fails
+        assert tracker.health("s1").quarantined_at == probe
 
     def test_success_lifts_quarantine(self):
         tracker = HealthTracker(InvocationPolicy(failure_threshold=1))
@@ -151,23 +148,22 @@ class TestGates:
     def test_gates_ignore_same_instant_stamps(self):
         """Determinism at an instant (Section 3.2): a failure at τ must
         not change the outcome of other invocations at τ."""
-        tracker = HealthTracker(
-            InvocationPolicy(failure_threshold=1, quarantine_backoff=4)
-        )
+        tracker = HealthTracker(InvocationPolicy(failure_threshold=1))
         tracker.record_failure("s1", 5)
+        release = 5 + QUARANTINE_BACKOFF
         assert tracker.check("s1", 5) is None  # same instant: no gate
-        assert tracker.check("s1", 6) == 9  # refused until the release at 9
-        assert tracker.check("s1", 9) is None
+        assert tracker.check("s1", 6) == release  # refused until the release
+        assert tracker.check("s1", release - 1) == release
+        assert tracker.check("s1", release) is None
 
     def test_fast_failures_do_not_extend_backoff(self):
-        tracker = HealthTracker(
-            InvocationPolicy(failure_threshold=1, quarantine_backoff=2)
-        )
+        tracker = HealthTracker(InvocationPolicy(failure_threshold=1))
         tracker.record_failure("s1", 10)
-        assert tracker.check("s1", 11) == 12
+        release = 10 + QUARANTINE_BACKOFF
+        assert tracker.check("s1", 11) == release
         tracker.record_fast_failure("s1")
-        # The refusal did not move quarantined_at: instant 12 probes.
-        assert tracker.check("s1", 12) is None
+        # The refusal did not move quarantined_at: the release instant probes.
+        assert tracker.check("s1", release) is None
         assert tracker.health("s1").fast_failures == 1
 
     def test_permissive_policy_never_gates(self):
@@ -182,35 +178,35 @@ class TestRegistryIntegration:
     def test_gate_raises_service_unavailable(self):
         registry = ServiceRegistry(
             [broken_sensor()],
-            policy=InvocationPolicy(failure_threshold=1, quarantine_backoff=3),
+            policy=InvocationPolicy(failure_threshold=1),
         )
         with pytest.raises(InvocationError):
-            registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
+            registry.invoke(GET_TEMPERATURE, "s1", (), 1)
         with pytest.raises(ServiceUnavailableError) as info:
-            registry.invoke(GET_TEMPERATURE, "s1", {}, 2)
+            registry.invoke(GET_TEMPERATURE, "s1", (), 2)
         assert info.value.reason == "quarantined"
-        assert info.value.retry_at == 4
+        assert info.value.retry_at == 1 + QUARANTINE_BACKOFF
         # The fast-fail never reached the device.
         assert registry.invocation_count == 1
 
     def test_unknown_service_not_recorded_as_failure(self):
         registry = ServiceRegistry(policy=InvocationPolicy(failure_threshold=1))
         with pytest.raises(UnknownServiceError):
-            registry.invoke(GET_TEMPERATURE, "ghost", {}, 1)
+            registry.invoke(GET_TEMPERATURE, "ghost", (), 1)
         assert "ghost" not in registry.health.known()
 
     def test_success_path_records_health(self):
         registry = ServiceRegistry(
             [good_sensor()], policy=InvocationPolicy(failure_threshold=2)
         )
-        registry.invoke(GET_TEMPERATURE, "s1", {}, 3)
+        registry.invoke(GET_TEMPERATURE, "s1", (), 3)
         record = registry.health.health("s1")
         assert record.total_successes == 1
         assert record.last_success == 3
 
     def test_permissive_success_path_stays_allocation_free(self):
         registry = ServiceRegistry([good_sensor()])
-        registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
+        registry.invoke(GET_TEMPERATURE, "s1", (), 1)
         assert registry.health.known() == frozenset()
 
     def test_memo_vs_failing_service(self):
@@ -223,7 +219,7 @@ class TestRegistryIntegration:
         registry.begin_instant_memo(1)
         for _ in range(3):
             with pytest.raises(InvocationError):
-                registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
+                registry.invoke(GET_TEMPERATURE, "s1", (), 1)
         registry.end_instant_memo()
         assert registry.invocation_count == 3  # one per attempt, no memo
         assert registry.memo_hits == 0
@@ -233,7 +229,7 @@ class TestRegistryIntegration:
         )
         for instant in (1, 1, 2, 2, 2):
             with pytest.raises(InvocationError):
-                quarantined.invoke(GET_TEMPERATURE, "s1", {}, instant)
+                quarantined.invoke(GET_TEMPERATURE, "s1", (), instant)
         assert quarantined.invocation_count == 2  # both attempts at τ=1 only
         assert quarantined.health.health("s1").fast_failures == 3
 
@@ -242,8 +238,8 @@ class TestRegistryIntegration:
             [good_sensor()], policy=InvocationPolicy(failure_threshold=2)
         )
         registry.begin_instant_memo(1)
-        first = registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
-        second = registry.invoke(GET_TEMPERATURE, "s1", {}, 1)
+        first = registry.invoke(GET_TEMPERATURE, "s1", (), 1)
+        second = registry.invoke(GET_TEMPERATURE, "s1", (), 1)
         registry.end_instant_memo()
         assert first == second
         assert registry.invocation_count == 1
@@ -290,7 +286,7 @@ def fleet_registry(policy: InvocationPolicy) -> ServiceRegistry:
 
 def outcome(registry: ServiceRegistry, reference: str, instant: int):
     try:
-        return registry.invoke(GET_TEMPERATURE, reference, {}, instant)
+        return registry.invoke(GET_TEMPERATURE, reference, (), instant)
     except InvocationError as exc:
         return (type(exc), str(exc))
 

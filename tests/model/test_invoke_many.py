@@ -51,7 +51,7 @@ REFERENCES = (
 
 POLICIES = {
     "permissive": None,
-    "quarantine": InvocationPolicy(failure_threshold=2, quarantine_backoff=3),
+    "quarantine": InvocationPolicy(failure_threshold=2),
 }
 
 
@@ -126,7 +126,7 @@ def run_twins(
     references=REFERENCES,
     build=build_registry,
 ):
-    inputs = {} if inputs is None else inputs
+    inputs = () if inputs is None else inputs
     one_by_one = build(policy, observe)
     batched = build(policy, observe)
     seen = []
@@ -181,7 +181,7 @@ def test_batch_is_the_loop_of_invoke(policy, observe, memo):
 
 
 def test_input_mismatch_is_reported_per_reference_after_the_lookup_errors():
-    seen, _ = run_twins(None, "metrics", memo=False, inputs={"bogus": 1})
+    seen, _ = run_twins(None, "metrics", memo=False, inputs=("bogus",))
     outcomes = dict(zip(REFERENCES, seen[0]))
     assert isinstance(outcomes["ghost"], UnknownServiceError)
     assert isinstance(outcomes["env0"], PrototypeNotImplementedError)
@@ -198,31 +198,36 @@ def test_richer_prototype_batches_too():
 
 def test_invoke_is_the_batch_of_one():
     registry = build_registry(None, "off")
-    assert registry.invoke_many(GET_TEMPERATURE, [], {}, 0) == []
-    (rows,) = registry.invoke_many(GET_TEMPERATURE, ["s00"], {}, 0)
-    assert rows == registry.invoke(GET_TEMPERATURE, "s00", {}, 0)
-    (error,) = registry.invoke_many(GET_TEMPERATURE, ["ghost"], {}, 0)
+    assert registry.invoke_many(GET_TEMPERATURE, [], (), 0) == []
+    (rows,) = registry.invoke_many(GET_TEMPERATURE, ["s00"], (), 0)
+    assert rows == registry.invoke(GET_TEMPERATURE, "s00", (), 0)
+    (error,) = registry.invoke_many(GET_TEMPERATURE, ["ghost"], (), 0)
     with pytest.raises(UnknownServiceError) as raised:
-        registry.invoke(GET_TEMPERATURE, "ghost", {}, 0)
+        registry.invoke(GET_TEMPERATURE, "ghost", (), 0)
     assert str(raised.value) == str(error)
     # a stored outcome carries no frames
     assert error.__traceback__ is None
 
 
 def test_a_handler_that_mutates_its_inputs_does_not_leak_into_the_batch():
+    """Every member of the batch is handed the one input tuple itself, no
+    copy: a tuple cannot be changed, only rebound in the handler."""
+    received = []
+
     def greedy(inputs, instant):
-        inputs["temperature"] = "stolen"
-        return [{"temperature": 1.0}]
+        received.append(inputs)
+        inputs += ("stolen",)
+        return [(1.0,)]
 
     registry = ServiceRegistry(
         [Service("a", {GET_TEMPERATURE: greedy}), Service("b", {GET_TEMPERATURE: greedy})]
     )
-    shared: dict = {}
+    shared = ()
     assert registry.invoke_many(GET_TEMPERATURE, ["a", "b"], shared, 0) == [
         [(1.0,)],
         [(1.0,)],
     ]
-    assert shared == {}
+    assert shared == () and all(inputs is shared for inputs in received)
 
 
 # -- the plan's hard cases ----------------------------------------------------
@@ -354,17 +359,17 @@ def test_a_handler_raising_a_schema_error_failed_rather_than_returned_bad_rows()
         raise SchemaError("device-side schema trouble")
 
     def garbled(inputs, instant):
-        return [{"humidity": 1.0}]
+        return [(1.0, 45.0)]
 
     registry = ServiceRegistry(
         [Service("a", {GET_TEMPERATURE: broken}), Service("b", {GET_TEMPERATURE: garbled})]
     )
-    failed, invalid = registry.invoke_many(GET_TEMPERATURE, ["a", "b"], {}, 0)
+    failed, invalid = registry.invoke_many(GET_TEMPERATURE, ["a", "b"], (), 0)
     assert str(failed) == (
         "invocation of 'getTemperature' on 'a' failed: device-side schema trouble"
     )
     assert type(failed.__cause__) is SchemaError
-    assert "on 'b' returned an invalid output tuple {'humidity': 1.0}" in str(invalid)
+    assert "on 'b' returned an invalid output tuple (1.0, 45.0)" in str(invalid)
     assert registry.health.unsettled == {"a", "b"}
 
 
@@ -379,7 +384,7 @@ def build_second_call_fails(policy, observe, route="failover") -> ServiceRegistr
         calls[instant] = calls.get(instant, 0) + 1
         if calls[instant] > 1:
             raise RuntimeError("busy")
-        return [{"temperature": 20.0}]
+        return [(20.0,)]
 
     def dead(inputs, instant):
         raise RuntimeError("down")

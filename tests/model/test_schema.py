@@ -10,6 +10,7 @@ from repro.errors import (
 from repro.model.attributes import Attribute
 from repro.model.schema import RelationSchema
 from repro.model.types import DataType
+from repro.model.xschema import ExtendedRelationSchema
 
 
 class TestAttribute:
@@ -89,27 +90,54 @@ class TestRelationSchema:
         assert [x.name for x in schema] == ["a", "b"]
         assert len(schema) == 2
 
+    # The name→value helpers live on the extended schema, where DDL,
+    # INSERT and discovery catalog rows build tuples from mappings; a
+    # plain schema (a prototype's input or output) only checks tuples.
+
     def test_tuple_from_mapping_roundtrip(self):
-        schema = RelationSchema.of(quality="INTEGER", delay="REAL")
+        schema = ExtendedRelationSchema(
+            "r", RelationSchema.of(quality="INTEGER", delay="REAL")
+        )
         values = schema.tuple_from_mapping({"quality": 5, "delay": 2})
         assert values == (5, 2.0)
         assert isinstance(values[1], float)  # coerced to REAL
         assert schema.mapping_from_tuple(values) == {"quality": 5, "delay": 2.0}
 
     def test_tuple_from_mapping_missing(self):
-        schema = RelationSchema.of(quality="INTEGER", delay="REAL")
+        schema = ExtendedRelationSchema(
+            "r", RelationSchema.of(quality="INTEGER", delay="REAL")
+        )
         with pytest.raises(SchemaError, match="missing value"):
             schema.tuple_from_mapping({"quality": 5})
 
     def test_tuple_from_mapping_extra(self):
-        schema = RelationSchema.of(quality="INTEGER")
+        schema = ExtendedRelationSchema("r", RelationSchema.of(quality="INTEGER"))
         with pytest.raises(UnknownAttributeError):
             schema.tuple_from_mapping({"quality": 5, "bogus": 1})
 
     def test_mapping_from_tuple_wrong_arity(self):
-        schema = RelationSchema.of(quality="INTEGER")
+        schema = ExtendedRelationSchema("r", RelationSchema.of(quality="INTEGER"))
         with pytest.raises(SchemaError, match="does not fit"):
             schema.mapping_from_tuple((1, 2))
+
+    def test_validate_tuple_coerces_into_domains(self):
+        schema = RelationSchema.of(quality="INTEGER", delay="REAL")
+        values = schema.validate_tuple((5, 2))
+        assert values == (5, 2.0)
+        assert isinstance(values[1], float)  # coerced to REAL
+        typed = (5, 2.0)
+        assert schema.validate_tuple(typed) is typed  # nothing to coerce
+
+    @pytest.mark.parametrize("row", [(5,), (5, 2.0, 1)], ids=["short", "long"])
+    def test_validate_tuple_wrong_arity(self, row):
+        schema = RelationSchema.of(quality="INTEGER", delay="REAL")
+        with pytest.raises(SchemaError, match="does not fit"):
+            schema.validate_tuple(row)
+
+    def test_validate_tuple_rejects_a_mapping(self):
+        schema = RelationSchema.of(quality="INTEGER")
+        with pytest.raises(SchemaError, match="expected a value tuple"):
+            schema.validate_tuple({"quality": 5})
 
     def test_structural_equality(self):
         a = RelationSchema.of(x="STRING", y="REAL")

@@ -10,15 +10,16 @@ from repro.errors import (
     UnknownServiceError,
 )
 from repro.model.services import Service, ServiceRegistry
+from repro.model.substitution import SubstitutionRule
 
 
 def ok_sender(inputs, instant):
-    return [{"sent": True}]
+    return [(True,)]
 
 
 def thermometer(value):
     def handler(inputs, instant):
-        return [{"temperature": value}]
+        return [(value,)]
 
     return handler
 
@@ -83,7 +84,7 @@ class TestRegistry:
         registry = ServiceRegistry()
         registry.register(Service("s", {GET_TEMPERATURE: thermometer(1.0)}))
         registry.register(Service("s", {GET_TEMPERATURE: thermometer(2.0)}))
-        result = registry.invoke(GET_TEMPERATURE, "s", {}, 0)
+        result = registry.invoke(GET_TEMPERATURE, "s", (), 0)
         assert result == [(2.0,)]
 
 
@@ -92,19 +93,17 @@ class TestInvocation:
 
     def test_basic_invocation(self):
         registry = ServiceRegistry([Service("email", {SEND_MESSAGE: ok_sender})])
-        result = registry.invoke(
-            SEND_MESSAGE, "email", {"address": "a@b.c", "text": "hi"}, 0
-        )
+        result = registry.invoke(SEND_MESSAGE, "email", ("a@b.c", "hi"), 0)
         assert result == [(True,)]
 
     def test_multi_tuple_result(self):
         """Invocation results are relations: 0, 1 or several tuples."""
 
         def multi(inputs, instant):
-            return [{"temperature": 1.0}, {"temperature": 2.0}]
+            return [(1.0,), (2.0,)]
 
         registry = ServiceRegistry([Service("s", {GET_TEMPERATURE: multi})])
-        assert sorted(registry.invoke(GET_TEMPERATURE, "s", {}, 0)) == [
+        assert sorted(registry.invoke(GET_TEMPERATURE, "s", (), 0)) == [
             (1.0,),
             (2.0,),
         ]
@@ -113,31 +112,26 @@ class TestInvocation:
         registry = ServiceRegistry(
             [Service("s", {GET_TEMPERATURE: lambda i, t: []})]
         )
-        assert registry.invoke(GET_TEMPERATURE, "s", {}, 0) == []
+        assert registry.invoke(GET_TEMPERATURE, "s", (), 0) == []
 
     def test_unknown_service(self):
         with pytest.raises(UnknownServiceError):
-            ServiceRegistry().invoke(GET_TEMPERATURE, "ghost", {}, 0)
+            ServiceRegistry().invoke(GET_TEMPERATURE, "ghost", (), 0)
 
     def test_prototype_not_implemented(self):
         registry = ServiceRegistry([Service("email", {SEND_MESSAGE: ok_sender})])
         with pytest.raises(PrototypeNotImplementedError):
-            registry.invoke(GET_TEMPERATURE, "email", {}, 0)
+            registry.invoke(GET_TEMPERATURE, "email", (), 0)
 
     def test_input_mismatch(self):
         registry = ServiceRegistry([Service("email", {SEND_MESSAGE: ok_sender})])
-        with pytest.raises(InvocationError, match="do not match"):
-            registry.invoke(SEND_MESSAGE, "email", {"address": "a@b.c"}, 0)
+        with pytest.raises(InvocationError, match="does not fit"):
+            registry.invoke(SEND_MESSAGE, "email", ("a@b.c",), 0)
 
     def test_extra_input_rejected(self):
         registry = ServiceRegistry([Service("email", {SEND_MESSAGE: ok_sender})])
         with pytest.raises(InvocationError):
-            registry.invoke(
-                SEND_MESSAGE,
-                "email",
-                {"address": "a", "text": "b", "extra": 1},
-                0,
-            )
+            registry.invoke(SEND_MESSAGE, "email", ("a", "b", 1), 0)
 
     def test_handler_exception_wrapped(self):
         def broken(inputs, instant):
@@ -145,7 +139,7 @@ class TestInvocation:
 
         registry = ServiceRegistry([Service("s", {GET_TEMPERATURE: broken})])
         with pytest.raises(InvocationError, match="device on fire"):
-            registry.invoke(GET_TEMPERATURE, "s", {}, 0)
+            registry.invoke(GET_TEMPERATURE, "s", (), 0)
 
     def test_bad_output_schema_rejected(self):
         def bad(inputs, instant):
@@ -153,22 +147,94 @@ class TestInvocation:
 
         registry = ServiceRegistry([Service("s", {GET_TEMPERATURE: bad})])
         with pytest.raises(InvocationError, match="invalid output tuple"):
-            registry.invoke(GET_TEMPERATURE, "s", {}, 0)
+            registry.invoke(GET_TEMPERATURE, "s", (), 0)
 
     def test_output_type_coerced(self):
         registry = ServiceRegistry(
-            [Service("s", {GET_TEMPERATURE: lambda i, t: [{"temperature": 21}]})]
+            [Service("s", {GET_TEMPERATURE: lambda i, t: [(21,)]})]
         )
-        result = registry.invoke(GET_TEMPERATURE, "s", {}, 0)
+        result = registry.invoke(GET_TEMPERATURE, "s", (), 0)
         assert result == [(21.0,)]
         assert isinstance(result[0][0], float)
 
     def test_invocation_counter(self):
         registry = ServiceRegistry([Service("email", {SEND_MESSAGE: ok_sender})])
         assert registry.invocation_count == 0
-        registry.invoke(SEND_MESSAGE, "email", {"address": "a", "text": "b"}, 0)
-        registry.invoke(SEND_MESSAGE, "email", {"address": "a", "text": "b"}, 0)
+        registry.invoke(SEND_MESSAGE, "email", ("a", "b"), 0)
+        registry.invoke(SEND_MESSAGE, "email", ("a", "b"), 0)
         assert registry.invocation_count == 2
+
+
+class TestTupleContract:
+    """A handler takes its input tuple and returns output tuples, both in
+    schema order; the registry checks each output row's types."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [{"temperature": 21}, (), (21.0, 1.0), (True,)],
+        ids=["mapping", "short", "long", "bool-for-real"],
+    )
+    def test_an_invalid_row_fails_the_call_and_records_a_failure(self, row):
+        registry = ServiceRegistry(
+            [Service("s", {GET_TEMPERATURE: lambda i, t: [row]})]
+        )
+        with pytest.raises(InvocationError, match="invalid output tuple") as info:
+            registry.invoke(GET_TEMPERATURE, "s", (), 0)
+        assert isinstance(info.value.__cause__, SchemaError)
+        assert registry.health.health("s").total_failures == 1
+
+    def test_a_mapping_row_is_served_by_a_failover_plan(self):
+        registry = ServiceRegistry(
+            [
+                Service("s", {GET_TEMPERATURE: lambda i, t: [{"temperature": 21}]}),
+                Service("t", {GET_TEMPERATURE: thermometer(5.0)}),
+            ]
+        )
+        subs = registry.substitutions
+        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "t", "s"))
+        subs.failover = {
+            ("getTemperature", "s"): tuple(subs.resolve(registry, GET_TEMPERATURE, "s"))
+        }
+        assert registry.invoke(GET_TEMPERATURE, "s", (), 0) == [(5.0,)]
+        assert registry.health.health("s").total_failures == 1
+
+    def test_a_typed_row_is_returned_as_it_is(self):
+        row = (21.5,)
+        registry = ServiceRegistry(
+            [Service("s", {GET_TEMPERATURE: lambda i, t: [row]})]
+        )
+        (returned,) = registry.invoke(GET_TEMPERATURE, "s", (), 0)
+        assert returned is row
+
+    @pytest.mark.parametrize(
+        "inputs", [("a@b.c",), ("a", "b", 1), {"address": "a", "text": "b"}],
+        ids=["short", "long", "mapping"],
+    )
+    def test_an_input_of_the_wrong_arity_never_reaches_the_device(self, inputs):
+        calls = []
+
+        def sender(inputs, instant):
+            calls.append(inputs)
+            return [(True,)]
+
+        registry = ServiceRegistry([Service("email", {SEND_MESSAGE: sender})])
+        with pytest.raises(InvocationError, match="does not fit"):
+            registry.invoke(SEND_MESSAGE, "email", inputs, 0)
+        (outcome,) = registry.invoke_many(SEND_MESSAGE, ["email"], inputs, 0)
+        assert type(outcome) is InvocationError and "does not fit" in str(outcome)
+        assert calls == [] and registry.invocation_count == 0
+
+    def test_the_handler_gets_the_input_tuple_in_schema_order(self):
+        calls = []
+
+        def sender(inputs, instant):
+            calls.append(inputs)
+            return [(True,)]
+
+        registry = ServiceRegistry([Service("email", {SEND_MESSAGE: sender})])
+        inputs = ("a@b.c", "hi")
+        assert registry.invoke(SEND_MESSAGE, "email", inputs, 3) == [(True,)]
+        assert calls == [inputs] and calls[0] is inputs
 
 
 class TestProvidersIndex:

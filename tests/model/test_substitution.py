@@ -30,14 +30,14 @@ READ_BY_NAME = Prototype(
 
 def thermometer(value):
     def handler(inputs, instant):
-        return [{"temperature": value}]
+        return [(value,)]
 
     return handler
 
 
 def env_station(temperature, humidity):
     def handler(inputs, instant):
-        return [{"temperature": temperature, "humidity": humidity}]
+        return [(temperature, humidity)]
 
     return handler
 
@@ -140,7 +140,7 @@ class TestResolution:
         registry.register(Service("a", {GET_TEMPERATURE: thermometer(20.0)}))
         registry.register(
             Service(
-                "spare", {poor: lambda inputs, instant: [{"humidity": 1.0}]}
+                "spare", {poor: lambda inputs, instant: [(1.0,)]}
             )
         )
         subs = registry.substitutions
@@ -154,13 +154,13 @@ class TestResolution:
         registry.register(
             Service(
                 "dir",
-                {LOOKUP: lambda inputs, instant: [{"sensor": "s9"}]},
+                {LOOKUP: lambda inputs, instant: [("s9",)]},
             )
         )
         registry.register(
             Service(
                 "hub",
-                {READ_BY_NAME: lambda inputs, instant: [{"temperature": 7.0}]},
+                {READ_BY_NAME: lambda inputs, instant: [(7.0,)]},
             )
         )
         subs = registry.substitutions
@@ -304,26 +304,24 @@ class TestBindingExecution:
         subs.install(plan, 1, "quarantine")
         # Invocations of a now return the spare's projected reading; the
         # original handler is never consulted.
-        assert registry.invoke(GET_TEMPERATURE, "a", {}, 2) == [(19.5,)]
+        assert registry.invoke(GET_TEMPERATURE, "a", (), 2) == [(19.5,)]
 
     def test_composed_binding_threads_inputs(self):
         registry = ServiceRegistry()
         registry.register(
-            Service("area-reader", {READ_AREA: lambda i, t: [{"temperature": 0.0}]})
+            Service("area-reader", {READ_AREA: lambda i, t: [(0.0,)]})
         )
         registry.register(
             Service(
                 "dir",
-                {LOOKUP: lambda inputs, instant: [{"sensor": inputs["area"]}]},
+                {LOOKUP: lambda inputs, instant: [(inputs[0],)]},
             )
         )
         registry.register(
             Service(
                 "hub",
                 {
-                    READ_BY_NAME: lambda inputs, instant: [
-                        {"temperature": float(len(inputs["sensor"]))}
-                    ]
+                    READ_BY_NAME: lambda inputs, instant: [(float(len(inputs[0])),)]
                 },
             )
         )
@@ -337,7 +335,7 @@ class TestBindingExecution:
         )
         (plan,) = subs.resolve(registry, READ_AREA, "area-reader")
         subs.install(plan, 1, "quarantine")
-        assert registry.invoke(READ_AREA, "area-reader", {"area": "roof"}, 2) == [
+        assert registry.invoke(READ_AREA, "area-reader", ("roof",), 2) == [
             (4.0,)
         ]
 
@@ -355,9 +353,9 @@ class TestBindingExecution:
             (plan,) = subs.resolve(registry, GET_TEMPERATURE, ref)
             subs.install(plan, 1, "quarantine")
         # A chain of MAX_CHAIN bindings is served by its last hop ...
-        assert registry.invoke(GET_TEMPERATURE, "r1", {}, 2) == [
+        assert registry.invoke(GET_TEMPERATURE, "r1", (), 2) == [
             (float(MAX_CHAIN + 1),)
         ]
         # ... and one binding more is refused.
         with pytest.raises(InvocationError, match="MAX_CHAIN"):
-            registry.invoke(GET_TEMPERATURE, "r0", {}, 2)
+            registry.invoke(GET_TEMPERATURE, "r0", (), 2)

@@ -127,38 +127,6 @@ class TestDiscoveryListeners:
         assert [e.kind for e in events] == ["appeared"]
 
 
-class TestInvocationViaERM:
-    def test_sync_invoke(self, rig):
-        clock, bus, erm, local = rig
-        local.register(sensor_service())
-        result = erm.invoke(GET_TEMPERATURE, "sensor01", {})
-        assert len(result) == 1
-
-    def test_async_invoke_runs_next_tick(self, rig):
-        clock, bus, erm, local = rig
-        local.register(sensor_service())
-        outcomes = []
-        erm.invoke_async(
-            GET_TEMPERATURE, "sensor01", {}, lambda r, e: outcomes.append((r, e))
-        )
-        assert outcomes == []  # not yet
-        clock.tick()
-        assert len(outcomes) == 1
-        result, error = outcomes[0]
-        assert error is None and len(result) == 1
-
-    def test_async_invoke_delivers_errors(self, rig):
-        clock, bus, erm, local = rig
-        outcomes = []
-        erm.invoke_async(
-            GET_TEMPERATURE, "ghost", {}, lambda r, e: outcomes.append((r, e))
-        )
-        clock.tick()
-        result, error = outcomes[0]
-        assert result is None
-        assert isinstance(error, UnknownServiceError)
-
-
 class TestLogCap:
     def test_log_is_bounded(self):
         bus = DiscoveryBus(log_size=8)
@@ -278,7 +246,7 @@ class TestRenew:
         clock = VirtualClock()
         bus = DiscoveryBus()
         registry = ServiceRegistry(
-            policy=InvocationPolicy(failure_threshold=1, quarantine_backoff=50)
+            policy=InvocationPolicy(failure_threshold=1)
         )
         erm = EnvironmentResourceManager(bus, clock, registry)
         local = LocalEnvironmentResourceManager("floor-1", bus, clock, lease=4)
@@ -342,11 +310,11 @@ class TestByeForgets:
 
         def slow(inputs, instant):
             time.sleep(0.005)
-            return [{"temperature": 1.0}]
+            return [(1.0,)]
 
         local.register(Service("slow", {GET_TEMPERATURE: slow}))
         local.register(sensor_service("fast"))
-        erm.registry.invoke_many(GET_TEMPERATURE, ["slow", "fast"], {}, 0)
+        erm.registry.invoke_many(GET_TEMPERATURE, ["slow", "fast"], (), 0)
         before = erm.registry.latency_snapshot()
         assert before.keys() == {"slow", "fast"}
         assert before["slow"] > before["fast"]
@@ -358,7 +326,7 @@ class TestByeForgets:
         clock, bus, erm, local = rig
         local.register(sensor_service())
         erm.registry.health.record_failure("sensor01", 0)
-        erm.registry.invoke(GET_TEMPERATURE, "sensor01", {}, 0)
+        erm.registry.invoke(GET_TEMPERATURE, "sensor01", (), 0)
         local.crash()
         clock.run(8)
         assert "sensor01" not in erm.registry
@@ -377,18 +345,18 @@ class TestByeForgets:
             def read(inputs, instant):
                 if reference in broken:
                     raise RuntimeError("gone bad")
-                return [{"temperature": 1.0}]
+                return [(1.0,)]
 
             return read
 
         for cycle in range(1000):
             reference = f"dev{cycle:04d}"
             local.register(Service(reference, {GET_TEMPERATURE: handler(reference)}))
-            registry.invoke(GET_TEMPERATURE, reference, {}, clock.now)
+            registry.invoke(GET_TEMPERATURE, reference, (), clock.now)
             if cycle % 2:  # quarantined and parked before it leaves
                 broken.add(reference)
                 with pytest.raises(InvocationError):
-                    registry.invoke(GET_TEMPERATURE, reference, {}, clock.now)
+                    registry.invoke(GET_TEMPERATURE, reference, (), clock.now)
                 clock.tick()
                 assert erm.parked == {reference}
             local.deregister(reference)

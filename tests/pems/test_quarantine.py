@@ -15,10 +15,14 @@ from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.prototypes import GET_TEMPERATURE, STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema
 from repro.devices.sensors import TemperatureSensor
-from repro.model.invocation_policy import HealthState, InvocationPolicy
+from repro.model.invocation_policy import (
+    QUARANTINE_BACKOFF,
+    HealthState,
+    InvocationPolicy,
+)
 from repro.pems.pems import PEMS
 
-POLICY = InvocationPolicy(failure_threshold=1, quarantine_backoff=6)
+POLICY = InvocationPolicy(failure_threshold=1)
 CRASH = FaultScript(crash_windows=((3, 6),))
 
 
@@ -81,9 +85,12 @@ class TestQuarantineLifecycle:
         # throughout the outage.
         assert [row[0] for row in cq.last_result.relation] == ["s1"]
 
-        # Re-admission: quarantined_at=3, quarantine_backoff=6 → released at 9; the
-        # crash window ended at 6, so the retry succeeds.
-        pems.run(5)  # instants 5..9
+        # Re-admission: quarantined_at=3 → released at 3 + QUARANTINE_BACKOFF
+        # (11); the crash window ended at 6, so the retry succeeds.
+        released = 3 + QUARANTINE_BACKOFF
+        pems.run(released - 5)  # instants 5..released - 1
+        assert pems.erm.parked == frozenset({"s2"})
+        pems.run(1)  # the release instant
         assert pems.erm.parked == frozenset()
         assert sensors_extent(pems) == ["s1", "s2"]
         appeared = [
@@ -91,7 +98,7 @@ class TestQuarantineLifecycle:
             for e in pems.erm.events
             if e.kind == "appeared" and e.service.reference == "s2"
         ]
-        assert appeared[-1] == 9
+        assert appeared[-1] == released
         assert sorted(row[0] for row in cq.last_result.relation) == ["s1", "s2"]
         assert pems.environment.registry.health.state("s2") is HealthState.UP
 
@@ -132,7 +139,7 @@ class TestQuarantineMechanics:
 
     def test_still_broken_service_requarantines_on_probe(self):
         pems, _ = build_pems(
-            policy=InvocationPolicy(failure_threshold=1, quarantine_backoff=3),
+            policy=InvocationPolicy(failure_threshold=1),
             script=FaultScript(crash_windows=((0, 1000),)),
         )
         # A degrade β query alongside the probe: its s2 tuple fails once
@@ -177,7 +184,7 @@ class TestProvidersIndexFollowsTheErm:
         assert pems.erm.parked == frozenset({"s2"})
         assert self.providers(pems) == ["s1"]
         assert sensors_extent(pems) == ["s1"]
-        pems.run(5)  # released at 9
+        pems.run(QUARANTINE_BACKOFF - 1)  # released at 3 + QUARANTINE_BACKOFF
         assert self.providers(pems) == ["s1", "s2"]
         assert sensors_extent(pems) == ["s1", "s2"]
 

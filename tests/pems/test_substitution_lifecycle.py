@@ -14,11 +14,15 @@ from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.prototypes import STANDARD_PROTOTYPES, GET_ENV_READING
 from repro.devices.scenario import sensors_schema
 from repro.devices.sensors import EnvironmentalSensor, TemperatureSensor
-from repro.model.invocation_policy import HealthState, InvocationPolicy
+from repro.model.invocation_policy import (
+    QUARANTINE_BACKOFF,
+    HealthState,
+    InvocationPolicy,
+)
 from repro.model.substitution import SubstitutionRule
 from repro.pems.pems import PEMS
 
-POLICY = InvocationPolicy(failure_threshold=1, quarantine_backoff=6)
+POLICY = InvocationPolicy(failure_threshold=1)
 #: s2 dies for good at instant 3.
 PERMANENT = FaultScript(crash_at=3)
 #: s2 is down over [3, 6) and then recovers — the probation scenario.
@@ -110,7 +114,7 @@ class TestQuarantineRebind:
         assert report["history"], report
         first = report["history"][0]
         # Crash at 3 trips the threshold at 3; the sweep rebinds at 4 —
-        # one tick, far below quarantine_backoff + 1.
+        # one tick, far below QUARANTINE_BACKOFF + 1.
         assert first.startswith("@4 getTemperature[s2]")
         assert "(quarantine)" in first
 
@@ -125,8 +129,8 @@ class TestStickyProbationInterplay:
     def test_recovered_original_does_not_reclaim_binding(self):
         pems, cq, spare = build_pems(script=TEMPORARY)
         pems.run(30)
-        # The crash window ended at 6; with backoff 6 an unsubstituted s2
-        # would have been re-admitted around instant 9.  Bound, it stays
+        # The crash window ended at 6; an unsubstituted s2 would have been
+        # re-admitted at 3 + QUARANTINE_BACKOFF (11).  Bound, it stays
         # frozen out: never probed, never back on probation, readings
         # still the spare's.
         assert bound_keys(pems) == [("getTemperature", "s2")]
@@ -152,7 +156,10 @@ class TestStickyProbationInterplay:
         pems.run(2)
         assert bound_keys(pems) == []
         assert pems.erm.parked == frozenset({"s2"})
-        pems.run(12)  # released at 17: re-quarantined at 11, backoff 6
+        released = 11 + QUARANTINE_BACKOFF  # re-quarantined at 11
+        pems.run(released - 1 - pems.clock.now)
+        assert pems.erm.parked == frozenset({"s2"})
+        pems.run(6)  # the release instant and five more
         assert pems.erm.parked == frozenset()
         assert "s2" in pems.environment.registry
         assert sensors_extent(pems) == ["s1", "s2"]

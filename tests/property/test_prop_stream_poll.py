@@ -100,7 +100,7 @@ def build(factory, fleet, policy):
 def dict_rows(registry, prototype, columns, instant):
     providers = registry.providers(prototype)
     outcomes = registry.invoke_many(
-        prototype, [service.reference for service in providers], {}, instant
+        prototype, [service.reference for service in providers], (), instant
     )
     names = prototype.output_schema.names
     rows = []

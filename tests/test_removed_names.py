@@ -6,9 +6,10 @@ hooks only it read, the cost-based search with its cost model and
 statistics, the per-tick journal probes and journal read cache a
 stream window needed while it had a scan under it, and the invocation
 and query knobs no caller set (the substitution policy, the retry
-backoff, the per-tick attempt cap, query history and the per-query
-engine override) — must not creep back into code, docs, examples,
-scripts or CI.
+backoff, the per-tick attempt cap, query history, the per-query
+engine override and the quarantine backoff keyword), the core ERM's
+test-only invocation queue and the sorted-mapping invocation memo key —
+must not creep back into code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -105,7 +106,9 @@ BANNED = re.compile(
       | _TickFailures
       | attempt-cap
       | keep_history
-      | (?<!quarantine_)backoff\s*=
+      | backoff\s*=
+      | invoke_async
+      | frozen_inputs
     """,
     re.VERBOSE,
 )
