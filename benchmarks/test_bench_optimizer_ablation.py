@@ -142,7 +142,7 @@ def test_bench_x2_async_latency(benchmark):
                 .select(col("temperature").gt(35.5))
                 .join(scan(env, "contacts").select(col("name").eq("Carla")))
                 .assign("text", "Hot!")
-                .invoke("sendMessage", on_error="skip", delay=delay)
+                .invoke("sendMessage", delay=delay)
                 .query()
             )
             continuous = ContinuousQuery(query, env)

@@ -85,8 +85,8 @@ def q4(env):
         .select(col("temperature").lt(12.0))
         .rename("location", "area")
         .join(scan(env, "cameras"))
-        .invoke("checkPhoto", on_error="skip")
-        .invoke("takePhoto", on_error="skip")
+        .invoke("checkPhoto")
+        .invoke("takePhoto")
         .project("area", "photo", "at")
         .stream("insertion")
         .query("Q4")

@@ -110,7 +110,7 @@ def main():
         .select(col("temperature").gt(28.0))
         .join(PlanBuilder(compile_sql("SELECT * FROM contacts", pems.environment).root))
         .assign("text", "Hot!")
-        .invoke("sendMessage", on_error="skip")
+        .invoke("sendMessage")
         .query("hot-alerts")
     )
     cq = pems.queries.register_continuous(alert)

@@ -91,7 +91,6 @@ class PlanBuilder:
         self,
         prototype_name: str,
         service_attribute: str | None = None,
-        on_error: str = "raise",
         delay: int = 0,
     ) -> "PlanBuilder":
         """``β_bp`` (Table 3f); the binding pattern is looked up in the
@@ -99,13 +98,12 @@ class PlanBuilder:
         prototype is bound more than once).  ``delay > 0`` makes the
         invocation asynchronous under continuous queries (§5.1)."""
         bp = self.node.schema.binding_pattern(prototype_name, service_attribute)
-        return PlanBuilder(Invocation(self.node, bp, on_error, delay))
+        return PlanBuilder(Invocation(self.node, bp, delay))
 
     def invoke_stream(
         self,
         prototype_name: str,
         service_attribute: str | None = None,
-        on_error: str = "skip",
         timestamp: str | None = None,
     ) -> "PlanBuilder":
         """``β∞_bp`` — a *streaming binding pattern* (paper §7, future
@@ -113,9 +111,7 @@ class PlanBuilder:
         infinite XD-Relation of readings.  ``timestamp`` names a virtual
         TIMESTAMP attribute realized with the emission instant."""
         bp = self.node.schema.binding_pattern(prototype_name, service_attribute)
-        return PlanBuilder(
-            StreamingInvocation(self.node, bp, on_error, timestamp)
-        )
+        return PlanBuilder(StreamingInvocation(self.node, bp, timestamp))
 
     # -- continuous operators ------------------------------------------------
 

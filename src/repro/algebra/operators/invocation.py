@@ -49,8 +49,6 @@ from repro.model.xschema import ExtendedRelationSchema
 
 __all__ = ["Invocation"]
 
-_ERROR_POLICIES = ("raise", "skip", "degrade")
-
 
 class Invocation(Operator):
     """``β_bp(r)`` with ``bp ∈ BP(R)`` and real input attributes.
@@ -61,41 +59,22 @@ class Invocation(Operator):
         The operand plan.
     binding_pattern:
         The binding pattern to invoke; must be one of the operand schema's.
-    on_error:
-        ``"raise"`` (default) propagates service failures;
-        ``"skip"`` drops the offending input tuple and retries it every
-        following instant while it remains in the operand — the pragmatic
-        policy for dynamic environments where a service may disappear
-        between discovery and invocation (used by the PEMS query
-        processor);
-        ``"degrade"`` drops the offending input tuple and *parks* it: the
-        tuple is not retried until it leaves and re-enters the operand, so
-        a crashed provider costs one failed invocation instead of one per
-        tick, while rows from healthy providers keep flowing.  Combined
-        with the ERM's quarantine (which removes and later re-admits the
-        failing service, cycling its discovery rows), parked tuples are
-        naturally retried on recovery.
     delay:
         Asynchronous round-trip time in instants (0 = synchronous).  Only
         effective under a continuous evaluation context.
     """
 
-    __slots__ = ("binding_pattern", "on_error", "delay")
+    __slots__ = ("binding_pattern", "delay")
 
     def __init__(
         self,
         child: Operator,
         binding_pattern: BindingPattern,
-        on_error: str = "raise",
         delay: int = 0,
     ):
         if child.is_stream:
             raise InvalidOperatorError(
                 "invocation: operand must be finite (apply a window first)"
-            )
-        if on_error not in _ERROR_POLICIES:
-            raise InvalidOperatorError(
-                f"invocation: unknown error policy {on_error!r}"
             )
         if not isinstance(delay, int) or delay < 0:
             raise InvalidOperatorError(
@@ -115,7 +94,6 @@ class Invocation(Operator):
                 "them first (assignment or join)"
             )
         self.binding_pattern = binding_pattern
-        self.on_error = on_error
         self.delay = delay
         super().__init__((child,))
 
@@ -125,7 +103,7 @@ class Invocation(Operator):
 
     def with_children(self, children: Sequence[Operator]) -> "Invocation":
         (child,) = children
-        return Invocation(child, self.binding_pattern, self.on_error, self.delay)
+        return Invocation(child, self.binding_pattern, self.delay)
 
     def _compute(self, ctx: EvaluationContext) -> XRelation:
         (child,) = self.children
@@ -156,9 +134,6 @@ class Invocation(Operator):
         # Asynchronous mode (continuous contexts only): tuple → instant at
         # which its invocation result becomes available.
         due: dict[tuple, int] = state.setdefault("due", {})
-        # Degrade mode: tuples whose invocation failed, parked until they
-        # leave the operand (contribute nothing, are not retried).
-        parked: set[tuple] = state.setdefault("parked", set())
         asynchronous = self.delay > 0 and ctx.continuous
         # Rebind-instant invalidation (mirrors InvocationExec): cached
         # results of operand tuples whose service reference was rebound
@@ -175,16 +150,11 @@ class Invocation(Operator):
                     del cache[stale]
                 for stale in [t for t in due if t[service_pos] in rebound]:
                     del due[stale]  # re-scheduled with the full delay
-                parked.difference_update(
-                    t for t in parked if t[service_pos] in rebound
-                )
         seen_now: set[tuple] = set()
 
         out = []
         for t in relation:
             seen_now.add(t)
-            if t in parked:
-                continue
             results = cache.get(t)
             if results is None:
                 if asynchronous:
@@ -198,14 +168,10 @@ class Invocation(Operator):
                         prototype, reference, input_tuple, ctx.instant
                     )
                 except ServiceError:
-                    if self.on_error == "skip":
-                        due.pop(t, None)
-                        continue
-                    if self.on_error == "degrade":
-                        due.pop(t, None)
-                        parked.add(t)
-                        continue
-                    raise
+                    # No tuples at this instant; retried at the next one
+                    # (an asynchronous request is re-issued in full).
+                    due.pop(t, None)
+                    continue
                 cache[t] = results
                 due.pop(t, None)
                 if bp.active:
@@ -223,7 +189,6 @@ class Invocation(Operator):
             del cache[stale]
         for stale in [key for key in due if key not in seen_now]:
             del due[stale]
-        parked.intersection_update(seen_now)
         return XRelation(self.schema, out, validated=True)
 
     def render(self) -> str:
@@ -240,4 +205,4 @@ class Invocation(Operator):
         return f"β[{bp.prototype.name}[{bp.service_attribute}]]"
 
     def _signature(self) -> tuple:
-        return (self.binding_pattern, self.on_error, self.delay)
+        return (self.binding_pattern, self.delay)

@@ -35,13 +35,6 @@ from repro.model.xschema import ExtendedRelationSchema
 
 __all__ = ["StreamingInvocation"]
 
-# "degrade" is accepted as an alias of "skip" here: a streaming binding
-# pattern re-invokes every operand tuple at every instant anyway, so there
-# is no pending work to park — the failed reading is simply absent from
-# this instant's emission.
-_ERROR_POLICIES = ("raise", "skip", "degrade")
-
-
 class StreamingInvocation(Operator):
     """``β∞_bp(r)``: the stream of per-instant invocations of ``bp``.
 
@@ -51,25 +44,21 @@ class StreamingInvocation(Operator):
     optionally be timestamped: pass ``timestamp_attribute`` naming a
     virtual TIMESTAMP attribute of the operand schema, and each emitted
     tuple carries the emission instant — which keeps physically identical
-    readings from collapsing in downstream windows.
+    readings from collapsing in downstream windows.  A failed invocation
+    contributes no reading at that instant, like a failed β call.
     """
 
-    __slots__ = ("binding_pattern", "on_error", "timestamp_attribute")
+    __slots__ = ("binding_pattern", "timestamp_attribute")
 
     def __init__(
         self,
         child: Operator,
         binding_pattern: BindingPattern,
-        on_error: str = "skip",
         timestamp_attribute: str | None = None,
     ):
         if child.is_stream:
             raise InvalidOperatorError(
                 "streaming invocation: operand must be finite"
-            )
-        if on_error not in _ERROR_POLICIES:
-            raise InvalidOperatorError(
-                f"streaming invocation: unknown error policy {on_error!r}"
             )
         schema = child.schema
         if binding_pattern not in schema.binding_patterns:
@@ -106,7 +95,6 @@ class StreamingInvocation(Operator):
                     "an output of the binding pattern"
                 )
         self.binding_pattern = binding_pattern
-        self.on_error = on_error
         self.timestamp_attribute = timestamp_attribute
         super().__init__((child,))
 
@@ -124,7 +112,7 @@ class StreamingInvocation(Operator):
     def with_children(self, children: Sequence[Operator]) -> "StreamingInvocation":
         (child,) = children
         return StreamingInvocation(
-            child, self.binding_pattern, self.on_error, self.timestamp_attribute
+            child, self.binding_pattern, self.timestamp_attribute
         )
 
     def _compute(self, ctx: EvaluationContext) -> XRelation:
@@ -160,9 +148,7 @@ class StreamingInvocation(Operator):
                     prototype, reference, inputs, ctx.instant
                 )
             except ServiceError:
-                if self.on_error in ("skip", "degrade"):
-                    continue
-                raise
+                continue
             for output_tuple in results:
                 row = []
                 for kind, position in out_sources:
@@ -198,4 +184,4 @@ class StreamingInvocation(Operator):
         return f"β∞[{bp.prototype.name}[{bp.service_attribute}]]"
 
     def _signature(self) -> tuple:
-        return (self.binding_pattern, self.on_error, self.timestamp_attribute)
+        return (self.binding_pattern, self.timestamp_attribute)

@@ -228,7 +228,7 @@ def build_query_pack(
         .rename("avg_load", "load")
         .project("zone", "load")
         .join(scan(env, "alert_sinks"))
-        .invoke("raiseAlert", "sink", on_error="skip")
+        .invoke("raiseAlert", "sink")
         .query("overloads")
     )
     pack["station-health"] = (
@@ -253,7 +253,7 @@ def build_query_pack(
     )
     pack["station-capacity"] = (
         scan(env, "stations")
-        .invoke("readStation", "station", on_error="skip")
+        .invoke("readStation", "station")
         .project("station", "zone", "capacity")
         .query("station-capacity")
     )

@@ -8,7 +8,8 @@ errors, latency spikes that exceed the client timeout, and episodes of
 malformed output tuples.  The wrapped service travels through the exact
 same registration → discovery → invocation path as the real one, so the
 whole fault-tolerance stack (the quarantine gate, health tracking, ERM
-quarantine, ``on_error="degrade"``) is exercised end to end.
+quarantine, and β/β∞ dropping a failed call's tuples) is exercised end to
+end.
 
 Determinism (Section 3.2) is preserved: whether an invocation at instant
 τ faults is a pure function of ``(seed, reference, τ)`` — derived through

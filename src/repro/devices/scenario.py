@@ -402,7 +402,7 @@ def build_temperature_surveillance(
             .select(col("temperature").gt(col("threshold")))
             .join(scan(env, "contacts"))
             .assign("text", alert_text)
-            .invoke("sendMessage", on_error="skip")
+            .invoke("sendMessage")
             .query("alerts")
         )
         cold_photos = (
@@ -411,9 +411,9 @@ def build_temperature_surveillance(
             .select(col("temperature").lt(photo_threshold))
             .rename("location", "area")
             .join(scan(env, "cameras"))
-            .invoke("checkPhoto", on_error="skip")
+            .invoke("checkPhoto")
             .select(col("quality").ge(5))
-            .invoke("takePhoto", on_error="skip")
+            .invoke("takePhoto")
             .project("area", "camera", "quality", "photo", "at")
             .stream("insertion")
             .query("cold-photos")
@@ -433,15 +433,15 @@ def build_temperature_surveillance(
                 .select(col("temperature").lt(photo_threshold))
                 .rename("location", "area")
                 .join(scan(env, "cameras"))
-                .invoke("checkPhoto", on_error="skip")
+                .invoke("checkPhoto")
                 .select(col("quality").ge(5))
-                .invoke("takePhoto", on_error="skip")
+                .invoke("takePhoto")
                 .join(
                     scan(env, "surveillance").rename("location", "area")
                 )
                 .join(scan(env, "contacts"))
                 .assign("text", "Cold area photo attached")
-                .invoke("sendPhotoMessage", on_error="skip")
+                .invoke("sendPhotoMessage")
                 .query("photo-alerts")
             )
             scenario.queries["photo-alerts"] = pems.queries.register_continuous(
@@ -527,7 +527,7 @@ def build_rss_scenario(
                 scan(env, "contacts").select(col("name").eq(recipient))
             )
             .assign_from("text", "title")
-            .invoke("sendMessage", on_error="skip")
+            .invoke("sendMessage")
             .query("news-alerts")
         )
         scenario.queries["news-alerts"] = pems.queries.register_continuous(

@@ -715,12 +715,9 @@ class InvocationExec(Executor):
 
     Per-tick cost is O(child delta + in-flight/pending tuples): tuples
     whose asynchronous response has not landed yet, and tuples whose
-    synchronous invocation failed under ``on_error="skip"`` (the naive
-    engine retries those every instant while they stay present — pinned
-    behaviour, see tests).  Under ``on_error="degrade"`` failed tuples are
-    *parked* instead: not retried while present, not counted as live, and
-    re-attempted only when the tuple leaves and re-enters the operand
-    (e.g. when the ERM quarantines and later re-admits the provider).
+    invocation failed.  A failed call contributes no rows; its tuple stays
+    pending and is invoked again at every instant while it is present, as
+    the naive engine does.
     """
 
     def __init__(self, node: Invocation, child: Executor):
@@ -746,10 +743,6 @@ class InvocationExec(Executor):
         self._pending: set[tuple] = set()
         #: async mode: operand tuple -> instant its response lands.
         self._due: dict[tuple, int] = {}
-        #: degrade mode: failed operand tuples, not retried while present.
-        self._parked: set[tuple] = set()
-        #: rows invoked but not yet published (mid-tick failure recovery).
-        self._unflushed: set[tuple] = set()
         #: substitution epoch this executor's cache is consistent with
         #: (see SubstitutionState.rebound_since).
         self._sub_epoch = 0
@@ -762,28 +755,15 @@ class InvocationExec(Executor):
 
     @property
     def live(self) -> bool:
-        # Pending tuples are retried (sync skip) and in-flight async
-        # responses land at later instants — both without any new child
-        # change, so the scheduler may not skip this query meanwhile.
-        # Parked tuples (degrade mode) are deliberately NOT live: they
-        # wake up only through a child change, which the scheduler sees.
+        # Pending tuples are retried and in-flight async responses land at
+        # later instants — both without any new child change, so the
+        # scheduler may not skip this query meanwhile.
         return bool(self._pending or self._due)
 
     def _advance(self, ctx: EvaluationContext) -> Delta:
         node = self.node
         delta = self._pull(self.children[0], ctx)
-        if self.is_first_tick and (self._cache or self._pending):
-            # A prior first-tick attempt raised mid-invocation and the
-            # operand changed before the retry: the catch-up delta carries
-            # no deletions, so drop vanished operand tuples explicitly.
-            vanished = (
-                set(self._cache) | self._pending | set(self._due) | self._parked
-            ) - set(delta.inserted)
-            if vanished:
-                delta = Delta(delta.inserted, frozenset(vanished))
-        # Rows cached by a partial advance that raised never reached
-        # `current`; publish them now that this advance completes.
-        inserted: set[tuple] = set(self._unflushed)
+        inserted: set[tuple] = set()
         deleted: set[tuple] = set()
         # Rebind-instant delta protocol: operand tuples whose service
         # reference was rebound (or released) since the last advance are
@@ -799,32 +779,17 @@ class InvocationExec(Executor):
             if rebound:
                 pos = self._service_position
                 for t in [t for t in self._cache if t[pos] in rebound]:
-                    rows = self._cache.pop(t)
-                    self._unflushed -= rows
-                    inserted -= rows
-                    deleted.update(r for r in rows if r in self.current)
-                    self._pending.add(t)
-                for t in [t for t in self._parked if t[pos] in rebound]:
-                    self._parked.discard(t)
+                    deleted |= self._cache.pop(t)
                     self._pending.add(t)
                 for t in [t for t in self._due if t[pos] in rebound]:
                     del self._due[t]  # re-scheduled with the full delay
         for t in delta.deleted:
             rows = self._cache.pop(t, None)
             if rows:
-                self._unflushed -= rows
-                inserted -= rows
-                deleted.update(r for r in rows if r in self.current)
+                deleted |= rows
             self._pending.discard(t)
             self._due.pop(t, None)  # in-flight request dropped with its tuple
-            self._parked.discard(t)  # re-insertion will retry (degrade mode)
-        # Exclude cached tuples: a partial advance that raised may be
-        # re-run against the same memoized child delta.
-        self._pending.update(
-            t
-            for t in delta.inserted
-            if t not in self._cache and t not in self._parked
-        )
+        self._pending.update(delta.inserted)
 
         if self._pending:
             bp = node.binding_pattern
@@ -839,40 +804,29 @@ class InvocationExec(Executor):
                 reference = t[self._service_position]
                 input_tuple = tuple([t[p] for p in self._input_positions])
                 memo_before = registry.memo_hits
+                stats.invocations += 1
                 try:
                     results = registry.invoke(
                         bp.prototype, reference, input_tuple, ctx.instant
                     )
                 except ServiceError as exc:
-                    stats.invocations += 1
                     if isinstance(exc, ServiceUnavailableError):
                         stats.fast_failures += 1
                     else:
                         stats.failures += 1
-                    if node.on_error == "skip":
-                        # Dropped request: the tuple stays pending (sync:
-                        # retried next instant; async: re-scheduled with
-                        # the full delay — naive-engine parity).
-                        self._due.pop(t, None)
-                        continue
-                    if node.on_error == "degrade":
-                        self._due.pop(t, None)
-                        self._pending.discard(t)
-                        self._parked.add(t)
-                        continue
-                    raise
-                stats.invocations += 1
+                    # The tuple stays pending: sync, retried next instant;
+                    # async, re-scheduled with the full delay.
+                    self._due.pop(t, None)
+                    continue
                 if registry.memo_hits > memo_before:
                     stats.memo_hits += 1
                 rows = self._rows(t, results)
                 self._cache[t] = rows
                 self._pending.discard(t)
                 self._due.pop(t, None)
-                self._unflushed |= rows
                 if bp.active:
                     ctx.record_action(Action(bp, reference, input_tuple))
                 inserted |= rows
-        self._unflushed.clear()
         # A rebound tuple whose substitute returns the very same rows nets
         # to no change (the overlap is only ever produced by the rebind
         # invalidation above: distinct operand tuples embed their child
@@ -929,6 +883,7 @@ class StreamingInvocationExec(Executor):
         for t in child.current:
             reference = t[self._service_position]
             memo_before = registry.memo_hits
+            stats.invocations += 1
             try:
                 results = registry.invoke(
                     bp.prototype,
@@ -937,18 +892,12 @@ class StreamingInvocationExec(Executor):
                     ctx.instant,
                 )
             except ServiceError as exc:
-                stats.invocations += 1
+                # The reading is absent from this instant's emission.
                 if isinstance(exc, ServiceUnavailableError):
                     stats.fast_failures += 1
                 else:
                     stats.failures += 1
-                if node.on_error in ("skip", "degrade"):
-                    # β∞ re-invokes every tuple each instant anyway, so
-                    # degrade has nothing to park: the reading is simply
-                    # absent from this instant's emission (same as skip).
-                    continue
-                raise
-            stats.invocations += 1
+                continue
             if registry.memo_hits > memo_before:
                 stats.memo_hits += 1
             for output in results:

@@ -229,9 +229,8 @@ class TickScheduler:
         else:
             self._failed.discard(name)
         # Liveness is recomputed on *every* outcome: a query whose
-        # streaming/pending invocations drained (e.g. all its tuples were
-        # parked by on_error="degrade", or its provider was quarantined
-        # away) must leave _live, or it would be re-evaluated every tick
+        # streaming/pending invocations drained (e.g. its provider was
+        # quarantined away) must leave _live, or it would be re-evaluated every tick
         # forever — defeating quiescence.  Before this downgrade ran on
         # the success path only, so a failure left a stale _live entry.
         if name in self._static_live or any(

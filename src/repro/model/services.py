@@ -442,7 +442,9 @@ class ServiceRegistry:
             self._invocations_total.inc()
             started = perf_counter()
             try:
-                rows = handler(inputs, instant)
+                # Materialized here, so that a generator raising partway or
+                # a result that is no iterable fails the device too.
+                rows = list(handler(inputs, instant))
             except Exception as exc:
                 return self._device_failed(
                     prototype, reference, inputs, instant, key, state_before, exc
@@ -528,7 +530,7 @@ class ServiceRegistry:
                     attempted += 1
                     started = perf_counter()
                     try:
-                        rows = handler(inputs, instant)
+                        rows = list(handler(inputs, instant))
                     except Exception as exc:
                         outcomes.append(fail(reference, exc))
                         continue

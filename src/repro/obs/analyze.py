@@ -7,7 +7,7 @@ Two views over a continuous query's physical plan:
   shared/private status (with the shared entry's refcount), cumulative
   input/output delta cardinalities, rows scanned, invocation outcome
   counts (issued vs. memo-hit vs. fast-failed vs. device failure) and the
-  current parked/pending tuple counts;
+  current pending tuple count;
 * :func:`render_analyze` — the human-readable indented tree the CLI's
   ``.analyze`` command (and ``lang/printer.explain_analyze``) prints.
 
@@ -103,7 +103,6 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
             row["fast_failed"] = stats.fast_failures
             row["failures"] = stats.failures
         if isinstance(executor, InvocationExec):
-            row["parked"] = len(executor._parked)
             row["pending"] = len(executor._pending)
         rows.append(row)
         for child in executor.children:
@@ -137,8 +136,8 @@ def _format_row(row: dict) -> str:
             "invoked={invocations} memo-hit={memo_hits} "
             "fast-failed={fast_failed} failed={failures}".format(**row)
         )
-    if "parked" in row:
-        parts.append(f"parked={row['parked']} pending={row['pending']}")
+    if "pending" in row:
+        parts.append(f"pending={row['pending']}")
     return "  ".join(parts)
 
 

@@ -122,7 +122,7 @@ class TestContinuousAsynchrony:
 
 
 class TestAsynchronousSkip:
-    """``on_error='skip'`` with ``delay > 0``: a failed due invocation is
+    """A failed call with ``delay > 0``: the due invocation is
     rescheduled with the *full* delay, not retried every instant."""
 
     RECOVERY_INSTANT = 9
@@ -151,7 +151,7 @@ class TestAsynchronousSkip:
             scan(env, "contacts")
             .select(col("name").eq("Zoe"))
             .assign("text", "Hi")
-            .invoke("sendMessage", on_error="skip", delay=2)
+            .invoke("sendMessage", delay=2)
             .query()
         )
 

@@ -126,28 +126,13 @@ class TestInvocation:
         with pytest.raises(BindingPatternError):
             scan(paper_env, "contacts").invoke("checkPhoto")
 
-    def test_invocation_error_raised_by_default(self, paper_env):
+    def test_invocation_error_skip_policy(self, paper_env):
+        """A failed call contributes no tuples (§2.1: 0, 1 or several)."""
         paper_env.unregister_service("sensor01")
         q = scan(paper_env, "sensors").invoke("getTemperature").query()
-        from repro.errors import UnknownServiceError
-
-        with pytest.raises(UnknownServiceError):
-            q.evaluate(paper_env)
-
-    def test_invocation_error_skip_policy(self, paper_env):
-        paper_env.unregister_service("sensor01")
-        q = (
-            scan(paper_env, "sensors")
-            .invoke("getTemperature", on_error="skip")
-            .query()
-        )
         result = q.evaluate(paper_env).relation
         assert len(result) == 3  # sensor01's tuple dropped
         assert "sensor01" not in result.column("sensor")
-
-    def test_bad_error_policy(self, paper_env):
-        with pytest.raises(InvalidOperatorError, match="error policy"):
-            scan(paper_env, "sensors").invoke("getTemperature", on_error="explode")
 
     def test_active_invocation_records_actions(self, paper_env):
         q = (

@@ -105,8 +105,8 @@ def q4(env):
         .select(col("temperature").lt(12.0))
         .rename("location", "area")
         .join(scan(env, "cameras"))
-        .invoke("checkPhoto", on_error="skip")
-        .invoke("takePhoto", on_error="skip")
+        .invoke("checkPhoto")
+        .invoke("takePhoto")
         .project("area", "photo", "at")
         .stream("insertion")
         .query("Q4")
@@ -192,7 +192,7 @@ def camera_churn(rig, instant):
 
 def ghost_camera_churn(rig, instant):
     """Service churn: a cameras row whose service does not exist appears
-    and disappears — invocations on it fail, exercising on_error='skip'."""
+    and disappears — invocations on it fail and contribute no tuples."""
     camera_churn(rig, instant)
     row = {"camera": "ghost42", "area": "roof"}
     if instant % 14 == 3:
@@ -320,7 +320,7 @@ def drive_temperature_scenario(engine):
             scenario.remove_sensor("sensor90")
         if now == 40:
             # Service churn on the gateway: jabber goes away while
-            # Francois's contact row remains (on_error='skip' path).
+            # Francois's contact row remains, so its sendMessage calls fail.
             scenario.pems.create_local_erm("gateway").deregister("jabber")
         snapshots.append(
             {

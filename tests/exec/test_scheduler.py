@@ -3,7 +3,7 @@
 import pytest
 
 from repro.continuous.continuous_query import ContinuousQuery
-from repro.errors import SerenaError
+from repro.errors import SerenaError, UnknownRelationError
 from repro.exec.scheduler import TickScheduler, _plan_dependencies
 from repro.exec.shared import SharedPlanRegistry
 from repro.model.services import Service
@@ -168,20 +168,20 @@ class TestScheduling:
 
     def test_failed_query_retries_every_tick(self):
         env, items, registry, scheduler = make_rig()
-        env.registry.unregister("dev")
         q = {
             "f": add(
                 env, registry, scheduler, "f",
                 prefix(env).invoke("echo").query(),
             )
         }
+        env.remove_relation("items")  # evaluating the scan now raises
         failures = 0
         for instant in range(1, 5):
             affected = scheduler.plan(instant)
             assert "f" in affected  # retried while the cause persists
             try:
                 q["f"].evaluate_at(instant)
-            except Exception:
+            except UnknownRelationError:
                 failures += 1
                 scheduler.evaluated("f", False)
             else:
@@ -248,35 +248,18 @@ class TestLivenessDowngrade:
         assert len(q["a"].last_result.relation) == 4
 
     def test_skip_pending_keeps_query_live(self):
-        """Pinned: on_error="skip" retries an unreachable device every
-        instant while its tuple stays present — the query never quiesces."""
+        """Pinned: a failed call is retried every instant while its tuple
+        stays present — the query never quiesces."""
         env, items, registry, scheduler = make_rig()
         items.insert([("ghost", "nodev", 9.0)], instant=0)
         q = {
             "a": add(
                 env, registry, scheduler, "a",
-                scan(env, "items").invoke("echo", on_error="skip").query(),
+                scan(env, "items").invoke("echo").query(),
             )
         }
         for instant in (1, 2, 3, 4):
             assert "a" in drive(scheduler, q, instant)
-
-    def test_degrade_parks_and_drains_liveness(self):
-        """on_error="degrade" parks the failed tuple: the query quiesces
-        instead of hammering the dead device."""
-        env, items, registry, scheduler = make_rig()
-        items.insert([("ghost", "nodev", 9.0)], instant=0)
-        q = {
-            "a": add(
-                env, registry, scheduler, "a",
-                scan(env, "items").invoke("echo", on_error="degrade").query(),
-            )
-        }
-        assert "a" in drive(scheduler, q, 1)      # parks the ghost tuple
-        assert "a" not in drive(scheduler, q, 2)  # quiescent
-        assert "a" not in drive(scheduler, q, 3)
-        # The healthy rows were served before parking ever happened.
-        assert len(q["a"].last_result.relation) == 6
 
     def test_evaluated_failure_recomputes_liveness(self):
         """Regression: the failure path of evaluated() used to early-return

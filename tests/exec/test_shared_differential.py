@@ -18,7 +18,7 @@ the way):
 
 from repro.algebra import col, scan
 from repro.continuous.continuous_query import ContinuousQuery
-from repro.errors import UnknownServiceError
+from repro.devices.faults import FaultInjector, FaultScript
 from repro.exec.scheduler import TickScheduler
 from repro.exec.shared import SharedPlanRegistry
 
@@ -41,6 +41,7 @@ from tests.exec.test_differential import (
     q2_prime,
     q3,
     q4,
+    run_differential,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,37 +92,82 @@ def test_table4_shared_differential(make, scripts):
     )
 
 
-@pytest.mark.parametrize("on_error", ["raise", "skip", "degrade"])
-def test_engines_disagree_only_where_the_pushdown_skips_a_failing_call(
-    on_error,
-):
-    """The one known disagreement (DESIGN §6–7).  The shared registry
-    lowers the pushdown fixpoint β(σ_area='office'(cameras)), which never
-    invokes the ghost roof camera; the oracle evaluates the plan as
-    written and invokes it on instants 3–9, while its row exists."""
-    observed = {}
-    for engine in ("naive", "shared"):
-        rig = Rig()
-        query = (
-            scan(rig.env, "cameras")
-            .invoke("checkPhoto", on_error=on_error)
-            .select(col("area").eq("office"))
-            .query("office-checks")
+# ---------------------------------------------------------------------------
+# Failing calls: a failed invocation contributes no tuples on every engine
+# ---------------------------------------------------------------------------
+
+#: webcam07's fault schedule: a crash window, an intermittent failure rate
+#: and a malformed-output episode.  The two windows start at instants where
+#: camera_churn (re-)inserts its row (1 and 9), so β's first calls on it fail.
+WEBCAM_FAULTS = FaultScript(
+    crash_windows=((1, 4),), failure_rate=0.3, malformed_windows=((9, 11),)
+)
+WEBCAM_SEED = "webcam"
+
+
+def faulty_webcam_churn(rig, instant):
+    """camera_churn with webcam07 replaying :data:`WEBCAM_FAULTS`."""
+    if instant == 1:
+        registry = rig.env.registry
+        registry.register(
+            FaultInjector(
+                registry.get("webcam07"), WEBCAM_FAULTS, seed=WEBCAM_SEED
+            ).as_service()
         )
-        cq = ContinuousQuery(query, rig.env, engine=engine)
-        answers = []
-        for instant in range(1, 12):
-            ghost_camera_churn(rig, instant)
-            try:
-                answers.append(len(cq.evaluate_at(instant).relation))
-            except UnknownServiceError:
-                answers.append("UnknownServiceError")
-        observed[engine] = answers
-    assert observed["shared"] == [1] * 11
-    if on_error == "raise":
-        assert observed["naive"] == [1, 1] + ["UnknownServiceError"] * 7 + [1, 1]
-    else:
-        assert observed["naive"] == observed["shared"]
+    camera_churn(rig, instant)
+
+
+FAILING_CALL_SHAPES = {
+    "beta": lambda env: scan(env, "cameras").invoke("checkPhoto").query(),
+    # `shared` lowers the pushdown fixpoint β(σ(cameras)), so it never
+    # calls the failing roof devices that the oracle calls.
+    "select-over-beta": lambda env: (
+        scan(env, "cameras")
+        .invoke("checkPhoto")
+        .select(col("area").eq("office"))
+        .query()
+    ),
+    "beta-over-select": lambda env: (
+        scan(env, "cameras")
+        .select(col("area").eq("roof"))
+        .invoke("checkPhoto")
+        .query()
+    ),
+    "project-over-beta": lambda env: (
+        scan(env, "cameras").invoke("checkPhoto").project("area", "quality").query()
+    ),
+    "beta-delayed": lambda env: (
+        scan(env, "cameras").invoke("checkPhoto", delay=2).query()
+    ),
+    "select-over-bindstream": lambda env: (
+        scan(env, "cameras")
+        .invoke_stream("checkPhoto")
+        .window(1)
+        .select(col("area").eq("roof"))
+        .query()
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "churn", [ghost_camera_churn, faulty_webcam_churn], ids=["ghost", "faulty-webcam"]
+)
+@pytest.mark.parametrize(
+    "shape", list(FAILING_CALL_SHAPES), ids=list(FAILING_CALL_SHAPES)
+)
+def test_engines_agree_where_calls_fail(shape, churn):
+    """Definition 9 equivalence holds for every plan: tuples, reported
+    deltas, action sets and outboxes agree with the oracle at every
+    instant, however many of a plan's calls the pushdown leaves out."""
+    run_differential(FAILING_CALL_SHAPES[shape], (churn,))
+
+
+def test_the_webcam_script_trips_every_fault_kind():
+    kinds = {
+        WEBCAM_FAULTS.fault_at("webcam07", instant, WEBCAM_SEED)
+        for instant in range(1, TICKS + 1)
+    }
+    assert {"crash", "malformed", "intermittent"} <= kinds
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,8 @@
 services, bouncing messengers — the robustness behaviours a pervasive
 system must survive."""
 
-import pytest
-
 from repro.algebra import col, scan
 from repro.devices.scenario import build_temperature_surveillance
-from repro.errors import UnknownServiceError
 
 
 class TestSensorCrash:
@@ -47,18 +44,8 @@ class TestSensorCrash:
 
 
 class TestServiceVanishesMidQuery:
-    def test_raise_policy_propagates(self, paper_env):
-        q = scan(paper_env, "sensors").invoke("getTemperature").query()
-        paper_env.unregister_service("sensor06")
-        with pytest.raises(UnknownServiceError):
-            q.evaluate(paper_env)
-
     def test_skip_policy_degrades_gracefully(self, paper_env):
-        q = (
-            scan(paper_env, "sensors")
-            .invoke("getTemperature", on_error="skip")
-            .query()
-        )
+        q = scan(paper_env, "sensors").invoke("getTemperature").query()
         paper_env.unregister_service("sensor06")
         result = q.evaluate(paper_env)
         assert len(result.relation) == 3
@@ -74,11 +61,7 @@ class TestServiceVanishesMidQuery:
         paper_env.registry.register(
             Service("sensor06", {GET_TEMPERATURE: broken})
         )
-        q = (
-            scan(paper_env, "sensors")
-            .invoke("getTemperature", on_error="skip")
-            .query()
-        )
+        q = scan(paper_env, "sensors").invoke("getTemperature").query()
         result = q.evaluate(paper_env)
         assert len(result.relation) == 3
         assert "sensor06" not in result.relation.column("sensor")

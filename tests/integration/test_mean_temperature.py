@@ -30,7 +30,7 @@ def rig(paper_env):
         .select(col("mean_temp").gt(col("threshold")))
         .join(scan(paper_env, "contacts"))
         .assign("text", "Mean too high!")
-        .invoke("sendMessage", on_error="skip")
+        .invoke("sendMessage")
         .query("mean-alerts")
     )
     return paper_env, stream, ContinuousQuery(query, paper_env)

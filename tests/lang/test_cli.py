@@ -282,6 +282,23 @@ class TestObservabilityCommands:
         assert "cold-photos" not in text
         assert "ticks=3" in text
 
+    def test_analyze_counts_a_late_registered_invocation(self, shell):
+        sh, out = shell
+        sh.execute(".demo temperature")
+        sh.execute(
+            "REGISTER w AS SELECT sensor, temperature FROM sensors "
+            "USING getTemperature;"
+        )
+        sh.execute(".tick 3")
+        sh.execute(".analyze w")
+        (line,) = [
+            line for line in out.getvalue().splitlines() if "[InvocationExec]" in line
+        ]
+        assert line.startswith("  #1 β[getTemperature[sensor]]  [InvocationExec]")
+        assert line.endswith(
+            "invoked=4 memo-hit=0 fast-failed=0 failed=0  pending=0"
+        )
+
     def test_analyze_unknown_query_reports_error(self, traced):
         sh, out = traced
         sh.execute(".analyze ghost")

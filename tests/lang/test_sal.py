@@ -205,3 +205,28 @@ class TestRoundTrip:
             .query()
         )
         assert parse_query(to_sal(query), paper_env).root == query.root
+
+
+def test_every_registered_scenario_query_round_trips():
+    """What a scenario registers prints to SAL and parses back to the same
+    plan: nothing a registered plan carries is lost by the printer."""
+    from repro.city.config import CityConfig
+    from repro.city.scenario import build_city
+    from repro.devices.scenario import (
+        build_rss_scenario,
+        build_temperature_surveillance,
+    )
+
+    scenarios = (
+        build_temperature_surveillance(),
+        build_rss_scenario(),
+        build_city(CityConfig(zones=2, stations_per_zone=1)),
+    )
+    checked = []
+    for scenario in scenarios:
+        env = scenario.pems.environment
+        for name, cq in sorted(scenario.pems.queries.continuous_queries.items()):
+            text = to_sal(cq.query)
+            assert parse_query(text, env).root == cq.query.root, (name, text)
+            checked.append(name)
+    assert len(checked) == 14

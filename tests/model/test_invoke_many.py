@@ -410,3 +410,50 @@ def test_success_bookkeeping_lands_before_the_next_device_call(policy, route):
     )
     assert isinstance(seen[0][0], list) and isinstance(seen[0][1], InvocationError)
     assert batched.health.health("s20").total_failures > 0
+
+
+def rows_then_raises(inputs, instant):
+    yield (21.0,)
+    raise RuntimeError("link lost")
+
+
+def returns_none(inputs, instant):
+    return None
+
+
+@pytest.mark.parametrize("observe", ["off", "full"], ids=["fast-path", "full-path"])
+@pytest.mark.parametrize(
+    "handler", [rows_then_raises, returns_none], ids=["generator-raises", "returns-none"]
+)
+def test_a_handler_failing_while_its_rows_are_read_fails_the_device(handler, observe):
+    """Reading the handler's result is part of the device call: a failure
+    there is an InvocationError with health bookkeeping and failover, and
+    the rest of the batch keeps its outcomes."""
+    registry = ServiceRegistry(
+        [
+            Service("a", {GET_TEMPERATURE: lambda inputs, instant: [(20.0,)]}),
+            Service("broken", {GET_TEMPERATURE: handler}),
+            Service("covered", {GET_TEMPERATURE: handler}),
+            Service("spare", {GET_TEMPERATURE: lambda inputs, instant: [(30.0,)]}),
+        ],
+        observe=observe,
+    )
+    subs = registry.substitutions
+    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "spare", "covered"))
+    subs.failover = {
+        ("getTemperature", "covered"): tuple(
+            subs.resolve(registry, GET_TEMPERATURE, "covered")
+        )
+    }
+    a, broken, covered, spare = registry.invoke_many(
+        GET_TEMPERATURE, ["a", "broken", "covered", "spare"], (), 0
+    )
+    assert a == [(20.0,)] and spare == [(30.0,)]
+    assert type(broken) is InvocationError
+    assert str(broken).startswith("invocation of 'getTemperature' on 'broken' failed: ")
+    assert covered == [(30.0,)]  # served by the failover plan
+    assert registry.health.unsettled == {"broken", "covered"}
+    assert registry._failovers_total.value == 1
+    with pytest.raises(InvocationError, match="on 'broken' failed: "):
+        registry.invoke(GET_TEMPERATURE, "broken", (), 1)
+    assert registry.health.health("broken").total_failures == 2

@@ -6,7 +6,7 @@ from repro.algebra import scan
 from repro.devices.prototypes import STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema
 from repro.devices.sensors import TemperatureSensor
-from repro.errors import UnknownServiceError
+from repro.errors import UnknownRelationError
 from repro.pems.pems import PEMS
 
 
@@ -22,23 +22,30 @@ def pems():
     return system
 
 
+def doomed_query(pems, name):
+    """A query over its own relation, which is then dropped: every
+    evaluation raises UnknownRelationError until the relation is
+    re-created.  (A failed invocation is no query failure: it only
+    contributes no tuples.)"""
+    pems.tables.create_relation(sensors_schema(), name="doomed")
+    query = pems.queries.register_continuous(
+        scan(pems.environment, "doomed").invoke("getTemperature").query(),
+        name=name,
+    )
+    pems.tables.drop_relation("doomed")
+    return query
+
+
 class TestFailureIsolation:
     def test_failing_query_is_logged_not_fatal(self, pems):
-        """The 'ghost' sensor is in the table but not registered: strict
-        invocation fails every tick, and the failure is captured."""
-        bad = pems.queries.register_continuous(
-            scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="raise")
-            .query(),
-            name="bad",
-        )
+        doomed_query(pems, "bad")
         pems.run(3)
         failures = pems.queries.failures
         assert len(failures) == 3
         assert all(f.query_name == "bad" for f in failures)
-        assert all(f.error_type is UnknownServiceError for f in failures)
-        assert all("ghost" in f.error_message for f in failures)
-        assert all("UnknownServiceError" in f.error_repr for f in failures)
+        assert all(f.error_type is UnknownRelationError for f in failures)
+        assert all("doomed" in f.error_message for f in failures)
+        assert all("UnknownRelationError" in f.error_repr for f in failures)
         assert pems.clock.now == 3  # the clock kept running
 
     def test_retained_failure_does_not_pin_executor_state(self, pems):
@@ -48,12 +55,7 @@ class TestFailureIsolation:
         import gc
         import weakref
 
-        bad = pems.queries.register_continuous(
-            scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="raise")
-            .query(),
-            name="bad",
-        )
+        bad = doomed_query(pems, "bad")
         pems.run(1)
         (failure,) = pems.queries.failures
         executor_refs = [weakref.ref(e) for e in bad.executors()]
@@ -70,12 +72,7 @@ class TestFailureIsolation:
         assert all(not isinstance(r, BaseException) for r in referrers)
 
     def test_other_queries_keep_evaluating(self, pems):
-        pems.queries.register_continuous(
-            scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="raise")
-            .query(),
-            name="bad",
-        )
+        doomed_query(pems, "bad")
         good = pems.queries.register_continuous(
             scan(pems.environment, "sensors").query(), name="watch"
         )
@@ -84,15 +81,13 @@ class TestFailureIsolation:
         assert good.last_result.instant == 2
 
     def test_failed_query_recovers_when_cause_disappears(self, pems):
-        bad = pems.queries.register_continuous(
-            scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="raise")
-            .query(),
-            name="flaky",
-        )
+        bad = doomed_query(pems, "flaky")
         pems.run(1)
         assert len(pems.queries.failures) == 1
-        # The missing service appears: the query starts succeeding.
+        # The relation comes back with a row whose service is registered:
+        # the query starts succeeding.
+        pems.tables.create_relation(sensors_schema(), name="doomed")
+        pems.tables.insert("doomed", [{"sensor": "ghost", "location": "nowhere"}])
         pems.environment.register_service(
             TemperatureSensor("ghost", "nowhere").as_service()
         )

@@ -1,6 +1,6 @@
 """Quarantine-as-lease-expiry: a service crossing its failure threshold
 leaves the environment's XD-Relations and is re-admitted on recovery,
-while on_error="degrade" queries keep serving healthy providers.
+while queries over it keep serving healthy providers.
 
 Failure observation rides on a streaming binding pattern (β∞ re-invokes
 every instant, like the temperatures feed of §5.2); the plain β query
@@ -42,7 +42,7 @@ def build_pems(engine="shared", policy=POLICY, script=CRASH):
     # the crash window visible to the health tracker.
     pems.queries.register_continuous(
         scan(pems.environment, "sensors")
-        .invoke_stream("getTemperature", on_error="degrade")
+        .invoke_stream("getTemperature")
         .query(),
         name="probe",
     )
@@ -60,7 +60,7 @@ class TestQuarantineLifecycle:
         pems, _ = build_pems(engine)
         cq = pems.queries.register_continuous(
             scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="degrade")
+            .invoke("getTemperature")
             .query(),
             name="temps",
         )
@@ -81,7 +81,7 @@ class TestQuarantineLifecycle:
         kinds = [(e.kind, e.service.reference) for e in pems.erm.events]
         assert ("quarantined", "s2") in kinds
 
-        # Degrade: the query keeps emitting the healthy provider's rows
+        # The query keeps emitting the healthy provider's rows
         # throughout the outage.
         assert [row[0] for row in cq.last_result.relation] == ["s1"]
 
@@ -106,7 +106,7 @@ class TestQuarantineLifecycle:
         pems, _ = build_pems(engine)
         cq = pems.queries.register_continuous(
             scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="degrade")
+            .invoke("getTemperature")
             .query(),
             name="temps",
         )
@@ -142,16 +142,17 @@ class TestQuarantineMechanics:
             policy=InvocationPolicy(failure_threshold=1),
             script=FaultScript(crash_windows=((0, 1000),)),
         )
-        # A degrade β query alongside the probe: its s2 tuple fails once
-        # per re-admission, is parked, and never spams retries.
+        # A β query alongside the probe: its s2 tuple fails while s2 is
+        # admitted and leaves the operand with s2's discovery row.
         pems.queries.register_continuous(
             scan(pems.environment, "sensors")
-            .invoke("getTemperature", on_error="degrade")
+            .invoke("getTemperature")
             .query(),
             name="temps",
         )
         pems.run(20)
-        # The service cycles: probe fails → re-quarantined → parked again.
+        # The service cycles: probe fails → re-quarantined → parked again
+        # (the ERM parks the service out of the registry).
         quarantines = [
             e.instant for e in pems.erm.events if e.kind == "quarantined"
         ]
@@ -159,7 +160,7 @@ class TestQuarantineMechanics:
         assert pems.environment.registry.health.state("s2") is (
             HealthState.QUARANTINED
         )
-        assert pems.queries.failures == []  # degrade/skip: never fatal
+        assert pems.queries.failures == []  # a failed call is never fatal
 
     def test_no_policy_means_no_quarantine(self):
         pems, _ = build_pems(policy=None)

@@ -8,7 +8,7 @@ from repro.continuous.continuous_query import ContinuousQuery
 from repro.devices.prototypes import GET_TEMPERATURE, STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema
 from repro.devices.sensors import TemperatureSensor
-from repro.errors import SerenaError, UnknownAttributeError
+from repro.errors import SerenaError, UnknownAttributeError, UnknownRelationError
 from repro.pems.pems import PEMS
 
 
@@ -225,13 +225,13 @@ class TestFailureRetention:
     without limit) and clearable."""
 
     def doomed_query(self, pems):
-        # A sensors row whose service was never registered: evaluation
-        # raises every tick (on_error defaults to 'raise').
-        pems.tables.insert("sensors", [{"sensor": "ghost", "location": "void"}])
+        # A query whose relation is dropped after registration: evaluation
+        # raises UnknownRelationError every tick.
         query = (
             scan(pems.environment, "sensors").invoke("getTemperature").query("doomed")
         )
         pems.queries.register_continuous(query)
+        pems.tables.drop_relation("sensors")
 
     def test_failure_log_is_capped(self, pems):
         from repro.pems.query_processor import FAILURE_LOG_SIZE
@@ -245,6 +245,7 @@ class TestFailureRetention:
         assert failures[0].instant == overflow + 1
         assert failures[-1].instant == FAILURE_LOG_SIZE + overflow
         assert all(f.query_name == "doomed" for f in failures)
+        assert all(f.error_type is UnknownRelationError for f in failures)
 
     def test_clear_failures(self, pems):
         self.doomed_query(pems)

@@ -58,7 +58,7 @@ def build_pems(script=PERMANENT, policy=POLICY, with_spare=True, rules=(RULE,)):
     # for the zero-missed-ticks assertions.
     cq = pems.queries.register_continuous(
         scan(pems.environment, "sensors")
-        .invoke_stream("getTemperature", on_error="degrade")
+        .invoke_stream("getTemperature")
         .query(),
         name="probe",
     )

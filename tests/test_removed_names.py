@@ -8,8 +8,10 @@ stream window needed while it had a scan under it, and the invocation
 and query knobs no caller set (the substitution policy, the retry
 backoff, the per-tick attempt cap, query history, the per-query
 engine override and the quarantine backoff keyword), the core ERM's
-test-only invocation queue and the sorted-mapping invocation memo key —
-must not creep back into code, docs, examples, scripts or CI.
+test-only invocation queue, the sorted-mapping invocation memo key and
+β/β∞'s error-policy option with the degrade mode and the partial-advance
+recovery only it needed — must not creep back into code, docs, examples,
+scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -109,6 +111,10 @@ BANNED = re.compile(
       | backoff\s*=
       | invoke_async
       | frozen_inputs
+      | on_error
+      | _ERROR_POLICIES
+      | _unflushed
+      | ["'`]degrade["'`]
     """,
     re.VERBOSE,
 )
