@@ -132,7 +132,7 @@ def check(text: str) -> list[str]:
 def main() -> int:
     from repro.devices.scenario import build_temperature_surveillance
 
-    scenario = build_temperature_surveillance(engine="shared", observe="full")
+    scenario = build_temperature_surveillance(engine="shared")
     scenario.sensors["sensor06"].heat(2, 6, peak=15.0)
     scenario.run(8)
     text = scenario.pems.obs.to_prometheus()

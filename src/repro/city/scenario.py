@@ -96,7 +96,6 @@ def build_city(
     config: CityConfig,
     engine: str = "shared",
     policy: InvocationPolicy | None = None,
-    observe: object = None,
     with_queries: bool = True,
     per_zone_queries: bool = True,
 ) -> CityScenario:
@@ -109,7 +108,7 @@ def build_city(
     """
     if policy is None and (config.churn_rate > 0.0 or config.cascade is not None):
         policy = city_policy()
-    pems = PEMS(engine=engine, policy=policy, observe=observe)
+    pems = PEMS(engine=engine, policy=policy)
     env = pems.environment
     for prototype in CITY_PROTOTYPES:
         env.declare_prototype(prototype)

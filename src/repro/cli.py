@@ -24,10 +24,9 @@ Run ``python -m repro`` for an interactive session, or
                             the failover table and the rebind history
   ``.analyze [name]``       EXPLAIN ANALYZE of registered continuous
                             queries: per-executor cumulative run stats
-  ``.metrics [json]``       the metrics registry (Prometheus text, or a
-                            JSON snapshot with ``json``)
-  ``.trace [n|json]``       the last n recorded tick-trace spans
-                            (requires ``observe="full"``)
+  ``.metrics [json]``       the metrics registry, always recording
+                            (Prometheus text, or a JSON snapshot with
+                            ``json``)
   ``.profile SELECT ...``   run the query; per-operator tuple counts
   ``.optimize SELECT ...``  the plan before/after the §3.3 pushdown
                             fixpoint, and the rules that fired
@@ -91,7 +90,6 @@ class SerenaShell:
             "substitutions": self._cmd_substitutions,
             "analyze": self._cmd_analyze,
             "metrics": self._cmd_metrics,
-            "trace": self._cmd_trace,
             "profile": self._cmd_profile,
             "optimize": self._cmd_optimize,
             "sal": self._cmd_sal,
@@ -282,39 +280,6 @@ class SerenaShell:
             self._print("usage: .metrics [json]")
             return
         self._print(self.pems.obs.to_prometheus().rstrip("\n"))
-
-    def _cmd_trace(self, argument: str) -> None:
-        tracer = self.pems.obs.tracer
-        if not tracer.enabled:
-            self._print(
-                "(tracing is off — construct PEMS with observe='full')"
-            )
-            return
-        if argument.lower() == "json":
-            self._print(tracer.export_jsonl().rstrip("\n"))
-            return
-        try:
-            count = int(argument) if argument else 20
-        except ValueError:
-            self._print("usage: .trace [n|json]")
-            return
-        spans = tracer.recent(count)
-        if not spans:
-            self._print("(no spans recorded yet — .tick first)")
-            return
-        depths: dict[int, int] = {}
-        for span in spans:
-            parent_depth = depths.get(span.parent_id)
-            depth = 0 if parent_depth is None else parent_depth + 1
-            depths[span.span_id] = depth
-            attributes = " ".join(
-                f"{key}={value}" for key, value in span.attributes.items()
-            )
-            line = (
-                f"{'  ' * depth}τ={span.instant} {span.name} "
-                f"{span.duration * 1000:.3f}ms"
-            )
-            self._print(f"{line}  {attributes}" if attributes else line)
 
     def _cmd_profile(self, argument: str) -> None:
         query = compile_sql(argument.rstrip(";"), self.pems.environment)

@@ -64,24 +64,18 @@ class ContinuousQuery:
         environment: PervasiveEnvironment,
         engine: str = "shared",
         shared: SharedPlanRegistry | None = None,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         check_engine(engine)
         self.query = query
         self.environment = environment
         self.engine = engine
-        #: Observability facade shared with the physical engine (the PEMS
-        #: query processor passes its environment-wide one).
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
-        #: The physical engine (None on the naive engine).  Without a
+        #: The physical engine (None on the naive engine), recording into
+        #: ``observe`` or else its registry's facade.  Without a
         #: caller-supplied registry the query gets a private one: correct,
         #: just with nothing to share against.
         self._engine: SharedEngine | None = (
-            SharedEngine(query, environment, shared, observe=self.obs)
+            SharedEngine(query, environment, shared, observe=observe)
             if engine == "shared"
             else None
         )

@@ -281,7 +281,6 @@ def build_temperature_surveillance(
     policy: InvocationPolicy | None = None,
     sensor_faults: dict[str, FaultScript] | None = None,
     fault_seed: object = "chaos",
-    observe: object = None,
     spare_sensors: tuple[tuple[str, str, float], ...] = (),
     substitutions: tuple[SubstitutionRule, ...] = (),
 ) -> Scenario:
@@ -311,8 +310,7 @@ def build_temperature_surveillance(
     sensors are wrapped in a :class:`~repro.devices.faults.FaultInjector`
     (seeded with ``fault_seed``) before registration, so the scripted
     chaos flows through the same discovery/invocation path as the §5.2
-    ``messenger_failure_rate`` flakiness.  ``observe`` sets the
-    observability mode (see :class:`~repro.pems.pems.PEMS`).
+    ``messenger_failure_rate`` flakiness.
 
     ``spare_sensors`` registers ``(reference, location, base)``
     environmental stations (``getEnvReading`` only — they never join the
@@ -321,7 +319,7 @@ def build_temperature_surveillance(
     (``FaultScript(crash_at=...)``) exercises the full semantic-rebinding
     path: quarantine → sticky rebind → projected spare readings.
     """
-    pems = PEMS(engine=engine, policy=policy, observe=observe)
+    pems = PEMS(engine=engine, policy=policy)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)
@@ -466,7 +464,6 @@ def build_rss_scenario(
     seed: int = 0,
     engine: str = "shared",
     policy: InvocationPolicy | None = None,
-    observe: object = None,
 ) -> Scenario:
     """Assemble the RSS experiment: feeds → news stream → keyword query.
 
@@ -477,7 +474,7 @@ def build_rss_scenario(
 
     ``engine`` is one of :data:`~repro.exec.lowering.ENGINES`.
     """
-    pems = PEMS(engine=engine, policy=policy, observe=observe)
+    pems = PEMS(engine=engine, policy=policy)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)

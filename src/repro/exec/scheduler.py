@@ -58,16 +58,12 @@ class TickScheduler:
     def __init__(
         self,
         environment: PervasiveEnvironment,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self.environment = environment
         #: Observability facade (the query processor passes the PEMS-wide
         #: one); the evaluation/skip counters are backed by it.
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        self.obs = observe or Observability()
         metrics = self.obs.metrics
         self._evaluations_total = metrics.counter(
             "serena_query_evaluations_total",

@@ -92,17 +92,13 @@ class SharedPlanRegistry:
     def __init__(
         self,
         environment: PervasiveEnvironment,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self.environment = environment
         self._entries: dict[Operator, _Entry] = {}
         #: Observability facade (the query processor passes the PEMS-wide
-        #: one); standalone registries default to "off".
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        #: one); a standalone registry makes its own.
+        self.obs = observe or Observability()
         metrics = self.obs.metrics
         self._lease_hits_total = metrics.counter(
             "serena_shared_lease_hits_total",
@@ -303,7 +299,7 @@ class SharedEngine:
         query: Query,
         environment: PervasiveEnvironment,
         registry: SharedPlanRegistry | None = None,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         if registry is None:
             registry = SharedPlanRegistry(environment, observe=observe)
@@ -314,11 +310,7 @@ class SharedEngine:
         self.query = query
         self.environment = environment
         self.registry = registry
-        self.obs = (
-            registry.obs
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        self.obs = observe or registry.obs
         self._materializations_total = self.obs.metrics.counter(
             "serena_materializations_total",
             "Root X-Relations rebuilt because the tick's delta was non-empty",
@@ -344,8 +336,7 @@ class SharedEngine:
             self._relation = XRelation(
                 self.query.schema, tuples, validated=True
             )
-            if self.obs.metrics_on:
-                self._materializations_total.inc()
+            self._materializations_total.inc()
             if isinstance(self.root, ScanExec) and self.root.journaled:
                 self._synth_reported = None  # journal delta is already right
             else:
@@ -361,8 +352,7 @@ class SharedEngine:
                     frozenset(self.root.current),
                     validated=True,
                 )
-                if self.obs.metrics_on:
-                    self._materializations_total.inc()
+                self._materializations_total.inc()
             self._resync = False
             self._synth_reported = None
         self._first = False

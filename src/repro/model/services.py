@@ -118,7 +118,7 @@ class ServiceRegistry:
         self,
         services: Iterable[Service] = (),
         policy: InvocationPolicy | None = None,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self._services: dict[str, Service] = {}
         #: Bumped on every register/unregister — a cheap invalidation key
@@ -130,14 +130,9 @@ class ServiceRegistry:
         self._indexed_version = 0
         for service in services:
             self.register(service)
-        #: Observability facade: a standalone registry defaults to the
-        #: "off" mode (the invocation and memo-hit counters record in every
-        #: mode); PEMS passes its environment-wide facade.
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        #: Observability facade: PEMS passes its environment-wide one, a
+        #: standalone registry makes its own.
+        self.obs = observe or Observability()
         metrics = self.obs.metrics
         self._invocations_total = metrics.counter(
             "serena_invocations_total",
@@ -342,8 +337,8 @@ class ServiceRegistry:
         that is registered and implements ``prototype``, is given an input
         tuple of its input schema's arity, has no memo entry, no sticky binding
         and no unsettled health (:attr:`HealthTracker.unsettled`), and
-        appears once in the batch — with tracing off — can only reach its
-        device and succeed or fail.  It runs on the fast path: handler,
+        appears once in the batch can only reach its device and succeed
+        or fail.  It runs on the fast path: handler,
         output-tuple check, latency sample, with its success bookkeeping
         (health, invocation and outcome counters) applied per batch.
         Every other reference takes the full path.
@@ -358,9 +353,6 @@ class ServiceRegistry:
             and len(inputs) == prototype.input_schema.arity
         )
         validate = prototype.output_schema.validate_tuple
-        obs = self.obs
-        metrics_on = obs.metrics_on
-        tracing_on = obs.tracing_on
         health = self.health
         subs = self.substitutions
         services = self._services
@@ -384,16 +376,7 @@ class ServiceRegistry:
                 cached = memo.get(key)
                 if cached is not None:
                     self._memo_hits_total.inc()
-                    if metrics_on:
-                        self._outcome_memo_hit.inc()
-                    if tracing_on:
-                        obs.tracer.event(
-                            "service.invoke",
-                            instant,
-                            service=reference,
-                            prototype=name,
-                            outcome="memo_hit",
-                        )
+                    self._outcome_memo_hit.inc()
                     return list(cached)
             if subs.bindings:
                 binding = subs.bindings.get((name, reference))
@@ -404,17 +387,7 @@ class ServiceRegistry:
                     # binding is frozen for the instant, so the §3.2
                     # determinism argument carries over unchanged).
                     results = self._invoke_binding(binding, prototype, inputs, instant)
-                    if metrics_on:
-                        self._outcome_substituted.inc()
-                    if tracing_on:
-                        obs.tracer.event(
-                            "service.invoke",
-                            instant,
-                            service=reference,
-                            prototype=name,
-                            outcome="substituted",
-                            via=binding.describe(),
-                        )
+                    self._outcome_substituted.inc()
                     if key is not None:
                         memo[key] = list(results)
                     return results
@@ -423,22 +396,12 @@ class ServiceRegistry:
                 # Quarantine fails the invocation fast: the device is not
                 # contacted and the health state machine does not move.
                 health.record_fast_failure(reference)
-                if metrics_on:
-                    self._outcome_fast_failed.inc()
-                if tracing_on:
-                    obs.tracer.event(
-                        "service.invoke",
-                        instant,
-                        service=reference,
-                        prototype=name,
-                        outcome="fast_failed",
-                        reason=ServiceUnavailableError.reason,
-                    )
+                self._outcome_fast_failed.inc()
                 fallback = self._failover(prototype, reference, inputs, instant, key)
                 if fallback is not None:
                     return fallback
                 raise ServiceUnavailableError(reference, retry_at)
-            state_before = health.state(reference) if metrics_on else None
+            state_before = health.state(reference)
             self._invocations_total.inc()
             started = perf_counter()
             try:
@@ -460,20 +423,10 @@ class ServiceRegistry:
                     )
             self._observe_latency(reference, perf_counter() - started)
             health.record_success(reference, instant)
-            if state_before is not None and state_before is not HealthState.UP:
+            if state_before is not HealthState.UP:
                 # a success leaves an UP service UP: no transition to count
                 self._health_transition(reference, state_before)
-            if metrics_on:
-                self._outcome_success.inc()
-            if tracing_on:
-                obs.tracer.event(
-                    "service.invoke",
-                    instant,
-                    service=reference,
-                    prototype=name,
-                    outcome="success",
-                    rows=len(results),
-                )
+            self._outcome_success.inc()
             if key is not None:
                 memo[key] = list(results)  # successes only
             return results
@@ -481,7 +434,6 @@ class ServiceRegistry:
         # The plan.  Bindings and the batch are frozen for the instant;
         # health and the memo can move under a failover, so they are read
         # per reference.
-        fast = fits and not tracing_on
         references = list(references)
         full_path = {ref for proto, ref in subs.bindings if proto == name}
         if len(set(references)) != len(references):
@@ -496,8 +448,7 @@ class ServiceRegistry:
             nonlocal attempted
             if attempted:
                 self._invocations_total.inc(attempted)
-                if metrics_on:
-                    self._outcome_success.inc(len(succeeded))
+                self._outcome_success.inc(len(succeeded))
                 health.record_success_many(succeeded, instant)
                 succeeded.clear()
                 attempted = 0
@@ -505,10 +456,9 @@ class ServiceRegistry:
         def fail(reference: str, cause: Exception, row: object = _RAISED):
             settle()
             key = (name, reference, inputs) if memo is not None else None
-            state_before = HealthState.UP if metrics_on else None
             try:
                 return self._device_failed(
-                    prototype, reference, inputs, instant, key, state_before,
+                    prototype, reference, inputs, instant, key, HealthState.UP,
                     cause, row,
                 )
             except ServiceError as exc:
@@ -519,7 +469,7 @@ class ServiceRegistry:
             for reference in references:
                 service = services.get(reference)
                 if (
-                    fast
+                    fits
                     and service is not None
                     and prototype in service._methods
                     and reference not in unsettled
@@ -641,21 +591,12 @@ class ServiceRegistry:
         plans = subs.failover.get((prototype.name, reference))
         if not plans:
             return None
-        obs = self.obs
         for plan in plans:
             try:
                 results = self._invoke_binding(plan, prototype, inputs, instant)
             except ServiceError:
                 continue
             self._failovers_total.inc()
-            if obs.tracing_on:
-                obs.tracer.event(
-                    "substitution.failover",
-                    instant,
-                    service=reference,
-                    prototype=prototype.name,
-                    via=plan.describe(),
-                )
             if key is not None and self._memo is not None:
                 self._memo[key] = list(results)
             return results
@@ -668,7 +609,7 @@ class ServiceRegistry:
         inputs: tuple,
         instant: int,
         key: tuple | None,
-        state_before: HealthState | None,
+        state_before: HealthState,
         cause: Exception,
         row: object = _RAISED,
     ) -> list[tuple]:
@@ -677,7 +618,8 @@ class ServiceRegistry:
         Records the failure, then answers from the failover table or
         raises the :class:`InvocationError` (``__cause__`` = ``cause``)."""
         self.health.record_failure(reference, instant)
-        self._invoke_failed(prototype, reference, instant, state_before)
+        self._health_transition(reference, state_before)
+        self._outcome_failed.inc()
         fallback = self._failover(prototype, reference, inputs, instant, key)
         if fallback is not None:
             return fallback
@@ -714,24 +656,3 @@ class ServiceRegistry:
                 from_state=before.value,
                 to_state=after.value,
             ).inc()
-
-    def _invoke_failed(
-        self,
-        prototype: Prototype,
-        reference: str,
-        instant: int,
-        state_before: HealthState | None,
-    ) -> None:
-        obs = self.obs
-        if state_before is not None:
-            self._health_transition(reference, state_before)
-        if obs.metrics_on:
-            self._outcome_failed.inc()
-        if obs.tracing_on:
-            obs.tracer.event(
-                "service.invoke",
-                instant,
-                service=reference,
-                prototype=prototype.name,
-                outcome="failed",
-            )

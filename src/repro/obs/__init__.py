@@ -1,12 +1,10 @@
-"""Observability for PEMS: metrics, tick tracing, EXPLAIN ANALYZE.
+"""Observability for PEMS: metrics and EXPLAIN ANALYZE.
 
 Zero-dependency instrumentation of the pervasive environment (DESIGN.md
 §9): a :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
-fixed-bucket histograms with Prometheus/JSON export; a
-:class:`~repro.obs.trace.TickTracer` recording structured spans of the
-tick cycle; the :class:`~repro.obs.observe.Observability` facade behind
-the ``PEMS(observe=...)`` knob; and the EXPLAIN ANALYZE renderers of
-:mod:`repro.obs.analyze`.
+fixed-bucket histograms with Prometheus/JSON export, always recording;
+the :class:`~repro.obs.observe.Observability` facade every PEMS component
+shares; and the EXPLAIN ANALYZE renderers of :mod:`repro.obs.analyze`.
 """
 
 from repro.obs.metrics import (
@@ -15,8 +13,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.observe import OBSERVE_MODES, Observability
-from repro.obs.trace import NullTracer, Span, TickTracer
+from repro.obs.observe import Observability
 
 __all__ = [
     "Counter",
@@ -24,8 +21,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Observability",
-    "OBSERVE_MODES",
-    "NullTracer",
-    "Span",
-    "TickTracer",
 ]

@@ -81,18 +81,13 @@ class DiscoveryBus:
     def __init__(
         self,
         log_size: int = ANNOUNCEMENT_LOG_SIZE,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self._listeners: list[Listener] = []
         self._log: deque[Announcement] = deque(maxlen=log_size)
-        #: Observability facade; a standalone bus defaults to "off" (the
-        #: published/dropped counters record in every mode), PEMS passes
-        #: its own.
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        #: Observability facade; PEMS passes its own, a standalone bus
+        #: makes one.
+        self.obs = observe or Observability()
         metrics = self.obs.metrics
         kind_help = "Discovery announcements published on the bus, by kind"
         self._kind_totals = {

@@ -9,6 +9,7 @@ registry; an asynchronous β (``delay > 0``) schedules its own responses.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,13 @@ from repro.model.substitution import ResolvedBinding, SubstitutionRule
 from repro.obs.observe import Observability
 from repro.pems.discovery import Announcement, AnnouncementKind, DiscoveryBus
 
-__all__ = ["EnvironmentResourceManager", "DiscoveryEvent"]
+__all__ = ["EnvironmentResourceManager", "DiscoveryEvent", "EVENT_LOG_SIZE"]
+
+#: Discovery events :attr:`EnvironmentResourceManager.events` retains, the
+#: oldest dropped first.  Twice the registration burst of the 2017-device
+#: reference city: a smaller log shrinks the long-lived heap enough to add
+#: a full garbage collection to that city's ticks (EXPERIMENTS.md X19).
+EVENT_LOG_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -48,17 +55,13 @@ class EnvironmentResourceManager:
         bus: DiscoveryBus,
         clock: VirtualClock,
         registry: ServiceRegistry,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self.bus = bus
         self.clock = clock
         self.registry = registry
         #: Observability facade (PEMS passes its environment-wide one).
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        self.obs = observe or Observability()
         metrics = self.obs.metrics
         event_help = "Service discovery events emitted by the core ERM, by kind"
         self._event_totals = {
@@ -103,7 +106,7 @@ class EnvironmentResourceManager:
         # reference -> (service, lease hint for re-registration).
         self._parked: dict[str, tuple[Service, int]] = {}
         self._listeners: list[Callable[[DiscoveryEvent], None]] = []
-        self._events: list[DiscoveryEvent] = []
+        self._events: deque[DiscoveryEvent] = deque(maxlen=EVENT_LOG_SIZE)
         bus.subscribe(self._on_announcement)
         clock.on_tick(self._on_tick)
 
@@ -116,6 +119,8 @@ class EnvironmentResourceManager:
 
     @property
     def events(self) -> list[DiscoveryEvent]:
+        """The most recent discovery events, oldest first; at most
+        :data:`EVENT_LOG_SIZE`, oldest dropped first."""
         return list(self._events)
 
     def available(self, prototype: Prototype) -> list[Service]:
@@ -132,20 +137,11 @@ class EnvironmentResourceManager:
     def _emit(self, kind: str, service: Service) -> None:
         event = DiscoveryEvent(kind, service, self.clock.now)
         self._events.append(event)
-        obs = self.obs
-        if obs.metrics_on:
-            counter = self._event_totals.get(kind)
-            if counter is not None:
-                counter.inc()
-            self._available_gauge.set(len(self.registry))
-            self._quarantined_gauge.set(len(self._parked))
-        if obs.tracing_on:
-            obs.tracer.event(
-                "discovery.event",
-                self.clock.now,
-                kind=kind,
-                service=service.reference,
-            )
+        counter = self._event_totals.get(kind)
+        if counter is not None:
+            counter.inc()
+        self._available_gauge.set(len(self.registry))
+        self._quarantined_gauge.set(len(self._parked))
         for listener in list(self._listeners):
             listener(event)
 
@@ -276,21 +272,10 @@ class EnvironmentResourceManager:
     def _note_rebind(self, record) -> None:
         if record is None:
             return
-        obs = self.obs
-        if obs.metrics_on:
-            counter = self._rebinds_total.get(record.reason)
-            if counter is not None:
-                counter.inc()
-            self._bindings_gauge.set(len(self.registry.substitutions.bindings))
-        if obs.tracing_on:
-            obs.tracer.event(
-                "substitution.rebind",
-                record.instant,
-                prototype=record.prototype,
-                service=record.reference,
-                target=record.target,
-                reason=record.reason,
-            )
+        counter = self._rebinds_total.get(record.reason)
+        if counter is not None:
+            counter.inc()
+        self._bindings_gauge.set(len(self.registry.substitutions.bindings))
 
     def _candidate_plans(
         self, prototype: Prototype, reference: str

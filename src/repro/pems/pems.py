@@ -53,21 +53,18 @@ class PEMS:
     Substitution rebinding needs no setting: it follows the rules declared
     with :meth:`declare_substitution`.
 
-    ``observe`` sets the observability mode (DESIGN.md §9): ``"metrics"``
-    (default — always-on counters, gauges and per-tick histograms),
-    ``"full"`` (metrics plus tick-trace spans) or ``"off"``; an existing
-    :class:`~repro.obs.observe.Observability` instance is also accepted.
-    Every component shares the one facade at :attr:`obs`; observation
-    never changes evaluation results.
+    Metrics always record (DESIGN.md §9): every component shares the one
+    :class:`~repro.obs.observe.Observability` at :attr:`obs` — counters,
+    gauges and per-tick histograms in one registry, nothing to select.
+    Observation never changes evaluation results.
     """
 
     def __init__(
         self,
         engine: str = "shared",
         policy: InvocationPolicy | None = None,
-        observe: "Observability | str | None" = None,
     ):
-        self.obs = Observability.coerce(observe)
+        self.obs = Observability()
         self.clock = VirtualClock()
         self.bus = DiscoveryBus(observe=self.obs)
         self.environment = PervasiveEnvironment(
@@ -132,16 +129,9 @@ class PEMS:
 
     def tick(self) -> int:
         """Advance the environment by one instant (observed)."""
-        obs = self.obs
-        if not obs.metrics_on:
-            return self.clock.tick()
         started = time.perf_counter()
-        if obs.tracing_on:
-            with obs.tracer.span("tick", self.clock.now + 1):
-                instant = self.clock.tick()
-        else:
-            instant = self.clock.tick()
-        obs.record_tick(time.perf_counter() - started)
+        instant = self.clock.tick()
+        self.obs.record_tick(time.perf_counter() - started)
         return instant
 
     def run(self, instants: int) -> int:

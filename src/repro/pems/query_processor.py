@@ -113,7 +113,7 @@ class QueryProcessor:
         erm: EnvironmentResourceManager,
         tables: ExtendedTableManager,
         engine: str = "shared",
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self.environment = environment
         self.clock = clock
@@ -123,11 +123,7 @@ class QueryProcessor:
         self.engine = engine
         #: Observability facade shared across the processor, its scheduler,
         #: shared-plan registry and every registered query's engine.
-        self.obs = (
-            Observability.disabled()
-            if observe is None
-            else Observability.coerce(observe)
-        )
+        self.obs = observe or Observability()
         self._failures_total = self.obs.metrics.counter(
             "serena_query_failures_total",
             "Continuous-query evaluation failures captured by the tick loop",
@@ -332,28 +328,12 @@ class QueryProcessor:
         instant, so identical calls issued by different queries within
         one tick reach the device once.
         """
-        if self.obs.tracing_on:
-            with self.obs.tracer.span(
-                "queries.tick", instant, queries=len(self._continuous)
-            ):
-                self._tick_queries(instant, tracing=True)
-        else:
-            self._tick_queries(instant, tracing=False)
-
-    def _tick_queries(self, instant: int, tracing: bool) -> None:
-        tracer = self.obs.tracer
         for discovery in self._discovery:
             self._sync_discovery(discovery)
         registry = self.environment.registry
         registry.begin_instant_memo(instant)
         try:
-            if tracing:
-                with tracer.span("scheduler.plan", instant) as plan_span:
-                    affected = self.scheduler.plan(instant)
-                    plan_span.attributes["affected"] = len(affected)
-                    plan_span.attributes["scheduled"] = len(self.scheduler)
-            else:
-                affected = self.scheduler.plan(instant)
+            affected = self.scheduler.plan(instant)
             for name in list(self._order):
                 continuous = self._continuous.get(name)
                 if continuous is None:  # deregistered by a listener mid-tick
@@ -361,21 +341,10 @@ class QueryProcessor:
                 scheduled = name in self.scheduler
                 try:
                     if scheduled and name not in affected:
-                        if tracing:
-                            with tracer.span("query.carry", instant, query=name):
-                                continuous.carry_forward(instant)
-                        else:
-                            continuous.carry_forward(instant)
+                        continuous.carry_forward(instant)
                         self.scheduler.skipped(name)
                     else:
-                        if tracing:
-                            with tracer.span(
-                                "query.evaluate", instant, query=name
-                            ):
-                                continuous.evaluate_at(instant)
-                                self._trace_deltas(tracer, continuous, instant)
-                        else:
-                            continuous.evaluate_at(instant)
+                        continuous.evaluate_at(instant)
                         if scheduled:
                             self.scheduler.evaluated(name, True)
                 except Exception as exc:
@@ -387,24 +356,6 @@ class QueryProcessor:
                         self.scheduler.evaluated(name, False)
         finally:
             registry.end_instant_memo()
-
-    @staticmethod
-    def _trace_deltas(tracer, continuous: ContinuousQuery, instant: int) -> None:
-        """Emit one ``executor.delta`` event per physical executor that
-        changed at this instant (full-trace mode only)."""
-        for executor in continuous.executors():
-            if getattr(executor, "_instant", None) != instant:
-                continue  # not advanced this instant (e.g. pruned subtree)
-            change = executor.change
-            if change.inserted or change.deleted:
-                tracer.event(
-                    "executor.delta",
-                    instant,
-                    operator=executor.node.symbol(),
-                    executor=type(executor).__name__,
-                    inserted=len(change.inserted),
-                    deleted=len(change.deleted),
-                )
 
     def __repr__(self) -> str:
         return (

@@ -40,12 +40,12 @@ class AdmissionControl:
         max_clients: int = 2048,
         max_queries_per_client: int = 32,
         max_total_queries: int = 512,
-        observe: "Observability | str | None" = None,
+        observe: Observability | None = None,
     ):
         self.max_clients = max_clients
         self.max_queries_per_client = max_queries_per_client
         self.max_total_queries = max_total_queries
-        self.obs = Observability.coerce(observe)
+        self.obs = observe or Observability()
         self._rejected = {
             reason: self.obs.metrics.counter(
                 "serena_server_admission_rejected_total",

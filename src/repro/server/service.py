@@ -185,13 +185,6 @@ class SubscriptionServer:
         Synchronous on purpose: evaluation stays single-threaded on the
         virtual clock; only delivery (the pump tasks) is asynchronous.
         """
-        if self.obs.tracing_on:
-            with self.obs.tracer.span(
-                "server.tick", self.pems.clock.now + 1
-            ):
-                instant = self.pems.tick()
-                self._publish(instant)
-            return instant
         instant = self.pems.tick()
         self._publish(instant)
         return instant
@@ -362,40 +355,31 @@ class SubscriptionServer:
 
     def _publish(self, instant: int) -> None:
         """Append each query's reported delta once per delivery cohort."""
-        tracing = self.obs.tracing_on
-        span = (
-            self.obs.tracer.span(
-                "server.publish", instant, queries=len(self._queries)
-            )
-            if tracing
-            else None
-        )
         now = time.perf_counter()
         published = 0
-        with span if span is not None else _NULL_CONTEXT:
-            for query in self._queries.values():
-                continuous = query.continuous
-                result = continuous.last_result
-                if result is None or result.instant != instant:
-                    continue  # failed/skipped this tick; nothing to report
-                if not query.published:
-                    # First publish after registration: full-result
-                    # snapshot (cold subscribers start from the empty
-                    # replica — see ServerQuery.published).
-                    query.published = True
-                    tuples = frozenset(result.relation.tuples)
-                    if not tuples:
-                        continue
-                    row = Delta(tuples, frozenset())
-                else:
-                    delta = continuous.last_reported_delta
-                    if not delta:
-                        continue
-                    row = Delta(
-                        frozenset(delta.inserted), frozenset(delta.deleted)
-                    )
-                query.cohorts.publish(QueuedDelta(instant, instant, row, 0, now))
-                published += 1
+        for query in self._queries.values():
+            continuous = query.continuous
+            result = continuous.last_result
+            if result is None or result.instant != instant:
+                continue  # failed/skipped this tick; nothing to report
+            if not query.published:
+                # First publish after registration: full-result
+                # snapshot (cold subscribers start from the empty
+                # replica — see ServerQuery.published).
+                query.published = True
+                tuples = frozenset(result.relation.tuples)
+                if not tuples:
+                    continue
+                row = Delta(tuples, frozenset())
+            else:
+                delta = continuous.last_reported_delta
+                if not delta:
+                    continue
+                row = Delta(
+                    frozenset(delta.inserted), frozenset(delta.deleted)
+                )
+            query.cohorts.publish(QueuedDelta(instant, instant, row, 0, now))
+            published += 1
         if published:
             self._deltas_published.inc(published)
 
@@ -521,17 +505,6 @@ class _SSESession:
     def __init__(self, client_id: str):
         self.client_id = client_id
         self.subscriptions: dict[str, Subscription] = {}
-
-
-class _NullContextType:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CONTEXT = _NullContextType()
 
 
 async def _close_quietly(writer: asyncio.StreamWriter) -> None:

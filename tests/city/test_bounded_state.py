@@ -1,5 +1,6 @@
-"""Executor state is bounded: a quiet city's standing queries hold as many
-tuples after 40 ticks as after 10.
+"""State is bounded: a quiet city's standing queries hold as many tuples
+after 40 ticks as after 10, and a churning city's discovery-event log
+stops at its cap.
 
 A stream is read through ``W[n]``, and the window reads the stream's
 journal as a leaf, so no executor keeps a growing copy of the stream's
@@ -9,6 +10,7 @@ history (ROADMAP 12).
 from repro.city.config import CityConfig
 from repro.city.scenario import build_city
 from repro.exec.executors import ScanExec
+from repro.pems.erm import EVENT_LOG_SIZE
 
 #: No surge (no overload alerts) and no weather stations (no storms): every
 #: query's result keeps its size, while the meter, station and relay
@@ -46,3 +48,14 @@ def test_no_scan_over_a_stream_is_built():
         if isinstance(e, ScanExec) and e.node.is_stream
     ]
     assert streams == []
+
+
+def test_the_discovery_event_log_keeps_the_newest_events():
+    config = CityConfig(meters_per_zone=30, churn_rate=0.5, seed=1)
+    scenario = build_city(config, with_queries=False)
+    erm = scenario.pems.erm
+    emitted = []
+    erm.on_discovery(emitted.append)
+    scenario.run(400)
+    assert len(emitted) > EVENT_LOG_SIZE
+    assert erm.events == emitted[-EVENT_LOG_SIZE:]

@@ -255,27 +255,25 @@ class TestMainEntry:
 
 class TestObservabilityCommands:
     @pytest.fixture
-    def traced(self):
+    def ticked(self):
         from repro.devices.scenario import build_temperature_surveillance
 
         out = io.StringIO()
-        scenario = build_temperature_surveillance(
-            engine="shared", observe="full"
-        )
+        scenario = build_temperature_surveillance(engine="shared")
         sh = SerenaShell(scenario.pems, out)
         sh.execute(".tick 3")
         return sh, out
 
-    def test_analyze_all_registered_queries(self, traced):
-        sh, out = traced
+    def test_analyze_all_registered_queries(self, ticked):
+        sh, out = ticked
         sh.execute(".analyze")
         text = out.getvalue()
         assert "EXPLAIN ANALYZE alerts" in text
         assert "EXPLAIN ANALYZE cold-photos" in text
         assert "shared(refs=" in text
 
-    def test_analyze_one_query(self, traced):
-        sh, out = traced
+    def test_analyze_one_query(self, ticked):
+        sh, out = ticked
         sh.execute(".analyze alerts")
         text = out.getvalue()
         assert "EXPLAIN ANALYZE alerts" in text
@@ -299,8 +297,8 @@ class TestObservabilityCommands:
             "invoked=4 memo-hit=0 fast-failed=0 failed=0  pending=0"
         )
 
-    def test_analyze_unknown_query_reports_error(self, traced):
-        sh, out = traced
+    def test_analyze_unknown_query_reports_error(self, ticked):
+        sh, out = ticked
         sh.execute(".analyze ghost")
         assert "error:" in out.getvalue()
 
@@ -309,8 +307,8 @@ class TestObservabilityCommands:
         sh.execute(".analyze")
         assert "(no continuous queries registered)" in out.getvalue()
 
-    def test_explain_physical(self, traced):
-        sh, out = traced
+    def test_explain_physical(self, ticked):
+        sh, out = ticked
         sh.execute(
             ".explain physical SELECT * FROM contacts WHERE name = 'Carla'"
         )
@@ -325,55 +323,47 @@ class TestObservabilityCommands:
         sh.execute(".explain")
         assert "usage: .explain [physical] SELECT ..." in out.getvalue()
 
-    def test_metrics_prometheus_text(self, traced):
-        sh, out = traced
+    def test_metrics_prometheus_text(self, ticked):
+        sh, out = ticked
         sh.execute(".metrics")
         text = out.getvalue()
         assert "serena_ticks_total 3" in text
         assert "# TYPE serena_tick_seconds histogram" in text
         assert "serena_invocations_total" in text
 
-    def test_metrics_json(self, traced):
+    def test_metrics_json(self, ticked):
         import json
 
-        sh, out = traced
+        sh, out = ticked
         sh.execute(".metrics json")
         payload = out.getvalue().split("now at instant 3\n", 1)[1]
         snapshot = json.loads(payload)
-        assert snapshot["mode"] == "full"
-        assert "serena_ticks_total" in snapshot["metrics"]
+        assert list(snapshot) == ["metrics"]
+        ticks = snapshot["metrics"]["serena_ticks_total"]
+        assert ticks == {
+            "kind": "counter",
+            "help": "Environment ticks driven through PEMS",
+            "series": [{"labels": {}, "value": 3}],
+        }
+        tick_seconds = snapshot["metrics"]["serena_tick_seconds"]
+        assert tick_seconds["kind"] == "histogram"
+        (series,) = tick_seconds["series"]
+        assert set(series) == {"labels", "count", "sum", "buckets"}
+        assert series["count"] == 3 and series["buckets"]["+Inf"] == 3
+        outcomes = snapshot["metrics"]["serena_invocation_outcomes_total"]
+        assert {s["labels"]["outcome"] for s in outcomes["series"]} == {
+            "success", "memo_hit", "fast_failed", "failed", "substituted"
+        }
 
-    def test_metrics_usage(self, traced):
-        sh, out = traced
+    def test_metrics_usage(self, ticked):
+        sh, out = ticked
         sh.execute(".metrics yaml")
         assert "usage: .metrics [json]" in out.getvalue()
 
-    def test_trace_renders_span_tree(self, traced):
-        sh, out = traced
-        sh.execute(".trace 50")
-        text = out.getvalue()
-        assert "τ=3 tick" in text
-        assert "queries.tick" in text
-        assert "query=alerts" in text
-
-    def test_trace_json_lines_parse(self, traced):
-        import json
-
-        sh, out = traced
-        sh.execute(".trace json")
-        payload = out.getvalue().split("now at instant 3\n", 1)[1]
-        for line in payload.strip().splitlines():
-            json.loads(line)
-
-    def test_trace_disabled_without_full_mode(self, shell):
-        sh, out = shell  # plain PEMS() defaults to metrics mode
+    def test_trace_is_an_unknown_command(self, ticked):
+        sh, out = ticked
         sh.execute(".trace")
-        assert "tracing is off" in out.getvalue()
-
-    def test_trace_usage(self, traced):
-        sh, out = traced
-        sh.execute(".trace lots")
-        assert "usage: .trace [n|json]" in out.getvalue()
+        assert "unknown command .trace" in out.getvalue()
 
     def test_help_lists_observability_commands(self, shell):
         sh, out = shell
@@ -381,7 +371,7 @@ class TestObservabilityCommands:
         text = out.getvalue()
         assert ".analyze" in text
         assert ".metrics" in text
-        assert ".trace" in text
+        assert ".trace" not in text
 
 
 class TestProfileCommand:

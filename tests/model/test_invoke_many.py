@@ -5,8 +5,9 @@ policy, same substitution tables) are driven instant by instant: the
 reference twin invokes one reference at a time, the batch twin hands the
 same references to ``invoke_many``.  After every instant every
 observable must agree: outcomes (rows, or exception type and message),
-the health snapshot and version, every counter, the ``service.invoke``
-trace events and how many latency samples each service's EWMA saw.
+the health snapshot and version, every counter (the labelled
+``serena_invocation_outcomes_total`` series among them) and how many
+latency samples each service's EWMA saw.
 """
 
 import functools
@@ -28,6 +29,7 @@ from repro.errors import (
 from repro.model.invocation_policy import InvocationPolicy
 from repro.model.services import Service, ServiceRegistry
 from repro.model.substitution import SubstitutionRule
+from repro.obs.observe import Observability
 
 INSTANTS = 12
 BIND_AT = 6  # the ERM sweep's sticky binding, installed by hand on both twins
@@ -55,7 +57,15 @@ POLICIES = {
 }
 
 
-def build_registry(policy, observe) -> ServiceRegistry:
+#: How each twin gets its metrics.  The ids keep the names of the modes
+#: this axis once chose between; metrics now always record, so "off"
+#: builds the registry on its own (it makes its own Observability),
+#: "metrics" hands it a shared one, and "full" also reads the outcomes
+#: back from the Prometheus exposition.
+OBSERVE = {"off": False, "metrics": True, "full": True}
+
+
+def build_registry(policy, observe: Observability | None = None) -> ServiceRegistry:
     registry = ServiceRegistry(policy=policy, observe=observe)
     for index, (reference, script) in enumerate(SCRIPTS.items()):
         service = TemperatureSensor(reference, "lab", base=18.0 + index).as_service()
@@ -106,10 +116,6 @@ def observables(registry: ServiceRegistry) -> dict:
         "invocations": registry.invocation_count,
         "memo_hits": registry.memo_hits,
         "metrics": registry.obs.metrics.snapshot(),
-        "events": [
-            (span.name, span.instant, span.attributes)
-            for span in registry.obs.tracer.spans
-        ],
         "latency_samples": {
             reference: ewma.count for reference, ewma in registry._latency.items()
         },
@@ -119,16 +125,19 @@ def observables(registry: ServiceRegistry) -> dict:
 
 def run_twins(
     policy,
-    observe,
     memo,
     inputs=None,
     prototype=GET_TEMPERATURE,
     references=REFERENCES,
     build=build_registry,
+    shared=False,
 ):
     inputs = () if inputs is None else inputs
-    one_by_one = build(policy, observe)
-    batched = build(policy, observe)
+
+    def twin() -> ServiceRegistry:
+        return build(policy, observe=Observability()) if shared else build(policy)
+
+    one_by_one, batched = twin(), twin()
     seen = []
     for instant in range(INSTANTS):
         if instant == BIND_AT and build is build_registry:
@@ -149,11 +158,26 @@ def run_twins(
     return seen, batched
 
 
+def outcome_count(registry: ServiceRegistry, outcome: str) -> float:
+    return registry.obs.metrics.value(
+        "serena_invocation_outcomes_total", outcome=outcome
+    )
+
+
+def exposed_outcomes(registry: ServiceRegistry) -> dict:
+    prefix = 'serena_invocation_outcomes_total{outcome="'
+    return {
+        line[len(prefix):].split('"', 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in registry.obs.to_prometheus().splitlines()
+        if line.startswith(prefix)
+    }
+
+
 @pytest.mark.parametrize("memo", [False, True], ids=["no-memo", "memo"])
-@pytest.mark.parametrize("observe", ["off", "metrics", "full"])
+@pytest.mark.parametrize("observe", list(OBSERVE))
 @pytest.mark.parametrize("policy", list(POLICIES), ids=list(POLICIES))
 def test_batch_is_the_loop_of_invoke(policy, observe, memo):
-    seen, batched = run_twins(POLICIES[policy], observe, memo)
+    seen, batched = run_twins(POLICIES[policy], memo, shared=OBSERVE[observe])
     by_reference = [dict(zip(REFERENCES, outcomes)) for outcomes in seen]
     kinds = {type(o) for outcomes in seen for o in outcomes}
     # The script really exercised every path the batch has to preserve.
@@ -171,17 +195,17 @@ def test_batch_is_the_loop_of_invoke(policy, observe, memo):
         assert ServiceUnavailableError in kinds  # quarantine refused something
     if memo:
         assert batched.memo_hits > 0
+        assert outcome_count(batched, "memo_hit") == batched.memo_hits
+    for outcome in ("success", "failed", "substituted"):
+        assert outcome_count(batched, outcome) > 0
     if observe == "full":
-        outcomes = {
-            span.attributes["outcome"]
-            for span in batched.obs.tracer.spans
-            if span.name == "service.invoke"
-        }
-        assert {"success", "failed", "substituted"} <= outcomes
+        exposed = exposed_outcomes(batched)
+        assert {"success", "failed", "substituted"} <= {o for o, n in exposed.items() if n}
+        assert exposed == {o: outcome_count(batched, o) for o in exposed}
 
 
 def test_input_mismatch_is_reported_per_reference_after_the_lookup_errors():
-    seen, _ = run_twins(None, "metrics", memo=False, inputs=("bogus",))
+    seen, _ = run_twins(None, memo=False, inputs=("bogus",))
     outcomes = dict(zip(REFERENCES, seen[0]))
     assert isinstance(outcomes["ghost"], UnknownServiceError)
     assert isinstance(outcomes["env0"], PrototypeNotImplementedError)
@@ -190,14 +214,14 @@ def test_input_mismatch_is_reported_per_reference_after_the_lookup_errors():
 
 
 def test_richer_prototype_batches_too():
-    seen, _ = run_twins(None, "full", memo=True, prototype=GET_ENV_READING)
+    seen, _ = run_twins(None, memo=True, prototype=GET_ENV_READING)
     outcomes = dict(zip(REFERENCES, seen[0]))
     assert isinstance(outcomes["env0"], list) and len(outcomes["env0"][0]) == 2
     assert isinstance(outcomes["s00"], PrototypeNotImplementedError)
 
 
 def test_invoke_is_the_batch_of_one():
-    registry = build_registry(None, "off")
+    registry = build_registry(None)
     assert registry.invoke_many(GET_TEMPERATURE, [], (), 0) == []
     (rows,) = registry.invoke_many(GET_TEMPERATURE, ["s00"], (), 0)
     assert rows == registry.invoke(GET_TEMPERATURE, "s00", (), 0)
@@ -243,9 +267,9 @@ def latency_samples(registry: ServiceRegistry) -> int:
     return sum(ewma.count for ewma in registry._latency.values())
 
 
-def build_counting(policy, observe, calls) -> ServiceRegistry:
+def build_counting(policy, calls) -> ServiceRegistry:
     """:func:`build_registry` with s00's device calls counted per registry."""
-    registry = build_registry(policy, observe)
+    registry = build_registry(policy)
     handler = registry.get("s00").handler(GET_TEMPERATURE)
 
     def counted(inputs, instant):
@@ -262,17 +286,17 @@ def test_repeats_in_one_batch(policy, memo):
     references = ("s00", "s00", "s02", "s00", "s02", "s04", "s04", "s01", "s01")
     calls: dict = {}
     _, batched = run_twins(
-        POLICIES[policy], "metrics", memo, references=references,
+        POLICIES[policy], memo, references=references,
         build=functools.partial(build_counting, calls=calls),
     )
     assert calls[batched] == (INSTANTS if memo else 3 * INSTANTS)
     assert (batched.memo_hits > 0) == memo
 
 
-def build_chain(policy, observe) -> ServiceRegistry:
+def build_chain(policy) -> ServiceRegistry:
     """s10 crashes twice and fails over to s11 (intermittent), then s12
     (healthy): both are later members of the batches below."""
-    registry = ServiceRegistry(policy=policy, observe=observe)
+    registry = ServiceRegistry(policy=policy)
     scripts = {
         "s10": FaultScript(crash_windows=((2, 5), (7, 10))),
         "s11": FaultScript(failure_rate=0.5),
@@ -300,7 +324,7 @@ def build_chain(policy, observe) -> ServiceRegistry:
 @pytest.mark.parametrize("policy", ["quarantine"])
 def test_a_failover_invokes_another_member_of_the_batch(policy, references):
     seen, batched = run_twins(
-        POLICIES[policy], "metrics", memo=True, references=references, build=build_chain
+        POLICIES[policy], memo=True, references=references, build=build_chain
     )
     by_instant = [dict(zip(references, outcomes)) for outcomes in seen]
     # s10 is down at 2-4 and 7-9, and served by its failover plans there.
@@ -312,11 +336,11 @@ def test_a_failover_invokes_another_member_of_the_batch(policy, references):
     assert ServiceUnavailableError in kinds or InvocationError in kinds
 
 
-def build_recorded_fleet(policy, observe) -> ServiceRegistry:
+def build_recorded_fleet(policy) -> ServiceRegistry:
     """Twelve sensors, three of them flaky early on: under an enabled
     policy every reference carries a health record after instant 0, and
     the recovered ones carry failures too."""
-    registry = ServiceRegistry(policy=policy, observe=observe)
+    registry = ServiceRegistry(policy=policy)
     for index in range(12):
         reference = f"m{index:02d}"
         service = TemperatureSensor(reference, "grid", base=5.0 + index).as_service()
@@ -331,7 +355,7 @@ def build_recorded_fleet(policy, observe) -> ServiceRegistry:
 def test_a_fleet_whose_every_reference_has_a_health_record(memo):
     references = tuple(f"m{index:02d}" for index in range(12))
     _, batched = run_twins(
-        city_policy(), "metrics", memo, references=references, build=build_recorded_fleet
+        city_policy(), memo, references=references, build=build_recorded_fleet
     )
     assert batched.health.known() == set(references)
     recovered = [r for r, h in batched.health.snapshot().items() if h["total_failures"]]
@@ -341,17 +365,11 @@ def test_a_fleet_whose_every_reference_has_a_health_record(memo):
     assert not batched.health.unsettled
 
 
-def test_a_mixed_batch_under_full_tracing_traces_every_device_success():
+def test_a_mixed_batch_counts_every_device_success():
     references = REFERENCES + ("s00", "s02")
-    _, batched = run_twins(
-        POLICIES["quarantine"], "full", memo=False, references=references
-    )
-    successes = [
-        span
-        for span in batched.obs.tracer.spans
-        if span.name == "service.invoke" and span.attributes["outcome"] == "success"
-    ]
-    assert successes and len(successes) == latency_samples(batched)
+    _, batched = run_twins(POLICIES["quarantine"], memo=False, references=references)
+    successes = outcome_count(batched, "success")
+    assert successes and successes == latency_samples(batched)
 
 
 def test_a_handler_raising_a_schema_error_failed_rather_than_returned_bad_rows():
@@ -373,11 +391,11 @@ def test_a_handler_raising_a_schema_error_failed_rather_than_returned_bad_rows()
     assert registry.health.unsettled == {"a", "b"}
 
 
-def build_second_call_fails(policy, observe, route="failover") -> ServiceRegistry:
+def build_second_call_fails(policy, route="failover") -> ServiceRegistry:
     """s20 answers the first call of an instant and fails the second; s21
     is dead and routed onto s20 by a failover plan or a sticky binding.
     With the memo off, that route is s20's second call of the instant."""
-    registry = ServiceRegistry(policy=policy, observe=observe)
+    registry = ServiceRegistry(policy=policy)
     calls: dict[int, int] = {}
 
     def moody(inputs, instant):
@@ -405,7 +423,7 @@ def build_second_call_fails(policy, observe, route="failover") -> ServiceRegistr
 @pytest.mark.parametrize("policy", list(POLICIES), ids=list(POLICIES))
 def test_success_bookkeeping_lands_before_the_next_device_call(policy, route):
     seen, batched = run_twins(
-        POLICIES[policy], "metrics", memo=False, references=("s20", "s21"),
+        POLICIES[policy], memo=False, references=("s20", "s21"),
         build=functools.partial(build_second_call_fails, route=route),
     )
     assert isinstance(seen[0][0], list) and isinstance(seen[0][1], InvocationError)
@@ -421,22 +439,23 @@ def returns_none(inputs, instant):
     return None
 
 
-@pytest.mark.parametrize("observe", ["off", "full"], ids=["fast-path", "full-path"])
+@pytest.mark.parametrize("repeats", [1, 2], ids=["fast-path", "full-path"])
 @pytest.mark.parametrize(
     "handler", [rows_then_raises, returns_none], ids=["generator-raises", "returns-none"]
 )
-def test_a_handler_failing_while_its_rows_are_read_fails_the_device(handler, observe):
+def test_a_handler_failing_while_its_rows_are_read_fails_the_device(handler, repeats):
     """Reading the handler's result is part of the device call: a failure
     there is an InvocationError with health bookkeeping and failover, and
-    the rest of the batch keeps its outcomes."""
+    the rest of the batch keeps its outcomes.  A reference that repeats in
+    the batch takes the full path, so ``repeats=2`` reads the failing rows
+    there; each repeat adds one failure and one failover."""
     registry = ServiceRegistry(
         [
             Service("a", {GET_TEMPERATURE: lambda inputs, instant: [(20.0,)]}),
             Service("broken", {GET_TEMPERATURE: handler}),
             Service("covered", {GET_TEMPERATURE: handler}),
             Service("spare", {GET_TEMPERATURE: lambda inputs, instant: [(30.0,)]}),
-        ],
-        observe=observe,
+        ]
     )
     subs = registry.substitutions
     subs.declare(SubstitutionRule.equivalent_to("getTemperature", "spare", "covered"))
@@ -445,15 +464,22 @@ def test_a_handler_failing_while_its_rows_are_read_fails_the_device(handler, obs
             subs.resolve(registry, GET_TEMPERATURE, "covered")
         )
     }
-    a, broken, covered, spare = registry.invoke_many(
-        GET_TEMPERATURE, ["a", "broken", "covered", "spare"], (), 0
+    references = ["a", "broken", "covered", "spare"] + ["broken", "covered"] * (
+        repeats - 1
+    )
+    a, broken, covered, spare, *again = registry.invoke_many(
+        GET_TEMPERATURE, references, (), 0
     )
     assert a == [(20.0,)] and spare == [(30.0,)]
-    assert type(broken) is InvocationError
-    assert str(broken).startswith("invocation of 'getTemperature' on 'broken' failed: ")
-    assert covered == [(30.0,)]  # served by the failover plan
+    for outcome in [broken] + again[::2]:
+        assert type(outcome) is InvocationError
+        assert str(outcome).startswith(
+            "invocation of 'getTemperature' on 'broken' failed: "
+        )
+    # served by the failover plan
+    assert [covered] + again[1::2] == [[(30.0,)]] * repeats
     assert registry.health.unsettled == {"broken", "covered"}
-    assert registry._failovers_total.value == 1
+    assert registry._failovers_total.value == repeats
     with pytest.raises(InvocationError, match="on 'broken' failed: "):
         registry.invoke(GET_TEMPERATURE, "broken", (), 1)
-    assert registry.health.health("broken").total_failures == 2
+    assert registry.health.health("broken").total_failures == repeats + 1

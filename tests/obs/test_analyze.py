@@ -10,7 +10,7 @@ from repro.obs.analyze import analyze_rows
 
 @pytest.fixture(scope="module")
 def scenario():
-    built = build_temperature_surveillance(engine="shared", observe="metrics")
+    built = build_temperature_surveillance(engine="shared")
     built.run(5)
     return built
 
@@ -52,7 +52,7 @@ class TestAnalyzeRows:
                 assert row[key] >= 0
 
     def test_naive_engine_has_no_physical_plan(self):
-        built = build_temperature_surveillance(engine="naive", observe="off")
+        built = build_temperature_surveillance(engine="naive")
         built.run(2)
         assert analyze_rows(built.queries["alerts"]) == []
         text = explain_analyze(built.queries["alerts"])

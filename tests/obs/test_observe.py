@@ -1,55 +1,14 @@
-"""Unit tests for the observability facade (repro.obs.observe)."""
+"""Unit tests for the observability facade (repro.obs.observe): one
+metrics registry, always recording."""
 
 import json
 
 import pytest
 
-from repro.obs.observe import OBSERVE_MODES, Observability
-from repro.obs.trace import NullTracer, TickTracer
-
-
-class TestModes:
-    def test_default_is_metrics(self):
-        obs = Observability()
-        assert obs.mode == "metrics"
-        assert obs.metrics_on
-        assert not obs.tracing_on
-        assert isinstance(obs.tracer, NullTracer)
-
-    def test_full_mode_traces(self):
-        obs = Observability(mode="full")
-        assert obs.metrics_on and obs.tracing_on
-        assert isinstance(obs.tracer, TickTracer)
-
-    def test_off_mode_keeps_registry_real(self):
-        obs = Observability(mode="off")
-        assert not obs.metrics_on and not obs.tracing_on
-        # The every-mode counters still record through the registry.
-        obs.metrics.counter("serena_invocations_total").inc()
-        assert obs.metrics.value("serena_invocations_total") == 1
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown observe mode"):
-            Observability(mode="loud")
-
-    def test_modes_tuple(self):
-        assert OBSERVE_MODES == ("off", "metrics", "full")
-
-
-class TestCoerce:
-    def test_instance_passes_through(self):
-        obs = Observability(mode="full")
-        assert Observability.coerce(obs) is obs
-
-    def test_none_means_default(self):
-        assert Observability.coerce(None).mode == "metrics"
-
-    def test_string_selects_mode(self):
-        assert Observability.coerce("off").mode == "off"
-        assert Observability.coerce("full").mode == "full"
-
-    def test_disabled_classmethod(self):
-        assert Observability.disabled().mode == "off"
+from repro.devices.prototypes import GET_TEMPERATURE
+from repro.devices.scenario import build_temperature_surveillance
+from repro.model.services import Service, ServiceRegistry
+from repro.obs.observe import Observability
 
 
 class TestRecordTick:
@@ -62,22 +21,61 @@ class TestRecordTick:
         assert histogram.count == 2
         assert histogram.sum == pytest.approx(0.003)
 
+    def test_every_pems_tick_is_counted(self):
+        scenario = build_temperature_surveillance()
+        scenario.sensors["sensor06"].heat(3, 20, peak=15.0)
+        scenario.run(12)
+        metrics = scenario.pems.obs.metrics
+        assert metrics.value("serena_ticks_total") == 12
+        assert metrics.get("serena_tick_seconds").count == 12
+        assert metrics.family_total("serena_invocations_total") > 0
+
+
+class TestOneRegistry:
+    def test_every_pems_component_shares_it(self):
+        pems = build_temperature_surveillance().pems
+        queries = pems.queries
+        shared = [
+            pems.bus.obs,
+            pems.erm.obs,
+            pems.environment.registry.obs,
+            queries.obs,
+            queries.scheduler.obs,
+            queries.shared.obs,
+        ]
+        assert all(obs is pems.obs for obs in shared)
+
+    def test_a_standalone_registry_records_outcomes(self):
+        def down(inputs, instant):
+            raise RuntimeError("down")
+
+        registry = ServiceRegistry(
+            [
+                Service("up", {GET_TEMPERATURE: lambda inputs, instant: [(20.0,)]}),
+                Service("down", {GET_TEMPERATURE: down}),
+            ]
+        )
+        registry.invoke_many(GET_TEMPERATURE, ["up", "down", "up"], (), 0)
+        metrics = registry.obs.metrics
+        outcome = "serena_invocation_outcomes_total"
+        assert metrics.value(outcome, outcome="success") == 2
+        assert metrics.value(outcome, outcome="failed") == 1
+        assert metrics.value(
+            "serena_service_health_transitions_total",
+            from_state="up",
+            to_state="suspect",
+        ) == 1
+
 
 class TestExport:
     def test_snapshot_shape(self):
-        obs = Observability(mode="full")
-        with obs.tracer.span("tick", 1):
-            pass
+        obs = Observability()
         obs.record_tick(0.001)
         snap = obs.snapshot()
-        assert snap["mode"] == "full"
-        assert "serena_ticks_total" in snap["metrics"]
-        assert snap["trace"] == {
-            "enabled": True,
-            "recorded": 1,
-            "retained": 1,
-            "dropped": 0,
-        }
+        assert list(snap) == ["metrics"]
+        assert snap["metrics"]["serena_ticks_total"]["series"] == [
+            {"labels": {}, "value": 1}
+        ]
         json.dumps(snap)  # JSON-serializable end to end
 
     def test_to_prometheus_includes_tick_histogram(self):

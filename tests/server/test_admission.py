@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.obs.observe import Observability
 from repro.server.admission import AdmissionControl, AdmissionError
 
 
 def control(**kwargs):
-    return AdmissionControl(observe=Observability.coerce("metrics"), **kwargs)
+    return AdmissionControl(**kwargs)
 
 
 class TestClients:

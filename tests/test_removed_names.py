@@ -10,8 +10,9 @@ backoff, the per-tick attempt cap, query history, the per-query
 engine override and the quarantine backoff keyword), the core ERM's
 test-only invocation queue, the sorted-mapping invocation memo key and
 β/β∞'s error-policy option with the degrade mode and the partial-advance
-recovery only it needed — must not creep back into code, docs, examples,
-scripts or CI.
+recovery only it needed, and the observability modes with the span
+tracer and the mode branches only they needed — must not creep back into
+code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -115,6 +116,17 @@ BANNED = re.compile(
       | _ERROR_POLICIES
       | _unflushed
       | ["'`]degrade["'`]
+      | OBSERVE_MODES
+      | TickTracer
+      | NullTracer
+      | repro\.obs\.trace
+      | metrics_on
+      | tracing_on
+      | Observability\.coerce
+      | Observability\.disabled
+      | _trace_deltas
+      | _tick_queries
+      | observe\s*=\s*["']
     """,
     re.VERBOSE,
 )
@@ -161,3 +173,8 @@ def test_cost_based_optimizer_is_gone():
     """The search, cost model and statistics (EXPERIMENTS.md X14)."""
     for module in ("optimizer", "cost", "statistics"):
         assert not (ROOT / "src" / "repro" / "algebra" / f"{module}.py").exists()
+
+
+def test_span_tracer_is_gone():
+    """One observability mode: metrics always record (EXPERIMENTS.md X19)."""
+    assert not (ROOT / "src" / "repro" / "obs" / "trace.py").exists()
