@@ -200,7 +200,7 @@ def build_city(
         for spare in topology.spares:
             if spare.zone == station.zone:
                 pems.declare_substitution(
-                    SubstitutionRule.specializes(
+                    SubstitutionRule(
                         "readStation",
                         spare.reference,
                         "readGridNode",

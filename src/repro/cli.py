@@ -339,7 +339,7 @@ class SerenaShell:
                 sensor_faults={"sensor22": FaultScript(crash_at=20)},
                 spare_sensors=(("spare-roof", "roof", 15.5),),
                 substitutions=(
-                    SubstitutionRule.specializes(
+                    SubstitutionRule(
                         "getTemperature",
                         "spare-roof",
                         "getEnvReading",

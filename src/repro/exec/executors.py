@@ -80,7 +80,6 @@ __all__ = [
     "StreamingInvocationExec",
     "StreamingExec",
     "WindowExec",
-    "FallbackExec",
 ]
 
 _EMPTY: frozenset[tuple] = frozenset()
@@ -1082,36 +1081,3 @@ class WindowExec(Executor):
         self._stored = stored
         self._consumed = last if last <= ctx.instant else ctx.instant + 1
         return reread
-
-
-# ---------------------------------------------------------------------------
-# Fallback: naive materialization of an unlowered subtree
-# ---------------------------------------------------------------------------
-
-
-class FallbackExec(Executor):
-    """Wraps a logical subtree the lowering pass has no incremental
-    executor for: evaluates it naively each tick (using the engine's
-    persistent state store) and diffs consecutive materializations.
-
-    This makes lowering total — new logical operators run unmodified on
-    the physical engine, at naive per-tick cost for that subtree —
-    and is also the differential-testing bridge."""
-
-    def __init__(self, node: Operator):
-        super().__init__(node)
-
-    @property
-    def live(self) -> bool:
-        # An unlowered subtree has unknown (possibly time-driven)
-        # semantics: never skip its query.
-        return True
-
-    def _advance(self, ctx: EvaluationContext):
-        node = self.node
-        new = node.evaluate(ctx).tuples
-        change = Delta(
-            frozenset(new - self.current), frozenset(self.current - new)
-        )
-        reported = Delta(node.inserted(ctx), node.deleted(ctx))
-        return change, reported

@@ -5,12 +5,6 @@ rewrites *logical* trees (:mod:`repro.algebra`), and once a plan is
 chosen, :func:`lower` translates each logical node into its incremental
 executor (:mod:`repro.exec.executors`).
 
-Lowering is *total*: a logical operator with no registered executor is
-wrapped in a :class:`~repro.exec.executors.FallbackExec`, which evaluates
-that whole subtree with the naive engine each tick and diffs the results
-— new logical operators keep working on the physical engine, merely
-without the delta speedup.
-
 Node sharing is preserved: a logical node reachable through several plan
 branches is lowered to a *single* executor (memoized by ``Operator.uid``),
 mirroring the naive engine's per-node evaluation memo.
@@ -112,11 +106,9 @@ def lower(
     built = memo.get(node.uid)
     if built is not None:
         return built
-    factory = LOWERINGS.get(type(node))
-    if factory is None:
-        executor = x.FallbackExec(node)
-    else:
-        executor = factory(node, *(lower(child, memo) for child in operands(node)))
+    executor = LOWERINGS[type(node)](
+        node, *(lower(child, memo) for child in operands(node))
+    )
     memo[node.uid] = executor
     return executor
 

@@ -11,9 +11,8 @@ the *affected* set:
   stored object was swapped) since the last tick,
 * **live** queries — those whose physical plan contains a time-driven
   executor (window expiry, per-instant stream emission, streaming
-  invocation, in-flight or pending invocations, naive fallback subtrees):
-  their output can change with no source activity, so they are evaluated
-  at every instant,
+  invocation, in-flight or pending invocations): their output can change
+  with no source activity, so they are evaluated at every instant,
 * freshly registered queries (no result yet), failed queries (retried
   every instant, matching the naive engine's failure log), and queries
   marked dirty by a service discovery event on a prototype they invoke.

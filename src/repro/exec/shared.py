@@ -54,7 +54,7 @@ from repro.algebra.operators.window import Window
 from repro.algebra.query import Query, QueryResult
 from repro.errors import SerenaError
 from repro.exec.delta import Delta
-from repro.exec.executors import Executor, FallbackExec, ScanExec
+from repro.exec.executors import Executor, ScanExec
 from repro.exec.lowering import LOWERINGS, operands
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
@@ -153,7 +153,7 @@ class SharedPlanRegistry:
             # contents; a window over a derived stream buffers what it
             # saw since *its* first tick.
             return not operands(node)
-        return kind in LOWERINGS
+        return True
 
     def _subtree_shareable(self, node: Operator) -> bool:
         return self._node_shareable(node) and all(
@@ -181,8 +181,6 @@ class SharedPlanRegistry:
             return built
         if self._subtree_shareable(node):
             executor = self._lease(node, leased)
-        elif type(node) not in LOWERINGS:
-            executor = FallbackExec(node)  # naive subtree, like lower()
         else:
             children = [self._build(c, leased, memo) for c in operands(node)]
             executor = LOWERINGS[type(node)](node, *children)
@@ -318,17 +316,13 @@ class SharedEngine:
         )
         self.plan = registry.acquire(query)
         self.root: Executor = self.plan.root
-        # Private per-node state for naive-evaluated fallback subtrees.
-        self._states: dict[int, dict] = {}
         self._relation: XRelation | None = None
         self._first = True
         self._resync = False
         self._synth_reported: Delta | None = None
 
     def tick(self, instant: int) -> QueryResult:
-        ctx = EvaluationContext(
-            self.environment, instant, self._states, continuous=True
-        )
+        ctx = EvaluationContext(self.environment, instant, continuous=True)
         root_warm = not self.root.is_first_tick
         change = self.root.tick(ctx)
         if self._first and root_warm:

@@ -518,7 +518,9 @@ class ServiceRegistry:
         inputs: tuple,
         instant: int,
     ) -> list[tuple]:
-        """Execute a substitution plan in place of ``(prototype, reference)``.
+        """Serve ``(prototype, reference)`` through ``plan``: narrow the
+        inputs to ``plan.via``'s, invoke ``plan.via`` on ``plan.target`` and
+        project the rows down to ``prototype``'s outputs.
 
         Nested :meth:`invoke` calls do all the usual work — the quarantine
         gate, health bookkeeping, memoization — against the *substitute*
@@ -535,36 +537,13 @@ class ServiceRegistry:
             )
         self._chain_depth += 1
         try:
-            if plan.rule.kind == "equivalent_to":
-                _, target = plan.targets[0]
-                return self.invoke(prototype, target, inputs, instant)
-            if plan.rule.kind == "specializes":
-                via, target = plan.targets[0]
-                position = prototype.input_schema.position
-                narrowed = tuple(
-                    inputs[position(name)] for name in via.input_schema.names
-                )
-                rows = self.invoke(via, target, narrowed, instant)
-                projection = plan.projection or ()
-                return [tuple(row[i] for i in projection) for row in rows]
-            # composed_of: thread an attribute environment through the steps
-            # with Cartesian semantics over multi-row step outputs.
-            envs: list[dict[str, object]] = [
-                dict(zip(prototype.input_schema.names, inputs))
-            ]
-            for step_proto, target in plan.targets:
-                step_names = step_proto.input_schema.names
-                out_names = step_proto.output_schema.names
-                merged: list[dict[str, object]] = []
-                for env in envs:
-                    step_inputs = tuple(env[name] for name in step_names)
-                    for row in self.invoke(step_proto, target, step_inputs, instant):
-                        extended = dict(env)
-                        extended.update(zip(out_names, row))
-                        merged.append(extended)
-                envs = merged
-            names = prototype.output_schema.names
-            return [tuple(env[name] for name in names) for env in envs]
+            position = prototype.input_schema.position
+            narrowed = tuple(
+                inputs[position(name)] for name in plan.via.input_schema.names
+            )
+            rows = self.invoke(plan.via, plan.target, narrowed, instant)
+            projection = plan.projection
+            return [tuple(row[i] for i in projection) for row in rows]
         finally:
             self._chain_depth -= 1
 

@@ -8,21 +8,15 @@ half of that machinery: a declarative *substitution relation* over
 prototypes plus the bookkeeping the registry and the core ERM consult when
 they reroute invocations.
 
-Three rule kinds relate a prototype ``psi`` to its substitutes:
-
-``equivalent_to``
-    Another reference implements the *same* prototype; invocations are
-    forwarded verbatim.
-``specializes``
-    The substitute offers a richer prototype ``via`` whose output schema is
-    a superset of ``schema(Output_psi)`` and whose input schema is a subset
-    of ``schema(Input_psi)``; results are projected down to ``psi``'s
-    output order.
-``composed_of``
-    An explicit composition of live services implements ``psi``: the steps
-    run in sequence, each step reading its input attributes from the
-    accumulated environment (initially ``psi``'s inputs) and contributing
-    its outputs, with Cartesian semantics over multi-row step results.
+One rule relates a prototype ``psi`` to a substitute: the substitute
+offers a prototype ``via`` whose typed output attributes include
+``psi``'s, whose typed input attributes are among ``psi``'s and which is
+active exactly when ``psi`` is.  The
+invocation is narrowed to ``via``'s inputs and its results are projected
+down to ``psi``'s output order.  An identical-interface substitute is
+written ``via=psi``, whose projection is the identity.  Composing
+functionalities needs no rule of its own: a chain of β over accumulated
+attributes is already a Serena plan.
 
 Determinism (Section 3.2 convention): rules are resolved and ranked only
 inside the core ERM's tick sweep, from health stamps that are strictly
@@ -37,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.errors import SchemaError
 from repro.model.invocation_policy import HealthState
 from repro.model.prototypes import Prototype
 
@@ -45,156 +38,65 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (services imports us)
     from repro.model.services import ServiceRegistry
 
 __all__ = [
-    "CompositionStep",
     "SubstitutionRule",
     "MAX_CHAIN",
+    "REBIND_HISTORY_SIZE",
     "ResolvedBinding",
     "Rebind",
     "SubstitutionState",
 ]
-
-#: Rule kinds in preference order: a direct equivalent beats a projection,
-#: which beats assembling a composition (Section 4 of the substitution
-#: paper orders candidates the same way: identical interface first).
-RULE_KINDS = ("equivalent_to", "specializes", "composed_of")
-_KIND_RANK = {kind: rank for rank, kind in enumerate(RULE_KINDS)}
 
 #: Maximum substitution depth when bindings route through services that
 #: are themselves substituted: the cycle guard of last resort (the ERM
 #: refuses to install a cyclic binding up front).
 MAX_CHAIN = 4
 
-
-@dataclass(frozen=True)
-class CompositionStep:
-    """One step of a ``composed_of`` rule: invoke ``prototype`` on
-    ``reference``, feeding inputs from the accumulated attribute
-    environment and merging outputs back into it."""
-
-    prototype: str
-    reference: str
+#: Rebinds kept in :attr:`SubstitutionState.history`, newest last (the
+#: ``.substitutions`` surface); older ones are dropped.
+REBIND_HISTORY_SIZE = 256
 
 
 @dataclass(frozen=True)
 class SubstitutionRule:
-    """One declared edge of the substitution relation.
+    """One declared edge of the substitution relation: ``substitute``
+    serves ``prototype`` through its prototype named ``via``.
 
-    ``prototype`` names the functionality being substituted; ``reference``
-    restricts the rule to one failing service (``None`` = any provider of
-    the prototype).  Exactly one of the kind-specific payloads is set:
-    ``substitute`` (+ ``via`` for ``specializes``) or ``steps``.
+    ``reference`` restricts the rule to one failing service (``None`` =
+    any provider of the prototype).  The rule resolves only while
+    ``substitute`` offers a ``via`` whose typed attributes cover
+    ``prototype``'s (:meth:`SubstitutionState.resolve`).
     """
 
-    kind: str
     prototype: str
+    substitute: str
+    via: str
     reference: str | None = None
-    substitute: str | None = None
-    via: str | None = None
-    steps: tuple[CompositionStep, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in RULE_KINDS:
-            raise SchemaError(
-                f"substitution rule kind {self.kind!r} not in {RULE_KINDS}"
-            )
-        if self.kind == "composed_of":
-            if not self.steps:
-                raise SchemaError("composed_of rule needs at least one step")
-            if self.substitute is not None or self.via is not None:
-                raise SchemaError("composed_of rule takes steps, not a substitute")
-        else:
-            if not self.substitute:
-                raise SchemaError(f"{self.kind} rule needs a substitute reference")
-            if self.steps:
-                raise SchemaError(f"{self.kind} rule does not take steps")
-            if self.kind == "specializes" and not self.via:
-                raise SchemaError(
-                    "specializes rule needs the richer prototype name (via=)"
-                )
-            if self.kind == "equivalent_to" and self.via is not None:
-                raise SchemaError("equivalent_to rule does not take via=")
-
-    # -- declarative constructors -------------------------------------------
-
-    @classmethod
-    def equivalent_to(
-        cls, prototype: str, substitute: str, reference: str | None = None
-    ) -> "SubstitutionRule":
-        """``substitute`` implements the same ``prototype``."""
-        return cls("equivalent_to", prototype, reference, substitute)
-
-    @classmethod
-    def specializes(
-        cls,
-        prototype: str,
-        substitute: str,
-        via: str,
-        reference: str | None = None,
-    ) -> "SubstitutionRule":
-        """``substitute`` offers ``via`` (superset outputs, subset inputs);
-        results are projected down to ``prototype``'s output schema."""
-        return cls("specializes", prototype, reference, substitute, via)
-
-    @classmethod
-    def composed_of(
-        cls,
-        prototype: str,
-        steps: Iterable[tuple[str, str] | CompositionStep],
-        reference: str | None = None,
-    ) -> "SubstitutionRule":
-        """A sequential composition of ``(prototype, reference)`` steps
-        implements ``prototype``."""
-        normalized = tuple(
-            step if isinstance(step, CompositionStep) else CompositionStep(*step)
-            for step in steps
-        )
-        return cls("composed_of", prototype, reference, steps=normalized)
 
     def describe(self) -> str:
         scope = self.reference or "*"
-        if self.kind == "composed_of":
-            chain = " -> ".join(f"{s.prototype}@{s.reference}" for s in self.steps)
-            return f"{self.prototype}[{scope}] composed_of {chain}"
-        if self.kind == "specializes":
-            return (
-                f"{self.prototype}[{scope}] specializes "
-                f"{self.substitute}/{self.via}"
-            )
-        return f"{self.prototype}[{scope}] equivalent_to {self.substitute}"
+        return (
+            f"{self.prototype}[{scope}] specializes {self.substitute}/{self.via}"
+        )
 
 
 @dataclass(frozen=True)
 class ResolvedBinding:
-    """An executable substitution plan for one ``(prototype, reference)``.
-
-    ``targets`` is the invocation recipe: one ``(Prototype, reference)``
-    pair for ``equivalent_to`` (the original prototype) and
-    ``specializes`` (the richer ``via`` prototype), or the full step
-    sequence for ``composed_of``.  ``projection`` carries the positions of
-    the original output attributes inside the ``via`` output schema for
-    ``specializes`` plans.
+    """An executable substitution plan for one ``(prototype, reference)``:
+    invoke ``via`` on ``target`` with the inputs narrowed to ``via``'s,
+    and keep the columns at ``projection`` — the positions of
+    ``prototype``'s outputs inside ``via``'s (the identity when ``via`` is
+    ``prototype``).
     """
 
     rule: SubstitutionRule
     prototype: Prototype
     reference: str
-    targets: tuple[tuple[Prototype, str], ...]
-    projection: tuple[int, ...] | None = None
-
-    @property
-    def target_references(self) -> tuple[str, ...]:
-        return tuple(reference for _, reference in self.targets)
+    via: Prototype
+    target: str
+    projection: tuple[int, ...]
 
     def describe(self) -> str:
-        if self.rule.kind == "composed_of":
-            chain = " -> ".join(
-                f"{proto.name}@{ref}" for proto, ref in self.targets
-            )
-            return f"composed_of {chain}"
-        proto, ref = self.targets[0]
-        if self.rule.kind == "specializes":
-            return f"specializes {ref}/{proto.name}"
-        return f"equivalent_to {ref}"
+        return f"specializes {self.target}/{self.via.name}"
 
 
 @dataclass(frozen=True)
@@ -248,7 +150,7 @@ class SubstitutionState:
         # prototype name -> reference -> epoch of its latest rebind (install
         # or drop: both change what an invocation of that pair returns).
         self._rebound: dict[str, dict[str, int]] = {}
-        self.history: deque[Rebind] = deque(maxlen=256)
+        self.history: deque[Rebind] = deque(maxlen=REBIND_HISTORY_SIZE)
 
     # -- declaration ---------------------------------------------------------
 
@@ -347,8 +249,9 @@ class SubstitutionState:
     ) -> list[ResolvedBinding]:
         """Resolve every applicable rule into an executable plan against
         the *current* registry contents; unresolvable rules (substitute
-        not registered, schemas incompatible, step chain broken) are
-        silently skipped — they may resolve at a later sweep."""
+        not registered, no ``via`` whose typed attributes cover
+        ``prototype``'s) are silently skipped — they may resolve at a
+        later sweep."""
         plans: list[ResolvedBinding] = []
         for rule in self.rules_for(prototype.name, reference):
             plan = self._resolve_rule(registry, rule, prototype, reference)
@@ -363,53 +266,32 @@ class SubstitutionState:
         prototype: Prototype,
         reference: str,
     ) -> ResolvedBinding | None:
-        if rule.kind == "equivalent_to":
-            target = rule.substitute
-            if target == reference or target not in registry:
-                return None
-            service = registry.get(target)
-            if not service.implements(prototype):
-                return None
-            return ResolvedBinding(rule, prototype, reference, ((prototype, target),))
-        if rule.kind == "specializes":
-            target = rule.substitute
-            if target == reference or target not in registry:
-                return None
-            service = registry.get(target)
-            via = next(
-                (p for p in service.prototypes if p.name == rule.via), None
-            )
-            if via is None:
-                return None
-            if not (
-                via.output_names >= prototype.output_names
-                and via.input_names <= prototype.input_names
-            ):
-                return None
-            projection = tuple(
-                via.output_schema.position(name)
-                for name in prototype.output_schema.names
-            )
-            return ResolvedBinding(
-                rule, prototype, reference, ((via, target),), projection
-            )
-        # composed_of: thread the attribute environment through the steps.
-        available = set(prototype.input_names)
-        targets: list[tuple[Prototype, str]] = []
-        for step in rule.steps:
-            if step.reference == reference or step.reference not in registry:
-                return None
-            service = registry.get(step.reference)
-            step_proto = next(
-                (p for p in service.prototypes if p.name == step.prototype), None
-            )
-            if step_proto is None or not step_proto.input_names <= available:
-                return None
-            available |= step_proto.output_names
-            targets.append((step_proto, step.reference))
-        if not prototype.output_names <= available:
+        target = rule.substitute
+        if target == reference or target not in registry:
             return None
-        return ResolvedBinding(rule, prototype, reference, tuple(targets))
+        via = next(
+            (p for p in registry.get(target).prototypes if p.name == rule.via),
+            None,
+        )
+        if via is None:
+            return None
+        # Typed attributes, not names: a same-named attribute of another
+        # type would hand ``prototype``'s callers wrongly typed rows.  An
+        # active ``via`` under a passive ``prototype`` (or the reverse)
+        # would add or drop a side effect the action set does not record.
+        if not (
+            via.active == prototype.active
+            and set(prototype.output_schema.attributes)
+            <= set(via.output_schema.attributes)
+            and set(via.input_schema.attributes)
+            <= set(prototype.input_schema.attributes)
+        ):
+            return None
+        projection = tuple(
+            via.output_schema.position(name)
+            for name in prototype.output_schema.names
+        )
+        return ResolvedBinding(rule, prototype, reference, via, target, projection)
 
     # -- ranking -------------------------------------------------------------
 
@@ -418,13 +300,13 @@ class SubstitutionState:
     ) -> list[ResolvedBinding]:
         """Order candidate plans best-first.
 
-        The score is a lexicographic tuple per plan, worst target taken
-        across composition steps: health-state rank (UP before SUSPECT;
-        QUARANTINED targets are excluded outright), observed failure-rate
-        decile from the health totals, the rule-kind rank, and finally the
-        target reference sequence — the deterministic tie-break required
-        by the §3.2 convention.  Nothing wall-clock enters the score, so
-        every engine and every run ranks alike.
+        The score is a lexicographic tuple per plan: the target's
+        health-state rank (UP before SUSPECT; QUARANTINED targets are
+        excluded outright), its observed failure-rate decile from the
+        health totals, and finally the target reference — the
+        deterministic tie-break required by the §3.2 convention.  Nothing
+        wall-clock enters the score, so every engine and every run ranks
+        alike.
         """
         scored: list[tuple[tuple, ResolvedBinding]] = []
         for plan in plans:
@@ -438,54 +320,35 @@ class SubstitutionState:
         self, registry: "ServiceRegistry", plan: ResolvedBinding
     ) -> tuple | None:
         health = registry.health
-        worst_state = 0
-        worst_decile = 0
-        for _, target in plan.targets:
-            if target not in registry:
-                return None
-            state = health.state(target)
-            if state is HealthState.QUARANTINED:
-                return None
-            worst_state = max(
-                worst_state, 1 if state is HealthState.SUSPECT else 0
-            )
-            if target in health.known():
-                record = health.health(target)
-                attempts = record.total_successes + record.total_failures
-                if attempts:
-                    worst_decile = max(
-                        worst_decile,
-                        int(10 * record.total_failures / attempts),
-                    )
-        return (
-            worst_state,
-            worst_decile,
-            _KIND_RANK[plan.rule.kind],
-            plan.target_references,
-        )
+        target = plan.target
+        if target not in registry:
+            return None
+        state = health.state(target)
+        if state is HealthState.QUARANTINED:
+            return None
+        decile = 0
+        if target in health.known():
+            record = health.health(target)
+            attempts = record.total_successes + record.total_failures
+            if attempts:
+                decile = int(10 * record.total_failures / attempts)
+        return (1 if state is HealthState.SUSPECT else 0, decile, target)
 
     def routes_through(
         self, plan: ResolvedBinding, reference: str
     ) -> bool:
         """True iff executing ``plan`` would (transitively, through the
         currently installed bindings) invoke ``reference`` — the
-        install-time cycle guard."""
+        install-time cycle guard.  A target that is itself bound routes
+        on through its own binding, so the walk follows one chain."""
         seen: set[tuple[str, str]] = set()
-        frontier = deque(
-            (proto.name, target) for proto, target in plan.targets
-        )
-        while frontier:
-            key = frontier.popleft()
+        key: tuple[str, str] | None = (plan.via.name, plan.target)
+        while key is not None and key not in seen:
             if key[1] == reference:
                 return True
-            if key in seen:
-                continue
             seen.add(key)
             nested = self.bindings.get(key)
-            if nested is not None:
-                frontier.extend(
-                    (proto.name, target) for proto, target in nested.targets
-                )
+            key = None if nested is None else (nested.via.name, nested.target)
         return False
 
     # -- reporting -----------------------------------------------------------

@@ -315,13 +315,11 @@ class EnvironmentResourceManager:
         return installed
 
     def _binding_healthy(self, plan: ResolvedBinding) -> bool:
-        health = self.registry.health
-        for _, target in plan.targets:
-            if target not in self.registry:
-                return False
-            if health.state(target) is HealthState.QUARANTINED:
-                return False
-        return True
+        return (
+            plan.target in self.registry
+            and self.registry.health.state(plan.target)
+            is not HealthState.QUARANTINED
+        )
 
     def _substitution_sweep(self, instant: int) -> None:
         subs = self.registry.substitutions

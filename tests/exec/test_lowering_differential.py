@@ -8,13 +8,16 @@ the outbox are compared with the naive oracle at every instant.  The
 Table 4 queries cover most of the table; the set operators, the literal
 base relation, γ and β∞ get cases of their own.  A late registration on
 a warm engine pins ``StreamingExec.fresh_view`` over a derived operand.
+Every concrete operator class of ``repro`` must have an entry.
 """
 
 import functools
+import inspect
 
 import pytest
 
 from repro.algebra import col, scan
+from repro.algebra.operators.base import Operator
 from repro.algebra.operators.scan import BaseRelation
 from repro.continuous.continuous_query import ContinuousQuery
 from repro.devices.paper_example import CONTACT_ROWS
@@ -128,6 +131,20 @@ def test_every_lowering_is_ticked_with_inserts_and_deletes():
     covered = frozenset().union(*(exercised(case) for case in CASES))
     missing = sorted(t.__name__ for t in LOWERINGS if t not in covered)
     assert not missing, f"no differential case ticks {missing}"
+
+
+def concrete_operators(cls=Operator):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
+            yield sub
+        yield from concrete_operators(sub)
+
+
+def test_every_concrete_operator_has_a_lowering():
+    """Lowering has no fallback: an operator missing from the table
+    cannot run on the physical engine at all."""
+    missing = sorted(t.__name__ for t in concrete_operators() if t not in LOWERINGS)
+    assert not missing, f"no lowering for {missing}"
 
 
 @pytest.mark.parametrize("shape", ["same", "windowed"])

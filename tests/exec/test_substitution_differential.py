@@ -27,7 +27,7 @@ POLICY = InvocationPolicy(failure_threshold=1)
 FAULTS = {"sensor22": FaultScript(crash_at=CRASH_AT)}
 SPARES = (("spare-roof", "roof", 15.5),)
 RULES = (
-    SubstitutionRule.specializes(
+    SubstitutionRule(
         "getTemperature", "spare-roof", "getEnvReading", reference="sensor22"
     ),
 )

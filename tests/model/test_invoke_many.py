@@ -75,11 +75,15 @@ def build_registry(policy, observe: Observability | None = None) -> ServiceRegis
     registry.register(EnvironmentalSensor("env0", "lab", base=30.0).as_service())
     subs = registry.substitutions
     subs.declare(
-        SubstitutionRule.specializes(
+        SubstitutionRule(
             "getTemperature", "env0", "getEnvReading", reference="s03"
         )
     )
-    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s00", "s05"))
+    subs.declare(
+        SubstitutionRule(
+            "getTemperature", "s00", "getTemperature", reference="s05"
+        )
+    )
     subs.failover = {
         ("getTemperature", "s03"): tuple(
             subs.resolve(registry, GET_TEMPERATURE, "s03")
@@ -308,8 +312,16 @@ def build_chain(policy) -> ServiceRegistry:
             service = FaultInjector(service, script, seed="chain").as_service()
         registry.register(service)
     subs = registry.substitutions
-    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s11", "s10"))
-    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s12", "s10"))
+    subs.declare(
+        SubstitutionRule(
+            "getTemperature", "s11", "getTemperature", reference="s10"
+        )
+    )
+    subs.declare(
+        SubstitutionRule(
+            "getTemperature", "s12", "getTemperature", reference="s10"
+        )
+    )
     subs.failover = {
         ("getTemperature", "s10"): tuple(subs.resolve(registry, GET_TEMPERATURE, "s10"))
     }
@@ -410,7 +422,11 @@ def build_second_call_fails(policy, route="failover") -> ServiceRegistry:
     registry.register(Service("s20", {GET_TEMPERATURE: moody}))
     registry.register(Service("s21", {GET_TEMPERATURE: dead}))
     subs = registry.substitutions
-    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "s20", "s21"))
+    subs.declare(
+        SubstitutionRule(
+            "getTemperature", "s20", "getTemperature", reference="s21"
+        )
+    )
     (plan,) = subs.resolve(registry, GET_TEMPERATURE, "s21")
     if route == "failover":
         subs.failover = {("getTemperature", "s21"): (plan,)}
@@ -458,7 +474,11 @@ def test_a_handler_failing_while_its_rows_are_read_fails_the_device(handler, rep
         ]
     )
     subs = registry.substitutions
-    subs.declare(SubstitutionRule.equivalent_to("getTemperature", "spare", "covered"))
+    subs.declare(
+        SubstitutionRule(
+            "getTemperature", "spare", "getTemperature", reference="covered"
+        )
+    )
     subs.failover = {
         ("getTemperature", "covered"): tuple(
             subs.resolve(registry, GET_TEMPERATURE, "covered")

@@ -191,7 +191,11 @@ class TestTupleContract:
             ]
         )
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "t", "s"))
+        subs.declare(
+            SubstitutionRule(
+                "getTemperature", "t", "getTemperature", reference="s"
+            )
+        )
         subs.failover = {
             ("getTemperature", "s"): tuple(subs.resolve(registry, GET_TEMPERATURE, "s"))
         }

@@ -3,28 +3,14 @@
 import pytest
 
 from repro.devices.prototypes import GET_ENV_READING, GET_TEMPERATURE
-from repro.errors import InvocationError, SchemaError
+from repro.errors import InvocationError
 from repro.model.prototypes import Prototype
 from repro.model.schema import RelationSchema
 from repro.model.services import Service, ServiceRegistry
-from repro.model.substitution import MAX_CHAIN, CompositionStep, SubstitutionRule
-
-# A two-step composition fixture: resolve an area to a sensor reference,
-# then read that sensor — together they implement readArea.
-READ_AREA = Prototype(
-    "readArea",
-    RelationSchema.of(area="STRING"),
-    RelationSchema.of(temperature="REAL"),
-)
-LOOKUP = Prototype(
-    "lookupSensor",
-    RelationSchema.of(area="STRING"),
-    RelationSchema.of(sensor="STRING"),
-)
-READ_BY_NAME = Prototype(
-    "readByName",
-    RelationSchema.of(sensor="STRING"),
-    RelationSchema.of(temperature="REAL"),
+from repro.model.substitution import (
+    MAX_CHAIN,
+    REBIND_HISTORY_SIZE,
+    SubstitutionRule,
 )
 
 
@@ -43,46 +29,26 @@ def env_station(temperature, humidity):
 
 
 class TestRuleValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaError):
-            SubstitutionRule("better_than", "getTemperature", substitute="x")
-
-    def test_equivalent_needs_substitute(self):
-        with pytest.raises(SchemaError):
-            SubstitutionRule("equivalent_to", "getTemperature")
-
     def test_specializes_needs_via(self):
-        with pytest.raises(SchemaError):
-            SubstitutionRule("specializes", "getTemperature", substitute="x")
-
-    def test_composed_needs_steps(self):
-        with pytest.raises(SchemaError):
-            SubstitutionRule("composed_of", "getTemperature")
-
-    def test_composed_rejects_substitute(self):
-        with pytest.raises(SchemaError):
-            SubstitutionRule(
-                "composed_of",
-                "getTemperature",
-                substitute="x",
-                steps=(CompositionStep("a", "b"),),
-            )
+        # A rule names its substitute and the prototype it serves through.
+        with pytest.raises(TypeError):
+            SubstitutionRule("getTemperature", "x")
+        with pytest.raises(TypeError):
+            SubstitutionRule("getTemperature", via="getTemperature")
 
     def test_constructors_and_describe(self):
-        rule = SubstitutionRule.specializes(
+        rule = SubstitutionRule(
             "getTemperature", "spare", "getEnvReading", reference="s1"
         )
         assert rule.describe() == (
             "getTemperature[s1] specializes spare/getEnvReading"
         )
-        rule = SubstitutionRule.composed_of(
-            "readArea", [("lookupSensor", "dir"), ("readByName", "hub")]
-        )
-        assert "lookupSensor@dir -> readByName@hub" in rule.describe()
+        rule = SubstitutionRule("getTemperature", "b", "getTemperature")
+        assert rule.describe() == "getTemperature[*] specializes b/getTemperature"
 
     def test_declare_is_idempotent(self):
         registry = ServiceRegistry()
-        rule = SubstitutionRule.equivalent_to("getTemperature", "b")
+        rule = SubstitutionRule("getTemperature", "b", "getTemperature")
         registry.substitutions.declare(rule)
         registry.substitutions.declare(rule)
         assert registry.substitutions.rules == (rule,)
@@ -101,34 +67,32 @@ class TestResolution:
     def test_equivalent_resolves_to_same_prototype(self):
         registry = self.make_registry()
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "b"))
+        subs.declare(SubstitutionRule("getTemperature", "b", "getTemperature"))
         plans = subs.resolve(registry, GET_TEMPERATURE, "a")
         assert len(plans) == 1
-        assert plans[0].targets == ((GET_TEMPERATURE, "b"),)
-        assert plans[0].projection is None
+        assert (plans[0].via, plans[0].target) == (GET_TEMPERATURE, "b")
+        assert plans[0].projection == (0,)
 
     def test_unregistered_substitute_skipped(self):
         registry = self.make_registry()
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "ghost"))
+        subs.declare(SubstitutionRule("getTemperature", "ghost", "getTemperature"))
         assert subs.resolve(registry, GET_TEMPERATURE, "a") == []
 
     def test_self_substitution_skipped(self):
         registry = self.make_registry()
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "a"))
+        subs.declare(SubstitutionRule("getTemperature", "a", "getTemperature"))
         assert subs.resolve(registry, GET_TEMPERATURE, "a") == []
 
     def test_specializes_projection_positions(self):
         registry = self.make_registry()
         subs = registry.substitutions
         subs.declare(
-            SubstitutionRule.specializes(
-                "getTemperature", "spare", "getEnvReading"
-            )
+            SubstitutionRule("getTemperature", "spare", "getEnvReading")
         )
         (plan,) = subs.resolve(registry, GET_TEMPERATURE, "a")
-        assert plan.targets == ((GET_ENV_READING, "spare"),)
+        assert (plan.via, plan.target) == (GET_ENV_READING, "spare")
         # getEnvReading outputs (temperature, humidity): position 0.
         assert plan.projection == (0,)
 
@@ -145,48 +109,53 @@ class TestResolution:
         )
         subs = registry.substitutions
         subs.declare(
-            SubstitutionRule.specializes("getTemperature", "spare", "poorReading")
+            SubstitutionRule("getTemperature", "spare", "poorReading")
         )
         assert subs.resolve(registry, GET_TEMPERATURE, "a") == []
 
-    def test_composed_threading_and_coverage(self):
-        registry = ServiceRegistry()
-        registry.register(
-            Service(
-                "dir",
-                {LOOKUP: lambda inputs, instant: [("s9",)]},
-            )
+    def test_specializes_requires_matching_attribute_types(self):
+        # Same names as getTemperature's output, another type: the spare's
+        # rows would be wrongly typed getTemperature rows.
+        text_reading = Prototype(
+            "textReading",
+            RelationSchema(()),
+            RelationSchema.of(temperature="STRING"),
         )
+        registry = ServiceRegistry()
+        registry.register(Service("a", {GET_TEMPERATURE: thermometer(20.0)}))
         registry.register(
-            Service(
-                "hub",
-                {READ_BY_NAME: lambda inputs, instant: [(7.0,)]},
-            )
+            Service("spare", {text_reading: lambda inputs, instant: [("warm",)]})
         )
         subs = registry.substitutions
         subs.declare(
-            SubstitutionRule.composed_of(
-                "readArea", [("lookupSensor", "dir"), ("readByName", "hub")]
-            )
+            SubstitutionRule("getTemperature", "spare", "textReading")
         )
-        (plan,) = subs.resolve(registry, READ_AREA, "dead")
-        assert [ref for _, ref in plan.targets] == ["dir", "hub"]
-        # Reversing the steps breaks attribute threading (readByName needs
-        # ``sensor``, which only lookupSensor provides).
-        subs2 = ServiceRegistry().substitutions
-        subs2.declare(
-            SubstitutionRule.composed_of(
-                "readArea", [("readByName", "hub"), ("lookupSensor", "dir")]
-            )
+        assert subs.resolve(registry, GET_TEMPERATURE, "a") == []
+
+    def test_specializes_requires_the_same_activeness(self):
+        # A passive getTemperature must not be served by a call with a
+        # side effect its action set would not record.
+        ringing = Prototype(
+            "ringAndRead",
+            RelationSchema(()),
+            RelationSchema.of(temperature="REAL"),
+            active=True,
         )
-        assert subs2.resolve(registry, READ_AREA, "dead") == []
+        registry = ServiceRegistry()
+        registry.register(Service("a", {GET_TEMPERATURE: thermometer(20.0)}))
+        registry.register(Service("spare", {ringing: thermometer(19.0)}))
+        subs = registry.substitutions
+        subs.declare(SubstitutionRule("getTemperature", "spare", "ringAndRead"))
+        assert subs.resolve(registry, GET_TEMPERATURE, "a") == []
 
     def test_specific_rules_rank_before_wildcards(self):
         registry = self.make_registry()
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "b"))
+        subs.declare(SubstitutionRule("getTemperature", "b", "getTemperature"))
         subs.declare(
-            SubstitutionRule.equivalent_to("getTemperature", "b", reference="a")
+            SubstitutionRule(
+                "getTemperature", "b", "getTemperature", reference="a"
+            )
         )
         rules = subs.rules_for("getTemperature", "a")
         assert rules[0].reference == "a"
@@ -204,12 +173,10 @@ class TestRanking:
         return registry
 
     def declare_all(self, subs):
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "beta"))
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "alpha"))
+        subs.declare(SubstitutionRule("getTemperature", "beta", "getTemperature"))
+        subs.declare(SubstitutionRule("getTemperature", "alpha", "getTemperature"))
         subs.declare(
-            SubstitutionRule.specializes(
-                "getTemperature", "spare", "getEnvReading"
-            )
+            SubstitutionRule("getTemperature", "spare", "getEnvReading")
         )
 
     def test_ties_break_on_reference_order(self):
@@ -217,13 +184,8 @@ class TestRanking:
         subs = registry.substitutions
         self.declare_all(subs)
         plans = subs.rank(registry, subs.resolve(registry, GET_TEMPERATURE, "dead"))
-        # Same health, same kind: alphabetical reference order.
-        assert [p.target_references for p in plans[:2]] == [
-            ("alpha",),
-            ("beta",),
-        ]
-        # specializes ranks after equivalent_to at equal health.
-        assert plans[2].rule.kind == "specializes"
+        # Same health: target reference order, whatever the via.
+        assert [p.target for p in plans] == ["alpha", "beta", "spare"]
 
     def test_failing_target_ranks_last_and_quarantined_excluded(self):
         registry = self.make_registry()
@@ -234,8 +196,8 @@ class TestRanking:
         for instant in range(4):
             health.record_failure("alpha", instant)
         plans = subs.rank(registry, subs.resolve(registry, GET_TEMPERATURE, "dead"))
-        assert plans[0].target_references == ("beta",)
-        assert plans[-1].target_references != ("beta",)
+        assert plans[0].target == "beta"
+        assert plans[-1].target == "alpha"
 
     def test_rank_drops_unregistered_target(self):
         registry = self.make_registry()
@@ -244,7 +206,7 @@ class TestRanking:
         plans = subs.resolve(registry, GET_TEMPERATURE, "dead")
         registry.unregister("alpha")
         ranked = subs.rank(registry, plans)
-        assert all(p.target_references != ("alpha",) for p in ranked)
+        assert all(p.target != "alpha" for p in ranked)
 
 
 class TestRoutingGuard:
@@ -253,12 +215,12 @@ class TestRoutingGuard:
         registry.register(Service("a", {GET_TEMPERATURE: thermometer(1.0)}))
         registry.register(Service("b", {GET_TEMPERATURE: thermometer(2.0)}))
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "b"))
+        subs.declare(SubstitutionRule("getTemperature", "b", "getTemperature"))
         (plan_ab,) = subs.resolve(registry, GET_TEMPERATURE, "a")
         assert subs.routes_through(plan_ab, "b")
         # Install a -> b; a plan sending b's traffic to a now loops.
         subs.install(plan_ab, 1, "quarantine")
-        rule_ba = SubstitutionRule.equivalent_to("getTemperature", "a")
+        rule_ba = SubstitutionRule("getTemperature", "a", "getTemperature")
         subs.declare(rule_ba)
         (plan_ba,) = subs.resolve(registry, GET_TEMPERATURE, "b")
         assert subs.routes_through(plan_ba, "b")
@@ -270,7 +232,7 @@ class TestEpochProtocol:
         registry.register(Service("a", {GET_TEMPERATURE: thermometer(1.0)}))
         registry.register(Service("b", {GET_TEMPERATURE: thermometer(2.0)}))
         subs = registry.substitutions
-        subs.declare(SubstitutionRule.equivalent_to("getTemperature", "b"))
+        subs.declare(SubstitutionRule("getTemperature", "b", "getTemperature"))
         (plan,) = subs.resolve(registry, GET_TEMPERATURE, "a")
         assert subs.epoch == 0
         record = subs.install(plan, 5, "quarantine")
@@ -282,9 +244,24 @@ class TestEpochProtocol:
         assert subs.rebound_since("getTemperature", 1) == {"a"}
         assert subs.drop("getTemperature", "a", 9, "again") is None
         assert [r.describe() for r in subs.history] == [
-            "@5 getTemperature[a] equivalent_to b (quarantine)",
+            "@5 getTemperature[a] specializes b/getTemperature (quarantine)",
             "@9 getTemperature[a] released (substitute-failed)",
         ]
+
+    def test_history_keeps_the_newest_rebinds(self):
+        registry = ServiceRegistry()
+        registry.register(Service("a", {GET_TEMPERATURE: thermometer(1.0)}))
+        registry.register(Service("b", {GET_TEMPERATURE: thermometer(2.0)}))
+        subs = registry.substitutions
+        subs.declare(SubstitutionRule("getTemperature", "b", "getTemperature"))
+        (plan,) = subs.resolve(registry, GET_TEMPERATURE, "a")
+        for instant in range(REBIND_HISTORY_SIZE + 1):
+            subs.install(plan, instant, "quarantine")
+        assert subs.epoch == REBIND_HISTORY_SIZE + 1
+        assert len(subs.history) == REBIND_HISTORY_SIZE
+        assert [r.instant for r in subs.history] == list(
+            range(1, REBIND_HISTORY_SIZE + 1)
+        )
 
 
 class TestBindingExecution:
@@ -296,7 +273,7 @@ class TestBindingExecution:
         )
         subs = registry.substitutions
         subs.declare(
-            SubstitutionRule.specializes(
+            SubstitutionRule(
                 "getTemperature", "spare", "getEnvReading", reference="a"
             )
         )
@@ -305,39 +282,6 @@ class TestBindingExecution:
         # Invocations of a now return the spare's projected reading; the
         # original handler is never consulted.
         assert registry.invoke(GET_TEMPERATURE, "a", (), 2) == [(19.5,)]
-
-    def test_composed_binding_threads_inputs(self):
-        registry = ServiceRegistry()
-        registry.register(
-            Service("area-reader", {READ_AREA: lambda i, t: [(0.0,)]})
-        )
-        registry.register(
-            Service(
-                "dir",
-                {LOOKUP: lambda inputs, instant: [(inputs[0],)]},
-            )
-        )
-        registry.register(
-            Service(
-                "hub",
-                {
-                    READ_BY_NAME: lambda inputs, instant: [(float(len(inputs[0])),)]
-                },
-            )
-        )
-        subs = registry.substitutions
-        subs.declare(
-            SubstitutionRule.composed_of(
-                "readArea",
-                [("lookupSensor", "dir"), ("readByName", "hub")],
-                reference="area-reader",
-            )
-        )
-        (plan,) = subs.resolve(registry, READ_AREA, "area-reader")
-        subs.install(plan, 1, "quarantine")
-        assert registry.invoke(READ_AREA, "area-reader", ("roof",), 2) == [
-            (4.0,)
-        ]
 
     def test_chain_depth_guard(self):
         # r0 -> r1 -> ... -> r{MAX_CHAIN+1}: every hop a bound reference.
@@ -348,7 +292,9 @@ class TestBindingExecution:
         subs = registry.substitutions
         for ref, nxt in zip(refs, refs[1:]):
             subs.declare(
-                SubstitutionRule.equivalent_to("getTemperature", nxt, reference=ref)
+                SubstitutionRule(
+                    "getTemperature", nxt, "getTemperature", reference=ref
+                )
             )
             (plan,) = subs.resolve(registry, GET_TEMPERATURE, ref)
             subs.install(plan, 1, "quarantine")

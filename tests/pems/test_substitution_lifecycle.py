@@ -28,7 +28,7 @@ PERMANENT = FaultScript(crash_at=3)
 #: s2 is down over [3, 6) and then recovers — the probation scenario.
 TEMPORARY = FaultScript(crash_windows=((3, 6),))
 
-RULE = SubstitutionRule.specializes(
+RULE = SubstitutionRule(
     "getTemperature", "spare", "getEnvReading", reference="s2"
 )
 

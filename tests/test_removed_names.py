@@ -10,9 +10,10 @@ backoff, the per-tick attempt cap, query history, the per-query
 engine override and the quarantine backoff keyword), the core ERM's
 test-only invocation queue, the sorted-mapping invocation memo key and
 β/β∞'s error-policy option with the degrade mode and the partial-advance
-recovery only it needed, and the observability modes with the span
-tracer and the mode branches only they needed — must not creep back into
-code, docs, examples, scripts or CI.
+recovery only it needed, the observability modes with the span tracer
+and the mode branches only they needed, the substitution rule kinds
+other than the one typed-cover rule, and the naive-subtree lowering
+fallback — must not creep back into code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -127,6 +128,13 @@ BANNED = re.compile(
       | _trace_deltas
       | _tick_queries
       | observe\s*=\s*["']
+      | CompositionStep
+      | composed_of
+      | RULE_KINDS
+      | _KIND_RANK
+      | \.equivalent_to\(
+      | target_references
+      | FallbackExec
     """,
     re.VERBOSE,
 )
