@@ -8,7 +8,7 @@ table restates the semantic contract checked by each micro-bench.
 
 import pytest
 
-from repro.algebra import Query, col, relation, scan
+from repro.algebra import Query, col, scan
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.scenario import temperatures_schema
 from repro.model.environment import PervasiveEnvironment
@@ -36,13 +36,13 @@ def evaluate(plan, env):
 
 
 def test_bench_t3a_projection(benchmark, env_handle, items):
-    plan = relation(items).project("item", "category")
+    plan = scan(env_handle.environment, "items").project("item", "category")
     result = benchmark(evaluate, plan, env_handle)
     assert result.schema.names == ("item", "category")
 
 
 def test_bench_t3b_selection(benchmark, env_handle, items):
-    plan = relation(items).select(col("category").eq("alpha") & col("size").lt(25))
+    plan = scan(env_handle.environment, "items").select(col("category").eq("alpha") & col("size").lt(25))
     result = benchmark(evaluate, plan, env_handle)
     assert all(
         m["category"] == "alpha" and m["size"] < 25 for m in result.to_mappings()
@@ -50,27 +50,26 @@ def test_bench_t3b_selection(benchmark, env_handle, items):
 
 
 def test_bench_t3c_renaming(benchmark, env_handle, items):
-    plan = relation(items).rename("size", "bulk")
+    plan = scan(env_handle.environment, "items").rename("size", "bulk")
     result = benchmark(evaluate, plan, env_handle)
     assert "bulk" in result.schema.real_names
 
 
 def test_bench_t3d_natural_join(benchmark, env_handle, items):
-    categories = env_handle.environment.relation("categories")
-    plan = relation(items).join(relation(categories))
+    plan = scan(env_handle.environment, "items").join(scan(env_handle.environment, "categories"))
     result = benchmark(evaluate, plan, env_handle)
     assert len(result) == len(items)
     assert "priority" in result.schema.real_names
 
 
 def test_bench_t3e_assignment(benchmark, env_handle, items):
-    plan = relation(items).assign("done", True)
+    plan = scan(env_handle.environment, "items").assign("done", True)
     result = benchmark(evaluate, plan, env_handle)
     assert "done" in result.schema.real_names
 
 
 def test_bench_t3f_invocation(benchmark, env_handle, items):
-    plan = relation(items).invoke("getScore")
+    plan = scan(env_handle.environment, "items").invoke("getScore")
     result = benchmark(evaluate, plan, env_handle)
     assert "score" in result.schema.real_names
     assert len(result) == len(items)
@@ -115,8 +114,7 @@ def test_bench_t3_summary(benchmark):
     # Benchmark the cheapest pipeline stage (plan construction) so the
     # summary row appears alongside the operator rows in benchmark output.
     env_handle = random_environment(seed=1, num_items=100)
-    items_relation = env_handle.environment.relation("items")
-    benchmark(lambda: relation(items_relation).invoke("getScore").node.schema)
+    benchmark(lambda: scan(env_handle.environment, "items").invoke("getScore").node.schema)
     report.table(
         ["op", "symbol", "semantic contract checked"],
         [

@@ -3,7 +3,7 @@ rewriting over relational pervasive environments.  The optimizer is
 :func:`rewrite_fixpoint` over :data:`PUSHDOWN_RULES` (Section 3.3)."""
 
 from repro.algebra.actions import Action, ActionSet
-from repro.algebra.builder import PlanBuilder, relation, scan
+from repro.algebra.builder import PlanBuilder, scan
 from repro.algebra.context import EvaluationContext
 from repro.algebra.equivalence import (
     EquivalenceReport,
@@ -16,7 +16,6 @@ from repro.algebra.operators import (
     AggregateFunction,
     AggregateSpec,
     Assignment,
-    BaseRelation,
     Difference,
     Intersection,
     Invocation,
@@ -57,7 +56,6 @@ __all__ = [
     "AggregateSpec",
     "And",
     "Assignment",
-    "BaseRelation",
     "Comparison",
     "DEFAULT_RULES",
     "Difference",
@@ -96,7 +94,6 @@ __all__ = [
     "normalize",
     "normalize_formula",
     "plan_fingerprint",
-    "relation",
     "rewrite_fixpoint",
     "rule_by_name",
     "scan",

@@ -27,7 +27,7 @@ from repro.algebra.operators.invocation import Invocation
 from repro.algebra.operators.join import NaturalJoin
 from repro.algebra.operators.projection import Projection
 from repro.algebra.operators.renaming import Renaming
-from repro.algebra.operators.scan import BaseRelation, Scan
+from repro.algebra.operators.scan import Scan
 from repro.algebra.operators.selection import Selection
 from repro.algebra.operators.setops import Difference, Intersection, Union
 from repro.algebra.operators.stream_invocation import StreamingInvocation
@@ -35,9 +35,8 @@ from repro.algebra.operators.streaming import Streaming, StreamType
 from repro.algebra.operators.window import Window
 from repro.algebra.query import Query
 from repro.model.environment import PervasiveEnvironment
-from repro.model.relation import XRelation
 
-__all__ = ["PlanBuilder", "scan", "relation"]
+__all__ = ["PlanBuilder", "scan"]
 
 
 class PlanBuilder:
@@ -167,8 +166,3 @@ def scan(environment: PervasiveEnvironment, name: str) -> PlanBuilder:
     schema = environment.schema(name).with_name(name)
     stream = bool(getattr(stored, "infinite", False))
     return PlanBuilder(Scan(name, schema, stream))
-
-
-def relation(xrelation: XRelation) -> PlanBuilder:
-    """Start a plan from a literal X-Relation."""
-    return PlanBuilder(BaseRelation(xrelation))

@@ -48,11 +48,6 @@ def _atom(value: object) -> str:
         return "(" + ",".join(_atom(v) for v in value) + ")"
     if isinstance(value, frozenset):
         return "{" + ",".join(sorted(_atom(v) for v in value)) + "}"
-    tuples = getattr(value, "tuples", None)
-    if tuples is not None:  # a literal X-Relation (BaseRelation leaves)
-        schema = getattr(value, "schema", None)
-        names = getattr(schema, "names", ())
-        return f"rel[{','.join(names)}]{sorted(tuples)!r}"
     return repr(value)
 
 

@@ -11,7 +11,7 @@ from repro.algebra.operators.invocation import Invocation
 from repro.algebra.operators.join import NaturalJoin
 from repro.algebra.operators.projection import Projection
 from repro.algebra.operators.renaming import Renaming
-from repro.algebra.operators.scan import BaseRelation, Scan
+from repro.algebra.operators.scan import Scan
 from repro.algebra.operators.selection import Selection
 from repro.algebra.operators.setops import Difference, Intersection, Union
 from repro.algebra.operators.stream_invocation import StreamingInvocation
@@ -23,7 +23,6 @@ __all__ = [
     "AggregateFunction",
     "AggregateSpec",
     "Assignment",
-    "BaseRelation",
     "Difference",
     "Intersection",
     "Invocation",

@@ -1,13 +1,9 @@
-"""Leaf operators: scans of named relations and literal X-Relations.
+"""The leaf operator: a scan of a named relation of the environment.
 
 A :class:`Scan` references an X-Relation (or XD-Relation) of the
 environment by name and resolves it at evaluation time — this is what makes
 plans robust to dynamic environments: the relation contents (including
 discovery-maintained service tables) are read at the evaluation instant.
-
-A :class:`BaseRelation` embeds a literal X-Relation into a plan; it is
-mostly useful for tests and for invoking a prototype on an ad-hoc
-single-tuple relation.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from repro.errors import InvalidOperatorError
 from repro.model.relation import XRelation
 from repro.model.xschema import ExtendedRelationSchema
 
-__all__ = ["Scan", "BaseRelation"]
+__all__ = ["Scan"]
 
 
 class Scan(Operator):
@@ -67,21 +63,20 @@ class Scan(Operator):
         return relation
 
     def inserted(self, ctx: EvaluationContext) -> frozenset[tuple]:
-        """Exact insertions from the XD-Relation journal when available."""
+        """Exact insertions from the XD-Relation journal; a static
+        X-Relation's come from the generic diff."""
         stored = ctx.environment.relation(self.name)
-        inserted_at = getattr(stored, "inserted_at", None)
-        if inserted_at is not None:
-            self.evaluate(ctx)  # keep the delta bookkeeping consistent
-            return frozenset(inserted_at(ctx.instant))
-        return super().inserted(ctx)
+        if isinstance(stored, XRelation):
+            return super().inserted(ctx)
+        self.evaluate(ctx)  # keep the delta bookkeeping consistent
+        return frozenset(stored.inserted_at(ctx.instant))
 
     def deleted(self, ctx: EvaluationContext) -> frozenset[tuple]:
         stored = ctx.environment.relation(self.name)
-        deleted_at = getattr(stored, "deleted_at", None)
-        if deleted_at is not None:
-            self.evaluate(ctx)
-            return frozenset(deleted_at(ctx.instant))
-        return super().deleted(ctx)
+        if isinstance(stored, XRelation):
+            return super().deleted(ctx)
+        self.evaluate(ctx)
+        return frozenset(stored.deleted_at(ctx.instant))
 
     def render(self) -> str:
         return self.name
@@ -91,33 +86,3 @@ class Scan(Operator):
 
     def _signature(self) -> tuple:
         return (self.name, self._stream)
-
-
-class BaseRelation(Operator):
-    """Leaf node over a literal X-Relation (environment-independent)."""
-
-    __slots__ = ("relation",)
-
-    def __init__(self, relation: XRelation):
-        self.relation = relation
-        super().__init__(())
-
-    def _derive_schema(self) -> ExtendedRelationSchema:
-        return self.relation.schema
-
-    def with_children(self, children: Sequence[Operator]) -> "BaseRelation":
-        if children:
-            raise InvalidOperatorError("BaseRelation is a leaf")
-        return self
-
-    def _compute(self, ctx: EvaluationContext) -> XRelation:
-        return self.relation
-
-    def render(self) -> str:
-        return f"<literal:{len(self.relation)} tuples>"
-
-    def symbol(self) -> str:
-        return "literal"
-
-    def _signature(self) -> tuple:
-        return (self.relation,)

@@ -69,11 +69,10 @@ class Window(Operator):
         (child,) = self.children
         if isinstance(child, Scan):
             stored = ctx.environment.relation(child.name)
-            journal_window = getattr(stored, "window", None)
-            if journal_window is not None:
+            if not isinstance(stored, XRelation):  # an XD-Relation's journal
                 return XRelation(
                     self.schema,
-                    journal_window(ctx.instant, self.period),
+                    stored.window(ctx.instant, self.period),
                     validated=True,
                 )
         state = ctx.state(self)

@@ -372,19 +372,15 @@ class FleetTelemetryFeeder:
         tables: ExtendedTableManager,
         relation: str,
         columns,
-        period: int = 1,
     ):
         self.registry = registry
         self.prototype = prototype
         self.tables = tables
         self.relation = relation
-        self.period = period
         schema = tables.relation(relation).schema
         self._poll = StreamPoll(registry, prototype, schema, columns)
 
     def __call__(self, instant: int) -> None:
-        if instant % self.period != 0:
-            return
         rows = self._poll.rows(instant)
         if rows:
             self.tables.insert_tuples(self.relation, rows, instant)

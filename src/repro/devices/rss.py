@@ -87,22 +87,19 @@ class RssFeed:
 
 
 class RssStreamWrapper:
-    """Polls feeds every ``poll_period`` instants into a news stream.
+    """Polls feeds every instant into a news stream.
 
     "A tuple is inserted in the stream when a new item appears in the RSS
     feed (that is periodically checked)" — the wrapper remembers its last
     poll instant per feed and inserts everything published since.
     """
 
-    def __init__(self, feeds: list[RssFeed], insert, poll_period: int = 1):
+    def __init__(self, feeds: list[RssFeed], insert):
         self.feeds = list(feeds)
         self.insert = insert
-        self.poll_period = max(1, poll_period)
         self._last_poll: dict[str, int] = {feed.site: 0 for feed in self.feeds}
 
     def __call__(self, instant: int) -> None:
-        if instant % self.poll_period != 0:
-            return
         rows = []
         for feed in self.feeds:
             since = self._last_poll[feed.site]

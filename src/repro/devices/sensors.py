@@ -11,7 +11,7 @@ with a deterministic thermal model:
   raise the reading over an instant range — the simulation analogue of the
   authors heating physical sensors to trigger the surveillance scenario.
 
-A :class:`SensorStreamFeeder` pushes periodic readings from a set of
+A :class:`SensorStreamFeeder` pushes a reading per instant from a set of
 sensors into a ``temperatures`` stream, like the paper's sensors
 "periodically providing temperatures associated with locations".  It reads
 through the service registry, so a sensor that disappears from the
@@ -258,7 +258,7 @@ def _sensor_columns(service: Service) -> dict[str, object]:
 class SensorStreamFeeder:
     """Per-tick producer of the ``temperatures`` stream.
 
-    At every instant that is a multiple of ``period``, it invokes
+    At every instant it invokes
     ``getTemperature`` on every currently registered sensor service (a
     :class:`StreamPoll`) and inserts ``(sensor, location, temperature,
     at)`` tuples into the ``temperatures`` stream of ``tables`` (which
@@ -270,17 +270,13 @@ class SensorStreamFeeder:
         self,
         registry: ServiceRegistry,
         tables: ExtendedTableManager,
-        period: int = 1,
     ):
         self.registry = registry
         self.tables = tables
-        self.period = period
         schema = tables.relation("temperatures").schema
         self._poll = StreamPoll(registry, GET_TEMPERATURE, schema, _sensor_columns)
 
     def __call__(self, instant: int) -> None:
-        if instant % self.period != 0:
-            return
         rows = self._poll.rows(instant)
         if rows:
             self.tables.insert_tuples("temperatures", rows, instant)

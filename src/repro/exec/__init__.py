@@ -2,8 +2,10 @@
 
 The logical algebra (:mod:`repro.algebra`) defines *what* a plan means —
 schema derivation, rewriting, equivalence.  This package defines *how* a
-registered continuous query runs: a logical operator tree is lowered
-(:mod:`repro.exec.lowering`) into a tree of incremental executors
+registered continuous query runs: one post-order walk
+(:meth:`~repro.exec.shared.SharedPlanRegistry.acquire`, reading the
+operator table of :mod:`repro.exec.lowering`) turns a logical operator
+tree into a DAG of incremental executors
 (:mod:`repro.exec.executors`) that consume ``(inserted, deleted)`` delta
 sets from their children and maintain per-node state (hash indexes,
 support counts, invocation caches, window buffers), so steady-state tick
@@ -15,17 +17,17 @@ by instant and produces the same per-tick
 engine, which is kept as a differential-testing oracle
 (:data:`~repro.exec.lowering.ENGINES` names the two).
 
-The engine leases its plan from a
-:class:`~repro.exec.shared.SharedPlanRegistry`: structurally equivalent
-subplans of different registered queries run on the same executor
-instances (refcounted) — a standalone query simply gets a private
-registry — and :mod:`repro.exec.scheduler` skips queries whose sources
+That walk is the only way to a physical plan: the engine leases its plan
+from a :class:`~repro.exec.shared.SharedPlanRegistry`, structurally
+equivalent subplans — of different registered queries, or repeated
+within one — run on the same executor instances (refcounted), a
+standalone query or ``.explain physical`` simply gets a private
+registry, and :mod:`repro.exec.scheduler` skips queries whose sources
 provably did not change since their last tick.
 """
 
 from repro.exec.delta import EMPTY_DELTA, Delta
 from repro.exec.executors import Executor
-from repro.exec.lowering import lower
 from repro.exec.scheduler import TickScheduler
 from repro.exec.shared import SharedEngine, SharedPlan, SharedPlanRegistry
 
@@ -37,5 +39,4 @@ __all__ = [
     "SharedPlan",
     "SharedPlanRegistry",
     "TickScheduler",
-    "lower",
 ]

@@ -34,7 +34,7 @@ it once, π and ⋈ tally output support in :class:`collections.Counter`.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.algebra.actions import Action
 from repro.algebra.context import EvaluationContext
@@ -42,7 +42,7 @@ from repro.algebra.operators.base import Operator
 from repro.algebra.operators.extensions import Aggregate
 from repro.algebra.operators.invocation import Invocation
 from repro.algebra.operators.join import NaturalJoin
-from repro.algebra.operators.scan import BaseRelation, Scan
+from repro.algebra.operators.scan import Scan
 from repro.algebra.operators.stream_invocation import StreamingInvocation
 from repro.algebra.operators.streaming import Streaming, StreamType
 from repro.algebra.operators.window import Window
@@ -62,11 +62,13 @@ from repro.exec.compile import (
 from repro.exec.delta import EMPTY_DELTA, Delta
 from repro.model.relation import XRelation
 
+if TYPE_CHECKING:  # the continuous package layers on the executors
+    from repro.continuous.xdrelation import XDRelation
+
 __all__ = [
     "ExecStats",
     "Executor",
     "ScanExec",
-    "BaseRelationExec",
     "SelectionExec",
     "ProjectionExec",
     "RenamingExec",
@@ -250,23 +252,24 @@ class Executor:
 class ScanExec(Executor):
     """Leaf over a named relation of the environment.
 
-    Three regimes, chosen per tick from the stored relation object:
+    Two regimes, chosen by the type of the stored relation (the
+    environment stores nothing but these two):
 
     * **journaled** (an :class:`~repro.continuous.xdrelation.XDRelation`):
       the change delta is read from the journal between the previous and
       the current evaluation instant — exact and O(changes); the reported
       delta is the journal's delta *at* the evaluation instant, matching
       the logical Scan's Section 4.2 refinement.
-    * **static** (a plain X-Relation): the delta is empty while the
-      stored object is unchanged — O(1) per tick.
-    * **dynamic but unjournaled** (any other object with
-      ``instantaneous``): falls back to diffing consecutive
-      materializations, exactly like the naive engine.
+    * **static** (an :class:`~repro.model.relation.XRelation`): the delta
+      is empty while the stored object is unchanged — O(1) per tick.
+
+    Either one rebases — diffs a full read against ``current`` — on its
+    first tick and whenever the name is bound to another relation object.
     """
 
     def __init__(self, node: Scan):
         super().__init__(node)
-        self._stored: object | None = None
+        self._stored: XRelation | XDRelation | None = None
         # Journal high-water mark: entries at instants >= _consumed may
         # still change (same-instant writes) or appear; everything below
         # has been applied to `current`.
@@ -280,37 +283,33 @@ class ScanExec(Executor):
     def _advance(self, ctx: EvaluationContext):
         node = self.node
         stored = ctx.environment.relation(node.name)
-        if not stored.schema.compatible(node.schema):  # type: ignore[attr-defined]
+        if not stored.schema.compatible(node.schema):
             raise InvalidOperatorError(
                 f"relation {node.name!r} changed schema since the plan was built"
             )
-        journaled = hasattr(stored, "changes_between") and hasattr(
-            stored, "inserted_at"
-        )
-        self.journaled = journaled
-        rebase = self.is_first_tick or stored is not self._stored
-        if not rebase and isinstance(stored, XRelation):
-            return EMPTY_DELTA  # static relation, same object: nothing moved
-        if rebase or not journaled:
+        static = isinstance(stored, XRelation)
+        self.journaled = not static
+        if self.is_first_tick or stored is not self._stored:
             new = ctx.environment.instantaneous(node.name, ctx.instant).tuples
             self.stats.rows_scanned += len(new)
             change = Delta(
                 frozenset(new - self.current), frozenset(self.current - new)
             )
+            self._stored = stored
+        elif static:
+            return EMPTY_DELTA  # static relation, same object: nothing moved
         else:
             change = self._apply_journal(ctx, stored)
-        self._stored = stored
-        if journaled:
-            last = stored.last_instant  # type: ignore[attr-defined]
-            self._consumed = last if last <= ctx.instant else ctx.instant + 1
-            reported = Delta(
-                stored.inserted_at(ctx.instant),  # type: ignore[attr-defined]
-                stored.deleted_at(ctx.instant),  # type: ignore[attr-defined]
-            )
-            return change, reported
-        return change
+        if static:
+            return change
+        last = stored.last_instant
+        self._consumed = last if last <= ctx.instant else ctx.instant + 1
+        reported = Delta(
+            stored.inserted_at(ctx.instant), stored.deleted_at(ctx.instant)
+        )
+        return change, reported
 
-    def _apply_journal(self, ctx: EvaluationContext, stored: object) -> Delta:
+    def _apply_journal(self, ctx: EvaluationContext, stored: XDRelation) -> Delta:
         """Net membership change from the journal since the last tick.
 
         The journal is re-read from the consumed high-water mark, so
@@ -328,7 +327,7 @@ class ScanExec(Executor):
         removed: set[tuple] = set()
         current = self.current
         start = self._consumed if self._consumed is not None else 0
-        for _, inserted, deleted in stored.changes_between(start, ctx.instant):  # type: ignore[attr-defined]
+        for _, inserted, deleted in stored.changes_between(start, ctx.instant):
             self.stats.rows_scanned += len(inserted) + len(deleted)
             if inserted:
                 removed -= inserted
@@ -339,18 +338,6 @@ class ScanExec(Executor):
         if not added and not removed:
             return EMPTY_DELTA
         return Delta(frozenset(added), frozenset(removed))
-
-
-class BaseRelationExec(Executor):
-    """Leaf over a literal X-Relation: all tuples arrive on the first tick."""
-
-    def __init__(self, node: BaseRelation):
-        super().__init__(node)
-
-    def _advance(self, ctx: EvaluationContext) -> Delta:
-        if self.is_first_tick:
-            return Delta(self.node.relation.tuples, _EMPTY)  # type: ignore[attr-defined]
-        return EMPTY_DELTA
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Lowering: logical Serena plans → physical executor trees.
+"""Lowering: the operator table that maps logical Serena operators to
+their incremental executors.
 
-The lowering pass is the seam between the two layers: the optimizer
-rewrites *logical* trees (:mod:`repro.algebra`), and once a plan is
-chosen, :func:`lower` translates each logical node into its incremental
-executor (:mod:`repro.exec.executors`).
-
-Node sharing is preserved: a logical node reachable through several plan
-branches is lowered to a *single* executor (memoized by ``Operator.uid``),
-mirroring the naive engine's per-node evaluation memo.
+The optimizer rewrites *logical* trees (:mod:`repro.algebra`); once a
+plan is chosen, :meth:`~repro.exec.shared.SharedPlanRegistry.acquire`
+walks it once, in post-order, and builds each node's executor from
+:data:`LOWERINGS` — leasing the shareable subtrees from the registry.
+That walk is the only place executors are built: the shared engine runs
+it, and ``.explain physical`` prints what it builds.
 
 A window directly over a scan is lowered to a *leaf*: ``W`` requires a
 stream operand, and a stream scan only ever names an infinite
@@ -27,7 +26,7 @@ from repro.algebra.operators.invocation import Invocation
 from repro.algebra.operators.join import NaturalJoin
 from repro.algebra.operators.projection import Projection
 from repro.algebra.operators.renaming import Renaming
-from repro.algebra.operators.scan import BaseRelation, Scan
+from repro.algebra.operators.scan import Scan
 from repro.algebra.operators.selection import Selection
 from repro.algebra.operators.setops import Difference, Intersection, Union
 from repro.algebra.operators.stream_invocation import StreamingInvocation
@@ -40,7 +39,6 @@ __all__ = [
     "ENGINES",
     "LOWERINGS",
     "check_engine",
-    "lower",
     "operands",
 ]
 
@@ -62,11 +60,10 @@ def check_engine(engine: str) -> None:
 
 
 #: Logical operator class → executor factory taking (node, *child
-#: executors): the one operator table, read by :func:`lower` and by the
-#: shared-plan registry.
+#: executors): the one operator table, read by the shared-plan
+#: registry's walk.
 LOWERINGS: dict[type, Callable[..., x.Executor]] = {
-    Scan: lambda node: x.ScanExec(node),
-    BaseRelation: lambda node: x.BaseRelationExec(node),
+    Scan: x.ScanExec,
     Selection: x.SelectionExec,
     Projection: x.ProjectionExec,
     Renaming: x.RenamingExec,
@@ -90,25 +87,3 @@ def operands(node: Operator) -> tuple[Operator, ...]:
     if type(node) is Window and isinstance(node.children[0], Scan):
         return ()
     return node.children
-
-
-def lower(
-    node: Operator, memo: dict[int, x.Executor] | None = None
-) -> x.Executor:
-    """Translate a logical plan into its physical executor tree.
-
-    ``memo`` maps ``Operator.uid`` to the already-built executor so shared
-    subplans advance once per instant, exactly like the logical
-    evaluation memo.
-    """
-    if memo is None:
-        memo = {}
-    built = memo.get(node.uid)
-    if built is not None:
-        return built
-    executor = LOWERINGS[type(node)](
-        node, *(lower(child, memo) for child in operands(node))
-    )
-    memo[node.uid] = executor
-    return executor
-

@@ -155,57 +155,50 @@ class SharedPlanRegistry:
             return not operands(node)
         return True
 
-    def _subtree_shareable(self, node: Operator) -> bool:
-        return self._node_shareable(node) and all(
-            self._subtree_shareable(child) for child in operands(node)
-        )
-
     # -- acquire / release -------------------------------------------------------
 
-    def acquire(self, query: Query) -> "SharedPlan":
-        """Build (or reuse) the physical plan for ``query``: shareable
-        subtrees come refcounted from the registry, the rest is private."""
-        canonical = canonical_plan(query)
+    def acquire(self, plan: Operator | Query) -> "SharedPlan":
+        """Build (or reuse) the physical plan for ``plan``: shareable
+        subtrees come refcounted from the registry, the rest is private.
+        This is the one walk that turns a logical plan into executors."""
+        canonical = canonical_plan(plan)
         leased: dict[Operator, None] = {}
-        root = self._build(canonical, leased, {})
+        root, _ = self._build(canonical, leased, {})
+        self._sync_gauges()
         return SharedPlan(self, root, canonical, tuple(leased))
 
     def _build(
         self,
         node: Operator,
         leased: dict[Operator, None],
-        memo: dict[int, Executor],
-    ) -> Executor:
-        built = memo.get(node.uid)
-        if built is not None:  # a node shared within this one plan
-            return built
-        if self._subtree_shareable(node):
-            executor = self._lease(node, leased)
-        else:
-            children = [self._build(c, leased, memo) for c in operands(node)]
-            executor = LOWERINGS[type(node)](node, *children)
-        memo[node.uid] = executor
-        return executor
-
-    def _lease(
-        self, node: Operator, leased: dict[Operator, None]
-    ) -> Executor:
-        entry = self._entries.get(node)
+        built: dict[int, tuple[Executor, bool]],
+    ) -> tuple[Executor, bool]:
+        """Post-order: ``node``'s executor, and whether it is leased.  A
+        node is leased when its own kind is shareable and every operand
+        was leased in this walk; a leased parent's entry already holds
+        exactly its operands' entries as children."""
+        done = built.get(node.uid)
+        if done is not None:  # a node shared within this one plan
+            return done
+        built_operands = [self._build(c, leased, built) for c in operands(node)]
+        children = [executor for executor, _ in built_operands]
+        leasable = self._node_shareable(node) and all(
+            operand_leased for _, operand_leased in built_operands
+        )
+        entry = self._entries.get(node) if leasable else None
         if entry is None:
-            self._lease_misses_total.inc()
-            children = [self._lease(c, leased) for c in operands(node)]
             executor = LOWERINGS[type(node)](node, *children)
-            entry = _Entry(executor, _digest(node))
-            self._entries[node] = entry
+            if leasable:
+                self._lease_misses_total.inc()
+                entry = self._entries[node] = _Entry(executor, _digest(node))
         else:
             self._lease_hits_total.inc()
-            for child in operands(node):  # keep descendant refcounts symmetric
-                self._lease(child, leased)
-        if node not in leased:
+            executor = entry.executor
+        if entry is not None and node not in leased:
             entry.refcount += 1
             leased[node] = None
-        self._sync_gauges()
-        return entry.executor
+        built[node.uid] = (executor, leasable)
+        return executor, leasable
 
     def _release(self, leases: tuple[Operator, ...]) -> None:
         for node in leases:

@@ -12,7 +12,7 @@ data type — wherever it appears.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import (
     EnvironmentError_,
@@ -26,20 +26,24 @@ from repro.model.services import Service, ServiceRegistry
 from repro.model.types import DataType
 from repro.model.xschema import ExtendedRelationSchema
 
+if TYPE_CHECKING:  # the continuous package layers on the model
+    from repro.continuous.xdrelation import XDRelation
+
 __all__ = ["PervasiveEnvironment"]
 
 
 class PervasiveEnvironment:
     """Catalog of X-Relations, prototypes and services.
 
-    The relation store accepts both static :class:`XRelation` objects and
-    dynamic XD-Relations (any object exposing ``schema`` and
-    ``instantaneous(instant) -> XRelation``); query evaluation always sees
-    the instantaneous X-Relation at the evaluation instant (Section 4.2).
+    The relation store holds exactly two kinds of relation: static
+    :class:`XRelation` objects and dynamic
+    :class:`~repro.continuous.xdrelation.XDRelation` objects; query
+    evaluation always sees the instantaneous X-Relation at the evaluation
+    instant (Section 4.2).
     """
 
     def __init__(self, registry: ServiceRegistry | None = None):
-        self._relations: dict[str, object] = {}
+        self._relations: dict[str, XRelation | XDRelation] = {}
         self._prototypes: dict[str, Prototype] = {}
         self._attribute_types: dict[str, DataType] = {}
         self.registry = registry if registry is not None else ServiceRegistry()
@@ -102,14 +106,19 @@ class PervasiveEnvironment:
 
     # -- relations -------------------------------------------------------------------
 
-    def add_relation(self, relation: object, name: str | None = None) -> None:
+    def add_relation(
+        self, relation: XRelation | XDRelation, name: str | None = None
+    ) -> None:
         """Store an X-Relation or XD-Relation under ``name`` (defaults to
-        its schema name)."""
-        schema = getattr(relation, "schema", None)
-        if not isinstance(schema, ExtendedRelationSchema):
+        its schema name); anything else is rejected."""
+        # Imported here: the continuous package layers on the model.
+        from repro.continuous.xdrelation import XDRelation
+
+        if not isinstance(relation, (XRelation, XDRelation)):
             raise EnvironmentError_(
                 f"not an X-Relation or XD-Relation: {relation!r}"
             )
+        schema = relation.schema
         key = name or schema.name
         if not key:
             raise EnvironmentError_("relation needs a name to enter the environment")
@@ -124,7 +133,7 @@ class PervasiveEnvironment:
             raise UnknownRelationError(name)
         del self._relations[name]
 
-    def relation(self, name: str) -> object:
+    def relation(self, name: str) -> XRelation | XDRelation:
         """The stored relation object (static or dynamic)."""
         try:
             return self._relations[name]
@@ -132,7 +141,7 @@ class PervasiveEnvironment:
             raise UnknownRelationError(name) from None
 
     def schema(self, name: str) -> ExtendedRelationSchema:
-        return self.relation(name).schema  # type: ignore[attr-defined]
+        return self.relation(name).schema
 
     def instantaneous(self, name: str, instant: int) -> XRelation:
         """The X-Relation named ``name`` as of ``instant``.
@@ -143,12 +152,7 @@ class PervasiveEnvironment:
         stored = self.relation(name)
         if isinstance(stored, XRelation):
             return stored
-        instantaneous = getattr(stored, "instantaneous", None)
-        if instantaneous is None:
-            raise EnvironmentError_(
-                f"relation {name!r} is neither static nor dynamic: {stored!r}"
-            )
-        return instantaneous(instant)
+        return stored.instantaneous(instant)
 
     @property
     def relation_names(self) -> tuple[str, ...]:

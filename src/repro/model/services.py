@@ -237,6 +237,14 @@ class ServiceRegistry:
         registry when :attr:`topology_version` has moved; the returned
         list is the caller's own copy.
         """
+        return list(self._provider_index().get(prototype, ()))
+
+    @property
+    def implemented(self) -> tuple[Prototype, ...]:
+        """Every prototype at least one registered service implements."""
+        return tuple(self._provider_index())
+
+    def _provider_index(self) -> dict[Prototype, list[Service]]:
         if self._indexed_version != self.topology_version:
             index: dict[Prototype, list[Service]] = {}
             for reference in sorted(self._services):
@@ -245,7 +253,7 @@ class ServiceRegistry:
                     index.setdefault(implemented, []).append(service)
             self._providers = index
             self._indexed_version = self.topology_version
-        return list(self._providers.get(prototype, ()))
+        return self._providers
 
     # -- invocation (Definition 1) -------------------------------------------
 

@@ -45,6 +45,16 @@ def _label(executor: "Executor") -> str:
     return symbol
 
 
+def _shared_refs(registry: "SharedPlanRegistry", node) -> int | None:
+    """The refcount of ``registry``'s live entry for ``node``, or None
+    when ``node`` runs privately there."""
+    from repro.algebra.fingerprint import plan_fingerprint
+
+    if registry.lookup(node) is None:
+        return None
+    return registry.refcounts()[plan_fingerprint(node)]
+
+
 def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
     """Per-executor stat rows of a registered continuous query's plan
     (empty on the naive engine, which has no physical plan)."""
@@ -57,11 +67,6 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
     engine = continuous._engine
     if engine is None:
         return []
-    # id(executor) → refcount for every live entry of the query's registry.
-    shared = {
-        id(entry.executor): entry.refcount
-        for entry in engine.registry._entries.values()
-    }
     rows: list[dict] = []
     seen: dict[int, int] = {}
 
@@ -81,13 +86,14 @@ def analyze_rows(continuous: "ContinuousQuery") -> list[dict]:
         index = len(rows)
         seen[key] = index
         stats = executor.stats
+        refs = _shared_refs(engine.registry, executor.node)
         row: dict = {
             "depth": depth,
             "index": index,
             "operator": _label(executor),
             "executor": type(executor).__name__,
-            "shared": key in shared,
-            "refcount": shared.get(key),
+            "shared": refs is not None,
+            "refcount": refs,
             "ticks": stats.ticks,
             "input_inserted": stats.input_inserted,
             "input_deleted": stats.input_deleted,
@@ -165,19 +171,22 @@ def render_analyze(continuous: "ContinuousQuery") -> str:
 def render_physical(
     plan, registry: "SharedPlanRegistry | None" = None
 ) -> str:
-    """The lowered physical plan of a (not yet registered) logical plan:
-    executor classes plus shared/private markers against ``registry``.
+    """The physical plan a registration of ``plan`` builds: executor
+    classes plus shared/private markers against ``registry``.
 
-    The plan is canonicalized (Table 5 normal form — what the shared
-    engine executes) and lowered privately; a subtree is marked shared
-    when the registry currently holds a live entry for it, i.e. a
-    registered query is already running that exact subplan.
+    The plan is acquired from a private registry — the one walk the shared
+    engine runs, so an executor reached twice (a subtree repeated in the
+    plan) is printed once.  A node is marked shared when ``registry``
+    currently holds a live entry for it, i.e. a registered query is
+    already running that exact subplan.
     """
-    from repro.algebra.fingerprint import canonical_plan
-    from repro.exec.lowering import lower
+    from repro.exec.shared import SharedPlanRegistry
+    from repro.model.environment import PervasiveEnvironment
 
-    root = lower(canonical_plan(plan))
-    entries = registry._entries if registry is not None else {}
+    private = SharedPlanRegistry(
+        registry.environment if registry is not None else PervasiveEnvironment()
+    )
+    root = private.acquire(plan).root
     lines: list[str] = []
     seen: set[int] = set()
 
@@ -191,10 +200,12 @@ def render_physical(
             )
             return
         seen.add(id(executor))
-        entry = entries.get(executor.node)
-        status = (
-            f"shared(refs={entry.refcount})" if entry is not None else "private"
+        refs = (
+            _shared_refs(registry, executor.node)
+            if registry is not None
+            else None
         )
+        status = f"shared(refs={refs})" if refs is not None else "private"
         lines.append(f"{indent}{_label(executor)}  {label}  {status}")
         for child in executor.children:
             visit(child, depth + 1)

@@ -336,17 +336,11 @@ class EnvironmentResourceManager:
             self._note_rebind(
                 subs.drop(prototype_name, reference, instant, "substitute-failed")
             )
-            if reference not in self.registry:
-                continue
-            prototype = next(
-                (
-                    p
-                    for p in self._prototypes_of(reference)
-                    if p.name == prototype_name
-                ),
-                None,
-            )
-            if prototype is None:
+            prototype = plan.prototype
+            if (
+                reference not in self.registry
+                or not self.registry.get(reference).implements(prototype)
+            ):
                 continue
             plans = self._candidate_plans(prototype, reference)
             if plans:
@@ -369,18 +363,27 @@ class EnvironmentResourceManager:
         if signature == self._failover_sig:
             return
         self._failover_sig = signature
+        # Only a provider of a prototype some rule covers can enter the
+        # table, so the walk visits those alone, in (reference, prototype)
+        # order.
         table: dict[tuple[str, str], tuple[ResolvedBinding, ...]] = {}
         covered = subs.prototype_names
-        for service in sorted(self.registry, key=lambda s: s.reference):
-            for prototype in sorted(service.prototypes, key=lambda p: p.name):
-                if prototype.name not in covered:
-                    continue
-                key = (prototype.name, service.reference)
-                if key in subs.bindings:
-                    continue  # already durably rerouted
-                plans = self._candidate_plans(prototype, service.reference)
-                if plans:
-                    table[key] = tuple(plans)
+        providers = sorted(
+            (
+                (service.reference, prototype.name, prototype)
+                for prototype in self.registry.implemented
+                if prototype.name in covered
+                for service in self.registry.providers(prototype)
+            ),
+            key=lambda provider: provider[:2],
+        )
+        for reference, name, prototype in providers:
+            key = (name, reference)
+            if key in subs.bindings:
+                continue  # already durably rerouted
+            plans = self._candidate_plans(prototype, reference)
+            if plans:
+                table[key] = tuple(plans)
         subs.failover = table
 
     def __repr__(self) -> str:

@@ -8,13 +8,10 @@ from repro.algebra import (
     Query,
     QueryResult,
     col,
-    relation,
     scan,
 )
 from repro.model.binding import BindingPattern
 from repro.devices.prototypes import SEND_MESSAGE
-from repro.model.relation import XRelation
-from repro.devices.scenario import contacts_schema
 
 
 class TestQuery:
@@ -51,14 +48,6 @@ class TestQuery:
         assert not finite.is_stream
         stream = scan(paper_env, "contacts").stream("insertion").query()
         assert stream.is_stream
-
-    def test_literal_relation_plan(self, paper_env):
-        rel = XRelation.from_mappings(
-            contacts_schema(),
-            [{"name": "Zoe", "address": "z@x.org", "messenger": "email"}],
-        )
-        q = relation(rel).project("name").query()
-        assert q.evaluate(paper_env).relation.column("name") == ["Zoe"]
 
     def test_evaluation_instant_recorded(self, paper_env):
         result = scan(paper_env, "contacts").query().evaluate(paper_env, 7)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.algebra import (
-    BaseRelation,
     Difference,
     Intersection,
     NaturalJoin,
@@ -22,6 +21,7 @@ from repro.errors import (
     VirtualAttributeError,
 )
 from repro.model.attributes import Attribute
+from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
 from repro.model.types import DataType
 from repro.model.xschema import ExtendedRelationSchema
@@ -116,39 +116,44 @@ class TestSetOperators:
             ],
         )
 
-    def test_union(self):
-        q = Union(BaseRelation(self._rel("A", "B")), BaseRelation(self._rel("B", "C")))
-        from repro.algebra import Query
-        from repro.model.environment import PervasiveEnvironment
+    def _scans(self, left, right):
+        """An environment holding ``left`` and ``right``, and a scan of each."""
+        env = PervasiveEnvironment()
+        env.add_relation(left, "left")
+        env.add_relation(right, "right")
+        return env, scan(env, "left").node, scan(env, "right").node
 
-        result = Query(q).evaluate(PervasiveEnvironment()).relation
+    def test_union(self):
+        from repro.algebra import Query
+
+        env, left, right = self._scans(self._rel("A", "B"), self._rel("B", "C"))
+        result = Query(Union(left, right)).evaluate(env).relation
         assert result.column("name") == ["A", "B", "C"]
 
     def test_intersection(self):
         from repro.algebra import Query
-        from repro.model.environment import PervasiveEnvironment
 
-        q = Intersection(
-            BaseRelation(self._rel("A", "B")), BaseRelation(self._rel("B", "C"))
-        )
-        assert Query(q).evaluate(PervasiveEnvironment()).relation.column("name") == ["B"]
+        env, left, right = self._scans(self._rel("A", "B"), self._rel("B", "C"))
+        q = Intersection(left, right)
+        assert Query(q).evaluate(env).relation.column("name") == ["B"]
 
     def test_difference(self):
         from repro.algebra import Query
-        from repro.model.environment import PervasiveEnvironment
 
-        q = Difference(
-            BaseRelation(self._rel("A", "B")), BaseRelation(self._rel("B", "C"))
-        )
-        assert Query(q).evaluate(PervasiveEnvironment()).relation.column("name") == ["A"]
+        env, left, right = self._scans(self._rel("A", "B"), self._rel("B", "C"))
+        q = Difference(left, right)
+        assert Query(q).evaluate(env).relation.column("name") == ["A"]
 
     def test_incompatible_schemas_rejected(self):
-        other = XRelation(surveillance_schema())
+        _, left, other = self._scans(
+            self._rel("A"), XRelation(surveillance_schema())
+        )
         with pytest.raises(InvalidOperatorError, match="not compatible"):
-            Union(BaseRelation(self._rel("A")), BaseRelation(other))
+            Union(left, other)
 
     def test_result_schema_keeps_binding_patterns(self):
-        node = Union(BaseRelation(self._rel("A")), BaseRelation(self._rel("B")))
+        _, left, right = self._scans(self._rel("A"), self._rel("B"))
+        node = Union(left, right)
         assert len(node.schema.binding_patterns) == 1
 
 
@@ -168,7 +173,8 @@ class TestNaturalJoin:
                 {"name": "Nobody", "location": "basement"},
             ],
         )
-        q = scan(paper_env, "contacts").join(BaseRelation(assignments)).query()
+        paper_env.add_relation(assignments)
+        q = scan(paper_env, "contacts").join(scan(paper_env, "assignments")).query()
         result = q.evaluate(paper_env).relation
         assert len(result) == 1
         (row,) = result.to_mappings()
@@ -182,7 +188,8 @@ class TestNaturalJoin:
             ),
             [{"location": "office"}, {"location": "roof"}],
         )
-        q = scan(paper_env, "contacts").join(BaseRelation(locations)).query()
+        paper_env.add_relation(locations)
+        q = scan(paper_env, "contacts").join(scan(paper_env, "locations")).query()
         assert len(q.evaluate(paper_env).relation) == 6  # 3 × 2
 
     def test_join_attribute_virtual_on_one_side_is_product(self, paper_env):
@@ -192,7 +199,8 @@ class TestNaturalJoin:
             ExtendedRelationSchema("texts", [Attribute("text", DataType.STRING)]),
             [{"text": "Hello"}, {"text": "Goodbye"}],
         )
-        q = scan(paper_env, "contacts").join(BaseRelation(texts)).query()
+        paper_env.add_relation(texts)
+        q = scan(paper_env, "contacts").join(scan(paper_env, "texts")).query()
         result = q.evaluate(paper_env).relation
         assert len(result) == 6  # Cartesian product at the tuple level
         # ... but 'text' is now REAL in the result (implicit realization)
@@ -204,20 +212,23 @@ class TestNaturalJoin:
             ExtendedRelationSchema("sents", [Attribute("sent", DataType.BOOLEAN)]),
             [{"sent": True}],
         )
-        node = scan(paper_env, "contacts").join(BaseRelation(sents)).node
+        paper_env.add_relation(sents)
+        node = scan(paper_env, "contacts").join(scan(paper_env, "sents")).node
         assert node.schema.binding_patterns == ()
 
     def test_join_is_commutative_on_tuples(self, paper_env):
         surveillance = XRelation.from_mappings(
             surveillance_schema(), [{"name": "Carla", "location": "office", "threshold": 28.0}]
         )
-        left = scan(paper_env, "contacts").join(BaseRelation(surveillance)).query()
+        paper_env.add_relation(surveillance, "watch")
+        watch = scan(paper_env, "watch")
+        left = scan(paper_env, "contacts").join(watch).query()
         right_first = (
             scan(paper_env, "contacts").node
         )
         from repro.algebra import Query
 
-        right = Query(NaturalJoin(BaseRelation(surveillance), right_first))
+        right = Query(NaturalJoin(watch.node, right_first))
         r1 = left.evaluate(paper_env).relation
         r2 = right.evaluate(paper_env).relation
         assert {frozenset(m.items()) for m in r1.to_mappings()} == {

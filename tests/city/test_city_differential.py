@@ -81,3 +81,26 @@ def test_cascade_had_observable_consequences(naive_run):
     # carries a zone of this city.
     assert scenario.alerts.alerts
     assert {a.zone for a in scenario.alerts.alerts} <= set(SMALL_CITY.zones)
+
+
+def test_failover_table_holds_the_covered_unbound_stations():
+    """The failover table is pre-scored for every provider of a
+    prototype some rule covers that is not already rebound: the four
+    stations until the cascade's crash, then the three left once the
+    crashed one is bound to its zone's spare."""
+    scenario = build_city(SMALL_CITY, engine="shared")
+    substitutions = scenario.pems.environment.registry.substitutions
+    stations = [
+        ("readStation", f"station-{zone}-{i}")
+        for zone in SMALL_CITY.zones
+        for i in range(2)
+    ]
+    crashed = ("readStation", scenario.cascade.crashed_station)
+    assert crashed == stations[0]
+    tables = {}
+    for _ in range(30):
+        scenario.run(1)
+        tables[scenario.clock.now] = list(substitutions.failover)
+    assert all(tables[t] == stations for t in range(1, 22))
+    assert all(tables[t] == stations[1:] for t in range(22, 31))
+    assert list(substitutions.bindings) == [crashed]

@@ -193,28 +193,29 @@ class TestRssFeed:
 
 
 class TestRssStreamWrapper:
-    def _collect(self, poll_period, instants=12):
+    def _collect(self, instants):
+        """The rows a wrapper called at each of ``instants`` inserts."""
         from repro.devices.rss import RssFeed, RssStreamWrapper
 
         feed = RssFeed("site", rate=1.0, seed=0)
         rows: list[dict] = []
-        wrapper = RssStreamWrapper([feed], rows.extend, poll_period=poll_period)
-        for instant in range(1, instants + 1):
+        wrapper = RssStreamWrapper([feed], rows.extend)
+        for instant in instants:
             wrapper(instant)
         return rows
 
     def test_poll_every_instant(self):
-        rows = self._collect(poll_period=1)
+        rows = self._collect(range(1, 13))
         assert [r["published"] for r in rows] == list(range(1, 13))
 
     def test_sparse_polling_catches_up(self):
-        """Polling every 3 instants still delivers every item published
-        since the previous poll (no loss, no duplicates)."""
-        rows = self._collect(poll_period=3)
+        """Called every 3 instants, the wrapper still delivers every item
+        published since the previous poll (no loss, no duplicates)."""
+        rows = self._collect(range(3, 13, 3))
         assert [r["published"] for r in rows] == list(range(1, 13))
 
     def test_rows_carry_site(self):
-        rows = self._collect(poll_period=2, instants=4)
+        rows = self._collect((2, 4))
         assert {r["site"] for r in rows} == {"site"}
 
     def test_wrapper_as_service_matches_feed(self):
@@ -328,8 +329,8 @@ class TestStreamPoll:
         registry = self.registry()
         tables = ExtendedTableManager(PervasiveEnvironment(registry), VirtualClock())
         stream = tables.create_relation(temperatures_schema(), infinite=True)
-        feeder = SensorStreamFeeder(registry, tables, period=2)
-        for instant in range(4):
+        feeder = SensorStreamFeeder(registry, tables)
+        for instant in (0, 2):
             feeder(instant)
         assert [entry[0] for entry in stream.changes_between(0, 3)] == [0, 2]
         assert stream.inserted_at(2) == {

@@ -1,8 +1,8 @@
 """Unit tests for the incremental executors.
 
-Each test drives a small plan through the physical layer directly
-(:func:`lower` + per-instant contexts) and checks both the maintained
-result and the published deltas — including the cases where the change
+Each test drives a small plan through the physical layer directly (the
+executors a private registry acquires, ticked with per-instant contexts)
+and checks both the maintained result and the published deltas — including the cases where the change
 delta and the reported delta differ (journaled scans at skipped
 instants).
 """
@@ -22,7 +22,7 @@ from repro.devices.scenario import (
     temperatures_schema,
 )
 from repro.errors import FormulaError, SerenaError
-from repro.exec import EMPTY_DELTA, Delta, SharedEngine, lower
+from repro.exec import EMPTY_DELTA, Delta, SharedEngine, SharedPlanRegistry
 from repro.exec.executors import (
     AggregateExec,
     Executor,
@@ -33,6 +33,11 @@ from repro.exec.executors import (
 )
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
+
+
+def physical(env, node):
+    """The executor tree the engine runs for ``node``."""
+    return SharedPlanRegistry(env).acquire(node).root
 
 
 def ctx_at(env, instant):
@@ -75,7 +80,7 @@ class ScriptedExec(Executor):
 class TestScanExec:
     def test_journal_deltas_are_exact(self):
         env, stored = surveillance_env([ANA])
-        executor = lower(scan(env, "surveillance").node)
+        executor = physical(env, scan(env, "surveillance").node)
         change = executor.tick(ctx_at(env, 0))
         assert change.inserted == {ANA} and not change.deleted
         stored.insert([BO], instant=1)
@@ -87,7 +92,7 @@ class TestScanExec:
 
     def test_skipped_instants_net_the_journal(self):
         env, stored = surveillance_env([ANA])
-        executor = lower(scan(env, "surveillance").node)
+        executor = physical(env, scan(env, "surveillance").node)
         executor.tick(ctx_at(env, 0))
         # Written at 1, 2, 3 — but only evaluated at 3.
         stored.insert([BO], instant=1)
@@ -101,7 +106,7 @@ class TestScanExec:
 
     def test_reported_differs_from_change_on_skip(self):
         env, stored = surveillance_env([ANA])
-        executor = lower(scan(env, "surveillance").node)
+        executor = physical(env, scan(env, "surveillance").node)
         executor.tick(ctx_at(env, 0))
         stored.insert([BO], instant=1)  # written at 1...
         change = executor.tick(ctx_at(env, 2))  # ...evaluated at 2
@@ -111,7 +116,7 @@ class TestScanExec:
 
     def test_same_instant_late_writes_are_picked_up(self):
         env, stored = surveillance_env()
-        executor = lower(scan(env, "surveillance").node)
+        executor = physical(env, scan(env, "surveillance").node)
         stored.insert([ANA], instant=1)
         assert executor.tick(ctx_at(env, 1)).inserted == {ANA}
         # A second write lands at the *same* instant after evaluation —
@@ -123,7 +128,7 @@ class TestScanExec:
 
     def test_static_relation_is_constant_delta_free(self):
         env = build_paper_example().environment
-        executor = lower(scan(env, "cameras").node)
+        executor = physical(env, scan(env, "cameras").node)
         first = executor.tick(ctx_at(env, 0))
         assert len(first.inserted) == 3
         assert executor.tick(ctx_at(env, 1)) is EMPTY_DELTA
@@ -131,7 +136,7 @@ class TestScanExec:
 
     def test_replaced_relation_object_rebases(self):
         env = build_paper_example().environment
-        executor = lower(scan(env, "contacts").node)
+        executor = physical(env, scan(env, "contacts").node)
         executor.tick(ctx_at(env, 0))
         before = set(executor.current)
         kept = sorted(before)[:2]
@@ -142,7 +147,7 @@ class TestScanExec:
 
     def test_non_decreasing_instants_enforced(self):
         env, _ = surveillance_env([ANA])
-        executor = lower(scan(env, "surveillance").node)
+        executor = physical(env, scan(env, "surveillance").node)
         executor.tick(ctx_at(env, 5))
         with pytest.raises(SerenaError):
             executor.tick(ctx_at(env, 4))
@@ -156,7 +161,8 @@ class TestScanExec:
 class TestTupleOperators:
     def test_selection_filters_deltas(self):
         env, stored = surveillance_env([ANA, BO])
-        executor = lower(
+        executor = physical(
+            env,
             scan(env, "surveillance").select(col("location").eq("office")).node
         )
         assert executor.tick(ctx_at(env, 0)).inserted == {ANA}
@@ -167,7 +173,7 @@ class TestTupleOperators:
 
     def test_projection_support_counting(self):
         env, stored = surveillance_env([ANA, CY])  # both in "office"
-        executor = lower(scan(env, "surveillance").project("location").node)
+        executor = physical(env, scan(env, "surveillance").project("location").node)
         assert executor.tick(ctx_at(env, 0)).inserted == {("office",)}
         # One supporter leaves: the projected tuple must survive.
         stored.delete([ANA], instant=1)
@@ -282,7 +288,7 @@ class TestJoinExec:
         node = (
             scan(env, "surveillance").join(scan(env, "contacts")).node
         )
-        return env, left, contacts, lower(node)
+        return env, left, contacts, physical(env, node)
 
     def test_delta_join_matches_recomputation(self):
         env, left, contacts, executor = self.setup_env()
@@ -370,7 +376,8 @@ class TestAggregateExec:
     DEE = ("Dee", "office", 5.0)
 
     def build(self, env, group_by, *aggregates):
-        executor = lower(
+        executor = physical(
+            env,
             scan(env, "surveillance").aggregate(group_by, *aggregates).node
         )
         assert isinstance(executor, AggregateExec)
@@ -467,7 +474,7 @@ class TestAggregateExec:
             .aggregate(["location"], ("count", None, "n"))
             .node
         )
-        child = lower(node.children[0])
+        child = physical(env, node.children[0])
         child.tick(ctx_at(env, 0))  # another query already ran the scan
         stored.insert([CY], instant=1)
         child.tick(ctx_at(env, 1))
@@ -494,7 +501,7 @@ class TestWindowExec:
         env = PervasiveEnvironment()
         stream = XDRelation(temperatures_schema(), infinite=True)
         env.add_relation(stream)
-        executor = lower(scan(env, "temperatures").window(2).node)
+        executor = physical(env, scan(env, "temperatures").window(2).node)
         for instant in range(1, 7):
             stream.insert(self.readings(instant), instant=instant)
             executor.tick(ctx_at(env, instant))
@@ -510,7 +517,7 @@ class TestWindowExec:
         node = (
             scan(env, "surveillance").stream("insertion").window(2).node
         )
-        executor = lower(node)
+        executor = physical(env, node)
         states = {}
 
         def tick(instant):
@@ -530,7 +537,8 @@ class TestWindowExec:
         """ANA is emitted at 1 and again at 3: inside W[3] two buckets
         hold it, and the first one expiring must not take it out."""
         env, stored = surveillance_env()
-        executor = lower(
+        executor = physical(
+            env,
             scan(env, "surveillance").stream("insertion").window(3).node
         )
         script = {1: ([ANA], ()), 2: ((), [ANA]), 3: ([ANA], ())}
@@ -551,7 +559,7 @@ class TestWindowExec:
         env = PervasiveEnvironment()
         stream = XDRelation(temperatures_schema(), infinite=True)
         env.add_relation(stream)
-        executor = lower(scan(env, "temperatures").window(2).node)
+        executor = physical(env, scan(env, "temperatures").window(2).node)
         early, late = ("s1", "office", 20.0, 1), ("s2", "roof", 9.0, 1)
         stream.insert([early], instant=1)
         assert executor.tick(ctx_at(env, 1)).inserted == {early}
@@ -573,7 +581,7 @@ class TestWindowExec:
         env = PervasiveEnvironment()
         stream = CorrectableStream(temperatures_schema(), infinite=True)
         env.add_relation(stream)
-        executor = lower(scan(env, "temperatures").window(2).node)
+        executor = physical(env, scan(env, "temperatures").window(2).node)
         kept, wrong = ("s1", "office", 20.0, 1), ("s2", "roof", 99.0, 1)
         stream.insert([kept, wrong], instant=1)
         executor.tick(ctx_at(env, 1))
@@ -588,7 +596,8 @@ class TestWindowExec:
         """W[1] over a heartbeat: each instant's bucket replaces the
         last one, and only the difference is published."""
         env, stored = surveillance_env([ANA, BO])
-        executor = lower(
+        executor = physical(
+            env,
             scan(env, "surveillance").stream("heartbeat").window(1).node
         )
         assert executor.tick(ctx_at(env, 0)).inserted == {ANA, BO}
@@ -613,7 +622,7 @@ class TestInvocationExec:
             .invoke("sendMessage")
             .node
         )
-        return lower(node)
+        return physical(env, node)
 
     def test_invokes_only_new_tuples(self):
         paper = build_paper_example()

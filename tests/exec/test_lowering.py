@@ -1,16 +1,22 @@
-"""Lowering: logical plans → physical executor trees."""
+"""Lowering: logical plans → physical executor trees, built by the one
+walk a registry's ``acquire`` runs."""
 
 from repro.algebra import col, scan
 from repro.continuous.xdrelation import XDRelation
 from repro.devices.paper_example import build_paper_example
 from repro.devices.scenario import temperatures_schema
-from repro.exec import lower
+from repro.exec import SharedPlanRegistry
 from repro.exec.executors import ScanExec, SelectionExec, WindowExec
 from repro.exec.lowering import LOWERINGS
 
 
 def paper_env():
     return build_paper_example().environment
+
+
+def physical(env, plan):
+    """The executor tree the engine runs for ``plan``."""
+    return SharedPlanRegistry(env).acquire(plan).root
 
 
 def test_table3_plan_lowers_natively():
@@ -23,7 +29,7 @@ def test_table3_plan_lowers_natively():
         .project("name", "sent")
         .query("q")
     )
-    root = lower(query.root)
+    root = physical(env, query.root)
     executors = list(root.walk())
     for executor in executors:
         assert type(executor.node) in LOWERINGS
@@ -40,7 +46,7 @@ def test_continuous_operators_lower_natively():
         .stream("insertion")
         .query("q")
     )
-    root = lower(query.root)
+    root = physical(env, query.root)
     kinds = [type(e) for e in root.walk()]
     # W over a stream scan reads the journal itself: a leaf, no scan.
     (window,) = [e for e in root.walk() if isinstance(e, WindowExec)]
@@ -54,7 +60,7 @@ def test_shared_subplan_lowered_once():
     from repro.algebra.operators.setops import Union
 
     plan = Union(shared, shared)
-    root = lower(plan)
+    root = physical(env, plan)
     left_child, right_child = root.children
     assert left_child is right_child
     assert isinstance(left_child, SelectionExec)

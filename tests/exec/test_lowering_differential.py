@@ -5,8 +5,8 @@ table.  Each entry must have a :func:`run_differential` case below in
 which its executor advances over insertions *and* deletions (its own
 input, or its parent's for a leaf) while tuples, deltas, action sets and
 the outbox are compared with the naive oracle at every instant.  The
-Table 4 queries cover most of the table; the set operators, the literal
-base relation, γ and β∞ get cases of their own.  A late registration on
+Table 4 queries cover most of the table; the set operators, γ and β∞
+get cases of their own.  A late registration on
 a warm engine pins ``StreamingExec.fresh_view`` over a derived operand.
 Every concrete operator class of ``repro`` must have an entry.
 """
@@ -18,14 +18,10 @@ import pytest
 
 from repro.algebra import col, scan
 from repro.algebra.operators.base import Operator
-from repro.algebra.operators.scan import BaseRelation
 from repro.continuous.continuous_query import ContinuousQuery
-from repro.devices.paper_example import CONTACT_ROWS
-from repro.devices.scenario import contacts_schema
 from repro.exec.executors import StreamingExec
 from repro.exec.lowering import LOWERINGS
 from repro.exec.shared import SharedPlanRegistry
-from repro.model.relation import XRelation
 
 from tests.engines import NAIVE, PAIRS
 from tests.exec.test_differential import (
@@ -64,12 +60,6 @@ def difference(env):
     return emails(env).difference(twos(env)).query("difference")
 
 
-def guests(env):
-    """Contacts minus a literal copy of the seeded ones."""
-    seeded = BaseRelation(XRelation.from_mappings(contacts_schema(), CONTACT_ROWS))
-    return scan(env, "contacts").difference(seeded).query("guests")
-
-
 def per_messenger(env):
     return (
         scan(env, "contacts")
@@ -89,7 +79,6 @@ CASES = {
     "union": (union, (contact_churn,)),
     "intersection": (intersection, (contact_churn,)),
     "difference": (difference, (contact_churn,)),
-    "literal": (guests, (contact_churn,)),
     "aggregate": (per_messenger, (contact_churn,)),
     "streaming-invocation": (photo_checks, (camera_churn,)),
 }

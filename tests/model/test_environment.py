@@ -107,6 +107,21 @@ class TestRelations:
         with pytest.raises(EnvironmentError_):
             PervasiveEnvironment().add_relation(object(), name="x")
 
+    def test_relation_lookalike_rejected(self):
+        """The store holds XRelation or XDRelation and nothing else: an
+        object with a schema and ``instantaneous`` is still refused."""
+
+        class Lookalike:
+            schema = contacts_schema()
+
+            def instantaneous(self, instant):
+                return XRelation(contacts_schema())
+
+        env = PervasiveEnvironment()
+        with pytest.raises(EnvironmentError_, match="not an X-Relation"):
+            env.add_relation(Lookalike())
+        assert "contacts" not in env
+
 
 class TestInstantaneous:
     def test_static_relation_is_time_invariant(self):

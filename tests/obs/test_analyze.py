@@ -101,3 +101,30 @@ class TestRenderPhysical:
         text = explain_physical(scenario.queries["alerts"].query)
         assert "shared(refs=" not in text
         assert "private" in text
+
+    def test_a_repeated_subtree_prints_once(self, scenario):
+        """A self-join of π(W[1](temperatures)) with a renamed copy of
+        itself runs one window and one projection; the printed plan is
+        that plan, with the second reach marked as a repeat."""
+        from repro.algebra import scan
+        from repro.exec import SharedPlanRegistry
+
+        env = scenario.pems.environment
+
+        def readings():
+            return (
+                scan(env, "temperatures")
+                .window(1)
+                .project("location", "temperature")
+            )
+
+        plan = readings().join(readings().rename("temperature", "other"))
+        text = explain_physical(plan.query("pairs"))
+        lines = text.splitlines()
+        assert sum("[WindowExec]" in line for line in lines) == 1
+        projections = [line for line in lines if "[ProjectionExec]" in line]
+        assert len(projections) == 2
+        assert projections[1].endswith("(shared node above)")
+        root = SharedPlanRegistry(env).acquire(plan.node).root
+        distinct = {id(executor) for executor in root.walk()}
+        assert len(lines) - 1 == len(distinct)

@@ -108,18 +108,6 @@ class TestStreamSources:
         pems.run(1)
         assert len(cq.last_result.relation) == 1
 
-    def test_feeder_period(self, pems):
-        pems.tables.create_relation(temperatures_schema(), infinite=True)
-        pems.create_local_erm("field").register(
-            TemperatureSensor("s1", "office").as_service()
-        )
-        pems.add_stream_source(
-            SensorStreamFeeder(pems.environment.registry, pems.tables, period=3)
-        )
-        pems.run(6)
-        stream = pems.environment.relation("temperatures")
-        assert len(stream) == 2  # instants 3 and 6
-
     def test_execute_ddl_routes_to_table_manager(self, pems):
         results = pems.execute_ddl(
             "EXTENDED RELATION things ( thing SERVICE, label STRING );"

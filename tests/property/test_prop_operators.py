@@ -1,8 +1,10 @@
 """Property-based tests on operator laws over X-Relations."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import BaseRelation, Query, col, relation as plan_of
+from repro.algebra import Query, scan
 from repro.model.relation import XRelation
 
 from tests.environments import random_environment
@@ -10,7 +12,7 @@ from tests.property.strategies import formulas, item_rows
 
 
 def items_relation(env_handle, rows):
-    """A literal X-Relation over the items schema with the given rows."""
+    """An X-Relation over the items schema with the given rows."""
     return XRelation.from_mappings(env_handle.items_schema, rows)
 
 
@@ -21,6 +23,14 @@ def run(plan, env):
 
 
 ENV = random_environment(0)
+_NAMES = itertools.count()
+
+
+def plan_of(relation):
+    """A scan of ``relation``, stored in ENV under a fresh name."""
+    name = f"items_{next(_NAMES)}"
+    ENV.environment.add_relation(relation, name)
+    return scan(ENV.environment, name)
 
 
 class TestSelectionLaws:
@@ -126,4 +136,4 @@ class TestJoinLaws:
 
 
 def plan_of_categories():
-    return plan_of(ENV.environment.relation("categories"))
+    return scan(ENV.environment, "categories")

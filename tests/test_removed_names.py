@@ -12,8 +12,10 @@ test-only invocation queue, the sorted-mapping invocation memo key and
 β/β∞'s error-policy option with the degrade mode and the partial-advance
 recovery only it needed, the observability modes with the span tracer
 and the mode branches only they needed, the substitution rule kinds
-other than the one typed-cover rule, and the naive-subtree lowering
-fallback — must not creep back into code, docs, examples, scripts or CI.
+other than the one typed-cover rule, the naive-subtree lowering
+fallback, and the literal leaf with the second lowering walk (only a
+registry's ``acquire`` builds executors) — must not creep back into
+code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -135,6 +137,8 @@ BANNED = re.compile(
       | \.equivalent_to\(
       | target_references
       | FallbackExec
+      | BaseRelation
+      | from\s+repro\.exec(\.lowering)?\s+import\s+[^#]*\blower\b
     """,
     re.VERBOSE,
 )
