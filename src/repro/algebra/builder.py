@@ -162,7 +162,5 @@ def scan(environment: PervasiveEnvironment, name: str) -> PlanBuilder:
     Detects whether the relation is an infinite XD-Relation (a stream) to
     type the plan correctly.
     """
-    stored = environment.relation(name)
     schema = environment.schema(name).with_name(name)
-    stream = bool(getattr(stored, "infinite", False))
-    return PlanBuilder(Scan(name, schema, stream))
+    return PlanBuilder(Scan(name, schema, environment.is_stream(name)))

@@ -68,6 +68,9 @@ class ContinuousQuery:
     ):
         check_engine(engine)
         self.query = query
+        #: Whether each result is a stream emission; the plan never
+        #: changes, so it is decided once and not re-walked per instant.
+        self._stream = query.is_stream
         self.environment = environment
         self.engine = engine
         #: The physical engine (None on the naive engine), recording into
@@ -192,7 +195,7 @@ class ContinuousQuery:
                 ),
             )
         )
-        if self.query.is_stream:
+        if self._stream:
             self._emitted.extend((instant, t) for t in result.relation)
         for listener in list(self._listeners):
             listener(result)

@@ -29,6 +29,8 @@ runs each closure once over a whole delta side.  The stateful executors
 then work on whole sets, not rows: W diffs and unions its per-instant
 buckets, γ updates each touched group with one set operation and folds
 it once, π and ⋈ tally output support in :class:`collections.Counter`.
+When a delta takes away the whole support of γ, π or ⋈ (every instant
+under ``W[1]``), they rebuild from the inserted side alone.
 """
 
 from __future__ import annotations
@@ -351,29 +353,45 @@ def _reconcile(
     """Apply one tick's support gains and losses to ``counts`` and return
     the rows that appeared or disappeared.
 
-    Gains go in first, as one ``Counter.update`` (a C tally over the
-    whole list); the rows they introduce are the distinct gained rows
-    that had no support before.  Losses then cost one Python step per
-    *distinct* lost row.  Count arithmetic is commutative, so a row may
-    lose support before regaining it within the tick, and a row that both
-    appears and vanishes in the tick is reported on neither side; losing
-    more support than a row has is a broken child delta and raises
-    ``KeyError``."""
-    inserted = set(gained) - counts.keys()
-    counts.update(gained)
-    deleted = []
-    for row, n in Counter(lost).items():
-        left = counts[row] - n
-        if left > 0:
-            counts[row] = left
-            continue
-        if left < 0:
-            raise KeyError(row)
-        del counts[row]
-        if row in inserted:
-            inserted.discard(row)
-        else:
-            deleted.append(row)
+    Two branches, chosen by the delta itself.  When the tally of ``lost``
+    equals ``counts`` exactly (the same rows with the same multiplicities,
+    as a ``W[1]`` operand delivers every instant) the tick takes away the
+    whole support: ``counts`` is rebuilt from ``gained`` alone by one C
+    tally, and the rows that appeared or disappeared are the two key-set
+    differences.  The test is ``dict.__eq__``, a C comparison that stops
+    at once when the sizes differ (``Counter.__eq__`` is a Python loop).
+
+    Otherwise gains go in first, as one ``Counter.update``; the rows they
+    introduce are the distinct gained rows that had no support before.
+    Losses then cost one Python step per *distinct* lost row.  Count
+    arithmetic is commutative, so a row may lose support before regaining
+    it within the tick, and a row that both appears and vanishes in the
+    tick is reported on neither side; losing more support than a row has
+    is a broken child delta and raises ``KeyError``.  Both branches leave
+    the same counts and return the same delta."""
+    lost = Counter(lost)
+    if dict.__eq__(lost, counts):
+        # ``lost`` is a copy of the old counts, so it keeps the old keys.
+        counts.clear()
+        counts.update(gained)
+        inserted = counts.keys() - lost.keys()
+        deleted = lost.keys() - counts.keys()
+    else:
+        inserted = set(gained) - counts.keys()
+        counts.update(gained)
+        deleted = []
+        for row, n in lost.items():
+            left = counts[row] - n
+            if left > 0:
+                counts[row] = left
+                continue
+            if left < 0:
+                raise KeyError(row)
+            del counts[row]
+            if row in inserted:
+                inserted.discard(row)
+            else:
+                deleted.append(row)
     if not inserted and not deleted:
         return EMPTY_DELTA
     return Delta(frozenset(inserted), frozenset(deleted))
@@ -621,16 +639,23 @@ class AggregateExec(Executor):
     is bucketed by group key and applied with one set operation per
     touched group — and only touched groups recompute their row.
 
+    When the delta deletes as many rows as γ holds it deletes all of
+    them (the child's contract: deleted ⊆ its previous ``current``, which
+    is γ's support), so the groups are rebuilt from the inserted side
+    alone and the deleted side is not bucketed.  Every old and new key is
+    then touched.
+
     A touched group is re-folded whole, in whatever order its member set
     iterates: :meth:`AggregateSpec.compute` is a function of the group as
     a set (correctly rounded ``sum``), so no order has to be pinned."""
 
     # Why fold and not keep running sum/count/extremum accumulators: the
     # γ traffic is windows over streams (every benchmark window is W[1]),
-    # where each tick replaces every member of every group.  Accumulators
-    # would then pay 2·|group| interpreted updates per tick where the
-    # fold is a single C pass — and a float sum that stays exact under
-    # deletes needs Shewchuk partials maintained in Python.
+    # where each tick takes away γ's whole support and the rebuild branch
+    # re-folds every group anyway.  Accumulators would pay 2·|group|
+    # interpreted updates per tick where the fold is a single C pass, and
+    # a float sum that stays exact under deletes needs Shewchuk partials
+    # maintained in Python.
 
     def __init__(self, node: Aggregate, child: Executor):
         super().__init__(node, (child,))
@@ -642,6 +667,8 @@ class AggregateExec(Executor):
         ]
         self._groups: dict[tuple, set[tuple]] = {}
         self._rows: dict[tuple, tuple] = {}
+        #: Members across all groups: the size of γ's support.
+        self._members = 0
 
     def _row(self, key: tuple, members: set[tuple]) -> tuple:
         row = list(key)
@@ -654,21 +681,28 @@ class AggregateExec(Executor):
         delta = self._pull(self.children[0], ctx)
         if not delta:
             return EMPTY_DELTA
-        groups, rows = self._groups, self._rows
-        leaving = _by_key(delta.deleted, self._keys)
+        rows = self._rows
         joining = _by_key(delta.inserted, self._keys)
-        for key, gone in leaving.items():
-            members = groups.get(key)
-            if members is not None:
-                members.difference_update(gone)
-        for key, came in joining.items():
-            members = groups.get(key)
-            if members is None:
-                groups[key] = set(came)
-            else:
-                members.update(came)
+        if len(delta.deleted) == self._members:
+            groups = self._groups = {key: set(came) for key, came in joining.items()}
+            touched = rows.keys() | joining.keys()
+        else:
+            groups = self._groups
+            leaving = _by_key(delta.deleted, self._keys)
+            for key, gone in leaving.items():
+                members = groups.get(key)
+                if members is not None:
+                    members.difference_update(gone)
+            for key, came in joining.items():
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = set(came)
+                else:
+                    members.update(came)
+            touched = leaving.keys() | joining.keys()
+        self._members += len(delta.inserted) - len(delta.deleted)
         inserted, deleted = [], []
-        for key in leaving.keys() | joining.keys():
+        for key in touched:
             old = rows.get(key)
             members = groups.get(key)
             if members:

@@ -262,9 +262,8 @@ def _compile_atom(
 ) -> Operator:
     """scan → (β for used virtual positions) → σ constants → ρ to vars →
     π used positions."""
-    stored = environment.relation(atom.relation)
     schema = environment.schema(atom.relation).with_name(atom.relation)
-    if bool(getattr(stored, "infinite", False)):
+    if environment.is_stream(atom.relation):
         raise ParseError(
             f"atom {atom.relation!r}: streams cannot appear in rules "
             "(window them into a finite relation first)"

@@ -102,9 +102,8 @@ def _parse_expr(stream: TokenStream, environment: PervasiveEnvironment) -> Opera
         return _parse_binary(stream, environment, word)
     # A bare identifier: scan of an environment relation.
     stream.advance()
-    stored = environment.relation(token.value)
     schema = environment.schema(token.value).with_name(token.value)
-    return Scan(token.value, schema, bool(getattr(stored, "infinite", False)))
+    return Scan(token.value, schema, environment.is_stream(token.value))
 
 
 def _parse_binary(

@@ -225,11 +225,8 @@ def compile_sql(
     # FROM: scans (+ windows on streams), combined with natural joins.
     plan: Operator | None = None
     for table_name, period in parsed.tables:
-        stored = environment.relation(table_name)
         schema = environment.schema(table_name).with_name(table_name)
-        node: Operator = Scan(
-            table_name, schema, bool(getattr(stored, "infinite", False))
-        )
+        node: Operator = Scan(table_name, schema, environment.is_stream(table_name))
         if period is not None:
             node = Window(node, period)
         elif node.is_stream:

@@ -143,6 +143,12 @@ class PervasiveEnvironment:
     def schema(self, name: str) -> ExtendedRelationSchema:
         return self.relation(name).schema
 
+    def is_stream(self, name: str) -> bool:
+        """True iff ``name`` is stored as an infinite XD-Relation (a
+        stream, Section 4.1), which a plan must scan as a stream."""
+        stored = self.relation(name)
+        return not isinstance(stored, XRelation) and stored.infinite
+
     def instantaneous(self, name: str, instant: int) -> XRelation:
         """The X-Relation named ``name`` as of ``instant``.
 

@@ -122,6 +122,17 @@ class TestRelations:
             env.add_relation(Lookalike())
         assert "contacts" not in env
 
+    def test_only_an_infinite_xd_relation_is_a_stream(self):
+        env = PervasiveEnvironment()
+        env.add_relation(XRelation(contacts_schema()))
+        env.add_relation(XDRelation(contacts_schema()), name="people")
+        env.add_relation(XDRelation(temperatures_schema(), infinite=True))
+        assert not env.is_stream("contacts")
+        assert not env.is_stream("people")
+        assert env.is_stream("temperatures")
+        with pytest.raises(UnknownRelationError):
+            env.is_stream("ghost")
+
 
 class TestInstantaneous:
     def test_static_relation_is_time_invariant(self):
