@@ -16,9 +16,13 @@ import pytest
 
 from repro.algebra import col, scan
 from repro.continuous.continuous_query import ContinuousQuery
-from repro.devices.prototypes import STANDARD_PROTOTYPES
+from repro.devices.prototypes import GET_TEMPERATURE, STANDARD_PROTOTYPES
 from repro.devices.scenario import sensors_schema, temperatures_schema
-from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
+from repro.devices.sensors import (
+    FleetTelemetryFeeder,
+    TemperatureSensor,
+    sensor_columns,
+)
 from repro.pems.pems import PEMS
 
 from support import Report
@@ -47,7 +51,15 @@ def build(declarative: bool):
         cq = pems.queries.register_continuous(stream_query)
         return pems, cq
     pems.tables.create_relation(temperatures_schema(), infinite=True)
-    pems.add_stream_source(SensorStreamFeeder(pems.environment.registry, pems.tables))
+    pems.add_stream_source(
+        FleetTelemetryFeeder(
+            pems.environment.registry,
+            GET_TEMPERATURE,
+            pems.tables,
+            "temperatures",
+            sensor_columns,
+        )
+    )
     windowed = (
         scan(pems.environment, "temperatures").window(1).query("readings")
     )

@@ -24,16 +24,12 @@ differentials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.devices.determinism import stable_gauss_like, stable_prefix, stable_unit
-from repro.devices.sensors import StreamPoll
+from repro.devices.sensors import FleetTelemetryFeeder
 from repro.model.prototypes import Prototype
 from repro.model.schema import RelationSchema
-from repro.model.services import Service, ServiceRegistry
-
-if TYPE_CHECKING:
-    from repro.pems.table_manager import ExtendedTableManager
+from repro.model.services import Service
 
 __all__ = [
     "READ_LOAD",
@@ -341,49 +337,6 @@ class AlertSink:
 
     def __repr__(self) -> str:
         return f"AlertSink({self.reference!r}, {len(self.log)} alerts)"
-
-
-class FleetTelemetryFeeder:
-    """Per-tick producer of one telemetry stream for one prototype.
-
-    Polls every currently registered provider of ``prototype`` as one
-    batch (:class:`~repro.devices.sensors.StreamPoll`) and inserts one
-    tuple per reading into the stream ``relation`` of ``tables``:
-    ``columns(service)`` — the per-service constants, see the
-    ``*_columns`` builders below — plus the prototype's output
-    attributes and ``at``.  It reads through the service registry, so:
-
-    * a churned-out or quarantined device silently stops feeding (one
-      flaky device never silences the fleet — its reading is simply
-      absent that instant),
-    * a crashed-but-substituted device keeps flowing: the registry's
-      failover table serves the substitute's projected reading, from
-      the crash instant itself (zero missed readings),
-    * every failure is *recorded* on the per-tick path, so health
-      transitions (and therefore substitution sweeps) are identical on
-      every engine — they never depend on how a query engine schedules
-      its invocations.
-    """
-
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        prototype: "Prototype",
-        tables: ExtendedTableManager,
-        relation: str,
-        columns,
-    ):
-        self.registry = registry
-        self.prototype = prototype
-        self.tables = tables
-        self.relation = relation
-        schema = tables.relation(relation).schema
-        self._poll = StreamPoll(registry, prototype, schema, columns)
-
-    def __call__(self, instant: int) -> None:
-        rows = self._poll.rows(instant)
-        if rows:
-            self.tables.insert_tuples(self.relation, rows, instant)
 
 
 def _zone(service: Service) -> str:

@@ -11,10 +11,8 @@ keeping per-node state across instants in a persistent evaluation context:
 The result of each tick is a :class:`~repro.algebra.query.QueryResult`; if
 the query's last operator is a streaming operator (like Q4 of Table 4),
 the per-tick relation is the stream's emission at that instant and
-:attr:`ContinuousQuery.emitted` accumulates the output stream.  A caller
-that wants every per-tick result registers an
-:meth:`~ContinuousQuery.on_result` listener; the query itself keeps only
-the last one.
+:attr:`ContinuousQuery.emitted` accumulates the output stream.  The query
+keeps only the last per-tick result.
 
 Two execution engines are available (the ``engine`` parameter,
 :data:`~repro.exec.lowering.ENGINES`):
@@ -36,7 +34,7 @@ Two execution engines are available (the ``engine`` parameter,
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.algebra.actions import Action, ActionSet
 from repro.algebra.context import EvaluationContext
@@ -88,14 +86,8 @@ class ContinuousQuery:
         self._carried = False
         self._all_actions: list[Action] = []
         self._emitted: list[tuple[int, tuple]] = []
-        self._listeners: list[Callable[[QueryResult], None]] = []
 
     # -- observation -------------------------------------------------------------
-
-    def on_result(self, listener: Callable[[QueryResult], None]) -> None:
-        """Register a callback fired after each evaluation (real-time
-        consumers: GUIs, alert sinks...)."""
-        self._listeners.append(listener)
 
     @property
     def last_result(self) -> QueryResult | None:
@@ -164,8 +156,8 @@ class ContinuousQuery:
         """Evaluate the query at ``instant`` (must be non-decreasing).
 
         Re-evaluating the current instant is idempotent: the cached result
-        is returned and no bookkeeping (actions, emissions, listeners)
-        happens twice.
+        is returned and no bookkeeping (actions, emissions) happens
+        twice.
         """
         if instant < self._last_instant:
             raise SerenaError(
@@ -197,8 +189,6 @@ class ContinuousQuery:
         )
         if self._stream:
             self._emitted.extend((instant, t) for t in result.relation)
-        for listener in list(self._listeners):
-            listener(result)
         return result
 
     def carry_forward(self, instant: int) -> QueryResult:
@@ -208,9 +198,8 @@ class ContinuousQuery:
         Only sound when the caller (the tick scheduler) has established
         that none of the query's sources changed and its plan has no
         time-driven (live) executor — the evaluation would then provably
-        reproduce the cached relation.  Listeners observe the carried
-        result exactly as if it had been evaluated; stream
-        emissions are never carried (stream queries are always live).
+        reproduce the cached relation.  Stream emissions are never carried
+        (stream queries are always live).
         """
         if instant < self._last_instant:
             raise SerenaError(
@@ -226,8 +215,6 @@ class ContinuousQuery:
         self._last_instant = instant
         self._last_result = result
         self._carried = True
-        for listener in list(self._listeners):
-            listener(result)
         return result
 
     def run(self, instants: range) -> list[QueryResult]:

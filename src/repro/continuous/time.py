@@ -6,11 +6,11 @@ re-evaluated at every instant.  :class:`VirtualClock` realizes this domain:
 instants are non-negative integers, advanced explicitly by the test or
 benchmark harness, which makes every run deterministic and as fast as the
 CPU allows (the substitution for wall-clock time documented in DESIGN.md).
+What happens at an instant is written down in one place,
+:meth:`repro.pems.pems.PEMS.tick`.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterator
 
 from repro.errors import SerenaError
 
@@ -18,50 +18,22 @@ __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """A discrete, monotonically advancing clock.
-
-    Tick listeners (registered with :meth:`on_tick`) fire after each
-    advance, in registration order — PEMS uses them to drive simulated
-    devices and continuous query evaluation.
-    """
+    """A discrete, monotonically advancing clock."""
 
     def __init__(self, start: int = 0):
         if start < 0:
             raise SerenaError("clock cannot start before instant 0")
         self._now = start
-        self._listeners: list[Callable[[int], None]] = []
 
     @property
     def now(self) -> int:
         """The current instant τ."""
         return self._now
 
-    def on_tick(self, listener: Callable[[int], None]) -> None:
-        """Register a listener called with the new instant after each tick."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[[int], None]) -> None:
-        self._listeners = [l for l in self._listeners if l is not listener]
-
     def tick(self) -> int:
-        """Advance time by one instant and notify listeners."""
+        """Advance time by one instant; returns the new instant."""
         self._now += 1
-        for listener in list(self._listeners):
-            listener(self._now)
         return self._now
-
-    def run(self, instants: int) -> int:
-        """Advance by ``instants`` ticks; returns the final instant."""
-        if instants < 0:
-            raise SerenaError("cannot run the clock backwards")
-        for _ in range(instants):
-            self.tick()
-        return self._now
-
-    def iter_ticks(self, instants: int) -> Iterator[int]:
-        """Yield each new instant while advancing ``instants`` times."""
-        for _ in range(instants):
-            yield self.tick()
 
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now})"

@@ -32,7 +32,7 @@ from repro.devices.scenario import (
     surveillance_schema,
     temperatures_schema,
 )
-from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
+from repro.devices.sensors import FleetTelemetryFeeder, TemperatureSensor
 
 __all__ = [
     "CHECK_PHOTO",
@@ -41,6 +41,7 @@ __all__ = [
     "FETCH_ITEMS",
     "FaultInjector",
     "FaultScript",
+    "FleetTelemetryFeeder",
     "GET_TEMPERATURE",
     "InjectedFault",
     "Message",
@@ -52,7 +53,6 @@ __all__ = [
     "SEND_MESSAGE",
     "STANDARD_PROTOTYPES",
     "Scenario",
-    "SensorStreamFeeder",
     "TAKE_PHOTO",
     "TemperatureSensor",
     "build_paper_example",

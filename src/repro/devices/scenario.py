@@ -41,9 +41,11 @@ from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.rss import DEFAULT_SITES, RssFeed, RssStreamWrapper
 from repro.devices.sensors import (
     EnvironmentalSensor,
-    SensorStreamFeeder,
+    FleetTelemetryFeeder,
     TemperatureSensor,
+    sensor_columns,
 )
+from repro.errors import SerenaError
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
 from repro.model.invocation_policy import InvocationPolicy
@@ -230,8 +232,13 @@ class Scenario:
         return sensor
 
     def remove_sensor(self, reference: str, erm_name: str = "field") -> None:
-        """Gracefully unplug a sensor (bye announcement)."""
-        self.pems.create_local_erm(erm_name).deregister(reference)
+        """Gracefully unplug a sensor (bye announcement) from the Local ERM
+        ``erm_name``, which must exist."""
+        try:
+            local = self.pems.local_erms[erm_name]
+        except KeyError:
+            raise SerenaError(f"no Local ERM named {erm_name!r}") from None
+        local.deregister(reference)
         self.sensors.pop(reference, None)
 
 
@@ -390,7 +397,11 @@ def build_temperature_surveillance(
     pems.queries.register_discovery("checkPhoto", "cameras", "camera")
 
     # The temperatures stream is fed from the discovered sensors each tick.
-    pems.add_stream_source(SensorStreamFeeder(env.registry, tables))
+    pems.add_stream_source(
+        FleetTelemetryFeeder(
+            env.registry, GET_TEMPERATURE, tables, "temperatures", sensor_columns
+        )
+    )
 
     if with_queries:
         alerts = (

@@ -11,13 +11,13 @@ with a deterministic thermal model:
   raise the reading over an instant range — the simulation analogue of the
   authors heating physical sensors to trigger the surveillance scenario.
 
-A :class:`SensorStreamFeeder` pushes a reading per instant from a set of
-sensors into a ``temperatures`` stream, like the paper's sensors
-"periodically providing temperatures associated with locations".  It reads
-through the service registry, so a sensor that disappears from the
-registry silently stops feeding the stream — no query restart needed.
-Its poll loop is :class:`StreamPoll`, which the city's fleet feeders
-share.
+A :class:`FleetTelemetryFeeder` pushes a reading per instant from every
+provider of one prototype into a stream — with ``getTemperature``,
+``temperatures`` and :func:`sensor_columns`, the paper's sensors
+"periodically providing temperatures associated with locations"; the
+city's fleets use the same class.  It reads through the service registry,
+so a sensor that disappears from the registry silently stops feeding the
+stream — no query restart needed.  Its poll loop is :class:`StreamPoll`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ __all__ = [
     "TemperatureSensor",
     "EnvironmentalSensor",
     "StreamPoll",
-    "SensorStreamFeeder",
+    "FleetTelemetryFeeder",
+    "sensor_columns",
 ]
 
 
@@ -248,35 +249,54 @@ class StreamPoll:
         return rows
 
 
-def _sensor_columns(service: Service) -> dict[str, object]:
+def sensor_columns(service: Service) -> dict[str, object]:
+    """The per-service constants of a ``temperatures`` reading."""
     return {
         "sensor": service.reference,
         "location": str(service.properties.get("location", "unknown")),
     }
 
 
-class SensorStreamFeeder:
-    """Per-tick producer of the ``temperatures`` stream.
+class FleetTelemetryFeeder:
+    """Per-tick producer of one telemetry stream for one prototype.
 
-    At every instant it invokes
-    ``getTemperature`` on every currently registered sensor service (a
-    :class:`StreamPoll`) and inserts ``(sensor, location, temperature,
-    at)`` tuples into the ``temperatures`` stream of ``tables`` (which
-    must exist already).  Register it with
-    :meth:`repro.pems.pems.PEMS.add_stream_source`.
+    Polls every currently registered provider of ``prototype`` as one
+    batch (:class:`StreamPoll`) and inserts one tuple per reading into
+    the stream ``relation`` of ``tables`` (which must exist already):
+    ``columns(service)`` — the per-service constants, such as
+    :func:`sensor_columns` or the city's ``*_columns`` builders — plus
+    the prototype's output attributes and ``at``.  Register it with
+    :meth:`repro.pems.pems.PEMS.add_stream_source`.  It reads through the
+    service registry, so:
+
+    * a churned-out or quarantined device silently stops feeding (one
+      flaky device never silences the fleet — its reading is simply
+      absent that instant),
+    * a crashed-but-substituted device keeps flowing: the registry's
+      failover table serves the substitute's projected reading, from
+      the crash instant itself (zero missed readings),
+    * every failure is *recorded* on the per-tick path, so health
+      transitions (and therefore substitution sweeps) are identical on
+      every engine — they never depend on how a query engine schedules
+      its invocations.
     """
 
     def __init__(
         self,
         registry: ServiceRegistry,
+        prototype: Prototype,
         tables: ExtendedTableManager,
+        relation: str,
+        columns: Callable[[Service], Mapping[str, object]],
     ):
         self.registry = registry
+        self.prototype = prototype
         self.tables = tables
-        schema = tables.relation("temperatures").schema
-        self._poll = StreamPoll(registry, GET_TEMPERATURE, schema, _sensor_columns)
+        self.relation = relation
+        schema = tables.relation(relation).schema
+        self._poll = StreamPoll(registry, prototype, schema, columns)
 
     def __call__(self, instant: int) -> None:
         rows = self._poll.rows(instant)
         if rows:
-            self.tables.insert_tuples("temperatures", rows, instant)
+            self.tables.insert_tuples(self.relation, rows, instant)

@@ -1,6 +1,6 @@
 """Quiescence-aware tick scheduling for registered continuous queries.
 
-``QueryProcessor._on_tick`` used to walk *every* registered query at every
+``QueryProcessor.evaluate`` used to walk *every* registered query at every
 instant.  With thousands of queries over a mostly-idle environment that is
 O(registered) work per tick even when nothing happened.  The
 :class:`TickScheduler` maintains a dependency index from base XD-Relations

@@ -108,7 +108,6 @@ class EnvironmentResourceManager:
         self._listeners: list[Callable[[DiscoveryEvent], None]] = []
         self._events: deque[DiscoveryEvent] = deque(maxlen=EVENT_LOG_SIZE)
         bus.subscribe(self._on_announcement)
-        clock.on_tick(self._on_tick)
 
     # -- observation ------------------------------------------------------------
 
@@ -196,7 +195,10 @@ class EnvironmentResourceManager:
         if new:
             self._emit("appeared", service)
 
-    def _on_tick(self, instant: int) -> None:
+    def sweep(self, instant: int) -> None:
+        """The ``erm.sweep`` phase of :meth:`repro.pems.pems.PEMS.tick`:
+        substitution maintenance, quarantine parking, re-admission and
+        lease reaping at ``instant``."""
         health = self.registry.health
         subs = self.registry.substitutions
         if subs.enabled:

@@ -31,7 +31,8 @@ class LocalEnvironmentResourceManager:
     bus:
         The discovery bus shared with the core ERM.
     clock:
-        The environment clock; the Local ERM renews leases on ticks.
+        The environment clock, read for the instant of each announcement;
+        :meth:`renew` runs once per tick.
     lease:
         Lease duration (instants) for this ERM's announcements.
     """
@@ -54,7 +55,6 @@ class LocalEnvironmentResourceManager:
         #: grid boundary with a short lease could expire unrenewed).
         self._last_announced: dict[str, int] = {}
         self._alive = True
-        clock.on_tick(self._on_tick)
 
     # -- service registration (what devices call) --------------------------------
 
@@ -113,8 +113,10 @@ class LocalEnvironmentResourceManager:
             )
         )
 
-    def _on_tick(self, instant: int) -> None:
-        """Renew leases at half-lease cadence (like UPnP re-advertisement),
+    def renew(self, instant: int) -> None:
+        """The ``lease.renew`` phase of :meth:`repro.pems.pems.PEMS.tick`.
+
+        Renew leases at half-lease cadence (like UPnP re-advertisement),
         anchored at each service's own last announcement: one RENEW
         announcement carries every service due at ``instant``, in
         reference order."""

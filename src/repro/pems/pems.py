@@ -2,16 +2,45 @@
 
 A :class:`PEMS` owns the environment clock, the discovery bus, the three
 core modules (Environment Resource Manager, Extended Table Manager, Query
-Processor) and the distributed Local Environment Resource Managers.  Tick
-ordering follows the prototype's dataflow:
+Processor) and the distributed Local Environment Resource Managers.
 
-1. the core ERM processes lease expirations and drains async invocations,
-2. stream sources (simulated devices) push new tuples into XD-Relations,
-3. the query processor synchronizes discovery tables and evaluates every
-   registered continuous query.
+One instant τ is :meth:`PEMS.tick`: the clock advances to τ, then five
+phases run in this order, and nothing else runs in between.
 
-Local ERMs renew their announcements last; a renewal is visible to queries
-from the next instant, like a real network advertisement would be.
+1. ``erm.sweep`` — :meth:`EnvironmentResourceManager.sweep`.  Reads the
+   registry, the lease expiries, the parked services and the health
+   stamps of instants before τ.  Writes registry membership: it refreshes
+   substitution bindings and the failover table, parks quarantined
+   services, re-admits released ones and reaps expired leases, emitting
+   discovery events (which mark queries for the scheduler).  Its
+   membership changes are visible to ``ingest`` at the same instant.
+2. ``ingest`` — every stream source, in the order they were added.  Reads
+   the providers left by the sweep and calls their devices at τ through
+   :meth:`ServiceRegistry.invoke_many`.  Writes one batch of readings
+   into each stream XD-Relation at τ, and the devices' health and latency
+   records.  It calls devices outside ``evaluate``'s invocation memo, so
+   a device that a feeder and a β both call at τ counts two attempts
+   toward its health.
+3. ``discovery.sync`` — :meth:`QueryProcessor.sync_discovery`.  Reads
+   registry membership as the sweep left it.  Writes each discovery
+   XD-Relation at τ: one insert and one delete batch per relation, so
+   queries at τ see the services of τ.
+4. ``evaluate`` — :meth:`QueryProcessor.evaluate`.  Reads every relation
+   at τ, as ``ingest`` and ``discovery.sync`` left them, and the
+   discovery events since its last run.  Writes each continuous query's
+   result and actions at τ (or carries it forward when the scheduler
+   finds it unaffected), the failure log, and the health of the devices
+   its β operators call.  Identical calls within it reach a device once.
+5. ``lease.renew`` — :meth:`LocalEnvironmentResourceManager.renew` on
+   every Local ERM, in creation order.  Reads each Local ERM's services
+   and renewal anchors.  Publishes one RENEW per Local ERM carrying its
+   due services; the core ERM admits them at once, but every phase that
+   reads membership has already run, so renewals take effect from the
+   next instant, like a real network advertisement.
+
+The stream sources and Local ERMs of a tick are those present when it
+starts: one added during a tick first acts at the next.  A subscription
+server fans the results out after :meth:`PEMS.tick` returns.
 """
 
 from __future__ import annotations
@@ -20,6 +49,7 @@ import time
 from typing import Callable
 
 from repro.continuous.time import VirtualClock
+from repro.errors import SerenaError
 from repro.model.environment import PervasiveEnvironment
 from repro.model.invocation_policy import InvocationPolicy
 from repro.model.services import ServiceRegistry
@@ -32,8 +62,8 @@ from repro.pems.table_manager import ExtendedTableManager
 
 __all__ = ["PEMS"]
 
-#: A stream source is called once per tick, before queries are evaluated,
-#: to push data from remote sources into XD-Relations.
+#: A stream source is called once per tick, in the ``ingest`` phase, to
+#: push data from remote sources into XD-Relations.
 StreamSource = Callable[[int], None]
 
 
@@ -70,13 +100,11 @@ class PEMS:
         self.environment = PervasiveEnvironment(
             ServiceRegistry(policy=policy, observe=self.obs)
         )
-        # Construction order fixes tick-listener order (see module doc).
         self.erm = EnvironmentResourceManager(
             self.bus, self.clock, self.environment.registry, observe=self.obs
         )
         self.tables = ExtendedTableManager(self.environment, self.clock)
         self._sources: list[StreamSource] = []
-        self.clock.on_tick(self._run_sources)
         self.queries = QueryProcessor(
             self.environment,
             self.clock,
@@ -92,9 +120,17 @@ class PEMS:
     def create_local_erm(
         self, name: str, lease: int | None = None
     ) -> LocalEnvironmentResourceManager:
-        """Create a Local ERM attached to this PEMS's bus and clock."""
+        """Create a Local ERM attached to this PEMS's bus and clock, or
+        return the one already named ``name``; an explicit ``lease`` must
+        then be that ERM's lease."""
         if name in self._local_erms:
-            return self._local_erms[name]
+            local = self._local_erms[name]
+            if lease is not None and lease != local.lease:
+                raise SerenaError(
+                    f"Local ERM {name!r} exists with lease {local.lease}, "
+                    f"not {lease}"
+                )
+            return local
         kwargs = {} if lease is None else {"lease": lease}
         local = LocalEnvironmentResourceManager(name, self.bus, self.clock, **kwargs)
         self._local_erms[name] = local
@@ -114,12 +150,9 @@ class PEMS:
     # -- stream sources --------------------------------------------------------------
 
     def add_stream_source(self, source: StreamSource) -> None:
-        """Register a per-tick data producer (simulated device feed)."""
+        """Register a per-tick data producer (simulated device feed); it
+        runs in the ``ingest`` phase."""
         self._sources.append(source)
-
-    def _run_sources(self, instant: int) -> None:
-        for source in list(self._sources):
-            source(instant)
 
     # -- operation ---------------------------------------------------------------------
 
@@ -128,14 +161,26 @@ class PEMS:
         return self.tables.execute_ddl(text)
 
     def tick(self) -> int:
-        """Advance the environment by one instant (observed)."""
+        """Advance the environment by one instant: the phases of the
+        module docstring, in order (observed)."""
         started = time.perf_counter()
+        sources = tuple(self._sources)
+        local_erms = tuple(self._local_erms.values())
         instant = self.clock.tick()
+        self.erm.sweep(instant)
+        for source in sources:  # ingest
+            source(instant)
+        self.queries.sync_discovery()
+        self.queries.evaluate(instant)
+        for local in local_erms:  # lease.renew
+            local.renew(instant)
         self.obs.record_tick(time.perf_counter() - started)
         return instant
 
     def run(self, instants: int) -> int:
         """Advance the environment by ``instants`` instants."""
+        if instants < 0:
+            raise SerenaError("cannot run the clock backwards")
         now = self.clock.now
         for _ in range(instants):
             now = self.tick()

@@ -151,7 +151,6 @@ class QueryProcessor:
         self._failures: deque[QueryFailure] = deque(maxlen=FAILURE_LOG_SIZE)
         #: Last number handed out by :meth:`_auto_name`; only ever grows.
         self._auto_names = 0
-        clock.on_tick(self._on_tick)
 
     @property
     def failures(self) -> list[QueryFailure]:
@@ -315,28 +314,32 @@ class QueryProcessor:
             self.tables.delete_tuples(relation, departed)
         discovery.synced = (topology, writes)
 
-    # -- the tick loop ---------------------------------------------------------------------
+    # -- the tick phases ---------------------------------------------------------------
 
-    def _on_tick(self, instant: int) -> None:
-        """Per-instant work: sync discovery tables, then advance every
-        registered continuous query — evaluating the ones the scheduler
-        marked affected and carrying the rest forward in O(1).
+    def sync_discovery(self) -> None:
+        """The ``discovery.sync`` phase of :meth:`repro.pems.pems.PEMS.tick`:
+        bring every discovery table to the service set of the current
+        instant, so queries at τ see the services of τ."""
+        for discovery in self._discovery:
+            self._sync_discovery(discovery)
 
-        Ordering matters and mirrors the prototype: discovery updates are
-        applied first so queries at instant τ see the service set of τ.
+    def evaluate(self, instant: int) -> None:
+        """The ``evaluate`` phase of :meth:`repro.pems.pems.PEMS.tick`:
+        advance every registered continuous query to ``instant`` —
+        evaluating the ones the scheduler marked affected and carrying
+        the rest forward in O(1).
+
         While queries run, the service registry memoizes invocations per
         instant, so identical calls issued by different queries within
         one tick reach the device once.
         """
-        for discovery in self._discovery:
-            self._sync_discovery(discovery)
         registry = self.environment.registry
         registry.begin_instant_memo(instant)
         try:
             affected = self.scheduler.plan(instant)
             for name in list(self._order):
                 continuous = self._continuous.get(name)
-                if continuous is None:  # deregistered by a listener mid-tick
+                if continuous is None:  # deregistered mid-tick
                     continue
                 scheduled = name in self.scheduler
                 try:

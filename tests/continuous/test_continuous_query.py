@@ -40,13 +40,6 @@ class TestBasics:
         with pytest.raises(SerenaError, match="non-decreasing"):
             cq.evaluate_at(4)
 
-    def test_listeners_fire(self, paper_env):
-        cq = ContinuousQuery(scan(paper_env, "contacts").query(), paper_env)
-        seen = []
-        cq.on_result(lambda r: seen.append(r.instant))
-        cq.run(range(2))
-        assert seen == [0, 1]
-
 
 class TestInvocationRefinement:
     """Section 4.2: 'a binding pattern is actually invoked only for newly
@@ -158,7 +151,7 @@ class TestActionsAccumulation:
 class TestSameInstantIdempotency:
     """Regression: re-evaluating the current instant must return the
     cached result and must not repeat any bookkeeping — no duplicate
-    actions, emissions or listener notifications."""
+    actions or emissions."""
 
     @pytest.mark.parametrize("engine", ["naive", "shared"])
     def test_repeat_evaluation_is_idempotent(self, dynamic_env, engine):
@@ -169,17 +162,13 @@ class TestSameInstantIdempotency:
             .query()
         )
         cq = ContinuousQuery(q, dynamic_env, engine=engine)
-        notified = []
-        cq.on_result(lambda r: notified.append(r.instant))
         first = cq.evaluate_at(1)
         again = cq.evaluate_at(1)
         assert again is first
         assert len(cq.action_log) == 3
-        assert notified == [1]
         # Moving on still works, and repeats there are idempotent too.
         cq.evaluate_at(2)
         cq.evaluate_at(2)
-        assert notified == [1, 2]
         assert len(cq.action_log) == 3  # nothing new to invoke
 
     def test_repeat_evaluation_of_stream_query_emits_once(self):

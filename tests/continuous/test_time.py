@@ -22,32 +22,7 @@ class TestVirtualClock:
         assert clock.tick() == 1
         assert clock.now == 1
 
-    def test_run(self):
-        clock = VirtualClock()
-        assert clock.run(10) == 10
-
-    def test_run_negative_rejected(self):
-        with pytest.raises(SerenaError):
-            VirtualClock().run(-1)
-
-    def test_listeners_fire_in_order(self):
-        clock = VirtualClock()
-        calls = []
-        clock.on_tick(lambda t: calls.append(("a", t)))
-        clock.on_tick(lambda t: calls.append(("b", t)))
-        clock.tick()
-        assert calls == [("a", 1), ("b", 1)]
-
-    def test_remove_listener(self):
-        clock = VirtualClock()
-        calls = []
-        listener = calls.append
-        clock.on_tick(listener)
-        clock.tick()
-        clock.remove_listener(listener)
-        clock.tick()
-        assert calls == [1]
-
-    def test_iter_ticks(self):
-        clock = VirtualClock()
-        assert list(clock.iter_ticks(3)) == [1, 2, 3]
+    def test_only_now_and_tick(self):
+        """The clock calls nobody: what an instant does is PEMS.tick."""
+        public = {name for name in vars(VirtualClock) if not name.startswith("_")}
+        assert public == {"now", "tick"}

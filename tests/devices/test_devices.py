@@ -15,7 +15,12 @@ from repro.devices.prototypes import CHECK_PHOTO, GET_TEMPERATURE, SEND_MESSAGE,
 from repro.devices.rss import RssFeed
 from repro.continuous.time import VirtualClock
 from repro.devices.scenario import temperatures_schema
-from repro.devices.sensors import SensorStreamFeeder, StreamPoll, TemperatureSensor
+from repro.devices.sensors import (
+    FleetTelemetryFeeder,
+    StreamPoll,
+    TemperatureSensor,
+    sensor_columns,
+)
 from repro.errors import SchemaError, UnknownAttributeError, VirtualAttributeError
 from repro.model.attributes import Attribute
 from repro.model.environment import PervasiveEnvironment
@@ -230,8 +235,7 @@ class TestRssStreamWrapper:
 
 
 class TestStreamPoll:
-    """The one poll loop behind SensorStreamFeeder and the city's
-    FleetTelemetryFeeder."""
+    """The one poll loop behind every FleetTelemetryFeeder."""
 
     def registry(self):
         return ServiceRegistry(
@@ -329,7 +333,9 @@ class TestStreamPoll:
         registry = self.registry()
         tables = ExtendedTableManager(PervasiveEnvironment(registry), VirtualClock())
         stream = tables.create_relation(temperatures_schema(), infinite=True)
-        feeder = SensorStreamFeeder(registry, tables)
+        feeder = FleetTelemetryFeeder(
+            registry, GET_TEMPERATURE, tables, "temperatures", sensor_columns
+        )
         for instant in (0, 2):
             feeder(instant)
         assert [entry[0] for entry in stream.changes_between(0, 3)] == [0, 2]

@@ -90,9 +90,18 @@ class TestFullPipeline:
         local.register(sensor.as_service())
         pems.queries.register_discovery("getTemperature", "sensors", "sensor")
 
-        from repro.devices.sensors import SensorStreamFeeder
+        from repro.devices.prototypes import GET_TEMPERATURE
+        from repro.devices.sensors import FleetTelemetryFeeder, sensor_columns
 
-        pems.add_stream_source(SensorStreamFeeder(pems.environment.registry, pems.tables))
+        pems.add_stream_source(
+            FleetTelemetryFeeder(
+                pems.environment.registry,
+                GET_TEMPERATURE,
+                pems.tables,
+                "temperatures",
+                sensor_columns,
+            )
+        )
         hot = parse_query(
             "select[temperature > 30.0](window[1](temperatures))",
             pems.environment,

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.devices.scenario import build_temperature_surveillance
+from repro.errors import SerenaError
 
 
 @pytest.fixture
@@ -114,6 +115,11 @@ class TestDynamicDiscovery:
         sensors_in_latest = {t[0] for t in latest}
         assert "sensor22" not in sensors_in_latest
         assert len(sensors_in_latest) == 3
+
+    def test_removing_from_an_unknown_local_erm_creates_none(self, scenario):
+        with pytest.raises(SerenaError, match="gatway"):
+            scenario.remove_sensor("sensor01", erm_name="gatway")
+        assert set(scenario.pems.local_erms) == {"field", "gateway"}
 
 
 class TestAllThreeChannels:

@@ -24,6 +24,17 @@ def rig():
     return clock, bus, erm, local
 
 
+def advance(instants, clock, erm, *local_erms):
+    """Advance the clock ``instants`` times, running the bare components'
+    phases in :meth:`repro.pems.pems.PEMS.tick` order at each instant:
+    the core ERM's sweep, then every Local ERM's renewal."""
+    for _ in range(instants):
+        instant = clock.tick()
+        erm.sweep(instant)
+        for local in local_erms:
+            local.renew(instant)
+
+
 def sensor_service(reference="sensor01", location="corridor"):
     return TemperatureSensor(reference, location).as_service()
 
@@ -78,16 +89,16 @@ class TestLeases:
     def test_renewal_keeps_service_alive(self, rig):
         clock, bus, erm, local = rig
         local.register(sensor_service())
-        clock.run(20)  # far past the original lease: renewals keep it up
+        advance(20, clock, erm, local)  # far past the original lease: renewals keep it up
         assert "sensor01" in erm.registry
 
     def test_crash_expires_after_lease(self, rig):
         clock, bus, erm, local = rig
         local.register(sensor_service())
         local.crash()
-        clock.run(2)
+        advance(2, clock, erm, local)
         assert "sensor01" in erm.registry  # lease not over yet
-        clock.run(10)
+        advance(10, clock, erm, local)
         assert "sensor01" not in erm.registry
         assert any(e.kind == "expired" for e in erm.events)
 
@@ -95,10 +106,10 @@ class TestLeases:
         clock, bus, erm, local = rig
         local.register(sensor_service())
         local.crash()
-        clock.run(12)
+        advance(12, clock, erm, local)
         assert "sensor01" not in erm.registry
         local.recover()
-        clock.run(2)
+        advance(2, clock, erm, local)
         assert "sensor01" in erm.registry
 
     def test_available_by_prototype(self, rig):
@@ -123,7 +134,7 @@ class TestDiscoveryListeners:
         events = []
         erm.on_discovery(events.append)
         local.register(sensor_service())
-        clock.run(10)  # several renewals
+        advance(10, clock, erm, local)  # several renewals
         assert [e.kind for e in events] == ["appeared"]
 
 
@@ -161,7 +172,7 @@ class TestLogCap:
         retain every renewal ever published."""
         clock, bus, erm, local = rig
         local.register(sensor_service())
-        clock.run(1000)  # ~500 renewals at cadence 2
+        advance(1000, clock, erm, local)  # ~500 renewals at cadence 2
         assert len(bus.log) <= 256
         assert bus.dropped_count > 0
 
@@ -177,20 +188,20 @@ class TestRenewalAnchoring:
         bus = DiscoveryBus()
         erm = EnvironmentResourceManager(bus, clock, ServiceRegistry())
         local = LocalEnvironmentResourceManager("floor-1", bus, clock, lease=2)
-        clock.tick()  # now = 1: mid-cadence for any grid anchored at 0
+        advance(1, clock, erm, local)  # now = 1: mid-cadence for any grid anchored at 0
         local.register(sensor_service())
         for _ in range(10):
-            clock.tick()
+            advance(1, clock, erm, local)
             assert "sensor01" in erm.registry  # never expires while renewed
 
     def test_renewals_follow_registration_anchor(self):
         clock = VirtualClock()
         bus = DiscoveryBus()
-        EnvironmentResourceManager(bus, clock, ServiceRegistry())
+        erm = EnvironmentResourceManager(bus, clock, ServiceRegistry())
         local = LocalEnvironmentResourceManager("floor-1", bus, clock, lease=6)
-        clock.run(3)  # register at instant 3; cadence is 3
+        advance(3, clock, erm, local)  # register at instant 3; cadence is 3
         local.register(sensor_service())
-        clock.run(7)
+        advance(7, clock, erm, local)
         renewals = [
             (a.instant, a.kind)
             for a in bus.log
@@ -213,10 +224,10 @@ class TestRenewalAnchoring:
         local = LocalEnvironmentResourceManager("floor-1", bus, clock, lease=6)
         local.register(sensor_service())
         local.crash()
-        clock.run(8)  # lease expired, reaped
+        advance(8, clock, erm, local)  # lease expired, reaped
         assert "sensor01" not in erm.registry
         local.recover()
-        clock.tick()  # next tick, whatever the cadence grid says
+        advance(1, clock, erm, local)  # next tick, whatever the cadence grid says
         assert "sensor01" in erm.registry
 
 
@@ -232,7 +243,7 @@ class TestRenew:
         for reference in ("c", "a", "b"):
             local.register(sensor_service(reference))
         before = len(bus.log)
-        clock.run(4)
+        advance(4, clock, erm, local)
         renewals = self.announcements_since(bus, before)
         assert [(a.kind, a.instant) for a in renewals] == [
             (AnnouncementKind.RENEW, 2),
@@ -252,7 +263,7 @@ class TestRenew:
         local = LocalEnvironmentResourceManager("floor-1", bus, clock, lease=4)
         local.register(sensor_service())
         registry.health.record_failure("sensor01", 0)
-        clock.tick()  # the quarantine sweep parks it
+        advance(1, clock, erm, local)  # the quarantine sweep parks it
         assert erm.parked == {"sensor01"} and "sensor01" not in registry
         fresh = sensor_service(location="lab")
         bus.publish(
@@ -268,11 +279,11 @@ class TestRenew:
         clock, bus, erm, local = rig
         local.register(sensor_service())
         local.crash()
-        clock.run(8)
+        advance(8, clock, erm, local)
         assert "sensor01" not in erm.registry
         before = len(bus.log)
         local.recover()
-        clock.tick()
+        advance(1, clock, erm, local)
         (renew,) = self.announcements_since(bus, before)
         assert renew.kind is AnnouncementKind.RENEW
         assert "sensor01" in erm.registry
@@ -283,19 +294,19 @@ class TestRenew:
         local.register(sensor_service())
         local.crash()
         before = bus.published_count
-        clock.run(10)
+        advance(10, clock, erm, local)
         assert bus.published_count == before
 
     def test_recover_sends_one_renew_carrying_every_service(self, rig):
         clock, bus, erm, local = rig
         for reference in ("s3", "s1", "s2"):
             local.register(sensor_service(reference))
-        clock.run(1)  # s1..s3 registered at 0: not due before 2
+        advance(1, clock, erm, local)  # s1..s3 registered at 0: not due before 2
         local.crash()
-        clock.run(2)
+        advance(2, clock, erm, local)
         before = len(bus.log)
         local.recover()
-        clock.tick()
+        advance(1, clock, erm, local)
         (renew,) = self.announcements_since(bus, before)
         assert renew.kind is AnnouncementKind.RENEW
         assert renew.services == local.services
@@ -328,7 +339,7 @@ class TestByeForgets:
         erm.registry.health.record_failure("sensor01", 0)
         erm.registry.invoke(GET_TEMPERATURE, "sensor01", (), 0)
         local.crash()
-        clock.run(8)
+        advance(8, clock, erm, local)
         assert "sensor01" not in erm.registry
         assert "sensor01" in erm.registry.health.known()
         assert erm.registry.latency_snapshot().keys() == {"sensor01"}
@@ -357,7 +368,7 @@ class TestByeForgets:
                 broken.add(reference)
                 with pytest.raises(InvocationError):
                     registry.invoke(GET_TEMPERATURE, reference, (), clock.now)
-                clock.tick()
+                advance(1, clock, erm, local)
                 assert erm.parked == {reference}
             local.deregister(reference)
         assert registry._latency == {}

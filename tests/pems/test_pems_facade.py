@@ -11,7 +11,11 @@ from repro.devices.scenario import (
     sensors_schema,
     temperatures_schema,
 )
-from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
+from repro.devices.sensors import (
+    FleetTelemetryFeeder,
+    TemperatureSensor,
+    sensor_columns,
+)
 from repro.errors import SerenaError
 from repro.pems.pems import PEMS
 
@@ -41,10 +45,22 @@ class TestWiring:
         local = pems.create_local_erm("short", lease=2)
         assert local.lease == 2
 
+    def test_an_existing_local_erm_keeps_its_lease(self, pems):
+        local = pems.create_local_erm("field")
+        assert pems.create_local_erm("field", lease=local.lease) is local
+        with pytest.raises(SerenaError, match="lease 6, not 2"):
+            pems.create_local_erm("field", lease=2)
+        assert local.lease == 6
+
     def test_tick_and_run(self, pems):
         assert pems.tick() == 1
         assert pems.run(4) == 5
         assert pems.clock.now == 5
+
+    def test_run_negative_rejected(self, pems):
+        with pytest.raises(SerenaError):
+            pems.run(-1)
+        assert pems.clock.now == 0
 
     def test_describe_includes_queries(self, pems):
         from repro.algebra import scan
@@ -99,7 +115,15 @@ class TestStreamSources:
             TemperatureSensor("s1", "office").as_service()
         )
         pems.queries.register_discovery("getTemperature", "sensors", "sensor")
-        pems.add_stream_source(SensorStreamFeeder(pems.environment.registry, pems.tables))
+        pems.add_stream_source(
+            FleetTelemetryFeeder(
+                pems.environment.registry,
+                GET_TEMPERATURE,
+                pems.tables,
+                "temperatures",
+                sensor_columns,
+            )
+        )
         from repro.algebra import scan
 
         cq = pems.queries.register_continuous(

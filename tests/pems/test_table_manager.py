@@ -58,7 +58,8 @@ class TestDataManagement:
     def test_insert_uses_clock_now(self, rig):
         clock, env, tables = rig
         tables.create_relation(contacts_schema())
-        clock.run(3)
+        for _ in range(3):
+            clock.tick()
         tables.insert(
             "contacts", [{"name": "A", "address": "a@b", "messenger": "email"}]
         )

@@ -34,7 +34,7 @@ from repro.city.scenario import city_policy
 from repro.devices.faults import FaultInjector, FaultScript
 from repro.devices.prototypes import GET_TEMPERATURE
 from repro.devices.scenario import temperatures_schema
-from repro.devices.sensors import StreamPoll, TemperatureSensor, _sensor_columns
+from repro.devices.sensors import StreamPoll, TemperatureSensor, sensor_columns
 from repro.errors import ServiceError
 from repro.model.services import ServiceRegistry
 
@@ -67,7 +67,7 @@ STREAMS = {
     "temperatures": (
         GET_TEMPERATURE,
         temperatures_schema(),
-        _sensor_columns,
+        sensor_columns,
         lambda ref, zone: TemperatureSensor(ref, zone),
     ),
 }

@@ -13,9 +13,11 @@ test-only invocation queue, the sorted-mapping invocation memo key and
 recovery only it needed, the observability modes with the span tracer
 and the mode branches only they needed, the substitution rule kinds
 other than the one typed-cover rule, the naive-subtree lowering
-fallback, and the literal leaf with the second lowering walk (only a
-registry's ``acquire`` builds executors) — must not creep back into
-code, docs, examples, scripts or CI.
+fallback, the literal leaf with the second lowering walk (only a
+registry's ``acquire`` builds executors), the clock's tick listeners
+(``PEMS.tick`` calls the phases of an instant itself), the continuous
+query's result listeners and the temperature-only stream feeder — must
+not creep back into code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -139,6 +141,13 @@ BANNED = re.compile(
       | FallbackExec
       | BaseRelation
       | from\s+repro\.exec(\.lowering)?\s+import\s+[^#]*\blower\b
+      | on_tick
+      | remove_listener
+      | iter_ticks
+      | clock\.run\(
+      | _run_sources
+      | SensorStreamFeeder
+      | on_result
     """,
     re.VERBOSE,
 )
