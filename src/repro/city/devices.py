@@ -179,12 +179,11 @@ class GridRelay:
         swing = 0.3 * stable_unit(instant, prefix=self._thru_draw)
         return quantize(self.rating * (0.5 + swing))
 
-    def status(self, instant: int) -> str:
-        return "closed" if self.throughput(instant) < self.rating else "open"
-
     def as_service(self) -> Service:
         def check_relay(inputs, instant):
-            return [(self.status(instant), self.throughput(instant))]
+            throughput = self.throughput(instant)
+            status = "closed" if throughput < self.rating else "open"
+            return [(status, throughput)]
 
         return Service(
             self.reference,

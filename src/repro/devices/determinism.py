@@ -7,13 +7,14 @@ derive all their "noise" from a stable hash of ``(seed, instant, ...)``
 instead of a stateful RNG — re-invocation, query rewriting and repeated
 benchmark runs all see identical behaviour.
 
-A draw hashes the UTF-8 key ``str(p0) \\x1f str(p1) \\x1f ...``.  A device
-that draws every instant from the same leading parts (its reference and a
-channel name) encodes them once with :func:`stable_prefix` and passes the
-bytes as ``prefix=``: the value is the one the full argument tuple gives,
-without re-joining the constant parts per reading.  Nothing is cached in
-this module — a prefix is a few dozen bytes owned by the device object, so
-the state it adds is bounded by the fleet size.
+A draw hashes the UTF-8 key ``str(p0) \\x1f str(p1) \\x1f ...`` once and
+reads 64-bit words of its SHA-256 digest.  A device that draws every
+instant from the same leading parts (its reference and a channel name)
+encodes them once with :func:`stable_prefix` and passes the bytes as
+``prefix=``: the value is the one the full argument tuple gives, without
+re-joining the constant parts per reading.  Nothing is cached in this
+module — a prefix is a few dozen bytes owned by the device object, so the
+state it adds is bounded by the fleet size.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ def _key(parts: tuple) -> bytes:
 #: ``_word(digest, offset)[0]``: eight digest bytes as a big-endian integer.
 _word = Struct(">Q").unpack_from
 
+#: ``_words(digest)``: the first three 64-bit words of a digest.
+_words = Struct(">QQQ").unpack_from
+
 
 def stable_prefix(*parts: object) -> bytes:
     """The key bytes of leading ``parts``, for the ``prefix=`` argument:
@@ -58,18 +62,12 @@ def stable_int(bound: int, *parts: object) -> int:
 
 
 def stable_gauss_like(*parts: object, prefix: bytes = b"") -> float:
-    """A deterministic value roughly in [−1, 1] with a bell-ish shape
-    (average of three independent uniforms — ``stable_unit(i, *parts)``
-    for i in 0..2 — rescaled)."""
-    key = prefix + _key(parts)
-    if parts or prefix:
-        key = b"\x1f" + key
-    u = (
-        _word(sha256(b"0" + key).digest())[0] / 2**64
-        + _word(sha256(b"1" + key).digest())[0] / 2**64
-        + _word(sha256(b"2" + key).digest())[0] / 2**64
-    ) / 3.0
-    return (u - 0.5) * 2.0
+    """A deterministic value in [−1, 1] with a bell-ish shape (mean 0,
+    variance 1/9): the mean of three uniforms, rescaled.  They are three
+    words of one digest of the key behind a 0xFF tag, a byte no UTF-8 key
+    holds, so the digest is never the one :func:`stable_unit` reads."""
+    a, b, c = _words(sha256(b"\xff" + prefix + _key(parts)).digest())
+    return (a + b + c) / (3 * 2**63) - 1.0
 
 
 def stable_choice(options: list, *parts: object):

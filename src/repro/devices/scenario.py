@@ -226,20 +226,23 @@ class Scenario:
         starts feeding the ``temperatures`` stream — all without stopping
         any registered continuous query (the Section 5.2 experiment).
         """
+        local = self._local_erm(erm_name)
         sensor = TemperatureSensor(reference, location, base)
         self.sensors[reference] = sensor
-        self.pems.create_local_erm(erm_name).register(sensor.as_service())
+        local.register(sensor.as_service())
         return sensor
 
     def remove_sensor(self, reference: str, erm_name: str = "field") -> None:
         """Gracefully unplug a sensor (bye announcement) from the Local ERM
         ``erm_name``, which must exist."""
-        try:
-            local = self.pems.local_erms[erm_name]
-        except KeyError:
-            raise SerenaError(f"no Local ERM named {erm_name!r}") from None
-        local.deregister(reference)
+        self._local_erm(erm_name).deregister(reference)
         self.sensors.pop(reference, None)
+
+    def _local_erm(self, name: str):
+        try:
+            return self.pems.local_erms[name]
+        except KeyError:
+            raise SerenaError(f"no Local ERM named {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Golden vectors for the stable draws, recorded at the commit before the
-prefix form was introduced: every scenario, differential and BENCH value
-in the repo depends on these bits."""
+"""Golden vectors for the stable draws: every scenario, differential and
+paper-artifact report in the repo depends on these bits.
+
+The ``unit``, ``int`` and ``choice`` fields keep their first recording,
+made at the commit before the prefix form was introduced.  The
+``gauss_like`` fields were re-recorded in one go when the gauss draw
+moved from three digests to three words of one digest (a declared series
+change, DESIGN §1)."""
 
 import json
 from pathlib import Path

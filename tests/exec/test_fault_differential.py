@@ -10,6 +10,9 @@ The fault scripts are pure functions of ``(seed, reference, instant)``
 any divergence is an engine bug, not chaos.
 """
 
+import pytest
+
+from repro.algebra import col, scan
 from repro.devices.faults import FaultScript
 from repro.devices.scenario import build_temperature_surveillance
 from repro.model.invocation_policy import InvocationPolicy
@@ -26,7 +29,7 @@ FAULTS = {
 }
 
 
-def drive_fault_scenario(engine, policy=None):
+def drive_fault_scenario(engine, policy=None, select_over_beta=False):
     scenario = build_temperature_surveillance(
         engine=engine,
         messenger_failure_rate=0.2,
@@ -35,6 +38,16 @@ def drive_fault_scenario(engine, policy=None):
         policy=policy,
     )
     pems = scenario.pems
+    if select_over_beta:
+        # σ over β: `shared` runs the pushdown β(σ(sensors)), so it never
+        # calls the sensors outside the office that the oracle calls.
+        env = pems.environment
+        scenario.queries["select-over-beta"] = pems.queries.register_continuous(
+            scan(env, "sensors")
+            .invoke("getTemperature")
+            .select(col("location").eq("office"))
+            .query("select-over-beta")
+        )
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -125,3 +138,28 @@ def test_fault_scenario_differential_with_quarantine_policy():
         if e.kind == "appeared" and e.instant > quarantined_events[0].instant
     ]
     assert quarantined_events and appeared_after
+
+
+#: ROADMAP item 19: under ``failure_threshold > 1`` the calls the pushdown
+#: leaves out change how many failures count toward quarantine, so health,
+#: discovery and tuples diverge (ticks 19 and 21 for thresholds 2 and 3).
+ITEM_19 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 19: the pushdown is observable under failure_threshold > 1",
+)
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [1, pytest.param(2, marks=ITEM_19), pytest.param(3, marks=ITEM_19)],
+)
+def test_select_over_beta_agrees_under_a_failure_threshold(threshold):
+    """Definition 9 with a pushdown in the plan: a σ over β of the sensors
+    must not let the engine's normal form change any outcome."""
+    policy = InvocationPolicy(failure_threshold=threshold)
+    runs = {
+        engine: drive_fault_scenario(engine, policy=policy, select_over_beta=True)
+        for engine in (NAIVE, *PAIRS)
+    }
+    assert_scenarios_agree(runs[NAIVE], [runs[engine] for engine in PAIRS])

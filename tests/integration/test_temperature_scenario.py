@@ -121,6 +121,17 @@ class TestDynamicDiscovery:
             scenario.remove_sensor("sensor01", erm_name="gatway")
         assert set(scenario.pems.local_erms) == {"field", "gateway"}
 
+    def test_adding_to_an_unknown_local_erm_creates_none(self, scenario):
+        with pytest.raises(SerenaError, match="feild"):
+            scenario.add_sensor("sensor77", "lab", erm_name="feild")
+        assert set(scenario.pems.local_erms) == {"field", "gateway"}
+        assert "sensor77" not in scenario.sensors
+        scenario.run(2)
+        sensors_table = scenario.environment.instantaneous(
+            "sensors", scenario.clock.now
+        )
+        assert "sensor77" not in sensors_table.column("sensor")
+
 
 class TestAllThreeChannels:
     def test_corridor_alerts_go_by_email_and_sms(self, scenario):
