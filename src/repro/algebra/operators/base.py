@@ -142,13 +142,6 @@ class Operator(abc.ABC):
         for child in self._children:
             yield from child.walk()
 
-    def tree(self, indent: int = 0) -> str:
-        """Indented tree rendering for debugging and EXPLAIN output."""
-        pad = "  " * indent
-        lines = [f"{pad}{self.symbol()}"]
-        lines.extend(child.tree(indent + 1) for child in self._children)
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.render()}>"
 

@@ -152,10 +152,6 @@ class Query:
         """The query in the Serena Algebra Language."""
         return self.root.render()
 
-    def explain(self) -> str:
-        """Indented operator tree (like an EXPLAIN plan)."""
-        return self.root.tree()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Query):
             return NotImplemented

@@ -307,9 +307,6 @@ class AlertLog:
     def record(self, alert: Alert) -> None:
         self.alerts.append(alert)
 
-    def for_zone(self, zone: str) -> list[Alert]:
-        return [a for a in self.alerts if a.zone == zone]
-
     def __len__(self) -> int:
         return len(self.alerts)
 

@@ -465,31 +465,46 @@ def split_statements(text: str) -> list[str]:
     dropped; anything else accumulates until a ``;`` outside a string
     literal.
     """
-    statements: list[str] = []
-    buffer: list[str] = []
-    in_string = False
-    for raw_line in text.splitlines():
-        line = raw_line if in_string else _strip_comment(raw_line)
-        stripped = line.strip()
-        if not in_string and not "".join(buffer).strip():
-            buffer = []  # drop stray whitespace between statements
-            if not stripped:
-                continue
-            if stripped.startswith("."):
-                statements.append(stripped)
-                continue
-        for ch in line:
-            buffer.append(ch)
-            if ch == "'":
-                in_string = not in_string
-            elif ch == ";" and not in_string:
-                statements.append("".join(buffer).strip())
-                buffer = []
-        buffer.append("\n")
-    tail = "".join(buffer).strip()
-    if tail:
-        statements.append(tail)
+    splitter = _StatementSplitter()
+    statements = [s for line in text.splitlines() for s in splitter.feed(line)]
+    if splitter.pending:
+        statements.append(splitter.pending)
     return statements
+
+
+class _StatementSplitter:
+    """The splitting rule of :func:`split_statements`, fed one line at a
+    time, so the interactive shell splits exactly as a script does."""
+
+    def __init__(self) -> None:
+        self._buffer: list[str] = []
+        self._in_string = False
+
+    @property
+    def pending(self) -> str:
+        """The unterminated statement so far."""
+        return "".join(self._buffer).strip()
+
+    def feed(self, raw_line: str) -> list[str]:
+        """The statements that ``raw_line`` completes."""
+        line = raw_line if self._in_string else _strip_comment(raw_line)
+        stripped = line.strip()
+        if not self._in_string and not self.pending:
+            self._buffer = []  # drop stray whitespace between statements
+            if not stripped:
+                return []
+            if stripped.startswith("."):
+                return [stripped]
+        statements: list[str] = []
+        for ch in line:
+            self._buffer.append(ch)
+            if ch == "'":
+                self._in_string = not self._in_string
+            elif ch == ";" and not self._in_string:
+                statements.append(self.pending)
+                self._buffer = []
+        self._buffer.append("\n")
+        return statements
 
 
 def _strip_comment(line: str) -> str:
@@ -518,18 +533,15 @@ def main(argv: list[str] | None = None) -> int:
             shell.run_script(handle.read())
         return 0
     print("Serena shell — .help for commands, .quit to leave")
-    buffer = ""
+    splitter = _StatementSplitter()
     while shell.running:
         try:
-            prompt = "serena> " if not buffer else "   ...> "
-            line = input(prompt)
+            line = input("   ...> " if splitter.pending else "serena> ")
         except EOFError:
+            shell.execute(splitter.pending)  # the unterminated tail, as in a script
             break
-        if not buffer and line.strip().startswith("."):
-            shell.execute(line.strip())
-            continue
-        buffer += line + "\n"
-        if ";" in line:
-            shell.execute(buffer)
-            buffer = ""
+        for statement in splitter.feed(line):
+            shell.execute(statement)
+            if not shell.running:
+                break
     return 0

@@ -1,5 +1,7 @@
-"""Language layer: the Serena DDL (Tables 1–2), the Serena Algebra
-Language (Section 5.1) and plan pretty-printers."""
+"""Language layer: four front ends over one algebra — the Serena DDL
+(Tables 1–2), the Serena Algebra Language (Section 5.1), Serena SQL
+(Section 1.1) and the rule calculus (Section 7) — sharing one lexer and
+its token readers, plus plan pretty-printers."""
 
 from repro.lang.datalog import ConjunctiveRule, compile_rule, parse_rule
 from repro.lang.ddl import ServiceDeclaration, execute_ddl, parse_ddl

@@ -5,7 +5,7 @@ algebra with some logic-based query languages in order to define a
 corresponding calculus".  This module realizes the *conjunctive fragment*
 of that calculus and its translation into the algebra::
 
-    ans(s, t) :- sensors(s, 'office', t), t > 25.0.
+    ans(s, t) :- sensors(s, 'office', t), t > 25.0;
 
 A rule has a head ``ans(x1, …, xn)`` and a body of:
 
@@ -13,7 +13,8 @@ A rule has a head ``ans(x1, …, xn)`` and a body of:
   relation's *full* schema (virtual attributes included), each term a
   variable, a constant, or ``_`` (anonymous);
 * **comparison atoms** ``x > 5``, ``x != y``, ``title contains 'war'`` —
-  over variables and constants.
+  over variables and constants, read by SAL's comparison grammar
+  (:func:`repro.lang.sal.read_comparison`).
 
 Semantics, by translation to the algebra (each step is a Table 3
 operator, so the calculus inherits the algebra's semantics exactly):
@@ -56,12 +57,11 @@ from repro.algebra.operators.scan import Scan
 from repro.algebra.operators.selection import Selection
 from repro.algebra.query import Query
 from repro.errors import ParseError
-from repro.lang.lexer import Token, TokenStream, tokenize
+from repro.lang.lexer import TokenStream, tokenize
+from repro.lang.sal import read_comparison
 from repro.model.environment import PervasiveEnvironment
 
 __all__ = ["parse_rule", "compile_rule", "ConjunctiveRule"]
-
-_COMPARATORS = ("=", "!=", "<=", ">=", "<", ">")
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +84,13 @@ class RelationAtom:
 
 
 @dataclass(frozen=True)
-class ComparisonAtom:
-    left: Term
-    op: str
-    right: Term
-
-
-@dataclass(frozen=True)
 class ConjunctiveRule:
-    """``head(vars) :- atoms.``"""
+    """``head(vars) :- atoms, comparisons;``"""
 
     head_name: str
     head_vars: tuple[str, ...]
     atoms: tuple[RelationAtom, ...]
-    comparisons: tuple[ComparisonAtom, ...]
+    comparisons: tuple[Comparison, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +99,14 @@ class ConjunctiveRule:
 
 
 def parse_rule(text: str) -> ConjunctiveRule:
-    """Parse ``head(x, y) :- atom, …, comparison, … .``"""
+    """Parse ``head(x, y) :- atom, …, comparison, …;`` (the ``;`` is optional)."""
     stream = TokenStream(tokenize(text))
     head_name = stream.expect_ident().value
-    stream.expect_punct("(")
-    head_vars: list[str] = []
-    if not stream.current.is_punct(")"):
-        while True:
-            head_vars.append(stream.expect_ident().value)
-            if not stream.accept_punct(","):
-                break
-    stream.expect_punct(")")
+    head_vars = stream.identifiers(parenthesized=True)
     stream.expect_punct(":")
     stream.expect_punct("-")
     atoms: list[RelationAtom] = []
-    comparisons: list[ComparisonAtom] = []
+    comparisons: list[Comparison] = []
     while True:
         item = _parse_body_item(stream)
         if isinstance(item, RelationAtom):
@@ -139,8 +125,8 @@ def parse_rule(text: str) -> ConjunctiveRule:
     )
 
 
-def _parse_body_item(stream: TokenStream) -> RelationAtom | ComparisonAtom:
-    # relational atom: ident '(' ... ')'; comparison: term op term
+def _parse_body_item(stream: TokenStream) -> RelationAtom | Comparison:
+    # relational atom: ident '(' ... ')'; comparison: operand op operand
     if stream.current.kind == "ident" and stream.peek().is_punct("("):
         name = stream.expect_ident().value
         stream.expect_punct("(")
@@ -152,46 +138,19 @@ def _parse_body_item(stream: TokenStream) -> RelationAtom | ComparisonAtom:
                     break
         stream.expect_punct(")")
         return RelationAtom(name, tuple(terms))
-    left = _parse_term(stream)
-    token = stream.current
-    if token.kind == "punct" and token.value in _COMPARATORS:
-        op = token.value
-        stream.advance()
-    elif token.is_keyword("contains"):
-        op = "contains"
-        stream.advance()
-    else:
-        raise stream.error("expected a comparison operator")
-    right = _parse_term(stream)
-    if left.kind == "any" or right.kind == "any":
-        raise ParseError("'_' cannot appear in comparisons")
-    return ComparisonAtom(left, op, right)
+    start = stream.current
+    comparison = read_comparison(stream)
+    if "_" in comparison.attributes():
+        raise ParseError("'_' cannot appear in comparisons", start.line, start.column)
+    return comparison
 
 
 def _parse_term(stream: TokenStream) -> Term:
     token = stream.current
-    if token.kind == "string":
+    if token.is_name():
         stream.advance()
-        return Term("const", token.value)
-    if token.kind == "number":
-        stream.advance()
-        return Term("const", _number(token))
-    if token.kind == "ident":
-        stream.advance()
-        if token.value == "_":
-            return Term("any")
-        if token.value.lower() == "true":
-            return Term("const", True)
-        if token.value.lower() == "false":
-            return Term("const", False)
-        return Term("var", token.value)
-    raise stream.error("expected a variable, constant or '_'")
-
-
-def _number(token: Token) -> object:
-    if any(ch in token.value for ch in ".eE"):
-        return float(token.value)
-    return int(token.value)
+        return Term("any") if token.value == "_" else Term("var", token.value)
+    return Term("const", stream.literal("a variable, constant or '_'"))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +177,7 @@ def compile_rule(
     assert plan is not None
 
     for comparison in rule.comparisons:
-        plan = Selection(plan, _comparison_formula(comparison))
+        plan = Selection(plan, comparison)
 
     return Query(Projection(plan, rule.head_vars), rule.head_name)
 
@@ -244,14 +203,12 @@ def _check_safety(rule: ConjunctiveRule) -> None:
             )
         seen.add(variable)
     for comparison in rule.comparisons:
-        for term in (comparison.left, comparison.right):
-            if term.kind == "var" and term.value not in bound:
-                raise ParseError(
-                    f"unsafe rule: comparison variable {term.value!r} does "
-                    "not occur in any relational atom"
-                )
-            if term.kind == "any":
-                raise ParseError("'_' cannot appear in comparisons")
+        unbound = comparison.attributes() - bound
+        if unbound:
+            raise ParseError(
+                f"unsafe rule: comparison variable {min(unbound)!r} does "
+                "not occur in any relational atom"
+            )
 
 
 def _compile_atom(
@@ -372,14 +329,3 @@ def _compile_atom(
         if temp != variable:
             node = Renaming(node, temp, variable)
     return node
-
-
-def _comparison_formula(comparison: ComparisonAtom) -> Comparison:
-    left, right = comparison.left, comparison.right
-    return Comparison(
-        left.value if left.kind == "var" else left.value,
-        comparison.op,
-        right.value if right.kind == "var" else right.value,
-        left.kind == "var",
-        right.kind == "var",
-    )

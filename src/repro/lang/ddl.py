@@ -152,27 +152,36 @@ def execute_ddl(text: str, table_manager) -> list[object]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_attribute_list(stream: TokenStream) -> RelationSchema:
-    """``( name TYPE, name TYPE, ... )`` — possibly empty."""
+def _parse_attribute_list(
+    stream: TokenStream, relation: bool = False
+) -> tuple[list[Attribute], set[str]]:
+    """``( name TYPE, name TYPE, ... )`` and the names marked ``VIRTUAL``.
+
+    A prototype's list may be empty and marks nothing virtual; a
+    relation's has at least one attribute, each optionally ``VIRTUAL``.
+    """
     stream.expect_punct("(")
     attributes: list[Attribute] = []
-    if not stream.current.is_punct(")"):
+    virtual: set[str] = set()
+    if relation or not stream.current.is_punct(")"):
         while True:
             name = stream.expect_ident().value
             dtype = DataType.from_name(stream.expect_ident().value)
             attributes.append(Attribute(name, dtype))
+            if relation and stream.accept_keyword("VIRTUAL"):
+                virtual.add(name)
             if not stream.accept_punct(","):
                 break
     stream.expect_punct(")")
-    return RelationSchema(attributes)
+    return attributes, virtual
 
 
 def _parse_prototype(stream: TokenStream) -> _PrototypeStmt:
     stream.expect_keyword("PROTOTYPE")
     name = stream.expect_ident().value
-    input_schema = _parse_attribute_list(stream)
+    input_schema = RelationSchema(_parse_attribute_list(stream)[0])
     stream.expect_punct(":")
-    output_schema = _parse_attribute_list(stream)
+    output_schema = RelationSchema(_parse_attribute_list(stream)[0])
     active = stream.accept_keyword("ACTIVE")
     if not active:
         stream.accept_keyword("PASSIVE")
@@ -184,9 +193,7 @@ def _parse_service(stream: TokenStream) -> _ServiceStmt:
     stream.expect_keyword("SERVICE")
     reference = stream.expect_ident().value
     stream.expect_keyword("IMPLEMENTS")
-    names = [stream.expect_ident().value]
-    while stream.accept_punct(","):
-        names.append(stream.expect_ident().value)
+    names = stream.identifiers()
     stream.expect_punct(";")
     return _ServiceStmt(ServiceDeclaration(reference, tuple(names)))
 
@@ -199,19 +206,7 @@ def _parse_relation(stream: TokenStream) -> _RelationStmt:
         stream.expect_keyword("RELATION")
         infinite = False
     name = stream.expect_ident().value
-
-    stream.expect_punct("(")
-    attributes: list[Attribute] = []
-    virtual: set[str] = set()
-    while True:
-        attr_name = stream.expect_ident().value
-        dtype = DataType.from_name(stream.expect_ident().value)
-        attributes.append(Attribute(attr_name, dtype))
-        if stream.accept_keyword("VIRTUAL"):
-            virtual.add(attr_name)
-        if not stream.accept_punct(","):
-            break
-    stream.expect_punct(")")
+    attributes, virtual = _parse_attribute_list(stream, relation=True)
 
     patterns: list[tuple[str, str, tuple[str, ...], tuple[str, ...]]] = []
     if stream.accept_keyword("USING"):
@@ -223,9 +218,9 @@ def _parse_relation(stream: TokenStream) -> _RelationStmt:
             stream.expect_punct("[")
             service_attribute = stream.expect_ident().value
             stream.expect_punct("]")
-            inputs = _parse_name_list(stream)
+            inputs = tuple(stream.identifiers(parenthesized=True))
             stream.expect_punct(":")
-            outputs = _parse_name_list(stream)
+            outputs = tuple(stream.identifiers(parenthesized=True))
             patterns.append((prototype_name, service_attribute, inputs, outputs))
             if not stream.accept_punct(","):
                 break
@@ -257,48 +252,11 @@ def _parse_value_tuple(stream: TokenStream) -> tuple:
     values: list[object] = []
     if not stream.current.is_punct(")"):
         while True:
-            values.append(_parse_literal(stream))
+            values.append(stream.literal())
             if not stream.accept_punct(","):
                 break
     stream.expect_punct(")")
     return tuple(values)
-
-
-def _parse_literal(stream: TokenStream) -> object:
-    token = stream.current
-    if token.kind == "string":
-        stream.advance()
-        return token.value
-    if token.kind == "number":
-        stream.advance()
-        try:
-            if any(ch in token.value for ch in ".eE"):
-                return float(token.value)
-            return int(token.value)
-        except ValueError:
-            raise ParseError(
-                f"bad number literal {token.value!r}", token.line, token.column
-            ) from None
-    if token.is_keyword("true"):
-        stream.advance()
-        return True
-    if token.is_keyword("false"):
-        stream.advance()
-        return False
-    raise stream.error("expected a literal value")
-
-
-def _parse_name_list(stream: TokenStream) -> tuple[str, ...]:
-    """``( a, b, ... )`` — possibly empty."""
-    stream.expect_punct("(")
-    names: list[str] = []
-    if not stream.current.is_punct(")"):
-        while True:
-            names.append(stream.expect_ident().value)
-            if not stream.accept_punct(","):
-                break
-    stream.expect_punct(")")
-    return tuple(names)
 
 
 def _resolve_patterns(statement: _RelationStmt, environment) -> ExtendedRelationSchema:

@@ -1,8 +1,17 @@
-"""Shared tokenizer for the Serena DDL and the Serena Algebra Language.
+"""Shared tokenizer and token readers for the four Serena front ends:
+the DDL, the Serena Algebra Language (SAL), Serena SQL and the rule
+calculus.
 
 A small hand-rolled lexer: identifiers, integer/real literals,
 single-quoted strings (with ``''`` escaping), and the punctuation used by
-the two languages.  Tokens carry line/column for error reporting.
+the languages.  Tokens carry line/column for error reporting.
+
+The token shapes the front ends share are read here, once: a literal
+(:meth:`TokenStream.literal`, the only number conversion), an integer
+such as a window period (:meth:`TokenStream.integer`), a comma-separated
+identifier list (:meth:`TokenStream.identifiers`) and a comparator
+(:meth:`TokenStream.expect_comparator`).  Every malformed token raises
+:class:`ParseError` with its line and column.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ _PUNCTUATION = (
     "-",  # only reachable when not starting a number (see tokenize)
 )
 
+#: The comparators of a selection formula; ``contains`` is a keyword.
+_COMPARATORS = frozenset({"=", "!=", "<", "<=", ">", ">=", "contains"})
+_BOOLEANS = {"TRUE": True, "FALSE": False}
+
 
 @dataclass(frozen=True)
 class Token:
@@ -49,6 +62,18 @@ class Token:
 
     def is_punct(self, symbol: str) -> bool:
         return self.kind == "punct" and self.value == symbol
+
+    def is_name(self) -> bool:
+        """An identifier other than the literals ``true`` / ``false``."""
+        return self.kind == "ident" and self.value.upper() not in _BOOLEANS
+
+    def comparator(self) -> str | None:
+        """The comparator this token spells, if it spells one."""
+        if self.kind == "punct" and self.value in _COMPARATORS:
+            return self.value
+        if self.is_keyword("contains"):
+            return "contains"
+        return None
 
 
 def tokenize(text: str) -> list[Token]:
@@ -195,3 +220,58 @@ class TokenStream:
             self.advance()
             return True
         return False
+
+    # -- shared token shapes ------------------------------------------------------
+
+    def literal(self, expected: str = "a literal value") -> object:
+        """A string, a number or ``true`` / ``false``."""
+        token = self.current
+        if token.kind == "string":
+            value: object = token.value
+        elif token.kind == "number":
+            value = _number(token)
+        elif token.kind == "ident" and not token.is_name():
+            value = _BOOLEANS[token.value.upper()]
+        else:
+            raise self.error(f"expected {expected}")
+        self.advance()
+        return value
+
+    def integer(self, what: str) -> int:
+        """An integer literal, such as a window period (named ``what``)."""
+        token = self.current
+        if token.kind != "number" or not isinstance(value := _number(token), int):
+            raise self.error(f"{what} must be an integer")
+        self.advance()
+        return value
+
+    def identifiers(self, parenthesized: bool = False) -> list[str]:
+        """``a, b, …`` — or ``( a, b, … )``, which may be empty."""
+        if parenthesized:
+            self.expect_punct("(")
+            if self.accept_punct(")"):
+                return []
+        names = [self.expect_ident().value]
+        while self.accept_punct(","):
+            names.append(self.expect_ident().value)
+        if parenthesized:
+            self.expect_punct(")")
+        return names
+
+    def expect_comparator(self) -> str:
+        """One of ``= != < <= > >= contains``."""
+        op = self.current.comparator()
+        if op is None:
+            raise self.error("expected a comparison operator")
+        self.advance()
+        return op
+
+
+def _number(token: Token) -> int | float:
+    """The value of a number token: an int when it is digits after an
+    optional sign, else a float (it has a dot or an exponent)."""
+    text = token.value
+    try:
+        return int(text) if text.lstrip("+-").isdigit() else float(text)
+    except ValueError:
+        raise ParseError(f"bad number literal {text!r}", token.line, token.column) from None

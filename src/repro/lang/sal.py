@@ -41,13 +41,16 @@ from repro.algebra.operators.stream_invocation import StreamingInvocation
 from repro.algebra.operators.streaming import Streaming
 from repro.algebra.operators.window import Window
 from repro.algebra.query import Query
-from repro.errors import ParseError
-from repro.lang.lexer import Token, TokenStream, tokenize
+from repro.lang.lexer import TokenStream, tokenize
 from repro.model.environment import PervasiveEnvironment
 
-__all__ = ["parse_query", "parse_formula"]
-
-_COMPARATORS = ("=", "!=", "<=", ">=", "<", ">")
+__all__ = [
+    "parse_query",
+    "parse_formula",
+    "read_comparison",
+    "read_formula",
+    "read_operand",
+]
 
 
 def parse_query(
@@ -65,7 +68,7 @@ def parse_query(
 def parse_formula(text: str) -> Formula:
     """Parse a standalone selection formula."""
     stream = TokenStream(tokenize(text))
-    formula = _parse_or(stream)
+    formula = read_formula(stream)
     if not stream.at_end():
         raise stream.error("unexpected trailing input")
     return formula
@@ -129,127 +132,62 @@ def _parse_unary(
 ) -> Operator:
     stream.advance()  # operator name
     stream.expect_punct("[")
-    params = _Params(stream)
     if word == "project":
-        names = params.name_list()
-    elif word == "select":
-        formula = _parse_or(stream)
-    elif word == "rename":
+        names = stream.identifiers()
+        return Projection(_parse_input(stream, environment), names)
+    if word == "select":
+        formula = read_formula(stream)
+        return Selection(_parse_input(stream, environment), formula)
+    if word == "rename":
         old = stream.expect_ident().value
         stream.expect_punct("->")
         new = stream.expect_ident().value
-    elif word == "assign":
+        return Renaming(_parse_input(stream, environment), old, new)
+    if word == "assign":
         attribute = stream.expect_ident().value
         stream.expect_punct(":=")
-        value, from_attribute = _parse_assign_value(stream)
-    elif word == "invoke":
+        value, from_attribute = read_operand(stream)
+        return Assignment(
+            _parse_input(stream, environment), attribute, value, from_attribute
+        )
+    if word == "invoke":
         prototype_name = stream.expect_ident().value
-        service_attribute = None
-        delay = 0
-        if stream.accept_punct(","):
-            service_attribute = stream.expect_ident().value
-        if stream.accept_punct(","):
-            delay_token = stream.current
-            if delay_token.kind != "number":
-                raise stream.error("expected an invocation delay")
-            stream.advance()
-            delay = int(delay_token.value)
-    elif word == "bindstream":
+        service_attribute = stream.expect_ident().value if stream.accept_punct(",") else None
+        delay = stream.integer("invocation delay") if stream.accept_punct(",") else 0
+        child = _parse_input(stream, environment)
+        bp = child.schema.binding_pattern(prototype_name, service_attribute)
+        return Invocation(child, bp, delay=delay)
+    if word == "bindstream":
         prototype_name = stream.expect_ident().value
-        service_attribute = None
-        timestamp_attribute = None
-        if stream.accept_punct(","):
-            service_attribute = stream.expect_ident().value
-        if stream.accept_punct(","):
-            timestamp_attribute = stream.expect_ident().value
-    elif word == "window":
-        period_token = stream.current
-        if period_token.kind != "number":
-            raise stream.error("expected a window period")
-        stream.advance()
-        try:
-            period = int(period_token.value)
-        except ValueError:
-            raise ParseError(
-                "window period must be an integer",
-                period_token.line,
-                period_token.column,
-            ) from None
-    elif word == "stream":
+        service_attribute = stream.expect_ident().value if stream.accept_punct(",") else None
+        timestamp = stream.expect_ident().value if stream.accept_punct(",") else None
+        child = _parse_input(stream, environment)
+        bp = child.schema.binding_pattern(prototype_name, service_attribute)
+        return StreamingInvocation(child, bp, timestamp_attribute=timestamp)
+    if word == "window":
+        period = stream.integer("window period")
+        return Window(_parse_input(stream, environment), period)
+    if word == "stream":
         kind = stream.expect_ident().value
-    else:  # aggregate
-        group_by, aggregates = _parse_aggregate_params(stream)
+        return Streaming(_parse_input(stream, environment), kind)
+    group_by, aggregates = _parse_aggregate_params(stream)  # aggregate
+    return Aggregate(_parse_input(stream, environment), group_by, aggregates)
+
+
+def _parse_input(stream: TokenStream, environment: PervasiveEnvironment) -> Operator:
+    """``] ( expr )``: the end of a unary operator's parameters, then its input."""
     stream.expect_punct("]")
     stream.expect_punct("(")
     child = _parse_expr(stream, environment)
     stream.expect_punct(")")
-
-    if word == "project":
-        return Projection(child, names)
-    if word == "select":
-        return Selection(child, formula)
-    if word == "rename":
-        return Renaming(child, old, new)
-    if word == "assign":
-        return Assignment(child, attribute, value, from_attribute)
-    if word == "invoke":
-        bp = child.schema.binding_pattern(prototype_name, service_attribute)
-        return Invocation(child, bp, delay=delay)
-    if word == "bindstream":
-        bp = child.schema.binding_pattern(prototype_name, service_attribute)
-        return StreamingInvocation(
-            child, bp, timestamp_attribute=timestamp_attribute
-        )
-    if word == "window":
-        return Window(child, period)
-    if word == "stream":
-        return Streaming(child, kind)
-    return Aggregate(child, group_by, aggregates)
-
-
-class _Params:
-    """Helper namespace for simple parameter shapes."""
-
-    def __init__(self, stream: TokenStream):
-        self.stream = stream
-
-    def name_list(self) -> list[str]:
-        names = [self.stream.expect_ident().value]
-        while self.stream.accept_punct(","):
-            names.append(self.stream.expect_ident().value)
-        return names
-
-
-def _parse_assign_value(stream: TokenStream) -> tuple[object, bool]:
-    """The right-hand side of ``attr := ...``: a literal or an attribute."""
-    token = stream.current
-    if token.kind == "string":
-        stream.advance()
-        return token.value, False
-    if token.kind == "number":
-        stream.advance()
-        return _number(token), False
-    if token.kind == "ident":
-        if token.is_keyword("true"):
-            stream.advance()
-            return True, False
-        if token.is_keyword("false"):
-            stream.advance()
-            return False, False
-        stream.advance()
-        return token.value, True  # attribute reference
-    raise stream.error("expected a literal or an attribute name")
+    return child
 
 
 def _parse_aggregate_params(
     stream: TokenStream,
 ) -> tuple[list[str], list[AggregateSpec]]:
     """``g1, g2 ; func(attr) as name, ...`` (group list may be empty)."""
-    group_by: list[str] = []
-    if not stream.current.is_punct(";"):
-        group_by.append(stream.expect_ident().value)
-        while stream.accept_punct(","):
-            group_by.append(stream.expect_ident().value)
+    group_by = [] if stream.current.is_punct(";") else stream.identifiers()
     stream.expect_punct(";")
     aggregates = [_parse_aggregate_spec(stream)]
     while stream.accept_punct(","):
@@ -272,11 +210,12 @@ def _parse_aggregate_spec(stream: TokenStream) -> AggregateSpec:
 
 
 # ---------------------------------------------------------------------------
-# Formulas
+# Formulas — the one formula grammar, shared with SQL and the rule calculus
 # ---------------------------------------------------------------------------
 
 
-def _parse_or(stream: TokenStream) -> Formula:
+def read_formula(stream: TokenStream) -> Formula:
+    """A formula: comparisons under ``and`` / ``or`` / ``not`` and parentheses."""
     left = _parse_and(stream)
     while stream.current.is_keyword("or"):
         stream.advance()
@@ -297,64 +236,29 @@ def _parse_unary_formula(stream: TokenStream) -> Formula:
         stream.advance()
         return Not(_parse_unary_formula(stream))
     if stream.accept_punct("("):
-        inner = _parse_or(stream)
+        inner = read_formula(stream)
         stream.expect_punct(")")
         return inner
-    if stream.current.is_keyword("true") and _is_bare_true(stream):
+    # ``true`` is the constant formula unless a comparator follows
+    # (``sent = true`` uses it as a literal).
+    if stream.current.is_keyword("true") and stream.peek().comparator() is None:
         stream.advance()
         return TrueFormula()
-    return _parse_comparison(stream)
+    return read_comparison(stream)
 
 
-def _is_bare_true(stream: TokenStream) -> bool:
-    """``true`` is the constant formula only when not part of a comparison
-    (``sent = true`` uses it as a literal)."""
-    follower = stream.peek()
-    if follower.kind == "punct" and follower.value in _COMPARATORS:
-        return False
-    return not follower.is_keyword("contains")
-
-
-def _parse_comparison(stream: TokenStream) -> Formula:
-    left, left_is_attr = _parse_operand(stream)
-    token = stream.current
-    if token.kind == "punct" and token.value in _COMPARATORS:
-        op = token.value
-        stream.advance()
-    elif token.is_keyword("contains"):
-        op = "contains"
-        stream.advance()
-    else:
-        raise stream.error("expected a comparison operator")
-    right, right_is_attr = _parse_operand(stream)
+def read_comparison(stream: TokenStream) -> Comparison:
+    """``operand comparator operand``."""
+    left, left_is_attr = read_operand(stream)
+    op = stream.expect_comparator()
+    right, right_is_attr = read_operand(stream)
     return Comparison(left, op, right, left_is_attr, right_is_attr)
 
 
-def _parse_operand(stream: TokenStream) -> tuple[object, bool]:
+def read_operand(stream: TokenStream) -> tuple[object, bool]:
+    """An attribute name or a literal, with whether it is an attribute."""
     token = stream.current
-    if token.kind == "string":
-        stream.advance()
-        return token.value, False
-    if token.kind == "number":
-        stream.advance()
-        return _number(token), False
-    if token.kind == "ident":
-        if token.is_keyword("true"):
-            stream.advance()
-            return True, False
-        if token.is_keyword("false"):
-            stream.advance()
-            return False, False
+    if token.is_name():
         stream.advance()
         return token.value, True
-    raise stream.error("expected an attribute, number, string or boolean")
-
-
-def _number(token: Token) -> object:
-    text = token.value
-    try:
-        if any(ch in text for ch in ".eE"):
-            return float(text)
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad number literal {text!r}", token.line, token.column) from None
+    return stream.literal("an attribute, number, string or boolean"), False

@@ -66,7 +66,7 @@ from repro.algebra.operators.window import Window
 from repro.algebra.query import Query
 from repro.errors import ParseError
 from repro.lang.lexer import TokenStream, tokenize
-from repro.lang.sal import _parse_assign_value, _parse_or
+from repro.lang.sal import read_formula, read_operand
 from repro.model.environment import PervasiveEnvironment
 
 __all__ = ["parse_sql", "compile_sql"]
@@ -121,14 +121,14 @@ def parse_sql(text: str) -> _SqlQuery:
         while True:
             attribute = stream.expect_ident().value
             stream.expect_punct(":=")
-            value, from_attribute = _parse_assign_value(stream)
+            value, from_attribute = read_operand(stream)
             assignments.append((attribute, value, from_attribute))
             if not stream.accept_punct(","):
                 break
 
     where = None
     if stream.accept_keyword("WHERE"):
-        where = _parse_or(stream)
+        where = read_formula(stream)
 
     invocations: list[tuple[str, bool, str | None]] = []
     if stream.accept_keyword("USING"):
@@ -145,13 +145,11 @@ def parse_sql(text: str) -> _SqlQuery:
     group_by: list[str] = []
     if stream.accept_keyword("GROUP"):
         stream.expect_keyword("BY")
-        group_by.append(stream.expect_ident().value)
-        while stream.accept_punct(","):
-            group_by.append(stream.expect_ident().value)
+        group_by = stream.identifiers()
 
     having = None
     if stream.accept_keyword("HAVING"):
-        having = _parse_or(stream)
+        having = read_formula(stream)
 
     as_stream = None
     if stream.accept_keyword("AS"):
@@ -197,16 +195,7 @@ def _parse_table_ref(stream: TokenStream) -> tuple[str, int | None]:
     name = stream.expect_ident().value
     period = None
     if stream.accept_punct("["):
-        token = stream.current
-        if token.kind != "number":
-            raise stream.error("expected a window period")
-        stream.advance()
-        try:
-            period = int(token.value)
-        except ValueError:
-            raise ParseError(
-                "window period must be an integer", token.line, token.column
-            ) from None
+        period = stream.integer("window period")
         stream.expect_punct("]")
     return name, period
 

@@ -51,10 +51,6 @@ class XRelation:
         """Build an X-Relation from name→value mappings (real attrs only)."""
         return cls(schema, [schema.values_from_mapping(row) for row in rows])
 
-    def replace_tuples(self, tuples: Iterable[tuple]) -> "XRelation":
-        """A new X-Relation over the same schema with other tuples."""
-        return XRelation(self.schema, tuples)
-
     # -- set-of-tuples interface -------------------------------------------------
 
     @property

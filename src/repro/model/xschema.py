@@ -25,7 +25,6 @@ from repro.errors import (
 )
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
-from repro.model.schema import RelationSchema
 from repro.model.types import DataType, coerce_columns
 
 __all__ = ["ExtendedRelationSchema"]
@@ -457,10 +456,6 @@ class ExtendedRelationSchema:
         return ExtendedRelationSchema(
             name, self._attributes, self._virtual, self._binding_patterns
         )
-
-    def real_relation_schema(self) -> RelationSchema:
-        """The plain relation schema of the real attributes (tuple layout)."""
-        return RelationSchema(self._real_attributes)
 
     # -- compatibility and equality --------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 from repro.algebra.query import Query, QueryResult
 from repro.continuous.continuous_query import ContinuousQuery
@@ -30,11 +29,6 @@ from repro.pems.erm import EnvironmentResourceManager
 from repro.pems.table_manager import ExtendedTableManager
 
 __all__ = ["QueryProcessor", "DiscoveryQuery"]
-
-#: Builds the relation row for a discovered service; defaults to
-#: ``{service_attribute: reference, **properties}`` restricted to the
-#: relation's real attributes.
-RowBuilder = Callable[[Service], Mapping[str, object]]
 
 
 @dataclass(frozen=True)
@@ -67,15 +61,14 @@ class DiscoveryQuery:
     prototype_name: str
     relation_name: str
     service_attribute: str
-    row_builder: RowBuilder | None = None
     #: What the last sync saw — ``(registry topology_version, writes to
     #: the relation's tracked rows)``; while both stand still there is
     #: nothing to diff.
     synced: tuple[int, int] | None = field(default=None, repr=False, compare=False)
 
     def build_row(self, service: Service, schema) -> dict[str, object]:
-        if self.row_builder is not None:
-            return dict(self.row_builder(service))
+        """The relation row for a discovered service: ``{service_attribute:
+        reference, **properties}`` restricted to the real attributes."""
         row: dict[str, object] = {self.service_attribute: service.reference}
         for name in schema.real_names:
             if name != self.service_attribute and name in service.properties:
@@ -255,7 +248,6 @@ class QueryProcessor:
         prototype_name: str,
         relation_name: str,
         service_attribute: str,
-        row_builder: RowBuilder | None = None,
     ) -> DiscoveryQuery:
         """Keep ``relation_name`` synchronized with the services that
         implement ``prototype_name``.
@@ -270,9 +262,7 @@ class QueryProcessor:
         schema = self.environment.schema(relation_name)
         if service_attribute not in schema.real_names:
             raise UnknownAttributeError(service_attribute, relation_name)
-        discovery = DiscoveryQuery(
-            prototype_name, relation_name, service_attribute, row_builder
-        )
+        discovery = DiscoveryQuery(prototype_name, relation_name, service_attribute)
         self._discovery.append(discovery)
         self._sync_discovery(discovery)
         return discovery

@@ -5,6 +5,7 @@ import pytest
 from repro.algebra import EvaluationContext, col, scan
 from repro.algebra.actions import Action
 from repro.devices.prototypes import SEND_MESSAGE
+from repro.lang.printer import explain
 from repro.model.binding import BindingPattern
 
 
@@ -103,7 +104,7 @@ class TestOperatorBase:
         )
         kinds = [type(n).__name__ for n in node.walk()]
         assert kinds == ["Projection", "Selection", "Scan"]
-        tree = node.tree()
+        tree = explain(node)
         assert tree.splitlines()[2].startswith("    scan")
 
     def test_structural_equality_ignores_uid(self, paper_env):

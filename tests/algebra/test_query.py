@@ -12,6 +12,7 @@ from repro.algebra import (
 )
 from repro.model.binding import BindingPattern
 from repro.devices.prototypes import SEND_MESSAGE
+from repro.lang.printer import explain
 
 
 class TestQuery:
@@ -41,7 +42,7 @@ class TestQuery:
     def test_render_and_explain(self, paper_env):
         q = scan(paper_env, "contacts").select(col("name").eq("Carla")).query()
         assert q.render() == "select[name = 'Carla'](contacts)"
-        assert "σ" in q.explain()
+        assert "σ" in explain(q)
 
     def test_is_stream(self, paper_env):
         finite = scan(paper_env, "contacts").query()

@@ -237,6 +237,22 @@ class TestRuleCommand:
         sh.execute(".rule broken(x) :- nothing(x);")
         assert "error:" in out.getvalue()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ".rule h(n) :- contacts(n, _, _, _, _), n = 1e;",
+            ".rule h(n) :- contacts(n, _, _, _, _), n = 3e+;",
+            ".sal invoke[sendMessage, messenger, 2.5](assign[text := 'x'](contacts))",
+            ".sal invoke[sendMessage, messenger, 1e](assign[text := 'x'](contacts))",
+        ],
+    )
+    def test_malformed_numbers_reported_not_raised(self, shell, command):
+        sh, out = shell
+        sh.execute(".demo temperature")
+        sh.execute(command)
+        assert "error:" in out.getvalue()
+        assert sh.running
+
 
 class TestMainEntry:
     def test_main_executes_script_file(self, tmp_path, capsys):
@@ -251,6 +267,58 @@ class TestMainEntry:
         )
         assert main([str(script)]) == 0
         assert "Ada" in capsys.readouterr().out
+
+
+class TestInteractiveMain:
+    """Typed lines are split into statements by the same rule as a script."""
+
+    def run(self, monkeypatch, capsys, lines):
+        from repro.cli import main
+
+        typed = iter(lines)
+
+        def fake_input(prompt=""):
+            try:
+                return next(typed)
+            except StopIteration:
+                raise EOFError from None
+
+        monkeypatch.setattr("builtins.input", fake_input)
+        assert main([]) == 0
+        return capsys.readouterr().out
+
+    def test_semicolon_inside_a_string_does_not_end_the_statement(
+        self, monkeypatch, capsys
+    ):
+        out = self.run(monkeypatch, capsys, [
+            "EXTENDED RELATION r ( a STRING, b STRING );",
+            "INSERT INTO r VALUES ('a;b',",
+            "'x');",
+            "SELECT * FROM r;",
+        ])
+        assert "error" not in out
+        assert "| a;b | x |" in out
+
+    def test_semicolon_inside_a_comment_does_not_end_the_statement(
+        self, monkeypatch, capsys
+    ):
+        out = self.run(monkeypatch, capsys, [
+            "EXTENDED RELATION r ( a STRING, b STRING );",
+            "INSERT INTO r VALUES ('1', 'x'), ('2', 'y');",
+            "SELECT * FROM r -- all rows; for now",
+            "WHERE b = 'x';",
+        ])
+        assert "error" not in out
+        assert "| 1 | x |" in out
+        assert "| 2 | y |" not in out
+
+    def test_unterminated_statement_runs_at_end_of_input(self, monkeypatch, capsys):
+        out = self.run(monkeypatch, capsys, [
+            "EXTENDED RELATION r ( a STRING );",
+            "INSERT INTO r VALUES ('x');",
+            "SELECT * FROM r",
+        ])
+        assert "| x |" in out
 
 
 class TestObservabilityCommands:

@@ -49,6 +49,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="has 2 terms but"):
             compile_rule("a(n) :- contacts(n, x);", _env())
 
+    @pytest.mark.parametrize("literal", ["1e", "3e+"])
+    def test_malformed_number_literal(self, literal):
+        with pytest.raises(ParseError) as raised:
+            compile_rule(f"h(n) :- contacts(n, _, _, _, _), n = {literal};", _env())
+        assert (raised.value.line, raised.value.column) == (1, 38)
+
 
 def _env():
     from repro.devices.paper_example import build_paper_example

@@ -112,6 +112,13 @@ class TestOperators:
         with pytest.raises(ParseError, match="trailing"):
             parse_query("contacts extra", paper_env)
 
+    @pytest.mark.parametrize("delay", ["2.5", "1e"])
+    def test_malformed_invocation_delay(self, paper_env, delay):
+        text = f"invoke[sendMessage, messenger, {delay}](assign[text := 'x'](contacts))"
+        with pytest.raises(ParseError) as raised:
+            parse_query(text, paper_env)
+        assert (raised.value.line, raised.value.column) == (1, 32)
+
 
 class TestFormulas:
     def test_comparators(self):

@@ -131,20 +131,6 @@ class TestDiscoveryQueries:
         with pytest.raises(UnknownAttributeError):
             pems.queries.register_discovery("getTemperature", "sensors", "nope")
 
-    def test_custom_row_builder(self, pems):
-        plug_sensor(pems, "sensor01", "corridor")
-        pems.queries.register_discovery(
-            "getTemperature",
-            "sensors",
-            "sensor",
-            row_builder=lambda service: {
-                "sensor": service.reference,
-                "location": "everywhere",
-            },
-        )
-        relation = pems.environment.instantaneous("sensors", pems.clock.now)
-        assert relation.column("location") == ["everywhere"]
-
     def test_continuous_query_sees_updated_table_without_restart(self, pems):
         """The Section 5.2 experiment: new sensors integrate into running
         queries without stopping them."""

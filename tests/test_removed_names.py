@@ -16,8 +16,12 @@ other than the one typed-cover rule, the naive-subtree lowering
 fallback, the literal leaf with the second lowering walk (only a
 registry's ``acquire`` builds executors), the clock's tick listeners
 (``PEMS.tick`` calls the phases of an instant itself), the continuous
-query's result listeners and the temperature-only stream feeder — must
-not creep back into code, docs, examples, scripts or CI.
+query's result listeners and the temperature-only stream feeder, the
+front ends' private copies of the shared token readers (literal, name
+list, assignment value, comparison atom) and the API nothing called (the
+second EXPLAIN renderer ``Operator.tree``, ``XRelation.replace_tuples``,
+``real_relation_schema``, ``AlertLog.for_zone`` and the discovery row
+builder) — must not creep back into code, docs, examples, scripts or CI.
 
 There are two engines (``naive`` and ``shared``), one executor table,
 one optimizer (the §3.3 pushdown fixpoint) and one way to build a PEMS.  Prose may still call the executors
@@ -148,6 +152,17 @@ BANNED = re.compile(
       | _run_sources
       | SensorStreamFeeder
       | on_result
+      | _parse_literal
+      | _parse_name_list
+      | _Params
+      | _parse_assign_value
+      | ComparisonAtom
+      | _comparison_formula
+      | replace_tuples
+      | real_relation_schema
+      | for_zone
+      | row_builder
+      | \.tree\(
     """,
     re.VERBOSE,
 )
